@@ -103,10 +103,17 @@ void BM_BaselineFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_BaselineFilter)->DenseRange(0, 2);
 
+// Legs 2 and 3 are the mapper's verifier at its default e=5: one pair the
+// verifier accepts (3 substitutions) and one it rejects (25 edits), so the
+// kernel's early exit on far pairs shows against the full scan.
 void BM_ExactAligners(benchmark::State& state) {
   const int which = static_cast<int>(state.range(0));
-  const SequencePair p = MakePairWithEdits(100, 7, 0.3, 11);
+  constexpr int kE = 5;
+  const SequencePair p = which == 2   ? MakePairWithEdits(100, 3, 0.0, 11)
+                         : which == 3 ? MakePairWithEdits(100, 25, 0.3, 11)
+                                      : MakePairWithEdits(100, 7, 0.3, 11);
   MyersAligner myers;
+  BandedVerifier verifier;
   for (auto _ : state) {
     switch (which) {
       case 0:
@@ -116,13 +123,15 @@ void BM_ExactAligners(benchmark::State& state) {
         benchmark::DoNotOptimize(myers.Distance(p.read, p.ref));
         break;
       default:
-        benchmark::DoNotOptimize(BandedEditDistance(p.read, p.ref, 10));
+        benchmark::DoNotOptimize(verifier.Distance(p.read, p.ref, kE));
         break;
     }
   }
-  state.SetLabel(which == 0 ? "NW-DP" : which == 1 ? "Myers" : "Banded-k10");
+  static constexpr const char* kLabels[] = {
+      "NW-DP", "Myers", "Verifier-e5-accept", "Verifier-e5-far"};
+  state.SetLabel(kLabels[which]);
 }
-BENCHMARK(BM_ExactAligners)->DenseRange(0, 2);
+BENCHMARK(BM_ExactAligners)->DenseRange(0, 3);
 
 }  // namespace
 }  // namespace gkgpu

@@ -1,9 +1,12 @@
 #include "align/cigar.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <cstdlib>
 #include <vector>
+
+#include "align/myers.hpp"
 
 namespace gkgpu {
 
@@ -100,6 +103,32 @@ Alignment BandedAlign(std::string_view read, std::string_view ref, int k) {
   std::reverse(ops.begin(), ops.end());
   result.cigar = CompressCigarOps(ops);
   return result;
+}
+
+std::string CigarFor(std::string_view read, std::string_view window,
+                     int edits) {
+  // Fast path.  Let d = edits be the exact distance, equal lengths L, and
+  // H(i) the Hamming distance of the length-i prefixes, with H(L) == d.
+  // The diagonal path bounds D[i][i] <= H(i), and extending (i, i) along
+  // the diagonal to (L, L) bounds d <= D[i][i] + (H(L) - H(i)), so
+  // D[i][i] >= H(i): the diagonal cells hold exactly H(i).  They lie in
+  // BandedAlign's band (offset 0 <= k) and its banded values can neither
+  // beat the true D nor miss the in-band diagonal path, so they hold H(i)
+  // there too.  Its traceback from (L, L) tries M first, and
+  // D[i-1][i-1] + cost(i) == H(i) == D[i][i] holds at every step, so it
+  // walks the diagonal to (0, 0) and emits L M's: "<L>M", byte for byte.
+  if (!read.empty() && read.size() == window.size() && edits >= 0) {
+    int hamming = 0;
+    for (std::size_t i = 0; i < read.size() && hamming <= edits; ++i) {
+      hamming += read[i] != window[i] ? 1 : 0;
+    }
+    if (hamming == edits) {
+      assert(MyersAligner().DistanceWithin(read, window, edits) == edits);
+      return std::to_string(read.size()) + "M";
+    }
+  }
+  const Alignment aln = BandedAlign(read, window, edits);
+  return aln.distance >= 0 ? aln.cigar : std::to_string(read.size()) + "M";
 }
 
 int CigarEdits(std::string_view read, std::string_view ref,

@@ -21,6 +21,14 @@ struct Alignment {
 /// describes one optimal alignment (diagonal moves preferred on ties).
 Alignment BandedAlign(std::string_view read, std::string_view ref, int k);
 
+/// The CIGAR a SAM record carries for a verified placement: `edits` must
+/// be the confirmed (exact) edit distance of read against window.  Equals
+/// BandedAlign(read, window, edits).cigar when that succeeds and
+/// "<read length>M" otherwise, but skips the DP when the Hamming distance
+/// equals `edits` (the substitution-only placements that dominate).
+std::string CigarFor(std::string_view read, std::string_view window,
+                     int edits);
+
 /// Applies a CIGAR to `ref` to check consistency with `read`: returns the
 /// number of edits implied (M columns that mismatch + I + D runs), or -1
 /// if the CIGAR does not span the two sequences.  Test/validation helper.

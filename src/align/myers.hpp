@@ -3,12 +3,17 @@
 // Edlib's EDLIB_MODE_NW, which the paper uses as the accuracy ground truth:
 // "we hold Edlib's global alignment results as the ground truth".
 //
-// MyersAligner keeps reusable pattern-preprocessing buffers so the accuracy
-// benches can score hundreds of thousands of pairs without reallocation.
+// It is also the mapper's verification kernel: BandedVerifier and
+// BandedEditDistance are thin calls to MyersAligner::DistanceWithin.
+// Patterns up to 128 bp run on two unrolled 64-bit words held in
+// registers; longer ones walk a block vector.
+//
+// MyersAligner keeps its pattern bitmask table across calls and clears
+// only the entries a pattern set, so a verifier reused over millions of
+// pairs neither reallocates nor re-zeroes the 256-symbol table per call.
 #ifndef GKGPU_ALIGN_MYERS_HPP
 #define GKGPU_ALIGN_MYERS_HPP
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -20,11 +25,9 @@ class MyersAligner {
   /// Exact global (NW) edit distance between pattern a and text b.
   int Distance(std::string_view a, std::string_view b);
 
-  /// Edit distance if <= k, else -1 (same contract as BandedEditDistance).
-  int DistanceWithin(std::string_view a, std::string_view b, int k) {
-    const int d = Distance(a, b);
-    return d <= k ? d : -1;
-  }
+  /// Edit distance if <= k, else -1.  Stops scanning the text once the
+  /// last-row score minus the columns left exceeds k.
+  int DistanceWithin(std::string_view a, std::string_view b, int k);
 
  private:
   struct Block {
@@ -32,9 +35,14 @@ class MyersAligner {
     std::uint64_t mv;  // vertical negative deltas
   };
 
-  void BuildPeq(std::string_view pattern, int nblocks);
+  /// Scans text b column by column against the pattern encoded in peq_.
+  /// kWords > 0 fixes the block count at compile time (registers, fully
+  /// unrolled); kWords == 0 walks ceil(m / 64) blocks in blocks_.
+  template <int kWords>
+  int Scan(int m, std::string_view b, int k);
 
-  // peq_[c * nblocks + b]: bit i set when pattern[b*64 + i] == character c.
+  // peq_[c * nblocks + b]: bit i set when pattern[b*64 + i] == byte c.
+  // All-zero between calls: each call clears exactly what it set.
   std::vector<std::uint64_t> peq_;
   std::vector<Block> blocks_;
 };

@@ -118,11 +118,9 @@ void WriteSamAlignment(std::ostream& out, std::string_view read_name,
                        int edit_distance, int mapq,
                        std::string_view ref_window,
                        std::string_view read_group) {
-  const Alignment aln = BandedAlign(seq, ref_window, edit_distance);
-  const std::string cigar =
-      aln.distance >= 0 ? aln.cigar : std::to_string(seq.size()) + "M";
   WriteSamLine(out, read_name, flags, seq, chrom_name, local_pos,
-               edit_distance, mapq, cigar, read_group);
+               edit_distance, mapq, CigarFor(seq, ref_window, edit_distance),
+               read_group);
 }
 
 void WriteSamRecords(std::ostream& out, const std::vector<std::string>& reads,

@@ -600,9 +600,7 @@ void PairFinalizer::EmitMate(const FastqRecord& rec, const std::string& rc,
     } else {
       const std::string_view window(mapper->genome().data() + me.pos,
                                     static_cast<std::size_t>(L));
-      const Alignment aln = BandedAlign(seq, window, me.edit);
-      cigar =
-          aln.distance >= 0 ? aln.cigar : std::to_string(seq.size()) + "M";
+      cigar = CigarFor(seq, window, me.edit);
     }
     out.cigar = cigar;
     out.nm = me.edit;

@@ -495,14 +495,9 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
               if (batch->edits[i] >= 0) {
                 ++confirmed;
                 if (config_.emit_cigar) {
-                  // Same computation as WriteSamAlignment (band = the
-                  // confirmed distance), so sinks emit identical bytes.
-                  const Alignment aln =
-                      BandedAlign(read, window, batch->edits[i]);
-                  batch->cigars[i] =
-                      aln.distance >= 0
-                          ? aln.cigar
-                          : std::to_string(read.size()) + "M";
+                  // Same computation as WriteSamAlignment, so sinks emit
+                  // identical bytes.
+                  batch->cigars[i] = CigarFor(read, window, batch->edits[i]);
                 }
               }
             }

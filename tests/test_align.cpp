@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,20 +85,82 @@ TEST(MyersTest, EmptyInputs) {
   EXPECT_EQ(MyersEditDistance("", "ACG"), 3);
 }
 
+// Edit budgets around the kernel's word boundaries and far beyond them.
+constexpr int kBudgets[] = {0, 1, 5, 31, 32, 63, 64, 200};
+
+// Symbol sets the verifier must compare byte for byte: N and lower case
+// are distinct symbols, never wildcards; the last set reaches the top of
+// the 256-entry pattern table.
+const std::string kAlphabets[] = {"ACGT", "ACGTN", "acgtACGT", "N",
+                                  std::string("\x01G\x80\xff", 4)};
+
+std::string RandomOver(Rng& rng, int n, const std::string& alphabet) {
+  std::string s(static_cast<std::size_t>(n), alphabet[0]);
+  for (auto& c : s) c = alphabet[rng.Uniform(alphabet.size())];
+  return s;
+}
+
+// `s` with `edits` random substitutions, insertions and deletions.
+std::string Mutate(Rng& rng, std::string s, int edits,
+                   const std::string& alphabet) {
+  for (int e = 0; e < edits; ++e) {
+    const char c = alphabet[rng.Uniform(alphabet.size())];
+    const std::size_t pos = rng.Uniform(s.size() + 1);
+    switch (rng.Uniform(3)) {
+      case 0:
+        if (pos < s.size()) s[pos] = c;
+        break;
+      case 1:
+        if (pos < s.size()) s.erase(pos, 1);
+        break;
+      default:
+        s.insert(pos, 1, c);
+        break;
+    }
+  }
+  return s;
+}
+
+// The independent oracle: the full NW DP, thresholded at k.
+int NwWithin(std::string_view a, std::string_view b, int k) {
+  const int d = NwEditDistance(a, b);
+  return d <= k ? d : -1;
+}
+
 TEST(BandedTest, ExactWithinBandRejectsBeyond) {
+  // Every pattern length 1-300 (so 63/64/65, 127/128/129 and the block
+  // loop above 128), each against a mutated copy (distances near the
+  // budgets, lengths differing by more than small k) and an unrelated
+  // sequence, over every budget and symbol set.
   Rng rng(11);
-  for (int trial = 0; trial < 300; ++trial) {
-    const int length = 20 + static_cast<int>(rng.Uniform(150));
-    const std::string a = RandomSeq(rng, static_cast<std::size_t>(length));
-    const std::string b = RandomSeq(rng, static_cast<std::size_t>(length));
-    const int exact = NwEditDistance(a, b);
-    for (const int k : {0, 1, 2, 5, 10, 25}) {
-      const int banded = BandedEditDistance(a, b, k);
-      if (exact <= k) {
-        EXPECT_EQ(banded, exact) << "trial " << trial << " k " << k;
-      } else {
-        EXPECT_EQ(banded, -1) << "trial " << trial << " k " << k;
+  for (int length = 1; length <= 300; ++length) {
+    const std::string& alphabet =
+        kAlphabets[static_cast<std::size_t>(length) % std::size(kAlphabets)];
+    const std::string a = RandomOver(rng, length, alphabet);
+    const int edits = static_cast<int>(rng.Uniform(length / 4 + 4));
+    const std::string near = Mutate(rng, a, edits, alphabet);
+    const int far_length = length + static_cast<int>(rng.Uniform(8));
+    const std::string far = RandomOver(rng, far_length, alphabet);
+    for (const std::string& b : {near, far}) {
+      for (const int k : kBudgets) {
+        ASSERT_EQ(BandedEditDistance(a, b, k), NwWithin(a, b, k))
+            << "m " << a.size() << " n " << b.size() << " k " << k;
+        ASSERT_EQ(BandedEditDistance(b, a, k), NwWithin(b, a, k))
+            << "m " << b.size() << " n " << a.size() << " k " << k;
       }
+    }
+  }
+  // Empty strings, and lengths that differ by more than the budget.
+  for (const int k : kBudgets) {
+    EXPECT_EQ(BandedEditDistance("", "", k), 0) << k;
+    for (const int n : {1, 64, 129, 250}) {
+      const std::string s = RandomOver(rng, n, kAlphabets[0]);
+      EXPECT_EQ(BandedEditDistance(s, "", k), NwWithin(s, "", k)) << k;
+      EXPECT_EQ(BandedEditDistance("", s, k), NwWithin("", s, k)) << k;
+      const std::string longer =
+          s + std::string(static_cast<std::size_t>(k) + 1, 'N');
+      EXPECT_EQ(BandedEditDistance(s, longer, k), -1) << k;
+      EXPECT_EQ(BandedEditDistance(longer, s, k), -1) << k;
     }
   }
 }
@@ -140,21 +203,53 @@ TEST(BandedTest, IndelPairsStayWithinDoubledBudget) {
 }
 
 TEST(BandedTest, AgreesWithMyersWithinThreshold) {
+  // Read-like pairs (up to 29 random edits) at the block-boundary
+  // lengths: the verifier, the thresholded and the exact Myers entry
+  // points all agree with the NW oracle.
   Rng rng(17);
   MyersAligner aligner;
-  for (int trial = 0; trial < 300; ++trial) {
-    const int length = 100;
-    const int edits = static_cast<int>(rng.Uniform(30));
-    const SequencePair p =
-        MakePairWithEdits(length, edits, 0.25, rng.NextU64());
-    const int exact = aligner.Distance(p.read, p.ref);
-    const int k = 10;
-    const int banded = BandedEditDistance(p.read, p.ref, k);
-    if (exact <= k) {
-      EXPECT_EQ(banded, exact) << "trial " << trial;
-    } else {
-      EXPECT_EQ(banded, -1) << "trial " << trial;
+  for (const int length : {1, 2, 63, 64, 65, 100, 127, 128, 129, 150, 300}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const int edits = static_cast<int>(rng.Uniform(30));
+      const std::string& alphabet =
+          kAlphabets[static_cast<std::size_t>(trial) % std::size(kAlphabets)];
+      const std::string a = RandomOver(rng, length, alphabet);
+      const std::string b = Mutate(rng, a, edits, alphabet);
+      const int exact = NwEditDistance(a, b);
+      ASSERT_EQ(aligner.Distance(a, b), exact)
+          << "length " << length << " trial " << trial;
+      for (const int k : kBudgets) {
+        const int want = exact <= k ? exact : -1;
+        ASSERT_EQ(BandedEditDistance(a, b, k), want)
+            << "length " << length << " trial " << trial << " k " << k;
+        ASSERT_EQ(aligner.DistanceWithin(a, b, k), want)
+            << "length " << length << " trial " << trial << " k " << k;
+      }
     }
+  }
+}
+
+TEST(BandedTest, ReusedVerifierMatchesFreshInstance) {
+  // One verifier across alternating pattern lengths (one word, two words,
+  // the block loop, empty), symbol sets and budgets: any pattern-table
+  // bit a previous call left behind would change a later distance.
+  Rng rng(19);
+  BandedVerifier reused;
+  // 11 lengths against 5 symbol sets: every pairing recurs.
+  const int lengths[] = {300, 7, 129, 64, 1, 200, 65, 128, 33, 0, 256};
+  for (std::size_t trial = 0; trial < 660; ++trial) {
+    const std::string& alphabet = kAlphabets[trial % std::size(kAlphabets)];
+    const int length = lengths[trial % std::size(lengths)];
+    const std::string a = RandomOver(rng, length, alphabet);
+    const int edits = static_cast<int>(rng.Uniform(12));
+    const std::string b = rng.Uniform(2) == 0
+                              ? Mutate(rng, a, edits, alphabet)
+                              : RandomOver(rng, length, alphabet);
+    const int k = kBudgets[rng.Uniform(std::size(kBudgets))];
+    BandedVerifier fresh;
+    ASSERT_EQ(reused.Distance(a, b, k), fresh.Distance(a, b, k))
+        << "trial " << trial << " m " << a.size() << " n " << b.size()
+        << " k " << k;
   }
 }
 

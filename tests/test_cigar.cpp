@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "align/banded.hpp"
 #include "align/needleman_wunsch.hpp"
 #include "encode/dna.hpp"
@@ -80,6 +83,62 @@ TEST(CigarTest, UnequalLengths) {
     ASSERT_EQ(aln.distance, d) << t;
     ASSERT_EQ(CigarEdits(a, b, aln.cigar), d) << t;
   }
+}
+
+int Hamming(std::string_view a, std::string_view b) {
+  int h = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) h += a[i] != b[i] ? 1 : 0;
+  return h;
+}
+
+TEST(CigarTest, CigarForMatchesBandedAlign) {
+  // CigarFor at the confirmed distance must be byte-identical to the
+  // BandedAlign traceback, whether it takes the all-M fast path
+  // (Hamming == distance) or falls back to the DP (Hamming > distance).
+  Rng rng(13);
+  int fast = 0;
+  int fallback = 0;
+  for (int t = 0; t < 600; ++t) {
+    const int length = 20 + static_cast<int>(rng.Uniform(200));
+    const int edits = static_cast<int>(rng.Uniform(12));
+    // Even trials: substitutions only; odd trials: indels only.
+    const SequencePair p = MakePairWithEdits(
+        length, edits, t % 2 == 0 ? 0.0 : 1.0, rng.NextU64());
+    const int d = NwEditDistance(p.read, p.ref);
+    ASSERT_EQ(p.read.size(), p.ref.size());
+    const Alignment aln = BandedAlign(p.read, p.ref, d);
+    ASSERT_EQ(aln.distance, d) << "trial " << t;
+    ASSERT_EQ(CigarFor(p.read, p.ref, d), aln.cigar)
+        << "trial " << t << " d " << d;
+    (Hamming(p.read, p.ref) == d ? fast : fallback) += 1;
+  }
+  EXPECT_GT(fast, 100);
+  EXPECT_GT(fallback, 100);
+}
+
+TEST(CigarTest, CigarForShiftedRepeatTakesTheDp) {
+  // A tandem repeat against itself shifted by one base: four columns in
+  // five mismatch, yet one deletion plus one insertion align it, so the
+  // distance (2) is far below the Hamming distance (80) and only the DP
+  // fallback yields the right CIGAR.
+  std::string repeat;
+  while (repeat.size() < 101) repeat += "ACGTT";
+  const std::string read = repeat.substr(1, 100);
+  const std::string ref = repeat.substr(0, 100);
+  const int d = NwEditDistance(read, ref);
+  ASSERT_EQ(d, 2);
+  ASSERT_GT(Hamming(read, ref), d);
+  const std::string cigar = CigarFor(read, ref, d);
+  EXPECT_EQ(cigar, BandedAlign(read, ref, d).cigar);
+  EXPECT_NE(cigar, "100M");
+  EXPECT_EQ(CigarEdits(read, ref, cigar), d);
+}
+
+TEST(CigarTest, CigarForEdgeCases) {
+  // A distance below the true one fits no alignment, so the record keeps
+  // the bare match run; an empty read keeps BandedAlign's empty CIGAR.
+  EXPECT_EQ(CigarFor("AAAA", "TTTT", 2), "4M");
+  EXPECT_EQ(CigarFor("", "", 0), BandedAlign("", "", 0).cigar);
 }
 
 TEST(CigarTest, CigarEditsRejectsMalformed) {
