@@ -24,22 +24,18 @@ void PreAlignmentFilter::FilterBatch(const PairBlock& block, int e,
                 "the funnel tally assumes the PairResult flag layout");
   std::uint64_t accepts = 0;
   std::uint64_t bypasses = 0;
-  std::uint64_t earlyouts = 0;
   for (std::size_t i = 0; i < block.size; ++i) {
     std::uint32_t w;
     std::memcpy(&w, &results[i], sizeof(w));
     accepts += w & 0xFFu;
-    const std::uint32_t b = (w >> 8) & 0xFFu;
-    bypasses += b & 1u;        // undefined-pair bypass-accept
-    earlyouts += (b >> 1) & 1u;  // joint-filtration early-out (no verdict)
+    bypasses += (w >> 8) & 0xFFu;
   }
   const std::string filter(name());
   const std::string tier = simd::LevelName(simd::ActiveLevel());
   obs::FilterInput().Inc(block.size);
   obs::FilterAccepts(filter, tier).Inc(accepts);
-  obs::FilterRejects(filter, tier).Inc(block.size - accepts - earlyouts);
+  obs::FilterRejects(filter, tier).Inc(block.size - accepts);
   if (bypasses > 0) obs::FilterBypasses(filter, tier).Inc(bypasses);
-  if (earlyouts > 0) obs::JointEarlyOutLanes(filter, tier).Inc(earlyouts);
 }
 
 void PreAlignmentFilter::FilterBatchImpl(const PairBlock& block, int e,
@@ -53,10 +49,6 @@ void PreAlignmentFilter::FilterBatchImpl(const PairBlock& block, int e,
   std::string ref_str(static_cast<std::size_t>(block.length), 'A');
   for (std::size_t i = 0; i < block.size; ++i) {
     const BlockPairView p = LoadBlockPair(block, i, read_scratch, ref_scratch);
-    if (p.killed) {
-      results[i] = EarlyOutPairResult();
-      continue;
-    }
     if (p.bypass) {
       results[i] = BypassedPairResult();
       continue;

@@ -11,7 +11,6 @@ void PairBlockStorage::Reset(int length) {
   reads_.clear();
   refs_.clear();
   bypass_.clear();
-  kill_.clear();
 }
 
 void PairBlockStorage::Add(std::string_view read, std::string_view ref,
@@ -25,13 +24,6 @@ void PairBlockStorage::Add(std::string_view read, std::string_view ref,
   const bool read_n = EncodeSequence(read, reads_.data() + off);
   const bool ref_n = EncodeSequence(ref, refs_.data() + off);
   bypass_.push_back(mark_undefined && (read_n || ref_n) ? 1 : 0);
-  if (!kill_.empty()) kill_.push_back(0);
-}
-
-void PairBlockStorage::MarkKilled(std::size_t i) {
-  assert(i < bypass_.size());
-  if (kill_.empty()) kill_.assign(bypass_.size(), 0);
-  kill_[i] = 1;
 }
 
 PairBlock PairBlockStorage::view() const {
@@ -42,7 +34,6 @@ PairBlock PairBlockStorage::view() const {
   b.reads_enc = reads_.data();
   b.refs_enc = refs_.data();
   b.bypass = bypass_.data();
-  if (!kill_.empty()) b.kill = kill_.data();
   return b;
 }
 

@@ -16,13 +16,6 @@
 //   gkgpu_filter_bypasses_total        {filter,tier} bypassed (N bases /
 //                                      over-threshold windows): accepted
 //                                      without a filter verdict
-//   gkgpu_joint_earlyout_lanes_total   {filter,tier} lanes early-outed by
-//                                      mate-aware joint filtration (killed
-//                                      before filtration, no verdict)
-//   gkgpu_combinations_shortcircuited_total
-//                                      candidate combinations never
-//                                      filtered because a partner-mate
-//                                      rejection killed their lane
 //   gkgpu_rescued_mates_total          SW mate rescues (paired)
 //   gkgpu_reads_mapped_total / gkgpu_reads_unmapped_total
 //
@@ -59,8 +52,6 @@ Counter FilterInput();
 Counter FilterAccepts(const std::string& filter, const std::string& tier);
 Counter FilterRejects(const std::string& filter, const std::string& tier);
 Counter FilterBypasses(const std::string& filter, const std::string& tier);
-Counter JointEarlyOutLanes(const std::string& filter, const std::string& tier);
-Counter CombinationsShortCircuited();
 Counter RescuedMates();
 Counter ReadsMapped();
 Counter ReadsUnmapped();

@@ -39,35 +39,9 @@ struct PairTask {
   std::string rc1, rc2;  // reverse complements (verification + SAM)
   std::vector<OrientedCandidate> c1, c2;
   std::vector<int> e1, e2;
-  /// Pre-prune candidate lists (joint filtration only): the rescue seed
-  /// gate must reason about every seeding hit, not just the concordant
-  /// survivors — an empty window in the *pruned* list proves nothing.
-  std::vector<OrientedCandidate> all1, all2;
   std::uint64_t seeded = 0;  // oriented candidates before pairing
   bool skipped = false;      // mate length != read length
-  /// The concordance prune replaced the lists: every surviving candidate
-  /// of either mate has at least one concordant partner on the other —
-  /// the invariant joint filtration's partner rows are built on.
-  bool pruned = false;
 };
-
-/// Exactly the concordant-combination admission test of
-/// PairFinalizer::Finalize's scoring loop (opposite strands, FR
-/// orientation, fragment within [L, max_insert], window junction-free).
-/// Joint filtration's partner rows must use the *same* predicate: a
-/// phase-B lane may be killed only when every phase-A lane it could ever
-/// combine with was rejected.
-bool ConcordantFeasible(const ReferenceSet& ref, int L,
-                        std::int64_t max_insert, const OrientedCandidate& x,
-                        const OrientedCandidate& y) {
-  if (x.strand == y.strand) return false;
-  const OrientedCandidate& f = x.strand == 0 ? x : y;
-  const OrientedCandidate& r = x.strand == 0 ? y : x;
-  if (r.pos < f.pos) return false;
-  const std::int64_t frag = r.pos + L - f.pos;
-  if (frag > max_insert) return false;
-  return ref.WindowWithinChromosome(f.pos, static_cast<int>(frag));
-}
 
 /// True when `a` has at least one concordant (opposite-strand, FR
 /// orientation, fragment <= max_insert, junction-free) partner in
@@ -112,34 +86,29 @@ bool HasConcordantPartner(const ReferenceSet& ref, int L,
 /// candidate can complete into a concordant pair.  When no concordant
 /// combination exists at all (or a mate produced no candidates) the lists
 /// are left untouched — discordant and single-end mappings must stay
-/// reachable.  Returns true when the lists were replaced (every survivor
-/// then has a concordant partner).
-bool PruneConcordant(const ReferenceSet& ref, int L, std::int64_t max_insert,
+/// reachable.
+void PruneConcordant(const ReferenceSet& ref, int L, std::int64_t max_insert,
                      std::vector<OrientedCandidate>* c1,
                      std::vector<OrientedCandidate>* c2) {
-  if (c1->empty() || c2->empty()) return false;
+  if (c1->empty() || c2->empty()) return;
   std::vector<OrientedCandidate> keep1;
   std::vector<OrientedCandidate> keep2;
   for (const OrientedCandidate& a : *c1) {
     if (HasConcordantPartner(ref, L, max_insert, a, *c2)) keep1.push_back(a);
   }
-  if (keep1.empty()) return false;  // no concordance possible: keep all
+  if (keep1.empty()) return;  // no concordance possible: keep all
   for (const OrientedCandidate& a : *c2) {
     if (HasConcordantPartner(ref, L, max_insert, a, *c1)) keep2.push_back(a);
   }
   assert(!keep2.empty());  // concordance is symmetric
   *c1 = std::move(keep1);
   *c2 = std::move(keep2);
-  return true;
 }
 
 /// Seeds both mates on both strands and applies the pairing prune.
 /// `scratch` amortizes the position buffer across a pair loop.
-/// `keep_preprune` (joint filtration) snapshots the unpruned lists for
-/// the rescue seed gate.
 void SeedPairTask(const ReadMapper& mapper, int L, std::int64_t max_insert,
-                  bool keep_preprune, std::vector<std::int64_t>* scratch,
-                  PairTask* task) {
+                  std::vector<std::int64_t>* scratch, PairTask* task) {
   if (static_cast<int>(task->r1.seq.size()) != L ||
       static_cast<int>(task->r2.seq.size()) != L) {
     task->skipped = true;
@@ -150,12 +119,7 @@ void SeedPairTask(const ReadMapper& mapper, int L, std::int64_t max_insert,
   mapper.CollectCandidatesOriented(task->r2.seq, &task->rc2, scratch,
                                    &task->c2);
   task->seeded = task->c1.size() + task->c2.size();
-  if (keep_preprune) {
-    task->all1 = task->c1;
-    task->all2 = task->c2;
-  }
-  task->pruned = PruneConcordant(mapper.reference(), L, max_insert,
-                                 &task->c1, &task->c2);
+  PruneConcordant(mapper.reference(), L, max_insert, &task->c1, &task->c2);
   task->e1.assign(task->c1.size(), -1);
   task->e2.assign(task->c2.size(), -1);
 }
@@ -259,29 +223,13 @@ struct PairFinalizer {
   InsertSizeModel model{};
   PairedStats* stats = nullptr;
   std::ostream* sam = nullptr;
-  /// When set, receives the fitted insert mean (0 until fitted) after
-  /// every model update — the streaming source reads it from another
-  /// thread to order deferred lanes by likelihood, so it must be atomic.
-  std::atomic<double>* mean_out = nullptr;
 
   void Finalize(const PairTask& task);
 
  private:
   double InsertPenalty(std::int64_t frag) const;
   MateBest Rescue(const MateBest& anchor, const std::string& fwd,
-                  const std::string& rc,
-                  const std::vector<OrientedCandidate>& preprune);
-  /// Pigeonhole seed gate: true when SW rescue over starts [lo, hi] on
-  /// `strand` provably cannot place the mate within the error threshold,
-  /// because dense e+1-seed lookups of an all-ACGT read left no candidate
-  /// anywhere in [lo - e, hi + e].  Requires an interior window — the
-  /// seeder drops out-of-bounds and junction-crossing hits, so near the
-  /// chromosome edge absence of a candidate proves nothing.
-  bool RescueProvablyFutile(std::int64_t lo, std::int64_t hi,
-                            std::uint8_t strand, const std::string& fwd,
-                            const ChromosomeInfo& info,
-                            const std::vector<OrientedCandidate>& preprune)
-      const;
+                  const std::string& rc);
   /// True (and remembers the signature) when this proper pair's fragment —
   /// keyed on (chromosome, position, strand, TLEN) — was already seen, so
   /// the later copy is the duplicate.  Finalization runs strictly in pair
@@ -304,9 +252,6 @@ struct PairFinalizer {
                 bool proper, bool duplicate);
 
   LocalAligner rescue_aligner_;
-  /// Resurrects early-outed lanes whose pair came up empty (Finalize runs
-  /// on one thread per mapping run, so a member verifier is safe).
-  BandedVerifier resurrect_verifier_;
   /// Fragment signatures of emitted proper pairs (mark_duplicates only):
   /// global forward-mate position (chromosome + local position in one),
   /// first-mate strand, fragment length (|TLEN|) — mapped to the flow-cell
@@ -342,46 +287,8 @@ double PairFinalizer::InsertPenalty(std::int64_t frag) const {
 /// whose reference span differs from the read length (indels the fixed
 /// L-wide windows could never fit), and yields the CIGAR directly from
 /// the traceback.  Deterministic, so both drivers rescue identically.
-bool PairFinalizer::RescueProvablyFutile(
-    std::int64_t lo, std::int64_t hi, std::uint8_t strand,
-    const std::string& fwd, const ChromosomeInfo& info,
-    const std::vector<OrientedCandidate>& preprune) const {
-  const MapperConfig& mc = mapper->config();
-  // The pigeonhole argument needs a full e+1 non-overlapping exact-seed
-  // set: dense mode only, and the read must be long enough to carry it.
-  if (mc.seed_mode != SeedMode::kDense) return false;
-  if (mc.k <= 0 || L / mc.k < e + 1) return false;
-  // A non-ACGT base voids a seed's exactness (its k-mer never encodes),
-  // so a read carrying one gets no guarantee.  The reverse complement of
-  // an ACGT read is ACGT, so checking the forward sequence covers both
-  // orientations.
-  for (const char c : fwd) {
-    if (c != 'A' && c != 'C' && c != 'G' && c != 'T') return false;
-  }
-  // A placement starting at p in [lo, hi] with <= e edits has an exact
-  // seed whose derived candidate start lies in [p - e, p + e] (net indel
-  // displacement).  That candidate survives the seeder's bounds and
-  // junction drops only when the whole displaced window stays inside the
-  // chromosome — otherwise the gate must stand down.
-  if (lo - e < info.offset || hi + e > info.offset + info.length - L) {
-    return false;
-  }
-  // Pre-prune layout mirrors CollectCandidatesOriented: forward
-  // candidates first, then reverse, each sorted by position.
-  const auto split = std::partition_point(
-      preprune.begin(), preprune.end(),
-      [](const OrientedCandidate& c) { return c.strand == 0; });
-  const auto first = strand == 0 ? preprune.begin() : split;
-  const auto last = strand == 0 ? split : preprune.end();
-  const auto it = std::lower_bound(
-      first, last, lo - e,
-      [](const OrientedCandidate& c, std::int64_t p) { return c.pos < p; });
-  return it == last || it->pos > hi + e;
-}
-
 MateBest PairFinalizer::Rescue(const MateBest& anchor, const std::string& fwd,
-                               const std::string& rc,
-                               const std::vector<OrientedCandidate>& preprune) {
+                               const std::string& rc) {
   const ReferenceSet& ref = mapper->reference();
   std::int64_t frag_lo = L;
   std::int64_t frag_hi = cfg->max_insert;
@@ -417,11 +324,6 @@ MateBest PairFinalizer::Rescue(const MateBest& anchor, const std::string& fwd,
   lo = std::max(lo, info.offset);
   hi = std::min(hi, info.offset + info.length - L);
   if (hi < lo) return best;
-  if (cfg->joint_filtration &&
-      RescueProvablyFutile(lo, hi, best.strand, fwd, info, preprune)) {
-    ++stats->rescue_gate_skips;
-    return best;
-  }
   ++stats->rescue_invocations;
   const std::int64_t window_end =
       std::min(info.offset + info.length, hi + L + e);
@@ -683,13 +585,7 @@ void PairFinalizer::Finalize(const PairTask& task) {
     ++st.proper_pairs;
     // Only unambiguous pairs train the model — a repeat-torn tie would
     // feed it arbitrary fragment lengths.
-    if (ties == 1) {
-      model.Observe(static_cast<double>(best_frag));
-      if (mean_out != nullptr) {
-        mean_out->store(model.fitted() ? model.mean() : 0.0,
-                        std::memory_order_relaxed);
-      }
-    }
+    if (ties == 1) model.Observe(static_cast<double>(best_frag));
     // Both placements stand or fall with the combination, so both mates
     // carry the pair-level MAPQ.
     const int pair_mapq =
@@ -709,32 +605,6 @@ void PairFinalizer::Finalize(const PairTask& task) {
              first_is_fwd ? -best_frag : best_frag, true, dup);
     return;
   }
-
-  // No concordant combination stands, so the discordant / single-end /
-  // rescue paths below need every mate placement — including lanes joint
-  // filtration early-outed (e == -2, never verified).  Verifying them
-  // directly here reproduces exactly what independent filtration would
-  // have fed the lossless filter + verifier, keeping SAM byte-identical.
-  // (When a combination exists this is unnecessary: a killed lane's
-  // feasible partners all verified-rejected, so it can join no
-  // combination and the proper-pair emission never reads it.)
-  const std::string_view genome = mapper->genome();
-  const auto resurrect = [&](const std::vector<OrientedCandidate>& c,
-                             const std::vector<int>& ev,
-                             const std::string& fwd, const std::string& rc,
-                             std::vector<MateBest>* v) {
-    for (std::size_t i = 0; i < ev.size(); ++i) {
-      if (ev[i] != -2) continue;
-      ++st.resurrected_lanes;
-      const std::string& oriented = c[i].strand != 0 ? rc : fwd;
-      const std::string_view window(genome.data() + c[i].pos,
-                                    static_cast<std::size_t>(L));
-      const int d = resurrect_verifier_.Distance(oriented, window, e);
-      if (d >= 0) v->push_back(verified_mate(c[i], d));
-    }
-  };
-  resurrect(task.c1, task.e1, task.r1.seq, task.rc1, &v1);
-  resurrect(task.c2, task.e2, task.r2.seq, task.rc2, &v2);
 
   // Per-mate placement summaries: the single-end MAPQ evidence.
   const EditSummary s1 = Summarize(v1);
@@ -768,8 +638,7 @@ void PairFinalizer::Finalize(const PairTask& task) {
   if (cfg->mate_rescue && (m1.mapped != m2.mapped)) {
     const MateBest& anchor = m1.mapped ? m1 : m2;
     MateBest rescued = Rescue(anchor, m1.mapped ? task.r2.seq : task.r1.seq,
-                              m1.mapped ? task.rc2 : task.rc1,
-                              m1.mapped ? task.all2 : task.all1);
+                              m1.mapped ? task.rc2 : task.rc1);
     if (rescued.mapped) {
       ++st.rescued_mates;
       // A rescued placement exists only because of its anchor: its
@@ -928,18 +797,6 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
   std::vector<CandRef> provenance;
   std::vector<std::int64_t> seed_scratch;
   const std::string_view genome = mapper_.genome();
-  const ReferenceSet& ref = mapper_.reference();
-
-  // Joint-filtration scheduling state (reused per batch).
-  const bool joint = config_.joint_filtration && filter != nullptr;
-  struct DeferredRun {
-    std::uint32_t task;
-    std::uint8_t mate;  // the deferred (phase-B) mate
-    double key;         // |first feasible fragment - insert mean|
-  };
-  std::vector<DeferredRun> deferred;
-  constexpr std::size_t kNoRun = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> a_start;  // phase-A lane of (task, mate) runs
 
   for (std::size_t base = 0; base < r1.size(); base += batch_pairs) {
     const std::size_t count = std::min(batch_pairs, r1.size() - base);
@@ -960,56 +817,18 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
             std::to_string(base + i) + ": '" + t.r1.name + "' vs '" +
             t.r2.name + "'");
       }
-      // Pre-prune lists are kept whenever the config enables the rescue
-      // seed gate, filter or not — the gate reasons about seeding hits.
-      SeedPairTask(mapper_, L, config_.max_insert, config_.joint_filtration,
-                   &seed_scratch, &t);
+      SeedPairTask(mapper_, L, config_.max_insert, &seed_scratch, &t);
       stats.candidates_seeded += t.seeded;
       stats.candidates_paired += t.c1.size() + t.c2.size();
       tasks.push_back(std::move(t));
     }
     // The table views point into `tasks`, so it is built only after the
     // batch's tasks stopped moving (vector growth relocates elements).
-    // Joint filtration lays the batch out in two phases: every pruned
-    // pair's larger mate is deferred to phase B, where its lanes can be
-    // early-outed the moment phase A rejected all their concordant
-    // partners.
-    deferred.clear();
-    a_start.assign(2 * tasks.size(), kNoRun);
-    const bool fitted = joint && fin.model.fitted();
-    const double mean = fitted ? fin.model.mean() : 0.0;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       const PairTask& t = tasks[i];
-      // Defer only pruned pairs: the prune guarantees every deferred lane
-      // a non-empty partner row, so phase B has kills to gain.
-      const int defer_mate =
-          joint && t.pruned ? (t.c2.size() >= t.c1.size() ? 1 : 0) : -1;
       for (int mate = 0; mate < 2; ++mate) {
         const std::vector<OrientedCandidate>& c = mate == 0 ? t.c1 : t.c2;
         if (c.empty()) continue;
-        if (mate == defer_mate) {
-          // Likelihood key: fragment of the lane run's first feasible
-          // combination vs the fitted insert mean — most-likely runs
-          // filter first, so their partners' verdicts arrive before the
-          // unlikely tail is even scheduled.
-          double key = 0.0;
-          if (fitted) {
-            const std::vector<OrientedCandidate>& o =
-                mate == 0 ? t.c2 : t.c1;
-            for (const OrientedCandidate& p : o) {
-              if (ConcordantFeasible(ref, L, config_.max_insert, c[0], p)) {
-                const std::int64_t frag = std::max(c[0].pos, p.pos) + L -
-                                          std::min(c[0].pos, p.pos);
-                key = std::abs(static_cast<double>(frag) - mean);
-                break;
-              }
-            }
-          }
-          deferred.push_back({static_cast<std::uint32_t>(i),
-                              static_cast<std::uint8_t>(mate), key});
-          continue;
-        }
-        a_start[2 * i + static_cast<std::size_t>(mate)] = candidates.size();
         table.push_back(mate == 0 ? std::string_view(t.r1.seq)
                                   : std::string_view(t.r2.seq));
         const std::uint32_t ri = static_cast<std::uint32_t>(table.size() - 1);
@@ -1021,64 +840,17 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
         }
       }
     }
-    JointFilterPlan plan;
-    if (!deferred.empty()) {
-      plan.phase_a = candidates.size();
-      plan.partner_off.push_back(0);
-      std::stable_sort(deferred.begin(), deferred.end(),
-                       [](const DeferredRun& a, const DeferredRun& b) {
-                         return a.key < b.key;
-                       });
-      for (const DeferredRun& d : deferred) {
-        const PairTask& t = tasks[d.task];
-        const std::vector<OrientedCandidate>& cd =
-            d.mate == 0 ? t.c1 : t.c2;
-        const std::vector<OrientedCandidate>& co =
-            d.mate == 0 ? t.c2 : t.c1;
-        const std::size_t other =
-            a_start[2 * d.task + static_cast<std::size_t>(1 - d.mate)];
-        table.push_back(d.mate == 0 ? std::string_view(t.r1.seq)
-                                    : std::string_view(t.r2.seq));
-        const std::uint32_t ri = static_cast<std::uint32_t>(table.size() - 1);
-        for (std::size_t j = 0; j < cd.size(); ++j) {
-          for (std::size_t s = 0; s < co.size(); ++s) {
-            if (ConcordantFeasible(ref, L, config_.max_insert, cd[j],
-                                   co[s])) {
-              plan.partner_idx.push_back(
-                  static_cast<std::uint32_t>(other + s));
-            }
-          }
-          plan.partner_off.push_back(
-              static_cast<std::uint32_t>(plan.partner_idx.size()));
-          candidates.push_back({ri, cd[j].strand, 0, cd[j].pos});
-          provenance.push_back({d.task, d.mate,
-                                static_cast<std::uint32_t>(j)});
-        }
-      }
-    }
     stats.seeding_seconds += seed_timer.Seconds();
 
     // --- Pre-alignment filtering on the surviving candidates. ---
     std::vector<PairResult> decisions;
     if (filter != nullptr) {
       const FilterRunStats fs =
-          plan.empty()
-              ? filter->FilterCandidates(table, candidates, &decisions)
-              : filter->FilterCandidates(table, candidates, plan,
-                                         &decisions);
+          filter->FilterCandidates(table, candidates, &decisions);
       stats.filter_seconds += fs.filter_seconds;
       stats.kernel_seconds += fs.kernel_seconds;
       stats.rejected_pairs += fs.rejected;
       stats.bypassed_pairs += fs.bypassed;
-      stats.earlyout_lanes += fs.earlyouted;
-      // Each killed lane short-circuits every combination it could have
-      // formed — its whole partner row.
-      for (std::size_t j = 0; j < plan.phase_b(); ++j) {
-        if (decisions[plan.phase_a + j].bypassed == 2) {
-          stats.shortcircuited_combinations +=
-              plan.partner_off[j + 1] - plan.partner_off[j];
-        }
-      }
     }
 
     // --- Verification, each candidate on its seeded strand. ---
@@ -1089,18 +861,7 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
           BandedVerifier verifier;
           std::uint64_t local = 0;
           for (std::size_t i = i0; i < i1; ++i) {
-            if (filter != nullptr && decisions[i].accept == 0) {
-              if (decisions[i].bypassed == 2) {
-                // Early-outed, not rejected: -2 marks the verdict unknown
-                // so finalization can resurrect the lane if its pair
-                // comes up empty.  Distinct lanes map to distinct
-                // (task, mate, slot), so the write is race-free.
-                const CandRef pr = provenance[i];
-                PairTask& t = tasks[pr.task];
-                (pr.mate == 0 ? t.e1 : t.e2)[pr.slot] = -2;
-              }
-              continue;
-            }
+            if (filter != nullptr && decisions[i].accept == 0) continue;
             ++local;
             const CandRef pr = provenance[i];
             PairTask& t = tasks[pr.task];
@@ -1205,13 +966,11 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
   struct MateFeed {
     std::uint64_t pair;
     std::uint8_t mate;
-    std::uint8_t pruned;  // the pair's concordance prune replaced its lists
   };
   std::deque<MateFeed> feed;
   std::uint64_t next_pair = 0;
   std::uint64_t cur_pair = 0;
   std::uint8_t cur_mate = 0;
-  std::uint8_t cur_pruned = 0;
   std::uint64_t pairs_local = 0;
   std::uint64_t seeded_local = 0;
   std::uint64_t paired_local = 0;
@@ -1219,147 +978,10 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
   std::vector<std::int64_t> seed_scratch;
   pipeline::CandidateStream stream;
 
-  // Joint-filtration state (source thread): per-lane flags of the batch
-  // being packed, and the carry-over marker telling whether the previous
-  // batch ended mid-run (that run's continuation must not be deferred —
-  // its partner lanes are not all in one batch).
-  const bool joint = config_.joint_filtration;
-  std::vector<std::uint8_t> lane_last;
-  std::vector<std::uint8_t> lane_pruned;
-  std::uint32_t tail_pair = 0;
-  std::uint8_t tail_mate = 0;
-  bool tail_open = false;
-  std::atomic<double> published_mean{0.0};
-  fin.mean_out = &published_mean;
-  std::uint64_t shortcircuited_local = 0;
-  const ReferenceSet& ref = mapper_.reference();
-
-  // Reorders a packed batch into the [phase-A..., phase-B...) joint
-  // layout: each fully-in-batch pruned pair defers its larger mate's
-  // lanes to phase B (likelihood-ordered, within-run order preserved —
-  // the ordered sink routes edits by per-mate arrival order) and records
-  // their concordant phase-A partners in the batch's kill plan.
-  const auto build_joint_plan = [&](pipeline::PairBatch* batch) {
-    const std::size_t n = batch->candidates.size();
-    if (n == 0) return;
-    struct Run {
-      std::size_t begin, end;
-      std::uint32_t pair;
-      std::uint8_t mate;
-    };
-    std::vector<Run> runs;
-    for (std::size_t i = 0; i < n;) {
-      std::size_t j = i + 1;
-      while (j < n && batch->read_index[j] == batch->read_index[i] &&
-             batch->mate[j] == batch->mate[i]) {
-        ++j;
-      }
-      runs.push_back({i, j, batch->read_index[i], batch->mate[i]});
-      i = j;
-    }
-    std::vector<char> complete(runs.size());
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      const bool continuation = r == 0 && tail_open &&
-                                runs[0].pair == tail_pair &&
-                                runs[0].mate == tail_mate;
-      complete[r] = !continuation && lane_last[runs[r].end - 1] != 0;
-    }
-    tail_pair = runs.back().pair;
-    tail_mate = runs.back().mate;
-    tail_open = lane_last[n - 1] == 0;
-
-    const auto oriented = [&](std::size_t lane) {
-      const CandidatePair& c = batch->candidates[lane];
-      return OrientedCandidate{c.ref_pos, c.strand};
-    };
-    struct BRun {
-      std::size_t run, partner;
-      double key;
-    };
-    std::vector<BRun> bruns;
-    std::vector<char> is_b(runs.size(), 0);
-    const double mean = published_mean.load(std::memory_order_relaxed);
-    for (std::size_t r = 0; r + 1 < runs.size(); ++r) {
-      // Feed order puts a pair's mate-0 run immediately before its
-      // mate-1 run; both must be whole for the pair to defer.
-      if (runs[r].mate != 0 || runs[r + 1].pair != runs[r].pair ||
-          runs[r + 1].mate != 1) {
-        continue;
-      }
-      if (!complete[r] || !complete[r + 1]) continue;
-      if (lane_pruned[runs[r].begin] == 0) continue;
-      const std::size_t len0 = runs[r].end - runs[r].begin;
-      const std::size_t len1 = runs[r + 1].end - runs[r + 1].begin;
-      const std::size_t d = len1 >= len0 ? r + 1 : r;
-      const std::size_t o = len1 >= len0 ? r : r + 1;
-      double key = 0.0;
-      if (mean > 0.0) {
-        const OrientedCandidate x = oriented(runs[d].begin);
-        for (std::size_t s = runs[o].begin; s < runs[o].end; ++s) {
-          const OrientedCandidate y = oriented(s);
-          if (ConcordantFeasible(ref, L, config_.max_insert, x, y)) {
-            const std::int64_t frag =
-                std::max(x.pos, y.pos) + L - std::min(x.pos, y.pos);
-            key = std::abs(static_cast<double>(frag) - mean);
-            break;
-          }
-        }
-      }
-      is_b[d] = 1;
-      bruns.push_back({d, o, key});
-    }
-    if (bruns.empty()) return;
-
-    std::vector<std::uint32_t> order;
-    order.reserve(n);
-    std::vector<std::size_t> new_start(runs.size(), 0);
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (is_b[r]) continue;
-      new_start[r] = order.size();
-      for (std::size_t i = runs[r].begin; i < runs[r].end; ++i) {
-        order.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    std::stable_sort(bruns.begin(), bruns.end(),
-                     [](const BRun& a, const BRun& b) {
-                       return a.key < b.key;
-                     });
-    JointFilterPlan& plan = batch->joint;
-    plan.phase_a = order.size();
-    plan.partner_off.push_back(0);
-    for (const BRun& br : bruns) {
-      const Run& rd = runs[br.run];
-      const Run& ro = runs[br.partner];
-      for (std::size_t i = rd.begin; i < rd.end; ++i) {
-        const OrientedCandidate x = oriented(i);
-        for (std::size_t s = ro.begin; s < ro.end; ++s) {
-          if (ConcordantFeasible(ref, L, config_.max_insert, x,
-                                 oriented(s))) {
-            plan.partner_idx.push_back(static_cast<std::uint32_t>(
-                new_start[br.partner] + (s - ro.begin)));
-          }
-        }
-        plan.partner_off.push_back(
-            static_cast<std::uint32_t>(plan.partner_idx.size()));
-        order.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    const auto permute = [&](auto* vec) {
-      auto tmp = *vec;
-      for (std::size_t i = 0; i < n; ++i) tmp[i] = (*vec)[order[i]];
-      *vec = std::move(tmp);
-    };
-    permute(&batch->candidates);
-    permute(&batch->read_index);
-    permute(&batch->mate);
-  };
-
   const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
     WallTimer seed_timer;
     const std::size_t target = std::max<std::size_t>(
         1, std::min(batch->target_size, pipe.config().batch_size));
-    lane_last.clear();
-    lane_pruned.clear();
     pipeline::PackCandidateBatch(
         batch, target, &stream,
         [&](std::vector<OrientedCandidate>* positions) -> const std::string* {
@@ -1375,50 +997,36 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
               *positions = f.mate == 0 ? p->c1 : p->c2;
               cur_pair = f.pair;
               cur_mate = f.mate;
-              cur_pruned = f.pruned;
               return f.mate == 0 ? &p->r1.seq : &p->r2.seq;
             }
             Pending p;
             if (!reader.Next(&p.r1, &p.r2)) return nullptr;
             ++pairs_local;
-            SeedPairTask(mapper_, L, config_.max_insert, joint,
-                         &seed_scratch, &p);
+            SeedPairTask(mapper_, L, config_.max_insert, &seed_scratch, &p);
             seeded_local += p.seeded;
             paired_local += p.c1.size() + p.c2.size();
             const bool has1 = !p.c1.empty();
             const bool has2 = !p.c2.empty();
-            const std::uint8_t pruned = p.pruned ? 1 : 0;
             {
               std::lock_guard<std::mutex> lk(mu);
               pending.push_back(std::move(p));
             }
             const std::uint64_t idx = next_pair++;
-            if (has1) feed.push_back({idx, 0, pruned});
-            if (has2) feed.push_back({idx, 1, pruned});
+            if (has1) feed.push_back({idx, 0});
+            if (has2) feed.push_back({idx, 1});
             // Zero-candidate pairs never enter the pipeline; the sink
             // finalizes them in order off the pending deque.
           }
         },
-        [&](const OrientedCandidate&, bool last) {
+        [&](const OrientedCandidate&, bool) {
           batch->read_index.push_back(static_cast<std::uint32_t>(cur_pair));
           batch->mate.push_back(cur_mate);
-          lane_last.push_back(last ? 1 : 0);
-          lane_pruned.push_back(cur_pruned);
         });
-    if (joint) build_joint_plan(batch);
     seed_seconds += seed_timer.Seconds();
     return batch->size() > 0;
   };
 
   const pipeline::BatchSink sink = [&](pipeline::PairBatch&& batch) {
-    // Every killed lane (edits == -2) short-circuited its whole partner
-    // row's worth of candidate combinations.
-    for (std::size_t j = 0; j < batch.joint.phase_b(); ++j) {
-      if (batch.edits[batch.joint.phase_a + j] == -2) {
-        shortcircuited_local +=
-            batch.joint.partner_off[j + 1] - batch.joint.partner_off[j];
-      }
-    }
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Pending* p;
       {
@@ -1466,8 +1074,6 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
   stats.verification_pairs = ps.verified_pairs;
   stats.rejected_pairs = ps.rejected;
   stats.bypassed_pairs = ps.bypassed;
-  stats.earlyout_lanes = ps.earlyouted;
-  stats.shortcircuited_combinations = shortcircuited_local;
   stats.filter_seconds = ps.filter_seconds;
   stats.kernel_seconds = ps.kernel_seconds;
   stats.verify_seconds = ps.verify_seconds;

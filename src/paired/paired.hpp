@@ -13,7 +13,8 @@
 //   * prunes each mate's candidates to those with a concordant
 //     opposite-strand partner within the insert window;
 //   * filters survivors through the engine's candidate slots (the strand
-//     bit rides inside CandidatePair) and verifies with banded alignment;
+//     bit rides inside CandidatePair) and verifies with the Myers
+//     bit-vector kernel (align/myers.hpp);
 //   * selects the best concordant combination under a fitted insert-size
 //     model (mean/sigma learned online from confident pairs);
 //   * rescues a lost mate with a Smith-Waterman-style fit alignment
@@ -84,14 +85,6 @@ struct PairedConfig {
   /// Pairs per blocking batch (both mates' candidates share one
   /// filtration round).
   std::size_t max_pairs_per_batch = 50000;
-  /// Mate-aware joint filtration: schedule both mates of each candidate
-  /// combination into one filtration batch laid out in two phases, order
-  /// the deferred mate's lanes by insert-model likelihood, and early-out
-  /// lanes whose partner-mate lanes all rejected — plus a pigeonhole seed
-  /// gate that skips provably futile SW rescues.  SAM output is
-  /// byte-identical either way (the early-out contract never changes a
-  /// verdict); false restores fully independent filtration.
-  bool joint_filtration = true;
 };
 
 struct PairedStats {
@@ -122,21 +115,12 @@ struct PairedStats {
   std::uint64_t rejected_pairs = 0;
   std::uint64_t bypassed_pairs = 0;
 
-  // Mate-aware joint filtration (joint_filtration only; all zero when
-  // disabled).
-  /// Lanes early-outed before filtration (partner-mate lanes all rejected).
-  std::uint64_t earlyout_lanes = 0;
-  /// Candidate combinations never filtered because one side early-outed —
-  /// the sum over killed lanes of their concordance-feasible partner count.
-  std::uint64_t shortcircuited_combinations = 0;
-  /// Early-outed lanes later verified directly because their pair came up
-  /// empty (rare; keeps SAM byte-identical to independent filtration).
-  std::uint64_t resurrected_lanes = 0;
-  /// SW mate-rescue fit alignments actually run.
+  /// SW mate-rescue fit alignments run.
   std::uint64_t rescue_invocations = 0;
-  /// Rescues skipped by the pigeonhole seed gate (no seed hit of the
-  /// rescue strand in the predicted window, dense seeding, interior
-  /// window — SW provably cannot place the mate within the threshold).
+  /// Always zero: the mate-level lane early-out and the rescue seed gate
+  /// that counted here are gone.  bench/e2e still reads both fields; a
+  /// later benchmark change removes them.
+  std::uint64_t earlyout_lanes = 0;
   std::uint64_t rescue_gate_skips = 0;
 
   double insert_mean = 0.0;
@@ -182,7 +166,7 @@ class PairedEndMapper {
 
   /// Streaming path: consumes `reader` through the candidate-mode
   /// StreamingPipeline (filtration against the per-device encoded
-  /// reference, banded verification in the worker pool) with an ordered
+  /// reference, Myers verification in the worker pool) with an ordered
   /// pair sink — byte-identical SAM to MapPairs under bounded memory.
   /// `engine` is required; `pcfg.reference_text`, `verify` and
   /// `verify_threshold` are set by the mapper.

@@ -39,11 +39,6 @@ struct PairBatch {
   // offset into the engine's loaded reference.
   std::vector<std::string> cand_reads;
   std::vector<CandidatePair> candidates;
-  // Mate-aware joint filtration (paired candidate streams): candidates are
-  // laid out [phase-A lanes..., phase-B lanes...) and the filtration stage
-  // early-outs phase-B lanes whose phase-A partners all rejected
-  // (filters/pair_block.hpp).  Empty plan = independent filtration.
-  JointFilterPlan joint;
 
   // Read-to-SAM provenance (empty in plain pair-stream mode).  One entry
   // per pair: which input read it came from, its name, the chromosome the

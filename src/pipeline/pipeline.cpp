@@ -359,7 +359,6 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
       std::uint64_t items = 0;
       std::uint64_t accepted = 0;
       std::uint64_t bypassed = 0;
-      std::uint64_t earlyouted = 0;
       try {
         for (;;) {
           WallTimer wait;
@@ -372,12 +371,8 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
           obs::Span span("filter", "pipeline");
           const StreamBatchStats st =
               cand_mode
-                  ? (msg->batch.joint.empty()
-                         ? engine_->FilterCandidatesSlot(
-                               d, msg->slot, n, msg->batch.results.data())
-                         : engine_->FilterCandidatesSlotJoint(
-                               d, msg->slot, n, msg->batch.joint,
-                               msg->batch.results.data()))
+                  ? engine_->FilterCandidatesSlot(d, msg->slot, n,
+                                                  msg->batch.results.data())
                   : engine_->FilterPairsSlot(d, msg->slot, n,
                                              msg->batch.results.data());
           span.Close();
@@ -399,7 +394,6 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
           tr_sum += st.transfer_seconds;
           accepted += st.accepted;
           bypassed += st.bypassed;
-          earlyouted += st.earlyouted;
           batches += 1;
           items += n;
           if (!q_filtered.Push(std::move(msg->batch))) break;
@@ -420,8 +414,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
         filter_stage.items += items;
         stats.accepted += accepted;
         stats.bypassed += bypassed;
-        stats.earlyouted += earlyouted;
-        stats.rejected += items - accepted - earlyouted;
+        stats.rejected += items - accepted;
       }
       if (drivers_left.fetch_sub(1) == 1) {
         q_filtered.Close();
@@ -460,13 +453,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
                 static_cast<std::size_t>(engine_->config().read_length);
             if (config_.emit_cigar) batch->cigars.assign(n, {});
             for (std::size_t i = 0; i < n; ++i) {
-              if (!batch->results[i].accept) {
-                // Early-outed lanes were never filtered: -2 marks the
-                // verdict as unknown (vs -1 = rejected/refuted), so paired
-                // finalization can resurrect them if a pair comes up empty.
-                if (batch->results[i].bypassed == 2) batch->edits[i] = -2;
-                continue;
-              }
+              if (!batch->results[i].accept) continue;
               ++pairs_in;
               std::string_view read;
               std::string_view window;

@@ -112,8 +112,6 @@ struct PipelineStats {
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t bypassed = 0;
-  /// Lanes early-outed by mate-aware joint filtration (never filtered).
-  std::uint64_t earlyouted = 0;
   std::uint64_t verified_pairs = 0;  // pairs that entered verification
   std::uint64_t true_mappings = 0;   // verification confirmed <= threshold
 

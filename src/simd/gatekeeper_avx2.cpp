@@ -277,26 +277,17 @@ void GateKeeperFilterRangeAvx2(const PairBlock& block, std::size_t begin,
     U64 reads[kLanes][kMaxWords64];
     U64 refs[kLanes][kMaxWords64];
     bool bypass[kLanes];
-    bool killed[kLanes];
-    bool all_inactive = true;
+    bool all_bypass = true;
     LoadBlockGroup(block, i, kLanes, read_scratch, ref_scratch, views);
     for (int l = 0; l < kLanes; ++l) {
       bypass[l] = views[l].bypass;
-      killed[l] = views[l].killed;
-      all_inactive = all_inactive && (views[l].bypass || views[l].killed);
-      if (killed[l]) {
-        // Killed lanes carry no sequences; zero-filled words keep the
-        // group kernel's vector math defined, the result is overwritten.
-        for (int w = 0; w < kMaxWords64; ++w) reads[l][w] = refs[l][w] = 0;
-        continue;
-      }
+      all_bypass = all_bypass && bypass[l];
       PackWords64(views[l].read, enc32, reads[l]);
       PackWords64(views[l].ref, enc32, refs[l]);
     }
-    if (all_inactive) {
+    if (all_bypass) {
       for (int l = 0; l < kLanes; ++l) {
-        results[i + static_cast<std::size_t>(l)] =
-            killed[l] ? EarlyOutPairResult() : BypassedPairResult();
+        results[i + static_cast<std::size_t>(l)] = BypassedPairResult();
       }
       continue;
     }
@@ -308,9 +299,8 @@ void GateKeeperFilterRangeAvx2(const PairBlock& block, std::size_t begin,
     }
     for (int l = 0; l < kLanes; ++l) {
       results[i + static_cast<std::size_t>(l)] =
-          killed[l] ? EarlyOutPairResult()
-          : bypass[l] ? BypassedPairResult()
-                      : MakePairResult({errors[l] <= e, errors[l]}, false);
+          bypass[l] ? BypassedPairResult()
+                    : MakePairResult({errors[l] <= e, errors[l]}, false);
     }
   }
   if (i < end) {
@@ -397,24 +387,19 @@ void SneakySnakeFilterRangeAvx2(const PairBlock& block, std::size_t begin,
   std::size_t i = begin;
   for (; i + kLanes <= end; i += kLanes) {
     LoadBlockGroup(block, i, kLanes, read_scratch, ref_scratch, views);
-    bool all_inactive = true;
+    bool all_bypass = true;
     for (int l = 0; l < kLanes; ++l) {
-      all_inactive = all_inactive && (views[l].bypass || views[l].killed);
+      all_bypass = all_bypass && views[l].bypass;
     }
-    if (all_inactive) {
+    if (all_bypass) {
       for (int l = 0; l < kLanes; ++l) {
-        results[i + static_cast<std::size_t>(l)] =
-            views[l].killed ? EarlyOutPairResult() : BypassedPairResult();
+        results[i + static_cast<std::size_t>(l)] = BypassedPairResult();
       }
       continue;
     }
     U64 reads[kLanes][kMaxWords64];
     U64 refs[kLanes][kMaxWords64];
     for (int l = 0; l < kLanes; ++l) {
-      if (views[l].killed) {
-        for (int w = 0; w < kMaxWords64; ++w) reads[l][w] = refs[l][w] = 0;
-        continue;
-      }
       PackWords64(views[l].read, enc32, reads[l]);
       PackWords64(views[l].ref, enc32, refs[l]);
     }
@@ -452,8 +437,7 @@ void SneakySnakeFilterRangeAvx2(const PairBlock& block, std::size_t begin,
     }
     for (int l = 0; l < kLanes; ++l) {
       results[i + static_cast<std::size_t>(l)] =
-          views[l].killed ? EarlyOutPairResult()
-          : views[l].bypass
+          views[l].bypass
               ? BypassedPairResult()
               : MakePairResult(SnakeTraverse64(rows.data() + l, mask64,
                                                length, e, kLanes),

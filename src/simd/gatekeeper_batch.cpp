@@ -126,10 +126,6 @@ void GateKeeperFilterRangeScalar(const PairBlock& block, std::size_t begin,
   Word ref_scratch[kMaxEncodedWords];
   for (std::size_t i = begin; i < end; ++i) {
     const BlockPairView p = LoadBlockPair(block, i, read_scratch, ref_scratch);
-    if (p.killed) {
-      results[i] = EarlyOutPairResult();
-      continue;
-    }
     if (p.bypass) {
       results[i] = BypassedPairResult();
       continue;
@@ -170,7 +166,7 @@ void LoadBlockGroup(const PairBlock& block, std::size_t i0, int lanes,
   // Candidate shape: all lanes' reference windows come out of the encoded
   // genome in one lane-parallel gather; the per-lane remainder is the
   // bypass test and the strand reorientation.
-  std::int64_t starts[kMaxGroupLanes];
+  std::int64_t starts[kMaxGroupLanes] = {};
   for (int l = 0; l < lanes; ++l) {
     starts[l] = block.candidates[i0 + static_cast<std::size_t>(l)].ref_pos;
   }
@@ -180,12 +176,6 @@ void LoadBlockGroup(const PairBlock& block, std::size_t i0, int lanes,
     const CandidatePair c =
         block.candidates[i0 + static_cast<std::size_t>(l)];
     BlockPairView& v = views[l];
-    if ((c.flags & kCandidateLaneKilled) != 0) {
-      v = BlockPairView{};
-      v.killed = true;
-      continue;
-    }
-    v.killed = false;
     v.bypass = (block.bypass != nullptr && block.bypass[c.read_index] != 0) ||
                RangeHasUnknownRaw(block.ref_n_mask, block.ref_len, c.ref_pos,
                                   block.length);

@@ -53,10 +53,6 @@ void SneakySnakeFilterRangeScalar(const PairBlock& block, std::size_t begin,
   Word ref_scratch[kMaxEncodedWords];
   for (std::size_t i = begin; i < end; ++i) {
     const BlockPairView p = LoadBlockPair(block, i, read_scratch, ref_scratch);
-    if (p.killed) {
-      results[i] = EarlyOutPairResult();
-      continue;
-    }
     if (p.bypass) {
       results[i] = BypassedPairResult();
       continue;

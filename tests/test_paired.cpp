@@ -119,10 +119,9 @@ PairedConfig MakePairedConfig() {
   return pconf;
 }
 
-std::string BlockingSam(const PairSet& ps, PairedStats* stats = nullptr,
-                        const PairedConfig& pconf = MakePairedConfig()) {
+std::string BlockingSam(const PairSet& ps, PairedStats* stats = nullptr) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
-  PairedEndMapper paired(mapper, pconf);
+  PairedEndMapper paired(mapper, MakePairedConfig());
   EngineFixture fx;
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference(), "rg1");
@@ -132,8 +131,7 @@ std::string BlockingSam(const PairSet& ps, PairedStats* stats = nullptr,
 }
 
 std::string StreamingSam(const PairSet& ps, bool interleaved,
-                         PairedStats* stats = nullptr,
-                         const PairedConfig& pconf = MakePairedConfig()) {
+                         PairedStats* stats = nullptr) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
   EngineFixture fx;
   // FASTQ round trip through the paired reader exercises both layouts.
@@ -156,7 +154,7 @@ std::string StreamingSam(const PairSet& ps, bool interleaved,
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference(), "rg1");
   const PairedStats st = StreamPairedFastqToSam(
-      reader, mapper, fx.engine.get(), pconf, pcfg, &sam);
+      reader, mapper, fx.engine.get(), MakePairedConfig(), pcfg, &sam);
   if (stats != nullptr) *stats = st;
   return sam.str();
 }
@@ -222,6 +220,15 @@ TEST(PairedGoldenTest, StreamingStatsAgreeWithBlocking) {
   EXPECT_EQ(streaming_stats.insert_observations,
             blocking_stats.insert_observations);
   EXPECT_DOUBLE_EQ(streaming_stats.insert_mean, blocking_stats.insert_mean);
+  // The filter funnel partitions the paired candidates on both drivers:
+  // every candidate is either verified (accepted, bypasses included) or
+  // rejected, and the two drivers agree on the split.
+  for (const PairedStats* s : {&blocking_stats, &streaming_stats}) {
+    EXPECT_EQ(s->verification_pairs + s->rejected_pairs, s->candidates_paired);
+  }
+  EXPECT_EQ(streaming_stats.verification_pairs,
+            blocking_stats.verification_pairs);
+  EXPECT_EQ(streaming_stats.rejected_pairs, blocking_stats.rejected_pairs);
 }
 
 TEST(PairedFlagsTest, EveryRecordCarriesConsistentPairSemantics) {
@@ -422,64 +429,6 @@ TEST(PairedEdgeTest, WrongLengthPairsAreEmittedUnmappedNotDropped) {
   EXPECT_NE(sam.str().find("short\t141\t"), std::string::npos);
 }
 
-TEST(JointFiltrationTest, JointAndIndependentSamAreByteIdentical) {
-  // The tentpole contract: mate-aware joint filtration (two-phase
-  // scheduling, likelihood ordering, early-out kills, resurrection, the
-  // rescue seed gate) is a pure scheduling optimization — SAM output must
-  // be byte-identical to fully independent filtration on both drivers.
-  const PairSet ps = MakePairs(MakeReference(), 50, 303);
-  PairedConfig off = MakePairedConfig();
-  off.joint_filtration = false;
-  PairedStats s_on, s_off, t_on, t_off;
-  const std::string blocking_on = BlockingSam(ps, &s_on);
-  const std::string blocking_off = BlockingSam(ps, &s_off, off);
-  const std::string streaming_on = StreamingSam(ps, false, &t_on);
-  const std::string streaming_off = StreamingSam(ps, false, &t_off, off);
-  EXPECT_EQ(blocking_on, blocking_off)
-      << "joint filtration changed blocking SAM output";
-  EXPECT_EQ(streaming_on, streaming_off)
-      << "joint filtration changed streaming SAM output";
-  EXPECT_EQ(blocking_on, streaming_on)
-      << "joint blocking and streaming SAM diverged";
-
-  // The optimization must actually engage: lanes early-out, combinations
-  // short-circuit, and the filter faces fewer lanes than independent
-  // filtration scheduled.
-  EXPECT_GT(s_on.earlyout_lanes, 0u);
-  EXPECT_GT(s_on.shortcircuited_combinations, 0u);
-  EXPECT_EQ(s_off.earlyout_lanes, 0u);
-  EXPECT_EQ(s_off.shortcircuited_combinations, 0u);
-  EXPECT_EQ(s_off.resurrected_lanes, 0u);
-  EXPECT_GT(t_on.earlyout_lanes, 0u);
-  EXPECT_GT(t_on.shortcircuited_combinations, 0u);
-  EXPECT_EQ(t_off.earlyout_lanes, 0u);
-  // Filtered lanes = scheduled - early-outed; the same candidates were
-  // scheduled either way.
-  EXPECT_EQ(s_on.candidates_paired, s_off.candidates_paired);
-  EXPECT_LT(s_on.candidates_paired - s_on.earlyout_lanes,
-            s_off.candidates_paired);
-  // Rescue work can only shrink: the seed gate skips provably futile SW
-  // invocations and never adds any.
-  EXPECT_LE(s_on.rescue_invocations, s_off.rescue_invocations);
-  EXPECT_EQ(s_off.rescue_gate_skips, 0u);
-}
-
-TEST(JointFiltrationTest, EarlyOutCountersPartitionScheduledLanes) {
-  // Every scheduled lane ends in exactly one bucket: verified (accepted,
-  // including bypasses), rejected, or early-outed.
-  const PairSet ps = MakePairs(MakeReference(), 40, 511);
-  PairedStats blocking, streaming;
-  BlockingSam(ps, &blocking);
-  StreamingSam(ps, false, &streaming);
-  for (const PairedStats* s : {&blocking, &streaming}) {
-    EXPECT_EQ(s->verification_pairs + s->rejected_pairs + s->earlyout_lanes,
-              s->candidates_paired);
-    EXPECT_LE(s->bypassed_pairs, s->verification_pairs);
-    // A lane is resurrected at most once, and only if it was early-outed.
-    EXPECT_LE(s->resurrected_lanes, s->earlyout_lanes);
-  }
-}
-
 TEST(PairedRescueTest, IndelRescueTlenUsesReferenceSpan) {
   // A rescued mate carrying a deletion consumes more reference bases than
   // the read length; TLEN must come from the fit alignment's reference
@@ -546,42 +495,6 @@ TEST(PairedRescueTest, IndelRescueTlenUsesReferenceSpan) {
   EXPECT_EQ(out.find("\t" + std::to_string(frag_len - 1) + "\t"),
             std::string::npos)
       << out;
-}
-
-TEST(PairedRescueTest, SeedGateSkipsProvablyFutileRescues) {
-  // A pair whose lost mate is pure random sequence (no placement within
-  // the threshold anywhere) triggers rescue from its mapped anchor.  With
-  // dense seeding, floor(L/k) >= e+1 and an interior window, the absence
-  // of any seeding hit in the predicted window proves SW cannot place it
-  // — the gate must skip the invocation without changing the outcome.
-  const std::string genome = GenerateGenome(120000, 71);
-  const std::int64_t anchor_pos = 60000;
-  const std::string r1 = genome.substr(anchor_pos, kReadLength);
-  ASSERT_EQ(r1.find('N'), std::string::npos);
-  Rng rng(1234);
-  std::string junk(kReadLength, 'A');
-  for (auto& c : junk) c = kBases[rng.NextU64() & 0x3u];
-
-  ReadMapper mapper(genome, MakeMapperConfig());  // e=4: gate conditions met
-  PairedConfig pconf;
-  pconf.max_insert = 800;
-  std::ostringstream sam_on, sam_off;
-  PairedEndMapper joint(mapper, pconf);
-  const PairedStats on = joint.MapPairs(
-      {{"gate", r1, ""}}, {{"gate", ReverseComplement(junk), ""}}, nullptr,
-      &sam_on);
-  pconf.joint_filtration = false;
-  PairedEndMapper indep(mapper, pconf);
-  const PairedStats off = indep.MapPairs(
-      {{"gate", r1, ""}}, {{"gate", ReverseComplement(junk), ""}}, nullptr,
-      &sam_off);
-  EXPECT_EQ(sam_on.str(), sam_off.str());
-  EXPECT_EQ(on.rescue_gate_skips, 1u);
-  EXPECT_EQ(on.rescue_invocations, 0u);
-  EXPECT_EQ(off.rescue_gate_skips, 0u);
-  EXPECT_EQ(off.rescue_invocations, 1u);
-  EXPECT_EQ(on.single_end_pairs, 1u);
-  EXPECT_EQ(off.single_end_pairs, 1u);
 }
 
 TEST(PairedEdgeTest, MismatchedInputsThrow) {
