@@ -1,8 +1,14 @@
 // Google-benchmark microbenchmarks of the filtration core itself: per-pair
 // latency of GateKeeperFiltration across read lengths and error thresholds,
 // the amendment/count primitives, the baselines, and the exact aligners —
-// the numbers behind the throughput tables.
+// the numbers behind the throughput tables — plus the seeding kernel's
+// per-read cost at chunk sizes 1 and kSeedChunkReads.
 #include <benchmark/benchmark.h>
+
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "align/banded.hpp"
 #include "align/myers.hpp"
@@ -12,7 +18,10 @@
 #include "filters/magnet.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
+#include "mapper/mapper.hpp"
+#include "sim/genome.hpp"
 #include "sim/pairgen.hpp"
+#include "sim/read_sim.hpp"
 
 namespace gkgpu {
 namespace {
@@ -132,6 +141,40 @@ void BM_ExactAligners(benchmark::State& state) {
   state.SetLabel(kLabels[which]);
 }
 BENCHMARK(BM_ExactAligners)->DenseRange(0, 3);
+
+// Seeding, per read, through ReadMapper::SeedReads at chunk sizes 1 (each
+// lookup's misses wait in turn) and kSeedChunkReads (a chunk's misses
+// overlap).  One k=12 index: its offset table is 64 MiB at any genome
+// size, so an 8 Mbp genome already misses cache and TLB on every lookup.
+// 100k reads cycle, touching more index lines than a last-level cache
+// holds.
+void BM_SeedReads(benchmark::State& state) {
+  static const ReadMapper mapper = [] {
+    MapperConfig cfg;
+    cfg.k = 12;
+    cfg.read_length = 100;
+    cfg.error_threshold = 5;
+    cfg.verify_threads = 1;
+    return ReadMapper(GenerateGenome(8'000'000, 41), cfg);
+  }();
+  static const std::vector<std::string> reads = SimulateReadSequences(
+      mapper.genome(), 100'000, 100, ReadErrorProfile::Illumina(), 42);
+  static const std::vector<std::string_view> views(reads.begin(),
+                                                   reads.end());
+  const std::size_t chunk = static_cast<std::size_t>(state.range(0));
+  SeedChunk seeds;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next + chunk > views.size()) next = 0;
+    mapper.SeedReads(std::span(views).subspan(next, chunk), &seeds);
+    benchmark::DoNotOptimize(seeds.candidates(0).data());
+    next += chunk;
+  }
+  state.counters["per_read"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * chunk),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SeedReads)->Arg(1)->Arg(kSeedChunkReads);
 
 }  // namespace
 }  // namespace gkgpu

@@ -15,20 +15,21 @@ KmerIndex::KmerIndex(std::string_view genome, int k)
   // The CSR payload stores genome positions as uint32 (see
   // KmerIndex::kMaxGenomeLength); a longer genome would silently truncate
   // every position past 4 GiB.  Refuse construction instead — genomes past
-  // this bound need the per-chromosome index sharding planned in ROADMAP.md
-  // (one sub-4-Gbp index per chromosome shard, looked up by shard).
+  // this bound are indexed by SeedIndex, one sub-4-Gbp KmerIndex per
+  // chromosome-group shard (ShardPlan), looked up by shard.
   static_assert(
       std::is_same_v<decltype(positions_)::value_type, std::uint32_t>,
       "positions_ is the uint32 CSR payload kMaxGenomeLength guards; "
-      "widening it instead of sharding doubles index memory — see the "
-      "per-chromosome sharding plan in ROADMAP.md");
+      "widening it instead of sharding doubles index memory — index "
+      "larger genomes through SeedIndex's per-shard KmerIndexes");
   if (genome.size() > kMaxGenomeLength) {
     throw std::invalid_argument(
         "KmerIndex: genome length " + std::to_string(genome.size()) +
         " exceeds the uint32 position limit (" +
         std::to_string(kMaxGenomeLength) +
-        " bases); split the reference into per-chromosome index shards "
-        "(ROADMAP.md) instead of indexing the concatenated text");
+        " bases); index the reference through SeedIndex, which shards it "
+        "by chromosome group (ShardPlan; --shard-max-bp on the CLI), "
+        "instead of indexing the concatenated text");
   }
   const std::size_t buckets = std::size_t{1} << (2 * k);
   offsets_.assign(buckets + 1, 0);

@@ -22,8 +22,9 @@ class KmerIndex {
   /// Largest indexable genome: positions are stored as uint32, so a text
   /// past 2^32 - 1 bases cannot be addressed.  Construction throws
   /// std::invalid_argument beyond this bound rather than silently
-  /// truncating positions; larger genomes are the per-chromosome index
-  /// sharding follow-up tracked in ROADMAP.md.
+  /// truncating positions; larger genomes go through SeedIndex, which
+  /// builds one KmerIndex per chromosome-group shard (ShardPlan,
+  /// --shard-max-bp).
   static constexpr std::size_t kMaxGenomeLength = 0xFFFFFFFFull;
 
   /// Empty index (k() == 0, every lookup misses) — a placeholder to

@@ -1,6 +1,7 @@
 #include "mapper/mapper.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <stdexcept>
@@ -23,7 +24,9 @@ ReadMapper::ReadMapper(ReferenceSet reference, MapperConfig config)
                                          config.minimizer_w,
                                          config.shard_max_bp})),
       verify_pool_(std::make_unique<ThreadPool>(config.verify_threads,
-                                                "gkgpu-verify")) {}
+                                                "gkgpu-verify")) {
+  BindSeedCounters();
+}
 
 ReadMapper::ReadMapper(std::string genome, MapperConfig config)
     : ReadMapper(ReferenceSet("synthetic_chr1", std::move(genome)), config) {}
@@ -52,116 +55,183 @@ ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
   if (index_.mode() == SeedMode::kMinimizer) {
     config_.minimizer_w = index_.minimizer_w();
   }
+  BindSeedCounters();
 }
 
 ReadMapper::~ReadMapper() = default;
 
-void ReadMapper::CollectDense(std::string_view read,
-                              std::vector<std::int64_t>* candidates) const {
-  const int L = static_cast<int>(read.size());
-  const int k = config_.k;
-  // Pigeonhole seeding: e+1 non-overlapping k-mers guarantee that a read
-  // within the threshold shares at least one exact seed with its locus.
-  const int max_seeds = L / k;
-  const int n_seeds = std::min(config_.error_threshold + 1, max_seeds);
-  const std::int64_t genome_len = ref_.length();
-  const std::size_t shards = index_.shard_count();
-  for (int s = 0; s < n_seeds; ++s) {
-    const int offset = s * k;
-    const std::int64_t code = index_.shard(0).Encode(
-        read.substr(static_cast<std::size_t>(offset),
-                    static_cast<std::size_t>(k)));
-    if (code < 0) continue;
-    for (std::size_t sh = 0; sh < shards; ++sh) {
-      const std::int64_t shard_base = index_.plan().shard(sh).text_offset;
-      for (const std::uint32_t pos : index_.shard(sh).LookupCode(code)) {
-        // Shard-local hit -> global candidate window.  Because shards tile
-        // chromosome groups, every window that survives the junction check
-        // below lies inside one shard; the merged set across shards is
-        // exactly what one monolithic index would seed.
-        const std::int64_t start =
-            shard_base + static_cast<std::int64_t>(pos) - offset;
-        if (start < 0 || start + L > genome_len) continue;
-        // A window reaching across a chromosome junction would align the
-        // read against a chimeric segment; drop it at seeding time.
-        if (ref_.chromosome_count() > 1 &&
-            !ref_.WindowWithinChromosome(start, L)) {
-          continue;
-        }
-        candidates->push_back(start);
-      }
+void ReadMapper::BindSeedCounters() {
+  // Labeled handles resolve under the registry mutex, so the kernel keeps
+  // its own.
+  seeder_candidates_ = obs::SeederCandidates(SeedModeName(config_.seed_mode));
+  if (index_.shard_count() > 1) {
+    for (std::size_t s = 0; s < index_.shard_count(); ++s) {
+      shard_candidates_.push_back(obs::ShardCandidates(std::to_string(s)));
     }
   }
 }
 
-void ReadMapper::CollectMinimizerSeeds(
-    std::string_view read, std::vector<std::int64_t>* candidates) const {
-  const int L = static_cast<int>(read.size());
-  const std::int64_t genome_len = ref_.length();
+void ReadMapper::SeedReads(std::span<const std::string_view> reads,
+                           SeedChunk* chunk) const {
+  SeedReads(reads, chunk, &chunk->gather_);
+}
+
+void ReadMapper::SeedReads(std::span<const std::string_view> reads,
+                           SeedChunk* chunk,
+                           std::vector<std::int64_t>* gather) const {
+  chunk->reads_ = reads.size();
+  if (chunk->rc_.size() < reads.size()) chunk->rc_.resize(reads.size());
+  chunk->seqs_.clear();
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    // Reverse strand: a read sampled from the reverse strand equals the
+    // reverse complement of a forward window, so seeding rc(read) against
+    // the forward index finds exactly those loci.
+    ReverseComplementInto(reads[i], &chunk->rc_[i]);
+    chunk->seqs_.push_back(reads[i]);
+    chunk->seqs_.push_back(chunk->rc_[i]);
+  }
+  SeedSequences(2, chunk, gather);
+}
+
+void ReadMapper::SelectSeeds(std::string_view seq,
+                             std::vector<MinimizerHit>* seeds) const {
+  const int k = index_.k();
+  if (config_.seed_mode == SeedMode::kMinimizer) {
+    // Anchoring a hit at the minimizer's offset makes the read's minimizer
+    // coincide with the reference's: both sides select the same k-mer of
+    // any shared error-free window of w+k-1 bases (selection is a pure
+    // function of window content).
+    CollectMinimizers(seq, k, index_.minimizer_w(), seeds);
+    return;
+  }
+  // Pigeonhole seeding: e+1 non-overlapping k-mers guarantee that a read
+  // within the threshold shares at least one exact seed with its locus.
+  const int n_seeds =
+      std::min(config_.error_threshold + 1, static_cast<int>(seq.size()) / k);
+  for (int s = 0; s < n_seeds; ++s) {
+    const std::size_t offset = static_cast<std::size_t>(s * k);
+    const std::int64_t code =
+        index_.shard(0).Encode(seq.substr(offset, static_cast<std::size_t>(k)));
+    if (code < 0) continue;  // an N inside the seed
+    seeds->push_back(MinimizerHit{static_cast<std::uint64_t>(code),
+                                  static_cast<std::uint32_t>(offset)});
+  }
+}
+
+// The lookup kernel over chunk->seqs_.  A k=12 offset table is 64 MiB on
+// 4 KiB pages, so every lookup misses both TLB and cache; the three passes
+// keep all of a chunk's misses in flight together instead of waiting each
+// one out in turn.  Sequence j's candidates carry strand j % strands.
+void ReadMapper::SeedSequences(std::size_t strands, SeedChunk* chunk,
+                               std::vector<std::int64_t>* gather) const {
+  const std::vector<std::string_view>& seqs = chunk->seqs_;
+  std::vector<MinimizerHit>& seeds = chunk->seeds_;
   const std::size_t shards = index_.shard_count();
-  thread_local std::vector<MinimizerHit> hits;
-  hits.clear();
-  CollectMinimizers(read, index_.k(), index_.minimizer_w(), &hits);
-  for (const MinimizerHit& m : hits) {
-    for (std::size_t sh = 0; sh < shards; ++sh) {
-      const std::int64_t shard_base = index_.plan().shard(sh).text_offset;
-      for (const std::uint32_t pos :
-           index_.shard(sh).LookupCode(static_cast<std::int64_t>(m.code))) {
-        // Anchor the read so its minimizer coincides with the reference's:
-        // both sides select the same k-mer of any shared error-free window
-        // of w+k-1 bases (selection is a pure function of window content).
-        const std::int64_t start = shard_base +
-                                   static_cast<std::int64_t>(pos) -
-                                   static_cast<std::int64_t>(m.pos);
-        if (start < 0 || start + L > genome_len) continue;
-        if (ref_.chromosome_count() > 1 &&
-            !ref_.WindowWithinChromosome(start, L)) {
-          continue;
-        }
-        candidates->push_back(start);
+
+  // Pass 1: every sequence's seeds, each offset-table entry prefetched as
+  // soon as its code is known.
+  seeds.clear();
+  chunk->seed_bounds_.assign(1, 0);
+  for (const std::string_view seq : seqs) {
+    const std::size_t first = seeds.size();
+    SelectSeeds(seq, &seeds);
+    for (std::size_t s = first; s < seeds.size(); ++s) {
+      for (std::size_t sh = 0; sh < shards; ++sh) {
+        __builtin_prefetch(index_.shard(sh).offsets().data() + seeds[s].code);
       }
     }
+    chunk->seed_bounds_.push_back(static_cast<std::uint32_t>(seeds.size()));
+  }
+
+  // Pass 2: each bucket's bounds, its first position line prefetched.
+  chunk->buckets_.resize(seeds.size() * shards);
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    for (std::size_t sh = 0; sh < shards; ++sh) {
+      const KmerIndex& idx = index_.shard(sh);
+      const std::uint32_t b = idx.offsets()[seeds[s].code];
+      const std::uint32_t e = idx.offsets()[seeds[s].code + 1];
+      chunk->buckets_[s * shards + sh] = {b, e};
+      if (b != e) __builtin_prefetch(idx.positions().data() + b);
+    }
+  }
+
+  // Pass 3: hits -> candidate windows, sorted and deduplicated per
+  // sequence.
+  const std::int64_t genome_len = ref_.length();
+  const bool multi_chrom = ref_.chromosome_count() > 1;
+  chunk->candidates_.clear();
+  chunk->bounds_.assign(1, 0);
+  for (std::size_t j = 0; j < seqs.size(); ++j) {
+    const int L = static_cast<int>(seqs[j].size());
+    gather->clear();
+    for (std::uint32_t s = chunk->seed_bounds_[j];
+         s < chunk->seed_bounds_[j + 1]; ++s) {
+      for (std::size_t sh = 0; sh < shards; ++sh) {
+        const std::int64_t base =
+            index_.plan().shard(sh).text_offset - seeds[s].pos;
+        const auto [b, e] = chunk->buckets_[s * shards + sh];
+        const std::span<const std::uint32_t> positions =
+            index_.shard(sh).positions();
+        for (std::uint32_t p = b; p < e; ++p) {
+          // Shard-local hit -> global candidate window.  Because shards
+          // tile chromosome groups, every window that survives the
+          // junction check below lies inside one shard; the merged set
+          // across shards is exactly what one monolithic index would seed.
+          const std::int64_t start = base + positions[p];
+          if (start < 0 || start + L > genome_len) continue;
+          // A window reaching across a chromosome junction would align
+          // the read against a chimeric segment; drop it at seeding time.
+          if (multi_chrom && !ref_.WindowWithinChromosome(start, L)) continue;
+          gather->push_back(start);
+        }
+      }
+    }
+    std::sort(gather->begin(), gather->end());
+    gather->erase(std::unique(gather->begin(), gather->end()), gather->end());
+    const std::uint8_t strand = static_cast<std::uint8_t>(j % strands);
+    for (const std::int64_t pos : *gather) {
+      chunk->candidates_.push_back({pos, strand});
+    }
+    chunk->bounds_.push_back(
+        static_cast<std::uint32_t>(chunk->candidates_.size()));
+  }
+  CountSeeded(chunk);
+}
+
+void ReadMapper::CountSeeded(SeedChunk* chunk) const {
+  const std::uint64_t n = chunk->candidates_.size();
+  obs::CandidatesSeeded().Inc(n);
+  seeder_candidates_.Inc(n);
+  if (shard_candidates_.empty() || !obs::Enabled()) return;
+  chunk->shard_tally_.assign(shard_candidates_.size(), 0);
+  for (const OrientedCandidate& oc : chunk->candidates_) {
+    ++chunk->shard_tally_[index_.plan().ShardOf(oc.pos)];
+  }
+  for (std::size_t s = 0; s < shard_candidates_.size(); ++s) {
+    shard_candidates_[s].Inc(chunk->shard_tally_[s]);
   }
 }
 
 void ReadMapper::CollectCandidates(std::string_view read,
                                    std::vector<std::int64_t>* candidates)
     const {
+  thread_local SeedChunk chunk;
+  chunk.seqs_.assign(1, read);
+  SeedSequences(1, &chunk, &chunk.gather_);
   candidates->clear();
-  if (config_.seed_mode == SeedMode::kMinimizer) {
-    CollectMinimizerSeeds(read, candidates);
-  } else {
-    CollectDense(read, candidates);
+  for (const OrientedCandidate& oc : chunk.candidates_) {
+    candidates->push_back(oc.pos);
   }
-  std::sort(candidates->begin(), candidates->end());
-  candidates->erase(std::unique(candidates->begin(), candidates->end()),
-                    candidates->end());
 }
 
 void ReadMapper::CollectCandidatesOriented(
     std::string_view read, std::string* rc,
     std::vector<std::int64_t>* scratch,
     std::vector<OrientedCandidate>* candidates) const {
-  candidates->clear();
-  CollectCandidates(read, scratch);
-  for (const std::int64_t pos : *scratch) candidates->push_back({pos, 0});
-  // Reverse strand: a read sampled from the reverse strand equals the
-  // reverse complement of a forward window, so seeding rc(read) against
-  // the forward index finds exactly those loci.
-  ReverseComplementInto(read, rc);
-  CollectCandidates(*rc, scratch);
-  for (const std::int64_t pos : *scratch) candidates->push_back({pos, 1});
-}
-
-void ReadMapper::PublishSeedObservability(const MappingStats& stats) const {
-  obs::CandidatesSeeded().Inc(stats.candidates_total);
-  obs::SeederCandidates(SeedModeName(config_.seed_mode))
-      .Inc(stats.candidates_total);
-  for (std::size_t s = 0; s < stats.shard_candidates.size(); ++s) {
-    obs::ShardCandidates(std::to_string(s)).Inc(stats.shard_candidates[s]);
-  }
-  obs::ReadsMapped().Inc(stats.mapped_reads);
-  obs::ReadsUnmapped().Inc(stats.reads - stats.mapped_reads);
+  thread_local SeedChunk chunk;
+  SeedReads(std::span<const std::string_view>(&read, 1), &chunk, scratch);
+  rc->swap(chunk.rc(0));
+  candidates->assign(chunk.candidates(0).begin(), chunk.candidates(0).end());
 }
 
 MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
@@ -169,9 +239,6 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
                                   std::vector<MappingRecord>* out) {
   MappingStats stats;
   stats.reads = reads.size();
-  if (index_.shard_count() > 1) {
-    stats.shard_candidates.assign(index_.shard_count(), 0);
-  }
   WallTimer total;
   if (filter != nullptr && !filter->HasReference()) {
     WallTimer prep;
@@ -191,8 +258,7 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
   std::vector<std::string_view> batch;
   std::vector<std::string> batch_rc;      // reverse complements
   std::vector<CandidatePair> candidates;  // (read-in-batch, strand, position)
-  std::vector<OrientedCandidate> one_read_cands;
-  std::vector<std::int64_t> seed_scratch;
+  SeedChunk chunk;
 
   for (std::size_t base = 0; base < reads.size(); base += batch_reads) {
     const std::size_t count = std::min(batch_reads, reads.size() - base);
@@ -205,21 +271,19 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
                  reads.begin() + static_cast<std::ptrdiff_t>(base + count));
     batch_rc.resize(count);
     candidates.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      CollectCandidatesOriented(batch[i], &batch_rc[i], &seed_scratch,
-                                &one_read_cands);
-      for (const OrientedCandidate oc : one_read_cands) {
-        candidates.push_back(
-            {static_cast<std::uint32_t>(i), oc.strand, 0, oc.pos});
+    for (std::size_t c0 = 0; c0 < count; c0 += kSeedChunkReads) {
+      const std::size_t n = std::min(kSeedChunkReads, count - c0);
+      SeedReads(std::span(batch).subspan(c0, n), &chunk);
+      for (std::size_t j = 0; j < n; ++j) {
+        batch_rc[c0 + j].swap(chunk.rc(j));
+        for (const OrientedCandidate oc : chunk.candidates(j)) {
+          candidates.push_back(
+              {static_cast<std::uint32_t>(c0 + j), oc.strand, 0, oc.pos});
+        }
       }
     }
     stats.seeding_seconds += seed_timer.Seconds();
     stats.candidates_total += candidates.size();
-    if (!stats.shard_candidates.empty()) {
-      for (const CandidatePair& c : candidates) {
-        ++stats.shard_candidates[index_.plan().ShardOf(c.ref_pos)];
-      }
-    }
 
     // --- Pre-alignment filtering (optional). ---
     std::vector<PairResult> decisions;
@@ -276,7 +340,8 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
   stats.mapped_reads = static_cast<std::uint64_t>(
       std::count(read_mapped.begin(), read_mapped.end(), true));
   stats.total_seconds = total.Seconds();
-  PublishSeedObservability(stats);
+  obs::ReadsMapped().Inc(stats.mapped_reads);
+  obs::ReadsUnmapped().Inc(stats.reads - stats.mapped_reads);
   return stats;
 }
 
@@ -300,9 +365,6 @@ MappingStats ReadMapper::MapReadsStreaming(
 
   MappingStats stats;
   stats.reads = reads.size();
-  if (index_.shard_count() > 1) {
-    stats.shard_candidates.assign(index_.shard_count(), 0);
-  }
   WallTimer total;
   if (!filter->HasReference()) {
     WallTimer prep;
@@ -316,16 +378,17 @@ MappingStats ReadMapper::MapReadsStreaming(
   pcfg.verify_threshold = config_.error_threshold;
   pipeline::StreamingPipeline pipe(filter, pcfg);
 
-  // Source: seed reads in input order and pack candidate batches (the
-  // read-table dedup and mid-read batch-split carry-over live in
-  // PackCandidateBatch).
+  // Source: seed reads in input order, a chunk at a time, and pack
+  // candidate batches (the read-table dedup and mid-read batch-split
+  // carry-over live in PackCandidateBatch).
   pipeline::CandidateStream stream;
+  SeedChunk chunk;
+  std::size_t chunk_begin = 0;  // reads [chunk_begin, chunk_end) are seeded
+  std::size_t chunk_end = 0;
   std::size_t next_read = 0;
   std::size_t cur_read = 0;
   double seed_seconds = 0.0;
   std::uint64_t candidates_total = 0;
-  std::string rc_buf;
-  std::vector<std::int64_t> seed_scratch;
 
   const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
     WallTimer seed_timer;
@@ -336,15 +399,20 @@ MappingStats ReadMapper::MapReadsStreaming(
         batch, target, &stream,
         [&](std::vector<OrientedCandidate>* positions) -> const std::string* {
           if (next_read >= reads.size()) return nullptr;
-          cur_read = next_read++;
-          CollectCandidatesOriented(reads[cur_read], &rc_buf, &seed_scratch,
-                                    positions);
-          candidates_total += positions->size();
-          if (!stats.shard_candidates.empty()) {
-            for (const OrientedCandidate& oc : *positions) {
-              ++stats.shard_candidates[index_.plan().ShardOf(oc.pos)];
-            }
+          if (next_read == chunk_end) {
+            chunk_begin = next_read;
+            chunk_end = std::min(reads.size(), chunk_begin + kSeedChunkReads);
+            std::array<std::string_view, kSeedChunkReads> views;
+            std::copy(reads.begin() + static_cast<std::ptrdiff_t>(chunk_begin),
+                      reads.begin() + static_cast<std::ptrdiff_t>(chunk_end),
+                      views.begin());
+            SeedReads(std::span(views).first(chunk_end - chunk_begin), &chunk);
           }
+          cur_read = next_read++;
+          const std::span<const OrientedCandidate> cands =
+              chunk.candidates(cur_read - chunk_begin);
+          positions->assign(cands.begin(), cands.end());
+          candidates_total += positions->size();
           return &reads[cur_read];
         },
         [&](const OrientedCandidate&, bool) {
@@ -382,7 +450,8 @@ MappingStats ReadMapper::MapReadsStreaming(
   stats.mapped_reads = static_cast<std::uint64_t>(
       std::count(read_mapped.begin(), read_mapped.end(), true));
   stats.total_seconds = total.Seconds();
-  PublishSeedObservability(stats);
+  obs::ReadsMapped().Inc(stats.mapped_reads);
+  obs::ReadsUnmapped().Inc(stats.reads - stats.mapped_reads);
   return stats;
 }
 

@@ -9,6 +9,9 @@
 //                                      seeding strategy (dense/minimizer)
 //   gkgpu_shard_candidates_total       {shard} per index shard; only
 //                                      emitted on multi-shard runs
+//                                      (the seeding kernel,
+//                                      ReadMapper::SeedReads, publishes
+//                                      all three on every mapping path)
 //   gkgpu_candidates_pruned_total      dropped by paired insert-window
 //   gkgpu_filter_input_total           pairs presented to a filter
 //   gkgpu_filter_accepts_total         {filter,tier} accepted (incl. bypass)

@@ -1,15 +1,18 @@
 #include "paired/paired.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
@@ -105,23 +108,37 @@ void PruneConcordant(const ReferenceSet& ref, int L, std::int64_t max_insert,
   *c2 = std::move(keep2);
 }
 
-/// Seeds both mates on both strands and applies the pairing prune.
-/// `scratch` amortizes the position buffer across a pair loop.
-void SeedPairTask(const ReadMapper& mapper, int L, std::int64_t max_insert,
-                  std::vector<std::int64_t>* scratch, PairTask* task) {
-  if (static_cast<int>(task->r1.seq.size()) != L ||
-      static_cast<int>(task->r2.seq.size()) != L) {
-    task->skipped = true;
-    return;
+static_assert(kSeedChunkReads % 2 == 0, "a seeding chunk holds whole pairs");
+
+/// Seeds a chunk of pairs, both mates of every pair through one SeedReads
+/// call, and applies the pairing prune.
+void SeedPairTasks(const ReadMapper& mapper, int L, std::int64_t max_insert,
+                   std::span<PairTask> tasks, SeedChunk* chunk) {
+  assert(2 * tasks.size() <= kSeedChunkReads);
+  std::array<std::string_view, kSeedChunkReads> mates;
+  std::size_t n = 0;
+  for (PairTask& t : tasks) {
+    t.skipped = static_cast<int>(t.r1.seq.size()) != L ||
+                static_cast<int>(t.r2.seq.size()) != L;
+    if (t.skipped) continue;
+    mates[n++] = t.r1.seq;
+    mates[n++] = t.r2.seq;
   }
-  mapper.CollectCandidatesOriented(task->r1.seq, &task->rc1, scratch,
-                                   &task->c1);
-  mapper.CollectCandidatesOriented(task->r2.seq, &task->rc2, scratch,
-                                   &task->c2);
-  task->seeded = task->c1.size() + task->c2.size();
-  PruneConcordant(mapper.reference(), L, max_insert, &task->c1, &task->c2);
-  task->e1.assign(task->c1.size(), -1);
-  task->e2.assign(task->c2.size(), -1);
+  mapper.SeedReads(std::span(mates).first(n), chunk);
+  std::size_t m = 0;
+  for (PairTask& t : tasks) {
+    if (t.skipped) continue;
+    t.rc1.swap(chunk->rc(m));
+    t.c1.assign(chunk->candidates(m).begin(), chunk->candidates(m).end());
+    ++m;
+    t.rc2.swap(chunk->rc(m));
+    t.c2.assign(chunk->candidates(m).begin(), chunk->candidates(m).end());
+    ++m;
+    t.seeded = t.c1.size() + t.c2.size();
+    PruneConcordant(mapper.reference(), L, max_insert, &t.c1, &t.c2);
+    t.e1.assign(t.c1.size(), -1);
+    t.e2.assign(t.c2.size(), -1);
+  }
 }
 
 /// A mate's selected mapping (or lack of one) entering SAM emission.
@@ -731,12 +748,12 @@ PairedEndMapper::~PairedEndMapper() = default;
 
 namespace {
 
-// Folds one paired run's totals into the process funnel: seeding,
-// insert-window pruning, SW mate rescues, and per-mate mapped/unmapped
-// terminals.  Called once per driver, batch-granular by construction.
+// Folds one paired run's totals into the process funnel: insert-window
+// pruning, SW mate rescues, and per-mate mapped/unmapped terminals (the
+// seeding kernel counts seeded candidates itself).  Called once per
+// driver, batch-granular by construction.
 void RecordPairedFunnel(const PairedStats& stats) {
   if (!obs::Enabled()) return;
-  obs::CandidatesSeeded().Inc(stats.candidates_seeded);
   obs::CandidatesPruned().Inc(stats.candidates_seeded -
                               stats.candidates_paired);
   obs::RescuedMates().Inc(stats.rescued_mates);
@@ -795,7 +812,7 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
     std::uint32_t slot;  // index into the mate's candidate list
   };
   std::vector<CandRef> provenance;
-  std::vector<std::int64_t> seed_scratch;
+  SeedChunk seed_chunk;
   const std::string_view genome = mapper_.genome();
 
   for (std::size_t base = 0; base < r1.size(); base += batch_pairs) {
@@ -808,7 +825,7 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
     // --- Seeding + pairing prune. ---
     WallTimer seed_timer;
     for (std::size_t i = 0; i < count; ++i) {
-      PairTask t;
+      PairTask& t = tasks.emplace_back();
       t.r1 = r1[base + i];
       t.r2 = r2[base + i];
       if (!PairedFastqReader::NamesMatch(t.r1.name, t.r2.name)) {
@@ -817,15 +834,20 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
             std::to_string(base + i) + ": '" + t.r1.name + "' vs '" +
             t.r2.name + "'");
       }
-      SeedPairTask(mapper_, L, config_.max_insert, &seed_scratch, &t);
-      stats.candidates_seeded += t.seeded;
-      stats.candidates_paired += t.c1.size() + t.c2.size();
-      tasks.push_back(std::move(t));
+    }
+    constexpr std::size_t kChunkPairs = kSeedChunkReads / 2;
+    for (std::size_t c0 = 0; c0 < count; c0 += kChunkPairs) {
+      SeedPairTasks(mapper_, L, config_.max_insert,
+                    std::span(tasks).subspan(c0, std::min(kChunkPairs,
+                                                          count - c0)),
+                    &seed_chunk);
     }
     // The table views point into `tasks`, so it is built only after the
     // batch's tasks stopped moving (vector growth relocates elements).
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       const PairTask& t = tasks[i];
+      stats.candidates_seeded += t.seeded;
+      stats.candidates_paired += t.c1.size() + t.c2.size();
       for (int mate = 0; mate < 2; ++mate) {
         const std::vector<OrientedCandidate>& c = mate == 0 ? t.c1 : t.c2;
         if (c.empty()) continue;
@@ -975,7 +997,11 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
   std::uint64_t seeded_local = 0;
   std::uint64_t paired_local = 0;
   double seed_seconds = 0.0;
-  std::vector<std::int64_t> seed_scratch;
+  std::vector<PairTask> fresh;  // the next chunk of pairs, seeded together
+  SeedChunk seed_chunk;
+  // A malformed pair is raised only once the pairs before it are fed, so
+  // the output up to it does not depend on the chunk size.
+  std::exception_ptr read_error;
   pipeline::CandidateStream stream;
 
   const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
@@ -999,23 +1025,40 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
               cur_mate = f.mate;
               return f.mate == 0 ? &p->r1.seq : &p->r2.seq;
             }
-            Pending p;
-            if (!reader.Next(&p.r1, &p.r2)) return nullptr;
-            ++pairs_local;
-            SeedPairTask(mapper_, L, config_.max_insert, &seed_scratch, &p);
-            seeded_local += p.seeded;
-            paired_local += p.c1.size() + p.c2.size();
-            const bool has1 = !p.c1.empty();
-            const bool has2 = !p.c2.empty();
-            {
-              std::lock_guard<std::mutex> lk(mu);
-              pending.push_back(std::move(p));
+            if (read_error) std::rethrow_exception(read_error);
+            fresh.clear();
+            try {
+              PairTask t;
+              while (fresh.size() < kSeedChunkReads / 2 &&
+                     reader.Next(&t.r1, &t.r2)) {
+                fresh.push_back(std::move(t));
+              }
+            } catch (...) {
+              read_error = std::current_exception();
             }
-            const std::uint64_t idx = next_pair++;
-            if (has1) feed.push_back({idx, 0});
-            if (has2) feed.push_back({idx, 1});
-            // Zero-candidate pairs never enter the pipeline; the sink
-            // finalizes them in order off the pending deque.
+            if (fresh.empty()) {
+              if (read_error) std::rethrow_exception(read_error);
+              return nullptr;
+            }
+            pairs_local += fresh.size();
+            SeedPairTasks(mapper_, L, config_.max_insert, fresh, &seed_chunk);
+            for (PairTask& t : fresh) {
+              seeded_local += t.seeded;
+              paired_local += t.c1.size() + t.c2.size();
+              const bool has1 = !t.c1.empty();
+              const bool has2 = !t.c2.empty();
+              Pending p;
+              static_cast<PairTask&>(p) = std::move(t);
+              {
+                std::lock_guard<std::mutex> lk(mu);
+                pending.push_back(std::move(p));
+              }
+              const std::uint64_t idx = next_pair++;
+              if (has1) feed.push_back({idx, 0});
+              if (has2) feed.push_back({idx, 1});
+              // Zero-candidate pairs never enter the pipeline; the sink
+              // finalizes them in order off the pending deque.
+            }
           }
         },
         [&](const OrientedCandidate&, bool) {

@@ -1,9 +1,12 @@
 #include "pipeline/read_to_sam.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <exception>
 #include <ostream>
+#include <span>
 
 #include "io/fastq.hpp"
 #include "mapper/sam.hpp"
@@ -33,14 +36,41 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
   const int read_length = engine->config().read_length;
 
   FastqStreamReader reader(fastq);
-  // `rec` carries the current read between source calls (a read whose
-  // candidates split across batches; PackCandidateBatch repeats its
-  // sequence in each batch's read table).
-  FastqRecord rec;
+  // The current chunk: records [0, chunk_size) of `recs` are seeded in
+  // `chunk`, and `next` is the first one not yet handed to the packer.  A
+  // handed-out record stays put until the next refill, which the packer
+  // only triggers once that read is done (a read whose candidates split
+  // across batches keeps its sequence in each batch's read table).
+  std::vector<FastqRecord> recs(kSeedChunkReads);
+  SeedChunk chunk;
+  std::size_t chunk_size = 0;
+  std::size_t next = 0;
+  const FastqRecord* current = nullptr;
+  // A malformed record is raised only once the reads before it are handed
+  // out, so the output up to it does not depend on the chunk size.
+  std::exception_ptr read_error;
   CandidateStream stream;
   std::uint32_t read_counter = 0;
-  std::string rc_buf;
-  std::vector<std::int64_t> seed_scratch;
+
+  const auto refill = [&] {
+    chunk_size = 0;
+    next = 0;
+    std::array<std::string_view, kSeedChunkReads> seqs;
+    try {
+      while (chunk_size < kSeedChunkReads && reader.Next(&recs[chunk_size])) {
+        ++out.reads;
+        if (static_cast<int>(recs[chunk_size].seq.size()) != read_length) {
+          ++out.skipped_reads;
+          continue;
+        }
+        seqs[chunk_size] = recs[chunk_size].seq;
+        ++chunk_size;
+      }
+    } catch (...) {
+      read_error = std::current_exception();
+    }
+    mapper.SeedReads(std::span(seqs).first(chunk_size), &chunk);
+  };
 
   const BatchSource source = [&](PairBatch* batch) {
     const std::size_t target = std::max<std::size_t>(
@@ -48,25 +78,27 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
     PackCandidateBatch(
         batch, target, &stream,
         [&](std::vector<OrientedCandidate>* positions) -> const std::string* {
-          for (;;) {
-            if (!reader.Next(&rec)) return nullptr;  // FASTQ exhausted
-            ++out.reads;
-            if (static_cast<int>(rec.seq.size()) != read_length) {
-              ++out.skipped_reads;
-              continue;
+          if (next == chunk_size) {
+            if (read_error) std::rethrow_exception(read_error);
+            refill();
+            if (chunk_size == 0) {
+              if (read_error) std::rethrow_exception(read_error);
+              return nullptr;  // FASTQ exhausted
             }
-            mapper.CollectCandidatesOriented(rec.seq, &rc_buf, &seed_scratch,
-                                             positions);
-            out.candidates += positions->size();
-            ++read_counter;
-            return &rec.seq;
           }
+          const std::span<const OrientedCandidate> cands =
+              chunk.candidates(next);
+          positions->assign(cands.begin(), cands.end());
+          out.candidates += positions->size();
+          ++read_counter;
+          current = &recs[next++];
+          return &current->seq;
         },
         [&](const OrientedCandidate& oc, bool last) {
           const int chrom = ref.Locate(oc.pos);
           assert(chrom >= 0);  // seeding only emits in-chromosome windows
           batch->read_index.push_back(read_counter - 1);
-          batch->read_names.push_back(rec.name);
+          batch->read_names.push_back(current->name);
           batch->ref_chrom.push_back(chrom);
           batch->ref_pos.push_back(ref.ToLocal(chrom, oc.pos));
           batch->last_of_read.push_back(last ? 1 : 0);
@@ -101,7 +133,6 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
 
   out.pipeline = pipeline.Run(source, sink);
   assert(groups.empty());  // every read's last candidate flushes its group
-  obs::CandidatesSeeded().Inc(out.candidates);
   obs::ReadsMapped().Inc(out.mapped_reads);
   obs::ReadsUnmapped().Inc(out.reads - out.skipped_reads - out.mapped_reads);
   return out;

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cerrno>
@@ -17,6 +18,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -424,11 +426,57 @@ struct MapServer::Impl {
 
     const ReferenceSet& ref = mapper_.reference();
     pipeline::CandidateStream stream;
-    QueuedRead current;
+    // The current chunk: `chunk_reads` are seeded in `chunk`, and `next` is
+    // the first one not yet handed to the packer.
+    std::vector<QueuedRead> chunk_reads;
+    SeedChunk chunk;
+    std::size_t next = 0;
+    const QueuedRead* current = nullptr;
     std::uint32_t read_counter = 0;
-    std::string rc_buf;
-    std::vector<std::int64_t> seed_scratch;
     std::vector<const Session*> batch_sessions;  // distinct, per batch
+
+    // Takes the queued reads, up to one chunk, and seeds them.  Only the
+    // first read is waited for, as the batch's state demands; false when
+    // the batch should depart instead.
+    const auto refill = [&](bool first) {
+      chunk_reads.clear();
+      next = 0;
+      {
+        std::unique_lock<std::mutex> lock(queue_mu_);
+        const auto ready = [&] { return !queue_.empty() || input_closed_; };
+        if (first) {
+          // An empty batch waits as long as it takes — the daemon idles
+          // here between jobs.
+          queue_cv_.wait(lock, ready);
+        } else if (!queue_cv_.wait_for(
+                       lock,
+                       std::chrono::milliseconds(
+                           std::max(0, config_.linger_ms)),
+                       ready)) {
+          // Linger expired: the partial batch departs rather than holding
+          // one client's reads hostage to another's pace.
+          return false;
+        }
+        if (queue_.empty()) return false;  // input closed
+        while (!queue_.empty() && chunk_reads.size() < kSeedChunkReads) {
+          chunk_reads.push_back(std::move(queue_.front()));
+          queue_.pop_front();
+        }
+      }
+      queue_space_cv_.notify_all();
+      // Reads of sessions that died while queued retire unseeded.
+      std::erase_if(chunk_reads, [&](const QueuedRead& r) {
+        if (!r.session->dead.load(std::memory_order_acquire)) return false;
+        RetireRead(r.session);
+        return true;
+      });
+      std::array<std::string_view, kSeedChunkReads> seqs;
+      for (std::size_t i = 0; i < chunk_reads.size(); ++i) {
+        seqs[i] = chunk_reads[i].seq;
+      }
+      mapper_.SeedReads(std::span(seqs).first(chunk_reads.size()), &chunk);
+      return true;
+    };
 
     const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
       batch_sessions.clear();
@@ -439,62 +487,41 @@ struct MapServer::Impl {
           [&](std::vector<OrientedCandidate>* positions)
               -> const std::string* {
             for (;;) {
-              {
-                std::unique_lock<std::mutex> lock(queue_mu_);
-                const bool first = batch->candidates.empty();
-                const auto ready = [&] {
-                  return !queue_.empty() || input_closed_;
-                };
-                if (first) {
-                  // An empty batch waits as long as it takes — the daemon
-                  // idles here between jobs.
-                  queue_cv_.wait(lock, ready);
-                } else if (!queue_cv_.wait_for(
-                               lock,
-                               std::chrono::milliseconds(
-                                   std::max(0, config_.linger_ms)),
-                               ready)) {
-                  // Linger expired: the partial batch departs rather than
-                  // holding one client's reads hostage to another's pace.
-                  return nullptr;
-                }
-                if (queue_.empty()) return nullptr;  // input closed
-                current = std::move(queue_.front());
-                queue_.pop_front();
+              if (next == chunk_reads.size() &&
+                  !refill(batch->candidates.empty())) {
+                return nullptr;
               }
-              queue_space_cv_.notify_one();
-              if (current.session->dead.load(std::memory_order_acquire)) {
-                RetireRead(current.session);
-                continue;
-              }
-              mapper_.CollectCandidatesOriented(current.seq, &rc_buf,
-                                                &seed_scratch, positions);
-              if (positions->empty()) {
+              const QueuedRead& r = chunk_reads[next];
+              const std::span<const OrientedCandidate> cands =
+                  chunk.candidates(next++);
+              if (cands.empty()) {
                 // No candidate anywhere in the genome: the read completes
                 // right here, with no SAM records.
-                RetireRead(current.session);
+                RetireRead(r.session);
                 continue;
               }
+              positions->assign(cands.begin(), cands.end());
               {
                 std::lock_guard<std::mutex> lock(owners_mu_);
-                owners_.emplace(read_counter, current.session);
+                owners_.emplace(read_counter, r.session);
               }
               ++read_counter;
-              return &current.seq;
+              current = &r;
+              return &r.seq;
             }
           },
           [&](const OrientedCandidate& oc, bool last) {
             const int chrom = ref.Locate(oc.pos);
             assert(chrom >= 0);
             batch->read_index.push_back(read_counter - 1);
-            batch->read_names.push_back(current.name);
+            batch->read_names.push_back(current->name);
             batch->ref_chrom.push_back(chrom);
             batch->ref_pos.push_back(ref.ToLocal(chrom, oc.pos));
             batch->last_of_read.push_back(last ? 1 : 0);
             // Distinct-session tracking lives in emit, not fetch, so a
             // read carried over from the previous batch still counts
             // toward this batch's coalescing.
-            const Session* cur = current.session.get();
+            const Session* cur = current->session.get();
             if (batch_sessions.empty() || batch_sessions.back() != cur) {
               bool seen = false;
               for (const Session* p : batch_sessions) {

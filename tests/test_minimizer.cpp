@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "encode/revcomp.hpp"
@@ -292,9 +294,13 @@ TEST(MinimizerMappingTest, ExactReadsAlwaysFindTheirLocus) {
 
 TEST(MinimizerMappingTest, ShardLayoutDoesNotChangeSelection) {
   // Winnowing runs per chromosome, so the sharded minimizer index must
-  // seed the exact candidates of the single-shard one.
+  // seed the exact candidates of the single-shard one — and the chunked
+  // kernel, whatever the chunk size, the candidates of seeding each read
+  // alone.
   ReferenceSet ref;
-  ref.Add("chrA", GenerateGenome(9000, 51));
+  std::string chr_a = GenerateGenome(9000, 51);
+  chr_a.replace(4000, 30, 30, 'N');
+  ref.Add("chrA", chr_a);
   ref.Add("chrB", GenerateGenome(7000, 52));
   ref.Add("chrC", GenerateGenome(8000, 53));
   MapperConfig cfg;
@@ -307,8 +313,14 @@ TEST(MinimizerMappingTest, ShardLayoutDoesNotChangeSelection) {
   ReadMapper sharded(ref, sharded_cfg);
   ASSERT_GT(sharded.index().shard_count(), 1u);
 
-  const auto reads = SimulateReadSequences(
+  auto reads = SimulateReadSequences(
       ref.text(), 150, 64, ReadErrorProfile::Illumina(), 54);
+  reads[3][20] = 'N';
+  reads.emplace_back(ref.text().substr(9000 - 30, 64));  // chrA/chrB junction
+  reads.emplace_back(ref.text().substr(4000 - 20, 64));  // into the N run
+  reads.emplace_back(64, 'N');
+  const std::string dup = reads[9];
+  reads.insert(reads.begin() + 10, 2, dup);
   std::vector<std::int64_t> a, b;
   for (const std::string& read : reads) {
     a.clear();
@@ -316,6 +328,35 @@ TEST(MinimizerMappingTest, ShardLayoutDoesNotChangeSelection) {
     mono.CollectCandidates(read, &a);
     sharded.CollectCandidates(read, &b);
     EXPECT_EQ(a, b);
+  }
+
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  for (const ReadMapper* mapper : {&mono, &sharded}) {
+    std::vector<std::vector<OrientedCandidate>> alone(reads.size());
+    std::string rc;
+    std::vector<std::int64_t> scratch;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      mapper->CollectCandidatesOriented(reads[i], &rc, &scratch, &alone[i]);
+    }
+    for (const std::size_t chunk_reads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{32},
+          std::size_t{33}, views.size()}) {
+      SeedChunk chunk;
+      for (std::size_t c0 = 0; c0 < views.size(); c0 += chunk_reads) {
+        const std::size_t n = std::min(chunk_reads, views.size() - c0);
+        mapper->SeedReads(std::span(views).subspan(c0, n), &chunk);
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::vector<OrientedCandidate>& want = alone[c0 + j];
+          const std::span<const OrientedCandidate> got = chunk.candidates(j);
+          ASSERT_EQ(got.size(), want.size())
+              << "read " << c0 + j << ", chunks of " << chunk_reads;
+          for (std::size_t k = 0; k < want.size(); ++k) {
+            EXPECT_EQ(got[k].pos, want[k].pos);
+            EXPECT_EQ(got[k].strand, want[k].strand);
+          }
+        }
+      }
+    }
   }
 }
 

@@ -3,18 +3,34 @@
 // plan validator, shard lookup, and the property the whole design rests
 // on — a forced multi-shard mapper produces the exact candidate set and
 // the exact SAM of a monolithic one, including reads at chromosome and
-// shard edges.
+// shard edges.  The chunked seeding kernel is checked here against a
+// brute-force string-search oracle, and the seeding counters against
+// every driver's own candidate count.
 #include "mapper/shard.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "encode/revcomp.hpp"
+#include "io/paired_fastq.hpp"
 #include "mapper/mapper.hpp"
 #include "mapper/sam.hpp"
+#include "obs/metrics.hpp"
+#include "paired/paired.hpp"
+#include "pipeline/read_to_sam.hpp"
+#include "serve/client.hpp"
+#include "serve/server.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 
@@ -207,21 +223,258 @@ TEST_F(ShardedMappingTest, SamOutputIsByteIdentical) {
   EXPECT_FALSE(mono.empty());
 }
 
-TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
+/// Every pigeonhole seed k-mer of `read` and of its reverse complement,
+/// searched by brute force over the whole text, under the seeder's window
+/// rules: in bounds and inside one chromosome.  Laid out as
+/// CollectCandidatesOriented emits candidates.
+std::vector<std::pair<std::int64_t, int>> OracleCandidates(
+    const ReferenceSet& ref, const MapperConfig& cfg, const std::string& read) {
+  const std::string_view text = ref.text();
+  const std::int64_t L = static_cast<std::int64_t>(read.size());
+  const int n_seeds = std::min(cfg.error_threshold + 1,
+                               static_cast<int>(read.size()) / cfg.k);
+  std::vector<std::pair<std::int64_t, int>> out;
+  for (int strand = 0; strand < 2; ++strand) {
+    const std::string seq = strand == 0 ? read : ReverseComplement(read);
+    std::vector<std::int64_t> starts;
+    for (int s = 0; s < n_seeds; ++s) {
+      const std::string kmer = seq.substr(static_cast<std::size_t>(s * cfg.k),
+                                          static_cast<std::size_t>(cfg.k));
+      if (kmer.find_first_not_of("ACGT") != std::string::npos) continue;
+      for (std::size_t hit = text.find(kmer); hit != std::string_view::npos;
+           hit = text.find(kmer, hit + 1)) {
+        const std::int64_t start = static_cast<std::int64_t>(hit) - s * cfg.k;
+        for (const ChromosomeInfo& c : ref.chromosomes()) {
+          if (start >= c.offset && start + L <= c.offset + c.length) {
+            starts.push_back(start);
+          }
+        }
+      }
+    }
+    std::sort(starts.begin(), starts.end());
+    starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+    for (const std::int64_t p : starts) out.emplace_back(p, strand);
+  }
+  return out;
+}
+
+TEST_F(ShardedMappingTest, ChunkedSeedingMatchesBruteForceOracle) {
+  // N runs inside every chromosome, one right at a chromosome start.
+  ReferenceSet ref;
+  for (const ChromosomeInfo& c : ref_.chromosomes()) {
+    std::string seq(ref_.text().substr(static_cast<std::size_t>(c.offset),
+                                       static_cast<std::size_t>(c.length)));
+    seq.replace(seq.size() / 3, 40, 40, 'N');
+    if (c.offset == 0) seq.replace(0, 20, 20, 'N');
+    ref.Add(c.name, std::move(seq));
+  }
+  ref_ = std::move(ref);
+  std::vector<std::string> reads = EdgeAndBodyReads();
+  const std::string_view text = ref_.text();
+  std::string n_in_seed(text.substr(1000, 64));
+  n_in_seed[2 * config_.k + 3] = 'N';  // kills the third seed only
+  reads.push_back(n_in_seed);
+  reads.push_back(std::string(64, 'N'));  // no seed at all
+  // Every seed of both strands absent from the text: seeds, but no hits.
+  std::uint64_t next_code = 0;
+  const auto absent_kmer = [&] {
+    for (;;) {
+      std::string kmer;
+      for (int i = 0, c = static_cast<int>(next_code++ * 2654435761u % 65536);
+           i < config_.k; ++i, c >>= 2) {
+        kmer += "ACGT"[c & 3];
+      }
+      if (text.find(kmer) == std::string_view::npos) return kmer;
+    }
+  };
+  std::string hitless_read;
+  for (int s = 0; s < 4; ++s) hitless_read += absent_kmer();
+  for (int s = 0; s < 4; ++s) hitless_read += ReverseComplement(absent_kmer());
+  reads.push_back(hitless_read);
+  reads.emplace_back(text.substr(6000 - 40, 64));  // straddles chr1/chr2
+  reads.emplace_back(text.substr(2000 - 32, 64));  // straddles an N run
+  const std::string dup = reads[4];
+  reads.insert(reads.begin() + 5, 2, dup);  // duplicates in one chunk
+
   MapperConfig sharded_cfg = config_;
   sharded_cfg.shard_max_bp = 6000;
+  const ReadMapper mono(ref_, config_);
+  const ReadMapper sharded(ref_, sharded_cfg);
+  ASSERT_EQ(sharded.index().shard_count(), 4u);
+
+  std::vector<std::vector<std::pair<std::int64_t, int>>> oracle;
+  std::size_t hitless = 0;
+  for (const std::string& read : reads) {
+    oracle.push_back(OracleCandidates(ref_, config_, read));
+    if (oracle.back().empty()) ++hitless;
+  }
+  EXPECT_GE(hitless, 2u);  // the all-N read and the junction straddler
+
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  for (const ReadMapper* mapper : {&mono, &sharded}) {
+    for (const std::size_t chunk_reads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{32},
+          std::size_t{33}, views.size()}) {
+      SeedChunk chunk;
+      for (std::size_t c0 = 0; c0 < views.size(); c0 += chunk_reads) {
+        const std::size_t n = std::min(chunk_reads, views.size() - c0);
+        mapper->SeedReads(std::span(views).subspan(c0, n), &chunk);
+        ASSERT_EQ(chunk.size(), n);
+        for (std::size_t j = 0; j < n; ++j) {
+          std::vector<std::pair<std::int64_t, int>> got;
+          for (const OrientedCandidate& oc : chunk.candidates(j)) {
+            got.emplace_back(oc.pos, oc.strand);
+          }
+          EXPECT_EQ(got, oracle[c0 + j])
+              << "read " << c0 + j << ", chunks of " << chunk_reads << ", "
+              << mapper->index().shard_count() << " shard(s)";
+          EXPECT_EQ(chunk.rc(j), ReverseComplement(reads[c0 + j]));
+        }
+      }
+    }
+  }
+}
+
+/// Registry deltas of the three seeding families across `run`.
+struct SeedDeltas {
+  double seeded = 0.0;  // gkgpu_candidates_seeded_total
+  double seeder = 0.0;  // gkgpu_seed_candidates_total{seeder="dense"}
+  double shards = 0.0;  // gkgpu_shard_candidates_total, every shard
+  double filter_input = 0.0;
+};
+
+template <typename Run>
+SeedDeltas SeedCounterDeltas(Run run) {
+  const obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
+  run();
+  const obs::MetricsSnapshot after = obs::Registry::Global().Snapshot();
+  const auto delta = [&](std::string_view name) {
+    return after.Total(name) - before.Total(name);
+  };
+  SeedDeltas d;
+  d.seeded = delta("gkgpu_candidates_seeded_total");
+  d.seeder = after.Value("gkgpu_seed_candidates_total", {{"seeder", "dense"}}) -
+             before.Value("gkgpu_seed_candidates_total", {{"seeder", "dense"}});
+  d.shards = delta("gkgpu_shard_candidates_total");
+  d.filter_input = delta("gkgpu_filter_input_total");
+  return d;
+}
+
+std::string ToFastq(const std::vector<std::string>& seqs,
+                    const std::string& prefix) {
+  std::string out;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    out += "@" + prefix + std::to_string(i) + "\n" + seqs[i] + "\n+\n" +
+           std::string(seqs[i].size(), 'I') + "\n";
+  }
+  return out;
+}
+
+TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
+  // Every driver seeds through the one kernel, which publishes all three
+  // seeding families; on a 2-shard index they must agree with each other
+  // and with the driver's own candidate count.
+  MapperConfig sharded_cfg = config_;
+  sharded_cfg.shard_max_bp = 11000;  // two chromosomes per shard
   ReadMapper mapper(ref_, sharded_cfg);
-  const MappingStats stats = mapper.MapReads(EdgeAndBodyReads(), nullptr);
-  ASSERT_EQ(stats.shard_candidates.size(), 4u);
-  std::uint64_t sum = 0;
-  for (const std::uint64_t c : stats.shard_candidates) sum += c;
-  EXPECT_EQ(sum, stats.candidates_total);
-  EXPECT_GT(stats.candidates_total, 0u);
+  ASSERT_EQ(mapper.index().shard_count(), 2u);
+  const auto expect_agree = [](const SeedDeltas& d, double own,
+                               const char* driver) {
+    EXPECT_GT(own, 0.0) << driver;
+    EXPECT_EQ(d.seeded, own) << driver;
+    EXPECT_EQ(d.seeder, own) << driver;
+    EXPECT_EQ(d.shards, own) << driver;
+  };
+
+  std::vector<std::string> reads = EdgeAndBodyReads();
+  reads.emplace_back(64, 'N');  // no seed: the daemon retires it unbatched
+  MappingStats blocking;
+  const SeedDeltas blocking_d =
+      SeedCounterDeltas([&] { blocking = mapper.MapReads(reads, nullptr); });
+  expect_agree(blocking_d, static_cast<double>(blocking.candidates_total),
+               "MapReads");
+
+  auto devices = gpusim::MakeSetup1(1);
+  std::vector<gpusim::Device*> ptrs;
+  for (auto& d : devices) ptrs.push_back(d.get());
+  EngineConfig ecfg;
+  ecfg.read_length = config_.read_length;
+  ecfg.error_threshold = config_.error_threshold;
+  GateKeeperGpuEngine engine(ecfg, ptrs);
+  engine.LoadReference(ref_.text());
+
+  const std::string fastq_text = ToFastq(reads, "r");
+  pipeline::ReadToSamStats streamed;
+  const SeedDeltas stream_d = SeedCounterDeltas([&] {
+    std::istringstream fastq(fastq_text);
+    streamed = pipeline::StreamFastqToSam(fastq, mapper, &engine,
+                                          pipeline::ReadToSamConfig{},
+                                          nullptr);
+  });
+  expect_agree(stream_d, static_cast<double>(streamed.candidates),
+               "StreamFastqToSam");
+
+  PairSimConfig pair_cfg;
+  pair_cfg.read_length = config_.read_length;
+  pair_cfg.insert_mean = 200.0;
+  pair_cfg.insert_sd = 20.0;
+  std::vector<std::string> mates1, mates2;
+  for (std::size_t c = 0; c < ref_.chromosome_count(); ++c) {
+    const ChromosomeInfo& info = ref_.chromosome(c);
+    for (const SimulatedPair& p : SimulatePairs(
+             ref_.text().substr(static_cast<std::size_t>(info.offset),
+                                static_cast<std::size_t>(info.length)),
+             40, pair_cfg, 80 + c)) {
+      mates1.push_back(p.seq1);
+      mates2.push_back(p.seq2);
+    }
+  }
+  PairedConfig pconf;
+  pconf.max_insert = 400;
+  PairedStats paired;
+  const SeedDeltas paired_d = SeedCounterDeltas([&] {
+    std::istringstream fq1(ToFastq(mates1, "p"));
+    std::istringstream fq2(ToFastq(mates2, "p"));
+    PairedFastqReader reader(fq1, fq2);
+    std::ostringstream sam;
+    paired = PairedEndMapper(mapper, pconf)
+                 .MapPairsStreaming(reader, &engine, {}, &sam);
+  });
+  expect_agree(paired_d, static_cast<double>(paired.candidates_seeded),
+               "MapPairsStreaming");
+
+  // The daemon keeps no per-job candidate count: every seeded candidate
+  // of a single-end job is presented to the filter, and the job seeds
+  // what the standalone pipeline seeded on the same reads.
+  serve::ServeConfig scfg;
+  scfg.socket_path =
+      (std::filesystem::temp_directory_path() /
+       ("gkgpu_shard_test_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  scfg.threads = 2;
+  const SeedDeltas served_d = SeedCounterDeltas([&] {
+    serve::MapServer server(mapper, &engine, scfg);
+    std::thread run([&] { server.Run(); });
+    for (int i = 0; i < 2000 && !server.serving(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(server.serving());
+    std::istringstream fastq(fastq_text);
+    std::ostringstream sam;
+    serve::MapOverSocket(scfg.socket_path, fastq, sam);
+    server.Shutdown();
+    run.join();
+  });
+  expect_agree(served_d, served_d.filter_input, "served job");
+  EXPECT_EQ(served_d.seeded, stream_d.seeded);
 
   // Single-shard runs carry no per-shard breakdown.
-  ReadMapper mono(ref_, config_);
-  const MappingStats mono_stats = mono.MapReads(EdgeAndBodyReads(), nullptr);
-  EXPECT_TRUE(mono_stats.shard_candidates.empty());
+  const SeedDeltas mono = SeedCounterDeltas([&] {
+    ReadMapper local(ref_, config_);
+    local.MapReads(reads, nullptr);
+  });
+  EXPECT_EQ(mono.seeded, static_cast<double>(blocking.candidates_total));
+  EXPECT_EQ(mono.shards, 0.0);
 }
 
 TEST_F(ShardedMappingTest, ConcurrentBuildMatchesSerial) {
