@@ -13,8 +13,8 @@
 //   * pruning ratio > 1.0 — pairing must remove candidates on concordant
 //     2x100 bp data;
 //   * >= 90% of simulated pairs recover as proper pairs;
-//   * the streaming driver (adaptive preset) maps what the blocking one
-//     does.
+//   * the streaming driver, with adaptive batch sizing, maps what the
+//     blocking one does.
 //
 // Scale with GKGPU_PAIRS (default 20,000 pairs) and GKGPU_REPS
 // (min-of-reps, default 3).
@@ -124,9 +124,7 @@ int main() {
         rep == 0 ? pe.total_seconds : std::min(pe_seconds, pe.total_seconds);
   }
 
-  // --- Streaming driver with the paired adaptive preset (bounded
-  // memory; MapPairsStreaming swaps in PairedAdaptiveDefaults for knobs
-  // left at the generic single-end values). ---
+  // --- Streaming driver with adaptive batch sizing (bounded memory). ---
   double st_seconds = 0.0;
   PairedStats st;
   for (int rep = 0; rep < reps; ++rep) {
@@ -201,11 +199,11 @@ int main() {
                 static_cast<unsigned long long>(pe.proper_pairs), n_pairs);
     ok = false;
   }
-  // The drivers are pinned byte-identical by the golden test; the
-  // adaptive preset must not perturb what the streaming driver maps.
+  // The drivers are pinned byte-identical by the golden test; adaptive
+  // batch sizing must not perturb what the streaming driver maps.
   if (st.proper_pairs != pe.proper_pairs ||
       st.duplicate_pairs != pe.duplicate_pairs) {
-    std::printf("FAIL: streaming (adaptive preset) diverged from blocking "
+    std::printf("FAIL: streaming (adaptive) diverged from blocking "
                 "(proper %llu vs %llu)\n",
                 static_cast<unsigned long long>(st.proper_pairs),
                 static_cast<unsigned long long>(pe.proper_pairs));

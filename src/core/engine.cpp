@@ -154,8 +154,7 @@ void GateKeeperGpuEngine::EnsurePairBuffers(std::size_t capacity) {
 }
 
 /// Host preprocessing of `count` pairs into a buffer set: the encode/copy
-/// work one CPU thread performs per device slice, shared by the blocking
-/// FilterPairs rounds and the streaming slot path.
+/// work one CPU thread performs per device slice of a FilterPairs round.
 void GateKeeperGpuEngine::EncodePairsInto(DeviceBuffers* b,
                                           const std::string* reads,
                                           const std::string* refs,
@@ -189,13 +188,12 @@ void GateKeeperGpuEngine::EncodePairsInto(DeviceBuffers* b,
 }
 
 /// Device stage for one encoded buffer set: advice + prefetch (or demand
-/// migration), kernel launch, result migration and read-back into `out`.
-/// Pass out == nullptr to defer the host-side copy (FilterPairs reads all
-/// devices back concurrently afterwards; counts are then 0 here).
+/// migration), kernel launch and result migration.  FilterPairs reads all
+/// devices' results back concurrently afterwards, so the returned counts
+/// are 0.
 StreamBatchStats GateKeeperGpuEngine::RunPairsKernel(Device* dev,
                                                      DeviceBuffers* b,
-                                                     std::size_t count,
-                                                     PairResult* out) {
+                                                     std::size_t count) {
   StreamBatchStats st;
   if (count == 0) return st;
   const std::size_t words =
@@ -241,17 +239,6 @@ StreamBatchStats GateKeeperGpuEngine::RunPairsKernel(Device* dev,
   b->results->MarkDeviceResident();
   const double d2h_s = b->results->FaultToHost();
   st.transfer_seconds = prefetch_s + d2h_s;
-  if (out != nullptr) {
-    WallTimer readback;
-    const PairResult* res = b->results->as<PairResult>();
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = res[i];
-      st.accepted += res[i].accept;
-      st.bypassed += res[i].bypassed;
-    }
-    st.readback_seconds = readback.Seconds();
-    RecordEngineFunnel(count, st.accepted, st.bypassed);
-  }
   return st;
 }
 
@@ -413,59 +400,6 @@ StreamBatchStats GateKeeperGpuEngine::FilterCandidatesSlot(int device,
   return RunCandidatesKernel(static_cast<std::size_t>(device), b, count, out);
 }
 
-std::size_t GateKeeperGpuEngine::PrepareStreaming(std::size_t batch_capacity,
-                                                  int slots_per_device) {
-  assert(slots_per_device >= 1);
-  const std::size_t capacity =
-      std::min(batch_capacity, plan_.pairs_per_batch);
-  if (streaming_slots_ >= slots_per_device &&
-      streaming_capacity_ >= capacity) {
-    return streaming_capacity_;
-  }
-  streaming_slots_ = slots_per_device;
-  streaming_capacity_ = capacity;
-  stream_buffers_.clear();
-  stream_buffers_.resize(devices_.size() *
-                         static_cast<std::size_t>(slots_per_device));
-  for (std::size_t di = 0; di < devices_.size(); ++di) {
-    for (int s = 0; s < slots_per_device; ++s) {
-      auto b = std::make_unique<DeviceBuffers>();
-      AllocatePairBuffers(devices_[di], b.get(), capacity);
-      stream_buffers_[di * slots_per_device + s] = std::move(b);
-    }
-  }
-  return streaming_capacity_;
-}
-
-double GateKeeperGpuEngine::EncodePairsSlot(int device, int slot,
-                                            const std::string* reads,
-                                            const std::string* refs,
-                                            std::size_t count) {
-  assert(device >= 0 && device < device_count());
-  assert(slot >= 0 && slot < streaming_slots_);
-  assert(count <= streaming_capacity_);
-  DeviceBuffers* b =
-      stream_buffers_[static_cast<std::size_t>(device) * streaming_slots_ +
-                      slot]
-          .get();
-  WallTimer t;
-  EncodePairsInto(b, reads, refs, count);
-  return t.Seconds();
-}
-
-StreamBatchStats GateKeeperGpuEngine::FilterPairsSlot(int device, int slot,
-                                                      std::size_t count,
-                                                      PairResult* out) {
-  assert(device >= 0 && device < device_count());
-  assert(slot >= 0 && slot < streaming_slots_);
-  DeviceBuffers* b =
-      stream_buffers_[static_cast<std::size_t>(device) * streaming_slots_ +
-                      slot]
-          .get();
-  return RunPairsKernel(devices_[static_cast<std::size_t>(device)], b, count,
-                        out);
-}
-
 FilterRunStats GateKeeperGpuEngine::FilterPairs(
     const std::vector<std::string>& reads, const std::vector<std::string>& refs,
     std::vector<PairResult>* results) {
@@ -523,7 +457,7 @@ FilterRunStats GateKeeperGpuEngine::FilterPairs(
       const Slice s = slices[di];
       if (s.count == 0) continue;
       const StreamBatchStats st = RunPairsKernel(
-          devices_[di], buffers_[di].get(), s.count, /*out=*/nullptr);
+          devices_[di], buffers_[di].get(), s.count);
       round_kt = std::max(round_kt, st.kernel_seconds);
       round_transfer = std::max(round_transfer, st.transfer_seconds);
     }

@@ -110,38 +110,18 @@ class GateKeeperGpuEngine {
 
   // --- Streaming path (driven by src/pipeline/) -------------------------
   //
-  // Re-entrant per-device batch filtration: every device owns
-  // `slots_per_device` independent buffer sets, so the pipeline can host-
-  // encode batch N+1 into one slot while batch N's kernel runs from
-  // another (double buffering).  Concurrency contract: EncodePairsSlot may
-  // run on any thread for any (device, slot) not currently in use, but all
-  // FilterPairsSlot calls for one device must come from a single driver
-  // thread (device timelines and unified-memory counters are per-device
-  // and unsynchronized, exactly like a CUDA stream).
-
-  /// Allocates the slot buffers.  `batch_capacity` is clamped to the
-  /// system plan's pairs-per-batch; returns the per-slot capacity.
-  std::size_t PrepareStreaming(std::size_t batch_capacity,
-                               int slots_per_device);
-  int streaming_slots() const { return streaming_slots_; }
-
-  /// Host preprocessing of one batch into (device, slot): 2-bit encoding
-  /// under EncodingActor::kHost, raw character staging under kDevice.
-  /// Returns measured host seconds.
-  double EncodePairsSlot(int device, int slot, const std::string* reads,
-                         const std::string* refs, std::size_t count);
-
-  /// Device stage for a previously encoded slot: prefetch (or demand
-  /// migration), kernel launch, and result read-back into out[0..count).
-  StreamBatchStats FilterPairsSlot(int device, int slot, std::size_t count,
-                                   PairResult* out);
-
-  // Candidate-mode streaming: per-(device, slot) buffers carrying a batch's
-  // unique reads (2-bit encoded once) plus its (read, reference-offset)
-  // candidates; the kernel slices reference windows straight out of the
-  // per-device encoded genome loaded by LoadReference — no per-candidate
-  // segment extraction or re-encoding on the host.  Same concurrency
-  // contract as the pair-mode slots.
+  // Re-entrant per-device candidate filtration: every device owns
+  // `slots_per_device` independent buffer sets carrying a batch's unique
+  // reads (2-bit encoded once) plus its (read, reference-offset)
+  // candidates, so the pipeline can host-encode batch N+1 into one slot
+  // while batch N's kernel runs from another (double buffering).  The
+  // kernel slices reference windows straight out of the per-device encoded
+  // genome loaded by LoadReference — no per-candidate segment extraction
+  // or re-encoding on the host.  Concurrency contract: EncodeCandidatesSlot
+  // may run on any thread for any (device, slot) not currently in use, but
+  // all FilterCandidatesSlot calls for one device must come from a single
+  // driver thread (device timelines and unified-memory counters are
+  // per-device and unsynchronized, exactly like a CUDA stream).
 
   /// Allocates the candidate slot buffers.  `batch_capacity` bounds the
   /// candidates per batch (clamped to the kernel plan), `read_capacity` the
@@ -149,7 +129,6 @@ class GateKeeperGpuEngine {
   std::size_t PrepareCandidateStreaming(std::size_t batch_capacity,
                                         std::size_t read_capacity,
                                         int slots_per_device);
-  int candidate_streaming_slots() const { return cand_streaming_slots_; }
 
   /// Host preprocessing of one candidate batch into (device, slot): encodes
   /// the batch's reads and stages the candidate table.  Returns measured
@@ -188,18 +167,15 @@ class GateKeeperGpuEngine {
   void EncodePairsInto(DeviceBuffers* b, const std::string* reads,
                        const std::string* refs, std::size_t count);
   StreamBatchStats RunPairsKernel(gpusim::Device* dev, DeviceBuffers* b,
-                                  std::size_t count, PairResult* out);
+                                  std::size_t count);
 
   EngineConfig config_;
   std::vector<gpusim::Device*> devices_;
   SystemPlan plan_;
 
   std::vector<std::unique_ptr<DeviceBuffers>> buffers_;
-  // Streaming slots: stream_buffers_[device * streaming_slots_ + slot].
-  std::vector<std::unique_ptr<DeviceBuffers>> stream_buffers_;
-  int streaming_slots_ = 0;
-  std::size_t streaming_capacity_ = 0;
-  // Candidate-mode streaming slots, indexed the same way.
+  // Streaming slots: cand_stream_buffers_[device * cand_streaming_slots_ +
+  // slot].
   std::vector<std::unique_ptr<DeviceBuffers>> cand_stream_buffers_;
   int cand_streaming_slots_ = 0;
   std::size_t cand_streaming_capacity_ = 0;

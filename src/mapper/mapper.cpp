@@ -1,7 +1,6 @@
 #include "mapper/mapper.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <stdexcept>
@@ -337,116 +336,6 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
     }
   }
 
-  stats.mapped_reads = static_cast<std::uint64_t>(
-      std::count(read_mapped.begin(), read_mapped.end(), true));
-  stats.total_seconds = total.Seconds();
-  obs::ReadsMapped().Inc(stats.mapped_reads);
-  obs::ReadsUnmapped().Inc(stats.reads - stats.mapped_reads);
-  return stats;
-}
-
-MappingStats ReadMapper::MapReadsStreaming(
-    const std::vector<std::string>& reads, GateKeeperGpuEngine* filter,
-    pipeline::PipelineConfig pcfg, std::vector<MappingRecord>* out) {
-  if (filter == nullptr) {
-    throw std::invalid_argument(
-        "MapReadsStreaming: the streaming path is the filter integration "
-        "and requires an engine");
-  }
-  const std::size_t expected =
-      static_cast<std::size_t>(filter->config().read_length);
-  for (const std::string& r : reads) {
-    if (r.size() != expected) {
-      throw std::invalid_argument(
-          "MapReadsStreaming: every read must match the engine's configured "
-          "read length " + std::to_string(expected));
-    }
-  }
-
-  MappingStats stats;
-  stats.reads = reads.size();
-  WallTimer total;
-  if (!filter->HasReference()) {
-    WallTimer prep;
-    filter->LoadReference(ref_.text());
-    stats.preprocess_seconds += prep.Seconds();
-  }
-
-  pcfg.reference_text = ref_.text();
-  pcfg.reference_fingerprint = ref_.fingerprint();
-  pcfg.verify = true;
-  pcfg.verify_threshold = config_.error_threshold;
-  pipeline::StreamingPipeline pipe(filter, pcfg);
-
-  // Source: seed reads in input order, a chunk at a time, and pack
-  // candidate batches (the read-table dedup and mid-read batch-split
-  // carry-over live in PackCandidateBatch).
-  pipeline::CandidateStream stream;
-  SeedChunk chunk;
-  std::size_t chunk_begin = 0;  // reads [chunk_begin, chunk_end) are seeded
-  std::size_t chunk_end = 0;
-  std::size_t next_read = 0;
-  std::size_t cur_read = 0;
-  double seed_seconds = 0.0;
-  std::uint64_t candidates_total = 0;
-
-  const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
-    WallTimer seed_timer;
-    const std::size_t target =
-        std::max<std::size_t>(1, std::min(batch->target_size,
-                                          pipe.config().batch_size));
-    pipeline::PackCandidateBatch(
-        batch, target, &stream,
-        [&](std::vector<OrientedCandidate>* positions) -> const std::string* {
-          if (next_read >= reads.size()) return nullptr;
-          if (next_read == chunk_end) {
-            chunk_begin = next_read;
-            chunk_end = std::min(reads.size(), chunk_begin + kSeedChunkReads);
-            std::array<std::string_view, kSeedChunkReads> views;
-            std::copy(reads.begin() + static_cast<std::ptrdiff_t>(chunk_begin),
-                      reads.begin() + static_cast<std::ptrdiff_t>(chunk_end),
-                      views.begin());
-            SeedReads(std::span(views).first(chunk_end - chunk_begin), &chunk);
-          }
-          cur_read = next_read++;
-          const std::span<const OrientedCandidate> cands =
-              chunk.candidates(cur_read - chunk_begin);
-          positions->assign(cands.begin(), cands.end());
-          candidates_total += positions->size();
-          return &reads[cur_read];
-        },
-        [&](const OrientedCandidate&, bool) {
-          batch->read_index.push_back(static_cast<std::uint32_t>(cur_read));
-        });
-    seed_seconds += seed_timer.Seconds();
-    return batch->size() > 0;
-  };
-
-  std::vector<bool> read_mapped(reads.size(), false);
-  const pipeline::BatchSink sink = [&](pipeline::PairBatch&& batch) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch.edits[i] < 0) continue;
-      ++stats.mappings;
-      read_mapped[batch.read_index[i]] = true;
-      if (out != nullptr) {
-        out->push_back(MappingRecord{batch.read_index[i],
-                                     batch.candidates[i].ref_pos,
-                                     batch.edits[i],
-                                     batch.candidates[i].strand});
-      }
-    }
-  };
-
-  const pipeline::PipelineStats ps = pipe.Run(source, sink);
-  stats.seeding_seconds = seed_seconds;
-  stats.candidates_total = candidates_total;
-  stats.verification_pairs = ps.verified_pairs;
-  stats.rejected_pairs = ps.rejected;
-  stats.bypassed_pairs = ps.bypassed;
-  stats.filter_seconds = ps.filter_seconds;
-  stats.filter_kernel_seconds = ps.kernel_seconds;
-  stats.filter_encode_seconds = ps.encode_seconds;
-  stats.verification_seconds = ps.verify_seconds;
   stats.mapped_reads = static_cast<std::uint64_t>(
       std::count(read_mapped.begin(), read_mapped.end(), true));
   stats.total_seconds = total.Seconds();

@@ -26,7 +26,6 @@
 #include "mapper/seed_index.hpp"
 #include "obs/metrics.hpp"
 #include "pipeline/candidate_packer.hpp"
-#include "pipeline/pipeline.hpp"
 
 namespace gkgpu {
 
@@ -152,18 +151,6 @@ class ReadMapper {
   MappingStats MapReads(const std::vector<std::string>& reads,
                         GateKeeperGpuEngine* filter,
                         std::vector<MappingRecord>* out = nullptr);
-
-  /// Streaming mode: drives seed lookup -> candidate filtration -> banded
-  /// verification through the candidate-mode StreamingPipeline instead of
-  /// lockstep batches, producing the same mappings as MapReads in the same
-  /// order under bounded memory.  Requires `filter` (the streaming path is
-  /// the filter integration); every read must match the engine's
-  /// configured read length.  `pcfg.reference_text`, `verify` and
-  /// `verify_threshold` are set by the mapper.
-  MappingStats MapReadsStreaming(const std::vector<std::string>& reads,
-                                 GateKeeperGpuEngine* filter,
-                                 pipeline::PipelineConfig pcfg = {},
-                                 std::vector<MappingRecord>* out = nullptr);
 
   /// Chunked seeding, the lookup path behind every driver: seeds each of
   /// `reads` and its reverse complement against the index, for any number

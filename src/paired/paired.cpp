@@ -941,23 +941,6 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
   pcfg.verify = true;
   pcfg.verify_threshold = e;
   pcfg.emit_cigar = false;  // the finalizer recomputes CIGARs per mate
-  if (pcfg.adaptive) {
-    // Retune adaptive knobs the caller left at the generic single-end
-    // defaults to the paired preset; explicitly-set values stand.
-    const pipeline::AdaptiveBatcherConfig generic;
-    const pipeline::AdaptiveBatcherConfig tuned =
-        pipeline::PairedAdaptiveDefaults();
-    pipeline::AdaptiveBatcherConfig& a = pcfg.adaptive_config;
-    if (a.grow_factor == generic.grow_factor) {
-      a.grow_factor = tuned.grow_factor;
-    }
-    if (a.starve_watermark == generic.starve_watermark) {
-      a.starve_watermark = tuned.starve_watermark;
-    }
-    if (a.backpressure_watermark == generic.backpressure_watermark) {
-      a.backpressure_watermark = tuned.backpressure_watermark;
-    }
-  }
   pipeline::StreamingPipeline pipe(engine, pcfg);
 
   PairFinalizer fin;

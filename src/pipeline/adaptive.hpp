@@ -38,29 +38,6 @@ struct AdaptiveBatcherConfig {
   double backpressure_watermark = 0.75;
 };
 
-/// Tuning preset for the paired streaming driver (MapPairsStreaming).
-/// The paired path differs from single-end streaming in two ways that
-/// shift the sweet spot:
-///
-///   * its ordered sink buffers whole *pairs* — both mates' edit vectors
-///     stay pending until the later mate's last candidate drains — so a
-///     size doubling doubles a much heavier reorder window.  Growth is
-///     gentler (1.5x) and backpressure bites earlier (0.6);
-///   * its source seeds two mates and concordance-prunes before emitting
-///     a single candidate, so a feed queue hovering below ~1/3 already
-///     means the devices will starve by the next round trip — the starve
-///     watermark sits higher (0.35) to begin coarsening sooner.
-///
-/// Sizes (min/max/initial) are workload knobs, not path knobs; the preset
-/// leaves them at the generic defaults for callers to override.
-inline AdaptiveBatcherConfig PairedAdaptiveDefaults() {
-  AdaptiveBatcherConfig cfg;
-  cfg.grow_factor = 1.5;
-  cfg.starve_watermark = 0.35;
-  cfg.backpressure_watermark = 0.6;
-  return cfg;
-}
-
 class AdaptiveBatcher {
  public:
   explicit AdaptiveBatcher(AdaptiveBatcherConfig config) : config_(config) {

@@ -1,13 +1,9 @@
-// The unit of work flowing through the streaming pipeline, in one of two
-// shapes:
-//   * pair mode      — explicit (read, reference-segment) string pairs in
-//     `reads`/`refs`;
-//   * candidate mode — the batch's distinct reads in `cand_reads` plus a
-//     (read_index, reference_offset) candidate table; the filtration stage
-//     slices reference windows from the per-device encoded genome, so no
-//     per-candidate segment string ever exists on the host.
-// Plus provenance and, as the batch moves through the stages, filtration
-// results and verification edits.
+// The unit of work flowing through the streaming pipeline: the batch's
+// distinct reads in `cand_reads` plus a (read_index, reference_offset)
+// candidate table.  The filtration stage slices reference windows from the
+// per-device encoded genome, so no per-candidate segment string ever exists
+// on the host.  Plus provenance and, as the batch moves through the stages,
+// filtration results and verification edits.
 #ifndef GKGPU_PIPELINE_BATCH_HPP
 #define GKGPU_PIPELINE_BATCH_HPP
 
@@ -30,21 +26,17 @@ struct PairBatch {
   /// fixed-size pipelines always preset the configured batch size).
   std::size_t target_size = 0;
 
-  // Pair mode.
-  std::vector<std::string> reads;
-  std::vector<std::string> refs;
-
-  // Candidate mode: distinct read sequences of this batch, and candidates
-  // whose read_index points into cand_reads and whose ref_pos is a global
-  // offset into the engine's loaded reference.
+  // Distinct read sequences of this batch, and candidates whose read_index
+  // points into cand_reads and whose ref_pos is a global offset into the
+  // engine's loaded reference.
   std::vector<std::string> cand_reads;
   std::vector<CandidatePair> candidates;
 
-  // Read-to-SAM provenance (empty in plain pair-stream mode).  One entry
-  // per pair: which input read it came from, its name, the chromosome the
-  // candidate window lies on, and the chromosome-local position.  The
-  // candidate's strand bit lives inside CandidatePair and needs no extra
-  // column.
+  // Read-to-SAM provenance (optional; the pipeline never reads it).  One
+  // entry per candidate: which input read it came from, its name, the
+  // chromosome the candidate window lies on, and the chromosome-local
+  // position.  The candidate's strand bit lives inside CandidatePair and
+  // needs no extra column.
   std::vector<std::uint32_t> read_index;
   std::vector<std::string> read_names;
   std::vector<std::int32_t> ref_chrom;
@@ -76,10 +68,7 @@ struct PairBatch {
   /// since pipeline start) at which the batch finished host encoding.
   double encode_ready = 0.0;
 
-  bool candidate_mode() const { return !candidates.empty(); }
-  std::size_t size() const {
-    return candidates.empty() ? reads.size() : candidates.size();
-  }
+  std::size_t size() const { return candidates.size(); }
 };
 
 }  // namespace gkgpu::pipeline

@@ -1,8 +1,8 @@
-// Shared candidate-batch packing loop for the candidate-mode front ends
-// (ReadMapper::MapReadsStreaming, StreamFastqToSam and the paired-end
-// streaming path).  All stream reads through seeding and pack the
-// resulting oriented (read, strand, reference-offset) candidates into
-// PairBatches; the subtle invariants live here once:
+// Shared candidate-batch packing loop for the streaming front ends
+// (StreamFastqToSam, the paired-end streaming path and the daemon).  All
+// stream reads through seeding and pack the resulting oriented (read,
+// strand, reference-offset) candidates into PairBatches; the subtle
+// invariants live here once:
 //
 //   * a *sequence* enters the batch's read table at most once per batch:
 //     candidates point into the table through their read index (the

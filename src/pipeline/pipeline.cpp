@@ -24,7 +24,7 @@ namespace gkgpu::pipeline {
 
 namespace {
 
-/// A batch whose pairs sit encoded in a reserved device slot.
+/// A batch whose reads and candidates sit encoded in a reserved device slot.
 struct EncodedMsg {
   PairBatch batch;
   int slot = 0;
@@ -41,21 +41,21 @@ StreamingPipeline::StreamingPipeline(GateKeeperGpuEngine* engine,
   config_.verify_workers = std::max(1, config_.verify_workers);
   config_.slots_per_device = std::max(1, config_.slots_per_device);
 
-  const bool cand_mode = !config_.reference_text.empty();
-  if (cand_mode) {
-    // Content check, not just length: an engine reused across same-length
-    // genomes would otherwise silently filter against the wrong one.
-    const std::uint64_t fp = config_.reference_fingerprint != 0
-                                 ? config_.reference_fingerprint
-                                 : FingerprintText(config_.reference_text);
-    if (!engine_->HasReference() ||
-        engine_->reference_length() !=
-            static_cast<std::int64_t>(config_.reference_text.size()) ||
-        engine_->reference_fingerprint() != fp) {
-      throw std::invalid_argument(
-          "pipeline: candidate mode requires the engine's reference to be "
-          "loaded from the configured reference text");
-    }
+  if (config_.reference_text.empty()) {
+    throw std::invalid_argument("pipeline: reference_text is required");
+  }
+  // Content check, not just length: an engine reused across same-length
+  // genomes would otherwise silently filter against the wrong one.
+  const std::uint64_t fp = config_.reference_fingerprint != 0
+                               ? config_.reference_fingerprint
+                               : FingerprintText(config_.reference_text);
+  if (!engine_->HasReference() ||
+      engine_->reference_length() !=
+          static_cast<std::int64_t>(config_.reference_text.size()) ||
+      engine_->reference_fingerprint() != fp) {
+    throw std::invalid_argument(
+        "pipeline: the engine's reference must be loaded from the "
+        "configured reference text");
   }
 
   // Slot buffers are provisioned for the largest batch the run can
@@ -70,12 +70,8 @@ StreamingPipeline::StreamingPipeline(GateKeeperGpuEngine* engine,
     a.initial = std::clamp(a.initial, a.min_size, a.max_size);
     capacity_request = a.max_size;
   }
-  const std::size_t capacity =
-      cand_mode ? engine_->PrepareCandidateStreaming(capacity_request,
-                                                     capacity_request,
-                                                     config_.slots_per_device)
-                : engine_->PrepareStreaming(capacity_request,
-                                            config_.slots_per_device);
+  const std::size_t capacity = engine_->PrepareCandidateStreaming(
+      capacity_request, capacity_request, config_.slots_per_device);
   config_.batch_size = capacity;
   if (config_.adaptive) {
     AdaptiveBatcherConfig& a = config_.adaptive_config;
@@ -89,10 +85,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
                                      const BatchSink& sink) {
   const int ndev = engine_->device_count();
   const std::size_t capacity = config_.batch_size;
-  const bool cand_mode = !config_.reference_text.empty();
-  const std::int64_t ref_len =
-      cand_mode ? static_cast<std::int64_t>(config_.reference_text.size())
-                : 0;
+  const auto ref_len = static_cast<std::int64_t>(config_.reference_text.size());
   const int verify_k = config_.verify_threshold >= 0
                            ? config_.verify_threshold
                            : engine_->config().error_threshold;
@@ -216,60 +209,35 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
         if (batch.size() > capacity) {
           throw std::runtime_error("pipeline source: batch exceeds capacity");
         }
-        if (cand_mode) {
-          if (!batch.reads.empty() || !batch.refs.empty()) {
+        if (batch.cand_reads.empty() || batch.cand_reads.size() > capacity) {
+          throw std::runtime_error(
+              "pipeline source: candidate batch read table empty or over "
+              "capacity");
+        }
+        // The slot encoders stride the read buffer by the configured read
+        // length, and the kernel slices [ref_pos, ref_pos + L) from the
+        // encoded genome; both must be validated before encoding.
+        for (const std::string& r : batch.cand_reads) {
+          if (r.size() != expected) {
             throw std::runtime_error(
-                "pipeline source: pair batch in a candidate-mode pipeline");
+                "pipeline source: read length != configured read length " +
+                std::to_string(expected));
           }
-          if (batch.cand_reads.empty() || batch.cand_reads.size() > capacity) {
+        }
+        const std::int64_t max_pos =
+            ref_len - static_cast<std::int64_t>(expected);
+        for (const CandidatePair& c : batch.candidates) {
+          if (c.read_index >= batch.cand_reads.size()) {
             throw std::runtime_error(
-                "pipeline source: candidate batch read table empty or over "
-                "capacity");
+                "pipeline source: candidate read_index out of range");
           }
-          // The slot encoders stride the read buffer by the configured
-          // read length, and the kernel slices [ref_pos, ref_pos + L) from
-          // the encoded genome; both must be validated before encoding.
-          for (const std::string& r : batch.cand_reads) {
-            if (r.size() != expected) {
-              throw std::runtime_error(
-                  "pipeline source: read length != configured read length " +
-                  std::to_string(expected));
-            }
-          }
-          const std::int64_t max_pos =
-              ref_len - static_cast<std::int64_t>(expected);
-          for (const CandidatePair& c : batch.candidates) {
-            if (c.read_index >= batch.cand_reads.size()) {
-              throw std::runtime_error(
-                  "pipeline source: candidate read_index out of range");
-            }
-            if (c.ref_pos < 0 || c.ref_pos > max_pos) {
-              throw std::runtime_error(
-                  "pipeline source: candidate reference offset out of range");
-            }
-            if (c.strand > 1) {
-              throw std::runtime_error(
-                  "pipeline source: candidate strand must be 0 or 1");
-            }
-          }
-        } else {
-          if (!batch.candidates.empty()) {
+          if (c.ref_pos < 0 || c.ref_pos > max_pos) {
             throw std::runtime_error(
-                "pipeline source: candidate batch in a pair-mode pipeline");
+                "pipeline source: candidate reference offset out of range");
           }
-          if (batch.refs.size() != batch.reads.size()) {
-            throw std::runtime_error("pipeline source: reads/refs length skew");
-          }
-          // A shorter or longer sequence would over-read or cross into the
-          // neighbouring pair's slot.
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (batch.reads[i].size() != expected ||
-                batch.refs[i].size() != expected) {
-              throw std::runtime_error(
-                  "pipeline source: pair " + std::to_string(first_pair + i) +
-                  " length != configured read length " +
-                  std::to_string(expected));
-            }
+          if (c.strand > 1) {
+            throw std::runtime_error(
+                "pipeline source: candidate strand must be 0 or 1");
           }
         }
         ++seq;
@@ -312,15 +280,9 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
           const auto slot = q_free[d]->Pop();
           if (!slot) break;  // aborted
           obs::Span span("encode", "pipeline");
-          const double enc_s =
-              cand_mode
-                  ? engine_->EncodeCandidatesSlot(
-                        d, *slot, batch->cand_reads.data(),
-                        batch->cand_reads.size(), batch->candidates.data(),
-                        batch->size())
-                  : engine_->EncodePairsSlot(d, *slot, batch->reads.data(),
-                                             batch->refs.data(),
-                                             batch->size());
+          const double enc_s = engine_->EncodeCandidatesSlot(
+              d, *slot, batch->cand_reads.data(), batch->cand_reads.size(),
+              batch->candidates.data(), batch->size());
           span.Close();
           busy += enc_s;
           h_encode_service.Observe(enc_s);
@@ -369,12 +331,8 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
           msg->batch.results.assign(n, PairResult{});
           WallTimer t;
           obs::Span span("filter", "pipeline");
-          const StreamBatchStats st =
-              cand_mode
-                  ? engine_->FilterCandidatesSlot(d, msg->slot, n,
-                                                  msg->batch.results.data())
-                  : engine_->FilterPairsSlot(d, msg->slot, n,
-                                             msg->batch.results.data());
+          const StreamBatchStats st = engine_->FilterCandidatesSlot(
+              d, msg->slot, n, msg->batch.results.data());
           span.Close();
           const double service_s = t.Seconds();
           busy += service_s;
@@ -455,29 +413,23 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
             for (std::size_t i = 0; i < n; ++i) {
               if (!batch->results[i].accept) continue;
               ++pairs_in;
+              // Verification windows are views into the reference text —
+              // the host never materializes per-candidate segments.
+              const CandidatePair c = batch->candidates[i];
               std::string_view read;
-              std::string_view window;
-              if (cand_mode) {
-                // Verification windows are views into the reference text —
-                // the host never materializes per-candidate segments.
-                const CandidatePair c = batch->candidates[i];
-                if (c.strand != 0) {
-                  if (!rc_valid || rc_read != c.read_index) {
-                    ReverseComplementInto(batch->cand_reads[c.read_index],
-                                          &rc_buf);
-                    rc_read = c.read_index;
-                    rc_valid = true;
-                  }
-                  read = rc_buf;
-                } else {
-                  read = batch->cand_reads[c.read_index];
+              if (c.strand != 0) {
+                if (!rc_valid || rc_read != c.read_index) {
+                  ReverseComplementInto(batch->cand_reads[c.read_index],
+                                        &rc_buf);
+                  rc_read = c.read_index;
+                  rc_valid = true;
                 }
-                window = config_.reference_text.substr(
-                    static_cast<std::size_t>(c.ref_pos), L);
+                read = rc_buf;
               } else {
-                read = batch->reads[i];
-                window = batch->refs[i];
+                read = batch->cand_reads[c.read_index];
               }
+              const std::string_view window = config_.reference_text.substr(
+                  static_cast<std::size_t>(c.ref_pos), L);
               batch->edits[i] = verifier.Distance(read, window, verify_k);
               if (batch->edits[i] >= 0) {
                 ++confirmed;

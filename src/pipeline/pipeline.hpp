@@ -1,39 +1,37 @@
 // The streaming filtration pipeline: an asynchronous, bounded-queue,
-// stage-parallel path from a pair stream to ordered, verified results.
+// stage-parallel path from a candidate stream to ordered, verified results.
 //
 //   source ──q_in──▶ encode pool ──slots──▶ device drivers ──q_filt──▶
 //        verify pool ──q_done──▶ ordered sink
 //
 // Stages:
-//   1. source      — one thread pulling fixed-size PairBatches from a
-//                    caller-supplied generator (FASTQ chunker, pair file,
-//                    synthetic stream);
-//   2. encode      — a worker pool 2-bit-encoding each batch directly into
-//                    a reserved per-device slot of the engine's unified
-//                    memory (EncodingActor::kDevice stages raw bytes);
+//   1. source      — one thread pulling PairBatches from a caller-supplied
+//                    generator (FASTQ seeder, paired-read pruner, the
+//                    daemon's request queue);
+//   2. encode      — a worker pool 2-bit-encoding each batch's reads and
+//                    staging its candidate table in a reserved per-device
+//                    slot of the engine's unified memory;
 //   3. filtration  — one driver thread per simulated GPU running the
 //                    GateKeeper kernel on encoded slots.  Batches shard
 //                    round-robin across the device set; slots_per_device
 //                    >= 2 double-buffers, so batch N+1 encodes/transfers
 //                    while batch N's kernel runs;
-//   4. verify      — a worker pool running banded alignment on the pairs
-//                    the filter accepted (and the undefined pairs it
-//                    bypassed), exactly the work the filter saves;
+//   4. verify      — a worker pool running banded alignment on the
+//                    candidates the filter accepted (and the undefined
+//                    ones it bypassed), exactly the work the filter saves;
 //   5. sink        — restores input order by batch sequence number and
 //                    hands each batch to the caller's consumer.
 //
-// Every queue is bounded, so a slow stage exerts backpressure instead of
-// buffering the input set in memory — the property the blocking
-// FilterPairs path lacks.  A stage failure closes every queue, the
-// remaining stages drain, and the first exception is rethrown from Run().
+// Every batch carries distinct reads plus (read, reference-offset)
+// candidates, filtered against the per-device encoded genome and verified
+// against windows of the host reference text (PipelineConfig::
+// reference_text), with no per-candidate segment strings anywhere.
 //
-// Two batch shapes flow through the same stages (PipelineConfig::
-// reference_text selects the mode): explicit (read, reference-segment)
-// string pairs, or candidate batches — distinct reads plus (read,
-// reference-offset) candidates filtered against the per-device encoded
-// genome and verified against windows of the host reference text, with no
-// per-candidate segment strings anywhere.  PipelineConfig::adaptive lets
-// the source resize batches from queue occupancy (see adaptive.hpp).
+// Every queue is bounded, so a slow stage exerts backpressure instead of
+// buffering the input set in memory.  A stage failure closes every queue,
+// the remaining stages drain, and the first exception is rethrown from
+// Run().  PipelineConfig::adaptive lets the source resize batches from
+// queue occupancy (see adaptive.hpp).
 #ifndef GKGPU_PIPELINE_PIPELINE_HPP
 #define GKGPU_PIPELINE_PIPELINE_HPP
 
@@ -51,7 +49,7 @@
 namespace gkgpu::pipeline {
 
 struct PipelineConfig {
-  /// Pairs per batch (clamped to the engine's per-kernel plan).
+  /// Candidates per batch (clamped to the engine's per-kernel plan).
   std::size_t batch_size = 8192;
   /// Bound of each inter-stage queue, in batches.
   std::size_t queue_depth = 4;
@@ -68,13 +66,12 @@ struct PipelineConfig {
   /// the alignment on the single sink thread.
   bool emit_cigar = false;
 
-  /// Candidate mode: the reference text backing the engine's encoded
-  /// reference (LoadReference must have been called with exactly this
-  /// text; the storage behind the view must outlive the pipeline).
-  /// Batches then carry (read, reference-offset) candidates, the
-  /// filtration stage slices windows from the per-device encoded genome,
-  /// and verification slices the same windows from this text — no
-  /// per-candidate segment strings anywhere.  Empty = pair mode.
+  /// The reference text backing the engine's encoded reference
+  /// (LoadReference must have been called with exactly this text; the
+  /// storage behind the view must outlive the pipeline).  The filtration
+  /// stage slices candidate windows from the per-device encoded genome and
+  /// verification slices the same windows from this text.  Required: the
+  /// constructor throws std::invalid_argument when it is empty.
   std::string_view reference_text;
   /// Precomputed FingerprintText(reference_text) (e.g. from
   /// ReferenceSet::fingerprint()); 0 = the constructor hashes the text
@@ -141,10 +138,11 @@ struct PipelineStats {
   std::vector<QueueReport> queues;
 };
 
-/// Pulls the next batch from the input stream.  Fill reads/refs (plus
-/// provenance if the sink wants it) and return true, or return false
-/// (leaving the batch empty) at end of stream.  Called from the source
-/// thread only; `batch` arrives empty with `seq`/`first_pair` preset.
+/// Pulls the next batch from the input stream.  Fill cand_reads and
+/// candidates (plus provenance if the sink wants it) and return true, or
+/// return false (leaving the batch empty) at end of stream.  Called from
+/// the source thread only; `batch` arrives empty with `seq`/`first_pair`/
+/// `target_size` preset.
 using BatchSource = std::function<bool(PairBatch* batch)>;
 
 /// Receives finished batches strictly in input order (ascending seq),
@@ -154,7 +152,8 @@ using BatchSink = std::function<void(PairBatch&& batch)>;
 class StreamingPipeline {
  public:
   /// The engine is borrowed and must outlive the pipeline.  Its devices
-  /// define the filtration shard set.
+  /// define the filtration shard set.  Throws std::invalid_argument unless
+  /// the engine's loaded reference is config.reference_text.
   StreamingPipeline(GateKeeperGpuEngine* engine, PipelineConfig config);
 
   const PipelineConfig& config() const { return config_; }

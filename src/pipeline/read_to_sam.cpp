@@ -138,40 +138,4 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
   return out;
 }
 
-PipelineStats FilterPairsStreaming(GateKeeperGpuEngine* engine,
-                                   const PipelineConfig& config,
-                                   const std::vector<std::string>& reads,
-                                   const std::vector<std::string>& refs,
-                                   std::vector<PairResult>* results,
-                                   std::vector<int>* edits) {
-  assert(reads.size() == refs.size());
-  StreamingPipeline pipeline(engine, config);
-  const std::size_t capacity = pipeline.config().batch_size;
-  const std::size_t n = reads.size();
-  if (results != nullptr) results->assign(n, PairResult{});
-  if (edits != nullptr) edits->assign(n, -1);
-
-  std::size_t offset = 0;
-  const BatchSource source = [&](PairBatch* batch) {
-    if (offset >= n) return false;
-    const std::size_t target = std::max<std::size_t>(
-        1, std::min(batch->target_size, capacity));
-    const std::size_t count = std::min(target, n - offset);
-    batch->reads.assign(reads.begin() + offset,
-                        reads.begin() + offset + count);
-    batch->refs.assign(refs.begin() + offset, refs.begin() + offset + count);
-    offset += count;
-    return true;
-  };
-  const BatchSink sink = [&](PairBatch&& batch) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (results != nullptr) {
-        (*results)[batch.first_pair + i] = batch.results[i];
-      }
-      if (edits != nullptr) (*edits)[batch.first_pair + i] = batch.edits[i];
-    }
-  };
-  return pipeline.Run(source, sink);
-}
-
 }  // namespace gkgpu::pipeline

@@ -1,24 +1,18 @@
-// End-to-end streaming front ends over StreamingPipeline:
-//
-//   * StreamFastqToSam — FASTQ in, ordered SAM out, on the candidate-mode
-//     streaming path: reads are chunked off the stream, seeded against the
-//     mapper's k-mer index, and the (read, reference-offset) candidates
-//     flow through filtration (windows sliced from the per-device encoded
-//     reference — no per-candidate segment strings) and banded
-//     verification; the ordered sink writes one SAM line per verified
-//     mapping, addressed (chromosome, local position) through the mapper's
-//     ReferenceSet.  Memory stays bounded by the queue depths no matter
-//     the input size.
-//   * FilterPairsStreaming — the streaming analogue of
-//     GateKeeperGpuEngine::FilterPairs over an in-memory pair set, used by
-//     the equivalence tests and the pipeline bench.
+// StreamFastqToSam — the single-end streaming driver over
+// StreamingPipeline: FASTQ in, ordered SAM out.  Reads are chunked off the
+// stream, seeded against the mapper's k-mer index, and the (read,
+// reference-offset) candidates flow through filtration (windows sliced from
+// the per-device encoded reference — no per-candidate segment strings) and
+// banded verification; the ordered sink writes one SAM line per verified
+// mapping, addressed (chromosome, local position) through the mapper's
+// ReferenceSet.  Memory stays bounded by the queue depths no matter the
+// input size.
 #ifndef GKGPU_PIPELINE_READ_TO_SAM_HPP
 #define GKGPU_PIPELINE_READ_TO_SAM_HPP
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "mapper/mapper.hpp"
 #include "mapper/mapq.hpp"
@@ -63,16 +57,6 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
                                 GateKeeperGpuEngine* engine,
                                 const ReadToSamConfig& config,
                                 std::ostream* sam);
-
-/// Streams an in-memory pair set through the pipeline and collects
-/// per-pair results (and, when `edits` is non-null and verification is
-/// enabled, exact banded distances) in input order.
-PipelineStats FilterPairsStreaming(GateKeeperGpuEngine* engine,
-                                   const PipelineConfig& config,
-                                   const std::vector<std::string>& reads,
-                                   const std::vector<std::string>& refs,
-                                   std::vector<PairResult>* results,
-                                   std::vector<int>* edits = nullptr);
 
 }  // namespace gkgpu::pipeline
 

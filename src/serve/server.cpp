@@ -191,7 +191,18 @@ struct MapServer::Impl {
         engine_(engine),
         config_(std::move(config)),
         pcfg_(std::move(pipeline_config)),
-        baseline_(ReadRegistryServeStats()) {}
+        baseline_(ReadRegistryServeStats()) {
+    // The self-pipe lives as long as the server, so Shutdown() — from any
+    // thread or a signal handler — never races its creation or its close.
+    if (::pipe(stop_pipe_) != 0) {
+      throw std::runtime_error("serve: cannot create the stop pipe");
+    }
+  }
+
+  ~Impl() {
+    ::close(stop_pipe_[0]);
+    ::close(stop_pipe_[1]);
+  }
 
   // --- configuration ----------------------------------------------------
   const ReadMapper& mapper_;
@@ -604,9 +615,6 @@ struct MapServer::Impl {
         config_.socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
       throw std::runtime_error("serve: invalid socket path");
     }
-    if (::pipe(stop_pipe_) != 0) {
-      throw std::runtime_error("serve: cannot create the stop pipe");
-    }
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) {
       throw std::runtime_error("serve: cannot create the listening socket");
@@ -620,7 +628,8 @@ struct MapServer::Impl {
                sizeof(addr)) != 0 ||
         ::listen(listen_fd_, 64) != 0) {
       const std::string err = std::strerror(errno);
-      Cleanup();
+      ::close(listen_fd_);
+      listen_fd_ = -1;
       throw std::runtime_error("serve: cannot bind " + config_.socket_path +
                                ": " + err);
     }
@@ -684,7 +693,6 @@ struct MapServer::Impl {
     }
     queue_cv_.notify_all();
     pipeline_thread.join();
-    Cleanup();
 
     // One structured line on drain so an operator's log shows what the
     // daemon did before it honored SIGTERM.
@@ -711,24 +719,9 @@ struct MapServer::Impl {
 
   void Shutdown() noexcept {
     stopping_.store(true, std::memory_order_release);
-    if (stop_pipe_[1] >= 0) {
-      const char byte = 1;
-      // Async-signal-safe: a single write to the self-pipe.
-      [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-    }
-  }
-
-  void Cleanup() noexcept {
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    for (int& fd : stop_pipe_) {
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-    }
+    const char byte = 1;
+    // Async-signal-safe: a single write to the self-pipe.
+    [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
   }
 };
 

@@ -5,17 +5,18 @@
 // so Shutdown() — and the SIGTERM handler behind it — can interrupt it)
 // spawns one session thread per connection; sessions parse frames,
 // reassemble FASTQ records, and push reads into one shared bounded queue.
-// A single long-lived candidate-mode StreamingPipeline drains that queue:
-// its source seeds reads and packs batches *across sessions* — the
-// cross-request coalescer.  The first read of a batch blocks until work
-// arrives; subsequent reads wait at most `linger` for stragglers, so a
-// lone client's batch departs promptly while concurrent clients share
-// batches (counted in ServeStats::coalesced_batches when a batch carries
-// reads from 2+ sessions).  The adaptive batcher still shapes batch size
-// underneath.  The ordered sink demultiplexes: each read's verified
-// mappings flow into its session's SamGroupBuffer (the same scoring +
-// formatting path as a standalone run — byte-identical output) and are
-// framed back to the owning client, in that client's submission order.
+// A single long-lived StreamingPipeline drains that queue: its source
+// seeds reads and packs batches *across sessions* — the cross-request
+// coalescer.  The first read of a batch blocks until work arrives;
+// subsequent reads wait at most `linger` for stragglers, so a lone
+// client's batch departs promptly while concurrent clients share batches
+// (counted in ServeStats::coalesced_batches when a batch carries reads
+// from 2+ sessions).  ServeConfig::batch_size caps every batch; the
+// daemon never turns on adaptive batch sizing itself.  The ordered sink
+// demultiplexes: each read's verified mappings flow into its session's
+// SamGroupBuffer (the same scoring + formatting path as a standalone run
+// — byte-identical output) and are framed back to the owning client, in
+// that client's submission order.
 //
 // Shutdown drains: no new connections, in-flight sessions run to
 // completion (bounded by the per-request timeout), the pipeline retires
@@ -38,8 +39,8 @@ struct ServeConfig {
   /// Worker threads for the pipeline stages (encode + verify pools); the
   /// daemon never consults hardware concurrency on its own.
   int threads = 2;
-  /// Pipeline batch size (candidates per batch; the adaptive batcher
-  /// shapes the effective size underneath).
+  /// Pipeline batch size: the most candidates one batch carries (a batch
+  /// departs smaller when the linger window closes first).
   std::size_t batch_size = 8192;
   /// How long the batch packer waits for reads from other sessions once a
   /// batch has started filling, in milliseconds.  Larger = more
@@ -77,8 +78,9 @@ class MapServer {
  public:
   /// `mapper` and `engine` must outlive the server; the engine's reference
   /// must already be loaded (Run checks).  `pipeline_config` seeds the
-  /// long-lived pipeline (reference_text/fingerprint, verify and CIGAR
-  /// settings are overridden by the server).
+  /// long-lived pipeline (reference_text/fingerprint, verify, CIGAR, batch
+  /// size and worker settings are overridden by the server).  Throws
+  /// std::runtime_error if the shutdown self-pipe cannot be created.
   MapServer(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
             ServeConfig config,
             pipeline::PipelineConfig pipeline_config = {});

@@ -1,0 +1,102 @@
+// Candidate-batch workloads for the streaming-pipeline tests: a random
+// genome, simulated reads and their forward-strand seeding candidates, plus
+// the source that feeds them to a StreamingPipeline the way the mapper
+// front ends do (one read-table entry per read run, global provenance).
+#ifndef GKGPU_TESTS_CANDIDATE_WORKLOAD_HPP
+#define GKGPU_TESTS_CANDIDATE_WORKLOAD_HPP
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "core/engine.hpp"
+#include "mapper/mapper.hpp"
+#include "pipeline/pipeline.hpp"
+#include "sim/genome.hpp"
+#include "sim/read_sim.hpp"
+
+namespace gkgpu {
+
+struct CandidateWorkload {
+  std::string genome;
+  std::vector<std::string> reads;
+  std::vector<CandidatePair> candidates;  // global read_index / global pos
+};
+
+inline CandidateWorkload MakeCandidateWorkload(std::size_t n_reads,
+                                               std::uint64_t seed) {
+  CandidateWorkload w;
+  w.genome = GenerateGenome(50000, seed);
+  MapperConfig mcfg;
+  mcfg.k = 12;
+  mcfg.read_length = 100;
+  mcfg.error_threshold = 5;
+  ReadMapper mapper(w.genome, mcfg);
+  const auto sim = SimulateReads(w.genome, n_reads, 100,
+                                 ReadErrorProfile::Illumina(), seed + 1);
+  std::vector<std::int64_t> positions;
+  for (std::size_t i = 0; i < sim.size(); ++i) {
+    w.reads.push_back(sim[i].seq);
+    mapper.CollectCandidates(sim[i].seq, &positions);
+    for (const std::int64_t pos : positions) {
+      w.candidates.push_back({static_cast<std::uint32_t>(i), 0, 0, pos});
+    }
+  }
+  return w;
+}
+
+/// Source step: fills `batch` with the next min(chunk, batch->target_size)
+/// candidates of `w` from `*offset` on, building the batch's read table and
+/// recording each candidate's global read index; false at end of stream.
+inline bool FillCandidateBatch(const CandidateWorkload& w, std::size_t chunk,
+                               std::size_t* offset,
+                               pipeline::PairBatch* batch) {
+  if (*offset >= w.candidates.size()) return false;
+  const std::size_t count =
+      std::min({chunk, batch->target_size, w.candidates.size() - *offset});
+  std::uint32_t last_read = std::numeric_limits<std::uint32_t>::max();
+  for (std::size_t i = 0; i < count; ++i) {
+    const CandidatePair c = w.candidates[*offset + i];
+    if (c.read_index != last_read) {
+      batch->cand_reads.push_back(w.reads[c.read_index]);
+      last_read = c.read_index;
+    }
+    batch->candidates.push_back(
+        {static_cast<std::uint32_t>(batch->cand_reads.size() - 1), c.strand,
+         0, c.ref_pos});
+    batch->read_index.push_back(c.read_index);
+  }
+  *offset += count;
+  return true;
+}
+
+/// Streams `w.candidates` through a pipeline over `engine` (whose loaded
+/// reference must be w.genome) in batches of at most `chunk`, and returns
+/// per-candidate results — and, when `edits` is non-null, verification
+/// edits — in input order.
+inline pipeline::PipelineStats RunCandidateStream(
+    GateKeeperGpuEngine* engine, pipeline::PipelineConfig cfg,
+    const CandidateWorkload& w, std::size_t chunk,
+    std::vector<PairResult>* results, std::vector<int>* edits = nullptr) {
+  cfg.reference_text = w.genome;
+  pipeline::StreamingPipeline pipe(engine, cfg);
+  results->assign(w.candidates.size(), PairResult{});
+  if (edits != nullptr) edits->assign(w.candidates.size(), -1);
+  std::size_t offset = 0;
+  const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
+    return FillCandidateBatch(w, chunk, &offset, batch);
+  };
+  const pipeline::BatchSink sink = [&](pipeline::PairBatch&& batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      (*results)[batch.first_pair + i] = batch.results[i];
+      if (edits != nullptr) (*edits)[batch.first_pair + i] = batch.edits[i];
+    }
+  };
+  return pipe.Run(source, sink);
+}
+
+}  // namespace gkgpu
+
+#endif  // GKGPU_TESTS_CANDIDATE_WORKLOAD_HPP

@@ -9,9 +9,8 @@
 #include <memory>
 #include <vector>
 
+#include "candidate_workload.hpp"
 #include "core/engine.hpp"
-#include "pipeline/read_to_sam.hpp"
-#include "sim/pairgen.hpp"
 
 namespace gkgpu {
 namespace {
@@ -122,42 +121,37 @@ TEST(AdaptiveBatcherTest, InitialDefaultsToMaxAndIsClamped) {
 // ------------------------------------------------------ pipeline wiring --
 
 TEST(AdaptivePipelineTest, AdaptiveRunIsBitExactWithFixedRun) {
-  const int length = 100;
-  const int e = 5;
-  std::vector<std::string> reads;
-  std::vector<std::string> refs;
-  for (auto& p : GeneratePairs(6000, LowEditProfile(length), 71)) {
-    reads.push_back(std::move(p.read));
-    refs.push_back(std::move(p.ref));
-  }
+  const CandidateWorkload w = MakeCandidateWorkload(1500, 71);
   auto devices = gpusim::MakeSetup1(2, 2);
   std::vector<gpusim::Device*> ptrs;
   for (auto& d : devices) ptrs.push_back(d.get());
   EngineConfig cfg;
-  cfg.read_length = length;
-  cfg.error_threshold = e;
+  cfg.read_length = 100;
+  cfg.error_threshold = 5;
   GateKeeperGpuEngine engine(cfg, ptrs);
+  engine.LoadReference(w.genome);
 
   pipeline::PipelineConfig fixed;
   fixed.batch_size = 512;
   fixed.verify = false;
   std::vector<PairResult> expected;
-  pipeline::FilterPairsStreaming(&engine, fixed, reads, refs, &expected);
+  RunCandidateStream(&engine, fixed, w, 512, &expected);
 
+  // The source takes min(chunk, target_size) candidates per batch, so with
+  // a chunk at the batcher's ceiling every batch follows its decisions.
   pipeline::PipelineConfig adaptive = fixed;
   adaptive.adaptive = true;
   adaptive.adaptive_config.min_size = 64;
   adaptive.adaptive_config.max_size = 1024;
   std::vector<PairResult> got;
-  const pipeline::PipelineStats stats = pipeline::FilterPairsStreaming(
-      &engine, adaptive, reads, refs, &got);
+  const auto stats = RunCandidateStream(&engine, adaptive, w, 1024, &got);
 
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].accept, expected[i].accept) << i;
     ASSERT_EQ(got[i].edits, expected[i].edits) << i;
   }
-  EXPECT_EQ(stats.pairs, reads.size());
+  EXPECT_EQ(stats.pairs, w.candidates.size());
   // Every batch the source emitted respected the configured bounds.
   EXPECT_GE(stats.batch_size_min, 1u);
   EXPECT_LE(stats.batch_size_max, 1024u);

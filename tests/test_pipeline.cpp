@@ -1,13 +1,12 @@
 // Tests for the streaming filtration pipeline: bounded-queue semantics,
-// bit-exact equivalence with the blocking FilterPairs path, input-order
-// restoration under multi-shard execution, verification correctness, and
-// error propagation.
+// bit-exact equivalence with the blocking FilterCandidates path,
+// input-order restoration under multi-shard execution, verification
+// correctness, error propagation, and the FASTQ-to-SAM driver.
 #include "pipeline/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,15 +14,14 @@
 #include <vector>
 
 #include "align/banded.hpp"
+#include "candidate_workload.hpp"
 #include "io/fastq.hpp"
 #include "mapper/mapper.hpp"
 #include "pipeline/candidate_packer.hpp"
 #include "pipeline/queue.hpp"
 #include "pipeline/read_to_sam.hpp"
 #include "sim/genome.hpp"
-#include "sim/pairgen.hpp"
 #include "sim/read_sim.hpp"
-#include "util/rng.hpp"
 
 namespace gkgpu {
 namespace {
@@ -126,22 +124,6 @@ TEST(BoundedQueueTest, ManyProducersManyConsumersLoseNothing) {
 
 // ------------------------------------------------------------- pipeline --
 
-struct Workload {
-  std::vector<std::string> reads;
-  std::vector<std::string> refs;
-};
-
-Workload MakeWorkload(std::size_t n, int length, std::uint64_t seed) {
-  PairProfile profile = LowEditProfile(length);
-  profile.undefined_rate = 0.01;  // exercise the bypass path
-  Workload w;
-  for (auto& p : GeneratePairs(n, profile, seed)) {
-    w.reads.push_back(std::move(p.read));
-    w.refs.push_back(std::move(p.ref));
-  }
-  return w;
-}
-
 struct EngineFixture {
   std::vector<std::unique_ptr<gpusim::Device>> devices;
   std::unique_ptr<GateKeeperGpuEngine> engine;
@@ -159,61 +141,21 @@ struct EngineFixture {
   }
 };
 
-TEST(StreamingPipelineTest, MatchesFilterPairsBitForBit) {
-  const int length = 100;
-  const int e = 4;
-  const Workload w = MakeWorkload(6000, length, 91);
-
-  EngineFixture sync(2, length, e);
-  std::vector<PairResult> expected;
-  sync.engine->FilterPairs(w.reads, w.refs, &expected);
-
-  for (const int ndev : {1, 2, 3}) {
-    EngineFixture streamed(ndev, length, e);
-    PipelineConfig cfg;
-    cfg.batch_size = 512;  // force many batches across the shards
-    cfg.encode_workers = 2;
-    cfg.verify = false;
-    std::vector<PairResult> results;
-    const PipelineStats stats = pipeline::FilterPairsStreaming(
-        streamed.engine.get(), cfg, w.reads, w.refs, &results);
-    ASSERT_EQ(results.size(), expected.size()) << ndev;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(results[i].accept, expected[i].accept)
-          << "ndev " << ndev << " pair " << i;
-      ASSERT_EQ(results[i].bypassed, expected[i].bypassed) << i;
-      ASSERT_EQ(results[i].edits, expected[i].edits) << i;
-    }
-    EXPECT_EQ(stats.pairs, w.reads.size());
-    EXPECT_EQ(stats.accepted + stats.rejected, stats.pairs);
-    EXPECT_GT(stats.kernel_seconds, 0.0);
-    EXPECT_GT(stats.filter_seconds, 0.0);
-    EXPECT_EQ(stats.batches, (w.reads.size() + 511) / 512);
-  }
-}
-
 TEST(StreamingPipelineTest, OrderedSinkRestoresInputOrder) {
-  const Workload w = MakeWorkload(4000, 100, 17);
+  const CandidateWorkload w = MakeCandidateWorkload(600, 17);
   EngineFixture fx(3, 100, 5);
+  fx.engine->LoadReference(w.genome);
   PipelineConfig cfg;
   cfg.batch_size = 128;  // many small batches over 3 shards
   cfg.encode_workers = 3;
   cfg.verify_workers = 2;
   cfg.verify = false;
+  cfg.reference_text = w.genome;
   StreamingPipeline pipe(fx.engine.get(), cfg);
 
   std::size_t offset = 0;
   const pipeline::BatchSource source = [&](PairBatch* batch) {
-    if (offset >= w.reads.size()) return false;
-    const std::size_t count =
-        std::min<std::size_t>(pipe.config().batch_size,
-                              w.reads.size() - offset);
-    batch->reads.assign(w.reads.begin() + offset,
-                        w.reads.begin() + offset + count);
-    batch->refs.assign(w.refs.begin() + offset,
-                       w.refs.begin() + offset + count);
-    offset += count;
-    return true;
+    return FillCandidateBatch(w, 128, &offset, batch);
   };
   std::uint64_t expected_seq = 0;
   std::size_t expected_first = 0;
@@ -221,12 +163,18 @@ TEST(StreamingPipelineTest, OrderedSinkRestoresInputOrder) {
   const pipeline::BatchSink sink = [&](PairBatch&& batch) {
     EXPECT_EQ(batch.seq, expected_seq);
     EXPECT_EQ(batch.first_pair, expected_first);
+    // Provenance rides along untouched: the batch holds the next
+    // candidates of the input, in order.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch.read_index[i],
+                w.candidates[expected_first + i].read_index);
+    }
     ++expected_seq;
     expected_first += batch.size();
     devices_seen.push_back(batch.device);
   };
   pipe.Run(source, sink);
-  EXPECT_EQ(expected_first, w.reads.size());
+  EXPECT_EQ(expected_first, w.candidates.size());
   // Batches really sharded round-robin over every device.
   for (int d = 0; d < 3; ++d) {
     EXPECT_NE(std::count(devices_seen.begin(), devices_seen.end(), d), 0)
@@ -234,90 +182,50 @@ TEST(StreamingPipelineTest, OrderedSinkRestoresInputOrder) {
   }
 }
 
-TEST(StreamingPipelineTest, VerificationMatchesBandedDistance) {
-  const int e = 5;
-  const Workload w = MakeWorkload(1500, 100, 23);
-  EngineFixture fx(2, 100, e);
-  PipelineConfig cfg;
-  cfg.batch_size = 256;
-  cfg.verify = true;
-  std::vector<PairResult> results;
-  std::vector<int> edits;
-  const PipelineStats stats = pipeline::FilterPairsStreaming(
-      fx.engine.get(), cfg, w.reads, w.refs, &results, &edits);
-  std::uint64_t confirmed = 0;
-  for (std::size_t i = 0; i < w.reads.size(); ++i) {
-    if (results[i].accept) {
-      EXPECT_EQ(edits[i], BandedEditDistance(w.reads[i], w.refs[i], e)) << i;
-      confirmed += edits[i] >= 0;
-    } else {
-      EXPECT_EQ(edits[i], -1) << i;
-    }
-  }
-  EXPECT_EQ(stats.verified_pairs, stats.accepted);
-  EXPECT_EQ(stats.true_mappings, confirmed);
-  EXPECT_GT(stats.verified_pairs, 0u);
-}
-
 TEST(StreamingPipelineTest, SourceErrorPropagates) {
+  const CandidateWorkload w = MakeCandidateWorkload(200, 5);
+  ASSERT_GT(w.candidates.size(), 3u * 64u);  // the source fails first
   EngineFixture fx(2, 100, 3);
+  fx.engine->LoadReference(w.genome);
   PipelineConfig cfg;
   cfg.batch_size = 64;
+  cfg.reference_text = w.genome;
   StreamingPipeline pipe(fx.engine.get(), cfg);
-  const Workload w = MakeWorkload(256, 100, 5);
+  std::size_t offset = 0;
   int calls = 0;
   const pipeline::BatchSource source = [&](PairBatch* batch) {
     if (++calls > 3) throw std::runtime_error("synthetic source failure");
-    batch->reads.assign(w.reads.begin(), w.reads.begin() + 64);
-    batch->refs.assign(w.refs.begin(), w.refs.begin() + 64);
-    return true;
+    return FillCandidateBatch(w, 64, &offset, batch);
   };
   const pipeline::BatchSink sink = [](PairBatch&&) {};
   EXPECT_THROW(pipe.Run(source, sink), std::runtime_error);
 }
 
 TEST(StreamingPipelineTest, OversizedBatchIsRejected) {
+  const CandidateWorkload w = MakeCandidateWorkload(100, 7);
+  ASSERT_GE(w.candidates.size(), 64u);
   EngineFixture fx(1, 100, 3);
+  fx.engine->LoadReference(w.genome);
   PipelineConfig cfg;
   cfg.batch_size = 32;
+  cfg.reference_text = w.genome;
   StreamingPipeline pipe(fx.engine.get(), cfg);
-  const Workload w = MakeWorkload(64, 100, 7);
-  bool sent = false;
+  std::size_t offset = 0;
   const pipeline::BatchSource source = [&](PairBatch* batch) {
-    if (sent) return false;
-    sent = true;
-    batch->reads = w.reads;  // 64 pairs into a 32-pair pipeline
-    batch->refs = w.refs;
-    return true;
-  };
-  const pipeline::BatchSink sink = [](PairBatch&&) {};
-  EXPECT_THROW(pipe.Run(source, sink), std::runtime_error);
-}
-
-TEST(StreamingPipelineTest, MismatchedPairLengthIsRejected) {
-  // The slot encoders stride unified buffers by the configured read
-  // length; a stray longer pair must be refused, not encoded.
-  EngineFixture fx(1, 100, 3);
-  PipelineConfig cfg;
-  cfg.batch_size = 16;
-  StreamingPipeline pipe(fx.engine.get(), cfg);
-  const Workload w = MakeWorkload(8, 100, 3);
-  bool sent = false;
-  const pipeline::BatchSource source = [&](PairBatch* batch) {
-    if (sent) return false;
-    sent = true;
-    batch->reads = w.reads;
-    batch->refs = w.refs;
-    batch->reads[3] += "ACGT";  // 104 bp in a 100 bp pipeline
-    return true;
+    if (offset > 0) return false;
+    batch->target_size = 64;  // ignore the budget: 64 into a 32 pipeline
+    return FillCandidateBatch(w, 64, &offset, batch);
   };
   const pipeline::BatchSink sink = [](PairBatch&&) {};
   EXPECT_THROW(pipe.Run(source, sink), std::runtime_error);
 }
 
 TEST(StreamingPipelineTest, EmptyStreamCompletesCleanly) {
+  const std::string genome = GenerateGenome(10000, 4);
   EngineFixture fx(2, 100, 3);
+  fx.engine->LoadReference(genome);
   PipelineConfig cfg;
+  cfg.reference_text = genome;
   StreamingPipeline pipe(fx.engine.get(), cfg);
   const pipeline::BatchSource source = [](PairBatch*) { return false; };
   int sunk = 0;
@@ -329,15 +237,17 @@ TEST(StreamingPipelineTest, EmptyStreamCompletesCleanly) {
 }
 
 TEST(StreamingPipelineTest, StatsAreInternallyConsistent) {
-  const Workload w = MakeWorkload(3000, 100, 37);
+  const CandidateWorkload w = MakeCandidateWorkload(800, 37);
   EngineFixture fx(2, 100, 5);
+  fx.engine->LoadReference(w.genome);
   PipelineConfig cfg;
   cfg.batch_size = 500;
   std::vector<PairResult> results;
-  const PipelineStats stats = pipeline::FilterPairsStreaming(
-      fx.engine.get(), cfg, w.reads, w.refs, &results);
-  EXPECT_EQ(stats.pairs, 3000u);
+  const PipelineStats stats =
+      RunCandidateStream(fx.engine.get(), cfg, w, 500, &results);
+  EXPECT_EQ(stats.pairs, w.candidates.size());
   EXPECT_EQ(stats.accepted + stats.rejected, stats.pairs);
+  EXPECT_EQ(stats.batches, (w.candidates.size() + 499) / 500);
   EXPECT_GT(stats.encode_seconds, 0.0);
   EXPECT_GE(stats.kernel_seconds_total, stats.kernel_seconds);
   EXPECT_GT(stats.wall_seconds, 0.0);
@@ -352,76 +262,14 @@ TEST(StreamingPipelineTest, StatsAreInternallyConsistent) {
   }
 }
 
+TEST(StreamingPipelineTest, RequiresReferenceText) {
+  EngineFixture fx(1, 100, 5);
+  fx.engine->LoadReference(GenerateGenome(10000, 4));
+  PipelineConfig cfg;  // reference_text left empty
+  EXPECT_THROW(StreamingPipeline(fx.engine.get(), cfg), std::invalid_argument);
+}
+
 // ------------------------------------------------------- candidate mode --
-
-struct CandidateWorkload {
-  std::string genome;
-  std::vector<std::string> reads;
-  std::vector<CandidatePair> candidates;  // global read_index / global pos
-};
-
-CandidateWorkload MakeCandidateWorkload(std::size_t n_reads,
-                                        std::uint64_t seed) {
-  CandidateWorkload w;
-  w.genome = GenerateGenome(50000, seed);
-  MapperConfig mcfg;
-  mcfg.k = 12;
-  mcfg.read_length = 100;
-  mcfg.error_threshold = 5;
-  ReadMapper mapper(w.genome, mcfg);
-  const auto sim = SimulateReads(w.genome, n_reads, 100,
-                                 ReadErrorProfile::Illumina(), seed + 1);
-  std::vector<std::int64_t> positions;
-  for (std::size_t i = 0; i < sim.size(); ++i) {
-    w.reads.push_back(sim[i].seq);
-    mapper.CollectCandidates(sim[i].seq, &positions);
-    for (const std::int64_t pos : positions) {
-      w.candidates.push_back({static_cast<std::uint32_t>(i), 0, 0, pos});
-    }
-  }
-  return w;
-}
-
-/// Streams `w.candidates` through a candidate-mode pipeline in chunks of
-/// `chunk`, building a per-batch read table the way the mapper front ends
-/// do, and returns per-candidate results in input order.
-PipelineStats RunCandidateStream(GateKeeperGpuEngine* engine,
-                                 PipelineConfig cfg,
-                                 const CandidateWorkload& w,
-                                 std::size_t chunk,
-                                 std::vector<PairResult>* results,
-                                 std::vector<int>* edits = nullptr) {
-  cfg.reference_text = w.genome;
-  StreamingPipeline pipe(engine, cfg);
-  results->assign(w.candidates.size(), PairResult{});
-  if (edits != nullptr) edits->assign(w.candidates.size(), -1);
-  std::size_t offset = 0;
-  const pipeline::BatchSource source = [&](PairBatch* batch) {
-    if (offset >= w.candidates.size()) return false;
-    const std::size_t count = std::min(chunk, w.candidates.size() - offset);
-    std::uint32_t last_read = std::numeric_limits<std::uint32_t>::max();
-    for (std::size_t i = 0; i < count; ++i) {
-      const CandidatePair c = w.candidates[offset + i];
-      if (c.read_index != last_read) {
-        batch->cand_reads.push_back(w.reads[c.read_index]);
-        last_read = c.read_index;
-      }
-      batch->candidates.push_back(
-          {static_cast<std::uint32_t>(batch->cand_reads.size() - 1),
-           c.strand, 0, c.ref_pos});
-      batch->read_index.push_back(c.read_index);
-    }
-    offset += count;
-    return true;
-  };
-  const pipeline::BatchSink sink = [&](PairBatch&& batch) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      (*results)[batch.first_pair + i] = batch.results[i];
-      if (edits != nullptr) (*edits)[batch.first_pair + i] = batch.edits[i];
-    }
-  };
-  return pipe.Run(source, sink);
-}
 
 TEST(CandidatePackerTest, DuplicateSequencesShareOneTableEntry) {
   // Five reads, three distinct sequences, two candidates each, fetched
@@ -536,8 +384,6 @@ TEST(CandidateStreamingTest, AdaptiveCandidateRunStaysBitExact) {
   cfg.adaptive_config.min_size = 64;
   cfg.adaptive_config.max_size = 512;
   std::vector<PairResult> results;
-  // The source honors batch->target_size only loosely here (fixed chunks),
-  // which is legal: target_size is a hint, capacity the hard bound.
   const PipelineStats stats =
       RunCandidateStream(streamed.engine.get(), cfg, w, 200, &results);
   ASSERT_EQ(results.size(), expected.size());
@@ -563,8 +409,6 @@ TEST(CandidateStreamingTest, RejectsInvalidCandidates) {
       if (sent) return false;
       sent = true;
       PairBatch copy = prototype;
-      batch->reads = std::move(copy.reads);
-      batch->refs = std::move(copy.refs);
       batch->cand_reads = std::move(copy.cand_reads);
       batch->candidates = std::move(copy.candidates);
       return true;
@@ -594,34 +438,11 @@ TEST(CandidateStreamingTest, RejectsInvalidCandidates) {
     EXPECT_THROW(run_one(std::move(b)), std::runtime_error);
   }
   {
-    PairBatch b;  // pair batch fed into a candidate-mode pipeline
-    b.reads.assign(4, read);
-    b.refs.assign(4, read);
-    EXPECT_THROW(run_one(std::move(b)), std::runtime_error);
-  }
-  {
     PairBatch b;  // wrong-length read in the table
     b.cand_reads.push_back(std::string(80, 'A'));
     b.candidates.push_back({0, 0, 0, 100});
     EXPECT_THROW(run_one(std::move(b)), std::runtime_error);
   }
-}
-
-TEST(CandidateStreamingTest, CandidateBatchInPairModeIsRejected) {
-  EngineFixture fx(1, 100, 5);
-  PipelineConfig cfg;
-  cfg.batch_size = 64;  // no reference_text: pair mode
-  StreamingPipeline pipe(fx.engine.get(), cfg);
-  bool sent = false;
-  const pipeline::BatchSource source = [&](PairBatch* batch) {
-    if (sent) return false;
-    sent = true;
-    batch->cand_reads.push_back(std::string(100, 'A'));
-    batch->candidates.push_back({0, 0, 0, 0});
-    return true;
-  };
-  const pipeline::BatchSink sink = [](PairBatch&&) {};
-  EXPECT_THROW(pipe.Run(source, sink), std::runtime_error);
 }
 
 TEST(CandidateStreamingTest, CandidateModeRequiresLoadedReference) {
@@ -647,95 +468,38 @@ TEST(CandidateStreamingTest, CandidateModeDetectsWrongGenomeOfSameLength) {
   EXPECT_NO_THROW(StreamingPipeline(fx.engine.get(), cfg));
 }
 
-TEST(MapReadsStreamingTest, MatchesBlockingMapperOnMultiChromReference) {
-  ReferenceSet ref;
-  ref.Add("chr1", GenerateGenome(40000, 21));
-  ref.Add("chr2", GenerateGenome(25000, 22));
-  MapperConfig mcfg;
-  mcfg.k = 12;
-  mcfg.read_length = 100;
-  mcfg.error_threshold = 4;
-  ReadMapper mapper(ref, mcfg);
-  // Reads sampled across the whole concatenation: some straddle the
-  // chr1/chr2 junction and must simply fail to map, not crash.
-  std::vector<std::string> reads;
-  for (const auto& r : SimulateReads(ref.text(), 350, 100,
-                                     ReadErrorProfile::Illumina(), 77)) {
-    reads.push_back(r.seq);
-  }
-
-  EngineFixture blocking(2, 100, 4);
-  std::vector<MappingRecord> expected_records;
-  const MappingStats expected =
-      mapper.MapReads(reads, blocking.engine.get(), &expected_records);
-
-  EngineFixture streaming(2, 100, 4);
-  pipeline::PipelineConfig pcfg;
-  pcfg.batch_size = 256;
-  std::vector<MappingRecord> got_records;
-  const MappingStats got = mapper.MapReadsStreaming(
-      reads, streaming.engine.get(), pcfg, &got_records);
-
-  EXPECT_EQ(got.reads, expected.reads);
-  EXPECT_EQ(got.candidates_total, expected.candidates_total);
-  EXPECT_EQ(got.mappings, expected.mappings);
-  EXPECT_EQ(got.mapped_reads, expected.mapped_reads);
-  EXPECT_EQ(got.verification_pairs, expected.verification_pairs);
-  ASSERT_EQ(got_records.size(), expected_records.size());
-  for (std::size_t i = 0; i < got_records.size(); ++i) {
-    EXPECT_EQ(got_records[i].read_index, expected_records[i].read_index) << i;
-    EXPECT_EQ(got_records[i].pos, expected_records[i].pos) << i;
-    EXPECT_EQ(got_records[i].edit_distance,
-              expected_records[i].edit_distance)
-        << i;
-  }
-}
-
-TEST(MapReadsStreamingTest, RequiresEngineAndUniformReadLength) {
-  ReadMapper mapper(GenerateGenome(20000, 2), MapperConfig{});
-  std::vector<std::string> reads{std::string(100, 'A')};
-  EXPECT_THROW(mapper.MapReadsStreaming(reads, nullptr),
-               std::invalid_argument);
-  EngineFixture fx(1, 100, 5);
-  reads.push_back(std::string(80, 'A'));
-  EXPECT_THROW(mapper.MapReadsStreaming(reads, fx.engine.get()),
-               std::invalid_argument);
-}
-
 // ---------------------------------------------------------- read-to-SAM --
 
-TEST(ReadToSamTest, MatchesBlockingMapper) {
-  const std::string genome = GenerateGenome(60000, 3);
+/// Maps `reads` with the blocking mapper and with StreamFastqToSam, and
+/// checks the streamed SAM against the blocking records line for line.
+void ExpectStreamMatchesBlocking(const ReferenceSet& ref,
+                                 const std::vector<std::string>& reads,
+                                 std::size_t batch_size) {
   const int length = 100;
   const int e = 4;
-  const auto reads =
-      SimulateReads(genome, 400, length, ReadErrorProfile::Illumina(), 11);
-
   MapperConfig mcfg;
   mcfg.k = 12;
   mcfg.read_length = length;
   mcfg.error_threshold = e;
-  ReadMapper mapper(genome, mcfg);
+  ReadMapper mapper(ref, mcfg);
 
   // Blocking reference run.
-  std::vector<std::string> read_seqs;
-  for (const auto& r : reads) read_seqs.push_back(r.seq);
   EngineFixture blocking(2, length, e);
   std::vector<MappingRecord> expected_records;
   const MappingStats expected =
-      mapper.MapReads(read_seqs, blocking.engine.get(), &expected_records);
+      mapper.MapReads(reads, blocking.engine.get(), &expected_records);
 
   // Streaming run over the same reads serialized as FASTQ.
   std::stringstream fastq;
   std::vector<FastqRecord> fq;
   for (std::size_t i = 0; i < reads.size(); ++i) {
-    fq.push_back({"r" + std::to_string(i), reads[i].seq, ""});
+    fq.push_back({"r" + std::to_string(i), reads[i], ""});
   }
   WriteFastq(fastq, fq);
 
   EngineFixture streaming(2, length, e);
   pipeline::ReadToSamConfig scfg;
-  scfg.pipeline.batch_size = 512;
+  scfg.pipeline.batch_size = batch_size;
   // Report-secondary keeps every verified mapping in the output, so the
   // SAM lines align 1:1 with the blocking mapper's record list.
   scfg.secondary = SecondaryPolicy::kReportSecondary;
@@ -750,21 +514,48 @@ TEST(ReadToSamTest, MatchesBlockingMapper) {
   EXPECT_EQ(got.pipeline.verified_pairs, expected.verification_pairs);
 
   // One SAM line per mapping, in input read order, with matching
-  // positions and edit distances.
+  // chromosomes, local positions, strands and edit distances.
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(sam, line)) lines.push_back(line);
   ASSERT_EQ(lines.size(), expected_records.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const MappingRecord& m = expected_records[i];
+    const int chrom = ref.Locate(m.pos);
+    ASSERT_GE(chrom, 0) << i;
     std::stringstream ls(lines[i]);
     std::string qname, flag, rname, pos;
     ls >> qname >> flag >> rname >> pos;
     EXPECT_EQ(qname, "r" + std::to_string(m.read_index)) << i;
-    EXPECT_EQ(pos, std::to_string(m.pos + 1)) << i;
+    EXPECT_EQ(rname, ref.chromosome(static_cast<std::size_t>(chrom)).name)
+        << i;
+    EXPECT_EQ(pos, std::to_string(ref.ToLocal(chrom, m.pos) + 1)) << i;
+    EXPECT_EQ((std::stoi(flag) & 0x10) != 0, m.strand != 0) << i;
     EXPECT_NE(lines[i].find("NM:i:" + std::to_string(m.edit_distance)),
               std::string::npos)
         << i;
+  }
+}
+
+TEST(ReadToSamTest, MatchesBlockingMapper) {
+  {
+    SCOPED_TRACE("one chromosome");
+    const ReferenceSet ref("synthetic_chr1", GenerateGenome(60000, 3));
+    const auto reads = SimulateReadSequences(ref.text(), 400, 100,
+                                             ReadErrorProfile::Illumina(), 11);
+    ExpectStreamMatchesBlocking(ref, reads, 512);
+  }
+  {
+    SCOPED_TRACE("two chromosomes");
+    ReferenceSet ref;
+    ref.Add("chr1", GenerateGenome(40000, 21));
+    ref.Add("chr2", GenerateGenome(25000, 22));
+    // Reads sampled across the whole concatenation: some straddle the
+    // chr1/chr2 junction and must simply fail to map, not crash or map
+    // across it.
+    const auto reads = SimulateReadSequences(ref.text(), 350, 100,
+                                             ReadErrorProfile::Illumina(), 77);
+    ExpectStreamMatchesBlocking(ref, reads, 256);
   }
 }
 

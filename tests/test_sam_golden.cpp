@@ -1,7 +1,7 @@
 // Golden-file SAM regression: a small multi-chromosome reference and a
-// fixed-seed read set are mapped by the blocking mapper, the streaming
-// mapper (MapReadsStreaming) and the FASTQ-to-SAM pipeline, and each
-// output is compared byte-for-byte against the committed expectation in
+// fixed-seed read set are mapped by the blocking mapper and the
+// FASTQ-to-SAM pipeline, and each output is compared byte-for-byte
+// against the committed expectation in
 // tests/data/multi_chrom_golden.sam — covering the per-chromosome @SQ
 // header lines, flags, positions, CIGARs and NM tags.
 //
@@ -112,20 +112,6 @@ std::string BlockingSam(const ReadSet& rs) {
   return sam.str();
 }
 
-std::string StreamingMapperSam(const ReadSet& rs) {
-  ReadMapper mapper(MakeReference(), MakeMapperConfig());
-  EngineFixture fx;
-  pipeline::PipelineConfig pcfg;
-  pcfg.batch_size = 256;  // many batches across both devices
-  std::vector<MappingRecord> records;
-  mapper.MapReadsStreaming(rs.seqs, fx.engine.get(), pcfg, &records);
-  std::ostringstream sam;
-  WriteSamHeader(sam, mapper.reference());
-  WriteSamRecordsMultiChrom(sam, rs.seqs, rs.names, records,
-                            mapper.reference());
-  return sam.str();
-}
-
 std::string StreamingFastqSam(const ReadSet& rs) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
   EngineFixture fx;
@@ -156,7 +142,7 @@ std::string ReadGolden() {
   return buf.str();
 }
 
-TEST(SamGoldenTest, BlockingStreamingAndPipelineMatchGoldenByteForByte) {
+TEST(SamGoldenTest, BlockingAndPipelineMatchGoldenByteForByte) {
   const ReadSet rs = MakeReads(MakeReference());
   const std::string blocking = BlockingSam(rs);
 
@@ -179,8 +165,6 @@ TEST(SamGoldenTest, BlockingStreamingAndPipelineMatchGoldenByteForByte) {
   EXPECT_NE(golden.find("@SQ\tSN:chrC\tLN:12000\n"), std::string::npos);
 
   EXPECT_EQ(blocking, golden) << "blocking MapReads SAM drifted";
-  EXPECT_EQ(StreamingMapperSam(rs), golden)
-      << "streaming MapReads SAM differs from the golden blocking output";
   EXPECT_EQ(StreamingFastqSam(rs), golden)
       << "FASTQ-to-SAM pipeline output differs from the golden output";
 }

@@ -14,7 +14,6 @@
 //                  [--batch N] [--queue N] [--encode-workers N]
 //                  [--verify-workers N] [--slots N] [--setup 1|2]
 //                  [--devices N] [--no-verify]
-//   gkgpu pipeline --pairs set.pairs.tsv --e 5 [--out decisions.tsv] ...
 //   gkgpu index  --ref ref.fa --out ref.gki [--k 12] [--verify]
 //   gkgpu serve  --index ref.gki --socket /tmp/gk.sock [--threads N]
 //   gkgpu map-client --socket /tmp/gk.sock --reads r.fq [--sam out.sam]
@@ -24,9 +23,9 @@
 // unified memory); the other algorithms run as host filters.  `map` runs
 // the mrFAST-like mapper with GateKeeper-GPU pre-alignment filtering and
 // reports the Table-3 statistics.  `pipeline` runs the streaming
-// subsystem: FASTQ (or a pair set) is chunked, encoded, sharded across
-// the simulated devices with double buffering, verified, and emitted in
-// input order, with per-stage throughput and queue-occupancy tables.
+// subsystem: FASTQ is chunked, seeded, encoded, sharded across the
+// simulated devices with double buffering, verified, and emitted in input
+// order, with per-stage throughput and queue-occupancy tables.
 // `index` persists the reference + k-mer index + 2-bit encoding to one
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
@@ -362,20 +361,18 @@ int Usage() {
       "                  [--mapq-cap N] [--threads N]\n"
       "                  [--seed dense|minimizer] [--minimizer-w W]\n"
       "                  [--shard-max-bp N] and one of:\n"
-      "                    --reads FASTQ [--no-filter] [--streaming]\n"
-      "                      [--batch N] [--report-secondary]\n"
+      "                    --reads FASTQ [--no-filter] [--report-secondary]\n"
       "                    --paired R1.fq R2.fq | --interleaved FILE\n"
       "                      [--max-insert N] [--no-filter] [--streaming]\n"
       "                      [--no-rescue] [--mark-duplicates]\n"
       "                      [--optical-dup-distance N] [--batch N]\n"
       "  pipeline        --reads FASTQ (--ref FASTA | --index FILE) --e N\n"
-      "                  [--sam FILE] | --pairs FILE --e N [--out FILE]\n"
-      "                  [--batch N] [--queue N] [--encode-workers N]\n"
-      "                  [--verify-workers N] [--threads N] [--slots N]\n"
-      "                  [--setup 1|2] [--devices N] [--encode host|device]\n"
-      "                  [--length N] [--no-verify] [--read-group ID]\n"
-      "                  [--mapq-cap N] [--adaptive] [--batch-min N]\n"
-      "                  [--batch-max N] [--report-secondary]\n"
+      "                  [--sam FILE] [--batch N] [--queue N]\n"
+      "                  [--encode-workers N] [--verify-workers N]\n"
+      "                  [--threads N] [--slots N] [--setup 1|2]\n"
+      "                  [--devices N] [--length N] [--no-verify]\n"
+      "                  [--read-group ID] [--mapq-cap N] [--adaptive]\n"
+      "                  [--batch-min N] [--batch-max N] [--report-secondary]\n"
       "                  [--seed dense|minimizer] [--minimizer-w W]\n"
       "                  [--shard-max-bp N]\n"
       "  index           --ref FASTA [--out FILE] [--k N] [--verify]\n"
@@ -825,11 +822,10 @@ int MapCmd(const Args& args) {
   }
   const int length = static_cast<int>(reads.front().size());
   const int e = static_cast<int>(args.GetInt("e", 5));
-  const bool streaming = args.Has("streaming");
-  if (streaming && args.Has("no-filter")) {
+  if (args.Has("streaming")) {
     std::fprintf(stderr,
-                 "map: --streaming is the filter integration and cannot be "
-                 "combined with --no-filter\n");
+                 "map: --streaming applies to paired input; stream "
+                 "single-end reads with `gkgpu pipeline --reads`\n");
     return 2;
   }
 
@@ -857,15 +853,7 @@ int MapCmd(const Args& args) {
   }
 
   std::vector<MappingRecord> records;
-  MappingStats stats;
-  if (streaming) {
-    pipeline::PipelineConfig pcfg;
-    pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
-    ApplyThreads(args, &pcfg);
-    stats = mapper.MapReadsStreaming(reads, engine.get(), pcfg, &records);
-  } else {
-    stats = mapper.MapReads(reads, engine.get(), &records);
-  }
+  const MappingStats stats = mapper.MapReads(reads, engine.get(), &records);
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"reads", TablePrinter::Count(stats.reads)});
@@ -991,48 +979,9 @@ int PipelineCmd(const Args& args) {
         args.GetInt("batch-max", static_cast<long>(pcfg.batch_size * 2)));
   }
 
-  const std::string pairs_path = args.Get("pairs", "");
   const std::string reads_path = args.Get("reads", "");
-  if (pairs_path.empty() == reads_path.empty()) return Usage();
+  if (reads_path.empty()) return Usage();
 
-  if (!pairs_path.empty()) {
-    // Pair-stream mode: the streaming analogue of `filter`.
-    const auto pairs = ReadPairSetFile(pairs_path);
-    if (pairs.empty()) {
-      std::fprintf(stderr, "no pairs in %s\n", pairs_path.c_str());
-      return 1;
-    }
-    const DeviceSet set = MakeDeviceSet(setup, ndev);
-    EngineConfig cfg;
-    cfg.read_length = static_cast<int>(pairs.front().read.size());
-    cfg.error_threshold = e;
-    cfg.encoding = ParseEncodingActor(args);
-    GateKeeperGpuEngine engine(cfg, set.ptrs);
-    std::vector<std::string> reads;
-    std::vector<std::string> refs;
-    for (const auto& p : pairs) {
-      reads.push_back(p.read);
-      refs.push_back(p.ref);
-    }
-    std::vector<PairResult> results;
-    std::vector<int> edits;
-    const pipeline::PipelineStats stats = pipeline::FilterPairsStreaming(
-        &engine, pcfg, reads, refs, &results, &edits);
-    const std::string out = args.Get("out", "");
-    if (!out.empty()) {
-      std::ofstream os(out);
-      os << "# pair_index\taccept\tedits\n";
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        os << i << '\t' << static_cast<int>(results[i].accept) << '\t'
-           << edits[i] << '\n';
-      }
-      std::printf("decisions written to %s\n", out.c_str());
-    }
-    PrintPipelineStats(stats);
-    return 0;
-  }
-
-  // Read-to-SAM mode (candidate streaming over the mapper's reference).
   bool ok = false;
   ReferenceInput input = LoadReferenceInput(args, &ok);
   if (!ok) return Usage();
@@ -1065,7 +1014,6 @@ int PipelineCmd(const Args& args) {
   EngineConfig cfg;
   cfg.read_length = length;
   cfg.error_threshold = e;
-  cfg.encoding = ParseEncodingActor(args);
   GateKeeperGpuEngine engine(cfg, set.ptrs);
   input.LoadEngine(&engine, mapper);
 
