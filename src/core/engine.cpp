@@ -218,7 +218,7 @@ StreamBatchStats GateKeeperGpuEngine::RunPairsKernel(Device* dev,
       static_cast<std::int64_t>((count + plan_.threads_per_block - 1) /
                                 plan_.threads_per_block),
       plan_.threads_per_block};
-  // The kernel is a thin view over the slot's unified-memory PairBlock;
+  // The kernel is a thin view over the buffer set's unified-memory PairBlock;
   // the block's shape (encoded vs raw) selects the encoding actor.
   PairBlockKernel kernel;
   kernel.block.size = count;
@@ -242,50 +242,13 @@ StreamBatchStats GateKeeperGpuEngine::RunPairsKernel(Device* dev,
   return st;
 }
 
-void GateKeeperGpuEngine::AllocateCandidateBuffers(Device* dev,
-                                                   DeviceBuffers* b,
-                                                   std::size_t capacity,
-                                                   std::size_t read_capacity) {
-  const std::size_t words =
-      static_cast<std::size_t>(EncodedWords(config_.read_length));
-  b->pair_capacity = capacity;
-  b->read_capacity = read_capacity;
-  b->reads_enc = dev->AllocateUnified(read_capacity * words * sizeof(Word));
-  b->bypass = dev->AllocateUnified(read_capacity);
-  b->cand = dev->AllocateUnified(capacity * sizeof(CandidatePair));
-  b->results = dev->AllocateUnified(capacity * sizeof(PairResult));
-}
-
-/// Host preprocessing of one candidate batch into a buffer set: the batch's
-/// distinct reads are 2-bit encoded once each (a read crosses the bus once
-/// for all of its candidate locations) and the candidate table is staged.
-void GateKeeperGpuEngine::EncodeCandidatesInto(DeviceBuffers* b,
-                                               const std::string* reads,
-                                               std::size_t read_count,
-                                               const CandidatePair* candidates,
-                                               std::size_t count) {
-  const std::size_t words =
-      static_cast<std::size_t>(EncodedWords(config_.read_length));
-  Word* renc = b->reads_enc->as<Word>();
-  std::uint8_t* byp = b->bypass->as<std::uint8_t>();
-  for (std::size_t i = 0; i < read_count; ++i) {
-    byp[i] = EncodeSequence(reads[i], renc + i * words) ? 1 : 0;
-  }
-  std::memcpy(b->cand->data(), candidates, count * sizeof(CandidatePair));
-  b->reads_enc->MarkHostResident();
-  b->bypass->MarkHostResident();
-  b->cand->MarkHostResident();
-  b->results->MarkHostResident();
-}
-
 /// Device stage for one encoded candidate buffer set: the kernel extracts
 /// each candidate's reference window from the device-resident encoded
 /// genome (ref_buffers_), so only reads, the candidate table and results
 /// cross the bus per batch.
 StreamBatchStats GateKeeperGpuEngine::RunCandidatesKernel(std::size_t di,
                                                           DeviceBuffers* b,
-                                                          std::size_t count,
-                                                          PairResult* out) {
+                                                          std::size_t count) {
   StreamBatchStats st;
   if (count == 0) return st;
   assert(HasReference());
@@ -325,79 +288,7 @@ StreamBatchStats GateKeeperGpuEngine::RunCandidatesKernel(std::size_t di,
   b->results->MarkDeviceResident();
   const double d2h_s = b->results->FaultToHost();
   st.transfer_seconds = prefetch_s + d2h_s;
-  if (out != nullptr) {
-    WallTimer readback;
-    const PairResult* res = b->results->as<PairResult>();
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = res[i];
-      st.accepted += res[i].accept;
-      st.bypassed += res[i].bypassed;
-    }
-    st.readback_seconds = readback.Seconds();
-    RecordEngineFunnel(count, st.accepted, st.bypassed);
-  }
   return st;
-}
-
-std::size_t GateKeeperGpuEngine::PrepareCandidateStreaming(
-    std::size_t batch_capacity, std::size_t read_capacity,
-    int slots_per_device) {
-  assert(slots_per_device >= 1);
-  const std::size_t capacity =
-      std::min(std::max<std::size_t>(1, batch_capacity),
-               plan_.pairs_per_batch);
-  const std::size_t rcap =
-      std::min(std::max<std::size_t>(1, read_capacity), capacity);
-  if (cand_streaming_slots_ >= slots_per_device &&
-      cand_streaming_capacity_ >= capacity &&
-      cand_streaming_read_capacity_ >= rcap) {
-    return cand_streaming_capacity_;
-  }
-  cand_streaming_slots_ = slots_per_device;
-  cand_streaming_capacity_ = capacity;
-  cand_streaming_read_capacity_ = rcap;
-  cand_stream_buffers_.clear();
-  cand_stream_buffers_.resize(devices_.size() *
-                              static_cast<std::size_t>(slots_per_device));
-  for (std::size_t di = 0; di < devices_.size(); ++di) {
-    for (int s = 0; s < slots_per_device; ++s) {
-      auto b = std::make_unique<DeviceBuffers>();
-      AllocateCandidateBuffers(devices_[di], b.get(), capacity, rcap);
-      cand_stream_buffers_[di * slots_per_device + s] = std::move(b);
-    }
-  }
-  return cand_streaming_capacity_;
-}
-
-double GateKeeperGpuEngine::EncodeCandidatesSlot(
-    int device, int slot, const std::string* reads, std::size_t read_count,
-    const CandidatePair* candidates, std::size_t count) {
-  assert(device >= 0 && device < device_count());
-  assert(slot >= 0 && slot < cand_streaming_slots_);
-  assert(count <= cand_streaming_capacity_);
-  assert(read_count <= cand_streaming_read_capacity_);
-  DeviceBuffers* b =
-      cand_stream_buffers_[static_cast<std::size_t>(device) *
-                               cand_streaming_slots_ +
-                           slot]
-          .get();
-  WallTimer t;
-  EncodeCandidatesInto(b, reads, read_count, candidates, count);
-  return t.Seconds();
-}
-
-StreamBatchStats GateKeeperGpuEngine::FilterCandidatesSlot(int device,
-                                                           int slot,
-                                                           std::size_t count,
-                                                           PairResult* out) {
-  assert(device >= 0 && device < device_count());
-  assert(slot >= 0 && slot < cand_streaming_slots_);
-  DeviceBuffers* b =
-      cand_stream_buffers_[static_cast<std::size_t>(device) *
-                               cand_streaming_slots_ +
-                           slot]
-          .get();
-  return RunCandidatesKernel(static_cast<std::size_t>(device), b, count, out);
 }
 
 FilterRunStats GateKeeperGpuEngine::FilterPairs(
@@ -535,6 +426,15 @@ void GateKeeperGpuEngine::LoadReference(const ReferenceEncodingView& enc,
   }
 }
 
+ReferenceEncodingView GateKeeperGpuEngine::reference_encoding() const {
+  assert(HasReference());
+  const UnifiedBuffer& words = *ref_buffers_.front();
+  const UnifiedBuffer& nmask = *ref_nmask_buffers_.front();
+  return {ref_length_,
+          {words.as<Word>(), words.bytes() / sizeof(Word)},
+          {nmask.as<Word>(), nmask.bytes() / sizeof(Word)}};
+}
+
 void GateKeeperGpuEngine::EnsureCandidateBuffers(std::size_t capacity,
                                                  std::size_t read_capacity) {
   const std::size_t words =
@@ -631,8 +531,8 @@ FilterRunStats GateKeeperGpuEngine::FilterCandidatesImpl(
     for (std::size_t di = 0; di < ndev; ++di) {
       const Slice s = slices[di];
       if (s.count == 0) continue;
-      const StreamBatchStats st = RunCandidatesKernel(
-          di, buffers_[di].get(), s.count, /*out=*/nullptr);
+      const StreamBatchStats st =
+          RunCandidatesKernel(di, buffers_[di].get(), s.count);
       round_kt = std::max(round_kt, st.kernel_seconds);
       round_transfer = std::max(round_transfer, st.transfer_seconds);
     }

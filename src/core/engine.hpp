@@ -10,6 +10,12 @@
 //   * candidate mode  — encoded reference + (read, position) candidates,
 //                       the mrFAST integration of Sec. 3.5.
 //
+// Both run on the simulated devices and serve the paper's tables
+// (FilterPairs for the filter benches, FilterCandidates for MapReads'
+// Table 3).  The streaming pipeline and the paired mapper filter on the
+// host instead (GateKeeperCpu over a candidates-shape PairBlock); from the
+// engine they take only its config and the loaded reference encoding.
+//
 // Timing conventions (Sec. 4.3): "kernel time" is simulated device time
 // only (max across devices per round, summed over rounds); "filter time"
 // adds host-side preprocessing (measured for real) and the simulated PCIe
@@ -32,13 +38,10 @@
 
 namespace gkgpu {
 
-/// Timings and counters of one streamed batch on one device slot.
+/// Simulated timings of one kernel launch on one device.
 struct StreamBatchStats {
   double kernel_seconds = 0.0;    // simulated device time
   double transfer_seconds = 0.0;  // simulated PCIe (prefetch + result fault)
-  double readback_seconds = 0.0;  // measured host time copying results out
-  std::uint64_t accepted = 0;
-  std::uint64_t bypassed = 0;
 };
 
 /// Aggregated statistics of one Filter* call.
@@ -68,10 +71,6 @@ class GateKeeperGpuEngine {
 
   const EngineConfig& config() const { return config_; }
   const SystemPlan& plan() const { return plan_; }
-  int device_count() const { return static_cast<int>(devices_.size()); }
-  const gpusim::Device& device(int i) const {
-    return *devices_[static_cast<std::size_t>(i)];
-  }
 
   /// Pair mode: filters reads[i] against refs[i] (equal length) and fills
   /// results (accept flag + approximate edit distance per pair).
@@ -95,6 +94,10 @@ class GateKeeperGpuEngine {
   /// verify the engine really filters against *their* genome, not a
   /// same-length one loaded earlier.
   std::uint64_t reference_fingerprint() const { return ref_fingerprint_; }
+  /// The loaded reference encoding (requires HasReference).  It views
+  /// device 0's unified copy, which is host memory, so host filters slice
+  /// windows from it without a second copy of the genome.
+  ReferenceEncodingView reference_encoding() const;
 
   /// Candidate mode, step 2: filter candidate mappings of `reads` (each at
   /// most config().read_length).  Candidates index into `reads`.  The
@@ -108,41 +111,6 @@ class GateKeeperGpuEngine {
                                   const std::vector<CandidatePair>& candidates,
                                   std::vector<PairResult>* results);
 
-  // --- Streaming path (driven by src/pipeline/) -------------------------
-  //
-  // Re-entrant per-device candidate filtration: every device owns
-  // `slots_per_device` independent buffer sets carrying a batch's unique
-  // reads (2-bit encoded once) plus its (read, reference-offset)
-  // candidates, so the pipeline can host-encode batch N+1 into one slot
-  // while batch N's kernel runs from another (double buffering).  The
-  // kernel slices reference windows straight out of the per-device encoded
-  // genome loaded by LoadReference — no per-candidate segment extraction
-  // or re-encoding on the host.  Concurrency contract: EncodeCandidatesSlot
-  // may run on any thread for any (device, slot) not currently in use, but
-  // all FilterCandidatesSlot calls for one device must come from a single
-  // driver thread (device timelines and unified-memory counters are
-  // per-device and unsynchronized, exactly like a CUDA stream).
-
-  /// Allocates the candidate slot buffers.  `batch_capacity` bounds the
-  /// candidates per batch (clamped to the kernel plan), `read_capacity` the
-  /// distinct reads per batch; returns the per-slot candidate capacity.
-  std::size_t PrepareCandidateStreaming(std::size_t batch_capacity,
-                                        std::size_t read_capacity,
-                                        int slots_per_device);
-
-  /// Host preprocessing of one candidate batch into (device, slot): encodes
-  /// the batch's reads and stages the candidate table.  Returns measured
-  /// host seconds.
-  double EncodeCandidatesSlot(int device, int slot, const std::string* reads,
-                              std::size_t read_count,
-                              const CandidatePair* candidates,
-                              std::size_t count);
-
-  /// Device stage for a previously encoded candidate slot; requires a
-  /// loaded reference.
-  StreamBatchStats FilterCandidatesSlot(int device, int slot,
-                                        std::size_t count, PairResult* out);
-
  private:
   struct DeviceBuffers;
 
@@ -150,20 +118,13 @@ class GateKeeperGpuEngine {
   void EnsureCandidateBuffers(std::size_t capacity, std::size_t read_capacity);
   void AllocatePairBuffers(gpusim::Device* dev, DeviceBuffers* b,
                            std::size_t capacity);
-  void AllocateCandidateBuffers(gpusim::Device* dev, DeviceBuffers* b,
-                                std::size_t capacity,
-                                std::size_t read_capacity);
-  void EncodeCandidatesInto(DeviceBuffers* b, const std::string* reads,
-                            std::size_t read_count,
-                            const CandidatePair* candidates,
-                            std::size_t count);
   FilterRunStats FilterCandidatesImpl(const std::string_view* reads,
                                       std::size_t read_count,
                                       const std::vector<CandidatePair>&
                                           candidates,
                                       std::vector<PairResult>* results);
   StreamBatchStats RunCandidatesKernel(std::size_t di, DeviceBuffers* b,
-                                       std::size_t count, PairResult* out);
+                                       std::size_t count);
   void EncodePairsInto(DeviceBuffers* b, const std::string* reads,
                        const std::string* refs, std::size_t count);
   StreamBatchStats RunPairsKernel(gpusim::Device* dev, DeviceBuffers* b,
@@ -174,12 +135,6 @@ class GateKeeperGpuEngine {
   SystemPlan plan_;
 
   std::vector<std::unique_ptr<DeviceBuffers>> buffers_;
-  // Streaming slots: cand_stream_buffers_[device * cand_streaming_slots_ +
-  // slot].
-  std::vector<std::unique_ptr<DeviceBuffers>> cand_stream_buffers_;
-  int cand_streaming_slots_ = 0;
-  std::size_t cand_streaming_capacity_ = 0;
-  std::size_t cand_streaming_read_capacity_ = 0;
   // Reference genome, one unified copy per device (as each GPU needs its
   // own resident copy).
   std::vector<std::unique_ptr<gpusim::UnifiedBuffer>> ref_buffers_;

@@ -32,8 +32,10 @@ std::string DecodeSequence(const Word* enc, int length) {
   return s;
 }
 
-EncodedBatch EncodeBatch(const std::vector<std::string>& seqs, int length,
-                         ThreadPool* pool) {
+namespace {
+
+template <typename Seqs>
+EncodedBatch EncodeBatchOf(const Seqs& seqs, int length, ThreadPool* pool) {
   EncodedBatch batch;
   batch.length = length;
   batch.words_per_seq = EncodedWords(length);
@@ -52,6 +54,18 @@ EncodedBatch EncodeBatch(const std::vector<std::string>& seqs, int length,
     encode_range(0, seqs.size());
   }
   return batch;
+}
+
+}  // namespace
+
+EncodedBatch EncodeBatch(const std::vector<std::string>& seqs, int length,
+                         ThreadPool* pool) {
+  return EncodeBatchOf(seqs, length, pool);
+}
+
+EncodedBatch EncodeBatch(const std::vector<std::string_view>& seqs,
+                         int length, ThreadPool* pool) {
+  return EncodeBatchOf(seqs, length, pool);
 }
 
 bool RangeHasUnknownRaw(const Word* n_mask, std::int64_t ref_len,

@@ -49,6 +49,8 @@ struct EncodedBatch {
 /// `pool` (mirrors the paper's multithreaded host encoding).
 EncodedBatch EncodeBatch(const std::vector<std::string>& seqs, int length,
                          ThreadPool* pool = nullptr);
+EncodedBatch EncodeBatch(const std::vector<std::string_view>& seqs,
+                         int length, ThreadPool* pool = nullptr);
 
 /// Raw-pointer versions of the reference-segment operations, callable from
 /// device-kernel code that only sees unified-memory pointers.

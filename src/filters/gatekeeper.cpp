@@ -30,9 +30,15 @@ void GateKeeperFilter::FilterBatchImpl(const PairBlock& block, int e,
 }
 
 GateKeeperCpu::GateKeeperCpu(GateKeeperParams params, unsigned threads)
-    : params_(params),
-      pool_(threads > 1 ? std::make_unique<ThreadPool>(threads, "gkgpu-gkcpu")
-                        : nullptr) {}
+    : filter_(params),
+      owned_pool_(threads > 1
+                      ? std::make_unique<ThreadPool>(threads, "gkgpu-gkcpu")
+                      : nullptr),
+      pool_(owned_pool_.get()) {}
+
+GateKeeperCpu::GateKeeperCpu(GateKeeperParams params, ThreadPool* pool,
+                             std::size_t grain)
+    : filter_(params), pool_(pool), grain_(grain) {}
 
 GateKeeperCpu::~GateKeeperCpu() = default;
 
@@ -42,11 +48,11 @@ unsigned GateKeeperCpu::threads() const {
 
 void GateKeeperCpu::FilterBlock(const PairBlock& block, int e,
                                 PairResult* results) const {
-  auto run = [&](std::size_t b, std::size_t end) {
-    simd::GateKeeperFilterRange(block, b, end, e, params_, results);
+  const auto run = [&](std::size_t b, std::size_t end) {
+    filter_.FilterBatch(SliceBlock(block, b, end), e, results + b);
   };
   if (pool_ != nullptr) {
-    pool_->ParallelFor(0, block.size, 4096, run);
+    pool_->ParallelFor(0, block.size, grain_, run);
   } else {
     run(0, block.size);
   }

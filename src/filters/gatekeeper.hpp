@@ -6,8 +6,9 @@
 //  * GateKeeperFilter(kOriginal)  — the original GateKeeper/FPGA algorithm
 //    without the leading/trailing fix, used as the accuracy baseline
 //    ("GateKeeper-FPGA" in the paper's comparison figures).
-//  * GateKeeperCpu                — the multicore batch runner used by the
-//    throughput benches ("GateKeeper-CPU", 1..N cores).
+//  * GateKeeperCpu                — the multicore batch runner: the
+//    throughput benches' "GateKeeper-CPU" (1..N cores) and the mapping
+//    path's filter stage (on the ReadMapper's pool).
 #ifndef GKGPU_FILTERS_GATEKEEPER_HPP
 #define GKGPU_FILTERS_GATEKEEPER_HPP
 
@@ -56,13 +57,20 @@ class GateKeeperFilter : public PreAlignmentFilter {
   GateKeeperParams params_;
 };
 
-/// Multicore batched GateKeeper: the "GateKeeper-CPU" baseline.  Work
-/// arrives as a PairBlock and is sharded across the pool, each shard
-/// running the runtime-dispatched batch kernel; results land in a
-/// caller-provided PairResult buffer, exactly like a device kernel's.
+/// Multicore batched GateKeeper: the "GateKeeper-CPU" baseline and the
+/// mapping path's filter.  Work arrives as a PairBlock and is sharded
+/// across a pool in chunks of `grain` pairs, each chunk one
+/// GateKeeperFilter::FilterBatch call (the runtime-dispatched batch kernel
+/// plus the filter funnel); results land in a caller-provided PairResult
+/// buffer, exactly like a device kernel's.
 class GateKeeperCpu {
  public:
+  /// Owns a pool of `threads` workers (none when threads <= 1) and
+  /// filters 4,096 pairs per chunk.
   GateKeeperCpu(GateKeeperParams params, unsigned threads);
+  /// Borrows `pool` (null = the calling thread alone), which must outlive
+  /// this object, and filters `grain` pairs per chunk.
+  GateKeeperCpu(GateKeeperParams params, ThreadPool* pool, std::size_t grain);
   ~GateKeeperCpu();
 
   /// Filters every pair of `block` with threshold `e` into
@@ -72,8 +80,10 @@ class GateKeeperCpu {
   unsigned threads() const;
 
  private:
-  GateKeeperParams params_;
-  std::unique_ptr<ThreadPool> pool_;
+  GateKeeperFilter filter_;
+  std::unique_ptr<ThreadPool> owned_pool_;
+  ThreadPool* pool_ = nullptr;
+  std::size_t grain_ = 4096;
 };
 
 }  // namespace gkgpu

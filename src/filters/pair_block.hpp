@@ -17,9 +17,11 @@
 //                  Sec. 3.5); consumers slice reference windows out of the
 //                  genome and reorient reverse-strand reads in scratch.
 //
-// PairBlock is a non-owning view: the engine points it at unified-memory
-// buffers, PairBlockStorage (below) owns host-side blocks for the batch
-// filter API, tests and benches.
+// PairBlock is a non-owning view: the simulated device kernels see it over
+// unified-memory buffers, the mapping path (the streaming pipeline and the
+// paired mapper) over a batch's EncodedBatch read table and the engine's
+// loaded reference encoding (CandidateBlock), and PairBlockStorage (below)
+// owns host-side blocks for the batch filter API, tests and benches.
 #ifndef GKGPU_FILTERS_PAIR_BLOCK_HPP
 #define GKGPU_FILTERS_PAIR_BLOCK_HPP
 
@@ -68,10 +70,10 @@ inline PairResult BypassedPairResult() { return PairResult{1, 1, 0}; }
 /// One candidate mapping: which read, where its candidate reference
 /// segment starts on the genome, and which strand the read matches on.
 /// strand 1 means the *reverse complement* of the read is compared against
-/// the forward reference window — the strand bit travels through the
-/// engine's candidate slots so consumers can reorient the encoded read in
-/// scratch and filtration still slices windows from the encoded reference
-/// with no per-candidate strings anywhere.  `reserved` names the padding
+/// the forward reference window — the strand bit travels with the
+/// candidate so consumers can reorient the encoded read in scratch and
+/// filtration still slices windows from the encoded reference with no
+/// per-candidate strings anywhere.  `reserved` names the padding
 /// byte after the strand so callers can brace-initialize all four members;
 /// nothing reads it, and sizeof stays 16.
 struct CandidatePair {
@@ -111,6 +113,46 @@ struct PairBlock {
   bool candidate_shape() const { return candidates != nullptr; }
   bool raw_shape() const { return raw_reads != nullptr; }
 };
+
+/// A candidates-shape block: `size` candidates whose read_index points into
+/// the encoded read table `reads`, with windows sliced from `ref`.
+inline PairBlock CandidateBlock(const EncodedBatch& reads,
+                                const ReferenceEncodingView& ref,
+                                const CandidatePair* candidates,
+                                std::size_t size) {
+  PairBlock b;
+  b.size = size;
+  b.length = reads.length;
+  b.words_per_seq = reads.words_per_seq;
+  b.reads_enc = reads.words.data();
+  b.bypass = reads.has_n.data();
+  b.candidates = candidates;
+  b.ref_words = ref.words.data();
+  b.ref_n_mask = ref.n_mask.data();
+  b.ref_len = ref.length;
+  return b;
+}
+
+/// Pairs [begin, end) of `block` as a block of the same shape; a
+/// candidates-shape slice keeps the whole read table and genome.
+inline PairBlock SliceBlock(PairBlock block, std::size_t begin,
+                            std::size_t end) {
+  block.size = end - begin;
+  if (block.candidate_shape()) {
+    block.candidates += begin;
+  } else if (block.raw_shape()) {
+    const std::size_t off = begin * static_cast<std::size_t>(block.length);
+    block.raw_reads += off;
+    block.raw_refs += off;
+  } else {
+    const std::size_t off =
+        begin * static_cast<std::size_t>(block.words_per_seq);
+    block.reads_enc += off;
+    block.refs_enc += off;
+    if (block.bypass != nullptr) block.bypass += begin;
+  }
+  return block;
+}
 
 /// One pair materialized out of a block: encoded read/ref pointers (into
 /// the block or into caller scratch) plus the undefined-pair flag.

@@ -22,8 +22,7 @@ ReadMapper::ReadMapper(ReferenceSet reference, MapperConfig config)
                               SeedConfig{config.k, config.seed_mode,
                                          config.minimizer_w,
                                          config.shard_max_bp})),
-      verify_pool_(std::make_unique<ThreadPool>(config.verify_threads,
-                                                "gkgpu-verify")) {
+      pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")) {
   BindSeedCounters();
 }
 
@@ -35,8 +34,7 @@ ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
     : ref_(std::move(reference)),
       config_(config),
       index_(std::move(index)),
-      verify_pool_(std::make_unique<ThreadPool>(config.verify_threads,
-                                                "gkgpu-verify")) {
+      pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")) {
   if (index_.k() != config_.k) {
     throw std::invalid_argument(
         "ReadMapper: preloaded index was built with k=" +
@@ -303,8 +301,8 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
     std::vector<MappingRecord> found(candidates.size(),
                                      MappingRecord{0, 0, -1, 0});
     std::atomic<std::uint64_t> verified{0};
-    verify_pool_->ParallelFor(0, candidates.size(), 256, [&](std::size_t i0,
-                                                             std::size_t i1) {
+    pool_->ParallelFor(0, candidates.size(), 256, [&](std::size_t i0,
+                                                      std::size_t i1) {
       std::uint64_t local_verified = 0;
       for (std::size_t i = i0; i < i1; ++i) {
         if (filter != nullptr && decisions[i].accept == 0) continue;

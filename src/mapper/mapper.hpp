@@ -36,7 +36,9 @@ struct MapperConfig {
   /// Reads batched per filtering round (Table 1; 100,000 is the paper's
   /// sweet spot).
   std::size_t max_reads_per_batch = 100000;
-  unsigned verify_threads = 0;  // 0 = hardware concurrency
+  /// Workers of the mapper's pool (0 = hardware concurrency): MapReads
+  /// verifies on it, and every mapping driver's host filter runs on it.
+  unsigned verify_threads = 0;
   /// Seeding strategy: dense pigeonhole seeds (the mrFAST default) or
   /// (w,k) minimizer sampling (see mapper/minimizer.hpp).
   SeedMode seed_mode = SeedMode::kDense;
@@ -144,6 +146,10 @@ class ReadMapper {
   std::string_view genome() const { return ref_.text(); }
   const MapperConfig& config() const { return config_; }
   const SeedIndex& index() const { return index_; }
+  /// The mapper's worker pool (MapperConfig::verify_threads).  ThreadPool
+  /// is thread-safe, so a const mapper lends it to the drivers that borrow
+  /// it: StreamFastqToSam, both paired drivers and the daemon.
+  ThreadPool* pool() const { return pool_.get(); }
 
   /// Maps `reads`; when `filter` is non-null it is used as the
   /// pre-alignment stage (the engine's reference is loaded on first use).
@@ -191,7 +197,7 @@ class ReadMapper {
   ReferenceSet ref_;
   MapperConfig config_;
   SeedIndex index_;
-  std::unique_ptr<ThreadPool> verify_pool_;
+  std::unique_ptr<ThreadPool> pool_;
   obs::Counter seeder_candidates_;
   std::vector<obs::Counter> shard_candidates_;  // empty on one shard
 };

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -41,6 +42,29 @@ struct Collector {
 // Non-null while tracing is active.  Acquire/release pairs the pointer
 // with the collector's initialized contents.
 std::atomic<Collector*> g_collector{nullptr};
+
+// Threads that may hold a collector pointer (Span::Close and
+// RegisterTraceThreadName): each counts itself in before it loads
+// g_collector and out once it is done with the collector.  All of it is
+// seq_cst, so a user that loaded a collector before the swap is still
+// counted when the swapper drains.
+std::atomic<std::uint64_t> g_users{0};
+
+/// Counts the calling thread in g_users for its scope.
+struct UserScope {
+  UserScope() { g_users.fetch_add(1, std::memory_order_seq_cst); }
+  ~UserScope() { g_users.fetch_sub(1, std::memory_order_seq_cst); }
+  UserScope(const UserScope&) = delete;
+  UserScope& operator=(const UserScope&) = delete;
+};
+
+/// Waits until nothing can still hold a collector that was swapped out
+/// of g_collector before the call; the caller may then free it.
+void DrainUsers() {
+  while (g_users.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
+  }
+}
 
 // Survives Stop/Start cycles so names registered before StartTracing
 // (threads usually outlive trace sessions) still label the output.
@@ -93,10 +117,9 @@ void StartTracing() {
     std::lock_guard<std::mutex> lock(g_names_mu);
     c->thread_names = PersistentNames();
   }
-  g_collector.exchange(c, std::memory_order_acq_rel);
-  // A previous collector is never deleted: a racing Span may still hold
-  // its pointer.  One leaked collector per trace session, which is once
-  // per process run in practice.
+  const std::unique_ptr<Collector> old(
+      g_collector.exchange(c, std::memory_order_seq_cst));
+  if (old != nullptr) DrainUsers();
 }
 
 void RegisterTraceThreadName(const std::string& name) {
@@ -105,7 +128,8 @@ void RegisterTraceThreadName(const std::string& name) {
     std::lock_guard<std::mutex> lock(g_names_mu);
     PersistentNames()[tid] = name;
   }
-  Collector* c = g_collector.load(std::memory_order_acquire);
+  const UserScope user;
+  Collector* c = g_collector.load(std::memory_order_seq_cst);
   if (c != nullptr) {
     std::lock_guard<std::mutex> lock(c->mu);
     c->thread_names[tid] = name;
@@ -117,7 +141,8 @@ void Span::Close() noexcept {
   const char* name = name_;
   const char* category = category_;
   name_ = nullptr;
-  Collector* c = g_collector.load(std::memory_order_acquire);
+  const UserScope user;
+  Collector* c = g_collector.load(std::memory_order_seq_cst);
   if (c == nullptr) return;
   const auto end = std::chrono::steady_clock::now();
   TraceEvent ev;
@@ -140,13 +165,12 @@ void Span::Close() noexcept {
 }
 
 std::string StopTracing() {
-  Collector* c = g_collector.exchange(nullptr, std::memory_order_acq_rel);
+  const std::unique_ptr<Collector> c(
+      g_collector.exchange(nullptr, std::memory_order_seq_cst));
   if (c == nullptr) return "{\"traceEvents\":[]}\n";
-  // A racing Span that loaded the pointer before the exchange may still
-  // append under c->mu; taking the lock here serializes with it, and the
-  // collector is never freed (see StartTracing), so a late append after
-  // rendering is merely lost, not a use-after-free.
-  std::lock_guard<std::mutex> lock(c->mu);
+  // A Span that loaded the pointer before the exchange may still be
+  // appending; once the users drain, nothing else can reach `c`.
+  DrainUsers();
   const std::uint64_t pid = ProcessId();
   std::ostringstream out;
   out << "{\"traceEvents\":[";

@@ -21,6 +21,7 @@
 #include "align/cigar.hpp"
 #include "align/local.hpp"
 #include "encode/revcomp.hpp"
+#include "filters/gatekeeper.hpp"
 #include "mapper/mapq.hpp"
 #include "mapper/sam.hpp"
 #include "obs/names.hpp"
@@ -734,17 +735,12 @@ void PairFinalizer::Finalize(const PairTask& task) {
 }  // namespace
 
 PairedEndMapper::PairedEndMapper(const ReadMapper& mapper, PairedConfig config)
-    : mapper_(mapper),
-      config_(std::move(config)),
-      verify_pool_(std::make_unique<ThreadPool>(mapper.config().verify_threads,
-                                                "gkgpu-pverify")) {
+    : mapper_(mapper), config_(std::move(config)) {
   // A fragment must at least cover one read; a smaller bound would make
   // every pair discordant and silently disable the prune.
   config_.max_insert =
       std::max<std::int64_t>(config_.max_insert, mapper.config().read_length);
 }
-
-PairedEndMapper::~PairedEndMapper() = default;
 
 namespace {
 
@@ -814,6 +810,8 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
   std::vector<CandRef> provenance;
   SeedChunk seed_chunk;
   const std::string_view genome = mapper_.genome();
+  // Filter and verify both run on the mapper's pool.
+  ThreadPool* pool = mapper_.pool();
 
   for (std::size_t base = 0; base < r1.size(); base += batch_pairs) {
     const std::size_t count = std::min(batch_pairs, r1.size() - base);
@@ -864,21 +862,30 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
     }
     stats.seeding_seconds += seed_timer.Seconds();
 
-    // --- Pre-alignment filtering on the surviving candidates. ---
+    // --- Pre-alignment filtering on the surviving candidates: the host
+    // GateKeeper over one candidates-shape block, as the streaming
+    // pipeline's filter stage runs it. ---
     std::vector<PairResult> decisions;
     if (filter != nullptr) {
-      const FilterRunStats fs =
-          filter->FilterCandidates(table, candidates, &decisions);
-      stats.filter_seconds += fs.filter_seconds;
-      stats.kernel_seconds += fs.kernel_seconds;
-      stats.rejected_pairs += fs.rejected;
-      stats.bypassed_pairs += fs.bypassed;
+      const GateKeeperCpu gatekeeper(
+          filter->config().algorithm, pool,
+          static_cast<std::size_t>(filter->plan().threads_per_block));
+      const EncodedBatch table_enc = EncodeBatch(table, L, pool);
+      decisions.resize(candidates.size());
+      gatekeeper.FilterBlock(
+          CandidateBlock(table_enc, filter->reference_encoding(),
+                         candidates.data(), candidates.size()),
+          filter->config().error_threshold, decisions.data());
+      for (const PairResult& r : decisions) {
+        stats.rejected_pairs += r.accept == 0 ? 1 : 0;
+        stats.bypassed_pairs += r.bypassed;
+      }
     }
 
     // --- Verification, each candidate on its seeded strand. ---
     WallTimer verify_timer;
     std::atomic<std::uint64_t> verified{0};
-    verify_pool_->ParallelFor(
+    pool->ParallelFor(
         0, candidates.size(), 256, [&](std::size_t i0, std::size_t i1) {
           BandedVerifier verifier;
           std::uint64_t local = 0;
@@ -941,7 +948,7 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
   pcfg.verify = true;
   pcfg.verify_threshold = e;
   pcfg.emit_cigar = false;  // the finalizer recomputes CIGARs per mate
-  pipeline::StreamingPipeline pipe(engine, pcfg);
+  pipeline::StreamingPipeline pipe(engine, mapper_.pool(), pcfg);
 
   PairFinalizer fin;
   fin.mapper = &mapper_;
@@ -1100,8 +1107,6 @@ PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
   stats.verification_pairs = ps.verified_pairs;
   stats.rejected_pairs = ps.rejected;
   stats.bypassed_pairs = ps.bypassed;
-  stats.filter_seconds = ps.filter_seconds;
-  stats.kernel_seconds = ps.kernel_seconds;
   stats.verify_seconds = ps.verify_seconds;
   stats.insert_mean = fin.model.mean();
   stats.insert_sigma = fin.model.sigma();

@@ -12,9 +12,10 @@
 //     the one forward k-mer index);
 //   * prunes each mate's candidates to those with a concordant
 //     opposite-strand partner within the insert window;
-//   * filters survivors through the engine's candidate slots (the strand
-//     bit rides inside CandidatePair) and verifies with the Myers
-//     bit-vector kernel (align/myers.hpp);
+//   * filters survivors with the host GateKeeper on the mapper's pool
+//     (the strand bit rides inside CandidatePair; windows come from the
+//     engine's reference encoding) and verifies with the Myers bit-vector
+//     kernel (align/myers.hpp);
 //   * selects the best concordant combination under a fitted insert-size
 //     model (mean/sigma learned online from confident pairs);
 //   * rescues a lost mate with a Smith-Waterman-style fit alignment
@@ -45,7 +46,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -128,8 +128,6 @@ struct PairedStats {
   std::uint64_t insert_observations = 0;
 
   double seeding_seconds = 0.0;
-  double filter_seconds = 0.0;
-  double kernel_seconds = 0.0;
   double verify_seconds = 0.0;
   double finalize_seconds = 0.0;
   double total_seconds = 0.0;
@@ -147,16 +145,16 @@ struct PairedStats {
 
 class PairedEndMapper {
  public:
-  /// Borrows the single-end mapper for its reference, k-mer index and
-  /// seeding; both must outlive this object.  The mapper's read_length /
-  /// error_threshold govern both mates.
+  /// Borrows the single-end mapper for its reference, k-mer index,
+  /// seeding and worker pool; the mapper must outlive this object.  The
+  /// mapper's read_length / error_threshold govern both mates.
   PairedEndMapper(const ReadMapper& mapper, PairedConfig config);
-  ~PairedEndMapper();
 
   const PairedConfig& config() const { return config_; }
 
   /// Blocking path: maps r1[i] with r2[i] (equal sizes; mate names must
-  /// match), optionally pre-filtering candidates through `filter`, and
+  /// match), optionally pre-filtering candidates against `filter`'s loaded
+  /// reference with its GateKeeper parameters, and
   /// writes two SAM records per pair to `sam` (may be null for stats
   /// only; the header is the caller's).  Pairs whose mates are not the
   /// configured read length are emitted unmapped.
@@ -164,9 +162,9 @@ class PairedEndMapper {
                        const std::vector<FastqRecord>& r2,
                        GateKeeperGpuEngine* filter, std::ostream* sam);
 
-  /// Streaming path: consumes `reader` through the candidate-mode
-  /// StreamingPipeline (filtration against the per-device encoded
-  /// reference, Myers verification in the worker pool) with an ordered
+  /// Streaming path: consumes `reader` through the StreamingPipeline
+  /// (filtration on the mapper's pool against the engine's reference
+  /// encoding, Myers verification in the worker pool) with an ordered
   /// pair sink — byte-identical SAM to MapPairs under bounded memory.
   /// `engine` is required; `pcfg.reference_text`, `verify` and
   /// `verify_threshold` are set by the mapper.
@@ -178,7 +176,6 @@ class PairedEndMapper {
  private:
   const ReadMapper& mapper_;
   PairedConfig config_;
-  std::unique_ptr<ThreadPool> verify_pool_;
 };
 
 /// Convenience front end mirroring StreamFastqToSam: paired FASTQ in,

@@ -1,13 +1,13 @@
 // Occupancy-driven batch sizing for the streaming pipeline's source stage.
 //
-// The batch size trades per-batch overhead (slot round trips, queue hops,
-// kernel launches) against pipeline granularity (fill/drain latency,
+// The batch size trades per-batch overhead (queue hops, filter and verify
+// dispatches) against pipeline granularity (fill/drain latency,
 // ordered-sink buffering).  Instead of a fixed size, the source consults an
 // AdaptiveBatcher before building each batch:
 //
-//   * when the filtration feed queues run dry the devices are starving —
-//     the source/encode side cannot keep up at this granularity, so the
-//     batch grows (fewer, larger host->device round trips);
+//   * when the queues feeding the filter stage run dry the filter is
+//     starving — the source/encode side cannot keep up at this
+//     granularity, so the batch grows (fewer, larger batches);
 //   * when the verify->sink queue backs up the consumer side is the
 //     bottleneck — smaller batches keep the ordered sink's reorder window
 //     and memory footprint down and the pipeline responsive.
@@ -56,7 +56,7 @@ class AdaptiveBatcher {
   std::size_t current() const { return size_; }
 
   /// Decides the size of the next batch.  `feed_fill` is the occupancy of
-  /// the queues feeding the filtration stage (0 = devices starving),
+  /// the queues feeding the filtration stage (0 = filter starving),
   /// `sink_fill` the occupancy of the queue draining into the sink
   /// (1 = sink backed up).
   std::size_t Next(double feed_fill, double sink_fill) {

@@ -1,9 +1,10 @@
 // The unit of work flowing through the streaming pipeline: the batch's
 // distinct reads in `cand_reads` plus a (read_index, reference_offset)
 // candidate table.  The filtration stage slices reference windows from the
-// per-device encoded genome, so no per-candidate segment string ever exists
-// on the host.  Plus provenance and, as the batch moves through the stages,
-// filtration results and verification edits.
+// engine's loaded reference encoding, so no per-candidate segment string
+// ever exists.  Plus provenance and, as the batch moves through the
+// stages, the encoded read table, filtration results and verification
+// edits.
 #ifndef GKGPU_PIPELINE_BATCH_HPP
 #define GKGPU_PIPELINE_BATCH_HPP
 
@@ -11,7 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "core/gatekeeper_kernel.hpp"
+#include "encode/encoded.hpp"
+#include "filters/pair_block.hpp"
 
 namespace gkgpu::pipeline {
 
@@ -51,6 +53,9 @@ struct PairBatch {
   // single-end streams.
   std::vector<std::uint8_t> mate;
 
+  /// Filled by the encode stage: cand_reads at the EncodedWords(L) stride,
+  /// plus one bypass byte per read (has_n: the read holds a non-ACGT base).
+  EncodedBatch encoded_reads;
   /// Filled by the filtration stage.
   std::vector<PairResult> results;
   /// Filled by the verification stage: exact banded edit distance for
@@ -61,12 +66,6 @@ struct PairBatch {
   /// the verification workers when PipelineConfig::emit_cigar is set — the
   /// traceback runs in the parallel stage, not the single-threaded sink.
   std::vector<std::string> cigars;
-
-  /// Which device filtered the batch (round-robin shard).
-  int device = -1;
-  /// Modeled availability instant on the overlapped timeline (seconds
-  /// since pipeline start) at which the batch finished host encoding.
-  double encode_ready = 0.0;
 
   std::size_t size() const { return candidates.size(); }
 };

@@ -9,7 +9,7 @@
 //     PairBlock indirection), so duplicate reads — PCR duplicates, a
 //     carried-over read re-entering a batch that already holds its
 //     sequence, identical mates — share one table entry and are encoded
-//     and shipped across the bus once;
+//     once;
 //   * when a batch fills mid-read, the leftover candidates carry over to
 //     the next call; the read's sequence reappears in the next batch's
 //     table only if no other read already contributed the same bytes —
@@ -33,7 +33,7 @@ namespace gkgpu {
 /// seeded on (0 = the read itself matches the forward reference window,
 /// 1 = its reverse complement does).  Shared between the mapper's seeding
 /// output and the pipeline's batch packing; the strand bit is carried into
-/// CandidatePair and travels through the engine's candidate slots.
+/// CandidatePair and travels with it through filtration.
 struct OrientedCandidate {
   std::int64_t pos = 0;
   std::uint8_t strand = 0;

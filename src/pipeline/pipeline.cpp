@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
@@ -22,24 +21,16 @@
 
 namespace gkgpu::pipeline {
 
-namespace {
-
-/// A batch whose reads and candidates sit encoded in a reserved device slot.
-struct EncodedMsg {
-  PairBatch batch;
-  int slot = 0;
-};
-
-}  // namespace
-
 StreamingPipeline::StreamingPipeline(GateKeeperGpuEngine* engine,
-                                     PipelineConfig config)
-    : engine_(engine), config_(config) {
+                                     ThreadPool* pool, PipelineConfig config)
+    : engine_(engine),
+      config_(config),
+      gatekeeper_(engine->config().algorithm, pool,
+                  static_cast<std::size_t>(engine->plan().threads_per_block)) {
   config_.batch_size = std::max<std::size_t>(1, config_.batch_size);
   config_.queue_depth = std::max<std::size_t>(1, config_.queue_depth);
   config_.encode_workers = std::max(1, config_.encode_workers);
   config_.verify_workers = std::max(1, config_.verify_workers);
-  config_.slots_per_device = std::max(1, config_.slots_per_device);
 
   if (config_.reference_text.empty()) {
     throw std::invalid_argument("pipeline: reference_text is required");
@@ -58,52 +49,33 @@ StreamingPipeline::StreamingPipeline(GateKeeperGpuEngine* engine,
         "configured reference text");
   }
 
-  // Slot buffers are provisioned for the largest batch the run can
-  // produce; the engine clamps the request to its kernel plan and the
-  // effective capacity is published back through config().batch_size.
-  std::size_t capacity_request = config_.batch_size;
+  // config().batch_size publishes the largest batch the run can produce.
   if (config_.adaptive) {
     AdaptiveBatcherConfig& a = config_.adaptive_config;
     a.min_size = std::max<std::size_t>(1, a.min_size);
     a.max_size = std::max(a.min_size, a.max_size);
     a.initial = a.initial == 0 ? config_.batch_size : a.initial;
     a.initial = std::clamp(a.initial, a.min_size, a.max_size);
-    capacity_request = a.max_size;
-  }
-  const std::size_t capacity = engine_->PrepareCandidateStreaming(
-      capacity_request, capacity_request, config_.slots_per_device);
-  config_.batch_size = capacity;
-  if (config_.adaptive) {
-    AdaptiveBatcherConfig& a = config_.adaptive_config;
-    a.max_size = std::min(a.max_size, capacity);
-    a.min_size = std::min(a.min_size, a.max_size);
-    a.initial = std::clamp(a.initial, a.min_size, a.max_size);
+    config_.batch_size = a.max_size;
   }
 }
 
 PipelineStats StreamingPipeline::Run(const BatchSource& source,
                                      const BatchSink& sink) {
-  const int ndev = engine_->device_count();
   const std::size_t capacity = config_.batch_size;
+  const int read_length = engine_->config().read_length;
+  const int e = engine_->config().error_threshold;
   const auto ref_len = static_cast<std::int64_t>(config_.reference_text.size());
-  const int verify_k = config_.verify_threshold >= 0
-                           ? config_.verify_threshold
-                           : engine_->config().error_threshold;
+  const ReferenceEncodingView ref_enc = engine_->reference_encoding();
+  const int verify_k =
+      config_.verify_threshold >= 0 ? config_.verify_threshold : e;
 
   PipelineStats stats;
   WallTimer run_timer;
 
   // --- Queues -----------------------------------------------------------
   BoundedQueue<PairBatch> q_in(config_.queue_depth);
-  std::vector<std::unique_ptr<BoundedQueue<int>>> q_free;
-  std::vector<std::unique_ptr<BoundedQueue<EncodedMsg>>> q_ready;
-  for (int d = 0; d < ndev; ++d) {
-    q_free.push_back(std::make_unique<BoundedQueue<int>>(
-        static_cast<std::size_t>(config_.slots_per_device)));
-    q_ready.push_back(std::make_unique<BoundedQueue<EncodedMsg>>(
-        static_cast<std::size_t>(config_.slots_per_device)));
-    for (int s = 0; s < config_.slots_per_device; ++s) q_free[d]->Push(s);
-  }
+  BoundedQueue<PairBatch> q_encoded(config_.queue_depth);
   BoundedQueue<PairBatch> q_filtered(config_.queue_depth);
   BoundedQueue<PairBatch> q_done(config_.queue_depth);
 
@@ -112,8 +84,7 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
   std::exception_ptr first_error;
   const auto abort_all = [&] {
     q_in.Close();
-    for (auto& q : q_free) q->Close();
-    for (auto& q : q_ready) q->Close();
+    q_encoded.Close();
     q_filtered.Close();
     q_done.Close();
   };
@@ -129,21 +100,11 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
   std::mutex stats_mu;
   StageStats source_stage{"source", 1, 0, 0, 0.0};
   StageStats encode_stage{"encode", config_.encode_workers, 0, 0, 0.0};
-  StageStats filter_stage{"filter", ndev, 0, 0, 0.0};
+  StageStats filter_stage{"filter", 1, 0, 0, 0.0};
   StageStats verify_stage{"verify", config_.verify_workers, 0, 0, 0.0};
   StageStats sink_stage{"sink", 1, 0, 0, 0.0};
 
-  // Modeled overlapped timeline (seconds since pipeline start).  Encode
-  // workers and devices advance private clocks by their busy time; a
-  // device cannot start a batch before its encode finished, which is how
-  // an encode-bound stream shows up in the modeled makespan.
-  std::mutex model_mu;
-  std::vector<double> device_clock(static_cast<std::size_t>(ndev), 0.0);
-  std::vector<double> device_kt(static_cast<std::size_t>(ndev), 0.0);
-  std::vector<double> device_tr(static_cast<std::size_t>(ndev), 0.0);
-
   std::atomic<int> encoders_left{config_.encode_workers};
-  std::atomic<int> drivers_left{ndev};
   std::atomic<int> verifiers_left{config_.verify_workers};
 
   // Latency observables, resolved once (labeled handle lookup locks the
@@ -172,27 +133,19 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
       std::uint64_t items = 0;
       std::size_t size_min = 0;
       std::size_t size_max = 0;
-      const auto expected =
-          static_cast<std::size_t>(engine_->config().read_length);
+      const auto expected = static_cast<std::size_t>(read_length);
       for (;;) {
         PairBatch batch;
         batch.seq = seq;
         batch.first_pair = first_pair;
         batch.target_size = capacity;
         if (config_.adaptive) {
-          // Feed occupancy: batches buffered ahead of the devices (the
-          // source queue plus every per-device encoded queue).  Sink
-          // occupancy: the verified queue the ordered sink drains.
-          std::size_t feed_items = q_in.size();
-          std::size_t feed_cap = q_in.capacity();
-          for (const auto& q : q_ready) {
-            feed_items += q->size();
-            feed_cap += q->capacity();
-          }
-          const double feed_fill = feed_cap == 0
-                                       ? 1.0
-                                       : static_cast<double>(feed_items) /
-                                             static_cast<double>(feed_cap);
+          // Feed occupancy: batches buffered ahead of the filter stage
+          // (the source and encoded queues).  Sink occupancy: the verified
+          // queue the ordered sink drains.
+          const double feed_fill =
+              static_cast<double>(q_in.size() + q_encoded.size()) /
+              static_cast<double>(q_in.capacity() + q_encoded.capacity());
           const double sink_fill = static_cast<double>(q_done.size()) /
                                    static_cast<double>(q_done.capacity());
           batch.target_size = batcher.Next(feed_fill, sink_fill);
@@ -214,8 +167,8 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
               "pipeline source: candidate batch read table empty or over "
               "capacity");
         }
-        // The slot encoders stride the read buffer by the configured read
-        // length, and the kernel slices [ref_pos, ref_pos + L) from the
+        // The encoders stride the read table by the configured read
+        // length, and the filter slices [ref_pos, ref_pos + L) from the
         // encoded genome; both must be validated before encoding.
         for (const std::string& r : batch.cand_reads) {
           if (r.size() != expected) {
@@ -266,7 +219,6 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
     threads.emplace_back([&, w] {
       util::SetCurrentThreadName("gkgpu-encode" + std::to_string(w));
       double busy = 0.0;
-      double model_clock = 0.0;
       std::uint64_t batches = 0;
       std::uint64_t items = 0;
       try {
@@ -275,23 +227,16 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
           auto batch = q_in.Pop();
           h_encode_wait.Observe(wait.Seconds());
           if (!batch) break;
-          const int d = static_cast<int>(
-              batch->seq % static_cast<std::uint64_t>(ndev));
-          const auto slot = q_free[d]->Pop();
-          if (!slot) break;  // aborted
+          WallTimer t;
           obs::Span span("encode", "pipeline");
-          const double enc_s = engine_->EncodeCandidatesSlot(
-              d, *slot, batch->cand_reads.data(), batch->cand_reads.size(),
-              batch->candidates.data(), batch->size());
+          batch->encoded_reads = EncodeBatch(batch->cand_reads, read_length);
           span.Close();
-          busy += enc_s;
-          h_encode_service.Observe(enc_s);
-          model_clock += enc_s;
-          batch->device = d;
-          batch->encode_ready = model_clock;
+          const double service_s = t.Seconds();
+          busy += service_s;
+          h_encode_service.Observe(service_s);
           batches += 1;
           items += batch->size();
-          if (!q_ready[d]->Push({std::move(*batch), *slot})) break;
+          if (!q_encoded.Push(std::move(*batch))) break;
         }
       } catch (...) {
         record_error(std::current_exception());
@@ -302,83 +247,51 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
         encode_stage.batches += batches;
         encode_stage.items += items;
       }
-      if (encoders_left.fetch_sub(1) == 1) {
-        for (auto& q : q_ready) q->Close();
-      }
+      if (encoders_left.fetch_sub(1) == 1) q_encoded.Close();
     });
   }
 
-  // --- Stage 3: filtration, one driver per device ----------------------
-  const bool double_buffered = config_.slots_per_device > 1;
-  for (int d = 0; d < ndev; ++d) {
-    threads.emplace_back([&, d] {
-      util::SetCurrentThreadName("gkgpu-filter" + std::to_string(d));
-      double busy = 0.0;
-      double clock = 0.0;
-      double kt_sum = 0.0;
-      double tr_sum = 0.0;
-      std::uint64_t batches = 0;
-      std::uint64_t items = 0;
-      std::uint64_t accepted = 0;
-      std::uint64_t bypassed = 0;
-      try {
-        for (;;) {
-          WallTimer wait;
-          auto msg = q_ready[d]->Pop();
-          h_filter_wait.Observe(wait.Seconds());
-          if (!msg) break;
-          const std::size_t n = msg->batch.size();
-          msg->batch.results.assign(n, PairResult{});
-          WallTimer t;
-          obs::Span span("filter", "pipeline");
-          const StreamBatchStats st = engine_->FilterCandidatesSlot(
-              d, msg->slot, n, msg->batch.results.data());
-          span.Close();
-          const double service_s = t.Seconds();
-          busy += service_s;
-          h_filter_service.Observe(service_s);
-          q_free[d]->Push(msg->slot);
-          // Timeline: a prefetch-capable, double-buffered device overlaps
-          // the next batch's transfers with the running kernel; otherwise
-          // transfers serialize with compute (same convention as the
-          // blocking path's device_pipeline_seconds).
-          const bool overlapped =
-              double_buffered && engine_->device(d).props().supports_prefetch();
-          const double device_busy =
-              overlapped ? std::max(st.kernel_seconds, st.transfer_seconds)
-                         : st.kernel_seconds + st.transfer_seconds;
-          clock = std::max(clock, msg->batch.encode_ready) + device_busy;
-          kt_sum += st.kernel_seconds;
-          tr_sum += st.transfer_seconds;
-          accepted += st.accepted;
-          bypassed += st.bypassed;
-          batches += 1;
-          items += n;
-          if (!q_filtered.Push(std::move(msg->batch))) break;
+  // --- Stage 3: filtration, one driver over the borrowed pool ----------
+  threads.emplace_back([&] {
+    util::SetCurrentThreadName("gkgpu-filter");
+    std::uint64_t accepted = 0;
+    std::uint64_t bypassed = 0;
+    try {
+      for (;;) {
+        WallTimer wait;
+        auto batch = q_encoded.Pop();
+        h_filter_wait.Observe(wait.Seconds());
+        if (!batch) break;
+        const std::size_t n = batch->size();
+        batch->results.resize(n);
+        WallTimer t;
+        obs::Span span("filter", "pipeline");
+        gatekeeper_.FilterBlock(CandidateBlock(batch->encoded_reads, ref_enc,
+                                               batch->candidates.data(), n),
+                                e, batch->results.data());
+        span.Close();
+        const double service_s = t.Seconds();
+        filter_stage.busy_seconds += service_s;
+        h_filter_service.Observe(service_s);
+        for (const PairResult& r : batch->results) {
+          accepted += r.accept;
+          bypassed += r.bypassed;
         }
-      } catch (...) {
-        record_error(std::current_exception());
+        filter_stage.batches += 1;
+        filter_stage.items += n;
+        if (!q_filtered.Push(std::move(*batch))) break;
       }
-      {
-        std::lock_guard<std::mutex> lk(model_mu);
-        device_clock[static_cast<std::size_t>(d)] = clock;
-        device_kt[static_cast<std::size_t>(d)] = kt_sum;
-        device_tr[static_cast<std::size_t>(d)] = tr_sum;
-      }
-      {
-        std::lock_guard<std::mutex> lk(stats_mu);
-        filter_stage.busy_seconds += busy;
-        filter_stage.batches += batches;
-        filter_stage.items += items;
-        stats.accepted += accepted;
-        stats.bypassed += bypassed;
-        stats.rejected += items - accepted;
-      }
-      if (drivers_left.fetch_sub(1) == 1) {
-        q_filtered.Close();
-      }
-    });
-  }
+    } catch (...) {
+      record_error(std::current_exception());
+    }
+    {
+      std::lock_guard<std::mutex> lk(stats_mu);
+      stats.accepted += accepted;
+      stats.bypassed += bypassed;
+      stats.rejected += filter_stage.items - accepted;
+    }
+    q_filtered.Close();
+  });
 
   // --- Stage 4: verification pool --------------------------------------
   for (int w = 0; w < config_.verify_workers; ++w) {
@@ -499,17 +412,6 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
   for (auto& t : threads) t.join();
 
   stats.wall_seconds = run_timer.Seconds();
-  for (int d = 0; d < ndev; ++d) {
-    stats.filter_seconds =
-        std::max(stats.filter_seconds,
-                 device_clock[static_cast<std::size_t>(d)]);
-    stats.kernel_seconds =
-        std::max(stats.kernel_seconds, device_kt[static_cast<std::size_t>(d)]);
-    stats.kernel_seconds_total += device_kt[static_cast<std::size_t>(d)];
-    stats.transfer_seconds =
-        std::max(stats.transfer_seconds,
-                 device_tr[static_cast<std::size_t>(d)]);
-  }
   stats.encode_seconds = encode_stage.busy_seconds;
   stats.verify_seconds = verify_stage.busy_seconds;
   stats.grow_decisions = batcher.grows();
@@ -517,10 +419,8 @@ PipelineStats StreamingPipeline::Run(const BatchSource& source,
   stats.stages = {source_stage, encode_stage, filter_stage, verify_stage,
                   sink_stage};
   stats.queues.push_back({"source->encode", q_in.capacity(), q_in.stats()});
-  for (int d = 0; d < ndev; ++d) {
-    stats.queues.push_back({"encoded->gpu" + std::to_string(d),
-                            q_ready[d]->capacity(), q_ready[d]->stats()});
-  }
+  stats.queues.push_back(
+      {"encode->filter", q_encoded.capacity(), q_encoded.stats()});
   stats.queues.push_back(
       {"filter->verify", q_filtered.capacity(), q_filtered.stats()});
   stats.queues.push_back({"verify->sink", q_done.capacity(), q_done.stats()});

@@ -1,21 +1,20 @@
 // The streaming filtration pipeline: an asynchronous, bounded-queue,
 // stage-parallel path from a candidate stream to ordered, verified results.
 //
-//   source ──q_in──▶ encode pool ──slots──▶ device drivers ──q_filt──▶
+//   source ──q_in──▶ encode pool ──q_enc──▶ filter driver ──q_filt──▶
 //        verify pool ──q_done──▶ ordered sink
 //
 // Stages:
 //   1. source      — one thread pulling PairBatches from a caller-supplied
 //                    generator (FASTQ seeder, paired-read pruner, the
 //                    daemon's request queue);
-//   2. encode      — a worker pool 2-bit-encoding each batch's reads and
-//                    staging its candidate table in a reserved per-device
-//                    slot of the engine's unified memory;
-//   3. filtration  — one driver thread per simulated GPU running the
-//                    GateKeeper kernel on encoded slots.  Batches shard
-//                    round-robin across the device set; slots_per_device
-//                    >= 2 double-buffers, so batch N+1 encodes/transfers
-//                    while batch N's kernel runs;
+//   2. encode      — a worker pool 2-bit-encoding each batch's read table
+//                    into the batch (PairBatch::encoded_reads);
+//   3. filtration  — one driver thread running GateKeeper over each batch
+//                    as a candidates-shape PairBlock: GateKeeperCpu splits
+//                    it into chunks of the engine's threads_per_block
+//                    candidates, one FilterBatch call each, across the
+//                    borrowed pool (the ReadMapper's);
 //   4. verify      — a worker pool running banded alignment on the
 //                    candidates the filter accepted (and the undefined
 //                    ones it bypassed), exactly the work the filter saves;
@@ -23,8 +22,8 @@
 //                    hands each batch to the caller's consumer.
 //
 // Every batch carries distinct reads plus (read, reference-offset)
-// candidates, filtered against the per-device encoded genome and verified
-// against windows of the host reference text (PipelineConfig::
+// candidates, filtered against the engine's loaded reference encoding and
+// verified against windows of the host reference text (PipelineConfig::
 // reference_text), with no per-candidate segment strings anywhere.
 //
 // Every queue is bounded, so a slow stage exerts backpressure instead of
@@ -42,6 +41,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "filters/gatekeeper.hpp"
 #include "pipeline/adaptive.hpp"
 #include "pipeline/batch.hpp"
 #include "pipeline/queue.hpp"
@@ -49,14 +49,12 @@
 namespace gkgpu::pipeline {
 
 struct PipelineConfig {
-  /// Candidates per batch (clamped to the engine's per-kernel plan).
+  /// Candidates per batch.
   std::size_t batch_size = 8192;
   /// Bound of each inter-stage queue, in batches.
   std::size_t queue_depth = 4;
   int encode_workers = 2;
   int verify_workers = 2;
-  /// Unified-memory buffer sets per device; 2 = double buffering.
-  int slots_per_device = 2;
   /// Run the verification stage (banded alignment on accepts/bypasses).
   bool verify = true;
   /// Banded-alignment threshold; -1 uses the engine's error threshold.
@@ -69,8 +67,8 @@ struct PipelineConfig {
   /// The reference text backing the engine's encoded reference
   /// (LoadReference must have been called with exactly this text; the
   /// storage behind the view must outlive the pipeline).  The filtration
-  /// stage slices candidate windows from the per-device encoded genome and
-  /// verification slices the same windows from this text.  Required: the
+  /// stage slices candidate windows from the engine's reference encoding
+  /// and verification slices the same windows from this text.  Required: the
   /// constructor throws std::invalid_argument when it is empty.
   std::string_view reference_text;
   /// Precomputed FingerprintText(reference_text) (e.g. from
@@ -81,7 +79,7 @@ struct PipelineConfig {
 
   /// Occupancy-driven batch sizing: the source consults an AdaptiveBatcher
   /// (seeded from `adaptive_config`, initial = batch_size) before building
-  /// each batch.  Slot buffers are provisioned at adaptive_config.max_size.
+  /// each batch; config().batch_size then reports adaptive_config.max_size.
   bool adaptive = false;
   AdaptiveBatcherConfig adaptive_config;
 };
@@ -114,17 +112,6 @@ struct PipelineStats {
 
   /// Measured wall clock of the whole Run() call.
   double wall_seconds = 0.0;
-  /// Modeled filtration makespan on the overlapped timeline: host encoding
-  /// runs concurrently with device kernels and transfers, devices run
-  /// independently (no lockstep rounds).  Directly comparable with the
-  /// blocking path's FilterRunStats::filter_seconds, which serializes
-  /// host preprocessing with the device pipeline.
-  double filter_seconds = 0.0;
-  /// Simulated device time of the busiest device (devices run in
-  /// parallel), and summed across devices.
-  double kernel_seconds = 0.0;
-  double kernel_seconds_total = 0.0;
-  double transfer_seconds = 0.0;   // simulated PCIe, busiest device
   double encode_seconds = 0.0;     // host encode busy time, all workers
   double verify_seconds = 0.0;     // verification busy time, all workers
 
@@ -151,10 +138,12 @@ using BatchSink = std::function<void(PairBatch&& batch)>;
 
 class StreamingPipeline {
  public:
-  /// The engine is borrowed and must outlive the pipeline.  Its devices
-  /// define the filtration shard set.  Throws std::invalid_argument unless
-  /// the engine's loaded reference is config.reference_text.
-  StreamingPipeline(GateKeeperGpuEngine* engine, PipelineConfig config);
+  /// Borrows the engine (its config and loaded reference) and `pool`, the
+  /// filter stage's workers (null = the filter driver alone); both must
+  /// outlive the pipeline.  Throws std::invalid_argument unless the
+  /// engine's loaded reference is config.reference_text.
+  StreamingPipeline(GateKeeperGpuEngine* engine, ThreadPool* pool,
+                    PipelineConfig config);
 
   const PipelineConfig& config() const { return config_; }
 
@@ -166,6 +155,7 @@ class StreamingPipeline {
  private:
   GateKeeperGpuEngine* engine_;
   PipelineConfig config_;
+  GateKeeperCpu gatekeeper_;
 };
 
 }  // namespace gkgpu::pipeline

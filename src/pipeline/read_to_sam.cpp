@@ -30,7 +30,7 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
   // stats-only and no mapping is confirmed (no SAM lines), by design.
   pcfg.verify_threshold = mapper.config().error_threshold;
   pcfg.emit_cigar = sam != nullptr;
-  StreamingPipeline pipeline(engine, pcfg);
+  StreamingPipeline pipeline(engine, mapper.pool(), pcfg);
 
   const ReferenceSet& ref = mapper.reference();
   const int read_length = engine->config().read_length;

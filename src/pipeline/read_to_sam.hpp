@@ -1,12 +1,12 @@
 // StreamFastqToSam — the single-end streaming driver over
 // StreamingPipeline: FASTQ in, ordered SAM out.  Reads are chunked off the
 // stream, seeded against the mapper's k-mer index, and the (read,
-// reference-offset) candidates flow through filtration (windows sliced from
-// the per-device encoded reference — no per-candidate segment strings) and
-// banded verification; the ordered sink writes one SAM line per verified
-// mapping, addressed (chromosome, local position) through the mapper's
-// ReferenceSet.  Memory stays bounded by the queue depths no matter the
-// input size.
+// reference-offset) candidates flow through filtration (on the mapper's
+// pool, windows sliced from the engine's reference encoding — no
+// per-candidate segment strings) and banded verification; the ordered
+// sink writes one SAM line per verified mapping, addressed (chromosome,
+// local position) through the mapper's ReferenceSet.  Memory stays
+// bounded by the queue depths no matter the input size.
 #ifndef GKGPU_PIPELINE_READ_TO_SAM_HPP
 #define GKGPU_PIPELINE_READ_TO_SAM_HPP
 

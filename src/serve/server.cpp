@@ -433,7 +433,7 @@ struct MapServer::Impl {
     const int threads = std::max(1, config_.threads);
     pcfg.encode_workers = std::max(1, threads / 2);
     pcfg.verify_workers = std::max(1, threads - threads / 2);
-    pipeline::StreamingPipeline pipe(engine_, pcfg);
+    pipeline::StreamingPipeline pipe(engine_, mapper_.pool(), pcfg);
 
     const ReferenceSet& ref = mapper_.reference();
     pipeline::CandidateStream stream;

@@ -5,13 +5,13 @@
 // so Shutdown() — and the SIGTERM handler behind it — can interrupt it)
 // spawns one session thread per connection; sessions parse frames,
 // reassemble FASTQ records, and push reads into one shared bounded queue.
-// A single long-lived StreamingPipeline drains that queue: its source
-// seeds reads and packs batches *across sessions* — the cross-request
-// coalescer.  The first read of a batch blocks until work arrives;
-// subsequent reads wait at most `linger` for stragglers, so a lone
-// client's batch departs promptly while concurrent clients share batches
-// (counted in ServeStats::coalesced_batches when a batch carries reads
-// from 2+ sessions).  ServeConfig::batch_size caps every batch; the
+// A single long-lived StreamingPipeline, filtering on the mapper's pool,
+// drains that queue: its source seeds reads and packs batches *across
+// sessions* — the cross-request coalescer.  The first read of a batch
+// blocks until work arrives; subsequent reads wait at most `linger` for
+// stragglers, so a lone client's batch departs promptly while concurrent
+// clients share batches (counted in ServeStats::coalesced_batches when a
+// batch carries reads from 2+ sessions).  ServeConfig::batch_size caps every batch; the
 // daemon never turns on adaptive batch sizing itself.  The ordered sink
 // demultiplexes: each read's verified mappings flow into its session's
 // SamGroupBuffer (the same scoring + formatting path as a standalone run
@@ -36,8 +36,10 @@ namespace gkgpu::serve {
 
 struct ServeConfig {
   std::string socket_path;
-  /// Worker threads for the pipeline stages (encode + verify pools); the
-  /// daemon never consults hardware concurrency on its own.
+  /// Worker threads for the pipeline stages: split between the encode and
+  /// verify pools.  The filter stage runs on the mapper's pool, which
+  /// `gkgpu serve --threads` sizes to the same count; the daemon never
+  /// consults hardware concurrency on its own.
   int threads = 2;
   /// Pipeline batch size: the most candidates one batch carries (a batch
   /// departs smaller when the linger window closes first).

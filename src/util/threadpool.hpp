@@ -1,6 +1,7 @@
 // Minimal blocking thread pool with a chunked parallel-for, used by the GPU
-// execution simulator (one pool per simulated device) and by the multicore
-// CPU filter baselines.
+// execution simulator (one pool per simulated device), by the multicore
+// CPU filter baselines, and as the ReadMapper's pool, on which MapReads
+// verifies and every mapping driver's filter stage runs.
 #ifndef GKGPU_UTIL_THREADPOOL_HPP
 #define GKGPU_UTIL_THREADPOOL_HPP
 

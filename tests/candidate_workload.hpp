@@ -1,7 +1,8 @@
 // Candidate-batch workloads for the streaming-pipeline tests: a random
-// genome, simulated reads and their forward-strand seeding candidates, plus
-// the source that feeds them to a StreamingPipeline the way the mapper
-// front ends do (one read-table entry per read run, global provenance).
+// genome with 'N' gap runs, simulated reads (every other one reverse-
+// complemented) and their seeding candidates on both strands, plus the
+// source that feeds them to a StreamingPipeline the way the mapper front
+// ends do (one read-table entry per read run, global provenance).
 #ifndef GKGPU_TESTS_CANDIDATE_WORKLOAD_HPP
 #define GKGPU_TESTS_CANDIDATE_WORKLOAD_HPP
 
@@ -12,10 +13,12 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "encode/revcomp.hpp"
 #include "mapper/mapper.hpp"
 #include "pipeline/pipeline.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
+#include "util/threadpool.hpp"
 
 namespace gkgpu {
 
@@ -28,7 +31,9 @@ struct CandidateWorkload {
 inline CandidateWorkload MakeCandidateWorkload(std::size_t n_reads,
                                                std::uint64_t seed) {
   CandidateWorkload w;
-  w.genome = GenerateGenome(50000, seed);
+  GenomeProfile profile;
+  profile.n_runs_per_mb = 100.0;  // a few 'N' gaps in 50 kbp
+  w.genome = GenerateGenome(50000, seed, profile);
   MapperConfig mcfg;
   mcfg.k = 12;
   mcfg.read_length = 100;
@@ -36,12 +41,16 @@ inline CandidateWorkload MakeCandidateWorkload(std::size_t n_reads,
   ReadMapper mapper(w.genome, mcfg);
   const auto sim = SimulateReads(w.genome, n_reads, 100,
                                  ReadErrorProfile::Illumina(), seed + 1);
-  std::vector<std::int64_t> positions;
+  std::string rc;
+  std::vector<std::int64_t> scratch;
+  std::vector<OrientedCandidate> oriented;
   for (std::size_t i = 0; i < sim.size(); ++i) {
-    w.reads.push_back(sim[i].seq);
-    mapper.CollectCandidates(sim[i].seq, &positions);
-    for (const std::int64_t pos : positions) {
-      w.candidates.push_back({static_cast<std::uint32_t>(i), 0, 0, pos});
+    w.reads.push_back(i % 2 == 0 ? sim[i].seq : ReverseComplement(sim[i].seq));
+    mapper.CollectCandidatesOriented(w.reads.back(), &rc, &scratch,
+                                     &oriented);
+    for (const OrientedCandidate& oc : oriented) {
+      w.candidates.push_back(
+          {static_cast<std::uint32_t>(i), oc.strand, 0, oc.pos});
     }
   }
   return w;
@@ -73,15 +82,16 @@ inline bool FillCandidateBatch(const CandidateWorkload& w, std::size_t chunk,
 }
 
 /// Streams `w.candidates` through a pipeline over `engine` (whose loaded
-/// reference must be w.genome) in batches of at most `chunk`, and returns
-/// per-candidate results — and, when `edits` is non-null, verification
-/// edits — in input order.
+/// reference must be w.genome), filtering on `pool`, in batches of at most
+/// `chunk`, and returns per-candidate results — and, when `edits` is
+/// non-null, verification edits — in input order.
 inline pipeline::PipelineStats RunCandidateStream(
-    GateKeeperGpuEngine* engine, pipeline::PipelineConfig cfg,
-    const CandidateWorkload& w, std::size_t chunk,
-    std::vector<PairResult>* results, std::vector<int>* edits = nullptr) {
+    GateKeeperGpuEngine* engine, ThreadPool* pool,
+    pipeline::PipelineConfig cfg, const CandidateWorkload& w,
+    std::size_t chunk, std::vector<PairResult>* results,
+    std::vector<int>* edits = nullptr) {
   cfg.reference_text = w.genome;
-  pipeline::StreamingPipeline pipe(engine, cfg);
+  pipeline::StreamingPipeline pipe(engine, pool, cfg);
   results->assign(w.candidates.size(), PairResult{});
   if (edits != nullptr) edits->assign(w.candidates.size(), -1);
   std::size_t offset = 0;

@@ -130,12 +130,13 @@ TEST(AdaptivePipelineTest, AdaptiveRunIsBitExactWithFixedRun) {
   cfg.error_threshold = 5;
   GateKeeperGpuEngine engine(cfg, ptrs);
   engine.LoadReference(w.genome);
+  ThreadPool pool(2, "test-filter");
 
   pipeline::PipelineConfig fixed;
   fixed.batch_size = 512;
   fixed.verify = false;
   std::vector<PairResult> expected;
-  RunCandidateStream(&engine, fixed, w, 512, &expected);
+  RunCandidateStream(&engine, &pool, fixed, w, 512, &expected);
 
   // The source takes min(chunk, target_size) candidates per batch, so with
   // a chunk at the batcher's ceiling every batch follows its decisions.
@@ -144,7 +145,8 @@ TEST(AdaptivePipelineTest, AdaptiveRunIsBitExactWithFixedRun) {
   adaptive.adaptive_config.min_size = 64;
   adaptive.adaptive_config.max_size = 1024;
   std::vector<PairResult> got;
-  const auto stats = RunCandidateStream(&engine, adaptive, w, 1024, &got);
+  const auto stats =
+      RunCandidateStream(&engine, &pool, adaptive, w, 1024, &got);
 
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {

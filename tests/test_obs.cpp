@@ -273,6 +273,35 @@ TEST(Trace, EmitsWellFormedTraceEventJson) {
   EXPECT_NE(json.find("\"dur\""), std::string::npos);
 }
 
+TEST(Trace, StopAndRestartRaceWithClosingSpans) {
+  // Spans close on several threads while another thread keeps swapping
+  // the collector out; each retired collector is freed once no closer can
+  // still hold it (ASan and TSan watch this test).
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> closers;
+  for (int t = 0; t < 4; ++t) {
+    closers.emplace_back([&] {
+      while (!stop.load()) {
+        Span s("racing-span", "test");
+        s.Close();
+        RegisterTraceThreadName("test-closer");
+      }
+    });
+  }
+  std::thread swapper([] {
+    for (int i = 0; i < 200; ++i) {
+      StartTracing();
+      if (i % 2 == 0) StartTracing();  // restarting retires the live one
+      std::this_thread::yield();
+      EXPECT_TRUE(JsonBalanced(StopTracing()));
+    }
+  });
+  swapper.join();
+  stop.store(true);
+  for (std::thread& t : closers) t.join();
+  EXPECT_FALSE(TracingActive());
+}
+
 TEST(Trace, SpansAreFreeWhenInactive) {
   ASSERT_FALSE(TracingActive());
   Span s("ignored", "test");

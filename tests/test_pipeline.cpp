@@ -1,6 +1,6 @@
 // Tests for the streaming filtration pipeline: bounded-queue semantics,
-// bit-exact equivalence with the blocking FilterCandidates path,
-// input-order restoration under multi-shard execution, verification
+// bit-exact equivalence with the blocking FilterCandidates path across
+// filter-chunk boundaries, input-order restoration, verification
 // correctness, error propagation, and the FASTQ-to-SAM driver.
 #include "pipeline/pipeline.hpp"
 
@@ -15,6 +15,7 @@
 
 #include "align/banded.hpp"
 #include "candidate_workload.hpp"
+#include "encode/revcomp.hpp"
 #include "io/fastq.hpp"
 #include "mapper/mapper.hpp"
 #include "pipeline/candidate_packer.hpp"
@@ -127,6 +128,7 @@ TEST(BoundedQueueTest, ManyProducersManyConsumersLoseNothing) {
 struct EngineFixture {
   std::vector<std::unique_ptr<gpusim::Device>> devices;
   std::unique_ptr<GateKeeperGpuEngine> engine;
+  ThreadPool pool{2, "test-filter"};  // the pipeline's filter workers
 
   EngineFixture(int ndev, int length, int e,
                 std::size_t max_pairs_per_batch = 0) {
@@ -143,15 +145,15 @@ struct EngineFixture {
 
 TEST(StreamingPipelineTest, OrderedSinkRestoresInputOrder) {
   const CandidateWorkload w = MakeCandidateWorkload(600, 17);
-  EngineFixture fx(3, 100, 5);
+  EngineFixture fx(1, 100, 5);
   fx.engine->LoadReference(w.genome);
   PipelineConfig cfg;
-  cfg.batch_size = 128;  // many small batches over 3 shards
+  cfg.batch_size = 128;  // many small batches, encoded out of order
   cfg.encode_workers = 3;
   cfg.verify_workers = 2;
   cfg.verify = false;
   cfg.reference_text = w.genome;
-  StreamingPipeline pipe(fx.engine.get(), cfg);
+  StreamingPipeline pipe(fx.engine.get(), &fx.pool, cfg);
 
   std::size_t offset = 0;
   const pipeline::BatchSource source = [&](PairBatch* batch) {
@@ -159,7 +161,6 @@ TEST(StreamingPipelineTest, OrderedSinkRestoresInputOrder) {
   };
   std::uint64_t expected_seq = 0;
   std::size_t expected_first = 0;
-  std::vector<int> devices_seen;
   const pipeline::BatchSink sink = [&](PairBatch&& batch) {
     EXPECT_EQ(batch.seq, expected_seq);
     EXPECT_EQ(batch.first_pair, expected_first);
@@ -171,26 +172,20 @@ TEST(StreamingPipelineTest, OrderedSinkRestoresInputOrder) {
     }
     ++expected_seq;
     expected_first += batch.size();
-    devices_seen.push_back(batch.device);
   };
   pipe.Run(source, sink);
   EXPECT_EQ(expected_first, w.candidates.size());
-  // Batches really sharded round-robin over every device.
-  for (int d = 0; d < 3; ++d) {
-    EXPECT_NE(std::count(devices_seen.begin(), devices_seen.end(), d), 0)
-        << "device " << d << " never used";
-  }
 }
 
 TEST(StreamingPipelineTest, SourceErrorPropagates) {
   const CandidateWorkload w = MakeCandidateWorkload(200, 5);
   ASSERT_GT(w.candidates.size(), 3u * 64u);  // the source fails first
-  EngineFixture fx(2, 100, 3);
+  EngineFixture fx(1, 100, 3);
   fx.engine->LoadReference(w.genome);
   PipelineConfig cfg;
   cfg.batch_size = 64;
   cfg.reference_text = w.genome;
-  StreamingPipeline pipe(fx.engine.get(), cfg);
+  StreamingPipeline pipe(fx.engine.get(), &fx.pool, cfg);
   std::size_t offset = 0;
   int calls = 0;
   const pipeline::BatchSource source = [&](PairBatch* batch) {
@@ -209,7 +204,7 @@ TEST(StreamingPipelineTest, OversizedBatchIsRejected) {
   PipelineConfig cfg;
   cfg.batch_size = 32;
   cfg.reference_text = w.genome;
-  StreamingPipeline pipe(fx.engine.get(), cfg);
+  StreamingPipeline pipe(fx.engine.get(), &fx.pool, cfg);
   std::size_t offset = 0;
   const pipeline::BatchSource source = [&](PairBatch* batch) {
     if (offset > 0) return false;
@@ -222,11 +217,11 @@ TEST(StreamingPipelineTest, OversizedBatchIsRejected) {
 
 TEST(StreamingPipelineTest, EmptyStreamCompletesCleanly) {
   const std::string genome = GenerateGenome(10000, 4);
-  EngineFixture fx(2, 100, 3);
+  EngineFixture fx(1, 100, 3);
   fx.engine->LoadReference(genome);
   PipelineConfig cfg;
   cfg.reference_text = genome;
-  StreamingPipeline pipe(fx.engine.get(), cfg);
+  StreamingPipeline pipe(fx.engine.get(), &fx.pool, cfg);
   const pipeline::BatchSource source = [](PairBatch*) { return false; };
   int sunk = 0;
   const pipeline::BatchSink sink = [&](PairBatch&&) { ++sunk; };
@@ -238,24 +233,25 @@ TEST(StreamingPipelineTest, EmptyStreamCompletesCleanly) {
 
 TEST(StreamingPipelineTest, StatsAreInternallyConsistent) {
   const CandidateWorkload w = MakeCandidateWorkload(800, 37);
-  EngineFixture fx(2, 100, 5);
+  EngineFixture fx(1, 100, 5);
   fx.engine->LoadReference(w.genome);
   PipelineConfig cfg;
   cfg.batch_size = 500;
   std::vector<PairResult> results;
   const PipelineStats stats =
-      RunCandidateStream(fx.engine.get(), cfg, w, 500, &results);
+      RunCandidateStream(fx.engine.get(), &fx.pool, cfg, w, 500, &results);
   EXPECT_EQ(stats.pairs, w.candidates.size());
   EXPECT_EQ(stats.accepted + stats.rejected, stats.pairs);
+  EXPECT_LE(stats.bypassed, stats.accepted);
   EXPECT_EQ(stats.batches, (w.candidates.size() + 499) / 500);
   EXPECT_GT(stats.encode_seconds, 0.0);
-  EXPECT_GE(stats.kernel_seconds_total, stats.kernel_seconds);
   EXPECT_GT(stats.wall_seconds, 0.0);
   ASSERT_EQ(stats.stages.size(), 5u);
   EXPECT_EQ(stats.stages[1].items, stats.pairs);  // encode saw every pair
   EXPECT_EQ(stats.stages[2].items, stats.pairs);  // filter saw every pair
-  // Queue reports: source queue + per-device + filtered + done.
-  ASSERT_EQ(stats.queues.size(), 2u + 2u + 1u);
+  EXPECT_EQ(stats.stages[2].workers, 1);          // one filter driver
+  // Queue reports: source, encoded, filtered and done.
+  ASSERT_EQ(stats.queues.size(), 4u);
   for (const auto& q : stats.queues) {
     EXPECT_LE(q.stats.max_depth, q.capacity) << q.name;
     EXPECT_EQ(q.stats.pushed, q.stats.popped) << q.name;
@@ -266,7 +262,8 @@ TEST(StreamingPipelineTest, RequiresReferenceText) {
   EngineFixture fx(1, 100, 5);
   fx.engine->LoadReference(GenerateGenome(10000, 4));
   PipelineConfig cfg;  // reference_text left empty
-  EXPECT_THROW(StreamingPipeline(fx.engine.get(), cfg), std::invalid_argument);
+  EXPECT_THROW(StreamingPipeline(fx.engine.get(), &fx.pool, cfg),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- candidate mode --
@@ -313,52 +310,74 @@ TEST(CandidatePackerTest, DuplicateSequencesShareOneTableEntry) {
 }
 
 TEST(CandidateStreamingTest, MatchesBlockingFilterCandidatesBitForBit) {
-  const CandidateWorkload w = MakeCandidateWorkload(300, 5);
-  ASSERT_GT(w.candidates.size(), 1000u);
+  const CandidateWorkload w = MakeCandidateWorkload(400, 5);
+  ASSERT_GT(w.candidates.size(), 8192u);
 
   EngineFixture blocking(2, 100, 5);
   blocking.engine->LoadReference(w.genome);
   std::vector<PairResult> expected;
   blocking.engine->FilterCandidates(w.reads, w.candidates, &expected);
 
-  for (const int ndev : {1, 2, 3}) {
-    EngineFixture streamed(ndev, 100, 5);
-    streamed.engine->LoadReference(w.genome);
+  // The workload must reach the paths a forward-only, N-free one misses:
+  // reverse-strand reorientation and windows over a reference 'N' run.
+  std::size_t reverse = 0;
+  std::size_t ref_n_bypasses = 0;
+  for (std::size_t i = 0; i < w.candidates.size(); ++i) {
+    const CandidatePair& c = w.candidates[i];
+    reverse += c.strand;
+    const std::string_view window(w.genome.data() + c.ref_pos, 100);
+    if (window.find('N') != std::string_view::npos) {
+      EXPECT_EQ(expected[i].bypassed, 1) << i;
+      ++ref_n_bypasses;
+    }
+  }
+  EXPECT_GT(reverse, 0u);
+  EXPECT_GT(ref_n_bypasses, 0u);
+
+  // Batch sizes straddle the filter stage's 1,024-candidate chunk.
+  EngineFixture streamed(1, 100, 5);
+  streamed.engine->LoadReference(w.genome);
+  ASSERT_EQ(streamed.engine->plan().threads_per_block, 1024);
+  for (const std::size_t batch : {1, 1023, 1025, 8192}) {
     PipelineConfig cfg;
-    cfg.batch_size = 256;  // many batches across the shards
+    cfg.batch_size = batch;
     cfg.verify = false;
     std::vector<PairResult> results;
     const PipelineStats stats = RunCandidateStream(
-        streamed.engine.get(), cfg, w, 256, &results);
-    ASSERT_EQ(results.size(), expected.size()) << ndev;
+        streamed.engine.get(), &streamed.pool, cfg, w, batch, &results);
+    ASSERT_EQ(results.size(), expected.size()) << batch;
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_EQ(results[i].accept, expected[i].accept)
-          << "ndev " << ndev << " candidate " << i;
+          << "batch " << batch << " candidate " << i;
       ASSERT_EQ(results[i].bypassed, expected[i].bypassed) << i;
       ASSERT_EQ(results[i].edits, expected[i].edits) << i;
     }
     EXPECT_EQ(stats.pairs, w.candidates.size());
-    EXPECT_GT(stats.kernel_seconds, 0.0);
+    EXPECT_EQ(stats.batches, (w.candidates.size() + batch - 1) / batch);
   }
 }
 
 TEST(CandidateStreamingTest, VerificationSlicesWindowsFromReferenceText) {
   const CandidateWorkload w = MakeCandidateWorkload(120, 9);
-  EngineFixture fx(2, 100, 5);
+  EngineFixture fx(1, 100, 5);
   fx.engine->LoadReference(w.genome);
   PipelineConfig cfg;
   cfg.batch_size = 128;
   cfg.verify = true;
   std::vector<PairResult> results;
   std::vector<int> edits;
-  RunCandidateStream(fx.engine.get(), cfg, w, 128, &results, &edits);
+  RunCandidateStream(fx.engine.get(), &fx.pool, cfg, w, 128, &results,
+                     &edits);
   std::uint64_t verified = 0;
   for (std::size_t i = 0; i < w.candidates.size(); ++i) {
     const CandidatePair c = w.candidates[i];
     const std::string_view window(w.genome.data() + c.ref_pos, 100);
+    const std::string& read = w.reads[c.read_index];
     if (results[i].accept) {
-      EXPECT_EQ(edits[i],
-                BandedEditDistance(w.reads[c.read_index], window, 5))
+      EXPECT_EQ(edits[i], BandedEditDistance(c.strand != 0
+                                                 ? ReverseComplement(read)
+                                                 : read,
+                                             window, 5))
           << i;
       verified += edits[i] >= 0;
     } else {
@@ -375,7 +394,7 @@ TEST(CandidateStreamingTest, AdaptiveCandidateRunStaysBitExact) {
   std::vector<PairResult> expected;
   blocking.engine->FilterCandidates(w.reads, w.candidates, &expected);
 
-  EngineFixture streamed(2, 100, 5);
+  EngineFixture streamed(1, 100, 5);
   streamed.engine->LoadReference(w.genome);
   PipelineConfig cfg;
   cfg.batch_size = 256;
@@ -384,8 +403,8 @@ TEST(CandidateStreamingTest, AdaptiveCandidateRunStaysBitExact) {
   cfg.adaptive_config.min_size = 64;
   cfg.adaptive_config.max_size = 512;
   std::vector<PairResult> results;
-  const PipelineStats stats =
-      RunCandidateStream(streamed.engine.get(), cfg, w, 200, &results);
+  const PipelineStats stats = RunCandidateStream(
+      streamed.engine.get(), &streamed.pool, cfg, w, 200, &results);
   ASSERT_EQ(results.size(), expected.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     ASSERT_EQ(results[i].accept, expected[i].accept) << i;
@@ -403,7 +422,7 @@ TEST(CandidateStreamingTest, RejectsInvalidCandidates) {
   cfg.reference_text = genome;
 
   const auto run_one = [&](PairBatch prototype) {
-    StreamingPipeline pipe(fx.engine.get(), cfg);
+    StreamingPipeline pipe(fx.engine.get(), &fx.pool, cfg);
     bool sent = false;
     const pipeline::BatchSource source = [&](PairBatch* batch) {
       if (sent) return false;
@@ -450,7 +469,8 @@ TEST(CandidateStreamingTest, CandidateModeRequiresLoadedReference) {
   const std::string genome = GenerateGenome(10000, 4);
   PipelineConfig cfg;
   cfg.reference_text = genome;  // engine never loaded it
-  EXPECT_THROW(StreamingPipeline(fx.engine.get(), cfg), std::invalid_argument);
+  EXPECT_THROW(StreamingPipeline(fx.engine.get(), &fx.pool, cfg),
+               std::invalid_argument);
 }
 
 TEST(CandidateStreamingTest, CandidateModeDetectsWrongGenomeOfSameLength) {
@@ -463,9 +483,10 @@ TEST(CandidateStreamingTest, CandidateModeDetectsWrongGenomeOfSameLength) {
   fx.engine->LoadReference(genome_a);
   PipelineConfig cfg;
   cfg.reference_text = genome_b;
-  EXPECT_THROW(StreamingPipeline(fx.engine.get(), cfg), std::invalid_argument);
+  EXPECT_THROW(StreamingPipeline(fx.engine.get(), &fx.pool, cfg),
+               std::invalid_argument);
   cfg.reference_text = genome_a;
-  EXPECT_NO_THROW(StreamingPipeline(fx.engine.get(), cfg));
+  EXPECT_NO_THROW(StreamingPipeline(fx.engine.get(), &fx.pool, cfg));
 }
 
 // ---------------------------------------------------------- read-to-SAM --

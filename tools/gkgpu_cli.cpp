@@ -12,8 +12,7 @@
 //                [--sam out.sam]
 //   gkgpu pipeline --reads r.fq --ref ref.fa --e 5 [--sam out.sam]
 //                  [--batch N] [--queue N] [--encode-workers N]
-//                  [--verify-workers N] [--slots N] [--setup 1|2]
-//                  [--devices N] [--no-verify]
+//                  [--verify-workers N] [--no-verify]
 //   gkgpu index  --ref ref.fa --out ref.gki [--k 12] [--verify]
 //   gkgpu serve  --index ref.gki --socket /tmp/gk.sock [--threads N]
 //   gkgpu map-client --socket /tmp/gk.sock --reads r.fq [--sam out.sam]
@@ -22,10 +21,11 @@
 // `filter --algo gkgpu` runs the full engine (simulated GPU, batching,
 // unified memory); the other algorithms run as host filters.  `map` runs
 // the mrFAST-like mapper with GateKeeper-GPU pre-alignment filtering and
-// reports the Table-3 statistics.  `pipeline` runs the streaming
-// subsystem: FASTQ is chunked, seeded, encoded, sharded across the
-// simulated devices with double buffering, verified, and emitted in input
-// order, with per-stage throughput and queue-occupancy tables.
+// reports the Table-3 statistics (single-end `map` on the simulated
+// devices; `map --paired` filters on the host).  `pipeline` runs the
+// streaming subsystem: FASTQ is chunked, seeded, encoded, filtered on the
+// host, verified, and emitted in input order, with per-stage throughput
+// and queue-occupancy tables.
 // `index` persists the reference + k-mer index + 2-bit encoding to one
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
@@ -128,6 +128,11 @@ DeviceSet MakeDeviceSet(int setup, int ndev) {
   for (auto& d : set.devices) set.ptrs.push_back(d.get());
   return set;
 }
+
+/// The engine device of `pipeline`, `serve` and `map --paired`: those
+/// drivers filter on the host, so their engine's one Setup-1 device only
+/// holds the loaded reference.
+DeviceSet ReferenceDeviceSet() { return MakeDeviceSet(1, 1); }
 
 EncodingActor ParseEncodingActor(const Args& args) {
   return args.Get("encode", "host") == "device" ? EncodingActor::kDevice
@@ -357,11 +362,11 @@ int Usage() {
       "  filter          --pairs FILE --e N [--algo NAME] [--setup 1|2]\n"
       "                  [--devices N] [--encode host|device] [--out FILE]\n"
       "  map             (--ref FASTA | --index FILE) --e N [--sam FILE]\n"
-      "                  [--setup 1|2] [--devices N] [--read-group ID]\n"
-      "                  [--mapq-cap N] [--threads N]\n"
+      "                  [--read-group ID] [--mapq-cap N] [--threads N]\n"
       "                  [--seed dense|minimizer] [--minimizer-w W]\n"
       "                  [--shard-max-bp N] and one of:\n"
       "                    --reads FASTQ [--no-filter] [--report-secondary]\n"
+      "                      [--setup 1|2] [--devices N]\n"
       "                    --paired R1.fq R2.fq | --interleaved FILE\n"
       "                      [--max-insert N] [--no-filter] [--streaming]\n"
       "                      [--no-rescue] [--mark-duplicates]\n"
@@ -369,8 +374,7 @@ int Usage() {
       "  pipeline        --reads FASTQ (--ref FASTA | --index FILE) --e N\n"
       "                  [--sam FILE] [--batch N] [--queue N]\n"
       "                  [--encode-workers N] [--verify-workers N]\n"
-      "                  [--threads N] [--slots N] [--setup 1|2]\n"
-      "                  [--devices N] [--length N] [--no-verify]\n"
+      "                  [--threads N] [--length N] [--no-verify]\n"
       "                  [--read-group ID] [--mapq-cap N] [--adaptive]\n"
       "                  [--batch-min N] [--batch-max N] [--report-secondary]\n"
       "                  [--seed dense|minimizer] [--minimizer-w W]\n"
@@ -380,10 +384,9 @@ int Usage() {
       "                  [--shard-max-bp N]\n"
       "  serve           (--ref FASTA | --index FILE) --socket PATH\n"
       "                  [--length N] [--e N] [--threads N] [--batch N]\n"
-      "                  [--setup 1|2] [--devices N] [--timeout SEC]\n"
-      "                  [--linger MS] [--read-group ID] [--mapq-cap N]\n"
-      "                  [--seed dense|minimizer] [--minimizer-w W]\n"
-      "                  [--shard-max-bp N]\n"
+      "                  [--timeout SEC] [--linger MS] [--read-group ID]\n"
+      "                  [--mapq-cap N] [--seed dense|minimizer]\n"
+      "                  [--minimizer-w W] [--shard-max-bp N]\n"
       "  map-client      --socket PATH --reads FASTQ [--sam FILE]\n"
       "                  [--read-group ID] [--mapq-cap N]\n"
       "                  [--report-secondary]\n"
@@ -725,8 +728,7 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
   std::unique_ptr<GateKeeperGpuEngine> engine;
   DeviceSet set;
   if (!args.Has("no-filter")) {
-    set = MakeDeviceSet(static_cast<int>(args.GetInt("setup", 1)),
-                        static_cast<int>(args.GetInt("devices", 1)));
+    set = ReferenceDeviceSet();
     EngineConfig cfg;
     cfg.read_length = length;
     cfg.error_threshold = mcfg.error_threshold;
@@ -787,7 +789,6 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
   t.AddRow({"insert mean", TablePrinter::Num(stats.insert_mean, 1)});
   t.AddRow({"insert sigma", TablePrinter::Num(stats.insert_sigma, 1)});
   t.AddRow({"seeding (s)", TablePrinter::Num(stats.seeding_seconds, 3)});
-  t.AddRow({"filtering (s)", TablePrinter::Num(stats.filter_seconds, 3)});
   t.AddRow({"verification (s)", TablePrinter::Num(stats.verify_seconds, 3)});
   t.AddRow({"total (s)", TablePrinter::Num(stats.total_seconds, 3)});
   t.Print(std::cout);
@@ -909,14 +910,6 @@ void PrintPipelineStats(const pipeline::PipelineStats& stats) {
   summary.AddRow({"true mappings", TablePrinter::Count(stats.true_mappings)});
   summary.AddRow({"wall (s)", TablePrinter::Num(stats.wall_seconds, 3)});
   summary.AddRow(
-      {"filter makespan (s)", TablePrinter::Num(stats.filter_seconds, 4)});
-  summary.AddRow(
-      {"kernel busiest gpu (s)", TablePrinter::Num(stats.kernel_seconds, 4)});
-  summary.AddRow({"kernel all gpus (s)",
-                  TablePrinter::Num(stats.kernel_seconds_total, 4)});
-  summary.AddRow(
-      {"transfer (s)", TablePrinter::Num(stats.transfer_seconds, 4)});
-  summary.AddRow(
       {"encode busy (s)", TablePrinter::Num(stats.encode_seconds, 4)});
   summary.AddRow(
       {"verify busy (s)", TablePrinter::Num(stats.verify_seconds, 4)});
@@ -960,15 +953,12 @@ void PrintPipelineStats(const pipeline::PipelineStats& stats) {
 int PipelineCmd(const Args& args) {
   ObsRun obs_run(args);
   const int e = static_cast<int>(args.GetInt("e", 5));
-  const int setup = static_cast<int>(args.GetInt("setup", 1));
-  const int ndev = static_cast<int>(args.GetInt("devices", 2));
 
   pipeline::PipelineConfig pcfg;
   pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
   pcfg.queue_depth = static_cast<std::size_t>(args.GetInt("queue", 4));
   pcfg.encode_workers = static_cast<int>(args.GetInt("encode-workers", 2));
   pcfg.verify_workers = static_cast<int>(args.GetInt("verify-workers", 2));
-  pcfg.slots_per_device = static_cast<int>(args.GetInt("slots", 2));
   ApplyThreads(args, &pcfg);
   pcfg.verify = !args.Has("no-verify");
   if (args.Has("adaptive")) {
@@ -1010,7 +1000,7 @@ int PipelineCmd(const Args& args) {
   if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
   ReadMapper mapper = input.MakeMapper(mcfg);
 
-  const DeviceSet set = MakeDeviceSet(setup, ndev);
+  const DeviceSet set = ReferenceDeviceSet();
   EngineConfig cfg;
   cfg.read_length = length;
   cfg.error_threshold = e;
@@ -1132,9 +1122,7 @@ int ServeCmd(const Args& args) {
   if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
   ReadMapper mapper = input.MakeMapper(mcfg);
 
-  const DeviceSet set =
-      MakeDeviceSet(static_cast<int>(args.GetInt("setup", 1)),
-                    static_cast<int>(args.GetInt("devices", 1)));
+  const DeviceSet set = ReferenceDeviceSet();
   EngineConfig cfg;
   cfg.read_length = length;
   cfg.error_threshold = e;
