@@ -2,9 +2,10 @@
 // latency of GateKeeperFiltration across read lengths and error thresholds,
 // the amendment/count primitives, the baselines, and the exact aligners —
 // the numbers behind the throughput tables — plus the seeding kernel's
-// per-read cost at chunk sizes 1 and kSeedChunkReads.
+// per-read cost at chunk sizes 1 and kSeedChunkReads, unvoted and voted.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -144,10 +145,11 @@ BENCHMARK(BM_ExactAligners)->DenseRange(0, 3);
 
 // Seeding, per read, through ReadMapper::SeedReads at chunk sizes 1 (each
 // lookup's misses wait in turn) and kSeedChunkReads (a chunk's misses
-// overlap).  One k=12 index: its offset table is 64 MiB at any genome
-// size, so an 8 Mbp genome already misses cache and TLB on every lookup.
-// 100k reads cycle, touching more index lines than a last-level cache
-// holds.
+// overlap), unvoted and voted (the vote looks up 8 seeds per strand
+// instead of 6 and cuts most candidates).  One k=12 index: its offset
+// table is 64 MiB at any genome size, so an 8 Mbp genome already misses
+// cache and TLB on every lookup.  100k reads cycle, touching more index
+// lines than a last-level cache holds.
 void BM_SeedReads(benchmark::State& state) {
   static const ReadMapper mapper = [] {
     MapperConfig cfg;
@@ -162,19 +164,23 @@ void BM_SeedReads(benchmark::State& state) {
   static const std::vector<std::string_view> views(reads.begin(),
                                                    reads.end());
   const std::size_t chunk = static_cast<std::size_t>(state.range(0));
+  const SeedVote vote = state.range(1) != 0 ? SeedVote::kOn : SeedVote::kOff;
   SeedChunk seeds;
   std::size_t next = 0;
   for (auto _ : state) {
     if (next + chunk > views.size()) next = 0;
-    mapper.SeedReads(std::span(views).subspan(next, chunk), &seeds);
+    mapper.SeedReads(std::span(views).subspan(next, chunk), &seeds, vote);
     benchmark::DoNotOptimize(seeds.candidates(0).data());
     next += chunk;
   }
   state.counters["per_read"] = benchmark::Counter(
       static_cast<double>(state.iterations() * chunk),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(vote == SeedVote::kOn ? "voted" : "unvoted");
 }
-BENCHMARK(BM_SeedReads)->Arg(1)->Arg(kSeedChunkReads);
+BENCHMARK(BM_SeedReads)
+    ->ArgNames({"chunk", "vote"})
+    ->ArgsProduct({{1, static_cast<std::int64_t>(kSeedChunkReads)}, {0, 1}});
 
 }  // namespace
 }  // namespace gkgpu

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -69,12 +70,12 @@ void ReadMapper::BindSeedCounters() {
 }
 
 void ReadMapper::SeedReads(std::span<const std::string_view> reads,
-                           SeedChunk* chunk) const {
-  SeedReads(reads, chunk, &chunk->gather_);
+                           SeedChunk* chunk, SeedVote vote) const {
+  SeedReads(reads, chunk, vote, &chunk->gather_);
 }
 
 void ReadMapper::SeedReads(std::span<const std::string_view> reads,
-                           SeedChunk* chunk,
+                           SeedChunk* chunk, SeedVote vote,
                            std::vector<std::int64_t>* gather) const {
   chunk->reads_ = reads.size();
   if (chunk->rc_.size() < reads.size()) chunk->rc_.resize(reads.size());
@@ -87,11 +88,33 @@ void ReadMapper::SeedReads(std::span<const std::string_view> reads,
     chunk->seqs_.push_back(reads[i]);
     chunk->seqs_.push_back(chunk->rc_[i]);
   }
-  SeedSequences(2, chunk, gather);
+  SeedSequences(2, chunk, vote, gather);
 }
 
-void ReadMapper::SelectSeeds(std::string_view seq,
-                             std::vector<MinimizerHit>* seeds) const {
+namespace {
+
+// A gathered hit packs its diagonal (the window start it implies) above
+// kTagBits bits of its seed's index, so one sort orders hits by diagonal
+// and puts a diagonal's pigeonhole seeds first.  The vote counts distinct
+// seeds in one 64-bit mask, so it reads at most the first kVoteSeeds
+// k-mers; the lemma holds for any subset of non-overlapping k-mers.
+constexpr int kTagBits = 6;
+constexpr int kVoteSeeds = 1 << kTagBits;
+
+std::int64_t PackHit(std::int64_t diagonal, std::int64_t tag) {
+  return diagonal * kVoteSeeds + tag;
+}
+std::int64_t Diagonal(std::int64_t hit) { return hit >> kTagBits; }
+int SeedTag(std::int64_t hit) {
+  return static_cast<int>(hit & (kVoteSeeds - 1));
+}
+
+}  // namespace
+
+// Appends `seq`'s seeds and returns the supporting seeds the vote demands
+// of each candidate, 0 when the vote is off or a no-op.
+int ReadMapper::SelectSeeds(std::string_view seq, SeedVote vote,
+                            std::vector<MinimizerHit>* seeds) const {
   const int k = index_.k();
   if (config_.seed_mode == SeedMode::kMinimizer) {
     // Anchoring a hit at the minimizer's offset makes the read's minimizer
@@ -99,12 +122,18 @@ void ReadMapper::SelectSeeds(std::string_view seq,
     // any shared error-free window of w+k-1 bases (selection is a pure
     // function of window content).
     CollectMinimizers(seq, k, index_.minimizer_w(), seeds);
-    return;
+    return 0;
   }
   // Pigeonhole seeding: e+1 non-overlapping k-mers guarantee that a read
   // within the threshold shares at least one exact seed with its locus.
+  // The vote looks up the read's other non-overlapping k-mers too.
+  const int e = config_.error_threshold;
+  const int n = static_cast<int>(seq.size()) / k;
+  const int pigeonhole = std::min(e + 1, n);
+  const int voters = std::min(n, kVoteSeeds);
   const int n_seeds =
-      std::min(config_.error_threshold + 1, static_cast<int>(seq.size()) / k);
+      vote == SeedVote::kOn && voters - e > 1 ? voters : pigeonhole;
+  const std::size_t first = seeds->size();
   for (int s = 0; s < n_seeds; ++s) {
     const std::size_t offset = static_cast<std::size_t>(s * k);
     const std::int64_t code =
@@ -113,6 +142,18 @@ void ReadMapper::SelectSeeds(std::string_view seq,
     seeds->push_back(MinimizerHit{static_cast<std::uint64_t>(code),
                                   static_cast<std::uint32_t>(offset)});
   }
+  if (n_seeds == pigeonhole) return 0;
+  const int needed = static_cast<int>(seeds->size() - first) - e;
+  if (needed > 1) return needed;
+  // Too many seeds hold an N for the vote to cut anything: look up the
+  // pigeonhole seeds alone.
+  const std::uint32_t end = static_cast<std::uint32_t>(pigeonhole * k);
+  seeds->erase(
+      std::find_if(seeds->begin() + static_cast<std::ptrdiff_t>(first),
+                   seeds->end(),
+                   [&](const MinimizerHit& h) { return h.pos >= end; }),
+      seeds->end());
+  return 0;
 }
 
 // The lookup kernel over chunk->seqs_.  A k=12 offset table is 64 MiB on
@@ -120,6 +161,7 @@ void ReadMapper::SelectSeeds(std::string_view seq,
 // keep all of a chunk's misses in flight together instead of waiting each
 // one out in turn.  Sequence j's candidates carry strand j % strands.
 void ReadMapper::SeedSequences(std::size_t strands, SeedChunk* chunk,
+                               SeedVote vote,
                                std::vector<std::int64_t>* gather) const {
   const std::vector<std::string_view>& seqs = chunk->seqs_;
   std::vector<MinimizerHit>& seeds = chunk->seeds_;
@@ -129,9 +171,10 @@ void ReadMapper::SeedSequences(std::size_t strands, SeedChunk* chunk,
   // soon as its code is known.
   seeds.clear();
   chunk->seed_bounds_.assign(1, 0);
+  chunk->votes_needed_.clear();
   for (const std::string_view seq : seqs) {
     const std::size_t first = seeds.size();
-    SelectSeeds(seq, &seeds);
+    chunk->votes_needed_.push_back(SelectSeeds(seq, vote, &seeds));
     for (std::size_t s = first; s < seeds.size(); ++s) {
       for (std::size_t sh = 0; sh < shards; ++sh) {
         __builtin_prefetch(index_.shard(sh).offsets().data() + seeds[s].code);
@@ -152,52 +195,89 @@ void ReadMapper::SeedSequences(std::size_t strands, SeedChunk* chunk,
     }
   }
 
-  // Pass 3: hits -> candidate windows, sorted and deduplicated per
-  // sequence.
+  // Pass 3: raw hits -> diagonals, sorted per sequence; each diagonal a
+  // pigeonhole seed hits becomes a candidate window if it lies in one
+  // chromosome and passes the vote.
+  const int k = index_.k();
+  const std::int64_t e = config_.error_threshold;
   const std::int64_t genome_len = ref_.length();
   const bool multi_chrom = ref_.chromosome_count() > 1;
+  std::uint64_t voted_out = 0;
   chunk->candidates_.clear();
   chunk->bounds_.assign(1, 0);
   for (std::size_t j = 0; j < seqs.size(); ++j) {
     const int L = static_cast<int>(seqs[j].size());
+    const int needed = chunk->votes_needed_[j];
     gather->clear();
     for (std::uint32_t s = chunk->seed_bounds_[j];
          s < chunk->seed_bounds_[j + 1]; ++s) {
+      // Without a vote every seed is a pigeonhole seed: tag them all 0.
+      const std::int64_t tag = needed > 0 ? seeds[s].pos / k : 0;
       for (std::size_t sh = 0; sh < shards; ++sh) {
+        // Shard-local hit -> global diagonal.  Because shards tile
+        // chromosome groups, every window that survives the junction check
+        // below lies inside one shard; the merged set across shards is
+        // exactly what one monolithic index would seed.
         const std::int64_t base =
             index_.plan().shard(sh).text_offset - seeds[s].pos;
-        const auto [b, e] = chunk->buckets_[s * shards + sh];
+        const auto [b, end] = chunk->buckets_[s * shards + sh];
         const std::span<const std::uint32_t> positions =
             index_.shard(sh).positions();
-        for (std::uint32_t p = b; p < e; ++p) {
-          // Shard-local hit -> global candidate window.  Because shards
-          // tile chromosome groups, every window that survives the
-          // junction check below lies inside one shard; the merged set
-          // across shards is exactly what one monolithic index would seed.
-          const std::int64_t start = base + positions[p];
-          if (start < 0 || start + L > genome_len) continue;
-          // A window reaching across a chromosome junction would align
-          // the read against a chimeric segment; drop it at seeding time.
-          if (multi_chrom && !ref_.WindowWithinChromosome(start, L)) continue;
-          gather->push_back(start);
+        for (std::uint32_t p = b; p < end; ++p) {
+          gather->push_back(PackHit(base + positions[p], tag));
         }
       }
     }
     std::sort(gather->begin(), gather->end());
-    gather->erase(std::unique(gather->begin(), gather->end()), gather->end());
+    const std::vector<std::int64_t>& hits = *gather;
+    const int pigeonhole = std::min(config_.error_threshold + 1, L / k);
     const std::uint8_t strand = static_cast<std::uint8_t>(j % strands);
-    for (const std::int64_t pos : *gather) {
-      chunk->candidates_.push_back({pos, strand});
+    // [lo, hi): the hits within +-e diagonals of the current window.
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    for (std::size_t i = 0; i < hits.size();) {
+      const std::int64_t start = Diagonal(hits[i]);
+      const bool pigeonhole_hit =
+          needed == 0 || SeedTag(hits[i]) < pigeonhole;
+      while (i < hits.size() && Diagonal(hits[i]) == start) ++i;
+      if (!pigeonhole_hit) continue;
+      if (start < 0 || start + L > genome_len) continue;
+      // A window reaching across a chromosome junction would align the
+      // read against a chimeric segment; drop it at seeding time.
+      if (multi_chrom && !ref_.WindowWithinChromosome(start, L)) continue;
+      if (needed > 0) {
+        // A seed supports the window if it hits inside it, within +-e
+        // diagonals: where the lemma puts every intact k-mer.  Hits reaching
+        // out of the window never count, which also keeps the vote
+        // independent of the shard layout (a k-mer spanning a chromosome
+        // junction is indexed only where both chromosomes share a shard).
+        while (Diagonal(hits[lo]) < start - e) ++lo;
+        hi = std::max(hi, i);
+        while (hi < hits.size() && Diagonal(hits[hi]) <= start + e) ++hi;
+        std::uint64_t support = 0;
+        for (std::size_t q = lo; q < hi; ++q) {
+          const std::int64_t at = Diagonal(hits[q]) + SeedTag(hits[q]) * k;
+          if (at >= start && at + k <= start + L) {
+            support |= std::uint64_t{1} << SeedTag(hits[q]);
+          }
+        }
+        if (std::popcount(support) < needed) {
+          ++voted_out;
+          continue;
+        }
+      }
+      chunk->candidates_.push_back({start, strand});
     }
     chunk->bounds_.push_back(
         static_cast<std::uint32_t>(chunk->candidates_.size()));
   }
-  CountSeeded(chunk);
+  CountSeeded(chunk, voted_out);
 }
 
-void ReadMapper::CountSeeded(SeedChunk* chunk) const {
+void ReadMapper::CountSeeded(SeedChunk* chunk, std::uint64_t voted_out) const {
   const std::uint64_t n = chunk->candidates_.size();
   obs::CandidatesSeeded().Inc(n);
+  obs::CandidatesVotedOut().Inc(voted_out);
   seeder_candidates_.Inc(n);
   if (shard_candidates_.empty() || !obs::Enabled()) return;
   chunk->shard_tally_.assign(shard_candidates_.size(), 0);
@@ -214,7 +294,7 @@ void ReadMapper::CollectCandidates(std::string_view read,
     const {
   thread_local SeedChunk chunk;
   chunk.seqs_.assign(1, read);
-  SeedSequences(1, &chunk, &chunk.gather_);
+  SeedSequences(1, &chunk, SeedVote::kOn, &chunk.gather_);
   candidates->clear();
   for (const OrientedCandidate& oc : chunk.candidates_) {
     candidates->push_back(oc.pos);
@@ -226,7 +306,8 @@ void ReadMapper::CollectCandidatesOriented(
     std::vector<std::int64_t>* scratch,
     std::vector<OrientedCandidate>* candidates) const {
   thread_local SeedChunk chunk;
-  SeedReads(std::span<const std::string_view>(&read, 1), &chunk, scratch);
+  SeedReads(std::span<const std::string_view>(&read, 1), &chunk,
+            SeedVote::kOn, scratch);
   rc->swap(chunk.rc(0));
   candidates->assign(chunk.candidates(0).begin(), chunk.candidates(0).end());
 }
@@ -270,7 +351,9 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
     candidates.clear();
     for (std::size_t c0 = 0; c0 < count; c0 += kSeedChunkReads) {
       const std::size_t n = std::min(kSeedChunkReads, count - c0);
-      SeedReads(std::span(batch).subspan(c0, n), &chunk);
+      // Unvoted: Table 3's potential mappings and the GateKeeper
+      // reduction keep the paper's meaning.
+      SeedReads(std::span(batch).subspan(c0, n), &chunk, SeedVote::kOff);
       for (std::size_t j = 0; j < n; ++j) {
         batch_rc[c0 + j].swap(chunk.rc(j));
         for (const OrientedCandidate oc : chunk.candidates(j)) {

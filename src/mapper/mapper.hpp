@@ -1,7 +1,8 @@
 // mrFAST-like seed-and-extend read mapper with a pluggable pre-alignment
 // filter, reproducing the integration of GateKeeper-GPU Sec. 3.5:
 //
-//   seed (k-mer index lookups, pigeonhole seeds)
+//   seed (k-mer index lookups, pigeonhole seeds; the streaming paths
+//         add the seed vote, SeedVote)
 //     -> batch candidate locations for many reads
 //     -> [optional] GateKeeper-GPU pre-alignment filtering
 //     -> verification (banded edit distance <= e)
@@ -84,6 +85,23 @@ struct MappingStats {
   }
 };
 
+/// Which candidate set the seeding kernel (ReadMapper::SeedReads) emits.
+/// The seed vote is FastHASH's adjacency filtering (Xin et al. 2013), a
+/// lossless cut by the q-gram lemma: a window within e edits of a read
+/// shares at least n - e of the read's n = floor(L/k) non-overlapping
+/// k-mers exactly, each inside the window at a diagonal within +-e of the
+/// window's.  Dense seeding only; minimizers overlap, so the bound differs.
+enum class SeedVote : std::uint8_t {
+  /// Every window an exact pigeonhole seed hits: Table 3's "potential
+  /// mappings".  MapReads and paired mapping seed this set.
+  kOff,
+  /// The pigeonhole set minus the windows with fewer than n_valid - e
+  /// supporting seeds (n_valid excludes seeds containing N); a no-op where
+  /// that threshold is <= 1.  StreamFastqToSam, the daemon and the
+  /// one-read entry points seed this set.
+  kOn,
+};
+
 /// Reads per seeding chunk on every mapping path.  The chunked lookup
 /// kernel (ReadMapper::SeedReads) issues all of a chunk's index lookups
 /// before it consumes any, so their cache and TLB misses overlap instead
@@ -116,9 +134,12 @@ class SeedChunk {
   /// pigeonhole k-mers or minimizers.
   std::vector<MinimizerHit> seeds_;
   std::vector<std::uint32_t> seed_bounds_;  // per sequence, like bounds_
+  /// Per sequence: supporting seeds a candidate needs (0 = no vote).
+  std::vector<int> votes_needed_;
   /// CSR bucket [begin, end) of each seed in each shard, seed-major.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> buckets_;
-  std::vector<std::int64_t> gather_;  // one sequence's hits before dedup
+  /// One sequence's raw hits, each its diagonal tagged with its seed.
+  std::vector<std::int64_t> gather_;
   std::vector<std::uint64_t> shard_tally_;
 };
 
@@ -160,25 +181,28 @@ class ReadMapper {
 
   /// Chunked seeding, the lookup path behind every driver: seeds each of
   /// `reads` and its reverse complement against the index, for any number
-  /// of reads (the drivers pass kSeedChunkReads at a time).  Candidates
-  /// are global, never span a chromosome junction, and equal what seeding
-  /// each read alone yields.  Publishes the seeding counters
-  /// (gkgpu_candidates_seeded_total, its {seeder} split and, on sharded
-  /// indexes, the {shard} split) once per call.
-  void SeedReads(std::span<const std::string_view> reads,
-                 SeedChunk* chunk) const;
+  /// of reads (the mapping paths pass kSeedChunkReads at a time), and
+  /// emits the candidate set `vote` names.  Candidates are global, never
+  /// span a chromosome junction, and equal what seeding each read alone
+  /// yields.
+  /// Publishes the seeding counters (gkgpu_candidates_seeded_total, its
+  /// {seeder} split and, on sharded indexes, the {shard} split, all
+  /// counting what the kernel emits; gkgpu_candidates_voted_out_total for
+  /// the vote's cut) once per call.
+  void SeedReads(std::span<const std::string_view> reads, SeedChunk* chunk,
+                 SeedVote vote) const;
 
-  /// Seeding only, forward strand: candidate locations for one read
-  /// (deduplicated, global coordinates, never spanning a chromosome
+  /// Seeding only, forward strand: the voted candidate locations for one
+  /// read (deduplicated, global coordinates, never spanning a chromosome
   /// junction).
   void CollectCandidates(std::string_view read,
                          std::vector<std::int64_t>* candidates) const;
 
-  /// One read through SeedReads: both strands, forward candidates first
-  /// (sorted, deduplicated per strand).  `rc` receives the reverse
-  /// complement (the caller reuses it for verification and SAM output) and
-  /// `scratch` is the kernel's position buffer, both amortized across a
-  /// read loop.
+  /// One read through SeedReads with the vote on: both strands, forward
+  /// candidates first (sorted, deduplicated per strand).  `rc` receives
+  /// the reverse complement (the caller reuses it for verification and SAM
+  /// output) and `scratch` is the kernel's hit buffer, both amortized
+  /// across a read loop.
   void CollectCandidatesOriented(std::string_view read, std::string* rc,
                                  std::vector<std::int64_t>* scratch,
                                  std::vector<OrientedCandidate>* candidates)
@@ -187,12 +211,12 @@ class ReadMapper {
  private:
   void BindSeedCounters();
   void SeedReads(std::span<const std::string_view> reads, SeedChunk* chunk,
-                 std::vector<std::int64_t>* gather) const;
-  void SelectSeeds(std::string_view seq,
-                   std::vector<MinimizerHit>* seeds) const;
-  void SeedSequences(std::size_t strands, SeedChunk* chunk,
+                 SeedVote vote, std::vector<std::int64_t>* gather) const;
+  int SelectSeeds(std::string_view seq, SeedVote vote,
+                  std::vector<MinimizerHit>* seeds) const;
+  void SeedSequences(std::size_t strands, SeedChunk* chunk, SeedVote vote,
                      std::vector<std::int64_t>* gather) const;
-  void CountSeeded(SeedChunk* chunk) const;
+  void CountSeeded(SeedChunk* chunk, std::uint64_t voted_out) const;
 
   ReferenceSet ref_;
   MapperConfig config_;

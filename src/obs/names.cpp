@@ -26,6 +26,13 @@ Counter ShardCandidates(const std::string& shard) {
                      {{"shard", shard}});
 }
 
+Counter CandidatesVotedOut() {
+  static const Counter c = R().counter(
+      "gkgpu_candidates_voted_out_total",
+      "Pigeonhole candidates the seed vote proved unable to verify");
+  return c;
+}
+
 Counter CandidatesPruned() {
   static const Counter c = R().counter(
       "gkgpu_candidates_pruned_total",

@@ -4,14 +4,19 @@
 // cost (function-local static) after first use.
 //
 // Funnel (counters, reads/pairs):
-//   gkgpu_candidates_seeded_total      seeding output, pre-pruning
+//   gkgpu_candidates_seeded_total      seeding output, pre-pruning: what
+//                                      the kernel emits, after the seed
+//                                      vote where the caller runs it
 //   gkgpu_seed_candidates_total        {seeder} same volume, split by
 //                                      seeding strategy (dense/minimizer)
 //   gkgpu_shard_candidates_total       {shard} per index shard; only
 //                                      emitted on multi-shard runs
-//                                      (the seeding kernel,
-//                                      ReadMapper::SeedReads, publishes
-//                                      all three on every mapping path)
+//   gkgpu_candidates_voted_out_total   pigeonhole candidates the seed vote
+//                                      cut; seeded + voted_out is the
+//                                      pigeonhole count (the seeding
+//                                      kernel, ReadMapper::SeedReads,
+//                                      publishes all four on every
+//                                      mapping path)
 //   gkgpu_candidates_pruned_total      dropped by paired insert-window
 //   gkgpu_filter_input_total           pairs presented to a filter
 //   gkgpu_filter_accepts_total         {filter,tier} accepted (incl. bypass)
@@ -50,6 +55,7 @@ namespace gkgpu::obs {
 Counter CandidatesSeeded();
 Counter SeederCandidates(const std::string& seeder);
 Counter ShardCandidates(const std::string& shard);
+Counter CandidatesVotedOut();
 Counter CandidatesPruned();
 Counter FilterInput();
 Counter FilterAccepts(const std::string& filter, const std::string& tier);

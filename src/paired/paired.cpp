@@ -112,7 +112,9 @@ void PruneConcordant(const ReferenceSet& ref, int L, std::int64_t max_insert,
 static_assert(kSeedChunkReads % 2 == 0, "a seeding chunk holds whole pairs");
 
 /// Seeds a chunk of pairs, both mates of every pair through one SeedReads
-/// call, and applies the pairing prune.
+/// call, and applies the pairing prune.  Unvoted: PruneConcordant keeps
+/// every candidate of a pair with no concordant placement, so voting before
+/// it could change which verified candidates reach the finalizer.
 void SeedPairTasks(const ReadMapper& mapper, int L, std::int64_t max_insert,
                    std::span<PairTask> tasks, SeedChunk* chunk) {
   assert(2 * tasks.size() <= kSeedChunkReads);
@@ -125,7 +127,7 @@ void SeedPairTasks(const ReadMapper& mapper, int L, std::int64_t max_insert,
     mates[n++] = t.r1.seq;
     mates[n++] = t.r2.seq;
   }
-  mapper.SeedReads(std::span(mates).first(n), chunk);
+  mapper.SeedReads(std::span(mates).first(n), chunk, SeedVote::kOff);
   std::size_t m = 0;
   for (PairTask& t : tasks) {
     if (t.skipped) continue;

@@ -48,9 +48,15 @@
 
 namespace gkgpu::pipeline {
 
+/// The default batch target, in candidates: two of the filter stage's
+/// 1,024-candidate FilterBatch chunks.  Seeding with the vote leaves a read
+/// about 1-4 candidates, so a larger target would keep a served 1,000-read
+/// job's batch open until the daemon's linger window closes.
+inline constexpr std::size_t kDefaultBatchCandidates = 2048;
+
 struct PipelineConfig {
   /// Candidates per batch.
-  std::size_t batch_size = 8192;
+  std::size_t batch_size = kDefaultBatchCandidates;
   /// Bound of each inter-stage queue, in batches.
   std::size_t queue_depth = 4;
   int encode_workers = 2;

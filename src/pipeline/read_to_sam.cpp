@@ -69,7 +69,8 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
     } catch (...) {
       read_error = std::current_exception();
     }
-    mapper.SeedReads(std::span(seqs).first(chunk_size), &chunk);
+    mapper.SeedReads(std::span(seqs).first(chunk_size), &chunk,
+                     SeedVote::kOn);
   };
 
   const BatchSource source = [&](PairBatch* batch) {

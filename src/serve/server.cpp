@@ -485,7 +485,8 @@ struct MapServer::Impl {
       for (std::size_t i = 0; i < chunk_reads.size(); ++i) {
         seqs[i] = chunk_reads[i].seq;
       }
-      mapper_.SeedReads(std::span(seqs).first(chunk_reads.size()), &chunk);
+      mapper_.SeedReads(std::span(seqs).first(chunk_reads.size()), &chunk,
+                        SeedVote::kOn);
       return true;
     };
 

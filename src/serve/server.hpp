@@ -43,7 +43,7 @@ struct ServeConfig {
   int threads = 2;
   /// Pipeline batch size: the most candidates one batch carries (a batch
   /// departs smaller when the linger window closes first).
-  std::size_t batch_size = 8192;
+  std::size_t batch_size = pipeline::kDefaultBatchCandidates;
   /// How long the batch packer waits for reads from other sessions once a
   /// batch has started filling, in milliseconds.  Larger = more
   /// cross-session coalescing, smaller = lower single-client latency.

@@ -1,15 +1,17 @@
 // Candidate-batch workloads for the streaming-pipeline tests: a random
 // genome with 'N' gap runs, simulated reads (every other one reverse-
-// complemented) and their seeding candidates on both strands, plus the
-// source that feeds them to a StreamingPipeline the way the mapper front
-// ends do (one read-table entry per read run, global provenance).
+// complemented) and their unvoted seeding candidates on both strands, plus
+// the source that feeds them to a StreamingPipeline the way the mapper
+// front ends do (one read-table entry per read run, global provenance).
 #ifndef GKGPU_TESTS_CANDIDATE_WORKLOAD_HPP
 #define GKGPU_TESTS_CANDIDATE_WORKLOAD_HPP
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -41,16 +43,21 @@ inline CandidateWorkload MakeCandidateWorkload(std::size_t n_reads,
   ReadMapper mapper(w.genome, mcfg);
   const auto sim = SimulateReads(w.genome, n_reads, 100,
                                  ReadErrorProfile::Illumina(), seed + 1);
-  std::string rc;
-  std::vector<std::int64_t> scratch;
-  std::vector<OrientedCandidate> oriented;
   for (std::size_t i = 0; i < sim.size(); ++i) {
     w.reads.push_back(i % 2 == 0 ? sim[i].seq : ReverseComplement(sim[i].seq));
-    mapper.CollectCandidatesOriented(w.reads.back(), &rc, &scratch,
-                                     &oriented);
-    for (const OrientedCandidate& oc : oriented) {
-      w.candidates.push_back(
-          {static_cast<std::uint32_t>(i), oc.strand, 0, oc.pos});
+  }
+  // Unvoted, so the filter sees the full pigeonhole mix of accepts and
+  // rejects.
+  const std::vector<std::string_view> views(w.reads.begin(), w.reads.end());
+  SeedChunk chunk;
+  for (std::size_t c0 = 0; c0 < views.size(); c0 += kSeedChunkReads) {
+    const std::size_t n = std::min(kSeedChunkReads, views.size() - c0);
+    mapper.SeedReads(std::span(views).subspan(c0, n), &chunk, SeedVote::kOff);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (const OrientedCandidate& oc : chunk.candidates(j)) {
+        w.candidates.push_back(
+            {static_cast<std::uint32_t>(c0 + j), oc.strand, 0, oc.pos});
+      }
     }
   }
   return w;

@@ -344,7 +344,8 @@ TEST(MinimizerMappingTest, ShardLayoutDoesNotChangeSelection) {
       SeedChunk chunk;
       for (std::size_t c0 = 0; c0 < views.size(); c0 += chunk_reads) {
         const std::size_t n = std::min(chunk_reads, views.size() - c0);
-        mapper->SeedReads(std::span(views).subspan(c0, n), &chunk);
+        mapper->SeedReads(std::span(views).subspan(c0, n), &chunk,
+                          SeedVote::kOn);
         for (std::size_t j = 0; j < n; ++j) {
           const std::vector<OrientedCandidate>& want = alone[c0 + j];
           const std::span<const OrientedCandidate> got = chunk.candidates(j);

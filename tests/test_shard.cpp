@@ -258,6 +258,44 @@ std::vector<std::pair<std::int64_t, int>> OracleCandidates(
   return out;
 }
 
+/// The seed vote over `pigeonhole` (OracleCandidates of `read`) by string
+/// comparison: a window keeps its place if at least n_valid - e of the
+/// read's first floor(L/k) (at most 64) non-overlapping N-free k-mers occur
+/// inside it within +-e of their offset, or if that threshold is <= 1.
+std::vector<std::pair<std::int64_t, int>> VotedOracleCandidates(
+    const ReferenceSet& ref, const MapperConfig& cfg, const std::string& read,
+    const std::vector<std::pair<std::int64_t, int>>& pigeonhole) {
+  const std::string_view text = ref.text();
+  const int k = cfg.k;
+  const int e = cfg.error_threshold;
+  const std::int64_t L = static_cast<std::int64_t>(read.size());
+  const int n = std::min(static_cast<int>(read.size()) / k, 64);
+  std::vector<std::pair<std::int64_t, int>> out;
+  for (const auto& [start, strand] : pigeonhole) {
+    const std::string seq = strand == 0 ? read : ReverseComplement(read);
+    int valid = 0;
+    int support = 0;
+    for (int s = 0; s < n; ++s) {
+      const std::string_view kmer =
+          std::string_view(seq).substr(static_cast<std::size_t>(s * k),
+                                       static_cast<std::size_t>(k));
+      if (kmer.find_first_not_of("ACGT") != std::string_view::npos) continue;
+      ++valid;
+      for (int d = -e; d <= e; ++d) {
+        const std::int64_t at = start + s * k + d;
+        if (at >= start && at + k <= start + L &&
+            text.substr(static_cast<std::size_t>(at),
+                        static_cast<std::size_t>(k)) == kmer) {
+          ++support;
+          break;
+        }
+      }
+    }
+    if (valid - e <= 1 || support >= valid - e) out.emplace_back(start, strand);
+  }
+  return out;
+}
+
 TEST_F(ShardedMappingTest, ChunkedSeedingMatchesBruteForceOracle) {
   // N runs inside every chromosome, one right at a chromosome start.
   ReferenceSet ref;
@@ -303,43 +341,54 @@ TEST_F(ShardedMappingTest, ChunkedSeedingMatchesBruteForceOracle) {
   ASSERT_EQ(sharded.index().shard_count(), 4u);
 
   std::vector<std::vector<std::pair<std::int64_t, int>>> oracle;
+  std::vector<std::vector<std::pair<std::int64_t, int>>> voted_oracle;
   std::size_t hitless = 0;
+  std::size_t voted_out = 0;
   for (const std::string& read : reads) {
     oracle.push_back(OracleCandidates(ref_, config_, read));
+    voted_oracle.push_back(
+        VotedOracleCandidates(ref_, config_, read, oracle.back()));
     if (oracle.back().empty()) ++hitless;
+    voted_out += oracle.back().size() - voted_oracle.back().size();
   }
   EXPECT_GE(hitless, 2u);  // the all-N read and the junction straddler
+  EXPECT_GT(voted_out, 0u);  // the vote cuts something here
 
   const std::vector<std::string_view> views(reads.begin(), reads.end());
   for (const ReadMapper* mapper : {&mono, &sharded}) {
-    for (const std::size_t chunk_reads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{32},
-          std::size_t{33}, views.size()}) {
-      SeedChunk chunk;
-      for (std::size_t c0 = 0; c0 < views.size(); c0 += chunk_reads) {
-        const std::size_t n = std::min(chunk_reads, views.size() - c0);
-        mapper->SeedReads(std::span(views).subspan(c0, n), &chunk);
-        ASSERT_EQ(chunk.size(), n);
-        for (std::size_t j = 0; j < n; ++j) {
-          std::vector<std::pair<std::int64_t, int>> got;
-          for (const OrientedCandidate& oc : chunk.candidates(j)) {
-            got.emplace_back(oc.pos, oc.strand);
+    for (const SeedVote vote : {SeedVote::kOff, SeedVote::kOn}) {
+      const auto& want = vote == SeedVote::kOn ? voted_oracle : oracle;
+      for (const std::size_t chunk_reads :
+           {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{32},
+            std::size_t{33}, views.size()}) {
+        SeedChunk chunk;
+        for (std::size_t c0 = 0; c0 < views.size(); c0 += chunk_reads) {
+          const std::size_t n = std::min(chunk_reads, views.size() - c0);
+          mapper->SeedReads(std::span(views).subspan(c0, n), &chunk, vote);
+          ASSERT_EQ(chunk.size(), n);
+          for (std::size_t j = 0; j < n; ++j) {
+            std::vector<std::pair<std::int64_t, int>> got;
+            for (const OrientedCandidate& oc : chunk.candidates(j)) {
+              got.emplace_back(oc.pos, oc.strand);
+            }
+            EXPECT_EQ(got, want[c0 + j])
+                << "read " << c0 + j << ", chunks of " << chunk_reads << ", "
+                << mapper->index().shard_count() << " shard(s), vote "
+                << (vote == SeedVote::kOn ? "on" : "off");
+            EXPECT_EQ(chunk.rc(j), ReverseComplement(reads[c0 + j]));
           }
-          EXPECT_EQ(got, oracle[c0 + j])
-              << "read " << c0 + j << ", chunks of " << chunk_reads << ", "
-              << mapper->index().shard_count() << " shard(s)";
-          EXPECT_EQ(chunk.rc(j), ReverseComplement(reads[c0 + j]));
         }
       }
     }
   }
 }
 
-/// Registry deltas of the three seeding families across `run`.
+/// Registry deltas of the four seeding families across `run`.
 struct SeedDeltas {
   double seeded = 0.0;  // gkgpu_candidates_seeded_total
   double seeder = 0.0;  // gkgpu_seed_candidates_total{seeder="dense"}
   double shards = 0.0;  // gkgpu_shard_candidates_total, every shard
+  double voted_out = 0.0;  // gkgpu_candidates_voted_out_total
   double filter_input = 0.0;
 };
 
@@ -356,6 +405,7 @@ SeedDeltas SeedCounterDeltas(Run run) {
   d.seeder = after.Value("gkgpu_seed_candidates_total", {{"seeder", "dense"}}) -
              before.Value("gkgpu_seed_candidates_total", {{"seeder", "dense"}});
   d.shards = delta("gkgpu_shard_candidates_total");
+  d.voted_out = delta("gkgpu_candidates_voted_out_total");
   d.filter_input = delta("gkgpu_filter_input_total");
   return d;
 }
@@ -371,9 +421,11 @@ std::string ToFastq(const std::vector<std::string>& seqs,
 }
 
 TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
-  // Every driver seeds through the one kernel, which publishes all three
-  // seeding families; on a 2-shard index they must agree with each other
-  // and with the driver's own candidate count.
+  // Every mapping path seeds through the one kernel, which publishes all
+  // four seeding families; on a 2-shard index the three counts of what it
+  // emits must agree with each other and with the path's own candidate
+  // count, and where the path votes the emitted plus the voted-out
+  // candidates must add up to MapReads' unvoted count.
   MapperConfig sharded_cfg = config_;
   sharded_cfg.shard_max_bp = 11000;  // two chromosomes per shard
   ReadMapper mapper(ref_, sharded_cfg);
@@ -393,6 +445,8 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
       SeedCounterDeltas([&] { blocking = mapper.MapReads(reads, nullptr); });
   expect_agree(blocking_d, static_cast<double>(blocking.candidates_total),
                "MapReads");
+  EXPECT_EQ(blocking_d.voted_out, 0.0);  // MapReads seeds unvoted
+  const double pigeonhole = static_cast<double>(blocking.candidates_total);
 
   auto devices = gpusim::MakeSetup1(1);
   std::vector<gpusim::Device*> ptrs;
@@ -413,6 +467,8 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
   });
   expect_agree(stream_d, static_cast<double>(streamed.candidates),
                "StreamFastqToSam");
+  EXPECT_GT(stream_d.voted_out, 0.0);
+  EXPECT_EQ(stream_d.seeded + stream_d.voted_out, pigeonhole);
 
   PairSimConfig pair_cfg;
   pair_cfg.read_length = config_.read_length;
@@ -442,6 +498,7 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
   });
   expect_agree(paired_d, static_cast<double>(paired.candidates_seeded),
                "MapPairsStreaming");
+  EXPECT_EQ(paired_d.voted_out, 0.0);  // paired mapping seeds unvoted
 
   // The daemon keeps no per-job candidate count: every seeded candidate
   // of a single-end job is presented to the filter, and the job seeds
@@ -467,6 +524,7 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
   });
   expect_agree(served_d, served_d.filter_input, "served job");
   EXPECT_EQ(served_d.seeded, stream_d.seeded);
+  EXPECT_EQ(served_d.seeded + served_d.voted_out, pigeonhole);
 
   // Single-shard runs carry no per-shard breakdown.
   const SeedDeltas mono = SeedCounterDeltas([&] {

@@ -73,6 +73,10 @@ namespace {
 
 using namespace gkgpu;
 
+/// `--batch` default of pipeline, map --paired --streaming and serve.
+constexpr long kDefaultBatch =
+    static_cast<long>(pipeline::kDefaultBatchCandidates);
+
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -260,6 +264,9 @@ void PrintObsTables(const obs::MetricsSnapshot& snap) {
 
   std::printf("\nfilter funnel:\n");
   TablePrinter funnel({"metric", "value"});
+  funnel.AddRow(
+      {"seed-vote cut",
+       TablePrinter::Count(total("gkgpu_candidates_voted_out_total"))});
   funnel.AddRow({"candidates seeded", TablePrinter::Count(seeded)});
   funnel.AddRow({"insert-window pruned",
                  TablePrinter::Count(total("gkgpu_candidates_pruned_total"))});
@@ -747,7 +754,8 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
   PairedStats stats;
   if (streaming) {
     pipeline::PipelineConfig pcfg;
-    pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
+    pcfg.batch_size =
+        static_cast<std::size_t>(args.GetInt("batch", kDefaultBatch));
     auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
                                       : PairedFastqReader(in1);
     stats = paired.MapPairsStreaming(reader, engine.get(), pcfg, sam);
@@ -955,7 +963,8 @@ int PipelineCmd(const Args& args) {
   const int e = static_cast<int>(args.GetInt("e", 5));
 
   pipeline::PipelineConfig pcfg;
-  pcfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
+  pcfg.batch_size =
+      static_cast<std::size_t>(args.GetInt("batch", kDefaultBatch));
   pcfg.queue_depth = static_cast<std::size_t>(args.GetInt("queue", 4));
   pcfg.encode_workers = static_cast<int>(args.GetInt("encode-workers", 2));
   pcfg.verify_workers = static_cast<int>(args.GetInt("verify-workers", 2));
@@ -1132,7 +1141,8 @@ int ServeCmd(const Args& args) {
   serve::ServeConfig scfg;
   scfg.socket_path = socket_path;
   scfg.threads = threads > 0 ? threads : 1;
-  scfg.batch_size = static_cast<std::size_t>(args.GetInt("batch", 8192));
+  scfg.batch_size =
+      static_cast<std::size_t>(args.GetInt("batch", kDefaultBatch));
   scfg.linger_ms = static_cast<int>(args.GetInt("linger", 2));
   scfg.request_timeout_sec = static_cast<int>(args.GetInt("timeout", 30));
   scfg.mapq_cap = static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap));
