@@ -12,23 +12,18 @@
 // Gates (exercised by CI):
 //   * pruning ratio > 1.0 — pairing must remove candidates on concordant
 //     2x100 bp data;
-//   * >= 90% of simulated pairs recover as proper pairs;
-//   * the streaming driver, with adaptive batch sizing, maps what the
-//     blocking one does.
+//   * >= 90% of simulated pairs recover as proper pairs.
 //
 // Scale with GKGPU_PAIRS (default 20,000 pairs) and GKGPU_REPS
 // (min-of-reps, default 3).
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 
 #include "common.hpp"
 #include "io/fastq.hpp"
-#include "io/paired_fastq.hpp"
 #include "mapper/mapper.hpp"
 #include "paired/paired.hpp"
-#include "pipeline/pipeline.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/table.hpp"
@@ -104,8 +99,7 @@ int main() {
     se_mapped = s1.mapped_reads + s2.mapped_reads;
   }
 
-  // --- Paired path (blocking driver; the golden test pins streaming to
-  // byte-identical output, so one driver's numbers speak for both). ---
+  // --- Paired path. ---
   double pe_seconds = 0.0;
   PairedStats pe;
   for (int rep = 0; rep < reps; ++rep) {
@@ -124,31 +118,6 @@ int main() {
         rep == 0 ? pe.total_seconds : std::min(pe_seconds, pe.total_seconds);
   }
 
-  // --- Streaming driver with adaptive batch sizing (bounded memory). ---
-  double st_seconds = 0.0;
-  PairedStats st;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto devices = gpusim::MakeSetup1(2);
-    auto ptrs = Ptrs(devices);
-    EngineConfig ecfg;
-    ecfg.read_length = kLength;
-    ecfg.error_threshold = kThreshold;
-    GateKeeperGpuEngine engine(ecfg, ptrs);
-    ReadMapper mapper(w.genome, MakeMapperConfig());
-    PairedConfig pconf;
-    pconf.max_insert = 800;
-    std::stringstream fq1, fq2;
-    WriteFastq(fq1, w.r1);
-    WriteFastq(fq2, w.r2);
-    PairedFastqReader reader(fq1, fq2);
-    pipeline::PipelineConfig pcfg;
-    pcfg.adaptive = true;
-    st = StreamPairedFastqToSam(reader, mapper, &engine, pconf, pcfg,
-                                nullptr);
-    st_seconds = rep == 0 ? st.total_seconds
-                          : std::min(st_seconds, st.total_seconds);
-  }
-
   const double prune = pe.PruningRatio();
   const double verify_ratio =
       pe.verification_pairs > 0
@@ -161,25 +130,18 @@ int main() {
   const double pe_rate = pe_seconds > 0.0
                              ? static_cast<double>(n_pairs) / pe_seconds
                              : 0.0;
-  const double st_rate = st_seconds > 0.0
-                             ? static_cast<double>(n_pairs) / st_seconds
-                             : 0.0;
 
-  TablePrinter t({"metric", "single-end x2", "paired", "paired streaming"});
+  TablePrinter t({"metric", "single-end x2", "paired"});
   t.AddRow({"candidates", TablePrinter::Count(se_candidates),
-            TablePrinter::Count(pe.candidates_paired),
-            TablePrinter::Count(st.candidates_paired)});
+            TablePrinter::Count(pe.candidates_paired)});
   t.AddRow({"verification pairs", TablePrinter::Count(se_verify),
-            TablePrinter::Count(pe.verification_pairs),
-            TablePrinter::Count(st.verification_pairs)});
+            TablePrinter::Count(pe.verification_pairs)});
   t.AddRow({"mapped reads / proper pairs", TablePrinter::Count(se_mapped),
-            TablePrinter::Count(pe.proper_pairs),
-            TablePrinter::Count(st.proper_pairs)});
+            TablePrinter::Count(pe.proper_pairs)});
   t.AddRow({"wall (s)", TablePrinter::Num(se_seconds, 3),
-            TablePrinter::Num(pe_seconds, 3),
-            TablePrinter::Num(st_seconds, 3)});
+            TablePrinter::Num(pe_seconds, 3)});
   t.AddRow({"pairs/s", TablePrinter::Num(se_rate, 0),
-            TablePrinter::Num(pe_rate, 0), TablePrinter::Num(st_rate, 0)});
+            TablePrinter::Num(pe_rate, 0)});
   t.Print(std::cout);
   std::printf(
       "\npruning ratio (seeded/after-pairing): %.2fx\n"
@@ -199,16 +161,6 @@ int main() {
                 static_cast<unsigned long long>(pe.proper_pairs), n_pairs);
     ok = false;
   }
-  // The drivers are pinned byte-identical by the golden test; adaptive
-  // batch sizing must not perturb what the streaming driver maps.
-  if (st.proper_pairs != pe.proper_pairs ||
-      st.duplicate_pairs != pe.duplicate_pairs) {
-    std::printf("FAIL: streaming (adaptive) diverged from blocking "
-                "(proper %llu vs %llu)\n",
-                static_cast<unsigned long long>(st.proper_pairs),
-                static_cast<unsigned long long>(pe.proper_pairs));
-    ok = false;
-  }
   std::printf("%s\n", ok ? "OK" : "BENCH GATE FAILED");
 
   // Machine-readable trajectory point (uploaded as a CI artifact).
@@ -226,10 +178,8 @@ int main() {
   report.Add("insert_sigma", pe.insert_sigma);
   report.Add("single_end_seconds", se_seconds);
   report.Add("paired_seconds", pe_seconds);
-  report.Add("streaming_adaptive_seconds", st_seconds);
   report.Add("single_end_pairs_per_s", se_rate);
   report.Add("paired_pairs_per_s", pe_rate);
-  report.Add("streaming_adaptive_pairs_per_s", st_rate);
   report.Add("gate_pass", ok);
   report.Write();
   return ok ? 0 : 1;

@@ -19,7 +19,7 @@ int BandedEditDistance(std::string_view a, std::string_view b, int k);
 
 /// Reusable-buffer variant for verification hot loops: one instance per
 /// worker thread keeps the kernel's pattern table warm over millions of
-/// pairs (the streaming pipeline's verify stage churns one call per
+/// pairs (each chunk worker of the streaming drivers makes one call per
 /// filter-accepted pair).  Not thread-safe; results identical to
 /// BandedEditDistance.
 class BandedVerifier {

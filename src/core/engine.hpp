@@ -12,8 +12,9 @@
 //
 // Both run on the simulated devices and serve the paper's tables
 // (FilterPairs for the filter benches, FilterCandidates for MapReads'
-// Table 3).  The streaming pipeline and the paired mapper filter on the
-// host instead (GateKeeperCpu over a candidates-shape PairBlock); from the
+// Table 3).  The streaming drivers (single-end, paired, the daemon)
+// filter on the host instead, one GateKeeperFilter::FilterBatch per chunk
+// over a candidates-shape PairBlock (pipeline/chunk_filter.hpp); from the
 // engine they take only its config and the loaded reference encoding.
 //
 // Timing conventions (Sec. 4.3): "kernel time" is simulated device time
@@ -102,8 +103,8 @@ class GateKeeperGpuEngine {
   /// Candidate mode, step 2: filter candidate mappings of `reads` (each at
   /// most config().read_length).  Candidates index into `reads`.  The
   /// string_view overload lets callers hand a window into an existing read
-  /// set without per-batch string copies (the blocking mapper and the
-  /// paired driver build their batch read tables as views).
+  /// set without per-batch string copies (the blocking mapper builds its
+  /// batch read tables as views).
   FilterRunStats FilterCandidates(const std::vector<std::string>& reads,
                                   const std::vector<CandidatePair>& candidates,
                                   std::vector<PairResult>* results);

@@ -34,38 +34,29 @@ std::string DecodeSequence(const Word* enc, int length) {
 
 namespace {
 
-template <typename Seqs>
-EncodedBatch EncodeBatchOf(const Seqs& seqs, int length, ThreadPool* pool) {
+template <typename Seq>
+EncodedBatch EncodeBatchOf(std::span<const Seq> seqs, int length) {
   EncodedBatch batch;
   batch.length = length;
   batch.words_per_seq = EncodedWords(length);
   batch.words.assign(
       seqs.size() * static_cast<std::size_t>(batch.words_per_seq), 0);
   batch.has_n.assign(seqs.size(), 0);
-  auto encode_range = [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      assert(static_cast<int>(seqs[i].size()) == length);
-      batch.has_n[i] = EncodeSequence(seqs[i], batch.Sequence(i)) ? 1 : 0;
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(0, seqs.size(), 1024, encode_range);
-  } else {
-    encode_range(0, seqs.size());
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    assert(static_cast<int>(seqs[i].size()) == length);
+    batch.has_n[i] = EncodeSequence(seqs[i], batch.Sequence(i)) ? 1 : 0;
   }
   return batch;
 }
 
 }  // namespace
 
-EncodedBatch EncodeBatch(const std::vector<std::string>& seqs, int length,
-                         ThreadPool* pool) {
-  return EncodeBatchOf(seqs, length, pool);
+EncodedBatch EncodeBatch(std::span<const std::string> seqs, int length) {
+  return EncodeBatchOf(seqs, length);
 }
 
-EncodedBatch EncodeBatch(const std::vector<std::string_view>& seqs,
-                         int length, ThreadPool* pool) {
-  return EncodeBatchOf(seqs, length, pool);
+EncodedBatch EncodeBatch(std::span<const std::string_view> seqs, int length) {
+  return EncodeBatchOf(seqs, length);
 }
 
 bool RangeHasUnknownRaw(const Word* n_mask, std::int64_t ref_len,

@@ -45,12 +45,9 @@ struct EncodedBatch {
   }
 };
 
-/// Encodes a batch of equal-length sequences, optionally in parallel on
-/// `pool` (mirrors the paper's multithreaded host encoding).
-EncodedBatch EncodeBatch(const std::vector<std::string>& seqs, int length,
-                         ThreadPool* pool = nullptr);
-EncodedBatch EncodeBatch(const std::vector<std::string_view>& seqs,
-                         int length, ThreadPool* pool = nullptr);
+/// Encodes a batch of equal-length sequences.
+EncodedBatch EncodeBatch(std::span<const std::string> seqs, int length);
+EncodedBatch EncodeBatch(std::span<const std::string_view> seqs, int length);
 
 /// Raw-pointer versions of the reference-segment operations, callable from
 /// device-kernel code that only sees unified-memory pointers.

@@ -31,14 +31,8 @@ void GateKeeperFilter::FilterBatchImpl(const PairBlock& block, int e,
 
 GateKeeperCpu::GateKeeperCpu(GateKeeperParams params, unsigned threads)
     : filter_(params),
-      owned_pool_(threads > 1
-                      ? std::make_unique<ThreadPool>(threads, "gkgpu-gkcpu")
-                      : nullptr),
-      pool_(owned_pool_.get()) {}
-
-GateKeeperCpu::GateKeeperCpu(GateKeeperParams params, ThreadPool* pool,
-                             std::size_t grain)
-    : filter_(params), pool_(pool), grain_(grain) {}
+      pool_(threads > 1 ? std::make_unique<ThreadPool>(threads, "gkgpu-gkcpu")
+                        : nullptr) {}
 
 GateKeeperCpu::~GateKeeperCpu() = default;
 
@@ -52,7 +46,7 @@ void GateKeeperCpu::FilterBlock(const PairBlock& block, int e,
     filter_.FilterBatch(SliceBlock(block, b, end), e, results + b);
   };
   if (pool_ != nullptr) {
-    pool_->ParallelFor(0, block.size, grain_, run);
+    pool_->ParallelFor(0, block.size, 4096, run);
   } else {
     run(0, block.size);
   }

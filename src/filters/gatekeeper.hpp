@@ -7,8 +7,7 @@
 //    without the leading/trailing fix, used as the accuracy baseline
 //    ("GateKeeper-FPGA" in the paper's comparison figures).
 //  * GateKeeperCpu                — the multicore batch runner: the
-//    throughput benches' "GateKeeper-CPU" (1..N cores) and the mapping
-//    path's filter stage (on the ReadMapper's pool).
+//    throughput benches' "GateKeeper-CPU" (1..N cores).
 #ifndef GKGPU_FILTERS_GATEKEEPER_HPP
 #define GKGPU_FILTERS_GATEKEEPER_HPP
 
@@ -22,7 +21,6 @@
 namespace gkgpu {
 
 class ThreadPool;
-struct EncodedBatch;
 
 class GateKeeperFilter : public PreAlignmentFilter {
  public:
@@ -57,20 +55,15 @@ class GateKeeperFilter : public PreAlignmentFilter {
   GateKeeperParams params_;
 };
 
-/// Multicore batched GateKeeper: the "GateKeeper-CPU" baseline and the
-/// mapping path's filter.  Work arrives as a PairBlock and is sharded
-/// across a pool in chunks of `grain` pairs, each chunk one
-/// GateKeeperFilter::FilterBatch call (the runtime-dispatched batch kernel
-/// plus the filter funnel); results land in a caller-provided PairResult
-/// buffer, exactly like a device kernel's.
+/// Multicore batched GateKeeper: the "GateKeeper-CPU" baseline.  Work
+/// arrives as a PairBlock and is sharded across a pool in chunks of 4,096
+/// pairs, each chunk one GateKeeperFilter::FilterBatch call (the
+/// runtime-dispatched batch kernel plus the filter funnel); results land
+/// in a caller-provided PairResult buffer, exactly like a device kernel's.
 class GateKeeperCpu {
  public:
-  /// Owns a pool of `threads` workers (none when threads <= 1) and
-  /// filters 4,096 pairs per chunk.
+  /// Owns a pool of `threads` workers (none when threads <= 1).
   GateKeeperCpu(GateKeeperParams params, unsigned threads);
-  /// Borrows `pool` (null = the calling thread alone), which must outlive
-  /// this object, and filters `grain` pairs per chunk.
-  GateKeeperCpu(GateKeeperParams params, ThreadPool* pool, std::size_t grain);
   ~GateKeeperCpu();
 
   /// Filters every pair of `block` with threshold `e` into
@@ -81,9 +74,7 @@ class GateKeeperCpu {
 
  private:
   GateKeeperFilter filter_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
-  std::size_t grain_ = 4096;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace gkgpu

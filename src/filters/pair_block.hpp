@@ -18,9 +18,9 @@
 //                  genome and reorient reverse-strand reads in scratch.
 //
 // PairBlock is a non-owning view: the simulated device kernels see it over
-// unified-memory buffers, the mapping path (the streaming pipeline and the
-// paired mapper) over a batch's EncodedBatch read table and the engine's
-// loaded reference encoding (CandidateBlock), and PairBlockStorage (below)
+// unified-memory buffers, the streaming drivers' chunk workers over a
+// chunk's EncodedBatch read table and the engine's loaded reference
+// encoding (CandidateBlock), and PairBlockStorage (below)
 // owns host-side blocks for the batch filter API, tests and benches.
 #ifndef GKGPU_FILTERS_PAIR_BLOCK_HPP
 #define GKGPU_FILTERS_PAIR_BLOCK_HPP

@@ -14,7 +14,7 @@ struct FastqRecord {
   std::string qual;  // same length as seq
 };
 
-/// Incremental FASTQ parser for the streaming pipeline: pulls one record
+/// Incremental FASTQ parser for the streaming drivers: pulls one record
 /// or one bounded chunk at a time, so a read set never has to be resident
 /// in memory all at once.  The whole-file readers below are built on it.
 class FastqStreamReader {

@@ -10,7 +10,6 @@
 #include "mapper/minimizer.hpp"
 #include "obs/names.hpp"
 #include "encode/revcomp.hpp"
-#include "pipeline/candidate_packer.hpp"
 #include "util/threadpool.hpp"
 #include "util/timer.hpp"
 

@@ -26,7 +26,6 @@
 #include "mapper/minimizer.hpp"
 #include "mapper/seed_index.hpp"
 #include "obs/metrics.hpp"
-#include "pipeline/candidate_packer.hpp"
 
 namespace gkgpu {
 
@@ -38,7 +37,8 @@ struct MapperConfig {
   /// sweet spot).
   std::size_t max_reads_per_batch = 100000;
   /// Workers of the mapper's pool (0 = hardware concurrency): MapReads
-  /// verifies on it, and every mapping driver's host filter runs on it.
+  /// verifies on it, and the streaming drivers run their chunk workers on
+  /// it (pipeline/ordered_chunks.hpp).
   unsigned verify_threads = 0;
   /// Seeding strategy: dense pigeonhole seeds (the mrFAST default) or
   /// (w,k) minimizer sampling (see mapper/minimizer.hpp).
@@ -47,6 +47,15 @@ struct MapperConfig {
   /// Shard byte budget for the index (see SeedConfig::shard_max_bp);
   /// 0 = one shard per 4 Gbp.
   std::int64_t shard_max_bp = 0;
+};
+
+/// One seeding hit: a candidate mapping location plus the strand it was
+/// seeded on (0 = the read itself matches the forward reference window,
+/// 1 = its reverse complement does).  The strand bit is carried into
+/// CandidatePair and travels with it through filtration.
+struct OrientedCandidate {
+  std::int64_t pos = 0;
+  std::uint8_t strand = 0;
 };
 
 struct MappingRecord {
@@ -169,7 +178,7 @@ class ReadMapper {
   const SeedIndex& index() const { return index_; }
   /// The mapper's worker pool (MapperConfig::verify_threads).  ThreadPool
   /// is thread-safe, so a const mapper lends it to the drivers that borrow
-  /// it: StreamFastqToSam, both paired drivers and the daemon.
+  /// it: StreamFastqToSam, paired mapping and the daemon.
   ThreadPool* pool() const { return pool_.get(); }
 
   /// Maps `reads`; when `filter` is non-null it is used as the

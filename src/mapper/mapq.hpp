@@ -6,8 +6,8 @@
 // placements is not, whatever the filter's false-accept rate did on the
 // way (SOAP3-dp derives per-read quality from exactly this score gap).
 // The model here is shared by every driver — blocking MapReads, the
-// FASTQ-to-SAM pipeline, the daemon and both paired drivers — so golden
-// SAM files stay byte-identical across them:
+// FASTQ-to-SAM stream, the daemon and paired mapping — so golden SAM files
+// stay byte-identical across them:
 //
 //   * penalties are edit-based (see align/local.hpp's AlignmentScore
 //     scale): a placement's penalty is its edit count, a pair's the sum

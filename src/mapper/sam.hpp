@@ -79,16 +79,15 @@ void WriteSamHeader(std::ostream& out, const ReferenceSet& ref,
                     std::string_view read_group = {});
 
 /// One single-end alignment line with an explicit read name and a bare
-/// <len>M CIGAR — the streaming pipeline's SAM sink emits records
-/// incrementally as batches retire.  `seq` must already be oriented
-/// (reverse-complemented when flags carry 0x10).
+/// <len>M CIGAR (WriteSamRecords' records).  `seq` must already be
+/// oriented (reverse-complemented when flags carry 0x10).
 void WriteSamRecord(std::ostream& out, std::string_view read_name, int flags,
                     std::string_view seq, std::int64_t pos, int edit_distance,
                     int mapq, std::string_view ref_name,
                     std::string_view read_group = {});
 
 /// One single-end alignment line with a caller-supplied CIGAR (e.g.
-/// produced by the pipeline's verification workers).
+/// computed by a chunk worker right after verification).
 void WriteSamLine(std::ostream& out, std::string_view read_name, int flags,
                   std::string_view seq, std::string_view chrom_name,
                   std::int64_t local_pos, int edit_distance, int mapq,
@@ -96,8 +95,9 @@ void WriteSamLine(std::ostream& out, std::string_view read_name, int flags,
 
 /// Full-fidelity single record: recomputes the banded alignment of the
 /// oriented `seq` against `ref_window` (the reference bases the mapping
-/// covers) and emits the real CIGAR.  Shared by the blocking SAM writers
-/// and the streaming sink so both paths produce byte-identical records.
+/// covers) and emits the real CIGAR.  The blocking SAM writers use it; the
+/// chunk workers run the same CigarFor + WriteSamLine, so both paths
+/// produce byte-identical records.
 void WriteSamAlignment(std::ostream& out, std::string_view read_name,
                        int flags, std::string_view seq,
                        std::string_view chrom_name, std::int64_t local_pos,

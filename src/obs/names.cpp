@@ -88,13 +88,7 @@ Counter ReadsUnmapped() {
 
 Histogram StageService(const std::string& stage) {
   return R().histogram("gkgpu_stage_service_seconds",
-                       "Per-batch stage service time in seconds",
-                       {{"stage", stage}});
-}
-
-Histogram StageQueueWait(const std::string& stage) {
-  return R().histogram("gkgpu_stage_queue_wait_seconds",
-                       "Blocked queue-pop time feeding a stage, in seconds",
+                       "Per-chunk stage service time in seconds",
                        {{"stage", stage}});
 }
 
@@ -125,14 +119,14 @@ Counter ServeRecords() {
 
 Counter ServeBatches() {
   static const Counter c = R().counter(
-      "gkgpu_serve_batches_total", "Batches packed by the daemon pipeline");
+      "gkgpu_serve_batches_total", "Chunks mapped by the daemon's workers");
   return c;
 }
 
 Counter ServeCoalescedBatches() {
   static const Counter c = R().counter(
       "gkgpu_serve_coalesced_batches_total",
-      "Daemon batches containing reads from more than one session");
+      "Daemon chunks containing reads from more than one session");
   return c;
 }
 

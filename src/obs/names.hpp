@@ -28,13 +28,13 @@
 //   gkgpu_reads_mapped_total / gkgpu_reads_unmapped_total
 //
 // Stage latency (histograms, seconds, labeled {stage}):
-//   gkgpu_stage_service_seconds        per-batch stage work time
-//   gkgpu_stage_queue_wait_seconds     blocked Pop() time feeding a stage
+//   gkgpu_stage_service_seconds        per-chunk stage work time of the
+//                                      streaming drivers' chunk workers
 //
 // Daemon:
 //   gkgpu_serve_sessions_total {state=accepted|completed|failed}
 //   gkgpu_serve_reads_total / _skipped_reads_total / _records_total
-//   gkgpu_serve_batches_total / _coalesced_batches_total
+//   gkgpu_serve_batches_total / _coalesced_batches_total (chunks)
 //   gkgpu_serve_sessions_active (gauge)
 //   gkgpu_serve_session_seconds (histogram)
 #ifndef GKGPU_OBS_NAMES_HPP
@@ -65,9 +65,8 @@ Counter RescuedMates();
 Counter ReadsMapped();
 Counter ReadsUnmapped();
 
-// --- pipeline stages -------------------------------------------------
+// --- mapping stages --------------------------------------------------
 Histogram StageService(const std::string& stage);
-Histogram StageQueueWait(const std::string& stage);
 
 // --- daemon ----------------------------------------------------------
 Counter ServeSessions(const std::string& state);

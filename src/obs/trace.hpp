@@ -6,12 +6,12 @@
 //
 // Usage:
 //   obs::StartTracing();
-//   { obs::Span span("filter-batch", "pipeline"); ...work...; }
+//   { obs::Span span("filter", "pipeline"); ...work...; }
 //   obs::StopTracingToFile("trace.json");
 //
 // Spans become "X" (complete) events with microsecond timestamps; thread
 // names registered via obs::SetCurrentThreadName (or util/threadname)
-// become "M" thread_name metadata events, so stage threads show up
+// become "M" thread_name metadata events, so worker threads show up
 // labeled in the timeline.
 #ifndef GKGPU_OBS_TRACE_HPP
 #define GKGPU_OBS_TRACE_HPP

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <set>
 #include <span>
@@ -21,11 +18,11 @@
 #include "align/cigar.hpp"
 #include "align/local.hpp"
 #include "encode/revcomp.hpp"
-#include "filters/gatekeeper.hpp"
 #include "mapper/mapq.hpp"
 #include "mapper/sam.hpp"
 #include "obs/names.hpp"
-#include "pipeline/candidate_packer.hpp"
+#include "pipeline/chunk_filter.hpp"
+#include "pipeline/ordered_chunks.hpp"
 #include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
@@ -33,11 +30,9 @@ namespace gkgpu {
 
 namespace {
 
-/// One pair's state from seeding to finalization, shared by the blocking
-/// and streaming drivers.  c1/c2 are the *pruned* oriented candidate
-/// lists; e1/e2 the banded edit distance per candidate (-1 = filter
-/// rejected or verification refuted), filled by whichever driver ran the
-/// filtration.
+/// One pair's state from seeding to finalization.  c1/c2 are the *pruned*
+/// oriented candidate lists; e1/e2 the banded edit distance per candidate
+/// (-1 = filter rejected or verification refuted).
 struct PairTask {
   FastqRecord r1, r2;
   std::string rc1, rc2;  // reverse complements (verification + SAM)
@@ -123,7 +118,15 @@ void SeedPairTasks(const ReadMapper& mapper, int L, std::int64_t max_insert,
   for (PairTask& t : tasks) {
     t.skipped = static_cast<int>(t.r1.seq.size()) != L ||
                 static_cast<int>(t.r2.seq.size()) != L;
-    if (t.skipped) continue;
+    if (t.skipped) {
+      // Tasks are reused across chunks: clear what an earlier pair left.
+      t.c1.clear();
+      t.c2.clear();
+      t.e1.clear();
+      t.e2.clear();
+      t.seeded = 0;
+      continue;
+    }
     mates[n++] = t.r1.seq;
     mates[n++] = t.r2.seq;
   }
@@ -232,9 +235,9 @@ EditSummary Summarize(const std::vector<MateBest>& v) {
 }
 
 /// Everything FinalizePair needs besides the pair itself.  One instance
-/// per mapping run; finalization happens strictly in pair input order in
-/// both drivers, so the model evolves identically and the SAM output is
-/// byte-identical.
+/// per mapping run; finalization happens strictly in pair input order, so
+/// the model evolves identically and the SAM output is byte-identical
+/// whatever the chunk size or worker count.
 struct PairFinalizer {
   const ReadMapper* mapper = nullptr;
   const PairedConfig* cfg = nullptr;
@@ -253,8 +256,7 @@ struct PairFinalizer {
   /// True (and remembers the signature) when this proper pair's fragment —
   /// keyed on (chromosome, position, strand, TLEN) — was already seen, so
   /// the later copy is the duplicate.  Finalization runs strictly in pair
-  /// input order in both drivers, so marking is deterministic and
-  /// identical across them.
+  /// input order, so marking is deterministic.
   /// When optical_dup_distance > 0 and the later copy's tile:x:y sits
   /// within that many pixels of an earlier copy on the same tile, *optical
   /// is set (the record is still a duplicate either way).
@@ -306,7 +308,7 @@ double PairFinalizer::InsertPenalty(std::int64_t frag) const {
 /// whole window replaces the per-offset banded scans, recovers placements
 /// whose reference span differs from the read length (indels the fixed
 /// L-wide windows could never fit), and yields the CIGAR directly from
-/// the traceback.  Deterministic, so both drivers rescue identically.
+/// the traceback.  Deterministic.
 MateBest PairFinalizer::Rescue(const MateBest& anchor, const std::string& fwd,
                                const std::string& rc) {
   const ReferenceSet& ref = mapper->reference();
@@ -748,8 +750,7 @@ namespace {
 
 // Folds one paired run's totals into the process funnel: insert-window
 // pruning, SW mate rescues, and per-mate mapped/unmapped terminals (the
-// seeding kernel counts seeded candidates itself).  Called once per
-// driver, batch-granular by construction.
+// seeding kernel counts seeded candidates itself).  Called once per run.
 void RecordPairedFunnel(const PairedStats& stats) {
   if (!obs::Enabled()) return;
   obs::CandidatesPruned().Inc(stats.candidates_seeded -
@@ -764,6 +765,34 @@ void RecordPairedFunnel(const PairedStats& stats) {
 
 }  // namespace
 
+namespace {
+
+constexpr std::size_t kChunkPairs = kSeedChunkReads / 2;
+
+/// One chunk of pairs: mapped by a worker (seeded, pruned, filtered and
+/// verified into each task's e1/e2), then finalized in input order.
+struct PairChunk {
+  std::array<PairTask, kChunkPairs> tasks;
+  std::size_t size = 0;
+  double take_seconds = 0.0;
+  double seed_seconds = 0.0;
+  double verify_seconds = 0.0;
+  std::uint64_t verified = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t bypassed = 0;
+};
+
+/// One worker's scratch.
+struct PairScratch {
+  SeedChunk seeds;
+  std::vector<std::string_view> table;  // mates with candidates
+  std::vector<CandidatePair> candidates;
+  std::vector<PairResult> results;
+  BandedVerifier verifier;
+};
+
+}  // namespace
+
 PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
                                       const std::vector<FastqRecord>& r2,
                                       GateKeeperGpuEngine* filter,
@@ -773,20 +802,45 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
         "PairedEndMapper: R1 and R2 record counts differ (" +
         std::to_string(r1.size()) + " vs " + std::to_string(r2.size()) + ")");
   }
+  std::size_t i = 0;
+  const PairSource next = [&](FastqRecord* a, FastqRecord* b) {
+    if (i == r1.size()) return false;
+    if (!PairedFastqReader::NamesMatch(r1[i].name, r2[i].name)) {
+      throw std::invalid_argument(
+          "PairedEndMapper: mate name mismatch at pair " + std::to_string(i) +
+          ": '" + r1[i].name + "' vs '" + r2[i].name + "'");
+    }
+    *a = r1[i];
+    *b = r2[i];
+    ++i;
+    return true;
+  };
+  return Map(next, filter, sam);
+}
+
+PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
+                                      GateKeeperGpuEngine* filter,
+                                      std::ostream* sam) {
+  const PairSource next = [&](FastqRecord* a, FastqRecord* b) {
+    return reader.Next(a, b);
+  };
+  return Map(next, filter, sam);
+}
+
+PairedStats PairedEndMapper::Map(const PairSource& next,
+                                 GateKeeperGpuEngine* filter,
+                                 std::ostream* sam) {
   const int L = mapper_.config().read_length;
   const int e = mapper_.config().error_threshold;
-  if (filter != nullptr && filter->config().read_length != L) {
-    throw std::invalid_argument(
-        "PairedEndMapper: engine read length != mapper read length");
-  }
+  const pipeline::ChunkFilter chunk_filter(filter, mapper_);
+  const pipeline::StageHistograms stages;
+  ThreadPool& pool = *mapper_.pool();
+  const std::size_t workers = pipeline::ChunkWorkers(pool);
+  std::vector<PairScratch> scratch(workers);
+  const std::string_view genome = mapper_.genome();
 
   PairedStats stats;
-  stats.pairs = r1.size();
   WallTimer total;
-  if (filter != nullptr && !filter->HasReference()) {
-    filter->LoadReference(mapper_.genome());
-  }
-
   PairFinalizer fin;
   fin.mapper = &mapper_;
   fin.cfg = &config_;
@@ -796,320 +850,103 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
   fin.stats = &stats;
   fin.sam = sam;
 
-  const std::size_t batch_pairs =
-      std::max<std::size_t>(1, config_.max_pairs_per_batch);
-  std::vector<PairTask> tasks;
-  // Distinct mate sequences of the batch, as views into the (stable)
-  // seeded tasks — both mates' pruned candidates flow through one
-  // filtration round with no per-mate string materialization.
-  std::vector<std::string_view> table;
-  std::vector<CandidatePair> candidates;
-  struct CandRef {
-    std::uint32_t task;
-    std::uint8_t mate;
-    std::uint32_t slot;  // index into the mate's candidate list
-  };
-  std::vector<CandRef> provenance;
-  SeedChunk seed_chunk;
-  const std::string_view genome = mapper_.genome();
-  // Filter and verify both run on the mapper's pool.
-  ThreadPool* pool = mapper_.pool();
-
-  for (std::size_t base = 0; base < r1.size(); base += batch_pairs) {
-    const std::size_t count = std::min(batch_pairs, r1.size() - base);
-    tasks.clear();
-    table.clear();
-    candidates.clear();
-    provenance.clear();
-
-    // --- Seeding + pairing prune. ---
-    WallTimer seed_timer;
-    for (std::size_t i = 0; i < count; ++i) {
-      PairTask& t = tasks.emplace_back();
-      t.r1 = r1[base + i];
-      t.r2 = r2[base + i];
-      if (!PairedFastqReader::NamesMatch(t.r1.name, t.r2.name)) {
-        throw std::invalid_argument(
-            "PairedEndMapper: mate name mismatch at pair " +
-            std::to_string(base + i) + ": '" + t.r1.name + "' vs '" +
-            t.r2.name + "'");
+  // A malformed pair is raised only once the pairs before it are handed
+  // out, so the output up to it does not depend on the chunk size.
+  std::exception_ptr read_error;
+  const auto take = [&](PairChunk& chunk) {
+    if (read_error) std::rethrow_exception(read_error);
+    const WallTimer timer;
+    chunk.size = 0;
+    try {
+      while (chunk.size < kChunkPairs) {
+        PairTask& t = chunk.tasks[chunk.size];
+        if (!next(&t.r1, &t.r2)) break;
+        ++chunk.size;
       }
+    } catch (...) {
+      read_error = std::current_exception();
     }
-    constexpr std::size_t kChunkPairs = kSeedChunkReads / 2;
-    for (std::size_t c0 = 0; c0 < count; c0 += kChunkPairs) {
-      SeedPairTasks(mapper_, L, config_.max_insert,
-                    std::span(tasks).subspan(c0, std::min(kChunkPairs,
-                                                          count - c0)),
-                    &seed_chunk);
+    if (chunk.size == 0 && read_error) std::rethrow_exception(read_error);
+    chunk.take_seconds = timer.Seconds();
+    return chunk.size > 0;
+  };
+
+  const auto map = [&](PairChunk& chunk, std::size_t worker) {
+    PairScratch& s = scratch[worker];
+    const std::span<PairTask> tasks(chunk.tasks.data(), chunk.size);
+    {
+      const WallTimer seed_timer;
+      const pipeline::StageTimer timer(stages.source, "source",
+                                       chunk.take_seconds);
+      SeedPairTasks(mapper_, L, config_.max_insert, tasks, &s.seeds);
+      chunk.seed_seconds = seed_timer.Seconds();
     }
-    // The table views point into `tasks`, so it is built only after the
-    // batch's tasks stopped moving (vector growth relocates elements).
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const PairTask& t = tasks[i];
-      stats.candidates_seeded += t.seeded;
-      stats.candidates_paired += t.c1.size() + t.c2.size();
+    // Both mates' pruned candidates share one filter call.
+    s.table.clear();
+    s.candidates.clear();
+    for (const PairTask& t : tasks) {
       for (int mate = 0; mate < 2; ++mate) {
         const std::vector<OrientedCandidate>& c = mate == 0 ? t.c1 : t.c2;
         if (c.empty()) continue;
-        table.push_back(mate == 0 ? std::string_view(t.r1.seq)
-                                  : std::string_view(t.r2.seq));
-        const std::uint32_t ri = static_cast<std::uint32_t>(table.size() - 1);
-        for (std::size_t j = 0; j < c.size(); ++j) {
-          candidates.push_back({ri, c[j].strand, 0, c[j].pos});
-          provenance.push_back({static_cast<std::uint32_t>(i),
-                                static_cast<std::uint8_t>(mate),
-                                static_cast<std::uint32_t>(j)});
+        s.table.push_back(mate == 0 ? t.r1.seq : t.r2.seq);
+        const auto ri = static_cast<std::uint32_t>(s.table.size() - 1);
+        for (const OrientedCandidate& oc : c) {
+          s.candidates.push_back({ri, oc.strand, 0, oc.pos});
         }
       }
     }
-    stats.seeding_seconds += seed_timer.Seconds();
+    chunk_filter.Filter(s.table, s.candidates, stages, &s.results);
 
-    // --- Pre-alignment filtering on the surviving candidates: the host
-    // GateKeeper over one candidates-shape block, as the streaming
-    // pipeline's filter stage runs it. ---
-    std::vector<PairResult> decisions;
-    if (filter != nullptr) {
-      const GateKeeperCpu gatekeeper(
-          filter->config().algorithm, pool,
-          static_cast<std::size_t>(filter->plan().threads_per_block));
-      const EncodedBatch table_enc = EncodeBatch(table, L, pool);
-      decisions.resize(candidates.size());
-      gatekeeper.FilterBlock(
-          CandidateBlock(table_enc, filter->reference_encoding(),
-                         candidates.data(), candidates.size()),
-          filter->config().error_threshold, decisions.data());
-      for (const PairResult& r : decisions) {
-        stats.rejected_pairs += r.accept == 0 ? 1 : 0;
-        stats.bypassed_pairs += r.bypassed;
+    // Verification, each candidate on its seeded strand, in the order the
+    // candidates were laid out above.
+    const WallTimer verify_timer;
+    const pipeline::StageTimer timer(stages.verify, "verify");
+    chunk.verified = 0;
+    chunk.rejected = 0;
+    chunk.bypassed = 0;
+    std::size_t k = 0;
+    for (PairTask& t : tasks) {
+      for (int mate = 0; mate < 2; ++mate) {
+        const std::vector<OrientedCandidate>& c = mate == 0 ? t.c1 : t.c2;
+        std::vector<int>& edits = mate == 0 ? t.e1 : t.e2;
+        for (std::size_t j = 0; j < c.size(); ++j) {
+          const PairResult r = s.results[k++];
+          chunk.bypassed += r.bypassed;
+          if (r.accept == 0) {
+            ++chunk.rejected;
+            continue;
+          }
+          ++chunk.verified;
+          const std::string& oriented =
+              c[j].strand != 0 ? (mate == 0 ? t.rc1 : t.rc2)
+                               : (mate == 0 ? t.r1.seq : t.r2.seq);
+          const std::string_view window(genome.data() + c[j].pos,
+                                        static_cast<std::size_t>(L));
+          edits[j] = s.verifier.Distance(oriented, window, e);
+        }
       }
     }
+    chunk.verify_seconds = verify_timer.Seconds();
+  };
 
-    // --- Verification, each candidate on its seeded strand. ---
-    WallTimer verify_timer;
-    std::atomic<std::uint64_t> verified{0};
-    pool->ParallelFor(
-        0, candidates.size(), 256, [&](std::size_t i0, std::size_t i1) {
-          BandedVerifier verifier;
-          std::uint64_t local = 0;
-          for (std::size_t i = i0; i < i1; ++i) {
-            if (filter != nullptr && decisions[i].accept == 0) continue;
-            ++local;
-            const CandRef pr = provenance[i];
-            PairTask& t = tasks[pr.task];
-            const OrientedCandidate oc =
-                (pr.mate == 0 ? t.c1 : t.c2)[pr.slot];
-            const std::string& oriented =
-                oc.strand != 0 ? (pr.mate == 0 ? t.rc1 : t.rc2)
-                               : (pr.mate == 0 ? t.r1.seq : t.r2.seq);
-            const std::string_view window(
-                genome.data() + oc.pos, static_cast<std::size_t>(L));
-            (pr.mate == 0 ? t.e1 : t.e2)[pr.slot] =
-                verifier.Distance(oriented, window, e);
-          }
-          verified.fetch_add(local, std::memory_order_relaxed);
-        });
-    stats.verification_pairs += verified.load();
-    stats.verify_seconds += verify_timer.Seconds();
-
-    // --- Finalization, strictly in pair input order. ---
-    WallTimer fin_timer;
-    for (const PairTask& t : tasks) fin.Finalize(t);
+  const auto emit = [&](PairChunk& chunk) {
+    const WallTimer fin_timer;
+    for (const PairTask& t : std::span(chunk.tasks.data(), chunk.size)) {
+      stats.candidates_seeded += t.seeded;
+      stats.candidates_paired += t.c1.size() + t.c2.size();
+      fin.Finalize(t);
+    }
+    stats.pairs += chunk.size;
+    stats.verification_pairs += chunk.verified;
+    stats.rejected_pairs += chunk.rejected;
+    stats.bypassed_pairs += chunk.bypassed;
+    stats.seeding_seconds += chunk.seed_seconds;
+    stats.verify_seconds += chunk.verify_seconds;
     stats.finalize_seconds += fin_timer.Seconds();
-  }
-
-  stats.insert_mean = fin.model.mean();
-  stats.insert_sigma = fin.model.sigma();
-  stats.insert_observations = fin.model.count();
-  stats.total_seconds = total.Seconds();
-  RecordPairedFunnel(stats);
-  return stats;
-}
-
-PairedStats PairedEndMapper::MapPairsStreaming(PairedFastqReader& reader,
-                                               GateKeeperGpuEngine* engine,
-                                               pipeline::PipelineConfig pcfg,
-                                               std::ostream* sam) {
-  if (engine == nullptr) {
-    throw std::invalid_argument(
-        "MapPairsStreaming: the streaming path is the filter integration "
-        "and requires an engine");
-  }
-  const int L = mapper_.config().read_length;
-  const int e = mapper_.config().error_threshold;
-  if (engine->config().read_length != L) {
-    throw std::invalid_argument(
-        "MapPairsStreaming: engine read length != mapper read length");
-  }
-
-  PairedStats stats;
-  WallTimer total;
-  if (!engine->HasReference()) engine->LoadReference(mapper_.genome());
-
-  pcfg.reference_text = mapper_.genome();
-  pcfg.reference_fingerprint = mapper_.reference().fingerprint();
-  pcfg.verify = true;
-  pcfg.verify_threshold = e;
-  pcfg.emit_cigar = false;  // the finalizer recomputes CIGARs per mate
-  pipeline::StreamingPipeline pipe(engine, mapper_.pool(), pcfg);
-
-  PairFinalizer fin;
-  fin.mapper = &mapper_;
-  fin.cfg = &config_;
-  fin.L = L;
-  fin.e = e;
-  fin.model = InsertSizeModel(config_.min_model_observations);
-  fin.stats = &stats;
-  fin.sam = sam;
-
-  // Pairs in flight: pushed (fully seeded) by the source thread, filled
-  // and finalized strictly in input order by the ordered sink.  Entries
-  // are stable deque references; the mutex guards only the deque's
-  // structure (push/pop/index arithmetic).
-  struct Pending : PairTask {
-    std::size_t received1 = 0;  // edits delivered into e1
-    std::size_t received2 = 0;  // edits delivered into e2
-    bool complete() const {
-      return received1 == e1.size() && received2 == e2.size();
-    }
-  };
-  std::deque<Pending> pending;
-  std::mutex mu;
-  std::uint64_t base_index = 0;  // pair index of pending.front()
-
-  // Source-side state (source thread only).
-  struct MateFeed {
-    std::uint64_t pair;
-    std::uint8_t mate;
-  };
-  std::deque<MateFeed> feed;
-  std::uint64_t next_pair = 0;
-  std::uint64_t cur_pair = 0;
-  std::uint8_t cur_mate = 0;
-  std::uint64_t pairs_local = 0;
-  std::uint64_t seeded_local = 0;
-  std::uint64_t paired_local = 0;
-  double seed_seconds = 0.0;
-  std::vector<PairTask> fresh;  // the next chunk of pairs, seeded together
-  SeedChunk seed_chunk;
-  // A malformed pair is raised only once the pairs before it are fed, so
-  // the output up to it does not depend on the chunk size.
-  std::exception_ptr read_error;
-  pipeline::CandidateStream stream;
-
-  const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
-    WallTimer seed_timer;
-    const std::size_t target = std::max<std::size_t>(
-        1, std::min(batch->target_size, pipe.config().batch_size));
-    pipeline::PackCandidateBatch(
-        batch, target, &stream,
-        [&](std::vector<OrientedCandidate>* positions) -> const std::string* {
-          for (;;) {
-            if (!feed.empty()) {
-              const MateFeed f = feed.front();
-              feed.pop_front();
-              Pending* p;
-              {
-                std::lock_guard<std::mutex> lk(mu);
-                p = &pending[static_cast<std::size_t>(f.pair - base_index)];
-              }
-              *positions = f.mate == 0 ? p->c1 : p->c2;
-              cur_pair = f.pair;
-              cur_mate = f.mate;
-              return f.mate == 0 ? &p->r1.seq : &p->r2.seq;
-            }
-            if (read_error) std::rethrow_exception(read_error);
-            fresh.clear();
-            try {
-              PairTask t;
-              while (fresh.size() < kSeedChunkReads / 2 &&
-                     reader.Next(&t.r1, &t.r2)) {
-                fresh.push_back(std::move(t));
-              }
-            } catch (...) {
-              read_error = std::current_exception();
-            }
-            if (fresh.empty()) {
-              if (read_error) std::rethrow_exception(read_error);
-              return nullptr;
-            }
-            pairs_local += fresh.size();
-            SeedPairTasks(mapper_, L, config_.max_insert, fresh, &seed_chunk);
-            for (PairTask& t : fresh) {
-              seeded_local += t.seeded;
-              paired_local += t.c1.size() + t.c2.size();
-              const bool has1 = !t.c1.empty();
-              const bool has2 = !t.c2.empty();
-              Pending p;
-              static_cast<PairTask&>(p) = std::move(t);
-              {
-                std::lock_guard<std::mutex> lk(mu);
-                pending.push_back(std::move(p));
-              }
-              const std::uint64_t idx = next_pair++;
-              if (has1) feed.push_back({idx, 0});
-              if (has2) feed.push_back({idx, 1});
-              // Zero-candidate pairs never enter the pipeline; the sink
-              // finalizes them in order off the pending deque.
-            }
-          }
-        },
-        [&](const OrientedCandidate&, bool) {
-          batch->read_index.push_back(static_cast<std::uint32_t>(cur_pair));
-          batch->mate.push_back(cur_mate);
-        });
-    seed_seconds += seed_timer.Seconds();
-    return batch->size() > 0;
   };
 
-  const pipeline::BatchSink sink = [&](pipeline::PairBatch&& batch) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Pending* p;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        p = &pending[static_cast<std::size_t>(batch.read_index[i] -
-                                              base_index)];
-      }
-      // The mate column routes each edit to its list; within a mate,
-      // candidates arrive in packing (= seeding) order.
-      if (batch.mate[i] == 0) {
-        p->e1[p->received1++] = batch.edits[i];
-      } else {
-        p->e2[p->received2++] = batch.edits[i];
-      }
-    }
-    // Finalize every leading pair whose candidates all arrived — strict
-    // input order, exactly like the blocking driver.
-    for (;;) {
-      Pending done;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (pending.empty() || !pending.front().complete()) break;
-        done = std::move(pending.front());
-        pending.pop_front();
-        ++base_index;
-      }
-      fin.Finalize(done);
-    }
-  };
+  pipeline::RunOrderedChunks<PairChunk>(pool, workers, take, map, emit);
 
-  const pipeline::PipelineStats ps = pipe.Run(source, sink);
-
-  // Trailing pairs (zero-candidate tails the sink never saw a batch for).
-  while (!pending.empty()) {
-    assert(pending.front().complete());
-    fin.Finalize(pending.front());
-    pending.pop_front();
-    ++base_index;
-  }
-
-  stats.pairs = pairs_local;  // skipped_pairs is counted by the finalizer
-  stats.candidates_seeded = seeded_local;
-  stats.candidates_paired = paired_local;
-  stats.seeding_seconds = seed_seconds;
-  stats.verification_pairs = ps.verified_pairs;
-  stats.rejected_pairs = ps.rejected;
-  stats.bypassed_pairs = ps.bypassed;
-  stats.verify_seconds = ps.verify_seconds;
   stats.insert_mean = fin.model.mean();
   stats.insert_sigma = fin.model.sigma();
   stats.insert_observations = fin.model.count();
@@ -1122,10 +959,9 @@ PairedStats StreamPairedFastqToSam(PairedFastqReader& reader,
                                    const ReadMapper& mapper,
                                    GateKeeperGpuEngine* engine,
                                    const PairedConfig& config,
-                                   pipeline::PipelineConfig pcfg,
+                                   pipeline::PipelineConfig /*pcfg*/,
                                    std::ostream* sam) {
-  PairedEndMapper paired(mapper, config);
-  return paired.MapPairsStreaming(reader, engine, std::move(pcfg), sam);
+  return PairedEndMapper(mapper, config).MapPairs(reader, engine, sam);
 }
 
 }  // namespace gkgpu

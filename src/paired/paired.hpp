@@ -12,10 +12,10 @@
 //     the one forward k-mer index);
 //   * prunes each mate's candidates to those with a concordant
 //     opposite-strand partner within the insert window;
-//   * filters survivors with the host GateKeeper on the mapper's pool
-//     (the strand bit rides inside CandidatePair; windows come from the
-//     engine's reference encoding) and verifies with the Myers bit-vector
-//     kernel (align/myers.hpp);
+//   * filters survivors with the host GateKeeper, one call per chunk of
+//     pairs (the strand bit rides inside CandidatePair; windows come from
+//     the engine's reference encoding), and verifies with the Myers
+//     bit-vector kernel (align/myers.hpp);
 //   * selects the best concordant combination under a fitted insert-size
 //     model (mean/sigma learned online from confident pairs);
 //   * rescues a lost mate with a Smith-Waterman-style fit alignment
@@ -37,14 +37,17 @@
 //     0x40/0x80 (+0x400), RNEXT/PNEXT/TLEN, reverse-complemented SEQ and
 //     reversed QUAL on strand-flipped records, NM and RG:Z tags.
 //
-// Two drivers share one finalization path, so their SAM output is
-// byte-identical: MapPairs (blocking, batch-at-a-time) and
-// MapPairsStreaming (the bounded-memory streaming pipeline with an
-// ordered pair sink).
+// One driver maps pairs, from vectors (MapPairs) or from a paired FASTQ
+// reader (StreamPairedFastqToSam): chunk workers on the mapper's pool
+// (pipeline/ordered_chunks.hpp) each seed, prune, filter and verify a
+// chunk of kSeedChunkReads / 2 pairs, and the in-order emitter finalizes
+// each pair (pairing, SW rescue, MAPQ, SAM) strictly in input order, so
+// the insert-size model evolves identically whatever the worker count.
 #ifndef GKGPU_PAIRED_PAIRED_HPP
 #define GKGPU_PAIRED_PAIRED_HPP
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -82,9 +85,6 @@ struct PairedConfig {
   /// Read-group ID: adds RG:Z:<id> to every record ("" = none).  The @RG
   /// header line is the caller's (WriteSamHeader's read_group parameter).
   std::string read_group;
-  /// Pairs per blocking batch (both mates' candidates share one
-  /// filtration round).
-  std::size_t max_pairs_per_batch = 50000;
 };
 
 struct PairedStats {
@@ -152,34 +152,35 @@ class PairedEndMapper {
 
   const PairedConfig& config() const { return config_; }
 
-  /// Blocking path: maps r1[i] with r2[i] (equal sizes; mate names must
-  /// match), optionally pre-filtering candidates against `filter`'s loaded
-  /// reference with its GateKeeper parameters, and
-  /// writes two SAM records per pair to `sam` (may be null for stats
-  /// only; the header is the caller's).  Pairs whose mates are not the
-  /// configured read length are emitted unmapped.
+  /// Maps r1[i] with r2[i] (equal sizes; mate names must match),
+  /// pre-filtering candidates against `filter`'s loaded reference with its
+  /// GateKeeper parameters (null = No Filter), and writes two SAM records
+  /// per pair to `sam` (may be null for stats only; the header is the
+  /// caller's).  Pairs whose mates are not the configured read length are
+  /// emitted unmapped.  A mate-name mismatch throws std::invalid_argument
+  /// once the pairs before it are written.
   PairedStats MapPairs(const std::vector<FastqRecord>& r1,
                        const std::vector<FastqRecord>& r2,
                        GateKeeperGpuEngine* filter, std::ostream* sam);
 
-  /// Streaming path: consumes `reader` through the StreamingPipeline
-  /// (filtration on the mapper's pool against the engine's reference
-  /// encoding, Myers verification in the worker pool) with an ordered
-  /// pair sink — byte-identical SAM to MapPairs under bounded memory.
-  /// `engine` is required; `pcfg.reference_text`, `verify` and
-  /// `verify_threshold` are set by the mapper.
-  PairedStats MapPairsStreaming(PairedFastqReader& reader,
-                                GateKeeperGpuEngine* engine,
-                                pipeline::PipelineConfig pcfg,
-                                std::ostream* sam);
+  /// The same, streaming the pairs from `reader` under bounded memory; a
+  /// malformed record is thrown once the pairs before it are written.
+  PairedStats MapPairs(PairedFastqReader& reader,
+                       GateKeeperGpuEngine* filter, std::ostream* sam);
 
  private:
+  /// Fills the next pair; false at end of input.
+  using PairSource = std::function<bool(FastqRecord* r1, FastqRecord* r2)>;
+  PairedStats Map(const PairSource& next, GateKeeperGpuEngine* filter,
+                  std::ostream* sam);
+
   const ReadMapper& mapper_;
   PairedConfig config_;
 };
 
 /// Convenience front end mirroring StreamFastqToSam: paired FASTQ in,
-/// ordered paired SAM out, on the streaming pipeline.
+/// ordered paired SAM out (PairedEndMapper::MapPairs over the reader).
+/// `pcfg` is unused (see pipeline/pipeline.hpp).
 PairedStats StreamPairedFastqToSam(PairedFastqReader& reader,
                                    const ReadMapper& mapper,
                                    GateKeeperGpuEngine* engine,

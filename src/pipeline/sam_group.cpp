@@ -3,26 +3,19 @@
 #include <ostream>
 #include <utility>
 
-#include "encode/revcomp.hpp"
-
 namespace gkgpu::pipeline {
 
-void SamGroupBuffer::AddMapping(PairBatch& batch, std::size_t i) {
-  const CandidatePair c = batch.candidates[i];
-  std::string_view seq = batch.cand_reads[c.read_index];
-  int flags = 0;
-  if (c.strand != 0) {
-    ReverseComplementInto(seq, &rc_scratch_);
-    seq = rc_scratch_;
-    flags = kSamReverse;
-  }
-  group_.push_back({batch.read_names[i], flags, std::string(seq),
-                    batch.ref_chrom[i], batch.ref_pos[i], batch.edits[i],
-                    std::move(batch.cigars[i])});
+void SamGroupBuffer::AddMapping(int flags, std::string_view seq,
+                                std::int32_t chrom, std::int64_t pos,
+                                int edits, std::string cigar) {
+  group_.push_back(
+      {flags, std::string(seq), chrom, pos, edits, std::move(cigar)});
 }
 
 std::size_t SamGroupBuffer::FlushGroup(std::ostream& out,
-                                       const ReferenceSet& ref) {
+                                       const ReferenceSet& ref,
+                                       std::string_view name,
+                                       const SamGroupOptions& options) {
   if (group_.empty()) return 0;
   // One summary scan gives the primary record and its MAPQ (every other
   // placement scores 0), then primary-only or everything-with-secondaries-
@@ -32,18 +25,18 @@ std::size_t SamGroupBuffer::FlushGroup(std::ostream& out,
   const EditSummary s = SummarizeEdits(group_edits_);
   const std::size_t primary = PrimaryIndex(group_edits_, s);
   const int primary_mapq =
-      ComputeMapq(s.best, s.second, s.best_count, options_.mapq_cap);
+      ComputeMapq(s.best, s.second, s.best_count, options.mapq_cap);
   std::size_t written = 0;
   for (std::size_t g = 0; g < group_.size(); ++g) {
-    if (g != primary && options_.secondary == SecondaryPolicy::kBestOnly) {
+    if (g != primary && options.secondary == SecondaryPolicy::kBestOnly) {
       continue;
     }
     const GroupRecord& r = group_[g];
     const int flags = r.flags | (g == primary ? 0 : kSamSecondary);
-    WriteSamLine(out, r.name, flags, r.seq,
+    WriteSamLine(out, name, flags, r.seq,
                  ref.chromosome(static_cast<std::size_t>(r.chrom)).name,
                  r.pos, r.edits, g == primary ? primary_mapq : 0, r.cigar,
-                 options_.read_group);
+                 options.read_group);
     ++written;
   }
   group_.clear();

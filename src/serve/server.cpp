@@ -7,9 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -17,12 +15,9 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,8 +26,9 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
-#include "pipeline/candidate_packer.hpp"
-#include "pipeline/sam_group.hpp"
+#include "pipeline/chunk_filter.hpp"
+#include "pipeline/ordered_chunks.hpp"
+#include "pipeline/read_to_sam.hpp"
 #include "serve/protocol.hpp"
 #include "util/threadname.hpp"
 
@@ -146,6 +142,8 @@ class FastqAssembler {
 
 /// SAM bytes staged per session before a kSamRecords frame departs.
 constexpr std::size_t kSendThreshold = 64u << 10;
+/// Reads the shared queue holds before sessions block on admission.
+constexpr std::size_t kQueueCapacity = 8192;
 
 struct Session {
   explicit Session(int fd_in, std::uint64_t id_in) : fd(fd_in), id(id_in) {}
@@ -165,9 +163,13 @@ struct Session {
   std::atomic<std::uint64_t> enqueued{0};
   std::atomic<std::uint64_t> retired{0};
 
-  // Output side (sink thread + whichever thread completes the session).
+  /// The job's SAM options; set by the session thread before it admits
+  /// its first read (the queue's mutex publishes it to the workers).
+  pipeline::SamGroupOptions options;
+
+  // Output side (the emitting worker + whichever thread completes the
+  // session).
   std::mutex out_mu;
-  std::optional<pipeline::SamGroupBuffer> groups;
   std::ostringstream staged;
   std::uint64_t reads = 0;    // admitted to the queue (session thread)
   std::uint64_t records = 0;  // SAM records staged (under out_mu)
@@ -182,15 +184,21 @@ struct QueuedRead {
   std::string seq;
 };
 
+/// One chunk of queued reads, possibly from several sessions.
+struct ServedChunk {
+  std::vector<QueuedRead> reads;
+  pipeline::ReadChunkInput in;
+  pipeline::ReadChunkOutput out;
+};
+
 }  // namespace
 
 struct MapServer::Impl {
   Impl(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
-       ServeConfig config, pipeline::PipelineConfig pipeline_config)
+       ServeConfig config)
       : mapper_(mapper),
         engine_(engine),
         config_(std::move(config)),
-        pcfg_(std::move(pipeline_config)),
         baseline_(ReadRegistryServeStats()) {
     // The self-pipe lives as long as the server, so Shutdown() — from any
     // thread or a signal handler — never races its creation or its close.
@@ -208,7 +216,6 @@ struct MapServer::Impl {
   const ReadMapper& mapper_;
   GateKeeperGpuEngine* engine_;
   ServeConfig config_;
-  pipeline::PipelineConfig pcfg_;
 
   // --- lifecycle --------------------------------------------------------
   int listen_fd_ = -1;
@@ -225,20 +232,12 @@ struct MapServer::Impl {
   std::deque<QueuedRead> queue_;
   bool input_closed_ = false;  // no producer will ever push again
 
-  // --- read ownership (source registers, sink retires) ------------------
-  std::mutex owners_mu_;
-  std::unordered_map<std::uint32_t, SessionPtr> owners_;
-
   // --- statistics -------------------------------------------------------
   // All counting goes through the metrics registry (obs/names.hpp);
   // stats() reads one consistent snapshot and subtracts this baseline.
   // The session id allocator is the only remaining local counter.
   std::atomic<std::uint64_t> session_seq_{0};
   const ServeStats baseline_;
-
-  std::size_t QueueCapacity() const {
-    return std::max<std::size_t>(1024, config_.batch_size * 4);
-  }
 
   // Sends one frame under the session's write lock; a failed send (stalled
   // or vanished client, SO_SNDTIMEO) marks the session dead.
@@ -272,9 +271,9 @@ struct MapServer::Impl {
   }
 
   /// Completes the session once every admitted read has retired: flushes
-  /// staged SAM bytes, sends kStats + kDone.  Callable from the session,
-  /// source, or sink thread — whoever retires the last read wins the
-  /// done_sent exchange.
+  /// staged SAM bytes, sends kStats + kDone.  Callable from the session
+  /// thread or the emitting worker — whoever retires the last read wins
+  /// the done_sent exchange.
   void MaybeComplete(const SessionPtr& s) {
     if (!s->input_done.load(std::memory_order_acquire)) return;
     if (s->retired.load(std::memory_order_acquire) !=
@@ -332,7 +331,7 @@ struct MapServer::Impl {
         throw std::runtime_error("expected a kJob frame first");
       }
       if (frame.type == FrameType::kStatsRequest) {
-        // Metrics scrape: no job, no pipeline involvement — answer from
+        // Metrics scrape: no job, no mapping involvement — answer from
         // the registry and finish the session.
         obs::Span span("stats-scrape", "serve");
         TrySend(s, FrameType::kStats,
@@ -357,11 +356,7 @@ struct MapServer::Impl {
       const SecondaryPolicy policy = job.report_secondary
                                          ? SecondaryPolicy::kReportSecondary
                                          : SecondaryPolicy::kBestOnly;
-      {
-        std::lock_guard<std::mutex> lock(s->out_mu);
-        s->groups.emplace(
-            pipeline::SamGroupOptions{read_group, mapq_cap, policy});
-      }
+      s->options = pipeline::SamGroupOptions{read_group, mapq_cap, policy};
       std::ostringstream header;
       WriteSamHeader(header, mapper_.reference(), read_group);
       TrySend(s, FrameType::kSamHeader, std::move(header).str());
@@ -413,195 +408,94 @@ struct MapServer::Impl {
     }
     obs::ServeReads().Inc();
     std::unique_lock<std::mutex> lock(queue_mu_);
-    queue_space_cv_.wait(
-        lock, [&] { return queue_.size() < QueueCapacity(); });
+    queue_space_cv_.wait(lock,
+                         [&] { return queue_.size() < kQueueCapacity; });
     queue_.push_back({s, std::move(rec.name), std::move(rec.seq)});
     lock.unlock();
     queue_cv_.notify_one();
   }
 
-  // --- the pipeline thread (coalescing source + demultiplexing sink) ----
+  // --- the mapping thread: chunk workers on the mapper's pool ----------
 
-  void PipelineLoop() {
-    pipeline::PipelineConfig pcfg = pcfg_;
-    pcfg.reference_text = mapper_.genome();
-    pcfg.reference_fingerprint = mapper_.reference().fingerprint();
-    pcfg.verify = true;
-    pcfg.verify_threshold = mapper_.config().error_threshold;
-    pcfg.emit_cigar = true;
-    pcfg.batch_size = config_.batch_size;
-    const int threads = std::max(1, config_.threads);
-    pcfg.encode_workers = std::max(1, threads / 2);
-    pcfg.verify_workers = std::max(1, threads - threads / 2);
-    pipeline::StreamingPipeline pipe(engine_, mapper_.pool(), pcfg);
-
-    const ReferenceSet& ref = mapper_.reference();
-    pipeline::CandidateStream stream;
-    // The current chunk: `chunk_reads` are seeded in `chunk`, and `next` is
-    // the first one not yet handed to the packer.
-    std::vector<QueuedRead> chunk_reads;
-    SeedChunk chunk;
-    std::size_t next = 0;
-    const QueuedRead* current = nullptr;
-    std::uint32_t read_counter = 0;
-    std::vector<const Session*> batch_sessions;  // distinct, per batch
-
-    // Takes the queued reads, up to one chunk, and seeds them.  Only the
-    // first read is waited for, as the batch's state demands; false when
-    // the batch should depart instead.
-    const auto refill = [&](bool first) {
-      chunk_reads.clear();
-      next = 0;
-      {
-        std::unique_lock<std::mutex> lock(queue_mu_);
-        const auto ready = [&] { return !queue_.empty() || input_closed_; };
-        if (first) {
-          // An empty batch waits as long as it takes — the daemon idles
-          // here between jobs.
-          queue_cv_.wait(lock, ready);
-        } else if (!queue_cv_.wait_for(
-                       lock,
-                       std::chrono::milliseconds(
-                           std::max(0, config_.linger_ms)),
-                       ready)) {
-          // Linger expired: the partial batch departs rather than holding
-          // one client's reads hostage to another's pace.
-          return false;
-        }
-        if (queue_.empty()) return false;  // input closed
-        while (!queue_.empty() && chunk_reads.size() < kSeedChunkReads) {
-          chunk_reads.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
+  /// Takes up to one chunk of queued reads: idles until work arrives, then
+  /// waits at most `linger` for a full chunk.  False once the queue is
+  /// closed and drained.
+  bool TakeChunk(ServedChunk& chunk) {
+    const WallTimer timer;
+    const std::chrono::milliseconds linger(std::max(0, config_.linger_ms));
+    chunk.reads.clear();
+    {
+      std::unique_lock<std::mutex> lock(queue_mu_);
+      queue_cv_.wait(lock, [&] { return !queue_.empty() || input_closed_; });
+      const auto full = [&] {
+        return queue_.size() >= kSeedChunkReads || input_closed_;
+      };
+      queue_cv_.wait_for(lock, linger, full);
+      if (queue_.empty()) return false;  // closed and drained
+      while (!queue_.empty() && chunk.reads.size() < kSeedChunkReads) {
+        chunk.reads.push_back(std::move(queue_.front()));
+        queue_.pop_front();
       }
-      queue_space_cv_.notify_all();
-      // Reads of sessions that died while queued retire unseeded.
-      std::erase_if(chunk_reads, [&](const QueuedRead& r) {
-        if (!r.session->dead.load(std::memory_order_acquire)) return false;
-        RetireRead(r.session);
-        return true;
-      });
-      std::array<std::string_view, kSeedChunkReads> seqs;
-      for (std::size_t i = 0; i < chunk_reads.size(); ++i) {
-        seqs[i] = chunk_reads[i].seq;
+    }
+    queue_space_cv_.notify_all();
+    obs::ServeBatches().Inc();
+    for (const QueuedRead& r : chunk.reads) {
+      if (r.session != chunk.reads.front().session) {
+        obs::ServeCoalescedBatches().Inc();
+        break;
       }
-      mapper_.SeedReads(std::span(seqs).first(chunk_reads.size()), &chunk,
-                        SeedVote::kOn);
-      return true;
-    };
+    }
+    pipeline::ReadChunkInput& in = chunk.in;
+    in.size = chunk.reads.size();
+    for (std::size_t i = 0; i < in.size; ++i) {
+      in.names[i] = chunk.reads[i].name;
+      in.seqs[i] = chunk.reads[i].seq;
+      in.options[i] = &chunk.reads[i].session->options;
+    }
+    in.take_seconds = timer.Seconds();
+    return true;
+  }
 
-    const pipeline::BatchSource source = [&](pipeline::PairBatch* batch) {
-      batch_sessions.clear();
-      const std::size_t target = std::max<std::size_t>(
-          1, std::min(batch->target_size, pipe.config().batch_size));
-      PackCandidateBatch(
-          batch, target, &stream,
-          [&](std::vector<OrientedCandidate>* positions)
-              -> const std::string* {
-            for (;;) {
-              if (next == chunk_reads.size() &&
-                  !refill(batch->candidates.empty())) {
-                return nullptr;
-              }
-              const QueuedRead& r = chunk_reads[next];
-              const std::span<const OrientedCandidate> cands =
-                  chunk.candidates(next++);
-              if (cands.empty()) {
-                // No candidate anywhere in the genome: the read completes
-                // right here, with no SAM records.
-                RetireRead(r.session);
-                continue;
-              }
-              positions->assign(cands.begin(), cands.end());
-              {
-                std::lock_guard<std::mutex> lock(owners_mu_);
-                owners_.emplace(read_counter, r.session);
-              }
-              ++read_counter;
-              current = &r;
-              return &r.seq;
-            }
-          },
-          [&](const OrientedCandidate& oc, bool last) {
-            const int chrom = ref.Locate(oc.pos);
-            assert(chrom >= 0);
-            batch->read_index.push_back(read_counter - 1);
-            batch->read_names.push_back(current->name);
-            batch->ref_chrom.push_back(chrom);
-            batch->ref_pos.push_back(ref.ToLocal(chrom, oc.pos));
-            batch->last_of_read.push_back(last ? 1 : 0);
-            // Distinct-session tracking lives in emit, not fetch, so a
-            // read carried over from the previous batch still counts
-            // toward this batch's coalescing.
-            const Session* cur = current->session.get();
-            if (batch_sessions.empty() || batch_sessions.back() != cur) {
-              bool seen = false;
-              for (const Session* p : batch_sessions) {
-                if (p == cur) {
-                  seen = true;
-                  break;
-                }
-              }
-              if (!seen) batch_sessions.push_back(cur);
-            }
-          });
-      if (batch->size() == 0) return false;  // input closed and drained
-      obs::ServeBatches().Inc();
-      if (batch_sessions.size() >= 2) obs::ServeCoalescedBatches().Inc();
-      return true;
-    };
-
-    // The ordered sink: batches arrive in submission order, each read's
-    // pairs contiguous, so per-read groups close exactly as in a
-    // standalone run — just routed to the owning session.
-    SessionPtr sink_session;
-    std::uint32_t sink_read = 0;
-    const auto owner_of = [&](std::uint32_t read) -> SessionPtr {
-      if (sink_session == nullptr || sink_read != read) {
-        std::lock_guard<std::mutex> lock(owners_mu_);
-        const auto it = owners_.find(read);
-        assert(it != owners_.end());
-        sink_session = it->second;
-        sink_read = read;
-      }
-      return sink_session;
-    };
-    const pipeline::BatchSink sink = [&](pipeline::PairBatch&& batch) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::uint32_t read = batch.read_index[i];
-        if (batch.edits[i] >= 0) {
-          const SessionPtr s = owner_of(read);
-          if (!s->dead.load(std::memory_order_acquire)) {
-            std::lock_guard<std::mutex> lock(s->out_mu);
-            s->groups->AddMapping(batch, i);
-          }
-        }
-        if (batch.last_of_read[i] != 0) {
-          const SessionPtr s = owner_of(read);
-          std::string ready;
-          {
-            std::lock_guard<std::mutex> lock(s->out_mu);
-            const std::size_t n = s->groups->FlushGroup(s->staged, ref);
-            s->records += n;
-            obs::ServeRecords().Inc(n);
-            if (static_cast<std::size_t>(s->staged.tellp()) >=
-                kSendThreshold) {
-              ready = std::move(s->staged).str();
-              s->staged.str({});
-            }
-          }
-          if (!ready.empty()) TrySend(s, FrameType::kSamRecords, ready);
-          {
-            std::lock_guard<std::mutex> lock(owners_mu_);
-            owners_.erase(read);
-          }
-          sink_session.reset();
-          RetireRead(s);
+  /// Hands each read's SAM bytes to its session, in chunk order, and
+  /// retires the read.
+  void EmitChunk(ServedChunk& chunk) {
+    const std::string_view sam = chunk.out.sam.view();
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < chunk.reads.size(); ++i) {
+      const SessionPtr& s = chunk.reads[i].session;
+      const std::size_t end = chunk.out.sam_end[i];
+      std::string ready;
+      if (!s->dead.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(s->out_mu);
+        s->staged << sam.substr(begin, end - begin);
+        s->records += chunk.out.records[i];
+        obs::ServeRecords().Inc(chunk.out.records[i]);
+        if (static_cast<std::size_t>(s->staged.tellp()) >= kSendThreshold) {
+          ready = std::move(s->staged).str();
+          s->staged.str({});
         }
       }
-    };
+      begin = end;
+      if (!ready.empty()) TrySend(s, FrameType::kSamRecords, ready);
+      RetireRead(s);
+    }
+    chunk.reads.clear();  // let finished sessions go
+  }
 
-    pipe.Run(source, sink);
+  void MapLoop(const pipeline::ChunkFilter& filter) {
+    const pipeline::StageHistograms stages;
+    ThreadPool& pool = *mapper_.pool();
+    const std::size_t workers =
+        std::min(static_cast<std::size_t>(std::max(1, config_.threads)),
+                 pipeline::ChunkWorkers(pool));
+    std::vector<pipeline::ReadChunkMapper> chunk_mappers(
+        workers, pipeline::ReadChunkMapper(mapper_, filter, stages));
+    const auto take = [&](ServedChunk& chunk) { return TakeChunk(chunk); };
+    const auto map = [&](ServedChunk& chunk, std::size_t worker) {
+      chunk_mappers[worker].Map(chunk.in, &chunk.out);
+    };
+    const auto emit = [&](ServedChunk& chunk) { EmitChunk(chunk); };
+    pipeline::RunOrderedChunks<ServedChunk>(pool, workers, take, map, emit);
   }
 
   // --- accept loop ------------------------------------------------------
@@ -612,6 +506,7 @@ struct MapServer::Impl {
           "serve: the engine has no reference loaded (load the index "
           "before starting the server)");
     }
+    const pipeline::ChunkFilter filter(engine_, mapper_);
     if (config_.socket_path.empty() ||
         config_.socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
       throw std::runtime_error("serve: invalid socket path");
@@ -635,9 +530,9 @@ struct MapServer::Impl {
                                ": " + err);
     }
 
-    std::thread pipeline_thread([this] {
-      util::SetCurrentThreadName("gkgpu-servepipe");
-      PipelineLoop();
+    std::thread map_thread([this, &filter] {
+      util::SetCurrentThreadName("gkgpu-servemap");
+      MapLoop(filter);
     });
     util::SetCurrentThreadName("gkgpu-accept");
     serving_.store(true, std::memory_order_release);
@@ -679,7 +574,7 @@ struct MapServer::Impl {
 
     // Drain: stop accepting, let in-flight sessions finish feeding the
     // queue (bounded by the per-request timeout), then close the queue so
-    // the pipeline retires what remains and exits.
+    // the workers retire what remains and exit.
     ::close(listen_fd_);
     listen_fd_ = -1;
     ::unlink(config_.socket_path.c_str());
@@ -693,7 +588,7 @@ struct MapServer::Impl {
       input_closed_ = true;
     }
     queue_cv_.notify_all();
-    pipeline_thread.join();
+    map_thread.join();
 
     // One structured line on drain so an operator's log shows what the
     // daemon did before it honored SIGTERM.
@@ -727,10 +622,8 @@ struct MapServer::Impl {
 };
 
 MapServer::MapServer(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
-                     ServeConfig config,
-                     pipeline::PipelineConfig pipeline_config)
-    : impl_(std::make_unique<Impl>(mapper, engine, std::move(config),
-                                   std::move(pipeline_config))) {}
+                     ServeConfig config)
+    : impl_(std::make_unique<Impl>(mapper, engine, std::move(config))) {}
 
 MapServer::~MapServer() = default;
 

@@ -5,21 +5,22 @@
 // so Shutdown() — and the SIGTERM handler behind it — can interrupt it)
 // spawns one session thread per connection; sessions parse frames,
 // reassemble FASTQ records, and push reads into one shared bounded queue.
-// A single long-lived StreamingPipeline, filtering on the mapper's pool,
-// drains that queue: its source seeds reads and packs batches *across
-// sessions* — the cross-request coalescer.  The first read of a batch
-// blocks until work arrives; subsequent reads wait at most `linger` for
-// stragglers, so a lone client's batch departs promptly while concurrent
-// clients share batches (counted in ServeStats::coalesced_batches when a
-// batch carries reads from 2+ sessions).  ServeConfig::batch_size caps every batch; the
-// daemon never turns on adaptive batch sizing itself.  The ordered sink
-// demultiplexes: each read's verified mappings flow into its session's
-// SamGroupBuffer (the same scoring + formatting path as a standalone run
-// — byte-identical output) and are framed back to the owning client, in
+// One mapping thread drains that queue with chunk workers on the mapper's
+// pool (pipeline/ordered_chunks.hpp), the same engine `gkgpu pipeline`
+// runs: a worker takes up to kSeedChunkReads queued reads *across
+// sessions* — the cross-request coalescer — and maps them end to end with
+// ReadChunkMapper, each read formatted under its own session's job
+// options (the same scoring + formatting path as a standalone run —
+// byte-identical output).  An idle worker blocks until work arrives; with
+// fewer reads queued than a chunk holds it waits at most `linger` for
+// stragglers, so a lone client's chunk departs promptly while concurrent
+// clients share chunks (counted in ServeStats::coalesced_batches when a
+// chunk carries reads from 2+ sessions).  Chunks are emitted in the order
+// they were taken, so each read's SAM bytes reach its session's client in
 // that client's submission order.
 //
 // Shutdown drains: no new connections, in-flight sessions run to
-// completion (bounded by the per-request timeout), the pipeline retires
+// completion (bounded by the per-request timeout), the workers retire
 // every queued read, then Run() returns.
 #ifndef GKGPU_SERVE_SERVER_HPP
 #define GKGPU_SERVE_SERVER_HPP
@@ -30,23 +31,19 @@
 
 #include "core/engine.hpp"
 #include "mapper/mapper.hpp"
-#include "pipeline/pipeline.hpp"
 
 namespace gkgpu::serve {
 
 struct ServeConfig {
   std::string socket_path;
-  /// Worker threads for the pipeline stages: split between the encode and
-  /// verify pools.  The filter stage runs on the mapper's pool, which
-  /// `gkgpu serve --threads` sizes to the same count; the daemon never
+  /// Chunk workers mapping queued reads, at most the mapper's pool size
+  /// + 1 (the pool's threads plus the daemon's mapping thread); `gkgpu
+  /// serve --threads` sizes the pool to the same count, so the daemon never
   /// consults hardware concurrency on its own.
   int threads = 2;
-  /// Pipeline batch size: the most candidates one batch carries (a batch
-  /// departs smaller when the linger window closes first).
-  std::size_t batch_size = pipeline::kDefaultBatchCandidates;
-  /// How long the batch packer waits for reads from other sessions once a
-  /// batch has started filling, in milliseconds.  Larger = more
-  /// cross-session coalescing, smaller = lower single-client latency.
+  /// How long a worker holding fewer reads than a chunk waits for reads
+  /// from other sessions, in milliseconds.  Larger = more cross-session
+  /// coalescing, smaller = lower single-client latency.
   int linger_ms = 2;
   /// Per-request idle timeout in seconds: a client that stays silent this
   /// long *between frames* mid-job is dropped and its session discarded.
@@ -70,8 +67,8 @@ struct ServeStats {
   std::uint64_t reads = 0;
   std::uint64_t skipped_reads = 0;  // wrong length for the engine
   std::uint64_t records = 0;        // SAM records sent
-  std::uint64_t batches = 0;
-  /// Batches carrying reads from 2+ sessions — the cross-request
+  std::uint64_t batches = 0;  // chunks mapped
+  /// Chunks carrying reads from 2+ sessions — the cross-request
   /// coalescing the daemon exists to provide.
   std::uint64_t coalesced_batches = 0;
 };
@@ -79,13 +76,10 @@ struct ServeStats {
 class MapServer {
  public:
   /// `mapper` and `engine` must outlive the server; the engine's reference
-  /// must already be loaded (Run checks).  `pipeline_config` seeds the
-  /// long-lived pipeline (reference_text/fingerprint, verify, CIGAR, batch
-  /// size and worker settings are overridden by the server).  Throws
+  /// must already be loaded from the mapper's genome (Run checks).  Throws
   /// std::runtime_error if the shutdown self-pipe cannot be created.
   MapServer(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
-            ServeConfig config,
-            pipeline::PipelineConfig pipeline_config = {});
+            ServeConfig config);
   ~MapServer();
 
   MapServer(const MapServer&) = delete;

@@ -1,5 +1,5 @@
 // Streaming FNV-1a content fingerprint, used to verify that two holders of
-// a reference genome (the engine's encoded copy, a pipeline's text view)
+// a reference genome (the engine's encoded copy, a mapper's text)
 // are really talking about the same bytes.  The hash is byte-sequential,
 // so hashing parts with the previous result as seed equals hashing the
 // concatenation — ReferenceSet exploits this to keep its fingerprint

@@ -29,14 +29,24 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::RunChunks(Job& job) {
-  for (;;) {
-    const std::size_t b = job.next.fetch_add(job.grain);
-    if (b >= job.end) break;
-    // Subtraction-based clamp: `b + grain` could wrap for ranges near
-    // SIZE_MAX, which would hand fn an inverted chunk and stall the
-    // claim counter.
-    const std::size_t e = job.end - b > job.grain ? b + job.grain : job.end;
-    (*job.fn)(b, e);
+  try {
+    for (;;) {
+      const std::size_t b = job.next.fetch_add(job.grain);
+      if (b >= job.end) break;
+      // Subtraction-based clamp: `b + grain` could wrap for ranges near
+      // SIZE_MAX, which would hand fn an inverted chunk and stall the
+      // claim counter.
+      const std::size_t e = job.end - b > job.grain ? b + job.grain : job.end;
+      (*job.fn)(b, e);
+    }
+  } catch (...) {
+    // An exception must neither escape a worker thread (std::terminate)
+    // nor unwind the caller while workers still run chunks of its
+    // stack-allocated job.  Record it and stop every participant's claims;
+    // ParallelFor rethrows it once the job has drained.
+    std::lock_guard<std::mutex> lk(job.error_mu);
+    if (!job.error) job.error = std::current_exception();
+    job.next.store(job.end);
   }
 }
 
@@ -107,8 +117,8 @@ void ThreadPool::ParallelFor(
     std::unique_lock<std::mutex> lk(mu_);
     if (job_ != nullptr) {
       // The pool is already mid-job: either fn itself called ParallelFor
-      // (nesting) or another thread shares this pool (the streaming
-      // pipeline's stage threads may).  Corrupting the published job would
+      // (nesting) or another thread shares this pool (a MapReads call
+      // beside a running daemon may).  Corrupting the published job would
       // deadlock the other caller, so this call degrades to serial.
       lk.unlock();
       run_serial();
@@ -124,6 +134,7 @@ void ThreadPool::ParallelFor(
     cv_done_.wait(lk, [&] { return job.active_workers.load() == 0; });
     job_ = nullptr;
   }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace gkgpu

@@ -1,13 +1,15 @@
 // Minimal blocking thread pool with a chunked parallel-for, used by the GPU
 // execution simulator (one pool per simulated device), by the multicore
 // CPU filter baselines, and as the ReadMapper's pool, on which MapReads
-// verifies and every mapping driver's filter stage runs.
+// verifies and every streaming driver runs its chunk workers
+// (pipeline/ordered_chunks.hpp).
 #ifndef GKGPU_UTIL_THREADPOOL_HPP
 #define GKGPU_UTIL_THREADPOOL_HPP
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -34,6 +36,11 @@ class ThreadPool {
   /// at most `grain` items, on the pool plus the calling thread.  Blocks
   /// until every chunk finished.  fn must be thread-safe.
   ///
+  /// Exceptions: the first one fn throws, on a worker or on the calling
+  /// thread, stops the claiming of further chunks; once the chunks already
+  /// running have finished it is rethrown on the calling thread, and the
+  /// pool is ready for the next call.
+  ///
   /// Edge behaviour: empty/inverted ranges are no-ops, `grain == 0` is
   /// treated as 1, and ranges whose chunk arithmetic could wrap SIZE_MAX
   /// run serially.  Re-entrant and concurrent calls are safe: while a job
@@ -51,6 +58,8 @@ class ThreadPool {
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
     std::atomic<std::size_t> next{0};
     std::atomic<int> active_workers{0};
+    std::mutex error_mu;
+    std::exception_ptr error;  // guarded by error_mu; the first throw
   };
 
   void WorkerLoop();

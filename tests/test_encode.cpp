@@ -62,7 +62,7 @@ TEST(EncodeTest, PadBitsAreZero) {
   for (int i = 17; i < 32; ++i) EXPECT_EQ(GetBase2Bit(enc, i), 0u) << i;
 }
 
-TEST(EncodeTest, BatchEncodeMatchesSingleWithAndWithoutPool) {
+TEST(EncodeTest, BatchEncodeMatchesSingle) {
   Rng rng(17);
   const int length = 100;
   std::vector<std::string> seqs;
@@ -70,20 +70,16 @@ TEST(EncodeTest, BatchEncodeMatchesSingleWithAndWithoutPool) {
     seqs.push_back(RandomSeq(rng, length));
   }
   seqs[123][50] = 'N';
-  ThreadPool pool(4);
-  const EncodedBatch serial = EncodeBatch(seqs, length, nullptr);
-  const EncodedBatch parallel = EncodeBatch(seqs, length, &pool);
-  ASSERT_EQ(serial.size(), seqs.size());
-  EXPECT_EQ(serial.words, parallel.words);
-  EXPECT_EQ(serial.has_n, parallel.has_n);
-  EXPECT_EQ(serial.has_n[123], 1);
-  EXPECT_EQ(serial.has_n[122], 0);
+  const EncodedBatch batch = EncodeBatch(seqs, length);
+  ASSERT_EQ(batch.size(), seqs.size());
+  EXPECT_EQ(batch.has_n[123], 1);
+  EXPECT_EQ(batch.has_n[122], 0);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     std::string expected = seqs[i];
     for (auto& c : expected) {
       if (BaseToCode(c) >= 4) c = 'A';
     }
-    EXPECT_EQ(DecodeSequence(serial.Sequence(i), length), expected) << i;
+    EXPECT_EQ(DecodeSequence(batch.Sequence(i), length), expected) << i;
   }
 }
 

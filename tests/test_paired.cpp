@@ -1,9 +1,11 @@
 // Paired-end subsystem tests: concordant pairing prunes candidates before
-// verification (the subsystem's whole point), the blocking and streaming
-// drivers emit byte-identical SAM (golden-file regression in
-// tests/data/paired_golden.sam), the insert-size model converges on the
-// simulated truth, mate rescue recovers a seed-starved mate, and the full
-// FLAG/RNEXT/PNEXT/TLEN semantics hold on every record.
+// verification (the subsystem's whole point), pairs mapped from vectors
+// and from the paired FASTQ reader emit the same SAM at any worker count
+// (golden-file regression in tests/data/paired_golden.sam), a malformed
+// input throws once the pairs before it are written, the insert-size
+// model converges on the simulated truth, mate rescue recovers a
+// seed-starved mate, and the full FLAG/RNEXT/PNEXT/TLEN semantics hold on
+// every record.
 //
 // Regenerating the golden after an intentional output change:
 //   GKGPU_UPDATE_GOLDEN=1 ./build/test_paired
@@ -104,11 +106,14 @@ struct EngineFixture {
   }
 };
 
-MapperConfig MakeMapperConfig() {
+/// `threads` sizes the mapper's pool, on which the chunk workers run
+/// (0 = hardware concurrency).
+MapperConfig MakeMapperConfig(unsigned threads = 0) {
   MapperConfig mcfg;
   mcfg.k = 12;
   mcfg.read_length = kReadLength;
   mcfg.error_threshold = kThreshold;
+  mcfg.verify_threads = threads;
   return mcfg;
 }
 
@@ -119,8 +124,9 @@ PairedConfig MakePairedConfig() {
   return pconf;
 }
 
-std::string BlockingSam(const PairSet& ps, PairedStats* stats = nullptr) {
-  ReadMapper mapper(MakeReference(), MakeMapperConfig());
+std::string BlockingSam(const PairSet& ps, PairedStats* stats = nullptr,
+                        unsigned threads = 0) {
+  ReadMapper mapper(MakeReference(), MakeMapperConfig(threads));
   PairedEndMapper paired(mapper, MakePairedConfig());
   EngineFixture fx;
   std::ostringstream sam;
@@ -130,12 +136,9 @@ std::string BlockingSam(const PairSet& ps, PairedStats* stats = nullptr) {
   return sam.str();
 }
 
-std::string StreamingSam(const PairSet& ps, bool interleaved,
-                         PairedStats* stats = nullptr) {
-  ReadMapper mapper(MakeReference(), MakeMapperConfig());
-  EngineFixture fx;
-  // FASTQ round trip through the paired reader exercises both layouts.
-  std::stringstream fq1, fq2;
+/// Serializes `ps` as FASTQ (two files, or one interleaved stream).
+void WritePairs(const PairSet& ps, bool interleaved, std::ostream& fq1,
+                std::ostream& fq2) {
   if (interleaved) {
     std::vector<FastqRecord> both;
     for (std::size_t i = 0; i < ps.r1.size(); ++i) {
@@ -147,14 +150,23 @@ std::string StreamingSam(const PairSet& ps, bool interleaved,
     WriteFastq(fq1, ps.r1);
     WriteFastq(fq2, ps.r2);
   }
+}
+
+std::string StreamingSam(const PairSet& ps, bool interleaved,
+                         PairedStats* stats = nullptr, unsigned threads = 0) {
+  ReadMapper mapper(MakeReference(), MakeMapperConfig(threads));
+  EngineFixture fx;
+  // FASTQ round trip through the paired reader exercises both layouts.
+  std::stringstream fq1, fq2;
+  WritePairs(ps, interleaved, fq1, fq2);
   auto reader = interleaved ? PairedFastqReader(fq1)
                             : PairedFastqReader(fq1, fq2);
-  pipeline::PipelineConfig pcfg;
-  pcfg.batch_size = 192;  // many batches across both devices
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference(), "rg1");
-  const PairedStats st = StreamPairedFastqToSam(
-      reader, mapper, fx.engine.get(), MakePairedConfig(), pcfg, &sam);
+  const PairedStats st =
+      StreamPairedFastqToSam(reader, mapper, fx.engine.get(),
+                             MakePairedConfig(), pipeline::PipelineConfig{},
+                             &sam);
   if (stats != nullptr) *stats = st;
   return sam.str();
 }
@@ -192,6 +204,15 @@ TEST(PairedGoldenTest, BlockingAndStreamingMatchGoldenByteForByte) {
       << "dual-file streaming SAM differs from the golden blocking output";
   EXPECT_EQ(StreamingSam(ps, /*interleaved=*/true), golden)
       << "interleaved streaming SAM differs from the golden output";
+  // The SAM does not depend on the worker count: one pool thread (two
+  // workers with the caller) and four.
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(BlockingSam(ps, nullptr, threads), golden)
+        << threads << "-thread pool, from vectors";
+    EXPECT_EQ(StreamingSam(ps, /*interleaved=*/false, nullptr, threads),
+              golden)
+        << threads << "-thread pool, from the reader";
+  }
 
   // Acceptance: concordant pairing prunes candidates vs independent
   // single-end mapping on simulated 2x100 bp pairs.
@@ -229,6 +250,37 @@ TEST(PairedGoldenTest, StreamingStatsAgreeWithBlocking) {
   EXPECT_EQ(streaming_stats.verification_pairs,
             blocking_stats.verification_pairs);
   EXPECT_EQ(streaming_stats.rejected_pairs, blocking_stats.rejected_pairs);
+}
+
+TEST(PairedStreamTest, TruncatedMateFileThrowsAfterThePairsBeforeIt) {
+  // R2 ends after pair 39, so pair 40 — inside the third 16-pair chunk,
+  // with chunk boundaries on both sides — has no mate.
+  const PairSet ps = MakePairs(MakeReference(), 40, 31);
+  ASSERT_EQ(ps.r1.size(), 80u);
+  PairSet head;
+  head.r1.assign(ps.r1.begin(), ps.r1.begin() + 39);
+  head.r2.assign(ps.r2.begin(), ps.r2.begin() + 39);
+  const std::string expected = StreamingSam(head, /*interleaved=*/false);
+
+  ReadMapper mapper(MakeReference(), MakeMapperConfig());
+  EngineFixture fx;
+  std::stringstream fq1, fq2;
+  WriteFastq(fq1, ps.r1);
+  WriteFastq(fq2, head.r2);
+  PairedFastqReader reader(fq1, fq2);
+  std::ostringstream sam;
+  WriteSamHeader(sam, mapper.reference(), "rg1");
+  try {
+    StreamPairedFastqToSam(reader, mapper, fx.engine.get(),
+                           MakePairedConfig(), pipeline::PipelineConfig{},
+                           &sam);
+    ADD_FAILURE() << "a truncated R2 must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("R2 ended after 39 records"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sam.str(), expected);
 }
 
 TEST(PairedFlagsTest, EveryRecordCarriesConsistentPairSemantics) {

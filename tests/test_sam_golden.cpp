@@ -1,6 +1,7 @@
 // Golden-file SAM regression: a small multi-chromosome reference and a
 // fixed-seed read set are mapped by the blocking mapper and the
-// FASTQ-to-SAM pipeline, and each output is compared byte-for-byte
+// FASTQ-to-SAM stream (at several worker counts), and each output is
+// compared byte-for-byte
 // against the committed expectation in
 // tests/data/multi_chrom_golden.sam — covering the per-chromosome @SQ
 // header lines, flags, positions, CIGARs and NM tags.
@@ -92,11 +93,14 @@ struct EngineFixture {
   }
 };
 
-MapperConfig MakeMapperConfig() {
+/// `threads` sizes the mapper's pool, on which the chunk workers run
+/// (0 = hardware concurrency).
+MapperConfig MakeMapperConfig(unsigned threads = 0) {
   MapperConfig mcfg;
   mcfg.k = 12;
   mcfg.read_length = kReadLength;
   mcfg.error_threshold = kThreshold;
+  mcfg.verify_threads = threads;
   return mcfg;
 }
 
@@ -112,8 +116,8 @@ std::string BlockingSam(const ReadSet& rs) {
   return sam.str();
 }
 
-std::string StreamingFastqSam(const ReadSet& rs) {
-  ReadMapper mapper(MakeReference(), MakeMapperConfig());
+std::string StreamingFastqSam(const ReadSet& rs, unsigned threads = 0) {
+  ReadMapper mapper(MakeReference(), MakeMapperConfig(threads));
   EngineFixture fx;
   std::vector<FastqRecord> fq;
   for (std::size_t i = 0; i < rs.seqs.size(); ++i) {
@@ -123,14 +127,8 @@ std::string StreamingFastqSam(const ReadSet& rs) {
   WriteFastq(fastq, fq);
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference());
-  pipeline::ReadToSamConfig scfg;
-  scfg.pipeline.batch_size = 192;
-  // Adaptive batch sizing must not change the output — the ordered sink
-  // makes the SAM invariant to how the candidate stream is chunked.
-  scfg.pipeline.adaptive = true;
-  scfg.pipeline.adaptive_config.min_size = 64;
-  scfg.pipeline.adaptive_config.max_size = 512;
-  pipeline::StreamFastqToSam(fastq, mapper, fx.engine.get(), scfg, &sam);
+  pipeline::StreamFastqToSam(fastq, mapper, fx.engine.get(),
+                             pipeline::ReadToSamConfig{}, &sam);
   return sam.str();
 }
 
@@ -166,7 +164,12 @@ TEST(SamGoldenTest, BlockingAndPipelineMatchGoldenByteForByte) {
 
   EXPECT_EQ(blocking, golden) << "blocking MapReads SAM drifted";
   EXPECT_EQ(StreamingFastqSam(rs), golden)
-      << "FASTQ-to-SAM pipeline output differs from the golden output";
+      << "FASTQ-to-SAM stream output differs from the golden output";
+  // The in-order emitter makes the SAM independent of the worker count.
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(StreamingFastqSam(rs, threads), golden)
+        << threads << "-thread pool";
+  }
 }
 
 TEST(SamGoldenTest, GoldenContainsMappingsOnEveryChromosome) {

@@ -1,7 +1,7 @@
 // In-process tests for the mapping daemon (serve/server.hpp +
-// serve/client.hpp): byte parity with the standalone streaming pipeline,
+// serve/client.hpp): byte parity with the standalone FASTQ-to-SAM stream,
 // concurrent clients demultiplexed onto their own byte-identical SAM
-// streams (with cross-request batch coalescing observed in the stats),
+// streams (with cross-request chunk coalescing observed in the stats),
 // wrong-length and malformed inputs, and shutdown drain.
 #include <gtest/gtest.h>
 
@@ -229,10 +229,10 @@ TEST_F(ServeTest, ConcurrentClientsAreDemuxedAndCoalesced) {
   const std::string golden_b = Golden(fastq_b);
 
   serve::ServeConfig scfg = BaseConfig();
-  // A long linger makes the shared batch wait for both sessions, so the
-  // coalesced-batch counter must observe cross-request batching.
+  // A long linger makes a part-filled chunk wait for the other session's
+  // reads, so the coalesced-chunk counter must observe cross-request
+  // batching.
   scfg.linger_ms = 200;
-  scfg.batch_size = 4096;
 
   std::string served_a, served_b;
   const serve::ServeStats stats =

@@ -493,11 +493,10 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
     std::istringstream fq2(ToFastq(mates2, "p"));
     PairedFastqReader reader(fq1, fq2);
     std::ostringstream sam;
-    paired = PairedEndMapper(mapper, pconf)
-                 .MapPairsStreaming(reader, &engine, {}, &sam);
+    paired = PairedEndMapper(mapper, pconf).MapPairs(reader, &engine, &sam);
   });
   expect_agree(paired_d, static_cast<double>(paired.candidates_seeded),
-               "MapPairsStreaming");
+               "MapPairs");
   EXPECT_EQ(paired_d.voted_out, 0.0);  // paired mapping seeds unvoted
 
   // The daemon keeps no per-job candidate count: every seeded candidate

@@ -1,11 +1,16 @@
-// Tests for the worker pool that backs both the simulated devices and the
-// multicore CPU filter baseline.
+// Tests for the worker pool that backs the simulated devices, the
+// multicore CPU filter baseline and the mapper's chunk workers.
 #include "util/threadpool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace gkgpu {
@@ -130,6 +135,69 @@ TEST(ThreadPoolTest, ConcurrentCallersShareOnePoolSafely) {
   }
   for (auto& t : callers) t.join();
   for (int c = 0; c < kCallers; ++c) EXPECT_EQ(sums[c].load(), 1u);
+}
+
+/// After a failed job the pool must run the next one in parallel again,
+/// covering every index exactly once.
+void ExpectPoolStillParallel(ThreadPool& pool) {
+  std::vector<std::atomic<int>> hits(400);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  pool.ParallelFor(0, hits.size(), 1, [&](std::size_t b, std::size_t e) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      threads.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << i;
+  }
+  EXPECT_GE(threads.size(), 2u);
+}
+
+TEST(ThreadPoolTest, WorkerExceptionReachesTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  EXPECT_THROW(
+      pool.ParallelFor(0, 1000, 1,
+                       [&](std::size_t, std::size_t) {
+                         started.fetch_add(1);
+                         if (std::this_thread::get_id() != caller) {
+                           throw std::runtime_error("worker chunk failed");
+                         }
+                         // The caller paces itself so workers claim chunks.
+                         std::this_thread::sleep_for(
+                             std::chrono::microseconds(200));
+                       }),
+      std::runtime_error);
+  // The throw stopped the claiming of further chunks.
+  EXPECT_LT(started.load(), 1000);
+  ExpectPoolStillParallel(pool);
+}
+
+TEST(ThreadPoolTest, CallerExceptionWaitsForWorkersAndReachesTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> running{0};
+  try {
+    pool.ParallelFor(0, 1000, 1, [&](std::size_t, std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        throw std::logic_error("caller chunk failed");
+      }
+      running.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      running.fetch_sub(1);
+    });
+    ADD_FAILURE() << "the caller's exception was swallowed";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "caller chunk failed");
+    // No chunk of the stack-allocated job outlives the call.
+    EXPECT_EQ(running.load(), 0);
+  }
+  ExpectPoolStillParallel(pool);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {

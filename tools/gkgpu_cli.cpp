@@ -11,8 +11,7 @@
 //   gkgpu map    --ref ref.fa --reads r.fq --e 5 [--no-filter]
 //                [--sam out.sam]
 //   gkgpu pipeline --reads r.fq --ref ref.fa --e 5 [--sam out.sam]
-//                  [--batch N] [--queue N] [--encode-workers N]
-//                  [--verify-workers N] [--no-verify]
+//                  [--threads N]
 //   gkgpu index  --ref ref.fa --out ref.gki [--k 12] [--verify]
 //   gkgpu serve  --index ref.gki --socket /tmp/gk.sock [--threads N]
 //   gkgpu map-client --socket /tmp/gk.sock --reads r.fq [--sam out.sam]
@@ -22,10 +21,11 @@
 // unified memory); the other algorithms run as host filters.  `map` runs
 // the mrFAST-like mapper with GateKeeper-GPU pre-alignment filtering and
 // reports the Table-3 statistics (single-end `map` on the simulated
-// devices; `map --paired` filters on the host).  `pipeline` runs the
-// streaming subsystem: FASTQ is chunked, seeded, encoded, filtered on the
-// host, verified, and emitted in input order, with per-stage throughput
-// and queue-occupancy tables.
+// devices; `map --paired` filters on the host).  `pipeline` streams
+// single-end FASTQ: chunk workers on the mapper's pool each seed, encode,
+// filter on the host, verify and format a chunk of reads, and the SAM is
+// written in input order.  Every command rejects options it does not take
+// (exit 2).
 // `index` persists the reference + k-mer index + 2-bit encoding to one
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
@@ -38,6 +38,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "filters/gatekeeper.hpp"
@@ -58,7 +60,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "paired/paired.hpp"
-#include "pipeline/pipeline.hpp"
 #include "pipeline/read_to_sam.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -72,10 +73,6 @@
 namespace {
 
 using namespace gkgpu;
-
-/// `--batch` default of pipeline, map --paired --streaming and serve.
-constexpr long kDefaultBatch =
-    static_cast<long>(pipeline::kDefaultBatchCandidates);
 
 class Args {
  public:
@@ -114,6 +111,15 @@ class Args {
                                : fallback;
   }
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
+  /// The first option given that `allowed`, a space-separated list of
+  /// option names, lacks ("" = none).
+  std::string Unknown(std::string_view allowed) const {
+    const std::string words = " " + std::string(allowed) + " ";
+    for (const auto& [key, operands] : values_) {
+      if (words.find(" " + key + " ") == std::string::npos) return key;
+    }
+    return {};
+  }
 
  private:
   std::map<std::string, std::vector<std::string>> values_;
@@ -236,18 +242,11 @@ bool ApplySeedFlags(const Args& args, const MappedIndexFile* mapped,
   return true;
 }
 
-/// Splits `--threads N` across the two pipeline pools the way the daemon
-/// does; explicit --encode-workers / --verify-workers still win.
-void ApplyThreads(const Args& args, pipeline::PipelineConfig* pcfg) {
-  const int threads = static_cast<int>(args.GetInt("threads", 0));
-  if (threads <= 0) return;
-  if (!args.Has("encode-workers")) {
-    pcfg->encode_workers = threads / 2 > 1 ? threads / 2 : 1;
-  }
-  if (!args.Has("verify-workers")) {
-    const int rest = threads - threads / 2;
-    pcfg->verify_workers = rest > 1 ? rest : 1;
-  }
+/// `--threads N`: the mapper's pool size (0 = hardware concurrency), on
+/// which every mapping driver runs.
+unsigned PoolThreads(const Args& args) {
+  const long threads = args.GetInt("threads", 0);
+  return threads > 0 ? static_cast<unsigned>(threads) : 0;
 }
 
 /// The end-of-run observability tables: the filter funnel (with the
@@ -307,7 +306,7 @@ void PrintObsTables(const obs::MetricsSnapshot& snap) {
       snap.Find("gkgpu_stage_service_seconds");
   if (service != nullptr && !service->samples.empty()) {
     std::printf("\nstage latency (s):\n");
-    TablePrinter lat({"stage", "batches", "p50", "p95", "p99", "mean"});
+    TablePrinter lat({"stage", "chunks", "p50", "p95", "p99", "mean"});
     for (const auto& s : service->samples) {
       if (!s.histogram || s.histogram->count == 0) continue;
       const obs::HistogramSnapshot& h = *s.histogram;
@@ -375,23 +374,20 @@ int Usage() {
       "                    --reads FASTQ [--no-filter] [--report-secondary]\n"
       "                      [--setup 1|2] [--devices N]\n"
       "                    --paired R1.fq R2.fq | --interleaved FILE\n"
-      "                      [--max-insert N] [--no-filter] [--streaming]\n"
+      "                      [--max-insert N] [--no-filter] [--length N]\n"
       "                      [--no-rescue] [--mark-duplicates]\n"
-      "                      [--optical-dup-distance N] [--batch N]\n"
+      "                      [--optical-dup-distance N]\n"
       "  pipeline        --reads FASTQ (--ref FASTA | --index FILE) --e N\n"
-      "                  [--sam FILE] [--batch N] [--queue N]\n"
-      "                  [--encode-workers N] [--verify-workers N]\n"
-      "                  [--threads N] [--length N] [--no-verify]\n"
-      "                  [--read-group ID] [--mapq-cap N] [--adaptive]\n"
-      "                  [--batch-min N] [--batch-max N] [--report-secondary]\n"
-      "                  [--seed dense|minimizer] [--minimizer-w W]\n"
-      "                  [--shard-max-bp N]\n"
+      "                  [--sam FILE] [--threads N] [--length N]\n"
+      "                  [--read-group ID] [--mapq-cap N]\n"
+      "                  [--report-secondary] [--seed dense|minimizer]\n"
+      "                  [--minimizer-w W] [--shard-max-bp N]\n"
       "  index           --ref FASTA [--out FILE] [--k N] [--verify]\n"
       "                  [--seed dense|minimizer] [--minimizer-w W]\n"
       "                  [--shard-max-bp N]\n"
       "  serve           (--ref FASTA | --index FILE) --socket PATH\n"
-      "                  [--length N] [--e N] [--threads N] [--batch N]\n"
-      "                  [--timeout SEC] [--linger MS] [--read-group ID]\n"
+      "                  [--length N] [--e N] [--threads N] [--timeout SEC]\n"
+      "                  [--linger MS] [--read-group ID]\n"
       "                  [--mapq-cap N] [--seed dense|minimizer]\n"
       "                  [--minimizer-w W] [--shard-max-bp N]\n"
       "  map-client      --socket PATH --reads FASTQ [--sam FILE]\n"
@@ -668,14 +664,6 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
                  "(R1 and R2), or use --interleaved FILE\n");
     return 2;
   }
-  const bool streaming = args.Has("streaming");
-  if (args.Has("no-filter") && streaming) {
-    std::fprintf(stderr,
-                 "map: --streaming is the filter integration and cannot be "
-                 "combined with --no-filter\n");
-    return 2;
-  }
-
   // Open the mate stream(s); read length comes from the first R1 record.
   std::ifstream in1, in2;
   if (interleaved.empty()) {
@@ -709,6 +697,7 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
   mcfg.k = 12;
   mcfg.read_length = length;
   mcfg.error_threshold = static_cast<int>(args.GetInt("e", 5));
+  mcfg.verify_threads = PoolThreads(args);
   // The paired path always seeds from an in-memory index, but when the
   // reference came from an index file it should seed the way that file
   // was built.
@@ -751,25 +740,9 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
     sam = &sam_file;
   }
 
-  PairedStats stats;
-  if (streaming) {
-    pipeline::PipelineConfig pcfg;
-    pcfg.batch_size =
-        static_cast<std::size_t>(args.GetInt("batch", kDefaultBatch));
-    auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
-                                      : PairedFastqReader(in1);
-    stats = paired.MapPairsStreaming(reader, engine.get(), pcfg, sam);
-  } else {
-    auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
-                                      : PairedFastqReader(in1);
-    std::vector<FastqRecord> r1s, r2s;
-    FastqRecord a, b;
-    while (reader.Next(&a, &b)) {
-      r1s.push_back(std::move(a));
-      r2s.push_back(std::move(b));
-    }
-    stats = paired.MapPairs(r1s, r2s, engine.get(), sam);
-  }
+  auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
+                                    : PairedFastqReader(in1);
+  const PairedStats stats = paired.MapPairs(reader, engine.get(), sam);
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"pairs", TablePrinter::Count(stats.pairs)});
@@ -831,20 +804,12 @@ int MapCmd(const Args& args) {
   }
   const int length = static_cast<int>(reads.front().size());
   const int e = static_cast<int>(args.GetInt("e", 5));
-  if (args.Has("streaming")) {
-    std::fprintf(stderr,
-                 "map: --streaming applies to paired input; stream "
-                 "single-end reads with `gkgpu pipeline --reads`\n");
-    return 2;
-  }
 
   MapperConfig mcfg;
   mcfg.k = 12;
   mcfg.read_length = length;
   mcfg.error_threshold = e;
-  const long map_threads = args.GetInt("threads", 0);
-  mcfg.verify_threads =
-      map_threads > 0 ? static_cast<unsigned>(map_threads) : 0;
+  mcfg.verify_threads = PoolThreads(args);
   if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
   ReadMapper mapper = input.MakeMapper(mcfg);
 
@@ -905,79 +870,9 @@ int MapCmd(const Args& args) {
   return 0;
 }
 
-/// Renders PipelineStats the way the benches render the paper's tables:
-/// one row per stage, one row per queue.
-void PrintPipelineStats(const pipeline::PipelineStats& stats) {
-  TablePrinter summary({"metric", "value"});
-  summary.AddRow({"pairs", TablePrinter::Count(stats.pairs)});
-  summary.AddRow({"batches", TablePrinter::Count(stats.batches)});
-  summary.AddRow({"accepted", TablePrinter::Count(stats.accepted)});
-  summary.AddRow({"rejected", TablePrinter::Count(stats.rejected)});
-  summary.AddRow({"bypassed", TablePrinter::Count(stats.bypassed)});
-  summary.AddRow({"verified pairs", TablePrinter::Count(stats.verified_pairs)});
-  summary.AddRow({"true mappings", TablePrinter::Count(stats.true_mappings)});
-  summary.AddRow({"wall (s)", TablePrinter::Num(stats.wall_seconds, 3)});
-  summary.AddRow(
-      {"encode busy (s)", TablePrinter::Num(stats.encode_seconds, 4)});
-  summary.AddRow(
-      {"verify busy (s)", TablePrinter::Num(stats.verify_seconds, 4)});
-  if (stats.grow_decisions + stats.shrink_decisions > 0) {
-    summary.AddRow({"batch size range",
-                    TablePrinter::Count(stats.batch_size_min) + " - " +
-                        TablePrinter::Count(stats.batch_size_max)});
-    summary.AddRow({"adaptive grow/shrink",
-                    TablePrinter::Count(stats.grow_decisions) + " / " +
-                        TablePrinter::Count(stats.shrink_decisions)});
-  }
-  summary.Print(std::cout);
-
-  std::printf("\nstages:\n");
-  TablePrinter stages(
-      {"stage", "workers", "batches", "items", "busy (s)", "items/s"});
-  for (const auto& s : stats.stages) {
-    const double rate = s.busy_seconds > 0.0
-                            ? static_cast<double>(s.items) / s.busy_seconds
-                            : 0.0;
-    stages.AddRow({s.name, std::to_string(s.workers),
-                   TablePrinter::Count(s.batches), TablePrinter::Count(s.items),
-                   TablePrinter::Num(s.busy_seconds, 4),
-                   TablePrinter::Num(rate, 0)});
-  }
-  stages.Print(std::cout);
-
-  std::printf("\nqueues:\n");
-  TablePrinter queues({"queue", "cap", "peak", "pushed", "push wait (s)",
-                       "pop wait (s)"});
-  for (const auto& q : stats.queues) {
-    queues.AddRow({q.name, std::to_string(q.capacity),
-                   std::to_string(q.stats.max_depth),
-                   TablePrinter::Count(q.stats.pushed),
-                   TablePrinter::Num(q.stats.push_wait_seconds, 4),
-                   TablePrinter::Num(q.stats.pop_wait_seconds, 4)});
-  }
-  queues.Print(std::cout);
-}
-
 int PipelineCmd(const Args& args) {
   ObsRun obs_run(args);
   const int e = static_cast<int>(args.GetInt("e", 5));
-
-  pipeline::PipelineConfig pcfg;
-  pcfg.batch_size =
-      static_cast<std::size_t>(args.GetInt("batch", kDefaultBatch));
-  pcfg.queue_depth = static_cast<std::size_t>(args.GetInt("queue", 4));
-  pcfg.encode_workers = static_cast<int>(args.GetInt("encode-workers", 2));
-  pcfg.verify_workers = static_cast<int>(args.GetInt("verify-workers", 2));
-  ApplyThreads(args, &pcfg);
-  pcfg.verify = !args.Has("no-verify");
-  if (args.Has("adaptive")) {
-    pcfg.adaptive = true;
-    pcfg.adaptive_config.min_size = static_cast<std::size_t>(
-        args.GetInt("batch-min", static_cast<long>(pcfg.batch_size / 4)));
-    pcfg.adaptive_config.max_size = static_cast<std::size_t>(
-        args.GetInt("batch-max", static_cast<long>(pcfg.batch_size * 2)));
-  }
-
   const std::string reads_path = args.Get("reads", "");
   if (reads_path.empty()) return Usage();
 
@@ -1006,6 +901,7 @@ int PipelineCmd(const Args& args) {
   mcfg.k = 12;
   mcfg.read_length = length;
   mcfg.error_threshold = e;
+  mcfg.verify_threads = PoolThreads(args);
   if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
   ReadMapper mapper = input.MakeMapper(mcfg);
 
@@ -1017,7 +913,6 @@ int PipelineCmd(const Args& args) {
   input.LoadEngine(&engine, mapper);
 
   pipeline::ReadToSamConfig scfg;
-  scfg.pipeline = pcfg;
   scfg.read_group = args.Get("read-group", "");
   scfg.mapq_cap = static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap));
   scfg.secondary = args.Has("report-secondary")
@@ -1040,9 +935,11 @@ int PipelineCmd(const Args& args) {
   t.AddRow({"candidates", TablePrinter::Count(stats.candidates)});
   t.AddRow({"mappings", TablePrinter::Count(stats.mappings)});
   t.AddRow({"mapped reads", TablePrinter::Count(stats.mapped_reads)});
+  t.AddRow({"accepted", TablePrinter::Count(stats.accepted)});
+  t.AddRow({"rejected", TablePrinter::Count(stats.rejected)});
+  t.AddRow({"bypassed", TablePrinter::Count(stats.bypassed)});
+  t.AddRow({"verified pairs", TablePrinter::Count(stats.verified_pairs)});
   t.Print(std::cout);
-  std::printf("\n");
-  PrintPipelineStats(stats.pipeline);
   if (sam != nullptr) {
     std::printf("SAM written to %s (%llu verified mappings)\n",
                 sam_path.c_str(),
@@ -1112,7 +1009,7 @@ void HandleServeSignal(int) {
 /// `gkgpu serve`: the mapping daemon.  Loads the reference once (ideally
 /// via --index), then serves concurrent map jobs over a Unix-domain
 /// socket, coalescing reads from simultaneous clients into shared
-/// filter batches.  SIGTERM/SIGINT drain and exit.
+/// chunks.  SIGTERM/SIGINT drain and exit.
 int ServeCmd(const Args& args) {
   bool ok = false;
   ReferenceInput input = LoadReferenceInput(args, &ok);
@@ -1141,8 +1038,6 @@ int ServeCmd(const Args& args) {
   serve::ServeConfig scfg;
   scfg.socket_path = socket_path;
   scfg.threads = threads > 0 ? threads : 1;
-  scfg.batch_size =
-      static_cast<std::size_t>(args.GetInt("batch", kDefaultBatch));
   scfg.linger_ms = static_cast<int>(args.GetInt("linger", 2));
   scfg.request_timeout_sec = static_cast<int>(args.GetInt("timeout", 30));
   scfg.mapq_cap = static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap));
@@ -1170,8 +1065,8 @@ int ServeCmd(const Args& args) {
   t.AddRow({"reads", TablePrinter::Count(stats.reads)});
   t.AddRow({"skipped reads", TablePrinter::Count(stats.skipped_reads)});
   t.AddRow({"SAM records", TablePrinter::Count(stats.records)});
-  t.AddRow({"batches", TablePrinter::Count(stats.batches)});
-  t.AddRow({"coalesced batches", TablePrinter::Count(stats.coalesced_batches)});
+  t.AddRow({"chunks", TablePrinter::Count(stats.batches)});
+  t.AddRow({"coalesced chunks", TablePrinter::Count(stats.coalesced_batches)});
   t.Print(std::cout);
   return 0;
 }
@@ -1224,27 +1119,60 @@ int StatsCmd(const Args& args) {
   return 0;
 }
 
+/// A command and every option it takes, space-separated.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* options;
+};
+
+constexpr Command kCommands[] = {
+    {"generate-genome", GenerateGenomeCmd, "length out seed chromosomes"},
+    {"generate-reads", GenerateReadsCmd, "ref count length out profile seed"},
+    {"generate-paired-reads", GeneratePairedReadsCmd,
+     "ref count length out1 out2 interleaved insert-mean insert-sd "
+     "profile seed"},
+    {"generate-pairs", GeneratePairsCmd, "profile length count out seed"},
+    {"filter", FilterCmd, "pairs e algo setup devices encode out"},
+    {"map", MapCmd,
+     "ref index verify e sam read-group mapq-cap threads seed minimizer-w "
+     "shard-max-bp metrics-json trace-json reads no-filter report-secondary "
+     "setup devices paired interleaved length max-insert no-rescue "
+     "mark-duplicates optical-dup-distance"},
+    {"pipeline", PipelineCmd,
+     "reads ref index verify e sam threads length read-group mapq-cap "
+     "report-secondary seed minimizer-w shard-max-bp metrics-json "
+     "trace-json"},
+    {"index", IndexCmd, "ref out k verify seed minimizer-w shard-max-bp"},
+    {"serve", ServeCmd,
+     "ref index verify socket length e threads timeout linger read-group "
+     "mapq-cap seed minimizer-w shard-max-bp"},
+    {"map-client", MapClientCmd,
+     "socket reads sam read-group mapq-cap report-secondary"},
+    {"stats", StatsCmd, "socket"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    if (cmd == c.name) command = &c;
+  }
+  if (command == nullptr) return Usage();
   const Args args(argc, argv, 2);
+  const std::string unknown = args.Unknown(command->options);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "%s: unknown option --%s\n", cmd.c_str(),
+                 unknown.c_str());
+    return 2;
+  }
   try {
-    if (cmd == "generate-genome") return GenerateGenomeCmd(args);
-    if (cmd == "generate-reads") return GenerateReadsCmd(args);
-    if (cmd == "generate-paired-reads") return GeneratePairedReadsCmd(args);
-    if (cmd == "generate-pairs") return GeneratePairsCmd(args);
-    if (cmd == "filter") return FilterCmd(args);
-    if (cmd == "map") return MapCmd(args);
-    if (cmd == "pipeline") return PipelineCmd(args);
-    if (cmd == "index") return IndexCmd(args);
-    if (cmd == "serve") return ServeCmd(args);
-    if (cmd == "map-client") return MapClientCmd(args);
-    if (cmd == "stats") return StatsCmd(args);
+    return command->run(args);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());
     return 1;
   }
-  return Usage();
 }
