@@ -17,12 +17,7 @@
 //
 // The genome scale-out machinery is measured on a forced multi-shard
 // layout (8 chromosomes, shard budget a quarter of the genome): per-shard
-// CSR builds serial vs concurrent, and dense pigeonhole vs (w,k)
-// minimizer seeding mapped filter-free on the same repeat-dense
-// reference.  Two gates: winnowing must seed strictly fewer candidate
-// pairs than the exhaustive every-read-k-mer scheme it subsamples, and —
-// because every candidate is verified with banded DP on this path — must
-// lose zero mapped reads against the dense pigeonhole default.
+// CSR builds serial vs concurrent, recorded without a gate.
 //
 // Observability rides the same run: per-filter false-accept rates are
 // computed from the metrics registry's funnel counters against banded-DP
@@ -43,7 +38,6 @@
 #include "align/banded.hpp"
 #include "common.hpp"
 #include "encode/dna.hpp"
-#include "encode/revcomp.hpp"
 #include "filters/gatekeeper.hpp"
 #include "filters/sneakysnake.hpp"
 #include "io/index_io.hpp"
@@ -308,122 +302,6 @@ ShardBuildResult RunShardBuildBench(const ReferenceSet& ref,
   return r;
 }
 
-struct MinimizerBenchResult {
-  std::uint64_t dense_exhaustive_candidates = 0;  // every read k-mer seeded
-  std::uint64_t dense_candidates = 0;             // pigeonhole (e+1 seeds)
-  std::uint64_t minimizer_candidates = 0;
-  std::uint64_t dense_mapped = 0;
-  std::uint64_t minimizer_mapped = 0;
-  std::uint64_t lost_mappings = 0;  // reads dense maps, minimizer misses
-  double dense_seed_s = 0.0;
-  double minimizer_seed_s = 0.0;
-  int minimizer_w = 0;
-  double candidate_ratio() const {
-    return dense_exhaustive_candidates > 0
-               ? static_cast<double>(minimizer_candidates) /
-                     static_cast<double>(dense_exhaustive_candidates)
-               : 0.0;
-  }
-};
-
-/// The unwinnowed counterpart of minimizer seeding: every k-mer of the
-/// read (both strands) against the dense index, window-checked and
-/// deduplicated per strand exactly like the mapper's seeders.  This — not
-/// the e+1-lookup pigeonhole scheme, which belongs to a different
-/// sensitivity class and is unavailable on a sparse index — is the
-/// baseline winnowing subsamples, and the volume the reduction gate is
-/// measured against.
-std::uint64_t ExhaustiveDenseCandidates(const ReadMapper& mapper,
-                                        const std::vector<std::string>& reads) {
-  const SeedIndex& idx = mapper.index();
-  const ReferenceSet& ref = mapper.reference();
-  const int k = idx.k();
-  const std::int64_t genome_len = ref.length();
-  std::uint64_t total = 0;
-  std::vector<std::int64_t> cands;
-  std::string rc;
-  for (const std::string& read : reads) {
-    const int L = static_cast<int>(read.size());
-    ReverseComplementInto(read, &rc);
-    for (const std::string_view seq :
-         {std::string_view(read), std::string_view(rc)}) {
-      cands.clear();
-      for (int i = 0; i + k <= L; ++i) {
-        const std::int64_t code = idx.shard(0).Encode(
-            seq.substr(static_cast<std::size_t>(i),
-                       static_cast<std::size_t>(k)));
-        if (code < 0) continue;
-        for (std::size_t sh = 0; sh < idx.shard_count(); ++sh) {
-          const std::int64_t base = idx.plan().shard(sh).text_offset;
-          for (const std::uint32_t pos : idx.shard(sh).LookupCode(code)) {
-            const std::int64_t start =
-                base + static_cast<std::int64_t>(pos) - i;
-            if (start < 0 || start + L > genome_len) continue;
-            if (ref.chromosome_count() > 1 &&
-                !ref.WindowWithinChromosome(start, L)) {
-              continue;
-            }
-            cands.push_back(start);
-          }
-        }
-      }
-      std::sort(cands.begin(), cands.end());
-      cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-      total += cands.size();
-    }
-  }
-  return total;
-}
-
-/// Dense vs (w,k) minimizer seeding on a repeat-dense reference, both
-/// mapped filter-free (every candidate verified with banded DP — the
-/// lossless path).  The candidate-volume gate demands winnowing seed
-/// strictly fewer pairs than the exhaustive dense scheme it subsamples;
-/// the lossless gate demands zero reads lost against the product's dense
-/// pigeonhole default.  Losslessness is a guarantee, not luck: a read
-/// within e = 5 edits of a 100 bp window keeps an error-free stretch of
-/// at least ceil((100-5)/6) = 16 bp = w+k-1, so at least one winnowing
-/// window lies inside the shared stretch and selects the same k-mer on
-/// both sides.
-MinimizerBenchResult RunMinimizerBench(const ReferenceSet& ref,
-                                       std::size_t read_count, int length,
-                                       int e) {
-  const auto reads = SimulateReadSequences(
-      ref.text(), read_count, length, ReadErrorProfile::Illumina(), 977);
-  MinimizerBenchResult r;
-  const auto run = [&](SeedMode mode, std::uint64_t* candidates,
-                       double* seed_s, bool exhaustive) {
-    MapperConfig mcfg;
-    mcfg.read_length = length;
-    mcfg.error_threshold = e;
-    mcfg.seed_mode = mode;
-    ReadMapper mapper(ref, mcfg);
-    r.minimizer_w = mapper.config().minimizer_w;
-    if (exhaustive) {
-      r.dense_exhaustive_candidates = ExhaustiveDenseCandidates(mapper, reads);
-    }
-    std::vector<MappingRecord> records;
-    const MappingStats s =
-        mapper.MapReads(reads, /*filter=*/nullptr, &records);
-    *candidates = s.candidates_total;
-    *seed_s = s.seeding_seconds;
-    std::vector<char> mapped(reads.size(), 0);
-    for (const MappingRecord& m : records) mapped[m.read_index] = 1;
-    return mapped;
-  };
-  const std::vector<char> dense =
-      run(SeedMode::kDense, &r.dense_candidates, &r.dense_seed_s, true);
-  const std::vector<char> sparse = run(SeedMode::kMinimizer,
-                                       &r.minimizer_candidates,
-                                       &r.minimizer_seed_s, false);
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    r.dense_mapped += dense[i];
-    r.minimizer_mapped += sparse[i];
-    r.lost_mappings += dense[i] && !sparse[i] ? 1 : 0;
-  }
-  return r;
-}
-
 }  // namespace
 
 int main() {
@@ -583,29 +461,6 @@ int main() {
       shard_run.serial_s * 1e3, shard_run.parallel_s * 1e3,
       shard_run.speedup());
 
-  // --- minimizer vs dense seeding (lossless mapping path) --------------
-  const std::size_t map_reads = EnvSize("GKGPU_MAP_READS", 4000);
-  const MinimizerBenchResult min_run =
-      RunMinimizerBench(shard_ref, map_reads, length, e);
-  const bool minimizer_ok =
-      min_run.minimizer_candidates < min_run.dense_exhaustive_candidates;
-  const bool minimizer_lossless = min_run.lost_mappings == 0;
-  std::printf(
-      "\n=== minimizer seeding (w = %d, k = 12, %zu reads, no filter) ===\n"
-      "dense exhaustive (every read k-mer): %llu candidates   "
-      "dense pigeonhole: %llu candidates, %llu reads mapped\n"
-      "minimizer: %llu candidates, %llu reads mapped\n"
-      "candidate ratio vs exhaustive %.3f %s 1   lost mappings %llu %s 0\n",
-      min_run.minimizer_w, map_reads,
-      static_cast<unsigned long long>(min_run.dense_exhaustive_candidates),
-      static_cast<unsigned long long>(min_run.dense_candidates),
-      static_cast<unsigned long long>(min_run.dense_mapped),
-      static_cast<unsigned long long>(min_run.minimizer_candidates),
-      static_cast<unsigned long long>(min_run.minimizer_mapped),
-      min_run.candidate_ratio(), minimizer_ok ? "<" : "NOT BELOW",
-      static_cast<unsigned long long>(min_run.lost_mappings),
-      minimizer_lossless ? "==" : "ABOVE");
-
   // Machine-readable trajectory point (uploaded as a CI artifact).
   BenchReport report("pipeline");
   report.Add("pairs", pairs);
@@ -656,19 +511,6 @@ int main() {
   report.Add("shard_build_serial_ms", shard_run.serial_s * 1e3);
   report.Add("shard_build_parallel_ms", shard_run.parallel_s * 1e3);
   report.Add("shard_build_speedup", shard_run.speedup());
-  report.Add("minimizer_w", min_run.minimizer_w);
-  report.Add("minimizer_reads", map_reads);
-  report.Add("dense_exhaustive_candidates",
-             min_run.dense_exhaustive_candidates);
-  report.Add("dense_candidates", min_run.dense_candidates);
-  report.Add("minimizer_candidates", min_run.minimizer_candidates);
-  report.Add("minimizer_candidate_ratio", min_run.candidate_ratio());
-  report.Add("dense_mapped_reads", min_run.dense_mapped);
-  report.Add("minimizer_mapped_reads", min_run.minimizer_mapped);
-  report.Add("minimizer_lost_mappings", min_run.lost_mappings);
-  report.Add("minimizer_gate_pass", minimizer_ok);
-  report.Add("minimizer_lossless_gate_pass", minimizer_lossless);
-
   // The whole-run funnel and stage tail latencies, from the same registry
   // snapshot the daemon's `gkgpu stats` would serve.
   const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
@@ -697,7 +539,7 @@ int main() {
   report.AddRaw("metrics", snap.RenderJson());
   report.Write();
   return (batch_ok && batch_consistent && snake_ok && snake_consistent &&
-          index_ok && obs_ok && minimizer_ok && minimizer_lossless)
+          index_ok && obs_ok)
              ? 0
              : 1;
 }

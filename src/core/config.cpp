@@ -54,7 +54,7 @@ gpusim::KernelCost EstimateKernelCost(int length, int e,
 
 SystemPlan ConfigureSystem(const gpusim::Device& device,
                            const EngineConfig& config) {
-  assert(config.read_length > 0 && config.read_length <= kMaxReadLength);
+  CheckFilterReadLength(config.read_length, "engine");
   assert(config.error_threshold >= 0 &&
          config.error_threshold <= kMaxErrorThreshold);
   assert(config.error_threshold < config.read_length);

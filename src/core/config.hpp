@@ -59,7 +59,10 @@ std::size_t EstimateThreadLoad(int length, int e);
 /// match the paper's relative shapes (see EXPERIMENTS.md).
 gpusim::KernelCost EstimateKernelCost(int length, int e, bool device_encodes);
 
-/// Runs the system-configuration step against a device.
+/// Runs the system-configuration step against a device.  Throws
+/// std::invalid_argument when the read length exceeds the kernels'
+/// capacity (CheckFilterReadLength) — the guard every engine, and through
+/// it every streaming driver's filter, passes.
 SystemPlan ConfigureSystem(const gpusim::Device& device,
                            const EngineConfig& config);
 

@@ -65,7 +65,9 @@ struct FilterRunStats {
 class GateKeeperGpuEngine {
  public:
   /// The engine borrows the devices; they must outlive it.  All devices
-  /// must share a profile (the paper's setups are homogeneous).
+  /// must share a profile (the paper's setups are homogeneous).  Throws
+  /// std::invalid_argument when `config.read_length` exceeds the filter
+  /// kernels' capacity (ConfigureSystem).
   GateKeeperGpuEngine(EngineConfig config,
                       std::vector<gpusim::Device*> devices);
   ~GateKeeperGpuEngine();

@@ -36,6 +36,7 @@ namespace {
 
 template <typename Seq>
 EncodedBatch EncodeBatchOf(std::span<const Seq> seqs, int length) {
+  CheckFilterReadLength(length, "EncodeBatch");
   EncodedBatch batch;
   batch.length = length;
   batch.words_per_seq = EncodedWords(length);

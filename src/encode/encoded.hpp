@@ -45,7 +45,9 @@ struct EncodedBatch {
   }
 };
 
-/// Encodes a batch of equal-length sequences.
+/// Encodes a batch of equal-length sequences; throws std::invalid_argument
+/// when `length` exceeds the filter kernels' capacity
+/// (CheckFilterReadLength).
 EncodedBatch EncodeBatch(std::span<const std::string> seqs, int length);
 EncodedBatch EncodeBatch(std::span<const std::string_view> seqs, int length);
 

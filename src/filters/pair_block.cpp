@@ -5,7 +5,7 @@
 namespace gkgpu {
 
 void PairBlockStorage::Reset(int length) {
-  assert(length > 0 && length <= kMaxReadLength);
+  CheckFilterReadLength(length, "PairBlockStorage");
   length_ = length;
   words_per_seq_ = EncodedWords(length);
   reads_.clear();

@@ -224,7 +224,9 @@ class PairBlockStorage {
   PairBlockStorage() = default;
   explicit PairBlockStorage(int length) { Reset(length); }
 
-  /// Clears the block and fixes the per-pair length.
+  /// Clears the block and fixes the per-pair length; throws
+  /// std::invalid_argument beyond the kernels' capacity
+  /// (CheckFilterReadLength).
   void Reset(int length);
 
   /// Appends one (read, ref) pair (both exactly `length` bases).  When

@@ -45,9 +45,8 @@ static_assert(sizeof(IndexFileHeaderV1) == 160,
               "header layout is the on-disk format; bump "
               "kIndexFormatVersion when it changes");
 
-// Version 2: per-shard CSR sections described by a shard table, seed-mode
-// metadata, and a per-section checksum table so verification can name the
-// corrupt section.
+// Version 2: per-shard CSR sections described by a shard table and a
+// per-section checksum table so verification can name the corrupt section.
 struct IndexFileHeaderV2 {
   char magic[8];
   std::uint32_t version;
@@ -56,8 +55,10 @@ struct IndexFileHeaderV2 {
   std::uint64_t ref_fingerprint;
   std::uint64_t index_fingerprint;  // IndexFingerprint(ref_fp, k, version)
   std::uint64_t chrom_count;
-  std::uint32_t seed_mode;    // SeedMode numeric value (0 dense, 1 minimizer)
-  std::uint32_t minimizer_w;  // winnowing window; 0 in dense mode
+  // Reserved, both 0.  Older builds wrote seed_mode 1 and a window into
+  // `reserved` for a sparse index, which Open rejects.
+  std::uint32_t seed_mode;
+  std::uint32_t reserved;
   std::uint64_t shard_count;
   std::uint64_t chrom_table_offset, chrom_table_bytes;
   std::uint64_t text_offset, text_bytes;
@@ -273,8 +274,6 @@ std::uint64_t WriteIndexFile(const std::string& path, const ReferenceSet& ref,
   h.index_fingerprint =
       IndexFingerprint(h.ref_fingerprint, index.k(), h.version);
   h.chrom_count = ref.chromosome_count();
-  h.seed_mode = static_cast<std::uint32_t>(index.mode());
-  h.minimizer_w = static_cast<std::uint32_t>(index.minimizer_w());
   h.shard_count = index.shard_count();
 
   out.write(reinterpret_cast<const char*>(&h),
@@ -489,7 +488,7 @@ MappedIndexFile MappedIndexFile::Open(const std::string& path,
       std::vector<KmerIndex> shards;
       shards.push_back(std::move(view));
       f.index_ = SeedIndex::View(ShardPlan::Partition(f.reference_, 0),
-                                 SeedMode::kDense, 0, std::move(shards));
+                                 std::move(shards));
     } catch (const std::invalid_argument& e) {
       Fail(path, std::string("corrupt index structure: ") + e.what());
     }
@@ -515,14 +514,15 @@ MappedIndexFile MappedIndexFile::Open(const std::string& path,
   if (h.genome_length == 0) {
     Fail(path, "genome length out of range");
   }
-  if (h.seed_mode > static_cast<std::uint32_t>(SeedMode::kMinimizer)) {
-    Fail(path, "unknown seed mode " + std::to_string(h.seed_mode));
-  }
-  const bool minimizer = h.seed_mode ==
-                         static_cast<std::uint32_t>(SeedMode::kMinimizer);
-  if (minimizer && (h.minimizer_w < 1 || h.minimizer_w > 255)) {
-    Fail(path, "minimizer window w=" + std::to_string(h.minimizer_w) +
-                   " out of range");
+  // The seed-mode word is reserved (0, dense): older builds wrote 1 for a
+  // (w,k) minimizer index, whose sparse CSR dense seeding cannot use.
+  if (h.seed_mode != 0) {
+    const std::string mode = h.seed_mode == 1
+                                 ? std::string("minimizer seeding")
+                                 : "seed mode " + std::to_string(h.seed_mode);
+    Fail(path, "built for " + mode +
+                   ", which this build does not support; only dense k-mer "
+                   "indexes load — rebuild the index with `gkgpu index`");
   }
   if (h.index_fingerprint !=
       IndexFingerprint(h.ref_fingerprint, static_cast<int>(h.k), h.version)) {
@@ -638,8 +638,7 @@ MappedIndexFile MappedIndexFile::Open(const std::string& path,
     }
     f.index_ = SeedIndex::View(
         ShardPlan::FromShards(std::move(infos), f.reference_),
-        static_cast<SeedMode>(h.seed_mode),
-        static_cast<int>(h.minimizer_w), std::move(shards));
+        std::move(shards));
   } catch (const std::invalid_argument& e) {
     Fail(path, std::string("corrupt index structure: ") + e.what());
   }

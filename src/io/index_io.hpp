@@ -6,15 +6,18 @@
 // with the page cache sharing the hot arrays across processes.
 //
 // Format version 2 (current): a fixed little-endian header (magic,
-// version, k, seed mode, winnowing window, sizes, fingerprints, section
-// geometry, checksums) followed by 8-byte-aligned sections — chromosome
-// table, reference text, encoded reference, N-mask, one CSR
-// (offsets + positions) per shard, the shard table, and a per-section
-// checksum table.  Each shard's CSR is independently mmap-able: its
+// version, k, two reserved words, sizes, fingerprints, section geometry,
+// checksums) followed by 8-byte-aligned sections — chromosome table,
+// reference text, encoded reference, N-mask, one CSR (offsets +
+// positions) per shard, the shard table, and a per-section checksum
+// table.  Each shard's CSR is independently mmap-able: its
 // geometry lives in its 64-byte shard-table entry, so a future reader
 // could fault in only the shards it queries.  Version 1 files (single
-// shard, dense seeds, whole-payload checksum only) still load; the
-// reader presents them as a one-shard SeedIndex.
+// shard, whole-payload checksum only) still load; the reader presents
+// them as a one-shard SeedIndex.  Every index is dense: the first reserved
+// word once named a seed mode, and a v2 file from an older build whose
+// seed mode is not dense fails to open, naming the mode and asking for a
+// rebuild.
 //
 // Loading never copies the big arrays — the SeedIndex and ReferenceSet
 // come back in view mode, spanning straight into the mapping.
@@ -43,8 +46,8 @@ namespace gkgpu {
 inline constexpr char kIndexMagic[8] = {'G', 'K', 'G', 'P',
                                         'U', 'I', 'D', 'X'};
 inline constexpr std::uint32_t kIndexFormatVersion = 2;
-/// Oldest format version the reader still accepts (v1: single-shard,
-/// dense-only).  Version-skew errors report this range.
+/// Oldest format version the reader still accepts (v1: single-shard).
+/// Version-skew errors report this range.
 inline constexpr std::uint32_t kIndexMinSupportedVersion = 1;
 
 /// Writes a version-2 index file from an already-built sharded index.
@@ -54,9 +57,9 @@ std::uint64_t WriteIndexFile(const std::string& path, const ReferenceSet& ref,
                              const SeedIndex& index,
                              const ReferenceEncoding& encoding);
 
-/// Legacy version-1 writer (single-shard, dense seeds).  Kept so the
-/// v1 -> v2 back-compat read path stays testable without checked-in
-/// binary fixtures.
+/// Legacy version-1 writer (single-shard).  Kept so the v1 -> v2
+/// back-compat read path stays testable without checked-in binary
+/// fixtures.
 std::uint64_t WriteIndexFileV1(const std::string& path,
                                const ReferenceSet& ref,
                                const KmerIndex& index,
@@ -88,8 +91,8 @@ class MappedIndexFile {
  public:
   /// Opens + validates; throws std::runtime_error with a diagnosis of
   /// exactly what is wrong (bad magic, version skew with the supported
-  /// range, truncation, checksum or fingerprint mismatch) rather than
-  /// producing silent garbage.
+  /// range, a seed mode other than dense, truncation, checksum or
+  /// fingerprint mismatch) rather than producing silent garbage.
   static MappedIndexFile Open(const std::string& path,
                               const IndexLoadOptions& options = {});
 
@@ -103,8 +106,6 @@ class MappedIndexFile {
   std::uint32_t format_version() const { return format_version_; }
   std::uint64_t reference_fingerprint() const { return ref_fingerprint_; }
   std::uint64_t file_bytes() const { return map_bytes_; }
-  SeedMode seed_mode() const { return index_.mode(); }
-  int minimizer_w() const { return index_.minimizer_w(); }
   std::size_t shard_count() const { return index_.shard_count(); }
 
   /// View-mode reference over the mapped text + parsed chromosome table.

@@ -113,21 +113,6 @@ KmerIndex KmerIndex::View(int k, std::size_t genome_length,
   return idx;
 }
 
-KmerIndex KmerIndex::FromCsr(int k, std::size_t genome_length,
-                             std::vector<std::uint32_t> offsets,
-                             std::vector<std::uint32_t> positions) {
-  // Reuse View's shape validation, then adopt the storage.
-  (void)View(k, genome_length, offsets, positions);
-  KmerIndex idx;
-  idx.k_ = k;
-  idx.genome_length_ = genome_length;
-  idx.offsets_ = std::move(offsets);
-  idx.positions_ = std::move(positions);
-  idx.offsets_view_ = idx.offsets_;
-  idx.positions_view_ = idx.positions_;
-  return idx;
-}
-
 std::int64_t KmerIndex::Encode(std::string_view kmer) const {
   if (kmer.size() != static_cast<std::size_t>(k_)) return -1;
   std::uint64_t code = 0;

@@ -1,7 +1,8 @@
 // k-mer hash index over the reference genome, mrFAST-style: every position
 // of every k-mer, stored in a CSR layout (offset table over the 4^k code
-// space + a flat position array).  Seeding looks up the non-overlapping
-// k-mers of a read and turns hits into candidate mapping locations.
+// space + a flat position array).  It is the only seeding index: seeding
+// looks up the non-overlapping k-mers of a read (its pigeonhole seeds) and
+// turns hits into candidate mapping locations.
 //
 // The index exists in two storage modes: built (the constructor scans the
 // genome and owns the CSR arrays) or viewed (spans over externally owned
@@ -43,13 +44,6 @@ class KmerIndex {
   static KmerIndex View(int k, std::size_t genome_length,
                         std::span<const std::uint32_t> offsets,
                         std::span<const std::uint32_t> positions);
-
-  /// Owning index adopting an externally built CSR layout (the minimizer
-  /// seeder builds its sparse CSR this way).  Same shape validation as
-  /// View(); the index takes ownership of the vectors.
-  static KmerIndex FromCsr(int k, std::size_t genome_length,
-                           std::vector<std::uint32_t> offsets,
-                           std::vector<std::uint32_t> positions);
 
   // Views alias storage they do not own; copying an owning index would
   // silently re-point the copy's spans at the original's buffers.  Moves

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "align/banded.hpp"
-#include "mapper/minimizer.hpp"
 #include "obs/names.hpp"
 #include "encode/revcomp.hpp"
 #include "util/threadpool.hpp"
@@ -19,9 +18,7 @@ ReadMapper::ReadMapper(ReferenceSet reference, MapperConfig config)
     : ref_(std::move(reference)),
       config_(config),
       index_(SeedIndex::Build(ref_,
-                              SeedConfig{config.k, config.seed_mode,
-                                         config.minimizer_w,
-                                         config.shard_max_bp})),
+                              SeedConfig{config.k, config.shard_max_bp})),
       pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")) {
   BindSeedCounters();
 }
@@ -47,11 +44,6 @@ ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
         std::to_string(index_.genome_length()) +
         " bases but the reference holds " + std::to_string(ref_.length()));
   }
-  // Seeding must run the strategy the persisted CSR encodes.
-  config_.seed_mode = index_.mode();
-  if (index_.mode() == SeedMode::kMinimizer) {
-    config_.minimizer_w = index_.minimizer_w();
-  }
   BindSeedCounters();
 }
 
@@ -60,7 +52,6 @@ ReadMapper::~ReadMapper() = default;
 void ReadMapper::BindSeedCounters() {
   // Labeled handles resolve under the registry mutex, so the kernel keeps
   // its own.
-  seeder_candidates_ = obs::SeederCandidates(SeedModeName(config_.seed_mode));
   if (index_.shard_count() > 1) {
     for (std::size_t s = 0; s < index_.shard_count(); ++s) {
       shard_candidates_.push_back(obs::ShardCandidates(std::to_string(s)));
@@ -113,16 +104,8 @@ int SeedTag(std::int64_t hit) {
 // Appends `seq`'s seeds and returns the supporting seeds the vote demands
 // of each candidate, 0 when the vote is off or a no-op.
 int ReadMapper::SelectSeeds(std::string_view seq, SeedVote vote,
-                            std::vector<MinimizerHit>* seeds) const {
+                            std::vector<SeedChunk::Seed>* seeds) const {
   const int k = index_.k();
-  if (config_.seed_mode == SeedMode::kMinimizer) {
-    // Anchoring a hit at the minimizer's offset makes the read's minimizer
-    // coincide with the reference's: both sides select the same k-mer of
-    // any shared error-free window of w+k-1 bases (selection is a pure
-    // function of window content).
-    CollectMinimizers(seq, k, index_.minimizer_w(), seeds);
-    return 0;
-  }
   // Pigeonhole seeding: e+1 non-overlapping k-mers guarantee that a read
   // within the threshold shares at least one exact seed with its locus.
   // The vote looks up the read's other non-overlapping k-mers too.
@@ -138,8 +121,8 @@ int ReadMapper::SelectSeeds(std::string_view seq, SeedVote vote,
     const std::int64_t code =
         index_.shard(0).Encode(seq.substr(offset, static_cast<std::size_t>(k)));
     if (code < 0) continue;  // an N inside the seed
-    seeds->push_back(MinimizerHit{static_cast<std::uint64_t>(code),
-                                  static_cast<std::uint32_t>(offset)});
+    seeds->push_back(SeedChunk::Seed{static_cast<std::uint64_t>(code),
+                                     static_cast<std::uint32_t>(offset)});
   }
   if (n_seeds == pigeonhole) return 0;
   const int needed = static_cast<int>(seeds->size() - first) - e;
@@ -150,7 +133,7 @@ int ReadMapper::SelectSeeds(std::string_view seq, SeedVote vote,
   seeds->erase(
       std::find_if(seeds->begin() + static_cast<std::ptrdiff_t>(first),
                    seeds->end(),
-                   [&](const MinimizerHit& h) { return h.pos >= end; }),
+                   [&](const SeedChunk::Seed& h) { return h.pos >= end; }),
       seeds->end());
   return 0;
 }
@@ -163,7 +146,7 @@ void ReadMapper::SeedSequences(std::size_t strands, SeedChunk* chunk,
                                SeedVote vote,
                                std::vector<std::int64_t>* gather) const {
   const std::vector<std::string_view>& seqs = chunk->seqs_;
-  std::vector<MinimizerHit>& seeds = chunk->seeds_;
+  std::vector<SeedChunk::Seed>& seeds = chunk->seeds_;
   const std::size_t shards = index_.shard_count();
 
   // Pass 1: every sequence's seeds, each offset-table entry prefetched as
@@ -277,7 +260,6 @@ void ReadMapper::CountSeeded(SeedChunk* chunk, std::uint64_t voted_out) const {
   const std::uint64_t n = chunk->candidates_.size();
   obs::CandidatesSeeded().Inc(n);
   obs::CandidatesVotedOut().Inc(voted_out);
-  seeder_candidates_.Inc(n);
   if (shard_candidates_.empty() || !obs::Enabled()) return;
   chunk->shard_tally_.assign(shard_candidates_.size(), 0);
   for (const OrientedCandidate& oc : chunk->candidates_) {
@@ -324,9 +306,11 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
   }
 
   std::vector<bool> read_mapped(reads.size(), false);
+  // Reads per filtering round: the engine's, and without one the default
+  // the engine would use (Table 1).
   const std::size_t batch_reads = std::max<std::size_t>(
       1, filter != nullptr ? filter->config().max_reads_per_batch
-                           : config_.max_reads_per_batch);
+                           : EngineConfig{}.max_reads_per_batch);
 
   // Batch read tables are *views* into the caller's read set — the
   // filtration layer consumes string_views end to end, so no per-batch

@@ -1,8 +1,9 @@
 // mrFAST-like seed-and-extend read mapper with a pluggable pre-alignment
 // filter, reproducing the integration of GateKeeper-GPU Sec. 3.5:
 //
-//   seed (k-mer index lookups, pigeonhole seeds; the streaming paths
-//         add the seed vote, SeedVote)
+//   seed (lookups of e+1 non-overlapping read k-mers, the pigeonhole
+//         seeds, in the dense k-mer index; the streaming paths add the
+//         seed vote, SeedVote)
 //     -> batch candidate locations for many reads
 //     -> [optional] GateKeeper-GPU pre-alignment filtering
 //     -> verification (banded edit distance <= e)
@@ -23,7 +24,6 @@
 
 #include "core/engine.hpp"
 #include "io/reference.hpp"
-#include "mapper/minimizer.hpp"
 #include "mapper/seed_index.hpp"
 #include "obs/metrics.hpp"
 
@@ -33,17 +33,10 @@ struct MapperConfig {
   int k = 12;
   int read_length = 100;
   int error_threshold = 5;
-  /// Reads batched per filtering round (Table 1; 100,000 is the paper's
-  /// sweet spot).
-  std::size_t max_reads_per_batch = 100000;
   /// Workers of the mapper's pool (0 = hardware concurrency): MapReads
   /// verifies on it, and the streaming drivers run their chunk workers on
   /// it (pipeline/ordered_chunks.hpp).
   unsigned verify_threads = 0;
-  /// Seeding strategy: dense pigeonhole seeds (the mrFAST default) or
-  /// (w,k) minimizer sampling (see mapper/minimizer.hpp).
-  SeedMode seed_mode = SeedMode::kDense;
-  int minimizer_w = 5;  // winnowing window, minimizer mode only
   /// Shard byte budget for the index (see SeedConfig::shard_max_bp);
   /// 0 = one shard per 4 Gbp.
   std::int64_t shard_max_bp = 0;
@@ -99,7 +92,7 @@ struct MappingStats {
 /// lossless cut by the q-gram lemma: a window within e edits of a read
 /// shares at least n - e of the read's n = floor(L/k) non-overlapping
 /// k-mers exactly, each inside the window at a diagonal within +-e of the
-/// window's.  Dense seeding only; minimizers overlap, so the bound differs.
+/// window's.
 enum class SeedVote : std::uint8_t {
   /// Every window an exact pigeonhole seed hits: Table 3's "potential
   /// mappings".  MapReads and paired mapping seed this set.
@@ -134,14 +127,19 @@ class SeedChunk {
 
  private:
   friend class ReadMapper;
+  /// One seed: a read k-mer's 2-bit code and its offset in the sequence.
+  struct Seed {
+    std::uint64_t code = 0;
+    std::uint32_t pos = 0;
+  };
   std::size_t reads_ = 0;
   std::vector<std::string> rc_;
   std::vector<std::string_view> seqs_;  // the sequences the kernel seeds
   std::vector<OrientedCandidate> candidates_;
   std::vector<std::uint32_t> bounds_;  // sequence j: [bounds_[j], bounds_[j+1])
-  /// Every sequence's seeds as (k-mer code, offset in the sequence) pairs:
-  /// pigeonhole k-mers or minimizers.
-  std::vector<MinimizerHit> seeds_;
+  /// Every sequence's seeds: its pigeonhole k-mers, plus the rest of its
+  /// non-overlapping k-mers when it votes.
+  std::vector<Seed> seeds_;
   std::vector<std::uint32_t> seed_bounds_;  // per sequence, like bounds_
   /// Per sequence: supporting seeds a candidate needs (0 = no vote).
   std::vector<int> votes_needed_;
@@ -164,11 +162,10 @@ class ReadMapper {
   /// Preloaded-index mapper: adopts an already-built (typically mmap'd,
   /// view-mode) sharded index instead of scanning the genome.  The index's
   /// k must equal `config.k` and its genome_length the reference length;
-  /// throws std::invalid_argument otherwise.  The index's seed mode,
-  /// winnowing window and shard layout override the config's — they are
-  /// baked into the persisted CSR payload.  When either the reference or
-  /// the index is a view, the backing storage (the MappedIndexFile) must
-  /// outlive the mapper.
+  /// throws std::invalid_argument otherwise.  The index's shard layout
+  /// overrides the config's: it is baked into the persisted CSR payload.
+  /// When either the reference or the index is a view, the backing storage
+  /// (the MappedIndexFile) must outlive the mapper.
   ReadMapper(ReferenceSet reference, SeedIndex index, MapperConfig config);
   ~ReadMapper();
 
@@ -194,10 +191,10 @@ class ReadMapper {
   /// emits the candidate set `vote` names.  Candidates are global, never
   /// span a chromosome junction, and equal what seeding each read alone
   /// yields.
-  /// Publishes the seeding counters (gkgpu_candidates_seeded_total, its
-  /// {seeder} split and, on sharded indexes, the {shard} split, all
-  /// counting what the kernel emits; gkgpu_candidates_voted_out_total for
-  /// the vote's cut) once per call.
+  /// Publishes the seeding counters (gkgpu_candidates_seeded_total and,
+  /// on sharded indexes, its {shard} split, both counting what the kernel
+  /// emits; gkgpu_candidates_voted_out_total for the vote's cut) once per
+  /// call.
   void SeedReads(std::span<const std::string_view> reads, SeedChunk* chunk,
                  SeedVote vote) const;
 
@@ -222,7 +219,7 @@ class ReadMapper {
   void SeedReads(std::span<const std::string_view> reads, SeedChunk* chunk,
                  SeedVote vote, std::vector<std::int64_t>* gather) const;
   int SelectSeeds(std::string_view seq, SeedVote vote,
-                  std::vector<MinimizerHit>* seeds) const;
+                  std::vector<SeedChunk::Seed>* seeds) const;
   void SeedSequences(std::size_t strands, SeedChunk* chunk, SeedVote vote,
                      std::vector<std::int64_t>* gather) const;
   void CountSeeded(SeedChunk* chunk, std::uint64_t voted_out) const;
@@ -231,7 +228,6 @@ class ReadMapper {
   MapperConfig config_;
   SeedIndex index_;
   std::unique_ptr<ThreadPool> pool_;
-  obs::Counter seeder_candidates_;
   std::vector<obs::Counter> shard_candidates_;  // empty on one shard
 };
 

@@ -8,61 +8,12 @@
 #include <thread>
 #include <utility>
 
-#include "mapper/minimizer.hpp"
-
 namespace gkgpu {
-
-const char* SeedModeName(SeedMode mode) {
-  return mode == SeedMode::kMinimizer ? "minimizer" : "dense";
-}
-
-std::optional<SeedMode> ParseSeedMode(std::string_view name) {
-  if (name == "dense") return SeedMode::kDense;
-  if (name == "minimizer") return SeedMode::kMinimizer;
-  return std::nullopt;
-}
 
 namespace {
 
-/// One shard's sparse CSR from per-chromosome winnowing.  Selection never
-/// crosses a chromosome boundary (a junction-spanning window is chimeric
-/// content no read can match), which also makes the selected set — unlike
-/// shard-wide winnowing — independent of the shard layout.
-KmerIndex BuildMinimizerShard(const ReferenceSet& ref, const ShardInfo& shard,
-                              int k, int w) {
-  const std::string_view text = ref.text();
-  std::vector<MinimizerHit> hits;
-  std::vector<std::uint32_t> shard_pos;  // parallel to hits, shard-local
-  for (std::size_t c = shard.chrom_begin; c < shard.chrom_end; ++c) {
-    const ChromosomeInfo& chrom = ref.chromosome(c);
-    const std::size_t before = hits.size();
-    CollectMinimizers(text.substr(static_cast<std::size_t>(chrom.offset),
-                                  static_cast<std::size_t>(chrom.length)),
-                      k, w, &hits);
-    const std::uint32_t shift =
-        static_cast<std::uint32_t>(chrom.offset - shard.text_offset);
-    for (std::size_t i = before; i < hits.size(); ++i) {
-      shard_pos.push_back(hits[i].pos + shift);
-    }
-  }
-  const std::size_t buckets = std::size_t{1} << (2 * k);
-  std::vector<std::uint32_t> offsets(buckets + 1, 0);
-  for (const MinimizerHit& h : hits) ++offsets[h.code + 1];
-  for (std::size_t b = 0; b < buckets; ++b) offsets[b + 1] += offsets[b];
-  std::vector<std::uint32_t> positions(hits.size());
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    positions[cursor[hits[i].code]++] = shard_pos[i];
-  }
-  return KmerIndex::FromCsr(k, static_cast<std::size_t>(shard.text_length),
-                            std::move(offsets), std::move(positions));
-}
-
 KmerIndex BuildShard(const ReferenceSet& ref, const ShardInfo& shard,
                      const SeedConfig& config) {
-  if (config.mode == SeedMode::kMinimizer) {
-    return BuildMinimizerShard(ref, shard, config.k, config.minimizer_w);
-  }
   return KmerIndex(
       ref.text().substr(static_cast<std::size_t>(shard.text_offset),
                         static_cast<std::size_t>(shard.text_length)),
@@ -76,15 +27,7 @@ SeedIndex SeedIndex::Build(const ReferenceSet& ref, const SeedConfig& config,
   if (config.k < 4 || config.k > 14) {
     throw std::invalid_argument("SeedIndex: k out of range [4, 14]");
   }
-  if (config.mode == SeedMode::kMinimizer &&
-      (config.minimizer_w < 1 || config.minimizer_w > 255)) {
-    throw std::invalid_argument(
-        "SeedIndex: minimizer window out of range [1, 255]");
-  }
   SeedIndex idx;
-  idx.mode_ = config.mode;
-  idx.minimizer_w_ =
-      config.mode == SeedMode::kMinimizer ? config.minimizer_w : 0;
   idx.plan_ = ShardPlan::Partition(ref, config.shard_max_bp);
   const std::size_t n = idx.plan_.shard_count();
   idx.shards_.resize(n);
@@ -127,8 +70,7 @@ SeedIndex SeedIndex::Build(const ReferenceSet& ref, const SeedConfig& config,
   return idx;
 }
 
-SeedIndex SeedIndex::View(ShardPlan plan, SeedMode mode, int minimizer_w,
-                          std::vector<KmerIndex> shards) {
+SeedIndex SeedIndex::View(ShardPlan plan, std::vector<KmerIndex> shards) {
   if (plan.shard_count() != shards.size() || shards.empty()) {
     throw std::invalid_argument(
         "SeedIndex::View: shard count does not match the plan");
@@ -144,8 +86,6 @@ SeedIndex SeedIndex::View(ShardPlan plan, SeedMode mode, int minimizer_w,
     }
   }
   SeedIndex idx;
-  idx.mode_ = mode;
-  idx.minimizer_w_ = mode == SeedMode::kMinimizer ? minimizer_w : 0;
   idx.plan_ = std::move(plan);
   idx.shards_ = std::move(shards);
   return idx;
@@ -158,7 +98,7 @@ SeedIndex SeedIndex::Alias() const {
     shards.push_back(
         KmerIndex::View(s.k(), s.genome_length(), s.offsets(), s.positions()));
   }
-  return View(plan_, mode_, minimizer_w_, std::move(shards));
+  return View(plan_, std::move(shards));
 }
 
 std::uint64_t SeedIndex::indexed_positions() const {

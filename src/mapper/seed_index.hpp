@@ -1,8 +1,8 @@
-// The sharded seeding index: one CSR KmerIndex per chromosome-group shard
-// (ShardPlan), built dense (every k-mer position, the mrFAST layout) or
-// sparse ((w,k) minimizer selection).  Each shard's positions are local to
-// its text slice and stay within the uint32 ceiling, so the concatenated
-// genome may exceed 4 Gbp — the scale-out KmerIndex alone refuses.
+// The sharded seeding index: one dense CSR KmerIndex (every k-mer
+// position, the mrFAST layout) per chromosome-group shard (ShardPlan).
+// Each shard's positions are local to its text slice and stay within the
+// uint32 ceiling, so the concatenated genome may exceed 4 Gbp — the
+// scale-out KmerIndex alone refuses.
 //
 // Shards build concurrently (one thread per shard); lookups run per shard
 // and the mapper merges the translated global positions across shards
@@ -14,8 +14,6 @@
 #define GKGPU_MAPPER_SEED_INDEX_HPP
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "io/reference.hpp"
@@ -24,22 +22,8 @@
 
 namespace gkgpu {
 
-enum class SeedMode : std::uint8_t {
-  kDense = 0,      // every k-mer position, pigeonhole seeds at query time
-  kMinimizer = 1,  // (w,k) winnowing on both the index and the reads
-};
-
-const char* SeedModeName(SeedMode mode);
-std::optional<SeedMode> ParseSeedMode(std::string_view name);
-
 struct SeedConfig {
   int k = 12;
-  SeedMode mode = SeedMode::kDense;
-  /// Winnowing window in k-mers (minimizer mode only).  The seeding
-  /// guarantee needs an error-free stretch of w+k-1 read bases; the
-  /// default keeps that at 16 bp for k=12, within the worst-case clean
-  /// stretch of a 100 bp read at e=5.
-  int minimizer_w = 5;
   /// Shard byte budget; 0 means one shard per 4 Gbp (the uint32 position
   /// ceiling).  Small values force multi-shard layouts on small genomes —
   /// how the tests and CI exercise the sharded paths.
@@ -53,21 +37,18 @@ class SeedIndex {
 
   /// Builds the per-shard indexes over `ref`, `threads` shards at a time
   /// (0 = hardware concurrency, 1 = serial — the bench measures both).
-  /// Minimizer selection runs per chromosome, so the selected positions —
-  /// and therefore the candidates — are identical whatever the shard
-  /// layout.  Throws std::invalid_argument on a bad config or a
-  /// chromosome exceeding the shard budget.
+  /// Throws std::invalid_argument on a bad config or a chromosome
+  /// exceeding the shard budget.
   static SeedIndex Build(const ReferenceSet& ref, const SeedConfig& config,
                          unsigned threads = 0);
 
   /// Assembles a view-mode index from persisted parts (an mmap'd index
   /// file): the plan plus one view-mode KmerIndex per shard, which must
   /// all share `k` and match the plan's slice lengths.
-  static SeedIndex View(ShardPlan plan, SeedMode mode, int minimizer_w,
-                        std::vector<KmerIndex> shards);
+  static SeedIndex View(ShardPlan plan, std::vector<KmerIndex> shards);
 
   /// A non-owning alias of this index: view-mode shards spanning the same
-  /// storage, same plan/mode/window.  The aliased index must outlive the
+  /// storage, same plan.  The aliased index must outlive the
   /// alias — how a MappedIndexFile's index is handed to a ReadMapper
   /// without copying the CSR arrays.
   SeedIndex Alias() const;
@@ -78,8 +59,6 @@ class SeedIndex {
   SeedIndex& operator=(const SeedIndex&) = delete;
 
   int k() const { return shards_.empty() ? 0 : shards_.front().k(); }
-  SeedMode mode() const { return mode_; }
-  int minimizer_w() const { return minimizer_w_; }
   const ShardPlan& plan() const { return plan_; }
   std::size_t shard_count() const { return shards_.size(); }
   const KmerIndex& shard(std::size_t i) const { return shards_[i]; }
@@ -89,8 +68,6 @@ class SeedIndex {
   std::uint64_t indexed_positions() const;
 
  private:
-  SeedMode mode_ = SeedMode::kDense;
-  int minimizer_w_ = 0;
   ShardPlan plan_;
   std::vector<KmerIndex> shards_;
 };

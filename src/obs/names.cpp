@@ -13,12 +13,6 @@ Counter CandidatesSeeded() {
   return c;
 }
 
-Counter SeederCandidates(const std::string& seeder) {
-  return R().counter("gkgpu_seed_candidates_total",
-                     "Candidate locations by seeding strategy",
-                     {{"seeder", seeder}});
-}
-
 Counter ShardCandidates(const std::string& shard) {
   return R().counter("gkgpu_shard_candidates_total",
                      "Candidate locations attributed to each index shard "

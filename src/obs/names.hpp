@@ -7,15 +7,13 @@
 //   gkgpu_candidates_seeded_total      seeding output, pre-pruning: what
 //                                      the kernel emits, after the seed
 //                                      vote where the caller runs it
-//   gkgpu_seed_candidates_total        {seeder} same volume, split by
-//                                      seeding strategy (dense/minimizer)
 //   gkgpu_shard_candidates_total       {shard} per index shard; only
 //                                      emitted on multi-shard runs
 //   gkgpu_candidates_voted_out_total   pigeonhole candidates the seed vote
 //                                      cut; seeded + voted_out is the
 //                                      pigeonhole count (the seeding
 //                                      kernel, ReadMapper::SeedReads,
-//                                      publishes all four on every
+//                                      publishes all three on every
 //                                      mapping path)
 //   gkgpu_candidates_pruned_total      dropped by paired insert-window
 //   gkgpu_filter_input_total           pairs presented to a filter
@@ -53,7 +51,6 @@ namespace gkgpu::obs {
 
 // --- filter funnel ---------------------------------------------------
 Counter CandidatesSeeded();
-Counter SeederCandidates(const std::string& seeder);
 Counter ShardCandidates(const std::string& shard);
 Counter CandidatesVotedOut();
 Counter CandidatesPruned();

@@ -361,7 +361,7 @@ struct MapServer::Impl {
       WriteSamHeader(header, mapper_.reference(), read_group);
       TrySend(s, FrameType::kSamHeader, std::move(header).str());
 
-      const int read_length = engine_->config().read_length;
+      const int read_length = mapper_.config().read_length;
       FastqAssembler fastq;
       FastqRecord rec;
       bool ended = false;
@@ -501,11 +501,6 @@ struct MapServer::Impl {
   // --- accept loop ------------------------------------------------------
 
   void Run() {
-    if (!engine_->HasReference()) {
-      throw std::runtime_error(
-          "serve: the engine has no reference loaded (load the index "
-          "before starting the server)");
-    }
     const pipeline::ChunkFilter filter(engine_, mapper_);
     if (config_.socket_path.empty() ||
         config_.socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {

@@ -65,7 +65,7 @@ struct ServeStats {
   std::uint64_t sessions_completed = 0;
   std::uint64_t sessions_failed = 0;  // protocol error, timeout, disconnect
   std::uint64_t reads = 0;
-  std::uint64_t skipped_reads = 0;  // wrong length for the engine
+  std::uint64_t skipped_reads = 0;  // not the mapper's read length
   std::uint64_t records = 0;        // SAM records sent
   std::uint64_t batches = 0;  // chunks mapped
   /// Chunks carrying reads from 2+ sessions — the cross-request
@@ -75,8 +75,11 @@ struct ServeStats {
 
 class MapServer {
  public:
-  /// `mapper` and `engine` must outlive the server; the engine's reference
-  /// must already be loaded from the mapper's genome (Run checks).  Throws
+  /// `mapper` and a non-null `engine` must outlive the server.  A null
+  /// engine is No Filter: every seeded candidate is verified, as in
+  /// StreamFastqToSam.  An engine with no reference gets the mapper's
+  /// genome at Run; one whose reference or read length is not the
+  /// mapper's makes Run throw std::invalid_argument (ChunkFilter).  Throws
   /// std::runtime_error if the shutdown self-pipe cannot be created.
   MapServer(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
             ServeConfig config);
@@ -87,7 +90,7 @@ class MapServer {
 
   /// Binds the socket and serves until Shutdown(); returns after the
   /// drain completes.  Throws std::runtime_error if the socket cannot be
-  /// bound or the engine has no reference loaded.
+  /// bound.
   void Run();
 
   /// Async-signal-safe shutdown request (a write to the self-pipe);

@@ -2,8 +2,19 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
+#include <string>
 
 namespace gkgpu {
+
+void CheckFilterReadLength(int length, const char* where) {
+  if (length < 1 || length > kMaxReadLength) {
+    throw std::invalid_argument(
+        std::string(where) + ": read length " + std::to_string(length) +
+        " is outside the filter kernels' capacity of 1 to " +
+        std::to_string(kMaxReadLength) + " bases");
+  }
+}
 
 void ShiftToLater(const Word* src, Word* dst, int nwords, int bits) {
   if (bits <= 0) {

@@ -30,6 +30,12 @@ inline constexpr int kMaxMaskWords = kMaxReadLength / kWordBits;
 /// rounded up generously).
 inline constexpr int kMaxErrorThreshold = 52;
 
+/// Throws std::invalid_argument, naming `where`, unless the filter kernels
+/// can hold `length`-base sequences: 1 to kMaxReadLength.  Their per-pair
+/// scratch is fixed-size stack arrays (kMaxEncodedWords words), so every
+/// entry point that sets the length of the sequences it filters checks it.
+void CheckFilterReadLength(int length, const char* where);
+
 /// Number of 32-bit words needed to 2-bit encode `length` bases.
 constexpr int EncodedWords(int length) {
   return (length + kBasesPerWord - 1) / kBasesPerWord;

@@ -3,12 +3,16 @@
 // plan monotonicity, and the original-mode high-threshold collapse.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "align/myers.hpp"
 #include "core/engine.hpp"
 #include "encode/encoded.hpp"
 #include "filters/gatekeeper.hpp"
+#include "filters/pair_block.hpp"
 #include "mapper/mapper.hpp"
 #include "sim/genome.hpp"
 #include "sim/pairgen.hpp"
@@ -252,6 +256,63 @@ TEST(EdgeCaseTest, PlanShrinksWithLongerReadsAndSmallerMemory) {
   EXPECT_GE(p100.pairs_per_batch, p250.pairs_per_batch);
   EXPECT_GE(p100.pairs_per_batch, k100.pairs_per_batch);
   EXPECT_GT(p250.thread_load_bytes, p100.thread_load_bytes);
+}
+
+/// The std::invalid_argument message `fn` throws ("" if none).
+template <typename Fn>
+std::string InvalidArgument(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EdgeCaseTest, ReadsPastTheKernelCapacityAreRejectedByName) {
+  // The filter kernels keep per-pair scratch in stack arrays sized for
+  // kMaxReadLength bases: one base more is a named error wherever a read
+  // length enters filtration — the engine (and through it every streaming
+  // driver) and the host batch API — not a stack overrun.
+  auto devices = gpusim::MakeSetup1(1, 1);
+  const std::vector<gpusim::Device*> ptrs{devices.front().get()};
+  EngineConfig cfg;
+  cfg.error_threshold = 5;
+  const std::string too_long = std::to_string(kMaxReadLength + 1);
+  const auto expect_named = [&](const std::string& what) {
+    EXPECT_NE(what.find("read length " + too_long), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("capacity of 1 to " + std::to_string(kMaxReadLength)),
+              std::string::npos)
+        << what;
+  };
+  cfg.read_length = kMaxReadLength + 1;
+  expect_named(
+      InvalidArgument([&] { const GateKeeperGpuEngine engine(cfg, ptrs); }));
+  expect_named(
+      InvalidArgument([] { PairBlockStorage block(kMaxReadLength + 1); }));
+  const std::vector<std::string> long_reads{
+      std::string(static_cast<std::size_t>(kMaxReadLength) + 1, 'A')};
+  expect_named(InvalidArgument(
+      [&] { EncodeBatch(std::span(long_reads), kMaxReadLength + 1); }));
+
+  // kMaxReadLength itself filters on every path.
+  Rng rng(31);
+  const std::string seq =
+      RandomSeq(rng, static_cast<std::size_t>(kMaxReadLength));
+  cfg.read_length = kMaxReadLength;
+  GateKeeperGpuEngine engine(cfg, ptrs);
+  std::vector<PairResult> results;
+  engine.FilterPairs({seq}, {seq}, &results);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].accept, 1);
+  PairBlockStorage block(kMaxReadLength);
+  block.Add(seq, seq);
+  PairResult batch_result{};
+  GateKeeperFilter().FilterBatch(block.view(), 5, &batch_result);
+  EXPECT_EQ(batch_result.accept, 1);
+  const std::vector<std::string> reads{seq};
+  EXPECT_EQ(EncodeBatch(std::span(reads), kMaxReadLength).size(), 1u);
 }
 
 TEST(EdgeCaseTest, MaxLengthMaxThresholdFiltration) {

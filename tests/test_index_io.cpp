@@ -1,13 +1,14 @@
 // Tests for the persistent on-disk index (io/index_io.hpp): byte-exact
 // round trips through the mmap'd view types, SAM parity between a mapper
 // built from FASTA and one rehydrated from the file, and the rejection
-// paths — bad magic, version skew, truncation, payload corruption,
-// fingerprint tampering — that keep a stale or damaged index from
-// producing silent garbage.
+// paths — bad magic, version skew, a seed mode other than dense,
+// truncation, payload corruption, fingerprint tampering — that keep a
+// stale or damaged index from producing silent garbage.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -91,7 +92,6 @@ TEST_F(IndexIoTest, RoundTripPreservesEverything) {
   EXPECT_EQ(back.fingerprint(), ref_.fingerprint());
 
   EXPECT_EQ(mapped.format_version(), kIndexFormatVersion);
-  EXPECT_EQ(mapped.seed_mode(), SeedMode::kDense);
   ASSERT_EQ(mapped.shard_count(), 1u);
   const KmerIndex fresh(ref_.text(), kTestK);
   const KmerIndex& view = mapped.seed_index().shard(0);
@@ -199,6 +199,54 @@ TEST_F(IndexIoTest, RejectsVersionSkew) {
       std::runtime_error);
 }
 
+/// The message Open throws for a v2 file whose seed-mode word is `mode`,
+/// written the way an older build wrote a sparse index: the window in the
+/// next word and the header checksum re-sealed over both.
+std::string SeedModeError(const std::string& path, std::uint32_t mode) {
+  constexpr std::size_t kHeaderBytes = 176;
+  constexpr std::size_t kSeedModeOffset = 48;  // after magic .. chrom_count
+  char header[kHeaderBytes];
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.read(header, kHeaderBytes);
+  const std::uint32_t words[2] = {mode, 5};
+  std::memcpy(header + kSeedModeOffset, words, sizeof(words));
+  std::memset(header + kHeaderBytes - 8, 0, 8);
+  const std::uint64_t sum = FingerprintBytes(header, kHeaderBytes);
+  std::memcpy(header + kHeaderBytes - 8, &sum, sizeof(sum));
+  f.seekp(0);
+  f.write(header, kHeaderBytes);
+  f.close();
+  try {
+    MappedIndexFile::Open(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(IndexIoTest, RejectsEveryIndexThatIsNotDense) {
+  // Seed mode 1 is an older build's sparse index: the error names that
+  // seeder (not the number) and asks for a rebuild.
+  const std::string old_sparse = SeedModeError(path_, 1);
+  EXPECT_NE(old_sparse.find("built for "), std::string::npos) << old_sparse;
+  EXPECT_NE(old_sparse.find(" seeding, which this build does not support"),
+            std::string::npos)
+      << old_sparse;
+  EXPECT_EQ(old_sparse.find("seed mode 1"), std::string::npos) << old_sparse;
+  EXPECT_NE(old_sparse.find("rebuild the index with `gkgpu index`"),
+            std::string::npos)
+      << old_sparse;
+  const std::string unknown = SeedModeError(path_, 9);
+  EXPECT_NE(unknown.find("built for seed mode 9"), std::string::npos)
+      << unknown;
+  EXPECT_NE(unknown.find("`gkgpu index`"), std::string::npos) << unknown;
+  // The dense file itself loads, checksums included.
+  BuildAndWriteIndexFile(path_, ref_, kTestK);
+  IndexLoadOptions options;
+  options.verify_checksum = true;
+  EXPECT_NO_THROW(MappedIndexFile::Open(path_, options));
+}
+
 TEST_F(IndexIoTest, RejectsTruncatedFile) {
   const auto size = fs::file_size(path_);
   fs::resize_file(path_, size / 2);
@@ -267,7 +315,6 @@ TEST_F(IndexIoTest, V1FilesStillLoadAsOneShard) {
   options.verify_checksum = true;
   const MappedIndexFile mapped = MappedIndexFile::Open(path_, options);
   EXPECT_EQ(mapped.format_version(), 1u);
-  EXPECT_EQ(mapped.seed_mode(), SeedMode::kDense);
   ASSERT_EQ(mapped.shard_count(), 1u);
   EXPECT_EQ(mapped.reference().text(), ref_.text());
 
@@ -320,35 +367,6 @@ TEST_F(IndexIoTest, MultiShardRoundTripMatchesMonolithicSam) {
   const std::string golden = render(monolithic);
   EXPECT_EQ(render(sharded), golden);
   EXPECT_FALSE(golden.empty());
-}
-
-TEST_F(IndexIoTest, MinimizerIndexRoundTripsWithItsParameters) {
-  SeedConfig scfg;
-  scfg.k = kTestK;
-  scfg.mode = SeedMode::kMinimizer;
-  scfg.minimizer_w = 4;
-  BuildAndWriteIndexFile(path_, ref_, scfg);
-
-  IndexLoadOptions options;
-  options.verify_checksum = true;
-  const MappedIndexFile mapped = MappedIndexFile::Open(path_, options);
-  EXPECT_EQ(mapped.seed_mode(), SeedMode::kMinimizer);
-  EXPECT_EQ(mapped.minimizer_w(), 4);
-
-  const SeedIndex fresh = SeedIndex::Build(ref_, scfg);
-  ASSERT_EQ(mapped.shard_count(), fresh.shard_count());
-  EXPECT_EQ(mapped.seed_index().indexed_positions(),
-            fresh.indexed_positions());
-
-  // A mapper over the rehydrated index adopts the persisted parameters.
-  MapperConfig mcfg;
-  mcfg.k = kTestK;
-  mcfg.read_length = 64;
-  mcfg.error_threshold = 3;
-  const ReadMapper mapper(mapped.reference(), mapped.seed_index().Alias(),
-                          mcfg);
-  EXPECT_EQ(mapper.config().seed_mode, SeedMode::kMinimizer);
-  EXPECT_EQ(mapper.config().minimizer_w, 4);
 }
 
 TEST(IndexFingerprintTest, DistinguishesContentKAndVersion) {

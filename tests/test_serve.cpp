@@ -2,7 +2,8 @@
 // serve/client.hpp): byte parity with the standalone FASTQ-to-SAM stream,
 // concurrent clients demultiplexed onto their own byte-identical SAM
 // streams (with cross-request chunk coalescing observed in the stats),
-// wrong-length and malformed inputs, and shutdown drain.
+// null (No Filter) and empty engines, wrong-length and malformed inputs,
+// and shutdown drain.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -157,7 +158,14 @@ class ServeTest : public ::testing::Test {
   /// Runs `body(socket_path)` against a live server, then drains it.
   template <typename Body>
   serve::ServeStats WithServer(const serve::ServeConfig& scfg, Body body) {
-    serve::MapServer server(mapper_, engine_.get(), scfg);
+    return WithServer(scfg, engine_.get(), body);
+  }
+
+  /// The same over `engine` (null = No Filter).
+  template <typename Body>
+  serve::ServeStats WithServer(const serve::ServeConfig& scfg,
+                               GateKeeperGpuEngine* engine, Body body) {
+    serve::MapServer server(mapper_, engine, scfg);
     std::thread run([&] { server.Run(); });
     for (int i = 0; i < 2000 && !server.serving(); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -258,6 +266,52 @@ TEST_F(ServeTest, ConcurrentClientsAreDemuxedAndCoalesced) {
   EXPECT_EQ(stats.sessions_completed, 2u);
   EXPECT_EQ(stats.reads, 300u);
   EXPECT_GE(stats.coalesced_batches, 1u);
+}
+
+TEST_F(ServeTest, NullAndEmptyEnginesServeLikeTheStandaloneStream) {
+  // A null engine is No Filter, and an empty one gets the mapper's genome:
+  // the daemon treats either argument as StreamFastqToSam does.
+  const auto seqs = SimulateReadSequences(
+      ref_.text(), 120, kReadLength, ReadErrorProfile::Illumina(), 12);
+  const std::string fastq_text = MakeFastq("n", seqs);
+  const auto standalone = [&](GateKeeperGpuEngine* engine) {
+    std::ostringstream sam;
+    WriteSamHeader(sam, mapper_.reference(), "");
+    std::istringstream fastq(fastq_text);
+    pipeline::StreamFastqToSam(fastq, mapper_, engine,
+                               pipeline::ReadToSamConfig{}, &sam);
+    return sam.str();
+  };
+  const auto served = [&](GateKeeperGpuEngine* engine) {
+    std::string out;
+    const serve::ServeStats stats =
+        WithServer(BaseConfig(), engine, [&](const std::string& socket) {
+          std::istringstream fastq(fastq_text);
+          std::ostringstream sam;
+          serve::MapOverSocket(socket, fastq, sam);
+          out = sam.str();
+        });
+    EXPECT_EQ(stats.sessions_completed, 1u);
+    EXPECT_EQ(stats.reads, 120u);
+    return out;
+  };
+  const auto empty_engine = [&] {
+    EngineConfig cfg;
+    cfg.read_length = kReadLength;
+    cfg.error_threshold = kErrors;
+    return std::make_unique<GateKeeperGpuEngine>(cfg, device_ptrs_);
+  };
+
+  const std::string no_filter = standalone(nullptr);
+  EXPECT_EQ(served(nullptr), no_filter);
+  const auto standalone_engine = empty_engine();
+  const auto served_engine = empty_engine();
+  const std::string filtered = standalone(standalone_engine.get());
+  EXPECT_EQ(served(served_engine.get()), filtered);
+  EXPECT_TRUE(served_engine->HasReference());
+  // GateKeeper is lossless, so filtering does not change the SAM either.
+  EXPECT_EQ(no_filter, filtered);
+  EXPECT_EQ(filtered, Golden(fastq_text));
 }
 
 TEST_F(ServeTest, WrongLengthReadsAreSkippedNotFatal) {

@@ -383,10 +383,9 @@ TEST_F(ShardedMappingTest, ChunkedSeedingMatchesBruteForceOracle) {
   }
 }
 
-/// Registry deltas of the four seeding families across `run`.
+/// Registry deltas of the three seeding families across `run`.
 struct SeedDeltas {
   double seeded = 0.0;  // gkgpu_candidates_seeded_total
-  double seeder = 0.0;  // gkgpu_seed_candidates_total{seeder="dense"}
   double shards = 0.0;  // gkgpu_shard_candidates_total, every shard
   double voted_out = 0.0;  // gkgpu_candidates_voted_out_total
   double filter_input = 0.0;
@@ -402,8 +401,6 @@ SeedDeltas SeedCounterDeltas(Run run) {
   };
   SeedDeltas d;
   d.seeded = delta("gkgpu_candidates_seeded_total");
-  d.seeder = after.Value("gkgpu_seed_candidates_total", {{"seeder", "dense"}}) -
-             before.Value("gkgpu_seed_candidates_total", {{"seeder", "dense"}});
   d.shards = delta("gkgpu_shard_candidates_total");
   d.voted_out = delta("gkgpu_candidates_voted_out_total");
   d.filter_input = delta("gkgpu_filter_input_total");
@@ -422,7 +419,7 @@ std::string ToFastq(const std::vector<std::string>& seqs,
 
 TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
   // Every mapping path seeds through the one kernel, which publishes all
-  // four seeding families; on a 2-shard index the three counts of what it
+  // three seeding families; on a 2-shard index the two counts of what it
   // emits must agree with each other and with the path's own candidate
   // count, and where the path votes the emitted plus the voted-out
   // candidates must add up to MapReads' unvoted count.
@@ -434,7 +431,6 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
                                const char* driver) {
     EXPECT_GT(own, 0.0) << driver;
     EXPECT_EQ(d.seeded, own) << driver;
-    EXPECT_EQ(d.seeder, own) << driver;
     EXPECT_EQ(d.shards, own) << driver;
   };
 

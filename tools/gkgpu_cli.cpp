@@ -30,13 +30,16 @@
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
 // `--index FILE` in place of `--ref FASTA` to start instantly.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,6 +77,12 @@ namespace {
 
 using namespace gkgpu;
 
+/// A malformed option value.  main reports it like an unknown option:
+/// exit 2, naming the option.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -105,10 +114,25 @@ class Args {
     const auto it = values_.find(key);
     return it != values_.end() ? it->second : std::vector<std::string>{};
   }
-  long GetInt(const std::string& key, long fallback) const {
+  /// The integer operand of `key` (`fallback` when absent).  Throws
+  /// UsageError unless the whole operand parses and is at least `min`.
+  long GetInt(const std::string& key, long fallback,
+              long min = std::numeric_limits<long>::min()) const {
     const auto it = values_.find(key);
-    return it != values_.end() ? std::atol(it->second.front().c_str())
-                               : fallback;
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second.front();
+    const char* end = text.data() + text.size();
+    long value = 0;
+    const auto [last, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || last != end) {
+      throw UsageError("bad value for --" + key + ": '" + text +
+                       "' (expected an integer)");
+    }
+    if (value < min) {
+      throw UsageError("--" + key + " must be >= " + std::to_string(min) +
+                       ", got " + text);
+    }
+    return value;
   }
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
   /// The first option given that `allowed`, a space-separated list of
@@ -162,22 +186,19 @@ struct ReferenceInput {
   const ReferenceSet& reference() const {
     return mapped != nullptr ? mapped->reference() : owned;
   }
-  /// A ReferenceSet the caller may move into a mapper.  For mapped input
-  /// this is a view copy aliasing the mapping (the ReferenceInput must
-  /// outlive the mapper); for FASTA input the owned set moves out.
-  ReferenceSet TakeReference() {
-    return mapped != nullptr ? mapped->reference() : std::move(owned);
-  }
   /// Builds the mapper without re-deriving anything that is already on
-  /// disk: mapped input reuses the persisted per-shard CSR indexes (and
-  /// forces `k` to the index's, which is what the file was built with);
-  /// FASTA input builds the sharded index from the text.
+  /// disk: mapped input reuses the persisted reference and per-shard CSR
+  /// indexes as views (the ReferenceInput must outlive the mapper) and
+  /// forces `k` to the index's, which is what the file was built with;
+  /// FASTA input moves `owned` into the mapper, which builds the sharded
+  /// index from the text.
   ReadMapper MakeMapper(MapperConfig mcfg) {
     if (mapped != nullptr) {
       mcfg.k = mapped->k();
-      return ReadMapper(TakeReference(), mapped->seed_index().Alias(), mcfg);
+      return ReadMapper(mapped->reference(), mapped->seed_index().Alias(),
+                        mcfg);
     }
-    return ReadMapper(TakeReference(), mcfg);
+    return ReadMapper(std::move(owned), mcfg);
   }
   /// Loads the engine's reference: from the persisted 2-bit encoding when
   /// mapped (no host re-encode), from the mapper's genome view otherwise
@@ -212,34 +233,9 @@ ReferenceInput LoadReferenceInput(const Args& args, bool* ok) {
   return input;
 }
 
-/// Applies the seeding flags (--seed dense|minimizer, --minimizer-w,
-/// --shard-max-bp) to a mapper config.  When the reference comes from an
-/// index file the persisted mode always wins (it is baked into the CSR
-/// payload); an explicitly conflicting --seed is an error rather than a
-/// silent override.  Returns false (after diagnosing) on bad flags.
-bool ApplySeedFlags(const Args& args, const MappedIndexFile* mapped,
-                    MapperConfig* mcfg) {
-  if (args.Has("seed")) {
-    const std::string name = args.Get("seed", "dense");
-    const auto mode = ParseSeedMode(name);
-    if (!mode) {
-      std::fprintf(stderr, "unknown --seed mode '%s' (dense|minimizer)\n",
-                   name.c_str());
-      return false;
-    }
-    if (mapped != nullptr && *mode != mapped->seed_mode()) {
-      std::fprintf(stderr,
-                   "--seed %s conflicts with the index file's persisted %s "
-                   "seeding; rebuild the index or drop the flag\n",
-                   name.c_str(), SeedModeName(mapped->seed_mode()));
-      return false;
-    }
-    mcfg->seed_mode = *mode;
-  }
-  mcfg->minimizer_w =
-      static_cast<int>(args.GetInt("minimizer-w", mcfg->minimizer_w));
-  mcfg->shard_max_bp = args.GetInt("shard-max-bp", mcfg->shard_max_bp);
-  return true;
+/// `--e N`: the edit threshold, a non-negative integer.
+int ErrorThreshold(const Args& args) {
+  return static_cast<int>(args.GetInt("e", 5, 0));
 }
 
 /// `--threads N`: the mapper's pool size (0 = hardware concurrency), on
@@ -247,6 +243,17 @@ bool ApplySeedFlags(const Args& args, const MappedIndexFile* mapped,
 unsigned PoolThreads(const Args& args) {
   const long threads = args.GetInt("threads", 0);
   return threads > 0 ? static_cast<unsigned>(threads) : 0;
+}
+
+/// The mapper options of `map`, `pipeline` and `serve`.  k is the default
+/// 12 unless an index file sets it (ReferenceInput::MakeMapper).
+MapperConfig MapperOptions(const Args& args, int read_length) {
+  MapperConfig mcfg;
+  mcfg.read_length = read_length;
+  mcfg.error_threshold = ErrorThreshold(args);
+  mcfg.verify_threads = PoolThreads(args);
+  mcfg.shard_max_bp = args.GetInt("shard-max-bp", 0);
+  return mcfg;
 }
 
 /// The end-of-run observability tables: the filter funnel (with the
@@ -369,7 +376,6 @@ int Usage() {
       "                  [--devices N] [--encode host|device] [--out FILE]\n"
       "  map             (--ref FASTA | --index FILE) --e N [--sam FILE]\n"
       "                  [--read-group ID] [--mapq-cap N] [--threads N]\n"
-      "                  [--seed dense|minimizer] [--minimizer-w W]\n"
       "                  [--shard-max-bp N] and one of:\n"
       "                    --reads FASTQ [--no-filter] [--report-secondary]\n"
       "                      [--setup 1|2] [--devices N]\n"
@@ -380,16 +386,13 @@ int Usage() {
       "  pipeline        --reads FASTQ (--ref FASTA | --index FILE) --e N\n"
       "                  [--sam FILE] [--threads N] [--length N]\n"
       "                  [--read-group ID] [--mapq-cap N]\n"
-      "                  [--report-secondary] [--seed dense|minimizer]\n"
-      "                  [--minimizer-w W] [--shard-max-bp N]\n"
+      "                  [--report-secondary] [--shard-max-bp N]\n"
       "  index           --ref FASTA [--out FILE] [--k N] [--verify]\n"
-      "                  [--seed dense|minimizer] [--minimizer-w W]\n"
       "                  [--shard-max-bp N]\n"
       "  serve           (--ref FASTA | --index FILE) --socket PATH\n"
       "                  [--length N] [--e N] [--threads N] [--timeout SEC]\n"
       "                  [--linger MS] [--read-group ID]\n"
-      "                  [--mapq-cap N] [--seed dense|minimizer]\n"
-      "                  [--minimizer-w W] [--shard-max-bp N]\n"
+      "                  [--mapq-cap N] [--shard-max-bp N]\n"
       "  map-client      --socket PATH --reads FASTQ [--sam FILE]\n"
       "                  [--read-group ID] [--mapq-cap N]\n"
       "                  [--report-secondary]\n"
@@ -567,7 +570,7 @@ int FilterCmd(const Args& args) {
     std::fprintf(stderr, "no pairs in %s\n", pairs_path.c_str());
     return 1;
   }
-  const int e = static_cast<int>(args.GetInt("e", 5));
+  const int e = ErrorThreshold(args);
   const int length = static_cast<int>(pairs.front().read.size());
   const std::string algo = args.Get("algo", "gkgpu");
 
@@ -654,8 +657,7 @@ int FilterCmd(const Args& args) {
 /// `map --paired R1 R2` / `map --interleaved FILE`: the paired-end
 /// subsystem — strand-aware seeding, insert-size pairing, mate rescue,
 /// full SAM flag semantics.
-int MapPairedCmd(const Args& args, ReferenceSet refset,
-                 const MappedIndexFile* mapped) {
+int MapPairedCmd(const Args& args, ReferenceInput& input) {
   const auto paired_files = args.GetList("paired");
   const std::string interleaved = args.Get("interleaved", "");
   if (interleaved.empty() && paired_files.size() != 2) {
@@ -693,22 +695,7 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
     length = static_cast<int>(first.seq.size());
   }
 
-  MapperConfig mcfg;
-  mcfg.k = 12;
-  mcfg.read_length = length;
-  mcfg.error_threshold = static_cast<int>(args.GetInt("e", 5));
-  mcfg.verify_threads = PoolThreads(args);
-  // The paired path always seeds from an in-memory index, but when the
-  // reference came from an index file it should seed the way that file
-  // was built.
-  if (mapped != nullptr) {
-    mcfg.seed_mode = mapped->seed_mode();
-    if (mapped->seed_mode() == SeedMode::kMinimizer) {
-      mcfg.minimizer_w = mapped->minimizer_w();
-    }
-  }
-  if (!ApplySeedFlags(args, mapped, &mcfg)) return 2;
-  ReadMapper mapper(std::move(refset), mcfg);
+  ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
 
   PairedConfig pconf;
   pconf.max_insert = args.GetInt("max-insert", 1000);
@@ -727,8 +714,9 @@ int MapPairedCmd(const Args& args, ReferenceSet refset,
     set = ReferenceDeviceSet();
     EngineConfig cfg;
     cfg.read_length = length;
-    cfg.error_threshold = mcfg.error_threshold;
+    cfg.error_threshold = mapper.config().error_threshold;
     engine = std::make_unique<GateKeeperGpuEngine>(cfg, set.ptrs);
+    input.LoadEngine(engine.get(), mapper);
   }
 
   const std::string sam_path = args.Get("sam", "");
@@ -786,7 +774,7 @@ int MapCmd(const Args& args) {
   if (!ok) return Usage();
   ObsRun obs_run(args);
   if (args.Has("paired") || args.Has("interleaved")) {
-    return MapPairedCmd(args, input.TakeReference(), input.mapped.get());
+    return MapPairedCmd(args, input);
   }
   const std::string reads_path = args.Get("reads", "");
   if (reads_path.empty()) return Usage();
@@ -803,15 +791,9 @@ int MapCmd(const Args& args) {
     names.push_back(r.name);
   }
   const int length = static_cast<int>(reads.front().size());
-  const int e = static_cast<int>(args.GetInt("e", 5));
+  const int e = ErrorThreshold(args);
 
-  MapperConfig mcfg;
-  mcfg.k = 12;
-  mcfg.read_length = length;
-  mcfg.error_threshold = e;
-  mcfg.verify_threads = PoolThreads(args);
-  if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
-  ReadMapper mapper = input.MakeMapper(mcfg);
+  ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
 
   std::unique_ptr<GateKeeperGpuEngine> engine;
   DeviceSet set;
@@ -831,7 +813,6 @@ int MapCmd(const Args& args) {
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"reads", TablePrinter::Count(stats.reads)});
-  t.AddRow({"seeder", SeedModeName(mapper.config().seed_mode)});
   if (mapper.index().shard_count() > 1) {
     t.AddRow({"index shards",
               TablePrinter::Count(mapper.index().shard_count())});
@@ -872,7 +853,7 @@ int MapCmd(const Args& args) {
 
 int PipelineCmd(const Args& args) {
   ObsRun obs_run(args);
-  const int e = static_cast<int>(args.GetInt("e", 5));
+  const int e = ErrorThreshold(args);
   const std::string reads_path = args.Get("reads", "");
   if (reads_path.empty()) return Usage();
 
@@ -897,13 +878,7 @@ int PipelineCmd(const Args& args) {
     }
     length = static_cast<int>(first.seq.size());
   }
-  MapperConfig mcfg;
-  mcfg.k = 12;
-  mcfg.read_length = length;
-  mcfg.error_threshold = e;
-  mcfg.verify_threads = PoolThreads(args);
-  if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
-  ReadMapper mapper = input.MakeMapper(mcfg);
+  ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
 
   const DeviceSet set = ReferenceDeviceSet();
   EngineConfig cfg;
@@ -956,18 +931,6 @@ int IndexCmd(const Args& args) {
   const std::string out = args.Get("out", "ref.gki");
   SeedConfig scfg;
   scfg.k = static_cast<int>(args.GetInt("k", 12));
-  if (args.Has("seed")) {
-    const std::string name = args.Get("seed", "dense");
-    const auto mode = ParseSeedMode(name);
-    if (!mode) {
-      std::fprintf(stderr, "unknown --seed mode '%s' (dense|minimizer)\n",
-                   name.c_str());
-      return 2;
-    }
-    scfg.mode = *mode;
-  }
-  scfg.minimizer_w =
-      static_cast<int>(args.GetInt("minimizer-w", scfg.minimizer_w));
   scfg.shard_max_bp = args.GetInt("shard-max-bp", 0);
   WallTimer parse_timer;
   const ReferenceSet refset = ReferenceSet::FromFastaFile(ref_path);
@@ -978,11 +941,11 @@ int IndexCmd(const Args& args) {
   const std::size_t shards =
       ShardPlan::Partition(refset, scfg.shard_max_bp).shard_count();
   std::printf(
-      "wrote %s: %llu bytes, k=%d, %s seeds, %zu shard(s), "
-      "%zu chromosome(s), %lld bp (parse %.3f s, build+write %.3f s)\n",
-      out.c_str(), static_cast<unsigned long long>(bytes), scfg.k,
-      SeedModeName(scfg.mode), shards, refset.chromosome_count(),
-      static_cast<long long>(refset.length()), parse_s, build_s);
+      "wrote %s: %llu bytes, k=%d, %zu shard(s), %zu chromosome(s), "
+      "%lld bp (parse %.3f s, build+write %.3f s)\n",
+      out.c_str(), static_cast<unsigned long long>(bytes), scfg.k, shards,
+      refset.chromosome_count(), static_cast<long long>(refset.length()),
+      parse_s, build_s);
   if (args.Has("verify")) {
     IndexLoadOptions options;
     options.verify_checksum = true;
@@ -1017,15 +980,11 @@ int ServeCmd(const Args& args) {
   const std::string socket_path = args.Get("socket", "");
   if (socket_path.empty()) return Usage();
   const int length = static_cast<int>(args.GetInt("length", 100));
-  const int e = static_cast<int>(args.GetInt("e", 5));
+  const int e = ErrorThreshold(args);
   const int threads = static_cast<int>(args.GetInt("threads", 2));
 
-  MapperConfig mcfg;
-  mcfg.k = 12;
-  mcfg.read_length = length;
-  mcfg.error_threshold = e;
+  MapperConfig mcfg = MapperOptions(args, length);
   mcfg.verify_threads = static_cast<unsigned>(threads > 0 ? threads : 1);
-  if (!ApplySeedFlags(args, input.mapped.get(), &mcfg)) return 2;
   ReadMapper mapper = input.MakeMapper(mcfg);
 
   const DeviceSet set = ReferenceDeviceSet();
@@ -1135,18 +1094,17 @@ constexpr Command kCommands[] = {
     {"generate-pairs", GeneratePairsCmd, "profile length count out seed"},
     {"filter", FilterCmd, "pairs e algo setup devices encode out"},
     {"map", MapCmd,
-     "ref index verify e sam read-group mapq-cap threads seed minimizer-w "
-     "shard-max-bp metrics-json trace-json reads no-filter report-secondary "
-     "setup devices paired interleaved length max-insert no-rescue "
-     "mark-duplicates optical-dup-distance"},
+     "ref index verify e sam read-group mapq-cap threads shard-max-bp "
+     "metrics-json trace-json reads no-filter report-secondary setup devices "
+     "paired interleaved length max-insert no-rescue mark-duplicates "
+     "optical-dup-distance"},
     {"pipeline", PipelineCmd,
      "reads ref index verify e sam threads length read-group mapq-cap "
-     "report-secondary seed minimizer-w shard-max-bp metrics-json "
-     "trace-json"},
-    {"index", IndexCmd, "ref out k verify seed minimizer-w shard-max-bp"},
+     "report-secondary shard-max-bp metrics-json trace-json"},
+    {"index", IndexCmd, "ref out k verify shard-max-bp"},
     {"serve", ServeCmd,
      "ref index verify socket length e threads timeout linger read-group "
-     "mapq-cap seed minimizer-w shard-max-bp"},
+     "mapq-cap shard-max-bp"},
     {"map-client", MapClientCmd,
      "socket reads sam read-group mapq-cap report-secondary"},
     {"stats", StatsCmd, "socket"},
@@ -1171,6 +1129,9 @@ int main(int argc, char** argv) {
   }
   try {
     return command->run(args);
+  } catch (const UsageError& ex) {
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), ex.what());
+    return 2;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());
     return 1;
