@@ -5,7 +5,7 @@
 // through the per-pair seed path (virtual Filter(string_view, string_view)
 // per candidate — per-pair dispatch, per-pair encoding) and once through
 // the batch API (one PairBlock, encode once, FilterBatch on uint64_t
-// lanes / AVX2 / AVX-512 behind runtime dispatch).  The batched GateKeeper
+// lanes or AVX2 behind runtime dispatch).  The batched GateKeeper
 // must clear 1.2x and the batched SneakySnake — whose decode-free maze
 // build replaces a much heavier per-pair walk — 1.5x; throughputs and the
 // dispatched kernel tier land in BENCH_pipeline.json.
@@ -469,7 +469,6 @@ int main() {
   report.Add("error_threshold", e);
   report.Add("batch_simd_level", simd::LevelName(simd::ActiveLevel()));
   report.Add("simd_avx2_compiled", simd::Avx2Compiled());
-  report.Add("simd_avx512_compiled", simd::Avx512Compiled());
   report.Add("batch_per_pair_seconds", batch_run.per_pair_s);
   report.Add("batch_seconds", batch_run.batch_s);
   report.Add("batch_per_pair_mpairs_per_s",

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/names.hpp"
@@ -294,7 +296,17 @@ StreamBatchStats GateKeeperGpuEngine::RunCandidatesKernel(std::size_t di,
 FilterRunStats GateKeeperGpuEngine::FilterPairs(
     const std::vector<std::string>& reads, const std::vector<std::string>& refs,
     std::vector<PairResult>* results) {
-  assert(reads.size() == refs.size());
+  if (reads.size() != refs.size()) {
+    throw std::invalid_argument(
+        "GateKeeperGpuEngine::FilterPairs: " + std::to_string(reads.size()) +
+        " reads but " + std::to_string(refs.size()) + " references");
+  }
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    CheckSequenceLength(reads[i].size(), config_.read_length, i,
+                        "GateKeeperGpuEngine::FilterPairs");
+    CheckSequenceLength(refs[i].size(), config_.read_length, i,
+                        "GateKeeperGpuEngine::FilterPairs");
+  }
   const std::size_t n = reads.size();
   results->assign(n, PairResult{});
   FilterRunStats stats;
@@ -475,6 +487,10 @@ FilterRunStats GateKeeperGpuEngine::FilterCandidatesImpl(
     const std::vector<CandidatePair>& candidates,
     std::vector<PairResult>* results) {
   assert(HasReference());
+  for (std::size_t i = 0; i < read_count; ++i) {
+    CheckSequenceLength(reads[i].size(), config_.read_length, i,
+                        "GateKeeperGpuEngine::FilterCandidates");
+  }
   const std::size_t n = candidates.size();
   results->assign(n, PairResult{});
   FilterRunStats stats;

@@ -75,8 +75,10 @@ class GateKeeperGpuEngine {
   const EngineConfig& config() const { return config_; }
   const SystemPlan& plan() const { return plan_; }
 
-  /// Pair mode: filters reads[i] against refs[i] (equal length) and fills
-  /// results (accept flag + approximate edit distance per pair).
+  /// Pair mode: filters reads[i] against refs[i] and fills results (accept
+  /// flag + approximate edit distance per pair).  Throws
+  /// std::invalid_argument, naming the pair, unless every read and
+  /// reference is config().read_length bases long.
   FilterRunStats FilterPairs(const std::vector<std::string>& reads,
                              const std::vector<std::string>& refs,
                              std::vector<PairResult>* results);
@@ -102,11 +104,12 @@ class GateKeeperGpuEngine {
   /// windows from it without a second copy of the genome.
   ReferenceEncodingView reference_encoding() const;
 
-  /// Candidate mode, step 2: filter candidate mappings of `reads` (each at
-  /// most config().read_length).  Candidates index into `reads`.  The
-  /// string_view overload lets callers hand a window into an existing read
-  /// set without per-batch string copies (the blocking mapper builds its
-  /// batch read tables as views).
+  /// Candidate mode, step 2: filter candidate mappings of `reads` (each
+  /// exactly config().read_length bases; std::invalid_argument naming the
+  /// read otherwise).  Candidates index into `reads`.  The string_view
+  /// overload lets callers hand a window into an existing read set without
+  /// per-batch string copies (the blocking mapper builds its batch read
+  /// tables as views).
   FilterRunStats FilterCandidates(const std::vector<std::string>& reads,
                                   const std::vector<CandidatePair>& candidates,
                                   std::vector<PairResult>* results);

@@ -44,7 +44,7 @@ EncodedBatch EncodeBatchOf(std::span<const Seq> seqs, int length) {
       seqs.size() * static_cast<std::size_t>(batch.words_per_seq), 0);
   batch.has_n.assign(seqs.size(), 0);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    assert(static_cast<int>(seqs[i].size()) == length);
+    CheckSequenceLength(seqs[i].size(), length, i, "EncodeBatch");
     batch.has_n[i] = EncodeSequence(seqs[i], batch.Sequence(i)) ? 1 : 0;
   }
   return batch;
@@ -62,7 +62,7 @@ EncodedBatch EncodeBatch(std::span<const std::string_view> seqs, int length) {
 
 bool RangeHasUnknownRaw(const Word* n_mask, std::int64_t ref_len,
                         std::int64_t start, int len) {
-  if (start < 0 || start + len > ref_len) return true;
+  if (start < 0 || start > ref_len - len) return true;
   std::int64_t p = start;
   const std::int64_t end = start + len;
   while (p < end) {

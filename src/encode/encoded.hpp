@@ -47,7 +47,8 @@ struct EncodedBatch {
 
 /// Encodes a batch of equal-length sequences; throws std::invalid_argument
 /// when `length` exceeds the filter kernels' capacity
-/// (CheckFilterReadLength).
+/// (CheckFilterReadLength) or a sequence is not `length` bases long
+/// (CheckSequenceLength).
 EncodedBatch EncodeBatch(std::span<const std::string> seqs, int length);
 EncodedBatch EncodeBatch(std::span<const std::string_view> seqs, int length);
 

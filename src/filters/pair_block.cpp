@@ -16,8 +16,8 @@ void PairBlockStorage::Reset(int length) {
 void PairBlockStorage::Add(std::string_view read, std::string_view ref,
                            bool mark_undefined) {
   assert(length_ > 0);
-  assert(static_cast<int>(read.size()) == length_);
-  assert(static_cast<int>(ref.size()) == length_);
+  CheckSequenceLength(read.size(), length_, size(), "PairBlockStorage::Add");
+  CheckSequenceLength(ref.size(), length_, size(), "PairBlockStorage::Add");
   const std::size_t off = reads_.size();
   reads_.resize(off + static_cast<std::size_t>(words_per_seq_));
   refs_.resize(off + static_cast<std::size_t>(words_per_seq_));

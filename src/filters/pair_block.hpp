@@ -25,6 +25,7 @@
 #ifndef GKGPU_FILTERS_PAIR_BLOCK_HPP
 #define GKGPU_FILTERS_PAIR_BLOCK_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -165,19 +166,29 @@ struct BlockPairView {
 /// Materializes pair `i` of `block` in the encoded domain, using
 /// `read_scratch` / `ref_scratch` (kMaxEncodedWords each) only when the
 /// shape requires it: raw pairs are encoded, candidate windows are sliced
-/// from the encoded genome, reverse-strand reads are reoriented.  This is
-/// exactly the per-thread preamble of the device kernels; batch consumers
-/// call it per pair and run whatever mask pipeline they implement.
+/// from the encoded genome (a window outside it is zeroed and bypassed),
+/// reverse-strand reads are reoriented.  This is exactly the per-thread
+/// preamble of the device kernels; batch consumers call it per pair and
+/// run whatever mask pipeline they implement.
 inline BlockPairView LoadBlockPair(const PairBlock& block, std::size_t i,
                                    Word* read_scratch, Word* ref_scratch) {
   BlockPairView v;
   if (block.candidate_shape()) {
     const CandidatePair c = block.candidates[i];
-    v.bypass = (block.bypass != nullptr && block.bypass[c.read_index] != 0) ||
+    const bool in_genome =
+        c.ref_pos >= 0 && c.ref_pos <= block.ref_len - block.length;
+    v.bypass = !in_genome ||
+               (block.bypass != nullptr && block.bypass[c.read_index] != 0) ||
                RangeHasUnknownRaw(block.ref_n_mask, block.ref_len, c.ref_pos,
                                   block.length);
-    ExtractSegmentRaw(block.ref_words, block.ref_len, c.ref_pos, block.length,
-                      ref_scratch);
+    if (in_genome) {
+      ExtractSegmentRaw(block.ref_words, block.ref_len, c.ref_pos,
+                        block.length, ref_scratch);
+    } else {
+      // A window that leaves the genome bypasses; slicing it would read
+      // past the encoding, so the kernels see zeros instead.
+      std::fill_n(ref_scratch, EncodedWords(block.length), Word{0});
+    }
     v.ref = ref_scratch;
     const Word* read = block.reads_enc +
                        static_cast<std::size_t>(c.read_index) *
@@ -229,7 +240,8 @@ class PairBlockStorage {
   /// (CheckFilterReadLength).
   void Reset(int length);
 
-  /// Appends one (read, ref) pair (both exactly `length` bases).  When
+  /// Appends one (read, ref) pair; both must be exactly `length` bases
+  /// (std::invalid_argument naming the pair otherwise).  When
   /// `mark_undefined` is set, a pair containing any non-ACGT base gets its
   /// bypass bit — the GateKeeper-GPU Sec. 3.3 design choice; builders for
   /// the FPGA-style accuracy baselines pass false and such pairs filter on

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace gkgpu {
 
@@ -23,7 +24,9 @@ void WritePairSetFile(const std::string& path,
 std::vector<SequencePair> ReadPairSet(std::istream& in) {
   std::vector<SequencePair> pairs;
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     const std::size_t tab = line.find('\t');
@@ -35,6 +38,13 @@ std::vector<SequencePair> ReadPairSet(std::istream& in) {
     p.ref = line.substr(tab + 1);
     if (p.read.size() != p.ref.size()) {
       throw std::runtime_error("pairset: length mismatch on line: " + line);
+    }
+    // Every consumer filters the set as one batch of one read length.
+    if (!pairs.empty() && p.read.size() != pairs.front().read.size()) {
+      throw std::runtime_error(
+          "pairset: line " + std::to_string(line_no) + " has length " +
+          std::to_string(p.read.size()) + ", but the first pair's is " +
+          std::to_string(pairs.front().read.size()));
     }
     pairs.push_back(std::move(p));
   }

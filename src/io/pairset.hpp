@@ -17,6 +17,9 @@ void WritePairSet(std::ostream& out, const std::vector<SequencePair>& pairs);
 void WritePairSetFile(const std::string& path,
                       const std::vector<SequencePair>& pairs);
 
+/// Throws std::runtime_error on a line without a tab, a pair whose read and
+/// ref lengths differ, or a pair whose length differs from the first
+/// pair's (naming the line).
 std::vector<SequencePair> ReadPairSet(std::istream& in);
 std::vector<SequencePair> ReadPairSetFile(const std::string& path);
 

@@ -30,6 +30,10 @@ namespace gkgpu {
 /// Default MAPQ ceiling (the BWA/SOAP3-dp convention); CLI --mapq-cap.
 inline constexpr int kDefaultMapqCap = 60;
 
+/// Largest accepted ceiling: SAM's MAPQ is 0-255, and 255 means
+/// "unavailable".
+inline constexpr int kMaxMapqCap = 254;
+
 /// MAPQ discount per edit in the best placement: residual edits mean the
 /// read disagrees with its locus, so confidence falls even without a
 /// runner-up.

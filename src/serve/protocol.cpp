@@ -4,9 +4,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+
+#include "mapper/mapq.hpp"
 
 namespace gkgpu::serve {
 
@@ -187,7 +191,14 @@ JobSpec ParseJobSpec(std::string_view payload) {
     if (key == "read_group") {
       job.read_group = std::string(value);
     } else if (key == "mapq_cap") {
-      job.mapq_cap = std::stoi(std::string(value));
+      const char* end = value.data() + value.size();
+      const auto [last, ec] = std::from_chars(value.data(), end, job.mapq_cap);
+      if (ec != std::errc() || last != end || job.mapq_cap < 0 ||
+          job.mapq_cap > kMaxMapqCap) {
+        throw std::runtime_error("serve: bad job option mapq_cap='" +
+                                 std::string(value) + "' (want 0 to " +
+                                 std::to_string(kMaxMapqCap) + ")");
+      }
     } else if (key == "secondary") {
       job.report_secondary = value == "1";
     }

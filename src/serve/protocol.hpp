@@ -90,7 +90,8 @@ struct JobSpec {
 
 std::string SerializeJobSpec(const JobSpec& job);
 /// Parses a kJob payload; unknown keys are ignored (forward compatible).
-/// Throws std::runtime_error on malformed lines.
+/// Throws std::runtime_error on malformed lines and on a mapq_cap that is
+/// not an integer from 0 to kMaxMapqCap.
 JobSpec ParseJobSpec(std::string_view payload);
 
 }  // namespace gkgpu::serve

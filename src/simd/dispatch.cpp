@@ -5,17 +5,6 @@
 
 namespace gkgpu::simd {
 
-namespace {
-
-/// Escape-hatch semantics shared by both env vars: set and neither empty
-/// nor "0" means disabled.
-bool EnvDisabled(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
-}
-
-}  // namespace
-
 bool Avx2Supported() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") != 0;
@@ -24,27 +13,13 @@ bool Avx2Supported() {
 #endif
 }
 
-bool Avx512Supported() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512bw") != 0;
-#else
-  return false;
-#endif
-}
-
 Level ActiveLevel() {
   static const Level level = [] {
-    // GKGPU_NO_AVX2 forces scalar outright (it predates the AVX-512 tier
-    // and CI relies on it meaning "no vector kernels at all");
-    // GKGPU_NO_AVX512 caps dispatch at AVX2.
-    if (EnvDisabled("GKGPU_NO_AVX2") || !Avx2Compiled() || !Avx2Supported()) {
-      return Level::kScalar;
-    }
-    if (!EnvDisabled("GKGPU_NO_AVX512") && Avx512Compiled() &&
-        Avx512Supported()) {
-      return Level::kAvx512;
-    }
+    // The escape hatch: set and neither empty nor "0" means disabled.
+    const char* no_avx2 = std::getenv("GKGPU_NO_AVX2");
+    const bool disabled = no_avx2 != nullptr && *no_avx2 != '\0' &&
+                          std::strcmp(no_avx2, "0") != 0;
+    if (disabled || !Avx2Compiled() || !Avx2Supported()) return Level::kScalar;
     return Level::kAvx2;
   }();
   return level;

@@ -1,18 +1,15 @@
 // Runtime SIMD dispatch for the batch filtration kernels.
 //
-// The decision is made once per process from three inputs per tier:
-//   * whether the tier's kernels were compiled at all (non-x86 targets
-//     and compilers without -mavx2 / -mavx512bw build the scalar layer
-//     only);
-//   * whether the CPU reports the ISA (CPUID, via
-//     __builtin_cpu_supports);
-//   * the environment escape hatches — GKGPU_NO_AVX2 forces the scalar
-//     path outright, GKGPU_NO_AVX512 caps dispatch at AVX2; set either
-//     to anything non-empty (other than "0"), e.g. to reproduce a result
-//     on vector-less hardware or to bisect a suspected SIMD divergence.
-//     CI runs the whole suite once in each mode.
+// The decision is made once per process from three inputs:
+//   * whether the AVX2 kernels were compiled at all (non-x86 targets and
+//     compilers without -mavx2 build the scalar layer only);
+//   * whether the CPU reports AVX2 (CPUID, via __builtin_cpu_supports);
+//   * the environment escape hatch GKGPU_NO_AVX2, which forces the scalar
+//     path when set to anything non-empty other than "0" — e.g. to
+//     reproduce a result on vector-less hardware or to bisect a suspected
+//     SIMD divergence.  CI runs the whole suite once in each mode.
 //
-// All paths are bit-identical by contract (asserted by
+// Both paths are bit-identical by contract (asserted by
 // tests/test_simd_batch.cpp), so dispatch is a pure performance choice.
 #ifndef GKGPU_SIMD_DISPATCH_HPP
 #define GKGPU_SIMD_DISPATCH_HPP
@@ -22,7 +19,6 @@ namespace gkgpu::simd {
 enum class Level {
   kScalar,  // portable multi-word uint64_t lanes
   kAvx2,    // 4 pairs per instruction, one uint64_t lane each
-  kAvx512,  // 8 pairs per instruction, one uint64_t lane each
 };
 
 /// True when the AVX2 kernels are present in this binary (compile-time).
@@ -31,27 +27,12 @@ bool Avx2Compiled();
 /// True when the running CPU supports AVX2 (runtime CPUID).
 bool Avx2Supported();
 
-/// True when the AVX-512 kernels are present in this binary.
-bool Avx512Compiled();
-
-/// True when the running CPU supports AVX-512F + AVX-512BW (the kernels
-/// need byte/word mask ops on 512-bit vectors).
-bool Avx512Supported();
-
 /// The level the batch kernels actually run at, resolved once per process
-/// (compiled && supported && not disabled by the escape hatches; the
-/// highest eligible tier wins).
+/// (AVX2 when compiled && supported && not disabled by GKGPU_NO_AVX2).
 Level ActiveLevel();
 
 inline const char* LevelName(Level level) {
-  switch (level) {
-    case Level::kAvx512:
-      return "avx512";
-    case Level::kAvx2:
-      return "avx2";
-    default:
-      return "scalar";
-  }
+  return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
 }  // namespace gkgpu::simd

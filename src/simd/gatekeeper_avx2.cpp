@@ -23,7 +23,6 @@
 #include "simd/bitops64.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/snake_batch.hpp"
-#include "simd/window_gather.hpp"
 
 #if defined(GKGPU_SIMD_AVX2)
 #include <immintrin.h>
@@ -268,9 +267,8 @@ void GateKeeperFilterRangeAvx2(const PairBlock& block, std::size_t begin,
                                std::size_t end, int e,
                                const GateKeeperParams& params,
                                PairResult* results) {
-  Word read_scratch[kLanes][kMaxEncodedWords];
-  Word ref_scratch[kLanes][kMaxEncodedWords];
-  BlockPairView views[kLanes];
+  Word read_scratch[kMaxEncodedWords];
+  Word ref_scratch[kMaxEncodedWords];
   const int enc32 = EncodedWords(block.length);
   std::size_t i = begin;
   for (; i + kLanes <= end; i += kLanes) {
@@ -278,12 +276,14 @@ void GateKeeperFilterRangeAvx2(const PairBlock& block, std::size_t begin,
     U64 refs[kLanes][kMaxWords64];
     bool bypass[kLanes];
     bool all_bypass = true;
-    LoadBlockGroup(block, i, kLanes, read_scratch, ref_scratch, views);
     for (int l = 0; l < kLanes; ++l) {
-      bypass[l] = views[l].bypass;
+      const BlockPairView v =
+          LoadBlockPair(block, i + static_cast<std::size_t>(l), read_scratch,
+                        ref_scratch);
+      bypass[l] = v.bypass;
       all_bypass = all_bypass && bypass[l];
-      PackWords64(views[l].read, enc32, reads[l]);
-      PackWords64(views[l].ref, enc32, refs[l]);
+      PackWords64(v.read, enc32, reads[l]);
+      PackWords64(v.ref, enc32, refs[l]);
     }
     if (all_bypass) {
       for (int l = 0; l < kLanes; ++l) {
@@ -308,68 +308,6 @@ void GateKeeperFilterRangeAvx2(const PairBlock& block, std::size_t begin,
   }
 }
 
-void ExtractWindowsAvx2(const Word* ref_words, std::int64_t ref_len,
-                        const std::int64_t* starts, int count, int len,
-                        Word* out, std::size_t out_stride) {
-  const std::int64_t total_words =
-      (ref_len + kBasesPerWord - 1) / kBasesPerWord;
-  const int out_words = EncodedWords(len);
-  // The gather indexes with 32-bit lanes; genomes past 2^31 encoded words
-  // (> 34 Gbp) take the scalar path.  KmerIndex refuses them far earlier.
-  if (total_words > 0x7FFFFFFF) {
-    ExtractWindowsScalar(ref_words, ref_len, starts, count, len, out,
-                         out_stride);
-    return;
-  }
-  const int pad_bits = out_words * kWordBits - 2 * len;
-  int i = 0;
-  for (; i + 4 <= count; i += 4) {
-    alignas(16) std::int32_t first[4];
-    alignas(16) std::int32_t off[4];
-    Word* dst[4];
-    for (int l = 0; l < 4; ++l) {
-      const std::int64_t start = starts[i + l];
-      first[l] = static_cast<std::int32_t>(start / kBasesPerWord);
-      off[l] = 2 * static_cast<std::int32_t>(start % kBasesPerWord);
-      dst[l] = out + static_cast<std::size_t>(i + l) * out_stride;
-    }
-    const __m128i vfirst = _mm_load_si128(reinterpret_cast<__m128i*>(first));
-    const __m128i voff = _mm_load_si128(reinterpret_cast<__m128i*>(off));
-    // srlv by (32 - off) yields 0 when off == 0 (shift counts >= 32 are
-    // defined to produce 0 for the vector variable shifts), so no branch.
-    const __m128i vshr = _mm_sub_epi32(_mm_set1_epi32(kWordBits), voff);
-    const __m128i vlast = _mm_set1_epi32(
-        static_cast<std::int32_t>(total_words) - 1);
-    const int* base = reinterpret_cast<const int*>(ref_words);
-    for (int k = 0; k < out_words; ++k) {
-      // start + len <= ref_len keeps first + k in range for every out
-      // word; only the k+1 neighbour can run off the end, and its bits
-      // land exclusively in the zeroed pad region when it does, so
-      // clamping it to the last word is exact.
-      const __m128i idx = _mm_add_epi32(vfirst, _mm_set1_epi32(k));
-      const __m128i idx1 =
-          _mm_min_epi32(_mm_add_epi32(idx, _mm_set1_epi32(1)), vlast);
-      const __m128i a = _mm_i32gather_epi32(base, idx, 4);
-      const __m128i b = _mm_i32gather_epi32(base, idx1, 4);
-      const __m128i w =
-          _mm_or_si128(_mm_sllv_epi32(a, voff), _mm_srlv_epi32(b, vshr));
-      alignas(16) std::uint32_t lanes[4];
-      _mm_store_si128(reinterpret_cast<__m128i*>(lanes), w);
-      for (int l = 0; l < 4; ++l) dst[l][k] = lanes[l];
-    }
-    if (pad_bits > 0) {
-      for (int l = 0; l < 4; ++l) {
-        dst[l][out_words - 1] &= ~Word{0} << pad_bits;
-      }
-    }
-  }
-  if (i < count) {
-    ExtractWindowsScalar(ref_words, ref_len, starts + i, count - i, len,
-                         out + static_cast<std::size_t>(i) * out_stride,
-                         out_stride);
-  }
-}
-
 void SneakySnakeFilterRangeAvx2(const PairBlock& block, std::size_t begin,
                                 std::size_t end, int e, PairResult* results) {
   const int length = block.length;
@@ -381,27 +319,28 @@ void SneakySnakeFilterRangeAvx2(const PairBlock& block, std::size_t begin,
   // rows[((d + e) * mask64 + w) * kLanes + l].
   std::vector<U64> rows(static_cast<std::size_t>(ndiag) *
                         static_cast<std::size_t>(mask64) * kLanes);
-  Word read_scratch[kLanes][kMaxEncodedWords];
-  Word ref_scratch[kLanes][kMaxEncodedWords];
-  BlockPairView views[kLanes];
+  Word read_scratch[kMaxEncodedWords];
+  Word ref_scratch[kMaxEncodedWords];
   std::size_t i = begin;
   for (; i + kLanes <= end; i += kLanes) {
-    LoadBlockGroup(block, i, kLanes, read_scratch, ref_scratch, views);
+    U64 reads[kLanes][kMaxWords64];
+    U64 refs[kLanes][kMaxWords64];
+    bool bypass[kLanes];
     bool all_bypass = true;
     for (int l = 0; l < kLanes; ++l) {
-      all_bypass = all_bypass && views[l].bypass;
+      const BlockPairView v =
+          LoadBlockPair(block, i + static_cast<std::size_t>(l), read_scratch,
+                        ref_scratch);
+      bypass[l] = v.bypass;
+      all_bypass = all_bypass && bypass[l];
+      PackWords64(v.read, enc32, reads[l]);
+      PackWords64(v.ref, enc32, refs[l]);
     }
     if (all_bypass) {
       for (int l = 0; l < kLanes; ++l) {
         results[i + static_cast<std::size_t>(l)] = BypassedPairResult();
       }
       continue;
-    }
-    U64 reads[kLanes][kMaxWords64];
-    U64 refs[kLanes][kMaxWords64];
-    for (int l = 0; l < kLanes; ++l) {
-      PackWords64(views[l].read, enc32, reads[l]);
-      PackWords64(views[l].ref, enc32, refs[l]);
     }
     __m256i R[kMaxWords64], G[kMaxWords64], shifted[kMaxWords64],
         diff[kMaxWords64], row[kMaxWords64];
@@ -437,7 +376,7 @@ void SneakySnakeFilterRangeAvx2(const PairBlock& block, std::size_t begin,
     }
     for (int l = 0; l < kLanes; ++l) {
       results[i + static_cast<std::size_t>(l)] =
-          views[l].bypass
+          bypass[l]
               ? BypassedPairResult()
               : MakePairResult(SnakeTraverse64(rows.data() + l, mask64,
                                                length, e, kLanes),
@@ -458,13 +397,6 @@ void GateKeeperFilterRangeAvx2(const PairBlock& block, std::size_t begin,
                                const GateKeeperParams& params,
                                PairResult* results) {
   GateKeeperFilterRangeScalar(block, begin, end, e, params, results);
-}
-
-void ExtractWindowsAvx2(const Word* ref_words, std::int64_t ref_len,
-                        const std::int64_t* starts, int count, int len,
-                        Word* out, std::size_t out_stride) {
-  ExtractWindowsScalar(ref_words, ref_len, starts, count, len, out,
-                       out_stride);
 }
 
 void SneakySnakeFilterRangeAvx2(const PairBlock& block, std::size_t begin,

@@ -2,7 +2,6 @@
 
 #include "simd/bitops64.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/window_gather.hpp"
 
 namespace gkgpu::simd {
 
@@ -139,55 +138,10 @@ void GateKeeperFilterRange(const PairBlock& block, std::size_t begin,
                            std::size_t end, int e,
                            const GateKeeperParams& params,
                            PairResult* results) {
-  switch (ActiveLevel()) {
-    case Level::kAvx512:
-      GateKeeperFilterRangeAvx512(block, begin, end, e, params, results);
-      break;
-    case Level::kAvx2:
-      GateKeeperFilterRangeAvx2(block, begin, end, e, params, results);
-      break;
-    default:
-      GateKeeperFilterRangeScalar(block, begin, end, e, params, results);
-      break;
-  }
-}
-
-void LoadBlockGroup(const PairBlock& block, std::size_t i0, int lanes,
-                    Word (*read_scratch)[kMaxEncodedWords],
-                    Word (*ref_scratch)[kMaxEncodedWords],
-                    BlockPairView* views) {
-  if (!block.candidate_shape()) {
-    for (int l = 0; l < lanes; ++l) {
-      views[l] = LoadBlockPair(block, i0 + static_cast<std::size_t>(l),
-                               read_scratch[l], ref_scratch[l]);
-    }
-    return;
-  }
-  // Candidate shape: all lanes' reference windows come out of the encoded
-  // genome in one lane-parallel gather; the per-lane remainder is the
-  // bypass test and the strand reorientation.
-  std::int64_t starts[kMaxGroupLanes] = {};
-  for (int l = 0; l < lanes; ++l) {
-    starts[l] = block.candidates[i0 + static_cast<std::size_t>(l)].ref_pos;
-  }
-  ExtractWindowsAvx2(block.ref_words, block.ref_len, starts, lanes,
-                     block.length, &ref_scratch[0][0], kMaxEncodedWords);
-  for (int l = 0; l < lanes; ++l) {
-    const CandidatePair c =
-        block.candidates[i0 + static_cast<std::size_t>(l)];
-    BlockPairView& v = views[l];
-    v.bypass = (block.bypass != nullptr && block.bypass[c.read_index] != 0) ||
-               RangeHasUnknownRaw(block.ref_n_mask, block.ref_len, c.ref_pos,
-                                  block.length);
-    v.ref = ref_scratch[l];
-    const Word* read = block.reads_enc +
-                       static_cast<std::size_t>(c.read_index) *
-                           static_cast<std::size_t>(block.words_per_seq);
-    if (c.strand != 0) {
-      ReverseComplementEncoded(read, block.length, read_scratch[l]);
-      read = read_scratch[l];
-    }
-    v.read = read;
+  if (ActiveLevel() == Level::kAvx2) {
+    GateKeeperFilterRangeAvx2(block, begin, end, e, params, results);
+  } else {
+    GateKeeperFilterRangeScalar(block, begin, end, e, params, results);
   }
 }
 

@@ -4,16 +4,14 @@
 // reference core (filters/gatekeeper_core.hpp) in decisions *and*
 // estimated edits:
 //
-//   * scalar  — the mask pipeline on multi-word uint64_t lanes
+//   * scalar — the mask pipeline on multi-word uint64_t lanes
 //     (simd/bitops64.hpp): half the word operations of the 32-bit core,
 //     portable everywhere;
-//   * AVX2    — four pairs per instruction, one uint64_t lane each,
+//   * AVX2   — four pairs per instruction, one uint64_t lane each,
 //     compiled only where <immintrin.h> + -mavx2 are available and chosen
-//     at runtime by CPUID (simd/dispatch.hpp);
-//   * AVX-512 — eight pairs per instruction, same lane layout, in a
-//     per-file -mavx512bw TU behind the same runtime dispatch
-//     (GKGPU_NO_AVX512 caps dispatch at AVX2).
+//     at runtime by CPUID (simd/dispatch.hpp).
 //
+// Both load every pair through LoadBlockPair (filters/pair_block.hpp).
 // GateKeeperFilterRange() is the dispatching entry point every consumer
 // uses (the device kernels' block bodies, GateKeeperFilter::FilterBatch,
 // GateKeeperCpu); the Scalar/Avx2 variants stay visible so the
@@ -59,33 +57,11 @@ void GateKeeperFilterRangeAvx2(const PairBlock& block, std::size_t begin,
                                const GateKeeperParams& params,
                                PairResult* results);
 
-/// AVX-512 variant, eight pairs per instruction (falls back to the AVX2
-/// variant — and through it to scalar — in binaries built without
-/// AVX-512 support; guard explicit calls with Avx512Compiled()).
-void GateKeeperFilterRangeAvx512(const PairBlock& block, std::size_t begin,
-                                 std::size_t end, int e,
-                                 const GateKeeperParams& params,
-                                 PairResult* results);
-
 /// Runtime-dispatched entry point (simd::ActiveLevel()).
 void GateKeeperFilterRange(const PairBlock& block, std::size_t begin,
                            std::size_t end, int e,
                            const GateKeeperParams& params,
                            PairResult* results);
-
-/// Widest SIMD group any kernel materializes at once (AVX-512 lanes).
-inline constexpr int kMaxGroupLanes = 8;
-
-/// Materializes pairs [i0, i0 + lanes) of `block` into per-lane scratch —
-/// the group-wide form of LoadBlockPair.  For candidate-shaped blocks the
-/// per-lane reference windows are extracted with the lane-parallel gather
-/// (simd/window_gather.hpp) instead of one scalar copy per lane; other
-/// shapes defer to LoadBlockPair.  Only meaningful from the vector
-/// kernels (the gather assumes AVX2 is running).
-void LoadBlockGroup(const PairBlock& block, std::size_t i0, int lanes,
-                    Word (*read_scratch)[kMaxEncodedWords],
-                    Word (*ref_scratch)[kMaxEncodedWords],
-                    BlockPairView* views);
 
 }  // namespace gkgpu::simd
 

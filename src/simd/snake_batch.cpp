@@ -73,7 +73,7 @@ void SneakySnakeFilterRangeScalar(const PairBlock& block, std::size_t begin,
 
 void SneakySnakeFilterRange(const PairBlock& block, std::size_t begin,
                             std::size_t end, int e, PairResult* results) {
-  if (ActiveLevel() != Level::kScalar) {
+  if (ActiveLevel() == Level::kAvx2) {
     SneakySnakeFilterRangeAvx2(block, begin, end, e, results);
   } else {
     SneakySnakeFilterRangeScalar(block, begin, end, e, results);

@@ -68,9 +68,7 @@ void SneakySnakeFilterRangeScalar(const PairBlock& block, std::size_t begin,
 void SneakySnakeFilterRangeAvx2(const PairBlock& block, std::size_t begin,
                                 std::size_t end, int e, PairResult* results);
 
-/// Runtime-dispatched entry point (simd::ActiveLevel(); the AVX-512 tier
-/// also runs the AVX2 maze build — the traversal is scalar per lane
-/// either way, so wider lanes buy nothing here).
+/// Runtime-dispatched entry point (simd::ActiveLevel()).
 void SneakySnakeFilterRange(const PairBlock& block, std::size_t begin,
                             std::size_t end, int e, PairResult* results);
 

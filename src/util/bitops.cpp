@@ -16,6 +16,16 @@ void CheckFilterReadLength(int length, const char* where) {
   }
 }
 
+void CheckSequenceLength(std::size_t length, int expected, std::size_t index,
+                         const char* where) {
+  if (length != static_cast<std::size_t>(expected)) {
+    throw std::invalid_argument(
+        std::string(where) + ": sequence " + std::to_string(index) +
+        " has length " + std::to_string(length) + ", expected " +
+        std::to_string(expected) + " (one read length per batch)");
+  }
+}
+
 void ShiftToLater(const Word* src, Word* dst, int nwords, int bits) {
   if (bits <= 0) {
     if (dst != src) std::memmove(dst, src, sizeof(Word) * nwords);

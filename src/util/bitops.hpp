@@ -11,6 +11,7 @@
 #define GKGPU_UTIL_BITOPS_HPP
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -35,6 +36,14 @@ inline constexpr int kMaxErrorThreshold = 52;
 /// scratch is fixed-size stack arrays (kMaxEncodedWords words), so every
 /// entry point that sets the length of the sequences it filters checks it.
 void CheckFilterReadLength(int length, const char* where);
+
+/// Throws std::invalid_argument, naming `where`, sequence `index`, its
+/// `length` and the `expected` one, unless the two agree.  Every slot of a
+/// filter batch is sized from the batch's one read length, so a longer
+/// sequence would overrun its slot and a shorter one would be compared
+/// against padding; the batch entry points check each sequence.
+void CheckSequenceLength(std::size_t length, int expected, std::size_t index,
+                         const char* where);
 
 /// Number of 32-bit words needed to 2-bit encode `length` bases.
 constexpr int EncodedWords(int length) {

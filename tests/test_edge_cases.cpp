@@ -315,6 +315,73 @@ TEST(EdgeCaseTest, ReadsPastTheKernelCapacityAreRejectedByName) {
   EXPECT_EQ(EncodeBatch(std::span(reads), kMaxReadLength).size(), 1u);
 }
 
+TEST(EdgeCaseTest, MixedLengthSequencesAreRejectedByName) {
+  // Every batch entry point sizes its slots from one read length: a longer
+  // sequence would overrun its slot and a shorter one be compared against
+  // padding, so either is a named error giving the index and both lengths.
+  Rng rng(37);
+  const int length = 100;
+  const std::string genome = RandomSeq(rng, 5000);
+  const std::string ok = genome.substr(1000, length);
+  auto devices = gpusim::MakeSetup1(1, 1);
+  const std::vector<gpusim::Device*> ptrs{devices.front().get()};
+  EngineConfig cfg;
+  cfg.read_length = length;
+  cfg.error_threshold = 5;
+  GateKeeperGpuEngine engine(cfg, ptrs);
+  engine.LoadReference(genome);
+  GateKeeperGpuEngine host_encoding(cfg, ptrs);
+  cfg.encoding = EncodingActor::kDevice;
+  GateKeeperGpuEngine device_encoding(cfg, ptrs);
+  const std::vector<CandidatePair> cands{{0, 0, 0, 1000}, {1, 0, 0, 1000}};
+  const std::vector<std::string> same{ok, ok};
+  std::vector<PairResult> results;
+
+  for (const std::size_t odd : {std::size_t{300}, std::size_t{60}}) {
+    const std::vector<std::string> mixed{ok, RandomSeq(rng, odd)};
+    const std::string named =
+        "sequence 1 has length " + std::to_string(odd) + ", expected 100";
+    const auto expect_named = [&](const char* where, auto fn) {
+      const std::string what = InvalidArgument(fn);
+      EXPECT_NE(what.find(where), std::string::npos) << what;
+      EXPECT_NE(what.find(named), std::string::npos) << what;
+    };
+    const auto filter_candidates = [&] {
+      engine.FilterCandidates(mixed, cands, &results);
+    };
+    expect_named("GateKeeperGpuEngine::FilterCandidates", filter_candidates);
+    for (GateKeeperGpuEngine* e : {&host_encoding, &device_encoding}) {
+      const auto mixed_reads = [&] { e->FilterPairs(mixed, same, &results); };
+      const auto mixed_refs = [&] { e->FilterPairs(same, mixed, &results); };
+      expect_named("GateKeeperGpuEngine::FilterPairs", mixed_reads);
+      expect_named("GateKeeperGpuEngine::FilterPairs", mixed_refs);
+    }
+    PairBlockStorage block(length);
+    block.Add(ok, ok);
+    const auto add_read = [&] { block.Add(mixed[1], ok); };
+    const auto add_ref = [&] { block.Add(ok, mixed[1]); };
+    expect_named("PairBlockStorage::Add", add_read);
+    expect_named("PairBlockStorage::Add", add_ref);
+    EXPECT_EQ(block.size(), 1u);
+    const auto encode = [&] { EncodeBatch(std::span(mixed), length); };
+    expect_named("EncodeBatch", encode);
+  }
+
+  // Equal lengths pass every entry point.
+  engine.FilterCandidates(same, cands, &results);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].accept, 1);
+  for (GateKeeperGpuEngine* e : {&host_encoding, &device_encoding}) {
+    e->FilterPairs(same, same, &results);
+    EXPECT_EQ(results.size(), 2u);
+  }
+  PairBlockStorage block(length);
+  block.Add(ok, ok);
+  block.Add(ok, ok);
+  EXPECT_EQ(block.size(), 2u);
+  EXPECT_EQ(EncodeBatch(std::span(same), length).size(), 2u);
+}
+
 TEST(EdgeCaseTest, MaxLengthMaxThresholdFiltration) {
   Rng rng(29);
   GateKeeperFilter filter;

@@ -268,6 +268,41 @@ TEST(EngineTest, CandidateModeBypassesReferenceNs) {
   EXPECT_EQ(stats.bypassed, 1u);
 }
 
+TEST(EngineTest, CandidateModeBypassesWindowsOutsideTheGenome) {
+  // A candidate window past either end of the genome bypasses without
+  // being sliced out of the device-resident encoding (a sanitized build
+  // reports any read past it).
+  Rng rng(37);
+  std::string genome(20000, 'A');
+  for (auto& c : genome) c = kBases[rng.NextU64() & 0x3u];
+  auto devices = gpusim::MakeSetup1(1, 2);
+  std::vector<gpusim::Device*> ptrs{devices[0].get()};
+  EngineConfig cfg;
+  cfg.read_length = 100;
+  cfg.error_threshold = 5;
+  GateKeeperGpuEngine engine(cfg, ptrs);
+  engine.LoadReference(genome);
+  const std::int64_t len = static_cast<std::int64_t>(genome.size());
+  const std::vector<std::string> reads{genome.substr(19900, 100)};
+  std::vector<CandidatePair> candidates;
+  candidates.push_back({0, 0, 0, len - 100 + 1});
+  candidates.push_back({0, 0, 0, len + 4096});
+  candidates.push_back({0, 1, 0, -10000});
+  candidates.push_back({0, 0, 0, len - 100});
+  std::vector<PairResult> results;
+  const FilterRunStats stats =
+      engine.FilterCandidates(reads, candidates, &results);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(results[i].bypassed, 1) << i;
+    EXPECT_EQ(results[i].accept, 1) << i;
+  }
+  // The last in-range window is filtered: the read matches it exactly.
+  EXPECT_EQ(results[3].bypassed, 0);
+  EXPECT_EQ(results[3].accept, 1);
+  EXPECT_EQ(results[3].edits, 0);
+  EXPECT_EQ(stats.bypassed, 3u);
+}
+
 TEST(EngineTest, MultiRoundBatchingMatchesSingleRound) {
   // Force tiny kernel batches: results and counters must be identical to a
   // one-round run, with the batch counter reflecting the extra rounds.

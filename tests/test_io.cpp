@@ -296,6 +296,20 @@ TEST(PairSetTest, RejectsMalformedLines) {
   EXPECT_THROW(ReadPairSet(no_tab), std::runtime_error);
   std::istringstream mismatch("ACGT\tAC\n");
   EXPECT_THROW(ReadPairSet(mismatch), std::runtime_error);
+  // A pair set is filtered as one batch: every pair has the first's length.
+  const auto expect_line_3 = [](const char* text) {
+    std::istringstream mixed(text);
+    try {
+      ReadPairSet(mixed);
+      ADD_FAILURE() << "mixed lengths accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3 has length"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_line_3("# h\nACGT\tACGA\nACGTAC\tACGTAC\n");
+  expect_line_3("# h\nACGT\tACGA\nAC\tAC\n");
 }
 
 }  // namespace

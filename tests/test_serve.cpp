@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -457,6 +458,26 @@ TEST(ServeProtocolTest, JobSpecRoundTripIgnoresUnknownKeys) {
   EXPECT_EQ(back.read_group, "rg7");
   EXPECT_EQ(back.mapq_cap, 42);
   EXPECT_TRUE(back.report_secondary);
+}
+
+TEST(ServeProtocolTest, JobSpecMapqCapMustBeAValidSamMapq) {
+  // SAM's MAPQ is 0-255 and 255 means "unavailable", so a cap is 0-254.
+  for (const char* bad : {"300", "255", "-1", "abc", "12x", ""}) {
+    try {
+      serve::ParseJobSpec(std::string("mapq_cap=") + bad + "\n");
+      ADD_FAILURE() << "accepted mapq_cap=" << bad;
+    } catch (const std::runtime_error& e) {
+      const std::string want =
+          "mapq_cap='" + std::string(bad) + "' (want 0 to 254)";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+  serve::JobSpec job;
+  job.mapq_cap = 254;
+  EXPECT_EQ(serve::ParseJobSpec(serve::SerializeJobSpec(job)).mapq_cap, 254);
+  job.mapq_cap = 0;
+  EXPECT_EQ(serve::ParseJobSpec(serve::SerializeJobSpec(job)).mapq_cap, 0);
 }
 
 }  // namespace

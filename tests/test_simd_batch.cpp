@@ -5,10 +5,9 @@
 //     bit-identical — decisions *and* estimated edits — to the 32-bit
 //     reference core over random lengths (including every tail-word
 //     shape), thresholds, and both algorithm modes;
-//   * the scalar, AVX2 (4-lane + scalar tail) and AVX-512 (8-lane +
-//     AVX2 tail) range kernels produce identical PairResult arrays on
-//     every block shape, including 'N'-bypass pairs and odd group
-//     remainders;
+//   * the scalar and AVX2 (4-lane + scalar tail) range kernels produce
+//     identical PairResult arrays on every block shape, including
+//     'N'-bypass pairs and odd group remainders;
 //   * the batch SneakySnake kernels — encoded-lane maze build plus the
 //     u64 traversal, scalar and AVX2 — are bit-identical to the
 //     character-domain SneakySnakeFilter::Filter on every length and
@@ -16,10 +15,13 @@
 //   * FilterBatch on every overriding filter equals its per-pair
 //     Filter() on non-bypassed pairs and the bypass slot otherwise;
 //   * candidate-shape blocks (encoded genome, strand bits, reference 'N'
-//     windows) reproduce the per-candidate kernel semantics exactly.
+//     windows) reproduce the per-candidate kernel semantics exactly, and a
+//     window outside the genome bypasses without being read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,45 +163,6 @@ TEST(SimdBatchTest, ScalarAndAvx2RangesBitIdentical) {
   }
 }
 
-TEST(SimdBatchTest, ScalarAndAvx512RangesBitIdentical) {
-  // Same contract one tier up: the 8-lane kernel (plus its AVX2 tail for
-  // the odd remainder) against the portable path.  Only runs where
-  // dispatch actually resolves to AVX-512 — the GKGPU_NO_AVX512 CI leg
-  // proves the AVX2 story on the same machine.
-  if (simd::ActiveLevel() != simd::Level::kAvx512) {
-    GTEST_SKIP() << "AVX-512 kernels not dispatched on this build/machine";
-  }
-  Rng rng(90006);
-  for (const int length : kLengths) {
-    const int e = RandomThreshold(rng, length);
-    PairBlockStorage block(length);
-    // 27 pairs: three 8-lane groups plus a 3-pair tail that exercises the
-    // AVX2-then-scalar fallback chain; 'N' pairs mix bypassed lanes into
-    // live groups.
-    for (int i = 0; i < 27; ++i) {
-      std::string read = RandomSeq(rng, length);
-      std::string ref = MutatePartner(rng, read, static_cast<int>(
-                                                     rng.Uniform(6)));
-      if (rng.Uniform(5) == 0) InjectN(rng, rng.Uniform(2) == 0 ? &read : &ref);
-      block.Add(read, ref);
-    }
-    for (const GateKeeperMode mode :
-         {GateKeeperMode::kImproved, GateKeeperMode::kOriginal}) {
-      GateKeeperParams params;
-      params.mode = mode;
-      std::vector<PairResult> scalar(block.size());
-      std::vector<PairResult> avx512(block.size());
-      simd::GateKeeperFilterRangeScalar(block.view(), 0, block.size(), e,
-                                        params, scalar.data());
-      simd::GateKeeperFilterRangeAvx512(block.view(), 0, block.size(), e,
-                                        params, avx512.data());
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        ExpectSameResult(avx512[i], scalar[i], "scalar-vs-avx512", i);
-      }
-    }
-  }
-}
-
 TEST(SnakeBatchTest, FilterBatchMatchesPerPairFilterOverTheGrid) {
   // The dispatched batch SneakySnake (encoded maze build + u64 traversal,
   // AVX2 lane-parallel where active) against the character-domain
@@ -245,10 +208,9 @@ TEST(SnakeBatchTest, FilterBatchMatchesPerPairFilterOverTheGrid) {
 
 TEST(SnakeBatchTest, ScalarAndAvx2SnakeRangesBitIdentical) {
   // Explicit scalar-vs-AVX2 comparison of the snake range kernels (the
-  // grid test above exercises whichever tier dispatch picked).  Any
-  // vector tier implies the CPU runs AVX2, so only the forced-scalar /
-  // non-x86 configurations skip.
-  if (simd::ActiveLevel() == simd::Level::kScalar) {
+  // grid test above exercises whichever tier dispatch picked).  Only the
+  // forced-scalar / non-x86 configurations skip.
+  if (simd::ActiveLevel() != simd::Level::kAvx2) {
     GTEST_SKIP() << "AVX2 kernels not dispatched on this build/machine";
   }
   Rng rng(90008);
@@ -277,8 +239,8 @@ TEST(SnakeBatchTest, ScalarAndAvx2SnakeRangesBitIdentical) {
 TEST(SnakeBatchTest, CandidateBlocksMatchTheScalarRange) {
   // Candidate-shaped blocks (encoded genome windows, strand bits,
   // reference 'N' masks) through the dispatched snake kernel against the
-  // portable range — covering the lane-parallel window gather feeding the
-  // maze build.
+  // portable range — the per-lane window loads feeding the AVX2 maze
+  // build.
   Rng rng(90009);
   const int length = 100;
   const int e = 5;
@@ -478,6 +440,59 @@ TEST(CandidateBlockTest, WindowsStrandsAndGenomeNMatchPerPairSemantics) {
     EXPECT_EQ(results[i].accept, expected.accept ? 1 : 0) << i;
     EXPECT_EQ(results[i].edits, expected.estimated_edits) << i;
     EXPECT_EQ(results[i].bypassed, 0) << i;
+  }
+}
+
+TEST(CandidateBlockTest, WindowsOutsideTheGenomeBypassWithoutBeingRead) {
+  // A window past either end of the genome bypasses like an 'N' window,
+  // and no kernel slices it: a slice would read past the encoded genome,
+  // which a sanitized build reports.  In-range windows share the 4-lane
+  // groups, so the vector kernels load both kinds side by side.
+  Rng rng(90010);
+  const int length = 100;
+  const int e = 5;
+  const ReferenceEncoding ref = EncodeReference(RandomSeq(rng, 20000));
+  const std::string read = RandomSeq(rng, length);
+  const EncodedBatch reads =
+      EncodeBatch(std::span<const std::string>(&read, 1), length);
+  const std::int64_t past_end = ref.length - length + 1;
+  const std::int64_t far_past_end = ref.length + 4096;
+  const std::int64_t before_start = -10000;
+  const std::int64_t last_valid = ref.length - length;
+  std::vector<CandidatePair> candidates;
+  for (const int strand : {0, 1}) {
+    const std::int64_t in_genome = strand == 0 ? 0 : last_valid;
+    for (const std::int64_t pos :
+         {in_genome, past_end, far_past_end, before_start}) {
+      candidates.push_back({0, static_cast<std::uint8_t>(strand), 0, pos});
+    }
+  }
+  const PairBlock block = CandidateBlock(reads, ref.view(), candidates.data(),
+                                         candidates.size());
+  const GateKeeperParams params;
+  std::vector<PairResult> reference(block.size);
+  simd::GateKeeperFilterRangeScalar(block, 0, block.size, e, params,
+                                    reference.data());
+  std::vector<PairResult> dispatched(block.size);
+  simd::GateKeeperFilterRange(block, 0, block.size, e, params,
+                              dispatched.data());
+  std::vector<PairResult> via_filter(block.size);
+  GateKeeperFilter().FilterBatch(block, e, via_filter.data());
+  std::vector<PairResult> snake_scalar(block.size);
+  simd::SneakySnakeFilterRangeScalar(block, 0, block.size, e,
+                                     snake_scalar.data());
+  std::vector<PairResult> snake(block.size);
+  simd::SneakySnakeFilterRange(block, 0, block.size, e, snake.data());
+  for (std::size_t i = 0; i < block.size; ++i) {
+    ExpectSameResult(dispatched[i], reference[i], "dispatched", i);
+    ExpectSameResult(via_filter[i], reference[i], "FilterBatch", i);
+    ExpectSameResult(snake[i], snake_scalar[i], "snake", i);
+    const std::int64_t pos = candidates[i].ref_pos;
+    const bool outside = pos != 0 && pos != last_valid;
+    for (const PairResult& r : {reference[i], snake_scalar[i]}) {
+      EXPECT_EQ(r.bypassed, outside ? 1 : 0) << "candidate " << i;
+      EXPECT_TRUE(!outside || r.accept == 1) << "candidate " << i;
+    }
   }
 }
 

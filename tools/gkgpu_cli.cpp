@@ -115,9 +115,10 @@ class Args {
     return it != values_.end() ? it->second : std::vector<std::string>{};
   }
   /// The integer operand of `key` (`fallback` when absent).  Throws
-  /// UsageError unless the whole operand parses and is at least `min`.
+  /// UsageError unless the whole operand parses and lies in [min, max].
   long GetInt(const std::string& key, long fallback,
-              long min = std::numeric_limits<long>::min()) const {
+              long min = std::numeric_limits<long>::min(),
+              long max = std::numeric_limits<long>::max()) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const std::string& text = it->second.front();
@@ -130,6 +131,10 @@ class Args {
     }
     if (value < min) {
       throw UsageError("--" + key + " must be >= " + std::to_string(min) +
+                       ", got " + text);
+    }
+    if (value > max) {
+      throw UsageError("--" + key + " must be <= " + std::to_string(max) +
                        ", got " + text);
     }
     return value;
@@ -231,6 +236,12 @@ ReferenceInput LoadReferenceInput(const Args& args, bool* ok) {
     input.owned = ReferenceSet::FromFastaFile(ref_path);
   }
   return input;
+}
+
+/// `--mapq-cap N`: the MAPQ ceiling, 0 to kMaxMapqCap.
+int MapqCap(const Args& args) {
+  return static_cast<int>(
+      args.GetInt("mapq-cap", kDefaultMapqCap, 0, kMaxMapqCap));
 }
 
 /// `--e N`: the edit threshold, a non-negative integer.
@@ -648,8 +659,7 @@ int FilterCmd(const Args& args) {
   } else {
     std::printf("filter time %.4f s (host)\n", ft);
   }
-  std::printf("batch kernels: %s (GKGPU_NO_AVX2=1 forces scalar, "
-              "GKGPU_NO_AVX512=1 caps at avx2)\n",
+  std::printf("batch kernels: %s (GKGPU_NO_AVX2=1 forces scalar)\n",
               simd::LevelName(simd::ActiveLevel()));
   return 0;
 }
@@ -703,13 +713,14 @@ int MapPairedCmd(const Args& args, ReferenceInput& input) {
   pconf.mark_duplicates = args.Has("mark-duplicates");
   pconf.optical_dup_distance =
       static_cast<int>(args.GetInt("optical-dup-distance", 0));
-  pconf.mapq_cap =
-      static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap));
+  pconf.mapq_cap = MapqCap(args);
   pconf.read_group = args.Get("read-group", "");
   PairedEndMapper paired(mapper, pconf);
 
-  std::unique_ptr<GateKeeperGpuEngine> engine;
+  // The engine borrows the devices, so they are declared first and
+  // destroyed last.
   DeviceSet set;
+  std::unique_ptr<GateKeeperGpuEngine> engine;
   if (!args.Has("no-filter")) {
     set = ReferenceDeviceSet();
     EngineConfig cfg;
@@ -792,11 +803,14 @@ int MapCmd(const Args& args) {
   }
   const int length = static_cast<int>(reads.front().size());
   const int e = ErrorThreshold(args);
+  const int mapq_cap = MapqCap(args);
 
   ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
 
-  std::unique_ptr<GateKeeperGpuEngine> engine;
+  // The engine borrows the devices, so they are declared first and
+  // destroyed last.
   DeviceSet set;
+  std::unique_ptr<GateKeeperGpuEngine> engine;
   if (!args.Has("no-filter")) {
     const int setup = static_cast<int>(args.GetInt("setup", 1));
     const int ndev = static_cast<int>(args.GetInt("devices", 1));
@@ -839,9 +853,8 @@ int MapCmd(const Args& args) {
                                        : SecondaryPolicy::kBestOnly;
     std::ofstream sam(sam_path);
     WriteSamHeader(sam, mapper.reference(), read_group);
-    WriteSamRecordsMultiChrom(
-        sam, reads, names, records, mapper.reference(), read_group,
-        static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap)), policy);
+    WriteSamRecordsMultiChrom(sam, reads, names, records, mapper.reference(),
+                              read_group, mapq_cap, policy);
     std::printf("SAM written to %s (%zu verified mappings%s)\n",
                 sam_path.c_str(), records.size(),
                 policy == SecondaryPolicy::kBestOnly
@@ -889,7 +902,7 @@ int PipelineCmd(const Args& args) {
 
   pipeline::ReadToSamConfig scfg;
   scfg.read_group = args.Get("read-group", "");
-  scfg.mapq_cap = static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap));
+  scfg.mapq_cap = MapqCap(args);
   scfg.secondary = args.Has("report-secondary")
                        ? SecondaryPolicy::kReportSecondary
                        : SecondaryPolicy::kBestOnly;
@@ -999,7 +1012,7 @@ int ServeCmd(const Args& args) {
   scfg.threads = threads > 0 ? threads : 1;
   scfg.linger_ms = static_cast<int>(args.GetInt("linger", 2));
   scfg.request_timeout_sec = static_cast<int>(args.GetInt("timeout", 30));
-  scfg.mapq_cap = static_cast<int>(args.GetInt("mapq-cap", kDefaultMapqCap));
+  scfg.mapq_cap = MapqCap(args);
   scfg.read_group = args.Get("read-group", "");
 
   serve::MapServer server(mapper, &engine, scfg);
@@ -1044,7 +1057,7 @@ int MapClientCmd(const Args& args) {
   serve::JobSpec job;
   job.read_group = args.Get("read-group", "");
   if (args.Has("mapq-cap")) {
-    job.mapq_cap = static_cast<int>(args.GetInt("mapq-cap", -1));
+    job.mapq_cap = MapqCap(args);
   }
   job.report_secondary = args.Has("report-secondary");
 
