@@ -216,22 +216,15 @@ ServedResult RunServedBench(const MappedIndexFile& mapped,
   mcfg.error_threshold = 5;
   mcfg.verify_threads = 4;
   const ReadMapper mapper(mapped.reference(), mapped.seed_index().Alias(),
-                          mcfg);
-
-  auto devices = gpusim::MakeSetup1(2);
-  auto ptrs = Ptrs(devices);
-  EngineConfig cfg;
-  cfg.read_length = 100;
-  cfg.error_threshold = 5;
-  GateKeeperGpuEngine engine(cfg, ptrs);
-  engine.LoadReference(mapped.encoding(), mapped.reference_fingerprint());
+                          mapped.encoding(), mcfg);
+  const GateKeeperFilter filter;
 
   serve::ServeConfig scfg;
   scfg.socket_path = (std::filesystem::temp_directory_path() /
                       "gkgpu_bench_pipeline.sock")
                          .string();
   scfg.threads = 4;
-  serve::MapServer server(mapper, &engine, scfg);
+  serve::MapServer server(mapper, &filter, scfg);
   std::thread run([&] { server.Run(); });
   while (!server.serving()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -61,8 +61,8 @@ gpusim::KernelCost EstimateKernelCost(int length, int e, bool device_encodes);
 
 /// Runs the system-configuration step against a device.  Throws
 /// std::invalid_argument when the read length exceeds the kernels'
-/// capacity (CheckFilterReadLength) — the guard every engine, and through
-/// it every streaming driver's filter, passes.
+/// capacity (CheckFilterReadLength) — the guard every engine passes; the
+/// streaming drivers' ChunkFilter makes the same check.
 SystemPlan ConfigureSystem(const gpusim::Device& device,
                            const EngineConfig& config);
 

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "obs/names.hpp"
-#include "util/fingerprint.hpp"
 #include "util/timer.hpp"
 
 namespace gkgpu {
@@ -36,11 +35,10 @@ void RecordEngineFunnel(std::uint64_t pairs, std::uint64_t accepted,
 }  // namespace
 
 /// Per-device unified-memory working set (Sec. 3.2 resource allocation).
+/// The two modes share reads_enc, bypass and results at different sizes,
+/// so each mode's Ensure step sizes every buffer it uses (EnsureBuffer).
 struct GateKeeperGpuEngine::DeviceBuffers {
-  std::size_t pair_capacity = 0;
-  std::size_t read_capacity = 0;
-
-  // Pair mode, host-encoded.
+  // Pair mode, host-encoded; candidate mode's read table and its bypass.
   std::unique_ptr<UnifiedBuffer> reads_enc;
   std::unique_ptr<UnifiedBuffer> refs_enc;
   std::unique_ptr<UnifiedBuffer> bypass;
@@ -56,7 +54,9 @@ struct GateKeeperGpuEngine::DeviceBuffers {
 GateKeeperGpuEngine::GateKeeperGpuEngine(EngineConfig config,
                                          std::vector<Device*> devices)
     : config_(config), devices_(std::move(devices)) {
-  assert(!devices_.empty());
+  if (devices_.empty()) {
+    throw std::invalid_argument("GateKeeperGpuEngine: no devices");
+  }
   plan_ = ConfigureSystem(*devices_.front(), config_);
   buffers_.resize(devices_.size());
   for (auto& b : buffers_) b = std::make_unique<DeviceBuffers>();
@@ -94,6 +94,14 @@ double PrefetchAll(std::initializer_list<UnifiedBuffer*> buffers) {
   return max_s;
 }
 
+/// Allocates `*buffer` on `dev` unless it already holds `bytes`.
+void EnsureBuffer(Device* dev, std::unique_ptr<UnifiedBuffer>* buffer,
+                  std::size_t bytes) {
+  if (*buffer == nullptr || (*buffer)->bytes() < bytes) {
+    *buffer = dev->AllocateUnified(bytes);
+  }
+}
+
 double FaultAll(std::initializer_list<UnifiedBuffer*> buffers) {
   double sum_s = 0.0;
   for (UnifiedBuffer* b : buffers) {
@@ -125,33 +133,24 @@ double ConcurrentPerDevice(std::size_t ndev,
 
 }  // namespace
 
-void GateKeeperGpuEngine::AllocatePairBuffers(Device* dev, DeviceBuffers* b,
-                                              std::size_t capacity) {
-  const std::size_t words =
-      static_cast<std::size_t>(EncodedWords(config_.read_length));
-  const std::size_t len = static_cast<std::size_t>(config_.read_length);
-  b->pair_capacity = capacity;
-  if (config_.encoding == EncodingActor::kHost) {
-    b->reads_enc = dev->AllocateUnified(capacity * words * sizeof(Word));
-    b->refs_enc = dev->AllocateUnified(capacity * words * sizeof(Word));
-    b->bypass = dev->AllocateUnified(capacity);
-    b->raw_reads.reset();
-    b->raw_refs.reset();
-  } else {
-    b->raw_reads = dev->AllocateUnified(capacity * len);
-    b->raw_refs = dev->AllocateUnified(capacity * len);
-    b->reads_enc.reset();
-    b->refs_enc.reset();
-    b->bypass.reset();
-  }
-  b->results = dev->AllocateUnified(capacity * sizeof(PairResult));
-}
-
 void GateKeeperGpuEngine::EnsurePairBuffers(std::size_t capacity) {
+  const std::size_t enc_bytes =
+      capacity * static_cast<std::size_t>(EncodedWords(config_.read_length)) *
+      sizeof(Word);
+  const std::size_t raw_bytes =
+      capacity * static_cast<std::size_t>(config_.read_length);
   for (std::size_t di = 0; di < devices_.size(); ++di) {
+    Device* dev = devices_[di];
     DeviceBuffers& b = *buffers_[di];
-    if (b.pair_capacity >= capacity && b.results != nullptr) continue;
-    AllocatePairBuffers(devices_[di], &b, capacity);
+    if (config_.encoding == EncodingActor::kHost) {
+      EnsureBuffer(dev, &b.reads_enc, enc_bytes);
+      EnsureBuffer(dev, &b.refs_enc, enc_bytes);
+      EnsureBuffer(dev, &b.bypass, capacity);
+    } else {
+      EnsureBuffer(dev, &b.raw_reads, raw_bytes);
+      EnsureBuffer(dev, &b.raw_refs, raw_bytes);
+    }
+    EnsureBuffer(dev, &b.results, capacity * sizeof(PairResult));
   }
 }
 
@@ -413,13 +412,11 @@ void GateKeeperGpuEngine::LoadReference(std::string_view genome) {
   // workflow figure), then one resident copy per device.
   const ReferenceEncoding enc =
       EncodeReference(genome, &devices_.front()->pool());
-  LoadReference(enc.view(), FingerprintText(genome));
+  LoadReference(enc.view());
 }
 
-void GateKeeperGpuEngine::LoadReference(const ReferenceEncodingView& enc,
-                                        std::uint64_t fingerprint) {
+void GateKeeperGpuEngine::LoadReference(const ReferenceEncodingView& enc) {
   ref_length_ = enc.length;
-  ref_fingerprint_ = fingerprint;
   ref_buffers_.clear();
   ref_nmask_buffers_.clear();
   for (Device* dev : devices_) {
@@ -438,15 +435,6 @@ void GateKeeperGpuEngine::LoadReference(const ReferenceEncodingView& enc,
   }
 }
 
-ReferenceEncodingView GateKeeperGpuEngine::reference_encoding() const {
-  assert(HasReference());
-  const UnifiedBuffer& words = *ref_buffers_.front();
-  const UnifiedBuffer& nmask = *ref_nmask_buffers_.front();
-  return {ref_length_,
-          {words.as<Word>(), words.bytes() / sizeof(Word)},
-          {nmask.as<Word>(), nmask.bytes() / sizeof(Word)}};
-}
-
 void GateKeeperGpuEngine::EnsureCandidateBuffers(std::size_t capacity,
                                                  std::size_t read_capacity) {
   const std::size_t words =
@@ -454,16 +442,10 @@ void GateKeeperGpuEngine::EnsureCandidateBuffers(std::size_t capacity,
   for (std::size_t di = 0; di < devices_.size(); ++di) {
     DeviceBuffers& b = *buffers_[di];
     Device* dev = devices_[di];
-    if (b.read_capacity < read_capacity || b.reads_enc == nullptr) {
-      b.read_capacity = read_capacity;
-      b.reads_enc = dev->AllocateUnified(read_capacity * words * sizeof(Word));
-      b.bypass = dev->AllocateUnified(read_capacity);
-    }
-    if (b.pair_capacity < capacity || b.cand == nullptr) {
-      b.pair_capacity = capacity;
-      b.cand = dev->AllocateUnified(capacity * sizeof(CandidatePair));
-      b.results = dev->AllocateUnified(capacity * sizeof(PairResult));
-    }
+    EnsureBuffer(dev, &b.reads_enc, read_capacity * words * sizeof(Word));
+    EnsureBuffer(dev, &b.bypass, read_capacity);
+    EnsureBuffer(dev, &b.cand, capacity * sizeof(CandidatePair));
+    EnsureBuffer(dev, &b.results, capacity * sizeof(PairResult));
   }
 }
 

@@ -12,10 +12,9 @@
 //
 // Both run on the simulated devices and serve the paper's tables
 // (FilterPairs for the filter benches, FilterCandidates for MapReads'
-// Table 3).  The streaming drivers (single-end, paired, the daemon)
-// filter on the host instead, one GateKeeperFilter::FilterBatch per chunk
-// over a candidates-shape PairBlock (pipeline/chunk_filter.hpp); from the
-// engine they take only its config and the loaded reference encoding.
+// Table 3).  The streaming drivers (single-end, paired, the daemon) take
+// a host PreAlignmentFilter instead and run it over the mapper's own
+// reference encoding (pipeline/chunk_filter.hpp); they build no engine.
 //
 // Timing conventions (Sec. 4.3): "kernel time" is simulated device time
 // only (max across devices per round, summed over rounds); "filter time"
@@ -66,8 +65,8 @@ class GateKeeperGpuEngine {
  public:
   /// The engine borrows the devices; they must outlive it.  All devices
   /// must share a profile (the paper's setups are homogeneous).  Throws
-  /// std::invalid_argument when `config.read_length` exceeds the filter
-  /// kernels' capacity (ConfigureSystem).
+  /// std::invalid_argument when `devices` is empty or `config.read_length`
+  /// exceeds the filter kernels' capacity (ConfigureSystem).
   GateKeeperGpuEngine(EngineConfig config,
                       std::vector<gpusim::Device*> devices);
   ~GateKeeperGpuEngine();
@@ -86,23 +85,10 @@ class GateKeeperGpuEngine {
   /// Candidate mode, step 1: encode the reference into unified memory on
   /// every device (multithreaded host encoding, Sec. 3.5) and prefetch it.
   void LoadReference(std::string_view genome);
-  /// Same, from a pre-built encoding (an mmap'd index file) — skips the
-  /// host encoding pass entirely.  `fingerprint` must be FingerprintText
-  /// of the genome the encoding was built from.
-  void LoadReference(const ReferenceEncodingView& enc,
-                     std::uint64_t fingerprint);
+  /// Same, from a pre-built encoding (the mapper's, or an mmap'd index
+  /// file's) — skips the host encoding pass entirely.
+  void LoadReference(const ReferenceEncodingView& enc);
   bool HasReference() const { return !ref_buffers_.empty(); }
-  /// Length of the loaded reference (0 when none).
-  std::int64_t reference_length() const { return ref_length_; }
-  /// Content fingerprint of the loaded reference (FingerprintText of the
-  /// genome given to LoadReference) — lets callers that hold the text
-  /// verify the engine really filters against *their* genome, not a
-  /// same-length one loaded earlier.
-  std::uint64_t reference_fingerprint() const { return ref_fingerprint_; }
-  /// The loaded reference encoding (requires HasReference).  It views
-  /// device 0's unified copy, which is host memory, so host filters slice
-  /// windows from it without a second copy of the genome.
-  ReferenceEncodingView reference_encoding() const;
 
   /// Candidate mode, step 2: filter candidate mappings of `reads` (each
   /// exactly config().read_length bases; std::invalid_argument naming the
@@ -122,8 +108,6 @@ class GateKeeperGpuEngine {
 
   void EnsurePairBuffers(std::size_t capacity);
   void EnsureCandidateBuffers(std::size_t capacity, std::size_t read_capacity);
-  void AllocatePairBuffers(gpusim::Device* dev, DeviceBuffers* b,
-                           std::size_t capacity);
   FilterRunStats FilterCandidatesImpl(const std::string_view* reads,
                                       std::size_t read_count,
                                       const std::vector<CandidatePair>&
@@ -146,7 +130,6 @@ class GateKeeperGpuEngine {
   std::vector<std::unique_ptr<gpusim::UnifiedBuffer>> ref_buffers_;
   std::vector<std::unique_ptr<gpusim::UnifiedBuffer>> ref_nmask_buffers_;
   std::int64_t ref_length_ = 0;
-  std::uint64_t ref_fingerprint_ = 0;
 };
 
 }  // namespace gkgpu

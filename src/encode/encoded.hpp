@@ -61,8 +61,8 @@ void ExtractSegmentRaw(const Word* ref_words, std::int64_t ref_len,
 
 /// Non-owning view of a reference encoding — spans into externally owned
 /// word arrays (an mmap'd index file or a ReferenceEncoding's vectors).
-/// Lets the engine upload a persisted encoding without re-encoding the
-/// FASTA text.
+/// Lets the mapper (ReadMapper::encoding()) and the engine use a persisted
+/// encoding without re-encoding the FASTA text.
 struct ReferenceEncodingView {
   std::int64_t length = 0;
   std::span<const Word> words;   // 2-bit encoding, 16 bases/word

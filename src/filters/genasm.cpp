@@ -3,6 +3,10 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
+
+#include "util/bitops.hpp"
 
 namespace gkgpu {
 
@@ -11,8 +15,8 @@ namespace {
 constexpr int kW = 64;
 // Pattern capacity: kMaxReadLength bits.
 constexpr int kMaxBlocks = 512 / kW;
-// Threshold capacity (kMaxErrorThreshold + 1 state vectors).
-constexpr int kMaxStates = 53;
+// Threshold capacity: one state vector per distance 0..kMaxErrorThreshold.
+constexpr int kMaxStates = kMaxErrorThreshold + 1;
 
 struct StateRow {
   std::uint64_t bits[kMaxBlocks];
@@ -33,12 +37,17 @@ void ShiftLeftInto(const std::uint64_t* src, std::uint64_t* dst, int nblocks,
 
 bool BitapWithinEditDistance(std::string_view pattern, std::string_view text,
                              int e) {
+  if (e < 0 || e >= kMaxStates) {
+    throw std::invalid_argument(
+        "GenASM: error threshold " + std::to_string(e) +
+        " is outside the kernel's capacity of 0 to " +
+        std::to_string(kMaxErrorThreshold));
+  }
   const int m = static_cast<int>(pattern.size());
   const int n = static_cast<int>(text.size());
   if (m == 0) return n <= e;
   if (n == 0) return m <= e;
   assert(m <= kMaxBlocks * kW);
-  assert(e + 1 <= kMaxStates);
   const int nblocks = (m + kW - 1) / kW;
   const std::uint64_t match_bit = std::uint64_t{1} << ((m - 1) % kW);
   const int match_block = (m - 1) / kW;

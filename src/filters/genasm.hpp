@@ -26,7 +26,9 @@ class GenAsmFilter : public PreAlignmentFilter {
 };
 
 /// The underlying exact threshold test: edit(pattern, text) <= e, computed
-/// with the bit-parallel Bitap NFA.  Exposed for tests and reuse.
+/// with the bit-parallel Bitap NFA.  Exposed for tests and reuse.  Throws
+/// std::invalid_argument unless 0 <= e <= kMaxErrorThreshold (its state
+/// vectors are a fixed-size stack array).
 bool BitapWithinEditDistance(std::string_view pattern, std::string_view text,
                              int e);
 

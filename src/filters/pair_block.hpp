@@ -19,8 +19,8 @@
 //
 // PairBlock is a non-owning view: the simulated device kernels see it over
 // unified-memory buffers, the streaming drivers' chunk workers over a
-// chunk's EncodedBatch read table and the engine's loaded reference
-// encoding (CandidateBlock), and PairBlockStorage (below)
+// chunk's EncodedBatch read table and the mapper's reference encoding
+// (CandidateBlock), and PairBlockStorage (below)
 // owns host-side blocks for the batch filter API, tests and benches.
 #ifndef GKGPU_FILTERS_PAIR_BLOCK_HPP
 #define GKGPU_FILTERS_PAIR_BLOCK_HPP

@@ -113,8 +113,8 @@ class MappedIndexFile {
   /// View-mode sharded index spanning the mapped CSR arrays (one shard
   /// for v1 files).
   const SeedIndex& seed_index() const { return index_; }
-  /// Spans over the persisted 2-bit encoding — feed straight to
-  /// GateKeeperGpuEngine::LoadReference to skip host re-encoding.
+  /// Spans over the persisted 2-bit encoding — the preloaded ReadMapper
+  /// views it instead of re-encoding the genome.
   const ReferenceEncodingView& encoding() const { return encoding_; }
 
  private:

@@ -48,7 +48,7 @@ class ReferenceSet {
   /// std::logic_error on a View() instance (its text is immutable).
   void Add(std::string name, std::string_view sequence);
 
-  /// The concatenated text (what the k-mer index and the engine's encoded
+  /// The concatenated text (what the k-mer index and the mapper's encoded
   /// reference are built over).  For View() instances this aliases the
   /// external storage; otherwise it views the owned string.
   std::string_view text() const {
@@ -58,9 +58,8 @@ class ReferenceSet {
     return static_cast<std::int64_t>(text().size());
   }
   /// FingerprintText(text()), maintained incrementally across Add() calls;
-  /// lets candidate-mode pipelines check reference identity against
-  /// GateKeeperGpuEngine::reference_fingerprint() without rescanning the
-  /// genome.
+  /// the index file's reference fingerprint, computed without rescanning
+  /// the genome.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   bool empty() const { return chromosomes_.empty(); }

@@ -19,7 +19,9 @@ ReadMapper::ReadMapper(ReferenceSet reference, MapperConfig config)
       config_(config),
       index_(SeedIndex::Build(ref_,
                               SeedConfig{config.k, config.shard_max_bp})),
-      pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")) {
+      pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")),
+      owned_encoding_(EncodeReference(ref_.text(), pool_.get())),
+      encoding_(owned_encoding_.view()) {
   BindSeedCounters();
 }
 
@@ -27,11 +29,13 @@ ReadMapper::ReadMapper(std::string genome, MapperConfig config)
     : ReadMapper(ReferenceSet("synthetic_chr1", std::move(genome)), config) {}
 
 ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
+                       const ReferenceEncodingView& encoding,
                        MapperConfig config)
     : ref_(std::move(reference)),
       config_(config),
       index_(std::move(index)),
-      pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")) {
+      pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")),
+      encoding_(encoding) {
   if (index_.k() != config_.k) {
     throw std::invalid_argument(
         "ReadMapper: preloaded index was built with k=" +
@@ -42,6 +46,12 @@ ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
     throw std::invalid_argument(
         "ReadMapper: preloaded index covers " +
         std::to_string(index_.genome_length()) +
+        " bases but the reference holds " + std::to_string(ref_.length()));
+  }
+  if (encoding_.length != ref_.length()) {
+    throw std::invalid_argument(
+        "ReadMapper: preloaded encoding covers " +
+        std::to_string(encoding_.length) +
         " bases but the reference holds " + std::to_string(ref_.length()));
   }
   BindSeedCounters();
@@ -78,7 +88,7 @@ void ReadMapper::SeedReads(std::span<const std::string_view> reads,
     chunk->seqs_.push_back(reads[i]);
     chunk->seqs_.push_back(chunk->rc_[i]);
   }
-  SeedSequences(2, chunk, vote, gather);
+  SeedSequences(chunk, vote, gather);
 }
 
 namespace {
@@ -141,9 +151,9 @@ int ReadMapper::SelectSeeds(std::string_view seq, SeedVote vote,
 // The lookup kernel over chunk->seqs_.  A k=12 offset table is 64 MiB on
 // 4 KiB pages, so every lookup misses both TLB and cache; the three passes
 // keep all of a chunk's misses in flight together instead of waiting each
-// one out in turn.  Sequence j's candidates carry strand j % strands.
-void ReadMapper::SeedSequences(std::size_t strands, SeedChunk* chunk,
-                               SeedVote vote,
+// one out in turn.  chunk->seqs_ alternates each read and its reverse
+// complement, so sequence j's candidates carry strand j % 2.
+void ReadMapper::SeedSequences(SeedChunk* chunk, SeedVote vote,
                                std::vector<std::int64_t>* gather) const {
   const std::vector<std::string_view>& seqs = chunk->seqs_;
   std::vector<SeedChunk::Seed>& seeds = chunk->seeds_;
@@ -213,7 +223,7 @@ void ReadMapper::SeedSequences(std::size_t strands, SeedChunk* chunk,
     std::sort(gather->begin(), gather->end());
     const std::vector<std::int64_t>& hits = *gather;
     const int pigeonhole = std::min(config_.error_threshold + 1, L / k);
-    const std::uint8_t strand = static_cast<std::uint8_t>(j % strands);
+    const std::uint8_t strand = static_cast<std::uint8_t>(j % 2);
     // [lo, hi): the hits within +-e diagonals of the current window.
     std::size_t lo = 0;
     std::size_t hi = 0;
@@ -270,18 +280,6 @@ void ReadMapper::CountSeeded(SeedChunk* chunk, std::uint64_t voted_out) const {
   }
 }
 
-void ReadMapper::CollectCandidates(std::string_view read,
-                                   std::vector<std::int64_t>* candidates)
-    const {
-  thread_local SeedChunk chunk;
-  chunk.seqs_.assign(1, read);
-  SeedSequences(1, &chunk, SeedVote::kOn, &chunk.gather_);
-  candidates->clear();
-  for (const OrientedCandidate& oc : chunk.candidates_) {
-    candidates->push_back(oc.pos);
-  }
-}
-
 void ReadMapper::CollectCandidatesOriented(
     std::string_view read, std::string* rc,
     std::vector<std::int64_t>* scratch,
@@ -301,7 +299,7 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
   WallTimer total;
   if (filter != nullptr && !filter->HasReference()) {
     WallTimer prep;
-    filter->LoadReference(ref_.text());
+    filter->LoadReference(encoding_);
     stats.preprocess_seconds += prep.Seconds();
   }
 

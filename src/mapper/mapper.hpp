@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "encode/encoded.hpp"
 #include "io/reference.hpp"
 #include "mapper/seed_index.hpp"
 #include "obs/metrics.hpp"
@@ -154,23 +155,29 @@ class ReadMapper {
  public:
   /// Multi-chromosome mapper: one k-mer index and one encoded reference
   /// over the concatenated text; mappings carry global positions that the
-  /// reference set maps back to (chromosome, local position).
+  /// reference set maps back to (chromosome, local position).  Builds
+  /// both from the text: the index, then the 2-bit encoding on the pool.
   ReadMapper(ReferenceSet reference, MapperConfig config);
   /// Single-sequence convenience (the chromosome is named
   /// "synthetic_chr1", matching the synthetic-genome tooling).
   ReadMapper(std::string genome, MapperConfig config);
   /// Preloaded-index mapper: adopts an already-built (typically mmap'd,
-  /// view-mode) sharded index instead of scanning the genome.  The index's
-  /// k must equal `config.k` and its genome_length the reference length;
-  /// throws std::invalid_argument otherwise.  The index's shard layout
-  /// overrides the config's: it is baked into the persisted CSR payload.
-  /// When either the reference or the index is a view, the backing storage
-  /// (the MappedIndexFile) must outlive the mapper.
-  ReadMapper(ReferenceSet reference, SeedIndex index, MapperConfig config);
+  /// view-mode) sharded index and 2-bit encoding instead of scanning the
+  /// genome (MappedIndexFile::seed_index().Alias() and encoding()).  The
+  /// index's k must equal `config.k`, and its genome_length and the
+  /// encoding's length the reference length; throws std::invalid_argument
+  /// otherwise.  The index's shard layout overrides the config's: it is
+  /// baked into the persisted CSR payload.  The backing storage (the
+  /// MappedIndexFile) must outlive the mapper.
+  ReadMapper(ReferenceSet reference, SeedIndex index,
+             const ReferenceEncodingView& encoding, MapperConfig config);
   ~ReadMapper();
 
   const ReferenceSet& reference() const { return ref_; }
   std::string_view genome() const { return ref_.text(); }
+  /// The genome's 2-bit encoding with its N-mask: the windows every
+  /// streaming driver's filter slices (pipeline/chunk_filter.hpp).
+  const ReferenceEncodingView& encoding() const { return encoding_; }
   const MapperConfig& config() const { return config_; }
   const SeedIndex& index() const { return index_; }
   /// The mapper's worker pool (MapperConfig::verify_threads).  ThreadPool
@@ -179,7 +186,8 @@ class ReadMapper {
   ThreadPool* pool() const { return pool_.get(); }
 
   /// Maps `reads`; when `filter` is non-null it is used as the
-  /// pre-alignment stage (the engine's reference is loaded on first use).
+  /// pre-alignment stage (an engine with no reference gets the mapper's
+  /// encoding on first use).
   /// `out` (optional) receives every verified mapping.
   MappingStats MapReads(const std::vector<std::string>& reads,
                         GateKeeperGpuEngine* filter,
@@ -198,12 +206,6 @@ class ReadMapper {
   void SeedReads(std::span<const std::string_view> reads, SeedChunk* chunk,
                  SeedVote vote) const;
 
-  /// Seeding only, forward strand: the voted candidate locations for one
-  /// read (deduplicated, global coordinates, never spanning a chromosome
-  /// junction).
-  void CollectCandidates(std::string_view read,
-                         std::vector<std::int64_t>* candidates) const;
-
   /// One read through SeedReads with the vote on: both strands, forward
   /// candidates first (sorted, deduplicated per strand).  `rc` receives
   /// the reverse complement (the caller reuses it for verification and SAM
@@ -220,7 +222,7 @@ class ReadMapper {
                  SeedVote vote, std::vector<std::int64_t>* gather) const;
   int SelectSeeds(std::string_view seq, SeedVote vote,
                   std::vector<SeedChunk::Seed>* seeds) const;
-  void SeedSequences(std::size_t strands, SeedChunk* chunk, SeedVote vote,
+  void SeedSequences(SeedChunk* chunk, SeedVote vote,
                      std::vector<std::int64_t>* gather) const;
   void CountSeeded(SeedChunk* chunk, std::uint64_t voted_out) const;
 
@@ -228,6 +230,8 @@ class ReadMapper {
   MapperConfig config_;
   SeedIndex index_;
   std::unique_ptr<ThreadPool> pool_;
+  ReferenceEncoding owned_encoding_;  // empty when viewed from a file
+  ReferenceEncodingView encoding_;
   std::vector<obs::Counter> shard_candidates_;  // empty on one shard
 };
 

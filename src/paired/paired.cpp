@@ -795,7 +795,7 @@ struct PairScratch {
 
 PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
                                       const std::vector<FastqRecord>& r2,
-                                      GateKeeperGpuEngine* filter,
+                                      const PreAlignmentFilter* filter,
                                       std::ostream* sam) {
   if (r1.size() != r2.size()) {
     throw std::invalid_argument(
@@ -819,7 +819,7 @@ PairedStats PairedEndMapper::MapPairs(const std::vector<FastqRecord>& r1,
 }
 
 PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
-                                      GateKeeperGpuEngine* filter,
+                                      const PreAlignmentFilter* filter,
                                       std::ostream* sam) {
   const PairSource next = [&](FastqRecord* a, FastqRecord* b) {
     return reader.Next(a, b);
@@ -828,7 +828,7 @@ PairedStats PairedEndMapper::MapPairs(PairedFastqReader& reader,
 }
 
 PairedStats PairedEndMapper::Map(const PairSource& next,
-                                 GateKeeperGpuEngine* filter,
+                                 const PreAlignmentFilter* filter,
                                  std::ostream* sam) {
   const int L = mapper_.config().read_length;
   const int e = mapper_.config().error_threshold;
@@ -961,7 +961,9 @@ PairedStats StreamPairedFastqToSam(PairedFastqReader& reader,
                                    const PairedConfig& config,
                                    pipeline::PipelineConfig /*pcfg*/,
                                    std::ostream* sam) {
-  return PairedEndMapper(mapper, config).MapPairs(reader, engine, sam);
+  PairedEndMapper paired(mapper, config);
+  return paired.MapPairs(reader, pipeline::EngineShimFilter(engine != nullptr),
+                         sam);
 }
 
 }  // namespace gkgpu

@@ -12,9 +12,9 @@
 //     the one forward k-mer index);
 //   * prunes each mate's candidates to those with a concordant
 //     opposite-strand partner within the insert window;
-//   * filters survivors with the host GateKeeper, one call per chunk of
-//     pairs (the strand bit rides inside CandidatePair; windows come from
-//     the engine's reference encoding), and verifies with the Myers
+//   * filters survivors with the caller's host filter, one call per chunk
+//     of pairs (the strand bit rides inside CandidatePair; windows come
+//     from the mapper's reference encoding), and verifies with the Myers
 //     bit-vector kernel (align/myers.hpp);
 //   * selects the best concordant combination under a fitted insert-size
 //     model (mean/sigma learned online from confident pairs);
@@ -37,8 +37,8 @@
 //     0x40/0x80 (+0x400), RNEXT/PNEXT/TLEN, reverse-complemented SEQ and
 //     reversed QUAL on strand-flipped records, NM and RG:Z tags.
 //
-// One driver maps pairs, from vectors (MapPairs) or from a paired FASTQ
-// reader (StreamPairedFastqToSam): chunk workers on the mapper's pool
+// One driver maps pairs, from vectors or from a paired FASTQ reader
+// (both PairedEndMapper::MapPairs): chunk workers on the mapper's pool
 // (pipeline/ordered_chunks.hpp) each seed, prune, filter and verify a
 // chunk of kSeedChunkReads / 2 pairs, and the in-order emitter finalizes
 // each pair (pairing, SW rescue, MAPQ, SAM) strictly in input order, so
@@ -52,7 +52,7 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "filters/filter.hpp"
 #include "io/paired_fastq.hpp"
 #include "mapper/mapper.hpp"
 #include "mapper/mapq.hpp"
@@ -153,34 +153,37 @@ class PairedEndMapper {
   const PairedConfig& config() const { return config_; }
 
   /// Maps r1[i] with r2[i] (equal sizes; mate names must match),
-  /// pre-filtering candidates against `filter`'s loaded reference with its
-  /// GateKeeper parameters (null = No Filter), and writes two SAM records
-  /// per pair to `sam` (may be null for stats only; the header is the
-  /// caller's).  Pairs whose mates are not the configured read length are
-  /// emitted unmapped.  A mate-name mismatch throws std::invalid_argument
-  /// once the pairs before it are written.
+  /// pre-filtering candidates with `filter` at the mapper's error
+  /// threshold (null = No Filter), and writes two SAM records per pair to
+  /// `sam` (may be null for stats only; the header is the caller's).
+  /// Pairs whose mates are not the configured read length are emitted
+  /// unmapped.  With a filter, a read length beyond the filter kernels'
+  /// capacity throws std::invalid_argument before any SAM is written.  A
+  /// mate-name mismatch throws std::invalid_argument once the pairs before
+  /// it are written.
   PairedStats MapPairs(const std::vector<FastqRecord>& r1,
                        const std::vector<FastqRecord>& r2,
-                       GateKeeperGpuEngine* filter, std::ostream* sam);
+                       const PreAlignmentFilter* filter, std::ostream* sam);
 
-  /// The same, streaming the pairs from `reader` under bounded memory; a
-  /// malformed record is thrown once the pairs before it are written.
+  /// The paired streaming entry point: the same, reading the pairs from
+  /// `reader` under bounded memory; a malformed record is thrown once the
+  /// pairs before it are written.
   PairedStats MapPairs(PairedFastqReader& reader,
-                       GateKeeperGpuEngine* filter, std::ostream* sam);
+                       const PreAlignmentFilter* filter, std::ostream* sam);
 
  private:
   /// Fills the next pair; false at end of input.
   using PairSource = std::function<bool(FastqRecord* r1, FastqRecord* r2)>;
-  PairedStats Map(const PairSource& next, GateKeeperGpuEngine* filter,
+  PairedStats Map(const PairSource& next, const PreAlignmentFilter* filter,
                   std::ostream* sam);
 
   const ReadMapper& mapper_;
   PairedConfig config_;
 };
 
-/// Convenience front end mirroring StreamFastqToSam: paired FASTQ in,
-/// ordered paired SAM out (PairedEndMapper::MapPairs over the reader).
-/// `pcfg` is unused (see pipeline/pipeline.hpp).
+/// bench/e2e only, until it moves to PairedEndMapper::MapPairs(reader,
+/// ...): maps with pipeline::EngineShimFilter(engine != nullptr); `pcfg`
+/// is unused (see pipeline/pipeline.hpp).
 PairedStats StreamPairedFastqToSam(PairedFastqReader& reader,
                                    const ReadMapper& mapper,
                                    GateKeeperGpuEngine* engine,

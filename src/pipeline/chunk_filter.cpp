@@ -1,28 +1,15 @@
 #include "pipeline/chunk_filter.hpp"
 
-#include <stdexcept>
-
 #include "encode/encoded.hpp"
+#include "filters/gatekeeper.hpp"
 
 namespace gkgpu::pipeline {
 
-ChunkFilter::ChunkFilter(GateKeeperGpuEngine* engine, const ReadMapper& mapper)
-    : engine_(engine),
-      filter_(engine != nullptr ? engine->config().algorithm
-                                : GateKeeperParams{}),
-      read_length_(mapper.config().read_length),
-      threshold_(engine != nullptr ? engine->config().error_threshold : 0) {
-  if (engine == nullptr) return;
-  if (engine->config().read_length != read_length_) {
-    throw std::invalid_argument(
-        "mapping: engine read length != mapper read length");
-  }
-  if (!engine->HasReference()) engine->LoadReference(mapper.genome());
-  if (engine->reference_length() != mapper.reference().length() ||
-      engine->reference_fingerprint() != mapper.reference().fingerprint()) {
-    throw std::invalid_argument(
-        "mapping: the engine's reference must be loaded from the mapper's "
-        "genome");
+ChunkFilter::ChunkFilter(const PreAlignmentFilter* filter,
+                         const ReadMapper& mapper)
+    : filter_(filter), mapper_(mapper) {
+  if (filter != nullptr) {
+    CheckFilterReadLength(mapper.config().read_length, "mapping");
   }
 }
 
@@ -30,20 +17,25 @@ void ChunkFilter::Filter(std::span<const std::string_view> table,
                          std::span<const CandidatePair> candidates,
                          const StageHistograms& stages,
                          std::vector<PairResult>* results) const {
-  if (engine_ == nullptr) {
+  if (filter_ == nullptr) {
     results->assign(candidates.size(), PairResult{1, 0, 0});
     return;
   }
   EncodedBatch encoded;
   {
     const StageTimer timer(stages.encode, "encode");
-    encoded = EncodeBatch(table, read_length_);
+    encoded = EncodeBatch(table, mapper_.config().read_length);
   }
   const StageTimer timer(stages.filter, "filter");
   results->resize(candidates.size());
-  filter_.FilterBatch(CandidateBlock(encoded, engine_->reference_encoding(),
-                                     candidates.data(), candidates.size()),
-                      threshold_, results->data());
+  filter_->FilterBatch(CandidateBlock(encoded, mapper_.encoding(),
+                                      candidates.data(), candidates.size()),
+                       mapper_.config().error_threshold, results->data());
+}
+
+const PreAlignmentFilter* EngineShimFilter(bool has_engine) {
+  static const GateKeeperFilter gatekeeper;
+  return has_engine ? &gatekeeper : nullptr;
 }
 
 }  // namespace gkgpu::pipeline

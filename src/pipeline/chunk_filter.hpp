@@ -1,9 +1,9 @@
-// The streaming drivers' one filter call per chunk: GateKeeper, with the
-// engine's parameters and threshold, over a candidates-shape PairBlock
-// (the chunk's encoded read table plus its (read, strand, reference
-// offset) candidates) whose windows come from the engine's loaded
-// reference encoding.  One GateKeeperFilter::FilterBatch per chunk, so the
-// filter funnel counts each candidate exactly once.
+// The streaming drivers' one filter call per chunk: a host
+// PreAlignmentFilter, at the mapper's error threshold, over a
+// candidates-shape PairBlock (the chunk's encoded read table plus its
+// (read, strand, reference offset) candidates) whose windows come from the
+// mapper's reference encoding.  One FilterBatch per chunk, so the filter
+// funnel counts each candidate exactly once.
 #ifndef GKGPU_PIPELINE_CHUNK_FILTER_HPP
 #define GKGPU_PIPELINE_CHUNK_FILTER_HPP
 
@@ -11,8 +11,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "filters/gatekeeper.hpp"
+#include "filters/filter.hpp"
 #include "mapper/mapper.hpp"
 #include "pipeline/ordered_chunks.hpp"
 
@@ -20,13 +19,11 @@ namespace gkgpu::pipeline {
 
 class ChunkFilter {
  public:
-  /// A null engine is No Filter: every candidate is accepted.  Otherwise
-  /// the engine's reference is loaded from the mapper's genome when it has
-  /// none, and std::invalid_argument is thrown unless its read length is
-  /// the mapper's and its reference is the mapper's genome (length and
-  /// fingerprint: an engine reused across same-length genomes would
-  /// otherwise filter against the wrong one).  Both must outlive this.
-  ChunkFilter(GateKeeperGpuEngine* engine, const ReadMapper& mapper);
+  /// A null filter is No Filter: every candidate is accepted.  Otherwise
+  /// throws std::invalid_argument when the mapper's read length is outside
+  /// the filter kernels' capacity (CheckFilterReadLength), so a driver
+  /// fails before it writes any SAM.  Both must outlive this.
+  ChunkFilter(const PreAlignmentFilter* filter, const ReadMapper& mapper);
 
   /// Filters `candidates`, whose read_index points into `table` (each
   /// sequence the mapper's read length), into `results`, observing the
@@ -37,11 +34,14 @@ class ChunkFilter {
               std::vector<PairResult>* results) const;
 
  private:
-  const GateKeeperGpuEngine* engine_;
-  GateKeeperFilter filter_;
-  int read_length_;
-  int threshold_;
+  const PreAlignmentFilter* filter_;
+  const ReadMapper& mapper_;
 };
+
+/// bench/e2e only: the filter of the engine-pointer overloads of
+/// StreamFastqToSam, StreamPairedFastqToSam and MapServer — a default
+/// GateKeeperFilter (what the CLI passes) when given an engine, else null.
+const PreAlignmentFilter* EngineShimFilter(bool has_engine);
 
 }  // namespace gkgpu::pipeline
 

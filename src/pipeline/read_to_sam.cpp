@@ -80,10 +80,10 @@ struct FastqChunk {
 }  // namespace
 
 ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
-                                GateKeeperGpuEngine* engine,
+                                const PreAlignmentFilter* filter,
                                 const ReadToSamConfig& config,
                                 std::ostream* sam) {
-  const ChunkFilter filter(engine, mapper);
+  const ChunkFilter chunk_filter(filter, mapper);
   const StageHistograms stages;
   const SamGroupOptions options{config.read_group, config.mapq_cap,
                                 config.secondary};
@@ -92,7 +92,7 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
   ThreadPool& pool = *mapper.pool();
   const std::size_t workers = ChunkWorkers(pool);
   std::vector<ReadChunkMapper> chunk_mappers(
-      workers, ReadChunkMapper(mapper, filter, stages));
+      workers, ReadChunkMapper(mapper, chunk_filter, stages));
 
   ReadToSamStats out;
   FastqStreamReader reader(fastq);
@@ -143,6 +143,14 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
   obs::ReadsMapped().Inc(out.mapped_reads);
   obs::ReadsUnmapped().Inc(out.reads - out.skipped_reads - out.mapped_reads);
   return out;
+}
+
+ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
+                                GateKeeperGpuEngine* engine,
+                                const ReadToSamConfig& config,
+                                std::ostream* sam) {
+  return StreamFastqToSam(fastq, mapper, EngineShimFilter(engine != nullptr),
+                          config, sam);
 }
 
 }  // namespace gkgpu::pipeline

@@ -3,8 +3,8 @@
 // (pipeline/ordered_chunks.hpp).  Each worker takes the next
 // kSeedChunkReads reads of the stream and maps them end to end with
 // ReadChunkMapper — voted seeding against the mapper's k-mer index, one
-// GateKeeper call over the chunk's candidates (windows sliced from the
-// engine's reference encoding), Myers verification, then each read's SAM
+// filter call over the chunk's candidates (windows sliced from the
+// mapper's reference encoding), Myers verification, then each read's SAM
 // lines, addressed (chromosome, local position) through the mapper's
 // ReferenceSet.  Chunks are written in input order; memory stays bounded
 // by the reorder window no matter the input size.  The daemon maps its
@@ -101,13 +101,22 @@ class ReadChunkMapper {
 };
 
 /// Streams `fastq` through seed -> candidate filtration -> verify -> SAM.
-/// The mapper's read length defines which reads are mappable; the engine's
-/// reference is loaded from the mapper's genome when it has none, and
-/// std::invalid_argument is thrown if it holds another.  `sam` may be null
-/// to run for the statistics only (the header is written by the caller so
-/// multiple streams can share one file; use WriteSamHeader(out,
-/// mapper.reference()) for the matching @SQ lines).  A malformed record
-/// is thrown once the SAM of every record before it is written.
+/// The mapper's read length defines which reads are mappable.  `filter`
+/// (null = No Filter) runs at the mapper's error threshold; with one, a
+/// read length beyond the filter kernels' capacity throws
+/// std::invalid_argument before any SAM is written (ChunkFilter).  `sam`
+/// may be null to run for the statistics only (the header is written by
+/// the caller so multiple streams can share one file; use
+/// WriteSamHeader(out, mapper.reference()) for the matching @SQ lines).  A
+/// malformed record is thrown once the SAM of every record before it is
+/// written.
+ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
+                                const PreAlignmentFilter* filter,
+                                const ReadToSamConfig& config,
+                                std::ostream* sam);
+
+/// bench/e2e only, until it moves to the filter signature: maps with
+/// EngineShimFilter(engine != nullptr).
 ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
                                 GateKeeperGpuEngine* engine,
                                 const ReadToSamConfig& config,

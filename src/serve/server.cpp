@@ -194,10 +194,10 @@ struct ServedChunk {
 }  // namespace
 
 struct MapServer::Impl {
-  Impl(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
+  Impl(const ReadMapper& mapper, const PreAlignmentFilter* filter,
        ServeConfig config)
       : mapper_(mapper),
-        engine_(engine),
+        filter_(filter),
         config_(std::move(config)),
         baseline_(ReadRegistryServeStats()) {
     // The self-pipe lives as long as the server, so Shutdown() — from any
@@ -214,7 +214,7 @@ struct MapServer::Impl {
 
   // --- configuration ----------------------------------------------------
   const ReadMapper& mapper_;
-  GateKeeperGpuEngine* engine_;
+  const PreAlignmentFilter* filter_;
   ServeConfig config_;
 
   // --- lifecycle --------------------------------------------------------
@@ -501,7 +501,7 @@ struct MapServer::Impl {
   // --- accept loop ------------------------------------------------------
 
   void Run() {
-    const pipeline::ChunkFilter filter(engine_, mapper_);
+    const pipeline::ChunkFilter filter(filter_, mapper_);
     if (config_.socket_path.empty() ||
         config_.socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
       throw std::runtime_error("serve: invalid socket path");
@@ -616,9 +616,14 @@ struct MapServer::Impl {
   }
 };
 
+MapServer::MapServer(const ReadMapper& mapper, const PreAlignmentFilter* filter,
+                     ServeConfig config)
+    : impl_(std::make_unique<Impl>(mapper, filter, std::move(config))) {}
+
 MapServer::MapServer(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
                      ServeConfig config)
-    : impl_(std::make_unique<Impl>(mapper, engine, std::move(config))) {}
+    : MapServer(mapper, pipeline::EngineShimFilter(engine != nullptr),
+                std::move(config)) {}
 
 MapServer::~MapServer() = default;
 

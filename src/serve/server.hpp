@@ -1,4 +1,4 @@
-// The mapping daemon: one resident index + engine serving concurrent
+// The mapping daemon: one resident index + filter serving concurrent
 // mapping jobs over a Unix-domain socket (serve/protocol.hpp).
 //
 // Threading: an accept loop (poll on the listening socket plus a self-pipe
@@ -29,7 +29,7 @@
 #include <memory>
 #include <string>
 
-#include "core/engine.hpp"
+#include "filters/filter.hpp"
 #include "mapper/mapper.hpp"
 
 namespace gkgpu::serve {
@@ -75,12 +75,16 @@ struct ServeStats {
 
 class MapServer {
  public:
-  /// `mapper` and a non-null `engine` must outlive the server.  A null
-  /// engine is No Filter: every seeded candidate is verified, as in
-  /// StreamFastqToSam.  An engine with no reference gets the mapper's
-  /// genome at Run; one whose reference or read length is not the
-  /// mapper's makes Run throw std::invalid_argument (ChunkFilter).  Throws
-  /// std::runtime_error if the shutdown self-pipe cannot be created.
+  /// `mapper` and a non-null `filter` must outlive the server.  The filter
+  /// runs at the mapper's error threshold, as in StreamFastqToSam; a null
+  /// one is No Filter.  With a filter, a read length beyond the filter
+  /// kernels' capacity makes Run throw std::invalid_argument before it
+  /// binds the socket (ChunkFilter).  Throws std::runtime_error if the
+  /// shutdown self-pipe cannot be created.
+  MapServer(const ReadMapper& mapper, const PreAlignmentFilter* filter,
+            ServeConfig config);
+  /// bench/e2e only, until it moves to the filter signature: serves with
+  /// pipeline::EngineShimFilter(engine != nullptr).
   MapServer(const ReadMapper& mapper, GateKeeperGpuEngine* engine,
             ServeConfig config);
   ~MapServer();

@@ -272,8 +272,8 @@ std::string InvalidArgument(Fn fn) {
 TEST(EdgeCaseTest, ReadsPastTheKernelCapacityAreRejectedByName) {
   // The filter kernels keep per-pair scratch in stack arrays sized for
   // kMaxReadLength bases: one base more is a named error wherever a read
-  // length enters filtration — the engine (and through it every streaming
-  // driver) and the host batch API — not a stack overrun.
+  // length enters filtration — the engine and the host batch API here, the
+  // streaming drivers in test_pipeline — not a stack overrun.
   auto devices = gpusim::MakeSetup1(1, 1);
   const std::vector<gpusim::Device*> ptrs{devices.front().get()};
   EngineConfig cfg;

@@ -1,11 +1,13 @@
 // Integration tests for the GateKeeper-GPU engine: decisions must be
 // bit-exact with the CPU filter in every configuration (encoding actor,
-// device generation, device count, batch size), and the run statistics
-// must be internally consistent.
+// device generation, device count, batch size), one engine may switch
+// between pair and candidate mode, and the run statistics must be
+// internally consistent.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -392,6 +394,89 @@ TEST(EngineTest, MultiRoundCandidateModeMatches) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_EQ(results[i].accept, expected[i].accept) << i;
     }
+  }
+}
+
+TEST(EngineTest, OneEngineSwitchesBetweenPairAndCandidateMode) {
+  // The modes share buffers at different sizes: candidate mode sizes the
+  // read buffer for its read table, pair mode for its pairs.  Candidates
+  // -> Pairs -> Candidates -> Pairs (the last run larger than any read
+  // table before it) must match fresh engines under both encoding actors.
+  const int length = 100;
+  Rng rng(41);
+  std::string genome(20000, 'A');
+  for (auto& c : genome) c = kBases[rng.NextU64() & 0x3u];
+  std::vector<std::string> reads;
+  std::vector<CandidatePair> candidates;
+  const std::size_t span = genome.size() - length;
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    const std::size_t start = rng.Uniform(span);
+    reads.push_back(genome.substr(start, length));
+    // The read's own window, then random windows on both strands.
+    for (int j = 0; j < 200; ++j) {
+      CandidatePair c{i, static_cast<std::uint8_t>(j % 2), 0, 0};
+      c.ref_pos = static_cast<std::int64_t>(j == 0 ? start : rng.Uniform(span));
+      candidates.push_back(c);
+    }
+  }
+  const Workload small = MakeWorkload(50, length, 43);
+  const Workload large = MakeWorkload(1500, length, 44);
+
+  for (const EncodingActor actor :
+       {EncodingActor::kHost, EncodingActor::kDevice}) {
+    SCOPED_TRACE(actor == EncodingActor::kHost ? "host" : "device");
+    auto devices = gpusim::MakeSetup1(2, 2);
+    std::vector<gpusim::Device*> ptrs;
+    for (auto& d : devices) ptrs.push_back(d.get());
+    EngineConfig cfg;
+    cfg.read_length = length;
+    cfg.error_threshold = 4;
+    cfg.encoding = actor;
+    const auto fresh_candidates = [&] {
+      GateKeeperGpuEngine engine(cfg, ptrs);
+      engine.LoadReference(genome);
+      std::vector<PairResult> r;
+      engine.FilterCandidates(reads, candidates, &r);
+      return r;
+    };
+    const auto fresh_pairs = [&](const Workload& w) {
+      GateKeeperGpuEngine engine(cfg, ptrs);
+      std::vector<PairResult> r;
+      engine.FilterPairs(w.reads, w.refs, &r);
+      return r;
+    };
+    const auto expect_same = [](const std::vector<PairResult>& got,
+                                const std::vector<PairResult>& want) {
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].accept, want[i].accept) << i;
+        ASSERT_EQ(got[i].bypassed, want[i].bypassed) << i;
+        ASSERT_EQ(got[i].edits, want[i].edits) << i;
+      }
+    };
+
+    GateKeeperGpuEngine engine(cfg, ptrs);
+    engine.LoadReference(genome);
+    std::vector<PairResult> results;
+    engine.FilterCandidates(reads, candidates, &results);
+    expect_same(results, fresh_candidates());
+    engine.FilterPairs(small.reads, small.refs, &results);
+    expect_same(results, fresh_pairs(small));
+    engine.FilterCandidates(reads, candidates, &results);
+    expect_same(results, fresh_candidates());
+    engine.FilterPairs(large.reads, large.refs, &results);
+    expect_same(results, fresh_pairs(large));
+  }
+}
+
+TEST(EngineTest, EmptyDeviceListIsRejectedByName) {
+  EngineConfig cfg;
+  try {
+    const GateKeeperGpuEngine engine(cfg, {});
+    ADD_FAILURE() << "an engine needs at least one device";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("no devices"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -85,6 +86,37 @@ TEST(BitapTest, UnequalLengthTexts) {
           << "trial " << t << " e " << e << " true " << d;
     }
   }
+}
+
+TEST(BitapTest, ThresholdsPastTheStateCapacityAreRejectedByName) {
+  // The NFA keeps one state vector per distance 0..kMaxErrorThreshold in
+  // a stack array: a threshold past it is a named error, not an overrun.
+  const std::string a(100, 'A');
+  for (const int e : {kMaxErrorThreshold + 1, -1}) {
+    try {
+      BitapWithinEditDistance(a, a, e);
+      ADD_FAILURE() << "accepted e = " << e;
+    } catch (const std::invalid_argument& ex) {
+      const std::string want = "GenASM: error threshold " + std::to_string(e) +
+                               " is outside the kernel's capacity of 0 to " +
+                               std::to_string(kMaxErrorThreshold);
+      EXPECT_NE(std::string(ex.what()).find(want), std::string::npos)
+          << ex.what();
+    }
+  }
+  EXPECT_THROW(GenAsmFilter().Filter(a, a, kMaxErrorThreshold + 1),
+               std::invalid_argument);
+
+  // kMaxErrorThreshold itself still decides exactly.
+  Rng rng(83);
+  for (int t = 0; t < 40; ++t) {
+    const SequencePair p = MakePairWithEdits(
+        150, static_cast<int>(rng.Uniform(90)), 0.35, rng.NextU64());
+    ASSERT_EQ(BitapWithinEditDistance(p.read, p.ref, kMaxErrorThreshold),
+              NwEditDistance(p.read, p.ref) <= kMaxErrorThreshold)
+        << "trial " << t;
+  }
+  EXPECT_TRUE(GenAsmFilter().Filter(a, a, kMaxErrorThreshold).accept);
 }
 
 TEST(GenAsmFilterTest, ZeroFalseAcceptsAndZeroFalseRejects) {

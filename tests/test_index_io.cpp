@@ -6,6 +6,7 @@
 // stale or damaged index from producing silent garbage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -150,9 +151,17 @@ TEST_F(IndexIoTest, MappedMapperProducesIdenticalSam) {
 
   const MappedIndexFile mapped = MappedIndexFile::Open(path_);
   ReadMapper from_index(mapped.reference(), mapped.seed_index().Alias(),
-                        mcfg);
+                        mapped.encoding(), mcfg);
   EXPECT_EQ(render(from_index), golden);
   EXPECT_FALSE(golden.empty());
+  // The file-viewed encoding is the one the FASTA mapper builds.
+  const ReferenceEncodingView& built = from_fasta.encoding();
+  const ReferenceEncodingView& viewed = from_index.encoding();
+  EXPECT_EQ(viewed.length, built.length);
+  EXPECT_TRUE(std::equal(viewed.words.begin(), viewed.words.end(),
+                         built.words.begin(), built.words.end()));
+  EXPECT_TRUE(std::equal(viewed.n_mask.begin(), viewed.n_mask.end(),
+                         built.n_mask.begin(), built.n_mask.end()));
 }
 
 TEST_F(IndexIoTest, RejectsBadMagic) {
@@ -363,7 +372,8 @@ TEST_F(IndexIoTest, MultiShardRoundTripMatchesMonolithicSam) {
     return sam.str();
   };
   ReadMapper monolithic(TestReference(), mcfg);
-  ReadMapper sharded(mapped.reference(), mapped.seed_index().Alias(), mcfg);
+  ReadMapper sharded(mapped.reference(), mapped.seed_index().Alias(),
+                     mapped.encoding(), mcfg);
   const std::string golden = render(monolithic);
   EXPECT_EQ(render(sharded), golden);
   EXPECT_FALSE(golden.empty());

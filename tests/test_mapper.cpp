@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "encode/revcomp.hpp"
@@ -110,6 +111,8 @@ TEST(MapperTest, MapsErrorFreeReadsToTheirOrigin) {
 }
 
 TEST(MapperTest, CandidatesContainTrueOriginForCleanReads) {
+  // Each clean read, forward and reverse-complemented, keeps its origin
+  // among the voted candidates of its strand.
   const std::string genome = GenerateGenome(100000, 11);
   ReadErrorProfile clean{0.0, 0.0, 0.0, 0.0};
   const auto sim = SimulateReads(genome, 50, 100, clean, 13);
@@ -118,12 +121,25 @@ TEST(MapperTest, CandidatesContainTrueOriginForCleanReads) {
   cfg.read_length = 100;
   cfg.error_threshold = 3;
   ReadMapper mapper(genome, cfg);
-  std::vector<std::int64_t> candidates;
-  for (const auto& r : sim) {
-    mapper.CollectCandidates(r.seq, &candidates);
-    EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(),
-                                   r.origin))
-        << "origin " << r.origin;
+  std::vector<std::string> reads;
+  for (const auto& r : sim) reads.push_back(r.seq);
+  for (const auto& r : sim) reads.push_back(ReverseComplement(r.seq));
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  SeedChunk chunk;
+  for (std::size_t c0 = 0; c0 < views.size(); c0 += kSeedChunkReads) {
+    const std::size_t n = std::min(kSeedChunkReads, views.size() - c0);
+    mapper.SeedReads(std::span(views).subspan(c0, n), &chunk, SeedVote::kOn);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i = c0 + j;
+      const std::int64_t origin = sim[i % sim.size()].origin;
+      const std::uint8_t strand = i < sim.size() ? 0 : 1;
+      const auto cands = chunk.candidates(j);
+      const bool found = std::any_of(
+          cands.begin(), cands.end(), [&](const OrientedCandidate& c) {
+            return c.pos == origin && c.strand == strand;
+          });
+      EXPECT_TRUE(found) << "read " << i << " origin " << origin;
+    }
   }
 }
 

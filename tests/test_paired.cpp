@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "encode/revcomp.hpp"
+#include "filters/gatekeeper.hpp"
 #include "io/paired_fastq.hpp"
 #include "io/reference.hpp"
 #include "mapper/mapper.hpp"
@@ -91,20 +91,8 @@ PairSet MakePairs(const ReferenceSet& ref, std::size_t per_chrom,
   return ps;
 }
 
-struct EngineFixture {
-  std::vector<std::unique_ptr<gpusim::Device>> devices;
-  std::unique_ptr<GateKeeperGpuEngine> engine;
-
-  explicit EngineFixture(int ndev = 2) {
-    devices = gpusim::MakeSetup1(ndev, 2);
-    std::vector<gpusim::Device*> ptrs;
-    for (auto& d : devices) ptrs.push_back(d.get());
-    EngineConfig cfg;
-    cfg.read_length = kReadLength;
-    cfg.error_threshold = kThreshold;
-    engine = std::make_unique<GateKeeperGpuEngine>(cfg, ptrs);
-  }
-};
+/// The filter the paired drivers run (what `gkgpu map --paired` passes).
+const GateKeeperFilter kGateKeeper;
 
 /// `threads` sizes the mapper's pool, on which the chunk workers run
 /// (0 = hardware concurrency).
@@ -128,10 +116,9 @@ std::string BlockingSam(const PairSet& ps, PairedStats* stats = nullptr,
                         unsigned threads = 0) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig(threads));
   PairedEndMapper paired(mapper, MakePairedConfig());
-  EngineFixture fx;
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference(), "rg1");
-  const PairedStats st = paired.MapPairs(ps.r1, ps.r2, fx.engine.get(), &sam);
+  const PairedStats st = paired.MapPairs(ps.r1, ps.r2, &kGateKeeper, &sam);
   if (stats != nullptr) *stats = st;
   return sam.str();
 }
@@ -155,7 +142,6 @@ void WritePairs(const PairSet& ps, bool interleaved, std::ostream& fq1,
 std::string StreamingSam(const PairSet& ps, bool interleaved,
                          PairedStats* stats = nullptr, unsigned threads = 0) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig(threads));
-  EngineFixture fx;
   // FASTQ round trip through the paired reader exercises both layouts.
   std::stringstream fq1, fq2;
   WritePairs(ps, interleaved, fq1, fq2);
@@ -163,10 +149,8 @@ std::string StreamingSam(const PairSet& ps, bool interleaved,
                             : PairedFastqReader(fq1, fq2);
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference(), "rg1");
-  const PairedStats st =
-      StreamPairedFastqToSam(reader, mapper, fx.engine.get(),
-                             MakePairedConfig(), pipeline::PipelineConfig{},
-                             &sam);
+  PairedEndMapper paired(mapper, MakePairedConfig());
+  const PairedStats st = paired.MapPairs(reader, &kGateKeeper, &sam);
   if (stats != nullptr) *stats = st;
   return sam.str();
 }
@@ -263,17 +247,15 @@ TEST(PairedStreamTest, TruncatedMateFileThrowsAfterThePairsBeforeIt) {
   const std::string expected = StreamingSam(head, /*interleaved=*/false);
 
   ReadMapper mapper(MakeReference(), MakeMapperConfig());
-  EngineFixture fx;
   std::stringstream fq1, fq2;
   WriteFastq(fq1, ps.r1);
   WriteFastq(fq2, head.r2);
   PairedFastqReader reader(fq1, fq2);
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference(), "rg1");
+  PairedEndMapper paired(mapper, MakePairedConfig());
   try {
-    StreamPairedFastqToSam(reader, mapper, fx.engine.get(),
-                           MakePairedConfig(), pipeline::PipelineConfig{},
-                           &sam);
+    paired.MapPairs(reader, &kGateKeeper, &sam);
     ADD_FAILURE() << "a truncated R2 must throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("R2 ended after 39 records"),
@@ -372,9 +354,8 @@ TEST(PairedStatsTest, FilterLosesNoPairs) {
   std::ostringstream sam_nf, sam_f;
   const PairedStats no_filter = paired.MapPairs(ps.r1, ps.r2, nullptr,
                                                 &sam_nf);
-  EngineFixture fx;
   const PairedStats with_filter =
-      paired.MapPairs(ps.r1, ps.r2, fx.engine.get(), &sam_f);
+      paired.MapPairs(ps.r1, ps.r2, &kGateKeeper, &sam_f);
   EXPECT_EQ(sam_nf.str(), sam_f.str());
   EXPECT_EQ(with_filter.proper_pairs, no_filter.proper_pairs);
   EXPECT_LT(with_filter.verification_pairs, no_filter.verification_pairs);

@@ -1,9 +1,10 @@
 // Tests for the streaming mapping path: the ordered chunk runner emits in
 // input order and stops at the first failure, the drivers' per-chunk
-// GateKeeper call is bit-exact with the blocking FilterCandidates path
-// across chunk sizes, and the FASTQ-to-SAM driver maps what the blocking
-// mapper maps, refuses an engine holding another genome, and throws a
-// malformed record only after the SAM of every record before it.
+// GateKeeper call over the mapper's encoding is bit-exact with the
+// blocking FilterCandidates path across chunk sizes, the FASTQ-to-SAM
+// driver maps what the blocking mapper maps and throws a malformed record
+// only after the SAM of every record before it, and every driver names an
+// over-capacity read length before it writes any SAM when it filters.
 #include "pipeline/ordered_chunks.hpp"
 
 #include <gtest/gtest.h>
@@ -17,12 +18,15 @@
 
 #include "candidate_workload.hpp"
 #include "core/engine.hpp"
+#include "filters/gatekeeper.hpp"
 #include "io/fastq.hpp"
+#include "io/paired_fastq.hpp"
 #include "mapper/mapper.hpp"
 #include "obs/metrics.hpp"
 #include "paired/paired.hpp"
 #include "pipeline/chunk_filter.hpp"
 #include "pipeline/read_to_sam.hpp"
+#include "serve/server.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 
@@ -118,12 +122,11 @@ TEST(CandidateStreamingTest, MatchesBlockingFilterCandidatesBitForBit) {
   EXPECT_GT(reverse, 0u);
   EXPECT_GT(ref_n_bypasses, 0u);
 
-  // The drivers' call, over chunks that straddle the engine's
-  // 1,024-candidate block.
+  // The drivers' call, over the mapper's own encoding, in chunks that
+  // straddle the engine's 1,024-candidate block.
   const ReadMapper mapper(w.genome, MakeMapperConfig(5));
-  EngineFixture streamed(1, 100, 5);
-  const pipeline::ChunkFilter filter(streamed.engine.get(), mapper);
-  ASSERT_TRUE(streamed.engine->HasReference());
+  const GateKeeperFilter gatekeeper;
+  const pipeline::ChunkFilter filter(&gatekeeper, mapper);
   const pipeline::StageHistograms stages;
   const std::vector<std::string_view> table(w.reads.begin(), w.reads.end());
   for (const std::size_t chunk : {1, 1023, 1025, 8192}) {
@@ -172,7 +175,7 @@ void ExpectStreamMatchesBlocking(const ReferenceSet& ref,
   }
   WriteFastq(fastq, fq);
 
-  EngineFixture streaming(2, length, e);
+  const GateKeeperFilter gatekeeper;
   pipeline::ReadToSamConfig scfg;
   // Report-secondary keeps every verified mapping in the output, so the
   // SAM lines align 1:1 with the blocking mapper's record list.
@@ -183,8 +186,8 @@ void ExpectStreamMatchesBlocking(const ReferenceSet& ref,
         "gkgpu_candidates_voted_out_total");
   };
   const double voted_out_before = voted_out();
-  const pipeline::ReadToSamStats got = pipeline::StreamFastqToSam(
-      fastq, mapper, streaming.engine.get(), scfg, &sam);
+  const pipeline::ReadToSamStats got =
+      pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper, scfg, &sam);
   const double cut = voted_out() - voted_out_before;
 
   EXPECT_EQ(got.reads, reads.size());
@@ -243,36 +246,60 @@ TEST(ReadToSamTest, MatchesBlockingMapper) {
   }
 }
 
-TEST(ReadToSamTest, RejectsAnEngineHoldingAnotherGenome) {
-  // An engine reused across genomes — of the same length included — must
-  // fail loudly, not silently filter candidates against the previously
-  // loaded reference.  Paired mapping makes the same check.
-  const std::string genome_a = GenerateGenome(10000, 4);
-  const ReadMapper mapper(genome_a, MakeMapperConfig(5));
-  const auto map_single = [&](GateKeeperGpuEngine* engine) {
-    std::istringstream fastq;
-    pipeline::StreamFastqToSam(fastq, mapper, engine,
-                               pipeline::ReadToSamConfig{}, nullptr);
-  };
-  const auto map_paired = [&](GateKeeperGpuEngine* engine) {
-    PairedEndMapper(mapper, PairedConfig{}).MapPairs({}, {}, engine, nullptr);
-  };
-  for (const std::size_t length : {10000u, 12000u}) {
-    SCOPED_TRACE(length);
-    EngineFixture fx(1, 100, 5);
-    fx.engine->LoadReference(GenerateGenome(length, 8));
-    EXPECT_THROW(map_single(fx.engine.get()), std::invalid_argument);
-    EXPECT_THROW(map_paired(fx.engine.get()), std::invalid_argument);
+TEST(ReadToSamTest, OverCapacityReadLengthIsNamedBeforeAnySam) {
+  // The filter kernels hold at most kMaxReadLength bases, so a driver
+  // that filters names a longer read length before it writes any SAM;
+  // without a filter nothing caps the length, and the reads map.
+  const std::string genome = GenerateGenome(30000, 6);
+  MapperConfig mcfg = MakeMapperConfig(5);
+  mcfg.read_length = 600;
+  const ReadMapper mapper(genome, mcfg);
+  std::vector<FastqRecord> fq;
+  for (std::size_t i = 0; i < 8; ++i) {
+    fq.push_back({"r" + std::to_string(i), genome.substr(1000 * i + 7, 600),
+                  ""});
   }
-  EngineFixture loaded(1, 100, 5);
-  loaded.engine->LoadReference(genome_a);
-  EXPECT_NO_THROW(map_single(loaded.engine.get()));
-  EXPECT_NO_THROW(map_paired(loaded.engine.get()));
-  // An engine with no reference gets the mapper's genome.
-  EngineFixture empty(1, 100, 5);
-  EXPECT_NO_THROW(map_single(empty.engine.get()));
-  EXPECT_EQ(empty.engine->reference_fingerprint(),
-            mapper.reference().fingerprint());
+  std::stringstream fastq_text;
+  WriteFastq(fastq_text, fq);
+  const auto expect_named = [](const auto& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << "an over-capacity read length must throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("read length 600 is outside the filter kernels'"),
+                std::string::npos)
+          << what;
+    }
+  };
+  const auto single = [&](const PreAlignmentFilter* filter,
+                          std::ostream* sam) {
+    std::istringstream fastq(fastq_text.str());
+    return pipeline::StreamFastqToSam(fastq, mapper, filter,
+                                      pipeline::ReadToSamConfig{}, sam);
+  };
+  const auto paired = [&](const PreAlignmentFilter* filter,
+                          std::ostream* sam) {
+    std::istringstream fq1(fastq_text.str());
+    std::istringstream fq2(fastq_text.str());
+    PairedFastqReader reader(fq1, fq2);
+    PairedEndMapper paired_mapper(mapper, PairedConfig{});
+    return paired_mapper.MapPairs(reader, filter, sam);
+  };
+
+  const GateKeeperFilter gatekeeper;
+  std::ostringstream sam;
+  expect_named([&] { single(&gatekeeper, &sam); });
+  expect_named([&] { paired(&gatekeeper, &sam); });
+  serve::ServeConfig scfg;
+  scfg.socket_path = "unused.sock";  // Run throws before it binds
+  serve::MapServer server(mapper, &gatekeeper, scfg);
+  expect_named([&] { server.Run(); });
+  EXPECT_TRUE(sam.str().empty());
+
+  EXPECT_EQ(single(nullptr, &sam).mapped_reads, fq.size());
+  EXPECT_EQ(paired(nullptr, nullptr).pairs, fq.size());
+  EXPECT_FALSE(sam.str().empty());
 }
 
 TEST(ReadToSamTest, MalformedRecordThrowsAfterTheSamOfTheRecordsBeforeIt) {
@@ -288,12 +315,12 @@ TEST(ReadToSamTest, MalformedRecordThrowsAfterTheSamOfTheRecordsBeforeIt) {
   }
   fq[69].qual.pop_back();
   const ReadMapper mapper(ref, MakeMapperConfig(5));
+  const GateKeeperFilter gatekeeper;
   const auto stream = [&](const std::vector<FastqRecord>& records,
                           std::ostream* sam) {
     std::stringstream fastq;
     WriteFastq(fastq, records);
-    EngineFixture fx(1, 100, 5);
-    pipeline::StreamFastqToSam(fastq, mapper, fx.engine.get(),
+    pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper,
                                pipeline::ReadToSamConfig{}, sam);
   };
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "filters/gatekeeper.hpp"
 #include "io/fastq.hpp"
 #include "io/reference.hpp"
 #include "mapper/mapper.hpp"
@@ -118,7 +119,7 @@ std::string BlockingSam(const ReadSet& rs) {
 
 std::string StreamingFastqSam(const ReadSet& rs, unsigned threads = 0) {
   ReadMapper mapper(MakeReference(), MakeMapperConfig(threads));
-  EngineFixture fx;
+  const GateKeeperFilter gatekeeper;
   std::vector<FastqRecord> fq;
   for (std::size_t i = 0; i < rs.seqs.size(); ++i) {
     fq.push_back({rs.names[i], rs.seqs[i], ""});
@@ -127,7 +128,7 @@ std::string StreamingFastqSam(const ReadSet& rs, unsigned threads = 0) {
   WriteFastq(fastq, fq);
   std::ostringstream sam;
   WriteSamHeader(sam, mapper.reference());
-  pipeline::StreamFastqToSam(fastq, mapper, fx.engine.get(),
+  pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper,
                              pipeline::ReadToSamConfig{}, &sam);
   return sam.str();
 }

@@ -2,8 +2,8 @@
 // serve/client.hpp): byte parity with the standalone FASTQ-to-SAM stream,
 // concurrent clients demultiplexed onto their own byte-identical SAM
 // streams (with cross-request chunk coalescing observed in the stats),
-// null (No Filter) and empty engines, wrong-length and malformed inputs,
-// and shutdown drain.
+// every streaming driver's SAM under No Filter, GateKeeper and
+// SneakySnake, wrong-length and malformed inputs, and shutdown drain.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -19,10 +19,13 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "filters/gatekeeper.hpp"
+#include "filters/sneakysnake.hpp"
+#include "io/paired_fastq.hpp"
 #include "io/reference.hpp"
 #include "mapper/mapper.hpp"
 #include "mapper/sam.hpp"
+#include "paired/paired.hpp"
 #include "pipeline/read_to_sam.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -101,16 +104,7 @@ serve::Frame DrainToTerminal(int fd) {
 class ServeTest : public ::testing::Test {
  protected:
   ServeTest()
-      : ref_("chr_serve", GenerateGenome(20000, 31)),
-        mapper_(MakeMapper()),
-        devices_(gpusim::MakeSetup1(1)) {
-    for (auto& d : devices_) device_ptrs_.push_back(d.get());
-    EngineConfig cfg;
-    cfg.read_length = kReadLength;
-    cfg.error_threshold = kErrors;
-    engine_ = std::make_unique<GateKeeperGpuEngine>(cfg, device_ptrs_);
-    engine_->LoadReference(ref_.text());
-  }
+      : ref_("chr_serve", GenerateGenome(20000, 31)), mapper_(MakeMapper()) {}
 
   ReadMapper MakeMapper() {
     MapperConfig mcfg;
@@ -126,20 +120,12 @@ class ServeTest : public ::testing::Test {
   std::string Golden(const std::string& fastq_text,
                      const std::string& read_group = "") {
     ReadMapper mapper = MakeMapper();
-    std::unique_ptr<GateKeeperGpuEngine> engine;
-    {
-      EngineConfig cfg;
-      cfg.read_length = kReadLength;
-      cfg.error_threshold = kErrors;
-      engine = std::make_unique<GateKeeperGpuEngine>(cfg, device_ptrs_);
-      engine->LoadReference(ref_.text());
-    }
     pipeline::ReadToSamConfig scfg;
     scfg.read_group = read_group;
     std::ostringstream sam;
     WriteSamHeader(sam, mapper.reference(), read_group);
     std::istringstream fastq(fastq_text);
-    pipeline::StreamFastqToSam(fastq, mapper, engine.get(), scfg, &sam);
+    pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper_, scfg, &sam);
     return sam.str();
   }
 
@@ -159,14 +145,14 @@ class ServeTest : public ::testing::Test {
   /// Runs `body(socket_path)` against a live server, then drains it.
   template <typename Body>
   serve::ServeStats WithServer(const serve::ServeConfig& scfg, Body body) {
-    return WithServer(scfg, engine_.get(), body);
+    return WithServer(scfg, &gatekeeper_, body);
   }
 
-  /// The same over `engine` (null = No Filter).
+  /// The same over `filter` (null = No Filter).
   template <typename Body>
   serve::ServeStats WithServer(const serve::ServeConfig& scfg,
-                               GateKeeperGpuEngine* engine, Body body) {
-    serve::MapServer server(mapper_, engine, scfg);
+                               const PreAlignmentFilter* filter, Body body) {
+    serve::MapServer server(mapper_, filter, scfg);
     std::thread run([&] { server.Run(); });
     for (int i = 0; i < 2000 && !server.serving(); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -180,9 +166,8 @@ class ServeTest : public ::testing::Test {
 
   ReferenceSet ref_;
   ReadMapper mapper_;
-  std::vector<std::unique_ptr<gpusim::Device>> devices_;
-  std::vector<gpusim::Device*> device_ptrs_;
-  std::unique_ptr<GateKeeperGpuEngine> engine_;
+  /// The filter `gkgpu pipeline` and `gkgpu serve` run.
+  const GateKeeperFilter gatekeeper_;
 };
 
 TEST_F(ServeTest, SingleClientMatchesStandalonePipeline) {
@@ -269,50 +254,73 @@ TEST_F(ServeTest, ConcurrentClientsAreDemuxedAndCoalesced) {
   EXPECT_GE(stats.coalesced_batches, 1u);
 }
 
-TEST_F(ServeTest, NullAndEmptyEnginesServeLikeTheStandaloneStream) {
-  // A null engine is No Filter, and an empty one gets the mapper's genome:
-  // the daemon treats either argument as StreamFastqToSam does.
-  const auto seqs = SimulateReadSequences(
-      ref_.text(), 120, kReadLength, ReadErrorProfile::Illumina(), 12);
-  const std::string fastq_text = MakeFastq("n", seqs);
-  const auto standalone = [&](GateKeeperGpuEngine* engine) {
-    std::ostringstream sam;
-    WriteSamHeader(sam, mapper_.reference(), "");
-    std::istringstream fastq(fastq_text);
-    pipeline::StreamFastqToSam(fastq, mapper_, engine,
-                               pipeline::ReadToSamConfig{}, &sam);
-    return sam.str();
-  };
-  const auto served = [&](GateKeeperGpuEngine* engine) {
-    std::string out;
-    const serve::ServeStats stats =
-        WithServer(BaseConfig(), engine, [&](const std::string& socket) {
-          std::istringstream fastq(fastq_text);
-          std::ostringstream sam;
-          serve::MapOverSocket(socket, fastq, sam);
-          out = sam.str();
-        });
-    EXPECT_EQ(stats.sessions_completed, 1u);
-    EXPECT_EQ(stats.reads, 120u);
-    return out;
-  };
-  const auto empty_engine = [&] {
-    EngineConfig cfg;
-    cfg.read_length = kReadLength;
-    cfg.error_threshold = kErrors;
-    return std::make_unique<GateKeeperGpuEngine>(cfg, device_ptrs_);
-  };
+TEST_F(ServeTest, EveryDriverWritesTheSameSamUnderEveryLosslessFilter) {
+  // One input — simulated pairs — through the single-end stream, the
+  // daemon (both mates as one FASTQ) and paired mapping, under No Filter,
+  // GateKeeper and SneakySnake.  A lossless filter changes only what gets
+  // verified, so each driver writes the same bytes under all three, and
+  // the daemon writes the standalone stream's.
+  PairSimConfig pair_cfg;
+  pair_cfg.read_length = kReadLength;
+  pair_cfg.insert_mean = 200.0;
+  pair_cfg.insert_sd = 20.0;
+  std::vector<std::string> mates1, mates2, mates;
+  for (const SimulatedPair& p : SimulatePairs(ref_.text(), 60, pair_cfg, 14)) {
+    mates1.push_back(p.seq1);
+    mates2.push_back(p.seq2);
+    mates.push_back(p.seq1);
+    mates.push_back(p.seq2);
+  }
+  const std::string single_fastq = MakeFastq("m", mates);
+  PairedConfig pconf;
+  pconf.max_insert = 400;
 
-  const std::string no_filter = standalone(nullptr);
-  EXPECT_EQ(served(nullptr), no_filter);
-  const auto standalone_engine = empty_engine();
-  const auto served_engine = empty_engine();
-  const std::string filtered = standalone(standalone_engine.get());
-  EXPECT_EQ(served(served_engine.get()), filtered);
-  EXPECT_TRUE(served_engine->HasReference());
-  // GateKeeper is lossless, so filtering does not change the SAM either.
-  EXPECT_EQ(no_filter, filtered);
-  EXPECT_EQ(filtered, Golden(fastq_text));
+  const SneakySnakeFilter snake;
+  const std::vector<const PreAlignmentFilter*> filters{nullptr, &gatekeeper_,
+                                                       &snake};
+  std::string single_golden, paired_golden;
+  for (const PreAlignmentFilter* filter : filters) {
+    SCOPED_TRACE(filter == nullptr ? "No Filter" : filter->name());
+    std::ostringstream single;
+    WriteSamHeader(single, mapper_.reference(), "");
+    std::istringstream fastq(single_fastq);
+    const pipeline::ReadToSamStats stats = pipeline::StreamFastqToSam(
+        fastq, mapper_, filter, pipeline::ReadToSamConfig{}, &single);
+
+    std::string served;
+    const serve::ServeStats served_stats =
+        WithServer(BaseConfig(), filter, [&](const std::string& socket) {
+          std::istringstream in(single_fastq);
+          std::ostringstream sam;
+          serve::MapOverSocket(socket, in, sam);
+          served = sam.str();
+        });
+    EXPECT_EQ(served_stats.reads, mates.size());
+    EXPECT_EQ(served, single.str());
+
+    std::istringstream fq1(MakeFastq("p", mates1));
+    std::istringstream fq2(MakeFastq("p", mates2));
+    PairedFastqReader reader(fq1, fq2);
+    std::ostringstream paired;
+    WriteSamHeader(paired, mapper_.reference(), "");
+    const PairedStats pstats =
+        PairedEndMapper(mapper_, pconf).MapPairs(reader, filter, &paired);
+    EXPECT_EQ(pstats.pairs, mates1.size());
+
+    if (filter == nullptr) {
+      single_golden = single.str();
+      paired_golden = paired.str();
+      EXPECT_EQ(stats.rejected + pstats.rejected_pairs, 0u);
+    } else {
+      EXPECT_EQ(single.str(), single_golden);
+      EXPECT_EQ(paired.str(), paired_golden);
+      // The filter rejects candidates on each driver, so the equalities
+      // are not vacuous.
+      EXPECT_GT(stats.rejected, 0u);
+      EXPECT_GT(pstats.rejected_pairs, 0u);
+    }
+  }
+  EXPECT_EQ(single_golden, Golden(single_fastq));
 }
 
 TEST_F(ServeTest, WrongLengthReadsAreSkippedNotFatal) {

@@ -15,14 +15,15 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "encode/revcomp.hpp"
+#include "filters/gatekeeper.hpp"
 #include "io/paired_fastq.hpp"
 #include "mapper/mapper.hpp"
 #include "mapper/sam.hpp"
@@ -188,14 +189,30 @@ TEST_F(ShardedMappingTest, CandidatesMatchMonolithicExactly) {
   ASSERT_EQ(mono.index().shard_count(), 1u);
   ASSERT_EQ(sharded.index().shard_count(), 4u);
 
-  std::vector<std::int64_t> a, b;
-  for (const std::string& read : EdgeAndBodyReads()) {
-    a.clear();
-    b.clear();
-    mono.CollectCandidates(read, &a);
-    sharded.CollectCandidates(read, &b);
-    EXPECT_EQ(a, b) << "candidate sets diverge for read " << read;
+  // Both strands, voted, as every single-end driver seeds.
+  const std::vector<std::string> reads = EdgeAndBodyReads();
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  const auto flatten = [](const SeedChunk& chunk, std::size_t j) {
+    std::vector<std::pair<std::int64_t, int>> out;
+    for (const OrientedCandidate& c : chunk.candidates(j)) {
+      out.emplace_back(c.pos, c.strand);
+    }
+    return out;
+  };
+  SeedChunk a, b;
+  std::size_t total = 0;
+  for (std::size_t c0 = 0; c0 < views.size(); c0 += kSeedChunkReads) {
+    const std::size_t n = std::min(kSeedChunkReads, views.size() - c0);
+    const auto part = std::span(views).subspan(c0, n);
+    mono.SeedReads(part, &a, SeedVote::kOn);
+    sharded.SeedReads(part, &b, SeedVote::kOn);
+    for (std::size_t j = 0; j < part.size(); ++j) {
+      EXPECT_EQ(flatten(a, j), flatten(b, j))
+          << "candidate sets diverge for read " << part[j];
+      total += a.candidates(j).size();
+    }
   }
+  EXPECT_GT(total, 0u);
 }
 
 TEST_F(ShardedMappingTest, SamOutputIsByteIdentical) {
@@ -444,20 +461,13 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
   EXPECT_EQ(blocking_d.voted_out, 0.0);  // MapReads seeds unvoted
   const double pigeonhole = static_cast<double>(blocking.candidates_total);
 
-  auto devices = gpusim::MakeSetup1(1);
-  std::vector<gpusim::Device*> ptrs;
-  for (auto& d : devices) ptrs.push_back(d.get());
-  EngineConfig ecfg;
-  ecfg.read_length = config_.read_length;
-  ecfg.error_threshold = config_.error_threshold;
-  GateKeeperGpuEngine engine(ecfg, ptrs);
-  engine.LoadReference(ref_.text());
+  const GateKeeperFilter gatekeeper;
 
   const std::string fastq_text = ToFastq(reads, "r");
   pipeline::ReadToSamStats streamed;
   const SeedDeltas stream_d = SeedCounterDeltas([&] {
     std::istringstream fastq(fastq_text);
-    streamed = pipeline::StreamFastqToSam(fastq, mapper, &engine,
+    streamed = pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper,
                                           pipeline::ReadToSamConfig{},
                                           nullptr);
   });
@@ -489,7 +499,7 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
     std::istringstream fq2(ToFastq(mates2, "p"));
     PairedFastqReader reader(fq1, fq2);
     std::ostringstream sam;
-    paired = PairedEndMapper(mapper, pconf).MapPairs(reader, &engine, &sam);
+    paired = PairedEndMapper(mapper, pconf).MapPairs(reader, &gatekeeper, &sam);
   });
   expect_agree(paired_d, static_cast<double>(paired.candidates_seeded),
                "MapPairs");
@@ -505,7 +515,7 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
           .string();
   scfg.threads = 2;
   const SeedDeltas served_d = SeedCounterDeltas([&] {
-    serve::MapServer server(mapper, &engine, scfg);
+    serve::MapServer server(mapper, &gatekeeper, scfg);
     std::thread run([&] { server.Run(); });
     for (int i = 0; i < 2000 && !server.serving(); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));

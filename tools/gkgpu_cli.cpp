@@ -18,14 +18,17 @@
 //   gkgpu stats  --socket /tmp/gk.sock
 //
 // `filter --algo gkgpu` runs the full engine (simulated GPU, batching,
-// unified memory); the other algorithms run as host filters.  `map` runs
-// the mrFAST-like mapper with GateKeeper-GPU pre-alignment filtering and
-// reports the Table-3 statistics (single-end `map` on the simulated
-// devices; `map --paired` filters on the host).  `pipeline` streams
-// single-end FASTQ: chunk workers on the mapper's pool each seed, encode,
-// filter on the host, verify and format a chunk of reads, and the SAM is
-// written in input order.  Every command rejects options it does not take
-// (exit 2).
+// unified memory); the other algorithms run as host filters.  Single-end
+// `map` runs the mrFAST-like mapper with GateKeeper-GPU pre-alignment
+// filtering on the simulated devices and reports the Table-3 statistics;
+// only `filter` and single-end `map` build devices (`--setup`,
+// `--devices`).  `pipeline` streams single-end FASTQ: chunk workers on the
+// mapper's pool each seed, encode, filter with the host GateKeeper over
+// the mapper's 2-bit reference, verify and format a chunk of reads, and
+// the SAM is written in input order; `map --paired` and `serve` map the
+// same way.  Every command rejects options it does not take (exit 2), and
+// integer options outside their range (`--e` 0-52, `--devices` 1-8,
+// `--setup` 1-2, `--mapq-cap` 0-254) are usage errors too.
 // `index` persists the reference + k-mer index + 2-bit encoding to one
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
@@ -160,18 +163,27 @@ struct DeviceSet {
   std::vector<gpusim::Device*> ptrs;
 };
 
-DeviceSet MakeDeviceSet(int setup, int ndev) {
+/// `--setup` (1 or 2) and `--devices` (1 to 8, the paper's multi-GPU
+/// range) of `filter` and `map`, parsed before any work, so an out-of-range
+/// value is a usage error whether or not the run builds devices.
+struct DeviceOptions {
+  int setup = 1;
+  int count = 1;
+};
+
+DeviceOptions ParseDeviceOptions(const Args& args) {
+  return {static_cast<int>(args.GetInt("setup", 1, 1, 2)),
+          static_cast<int>(args.GetInt("devices", 1, 1, 8))};
+}
+
+/// The devices of `filter --algo gkgpu` and single-end `map`.
+DeviceSet MakeDeviceSet(const DeviceOptions& options) {
   DeviceSet set;
-  set.devices =
-      setup == 1 ? gpusim::MakeSetup1(ndev) : gpusim::MakeSetup2(ndev);
+  set.devices = options.setup == 1 ? gpusim::MakeSetup1(options.count)
+                                   : gpusim::MakeSetup2(options.count);
   for (auto& d : set.devices) set.ptrs.push_back(d.get());
   return set;
 }
-
-/// The engine device of `pipeline`, `serve` and `map --paired`: those
-/// drivers filter on the host, so their engine's one Setup-1 device only
-/// holds the loaded reference.
-DeviceSet ReferenceDeviceSet() { return MakeDeviceSet(1, 1); }
 
 EncodingActor ParseEncodingActor(const Args& args) {
   return args.Get("encode", "host") == "device" ? EncodingActor::kDevice
@@ -201,21 +213,9 @@ struct ReferenceInput {
     if (mapped != nullptr) {
       mcfg.k = mapped->k();
       return ReadMapper(mapped->reference(), mapped->seed_index().Alias(),
-                        mcfg);
+                        mapped->encoding(), mcfg);
     }
     return ReadMapper(std::move(owned), mcfg);
-  }
-  /// Loads the engine's reference: from the persisted 2-bit encoding when
-  /// mapped (no host re-encode), from the mapper's genome view otherwise
-  /// (`owned` may already have moved into the mapper).
-  void LoadEngine(GateKeeperGpuEngine* engine,
-                  const ReadMapper& mapper) const {
-    if (mapped != nullptr) {
-      engine->LoadReference(mapped->encoding(),
-                            mapped->reference_fingerprint());
-    } else {
-      engine->LoadReference(mapper.genome());
-    }
   }
 };
 
@@ -244,9 +244,21 @@ int MapqCap(const Args& args) {
       args.GetInt("mapq-cap", kDefaultMapqCap, 0, kMaxMapqCap));
 }
 
-/// `--e N`: the edit threshold, a non-negative integer.
+/// `--e N`: the edit threshold, 0 to kMaxErrorThreshold (the filter
+/// kernels' capacity).
 int ErrorThreshold(const Args& args) {
-  return static_cast<int>(args.GetInt("e", 5, 0));
+  return static_cast<int>(args.GetInt("e", 5, 0, kMaxErrorThreshold));
+}
+
+/// The filter of `pipeline`, `serve` and `map --paired`: the host
+/// GateKeeper, or none under `--no-filter` (`map --paired` only).  A read
+/// length beyond the filter kernels' capacity is rejected here, before
+/// the SAM file is opened.
+const PreAlignmentFilter* MappingFilter(const Args& args, int read_length) {
+  static const GateKeeperFilter gatekeeper;
+  if (args.Has("no-filter")) return nullptr;
+  CheckFilterReadLength(read_length, "mapping");
+  return &gatekeeper;
 }
 
 /// `--threads N`: the mapper's pool size (0 = hardware concurrency), on
@@ -574,6 +586,7 @@ std::unique_ptr<PreAlignmentFilter> MakeHostFilter(const std::string& algo) {
 }
 
 int FilterCmd(const Args& args) {
+  const DeviceOptions device_options = ParseDeviceOptions(args);
   const std::string pairs_path = args.Get("pairs", "");
   if (pairs_path.empty()) return Usage();
   const auto pairs = ReadPairSetFile(pairs_path);
@@ -590,9 +603,7 @@ int FilterCmd(const Args& args) {
   double kt = -1.0;
   double ft = 0.0;
   if (algo == "gkgpu") {
-    const int setup = static_cast<int>(args.GetInt("setup", 1));
-    const int ndev = static_cast<int>(args.GetInt("devices", 1));
-    const DeviceSet set = MakeDeviceSet(setup, ndev);
+    const DeviceSet set = MakeDeviceSet(device_options);
     EngineConfig cfg;
     cfg.read_length = length;
     cfg.error_threshold = e;
@@ -716,19 +727,7 @@ int MapPairedCmd(const Args& args, ReferenceInput& input) {
   pconf.mapq_cap = MapqCap(args);
   pconf.read_group = args.Get("read-group", "");
   PairedEndMapper paired(mapper, pconf);
-
-  // The engine borrows the devices, so they are declared first and
-  // destroyed last.
-  DeviceSet set;
-  std::unique_ptr<GateKeeperGpuEngine> engine;
-  if (!args.Has("no-filter")) {
-    set = ReferenceDeviceSet();
-    EngineConfig cfg;
-    cfg.read_length = length;
-    cfg.error_threshold = mapper.config().error_threshold;
-    engine = std::make_unique<GateKeeperGpuEngine>(cfg, set.ptrs);
-    input.LoadEngine(engine.get(), mapper);
-  }
+  const PreAlignmentFilter* filter = MappingFilter(args, length);
 
   const std::string sam_path = args.Get("sam", "");
   std::ofstream sam_file;
@@ -741,7 +740,7 @@ int MapPairedCmd(const Args& args, ReferenceInput& input) {
 
   auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
                                     : PairedFastqReader(in1);
-  const PairedStats stats = paired.MapPairs(reader, engine.get(), sam);
+  const PairedStats stats = paired.MapPairs(reader, filter, sam);
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"pairs", TablePrinter::Count(stats.pairs)});
@@ -780,6 +779,7 @@ int MapPairedCmd(const Args& args, ReferenceInput& input) {
 }
 
 int MapCmd(const Args& args) {
+  const DeviceOptions device_options = ParseDeviceOptions(args);
   bool ok = false;
   ReferenceInput input = LoadReferenceInput(args, &ok);
   if (!ok) return Usage();
@@ -812,14 +812,12 @@ int MapCmd(const Args& args) {
   DeviceSet set;
   std::unique_ptr<GateKeeperGpuEngine> engine;
   if (!args.Has("no-filter")) {
-    const int setup = static_cast<int>(args.GetInt("setup", 1));
-    const int ndev = static_cast<int>(args.GetInt("devices", 1));
-    set = MakeDeviceSet(setup, ndev);
+    set = MakeDeviceSet(device_options);
     EngineConfig cfg;
     cfg.read_length = length;
     cfg.error_threshold = e;
     engine = std::make_unique<GateKeeperGpuEngine>(cfg, set.ptrs);
-    input.LoadEngine(engine.get(), mapper);
+    engine->LoadReference(mapper.encoding());
   }
 
   std::vector<MappingRecord> records;
@@ -866,7 +864,6 @@ int MapCmd(const Args& args) {
 
 int PipelineCmd(const Args& args) {
   ObsRun obs_run(args);
-  const int e = ErrorThreshold(args);
   const std::string reads_path = args.Get("reads", "");
   if (reads_path.empty()) return Usage();
 
@@ -892,13 +889,7 @@ int PipelineCmd(const Args& args) {
     length = static_cast<int>(first.seq.size());
   }
   ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
-
-  const DeviceSet set = ReferenceDeviceSet();
-  EngineConfig cfg;
-  cfg.read_length = length;
-  cfg.error_threshold = e;
-  GateKeeperGpuEngine engine(cfg, set.ptrs);
-  input.LoadEngine(&engine, mapper);
+  const PreAlignmentFilter* filter = MappingFilter(args, length);
 
   pipeline::ReadToSamConfig scfg;
   scfg.read_group = args.Get("read-group", "");
@@ -915,7 +906,7 @@ int PipelineCmd(const Args& args) {
     sam = &sam_file;
   }
   const pipeline::ReadToSamStats stats =
-      pipeline::StreamFastqToSam(fastq, mapper, &engine, scfg, sam);
+      pipeline::StreamFastqToSam(fastq, mapper, filter, scfg, sam);
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"reads", TablePrinter::Count(stats.reads)});
@@ -999,13 +990,7 @@ int ServeCmd(const Args& args) {
   MapperConfig mcfg = MapperOptions(args, length);
   mcfg.verify_threads = static_cast<unsigned>(threads > 0 ? threads : 1);
   ReadMapper mapper = input.MakeMapper(mcfg);
-
-  const DeviceSet set = ReferenceDeviceSet();
-  EngineConfig cfg;
-  cfg.read_length = length;
-  cfg.error_threshold = e;
-  GateKeeperGpuEngine engine(cfg, set.ptrs);
-  input.LoadEngine(&engine, mapper);
+  const PreAlignmentFilter* filter = MappingFilter(args, length);
 
   serve::ServeConfig scfg;
   scfg.socket_path = socket_path;
@@ -1015,7 +1000,7 @@ int ServeCmd(const Args& args) {
   scfg.mapq_cap = MapqCap(args);
   scfg.read_group = args.Get("read-group", "");
 
-  serve::MapServer server(mapper, &engine, scfg);
+  serve::MapServer server(mapper, filter, scfg);
   g_server = &server;
   std::signal(SIGTERM, HandleServeSignal);
   std::signal(SIGINT, HandleServeSignal);
