@@ -80,14 +80,14 @@ int main(int argc, char** argv) {
 
   std::printf("\nFirst mappings as SAM (real CIGARs via banded traceback):\n");
   std::ostringstream sam;
-  WriteSamHeader(sam, "synthetic_chr1", static_cast<std::int64_t>(genome_len));
-  WriteSamRecordsWithCigar(
-      sam, reads,
+  WriteSamHeader(sam, mapper.reference());
+  WriteSamRecordsMultiChrom(
+      sam, reads, {},
       std::vector<MappingRecord>(
           filtered_records.begin(),
           filtered_records.begin() +
               std::min<std::size_t>(5, filtered_records.size())),
-      "synthetic_chr1", genome);
+      mapper.reference());
   std::fputs(sam.str().c_str(), stdout);
   return identical ? 0 : 1;
 }

@@ -1,9 +1,9 @@
 // Persistent on-disk index ("GKGPUIDX"): one file holding everything a
 // mapper needs at startup — the per-shard k-mer CSR indexes, the 2-bit
 // encoded reference with its N-mask, the raw reference text, and the
-// chromosome table.  `gkgpu index` writes it once; every later `map`/
-// `pipeline`/`serve` invocation mmaps it and is ready in microseconds,
-// with the page cache sharing the hot arrays across processes.
+// chromosome table.  `gkgpu index` writes it once; every later `map` or
+// `serve` invocation mmaps it and is ready in microseconds, with the page
+// cache sharing the hot arrays across processes.
 //
 // Format version 2 (current): a fixed little-endian header (magic,
 // version, k, two reserved words, sizes, fingerprints, section geometry,

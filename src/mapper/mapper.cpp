@@ -298,9 +298,7 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
   stats.reads = reads.size();
   WallTimer total;
   if (filter != nullptr && !filter->HasReference()) {
-    WallTimer prep;
     filter->LoadReference(encoding_);
-    stats.preprocess_seconds += prep.Seconds();
   }
 
   std::vector<bool> read_mapped(reads.size(), false);
@@ -356,7 +354,6 @@ MappingStats ReadMapper::MapReads(const std::vector<std::string>& reads,
       stats.filter_encode_seconds += fs.host_encode_seconds;
       stats.filter_copy_seconds += fs.host_copy_seconds;
       stats.rejected_pairs += fs.rejected;
-      stats.bypassed_pairs += fs.bypassed;
     }
 
     // --- Verification: banded edit distance on surviving pairs, each on

@@ -10,7 +10,10 @@
 //     -> mapping records + the statistics Table 3 reports.
 //
 // Without a filter every candidate enters verification ("No Filter" rows);
-// with a filter only accepted + bypassed pairs do.
+// with a filter only accepted + bypassed pairs do.  MapReads runs that
+// loop over an in-memory read set on a simulated device, for the paper's
+// Table-3 reproductions; `gkgpu map` streams through the chunk workers
+// instead (pipeline/read_to_sam.hpp, pipeline/ordered_chunks.hpp).
 #ifndef GKGPU_MAPPER_MAPPER_HPP
 #define GKGPU_MAPPER_MAPPER_HPP
 
@@ -69,10 +72,8 @@ struct MappingStats {
   std::uint64_t candidates_total = 0;    // potential mappings found by seeding
   std::uint64_t verification_pairs = 0;  // candidates entering verification
   std::uint64_t rejected_pairs = 0;      // discarded by the filter
-  std::uint64_t bypassed_pairs = 0;      // undefined pairs passed through
 
   double seeding_seconds = 0.0;
-  double preprocess_seconds = 0.0;     // filter-side host preprocessing
   double filter_seconds = 0.0;         // total filtering ("ft")
   double filter_kernel_seconds = 0.0;  // device time only ("kt")
   double filter_encode_seconds = 0.0;  // host-side encoding within filtering
@@ -185,10 +186,13 @@ class ReadMapper {
   /// it: StreamFastqToSam, paired mapping and the daemon.
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// Maps `reads`; when `filter` is non-null it is used as the
-  /// pre-alignment stage (an engine with no reference gets the mapper's
-  /// encoding on first use).
-  /// `out` (optional) receives every verified mapping.
+  /// Maps `reads` with the unvoted seed set and reports Table 3's
+  /// statistics: the harness of bench_whole_genome, bench_batch_size,
+  /// bench_paired's single-end baseline and the examples.  When `filter`
+  /// is non-null it is used as the pre-alignment stage (an engine with no
+  /// reference gets the mapper's encoding on first use).  `out`
+  /// (optional) receives every verified mapping, grouped by read
+  /// (WriteSamRecordsMultiChrom's input).
   MappingStats MapReads(const std::vector<std::string>& reads,
                         GateKeeperGpuEngine* filter,
                         std::vector<MappingRecord>* out = nullptr);

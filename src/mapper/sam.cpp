@@ -1,5 +1,6 @@
 #include "mapper/sam.hpp"
 
+#include <charconv>
 #include <ostream>
 #include <stdexcept>
 
@@ -11,60 +12,42 @@ namespace gkgpu {
 
 namespace {
 
-/// Iterates `records` as contiguous per-read groups (the order every
-/// mapping driver emits) and hands each *emitted* record to `emit`
-/// together with its MAPQ (AssignMapqs) and the extra FLAG bits the
-/// output policy dictates: under kBestOnly only the group's primary
-/// record is seen; under kReportSecondary every record is, non-primary
-/// ones carrying 0x100 (their MAPQ is already 0 by AssignMapqs).
-template <typename Emit>
-void ForEachEmittedRecord(const std::vector<MappingRecord>& records,
-                          int mapq_cap, SecondaryPolicy policy, Emit&& emit) {
-  std::vector<int> edits;
-  std::size_t i = 0;
-  while (i < records.size()) {
-    std::size_t j = i;
-    edits.clear();
-    while (j < records.size() &&
-           records[j].read_index == records[i].read_index) {
-      edits.push_back(records[j].edit_distance);
-      ++j;
-    }
-    // One summary scan yields everything the group needs: the primary
-    // record, its MAPQ, and zero for every other placement (AssignMapqs
-    // semantics, without rescanning per question).
-    const EditSummary s = SummarizeEdits(edits);
-    const std::size_t primary = i + PrimaryIndex(edits, s);
-    const int primary_mapq =
-        ComputeMapq(s.best, s.second, s.best_count, mapq_cap);
-    for (std::size_t r = i; r < j; ++r) {
-      if (r != primary && policy == SecondaryPolicy::kBestOnly) continue;
-      emit(records[r], r == primary ? primary_mapq : 0,
-           r == primary ? 0 : kSamSecondary);
-    }
-    i = j;
-  }
+void AppendDecimal(std::string* out, std::int64_t v) {
+  char digits[20];  // INT64_MIN has 19 digits and a sign
+  out->append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
 }
 
 }  // namespace
 
-void WriteSam(std::ostream& out, const SamRecord& rec) {
-  out << rec.qname << '\t' << rec.flags << '\t' << rec.rname << '\t'
-      << (rec.pos < 0 ? 0 : rec.pos + 1) << '\t' << rec.mapq << '\t'
-      << rec.cigar << '\t' << rec.rnext << '\t'
-      << (rec.pnext < 0 ? 0 : rec.pnext + 1) << '\t' << rec.tlen << '\t'
-      << rec.seq << '\t' << rec.qual;
-  if (rec.nm >= 0) out << "\tNM:i:" << rec.nm;
-  if (!rec.read_group.empty()) out << "\tRG:Z:" << rec.read_group;
-  out << '\n';
-}
-
-void WriteSamHeader(std::ostream& out, std::string_view ref_name,
-                    std::int64_t ref_length, std::string_view read_group) {
-  out << "@HD\tVN:1.6\tSO:unknown\n";
-  out << "@SQ\tSN:" << ref_name << "\tLN:" << ref_length << '\n';
-  if (!read_group.empty()) out << "@RG\tID:" << read_group << '\n';
-  out << "@PG\tID:gkgpu\tPN:gatekeeper-gpu-repro\tVN:1.0.0\n";
+void AppendSam(std::string* out, const SamRecord& rec) {
+  const auto text = [out](std::string_view s) {
+    out->push_back('\t');
+    out->append(s);
+  };
+  const auto number = [out](std::int64_t v) {
+    out->push_back('\t');
+    AppendDecimal(out, v);
+  };
+  out->append(rec.qname);
+  number(rec.flags);
+  text(rec.rname);
+  number(rec.pos < 0 ? 0 : rec.pos + 1);
+  number(rec.mapq);
+  text(rec.cigar);
+  text(rec.rnext);
+  number(rec.pnext < 0 ? 0 : rec.pnext + 1);
+  number(rec.tlen);
+  text(rec.seq);
+  text(rec.qual);
+  if (rec.nm >= 0) {
+    out->append("\tNM:i:");
+    AppendDecimal(out, rec.nm);
+  }
+  if (!rec.read_group.empty()) {
+    out->append("\tRG:Z:");
+    out->append(rec.read_group);
+  }
+  out->push_back('\n');
 }
 
 void WriteSamHeader(std::ostream& out, const ReferenceSet& ref,
@@ -77,90 +60,47 @@ void WriteSamHeader(std::ostream& out, const ReferenceSet& ref,
   out << "@PG\tID:gkgpu\tPN:gatekeeper-gpu-repro\tVN:1.0.0\n";
 }
 
-void WriteSamRecord(std::ostream& out, std::string_view read_name, int flags,
-                    std::string_view seq, std::int64_t pos, int edit_distance,
-                    int mapq, std::string_view ref_name,
-                    std::string_view read_group) {
-  const std::string cigar = std::to_string(seq.size()) + "M";
-  SamRecord rec;
-  rec.qname = read_name;
-  rec.flags = flags;
-  rec.rname = ref_name;
-  rec.pos = pos;
-  rec.mapq = mapq;
-  rec.cigar = cigar;
-  rec.seq = seq;
-  rec.nm = edit_distance;
-  rec.read_group = read_group;
-  WriteSam(out, rec);
+void SamGroupBuffer::AddMapping(int flags, std::string_view seq,
+                                std::string_view window, std::int32_t chrom,
+                                std::int64_t pos, int edits) {
+  group_.push_back({flags, seq, window, chrom, pos, edits});
 }
 
-void WriteSamLine(std::ostream& out, std::string_view read_name, int flags,
-                  std::string_view seq, std::string_view chrom_name,
-                  std::int64_t local_pos, int edit_distance, int mapq,
-                  std::string_view cigar, std::string_view read_group) {
-  SamRecord rec;
-  rec.qname = read_name;
-  rec.flags = flags;
-  rec.rname = chrom_name;
-  rec.pos = local_pos;
-  rec.mapq = mapq;
-  rec.cigar = cigar;
-  rec.seq = seq;
-  rec.nm = edit_distance;
-  rec.read_group = read_group;
-  WriteSam(out, rec);
-}
-
-void WriteSamAlignment(std::ostream& out, std::string_view read_name,
-                       int flags, std::string_view seq,
-                       std::string_view chrom_name, std::int64_t local_pos,
-                       int edit_distance, int mapq,
-                       std::string_view ref_window,
-                       std::string_view read_group) {
-  WriteSamLine(out, read_name, flags, seq, chrom_name, local_pos,
-               edit_distance, mapq, CigarFor(seq, ref_window, edit_distance),
-               read_group);
-}
-
-void WriteSamRecords(std::ostream& out, const std::vector<std::string>& reads,
-                     const std::vector<MappingRecord>& records,
-                     std::string_view ref_name, int mapq_cap,
-                     SecondaryPolicy policy) {
-  std::string rc;
-  ForEachEmittedRecord(
-      records, mapq_cap, policy,
-      [&](const MappingRecord& m, int mapq, int extra_flags) {
-        const std::string& read = reads[m.read_index];
-        const int flags = (m.strand != 0 ? kSamReverse : 0) | extra_flags;
-        if (m.strand != 0) ReverseComplementInto(read, &rc);
-        WriteSamRecord(out, "read" + std::to_string(m.read_index), flags,
-                       m.strand != 0 ? std::string_view(rc)
-                                     : std::string_view(read),
-                       m.pos, m.edit_distance, mapq, ref_name);
-      });
-}
-
-void WriteSamRecordsWithCigar(std::ostream& out,
-                              const std::vector<std::string>& reads,
-                              const std::vector<MappingRecord>& records,
-                              std::string_view ref_name,
-                              std::string_view genome, int mapq_cap,
-                              SecondaryPolicy policy) {
-  std::string rc;
-  ForEachEmittedRecord(
-      records, mapq_cap, policy,
-      [&](const MappingRecord& m, int mapq, int extra_flags) {
-        const std::string& read = reads[m.read_index];
-        const std::string_view segment =
-            genome.substr(static_cast<std::size_t>(m.pos), read.size());
-        const int flags = (m.strand != 0 ? kSamReverse : 0) | extra_flags;
-        if (m.strand != 0) ReverseComplementInto(read, &rc);
-        WriteSamAlignment(out, "read" + std::to_string(m.read_index), flags,
-                          m.strand != 0 ? std::string_view(rc)
-                                        : std::string_view(read),
-                          ref_name, m.pos, m.edit_distance, mapq, segment);
-      });
+std::size_t SamGroupBuffer::FlushGroup(std::string* out,
+                                       const ReferenceSet& ref,
+                                       std::string_view name,
+                                       const SamGroupOptions& options) {
+  if (group_.empty()) return 0;
+  // One summary scan gives the primary record and its MAPQ; every other
+  // placement scores 0 and is emitted only under report-secondary.
+  group_edits_.clear();
+  for (const GroupRecord& g : group_) group_edits_.push_back(g.edits);
+  const EditSummary s = SummarizeEdits(group_edits_);
+  const std::size_t primary = PrimaryIndex(group_edits_, s);
+  const int primary_mapq =
+      ComputeMapq(s.best, s.second, s.best_count, options.mapq_cap);
+  std::size_t written = 0;
+  for (std::size_t g = 0; g < group_.size(); ++g) {
+    if (g != primary && options.secondary == SecondaryPolicy::kBestOnly) {
+      continue;
+    }
+    const GroupRecord& r = group_[g];
+    const std::string cigar = CigarFor(r.seq, r.window, r.edits);
+    SamRecord rec;
+    rec.qname = name;
+    rec.flags = r.flags | (g == primary ? 0 : kSamSecondary);
+    rec.rname = ref.chromosome(static_cast<std::size_t>(r.chrom)).name;
+    rec.pos = r.pos;
+    rec.mapq = g == primary ? primary_mapq : 0;
+    rec.cigar = cigar;
+    rec.seq = r.seq;
+    rec.nm = r.edits;
+    rec.read_group = options.read_group;
+    AppendSam(out, rec);
+    ++written;
+  }
+  group_.clear();
+  return written;
 }
 
 void WriteSamRecordsMultiChrom(std::ostream& out,
@@ -170,34 +110,50 @@ void WriteSamRecordsMultiChrom(std::ostream& out,
                                const ReferenceSet& ref,
                                std::string_view read_group, int mapq_cap,
                                SecondaryPolicy policy) {
+  // Bytes formatted before they go to `out`: a pass's SAM is written in
+  // slices of this size rather than held whole.
+  constexpr std::size_t kWriteBytes = 64u << 10;
+  const SamGroupOptions options{std::string(read_group), mapq_cap, policy};
   const std::string_view genome = ref.text();
+  SamGroupBuffer group;
   std::string rc;
-  ForEachEmittedRecord(
-      records, mapq_cap, policy,
-      [&](const MappingRecord& m, int mapq, int extra_flags) {
-        const std::string& read = reads[m.read_index];
-        const int chrom = ref.Locate(m.pos);
-        if (chrom < 0) {
-          throw std::runtime_error(
-              "SAM: mapping position outside the reference");
-        }
-        const std::string_view segment =
-            genome.substr(static_cast<std::size_t>(m.pos), read.size());
-        const std::string fallback = "read" + std::to_string(m.read_index);
-        const std::string_view name =
-            names.empty() ? std::string_view(fallback) : names[m.read_index];
-        // The record's SEQ is the strand the mapping verified: the read
-        // itself on the forward strand, its reverse complement (FLAG 0x10)
-        // otherwise.
-        const int flags = (m.strand != 0 ? kSamReverse : 0) | extra_flags;
-        if (m.strand != 0) ReverseComplementInto(read, &rc);
-        WriteSamAlignment(out, name, flags,
-                          m.strand != 0 ? std::string_view(rc)
-                                        : std::string_view(read),
-                          ref.chromosome(static_cast<std::size_t>(chrom)).name,
-                          ref.ToLocal(chrom, m.pos), m.edit_distance, mapq,
-                          segment, read_group);
-      });
+  std::string fallback;
+  std::string sam;
+  std::size_t i = 0;
+  while (i < records.size()) {
+    const std::uint32_t r = records[i].read_index;
+    const std::string& read = reads[r];
+    // The record's SEQ is the strand the mapping verified: the read itself
+    // on the forward strand, its reverse complement (FLAG 0x10) otherwise.
+    bool have_rc = false;
+    for (; i < records.size() && records[i].read_index == r; ++i) {
+      const MappingRecord& m = records[i];
+      const int chrom = ref.Locate(m.pos);
+      if (chrom < 0) {
+        throw std::runtime_error(
+            "SAM: mapping position outside the reference");
+      }
+      if (m.strand != 0 && !have_rc) {
+        ReverseComplementInto(read, &rc);
+        have_rc = true;
+      }
+      group.AddMapping(
+          m.strand != 0 ? kSamReverse : 0,
+          m.strand != 0 ? std::string_view(rc) : std::string_view(read),
+          genome.substr(static_cast<std::size_t>(m.pos), read.size()), chrom,
+          ref.ToLocal(chrom, m.pos), m.edit_distance);
+    }
+    if (names.empty()) fallback = "read" + std::to_string(r);
+    group.FlushGroup(&sam, ref,
+                     names.empty() ? std::string_view(fallback)
+                                   : std::string_view(names[r]),
+                     options);
+    if (sam.size() >= kWriteBytes) {
+      out.write(sam.data(), static_cast<std::streamsize>(sam.size()));
+      sam.clear();
+    }
+  }
+  out.write(sam.data(), static_cast<std::streamsize>(sam.size()));
 }
 
 }  // namespace gkgpu

@@ -1,19 +1,21 @@
-// SAM output for mapping results: header (multi-chromosome @SQ lines, an
-// optional @RG read group) plus full-fidelity alignment records with FLAG
-// semantics — strand bits for reverse-complement mappings, the complete
-// paired-end bit set (0x1/0x2/0x4/0x8/0x10/0x20/0x40/0x80) plus the
-// duplicate bit (0x400), RNEXT/PNEXT/TLEN, and NM / RG:Z tags.  Records
-// carrying FLAG 0x10 emit the reverse-complemented SEQ and reversed QUAL,
-// per the spec.  Every record carries a computed MAPQ (mapper/mapq.hpp):
-// the record-list writers derive it from each read's candidate
-// multiplicity and best/second-best edit gap, and unmapped records carry
-// MAPQ 0 — 255 ("unavailable") is never emitted.
+// SAM output for mapping results: the header (multi-chromosome @SQ lines,
+// an optional @RG read group) and one record formatter, AppendSam, that
+// every driver's records go through.  FLAG semantics: strand bits for
+// reverse-complement mappings, the complete paired-end bit set
+// (0x1/0x2/0x4/0x8/0x10/0x20/0x40/0x80) plus the duplicate bit (0x400),
+// RNEXT/PNEXT/TLEN, and NM / RG:Z tags.  Records carrying FLAG 0x10 emit
+// the reverse-complemented SEQ and reversed QUAL, per the spec.  Every
+// record carries a computed MAPQ (mapper/mapq.hpp): single-end records are
+// scored per read by SamGroupBuffer from the read's multiplicity and
+// best/second-best edit gap, and unmapped records carry MAPQ 0 — 255
+// ("unavailable") is never emitted.
 #ifndef GKGPU_MAPPER_SAM_HPP
 #define GKGPU_MAPPER_SAM_HPP
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/reference.hpp"
@@ -46,9 +48,9 @@ enum class SecondaryPolicy {
 };
 
 /// One alignment line, all eleven mandatory fields plus the tags this
-/// library emits.  Positions are 0-based (the writer adds the SAM +1);
+/// library emits.  Positions are 0-based (the formatter adds the SAM +1);
 /// pos/pnext < 0 print as 0 (unplaced).  The caller supplies SEQ/QUAL
-/// already oriented to match FLAG 0x10 — the writer performs no
+/// already oriented to match FLAG 0x10 — the formatter performs no
 /// reorientation of its own.
 struct SamRecord {
   std::string_view qname;
@@ -68,71 +70,70 @@ struct SamRecord {
   std::string_view read_group;  // RG:Z:; empty omits the tag
 };
 
-void WriteSam(std::ostream& out, const SamRecord& rec);
+/// Appends `rec` to `*out` as one tab-separated line ending in '\n'.
+void AppendSam(std::string* out, const SamRecord& rec);
 
-/// Headers; a non-empty `read_group` adds "@RG\tID:<read_group>".
-void WriteSamHeader(std::ostream& out, std::string_view ref_name,
-                    std::int64_t ref_length, std::string_view read_group = {});
-
-/// Multi-chromosome header: one @SQ line per chromosome, in table order.
+/// The header: @HD, one @SQ line per chromosome in table order, "@RG
+/// ID:<read_group>" when `read_group` is non-empty, and @PG.
 void WriteSamHeader(std::ostream& out, const ReferenceSet& ref,
                     std::string_view read_group = {});
 
-/// One single-end alignment line with an explicit read name and a bare
-/// <len>M CIGAR (WriteSamRecords' records).  `seq` must already be
-/// oriented (reverse-complemented when flags carry 0x10).
-void WriteSamRecord(std::ostream& out, std::string_view read_name, int flags,
-                    std::string_view seq, std::int64_t pos, int edit_distance,
-                    int mapq, std::string_view ref_name,
-                    std::string_view read_group = {});
+/// How a read's verified mappings become records.
+struct SamGroupOptions {
+  /// RG:Z:<id> on every record ("" = none).
+  std::string read_group;
+  /// MAPQ ceiling (mapper/mapq.hpp).
+  int mapq_cap = kDefaultMapqCap;
+  /// Best-only (default) or report-secondary (FLAG 0x100, MAPQ 0).
+  SecondaryPolicy secondary = SecondaryPolicy::kBestOnly;
+};
 
-/// One single-end alignment line with a caller-supplied CIGAR (e.g.
-/// computed by a chunk worker right after verification).
-void WriteSamLine(std::ostream& out, std::string_view read_name, int flags,
-                  std::string_view seq, std::string_view chrom_name,
-                  std::int64_t local_pos, int edit_distance, int mapq,
-                  std::string_view cigar, std::string_view read_group = {});
+/// One single-end read's verified mappings, held until the read is done —
+/// only then is its multiplicity known and its records scorable.  The one
+/// place a read's records are grouped, scored (SummarizeEdits ->
+/// PrimaryIndex -> ComputeMapq) and filtered by the secondary policy: the
+/// chunk workers, the daemon and WriteSamRecordsMultiChrom all flush
+/// through it, which keeps their SAM byte-identical.
+class SamGroupBuffer {
+ public:
+  /// Buffers one verified mapping of the current read: `seq` already
+  /// oriented to `flags` (reverse-complemented under FLAG 0x10), the
+  /// reference `window` it verified against, the chromosome-local
+  /// position and the exact edit distance.  `seq` and `window` are views
+  /// that must stay valid until FlushGroup, which derives the CIGAR of
+  /// each emitted record from them (CigarFor).
+  void AddMapping(int flags, std::string_view seq, std::string_view window,
+                  std::int32_t chrom, std::int64_t pos, int edits);
 
-/// Full-fidelity single record: recomputes the banded alignment of the
-/// oriented `seq` against `ref_window` (the reference bases the mapping
-/// covers) and emits the real CIGAR.  The blocking SAM writers use it; the
-/// chunk workers run the same CigarFor + WriteSamLine, so both paths
-/// produce byte-identical records.
-void WriteSamAlignment(std::ostream& out, std::string_view read_name,
-                       int flags, std::string_view seq,
-                       std::string_view chrom_name, std::int64_t local_pos,
-                       int edit_distance, int mapq,
-                       std::string_view ref_window,
-                       std::string_view read_group = {});
+  /// Scores and appends the current read's records to `*out` as `name`
+  /// under `options`, then clears the group; returns the number of records
+  /// appended.  A read whose candidates all failed verification appends
+  /// nothing.
+  std::size_t FlushGroup(std::string* out, const ReferenceSet& ref,
+                         std::string_view name,
+                         const SamGroupOptions& options);
 
-/// The record-list writers below require `records` grouped by read (each
-/// read's mappings contiguous) — the order every mapping driver produces —
-/// compute per-record MAPQ from the group's multiplicity and edit gap
-/// (AssignMapqs), capped at `mapq_cap`, and emit the group under
-/// `policy`: the primary record only (kBestOnly, default) or every
-/// placement with secondaries flagged 0x100 at MAPQ 0.
-void WriteSamRecords(std::ostream& out, const std::vector<std::string>& reads,
-                     const std::vector<MappingRecord>& records,
-                     std::string_view ref_name,
-                     int mapq_cap = kDefaultMapqCap,
-                     SecondaryPolicy policy = SecondaryPolicy::kBestOnly);
+ private:
+  struct GroupRecord {
+    int flags = 0;
+    std::string_view seq;
+    std::string_view window;
+    std::int32_t chrom = 0;
+    std::int64_t pos = 0;
+    int edits = 0;
+  };
 
-/// Full-fidelity variant: recomputes each mapping's banded alignment
-/// against `genome` and emits the real CIGAR instead of a bare match run.
-/// Reverse-strand records (MappingRecord::strand) emit FLAG 0x10 and the
-/// reverse-complemented sequence.
-void WriteSamRecordsWithCigar(std::ostream& out,
-                              const std::vector<std::string>& reads,
-                              const std::vector<MappingRecord>& records,
-                              std::string_view ref_name,
-                              std::string_view genome,
-                              int mapq_cap = kDefaultMapqCap,
-                              SecondaryPolicy policy =
-                                  SecondaryPolicy::kBestOnly);
+  std::vector<GroupRecord> group_;
+  std::vector<int> group_edits_;
+};
 
-/// Multi-chromosome variant: records carry global (concatenated) positions;
-/// each line is addressed chromosome-locally via `ref`.  `names` supplies
-/// the read names ("read<i>" when empty).
+/// Writes MapReads' records: `records` carry global (concatenated)
+/// positions and must be grouped by read (each read's mappings contiguous,
+/// the order MapReads produces); each read's group is formatted through
+/// SamGroupBuffer, addressed chromosome-locally via `ref`, with the CIGAR
+/// of its banded alignment against the genome.  Reverse-strand records
+/// (MappingRecord::strand) emit FLAG 0x10 and the reverse-complemented
+/// sequence.  `names` supplies the read names ("read<i>" when empty).
 void WriteSamRecordsMultiChrom(std::ostream& out,
                                const std::vector<std::string>& reads,
                                const std::vector<std::string>& names,

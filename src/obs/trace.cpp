@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -196,14 +195,6 @@ std::string StopTracing() {
   }
   out << "}\n";
   return out.str();
-}
-
-bool StopTracingToFile(const std::string& path) {
-  const std::string json = StopTracing();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << json;
-  return static_cast<bool>(out);
 }
 
 }  // namespace gkgpu::obs

@@ -7,7 +7,7 @@
 // Usage:
 //   obs::StartTracing();
 //   { obs::Span span("filter", "pipeline"); ...work...; }
-//   obs::StopTracingToFile("trace.json");
+//   const std::string json = obs::StopTracing();
 //
 // Spans become "X" (complete) events with microsecond timestamps; thread
 // names registered via obs::SetCurrentThreadName (or util/threadname)
@@ -28,11 +28,8 @@ bool TracingActive() noexcept;
 void StartTracing();
 
 /// Stops collecting and renders the collected events as Chrome
-/// trace_event JSON.  Returns the JSON string (also usable by tests).
+/// trace_event JSON.
 std::string StopTracing();
-
-/// StopTracing() + write to `path`.  Returns false on I/O failure.
-bool StopTracingToFile(const std::string& path);
 
 /// Records `name` as this thread's label in future trace output.  Cheap
 /// no-op while tracing is inactive is NOT guaranteed — callers register

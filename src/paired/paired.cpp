@@ -245,7 +245,10 @@ struct PairFinalizer {
   int e = 0;
   InsertSizeModel model{};
   PairedStats* stats = nullptr;
-  std::ostream* sam = nullptr;
+  /// Whether records are formatted at all (false: statistics only).
+  bool write_sam = false;
+  /// The records of the pairs finalized since the caller last drained it.
+  std::string sam;
 
   void Finalize(const PairTask& task);
 
@@ -446,7 +449,7 @@ void PairFinalizer::EmitMate(const FastqRecord& rec, const std::string& rc,
                              bool first, const MateBest& me,
                              const MateBest& mate, std::int64_t tlen,
                              bool proper, bool duplicate) {
-  if (sam == nullptr) return;
+  if (!write_sam) return;
   const ReferenceSet& ref = mapper->reference();
 
   int flags = kSamPaired | (first ? kSamFirstInPair : kSamSecondInPair);
@@ -520,16 +523,16 @@ void PairFinalizer::EmitMate(const FastqRecord& rec, const std::string& rc,
       // Rescue placements carry the fit aligner's traceback; their
       // reference span may differ from the read length, so recomputing
       // against a fixed L-wide window would be wrong.
-      cigar = me.cigar;
+      out.cigar = me.cigar;
     } else {
       const std::string_view window(mapper->genome().data() + me.pos,
                                     static_cast<std::size_t>(L));
       cigar = CigarFor(seq, window, me.edit);
+      out.cigar = cigar;
     }
-    out.cigar = cigar;
     out.nm = me.edit;
   }
-  WriteSam(*sam, out);
+  AppendSam(&sam, out);
 }
 
 void PairFinalizer::Finalize(const PairTask& task) {
@@ -848,7 +851,7 @@ PairedStats PairedEndMapper::Map(const PairSource& next,
   fin.e = e;
   fin.model = InsertSizeModel(config_.min_model_observations);
   fin.stats = &stats;
-  fin.sam = sam;
+  fin.write_sam = sam != nullptr;
 
   // A malformed pair is raised only once the pairs before it are handed
   // out, so the output up to it does not depend on the chunk size.
@@ -935,6 +938,10 @@ PairedStats PairedEndMapper::Map(const PairSource& next,
       stats.candidates_seeded += t.seeded;
       stats.candidates_paired += t.c1.size() + t.c2.size();
       fin.Finalize(t);
+    }
+    if (sam != nullptr) {
+      sam->write(fin.sam.data(), static_cast<std::streamsize>(fin.sam.size()));
+      fin.sam.clear();
     }
     stats.pairs += chunk.size;
     stats.verification_pairs += chunk.verified;

@@ -5,7 +5,6 @@
 #include <ostream>
 #include <span>
 
-#include "align/cigar.hpp"
 #include "io/fastq.hpp"
 #include "obs/names.hpp"
 
@@ -13,7 +12,7 @@ namespace gkgpu::pipeline {
 
 void ReadChunkMapper::Map(const ReadChunkInput& in, ReadChunkOutput* out) {
   const std::span<const std::string_view> seqs(in.seqs.data(), in.size);
-  out->sam.str({});
+  out->sam.clear();
   out->sam_end.clear();
   out->records.clear();
   out->stats = {};
@@ -56,14 +55,13 @@ void ReadChunkMapper::Map(const ReadChunkInput& in, ReadChunkOutput* out) {
       ++st.mappings;
       mapped = true;
       const int chrom = ref.Locate(oc.pos);
-      group_.AddMapping(oc.strand != 0 ? kSamReverse : 0, read, chrom,
-                        ref.ToLocal(chrom, oc.pos), edits,
-                        CigarFor(read, window, edits));
+      group_.AddMapping(oc.strand != 0 ? kSamReverse : 0, read, window, chrom,
+                        ref.ToLocal(chrom, oc.pos), edits);
     }
     st.mapped_reads += mapped ? 1 : 0;
     out->records.push_back(
-        group_.FlushGroup(out->sam, ref, in.names[j], *in.options[j]));
-    out->sam_end.push_back(static_cast<std::size_t>(out->sam.tellp()));
+        group_.FlushGroup(&out->sam, ref, in.names[j], *in.options[j]));
+    out->sam_end.push_back(out->sam.size());
   }
   st.rejected = st.candidates - st.accepted;
 }
@@ -85,8 +83,6 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
                                 std::ostream* sam) {
   const ChunkFilter chunk_filter(filter, mapper);
   const StageHistograms stages;
-  const SamGroupOptions options{config.read_group, config.mapq_cap,
-                                config.secondary};
   const std::size_t read_length =
       static_cast<std::size_t>(mapper.config().read_length);
   ThreadPool& pool = *mapper.pool();
@@ -114,7 +110,7 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
         }
         in.names[in.size] = rec.name;
         in.seqs[in.size] = rec.seq;
-        in.options[in.size] = &options;
+        in.options[in.size] = &config;
         ++in.size;
       }
     } catch (...) {
@@ -136,7 +132,10 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
     out.verified_pairs += st.verified_pairs;
     out.mappings += st.mappings;
     out.mapped_reads += st.mapped_reads;
-    if (sam != nullptr) *sam << chunk.out.sam.view();
+    if (sam != nullptr) {
+      sam->write(chunk.out.sam.data(),
+                 static_cast<std::streamsize>(chunk.out.sam.size()));
+    }
   };
   RunOrderedChunks<FastqChunk>(pool, workers, take, map, emit);
 

@@ -5,44 +5,34 @@
 // ReadChunkMapper — voted seeding against the mapper's k-mer index, one
 // filter call over the chunk's candidates (windows sliced from the
 // mapper's reference encoding), Myers verification, then each read's SAM
-// lines, addressed (chromosome, local position) through the mapper's
-// ReferenceSet.  Chunks are written in input order; memory stays bounded
-// by the reorder window no matter the input size.  The daemon maps its
-// chunks with the same ReadChunkMapper.
+// lines, grouped and scored per read by SamGroupBuffer and formatted by
+// AppendSam (mapper/sam.hpp) into the chunk's byte buffer, addressed
+// (chromosome, local position) through the mapper's ReferenceSet.  Chunks
+// are written in input order; memory stays bounded by the reorder window
+// no matter the input size.  `gkgpu map --reads` runs this driver, and
+// the daemon maps its chunks with the same ReadChunkMapper.
 #ifndef GKGPU_PIPELINE_READ_TO_SAM_HPP
 #define GKGPU_PIPELINE_READ_TO_SAM_HPP
 
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "align/banded.hpp"
 #include "mapper/mapper.hpp"
-#include "mapper/mapq.hpp"
 #include "mapper/sam.hpp"
 #include "pipeline/chunk_filter.hpp"
 #include "pipeline/ordered_chunks.hpp"
-#include "pipeline/sam_group.hpp"
 
 namespace gkgpu::pipeline {
 
-struct ReadToSamConfig {
-  /// Read-group ID: RG:Z:<id> on every record ("" = none); the matching
-  /// @RG header line is the caller's (WriteSamHeader's read_group).
-  std::string read_group;
-  /// MAPQ ceiling (mapper/mapq.hpp): each read's verified mappings are
-  /// scored with the blocking writers' computation, so golden SAMs stay
-  /// byte-identical across drivers.
-  int mapq_cap = kDefaultMapqCap;
-  /// Multi-mapping output mode (mapper/sam.hpp): best-only (default) or
-  /// report-secondary (FLAG 0x100, MAPQ 0) — identical semantics to the
-  /// blocking record writers.  CLI --report-secondary.
-  SecondaryPolicy secondary = SecondaryPolicy::kBestOnly;
-};
+/// The stream's SAM options (mapper/sam.hpp): read group, MAPQ cap and
+/// secondary policy, applied to every read; the matching @RG header line
+/// is the caller's (WriteSamHeader's read_group).
+using ReadToSamConfig = SamGroupOptions;
 
 struct ReadToSamStats {
   std::uint64_t reads = 0;
@@ -72,7 +62,7 @@ struct ReadChunkInput {
 struct ReadChunkOutput {
   /// Every read's SAM lines, in input order; read i's lines end at
   /// sam_end[i] and hold records[i] records.
-  std::ostringstream sam;
+  std::string sam;
   std::vector<std::size_t> sam_end;
   std::vector<std::size_t> records;
   ReadToSamStats stats;  // reads and skipped_reads stay the caller's

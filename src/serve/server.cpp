@@ -165,12 +165,12 @@ struct Session {
 
   /// The job's SAM options; set by the session thread before it admits
   /// its first read (the queue's mutex publishes it to the workers).
-  pipeline::SamGroupOptions options;
+  SamGroupOptions options;
 
   // Output side (the emitting worker + whichever thread completes the
   // session).
   std::mutex out_mu;
-  std::ostringstream staged;
+  std::string staged;
   std::uint64_t reads = 0;    // admitted to the queue (session thread)
   std::uint64_t records = 0;  // SAM records staged (under out_mu)
 };
@@ -291,8 +291,7 @@ struct MapServer::Impl {
     std::uint64_t reads = 0, records = 0;
     {
       std::lock_guard<std::mutex> lock(s->out_mu);
-      tail = std::move(s->staged).str();
-      s->staged.str({});
+      tail.swap(s->staged);
       reads = s->reads;
       records = s->records;
     }
@@ -356,7 +355,7 @@ struct MapServer::Impl {
       const SecondaryPolicy policy = job.report_secondary
                                          ? SecondaryPolicy::kReportSecondary
                                          : SecondaryPolicy::kBestOnly;
-      s->options = pipeline::SamGroupOptions{read_group, mapq_cap, policy};
+      s->options = SamGroupOptions{read_group, mapq_cap, policy};
       std::ostringstream header;
       WriteSamHeader(header, mapper_.reference(), read_group);
       TrySend(s, FrameType::kSamHeader, std::move(header).str());
@@ -459,7 +458,7 @@ struct MapServer::Impl {
   /// Hands each read's SAM bytes to its session, in chunk order, and
   /// retires the read.
   void EmitChunk(ServedChunk& chunk) {
-    const std::string_view sam = chunk.out.sam.view();
+    const std::string_view sam = chunk.out.sam;
     std::size_t begin = 0;
     for (std::size_t i = 0; i < chunk.reads.size(); ++i) {
       const SessionPtr& s = chunk.reads[i].session;
@@ -467,13 +466,10 @@ struct MapServer::Impl {
       std::string ready;
       if (!s->dead.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(s->out_mu);
-        s->staged << sam.substr(begin, end - begin);
+        s->staged.append(sam.substr(begin, end - begin));
         s->records += chunk.out.records[i];
         obs::ServeRecords().Inc(chunk.out.records[i]);
-        if (static_cast<std::size_t>(s->staged.tellp()) >= kSendThreshold) {
-          ready = std::move(s->staged).str();
-          s->staged.str({});
-        }
+        if (s->staged.size() >= kSendThreshold) ready.swap(s->staged);
       }
       begin = end;
       if (!ready.empty()) TrySend(s, FrameType::kSamRecords, ready);

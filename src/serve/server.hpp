@@ -6,7 +6,7 @@
 // spawns one session thread per connection; sessions parse frames,
 // reassemble FASTQ records, and push reads into one shared bounded queue.
 // One mapping thread drains that queue with chunk workers on the mapper's
-// pool (pipeline/ordered_chunks.hpp), the same engine `gkgpu pipeline`
+// pool (pipeline/ordered_chunks.hpp), the same engine `gkgpu map --reads`
 // runs: a worker takes up to kSeedChunkReads queued reads *across
 // sessions* — the cross-request coalescer — and maps them end to end with
 // ReadChunkMapper, each read formatted under its own session's job

@@ -306,21 +306,21 @@ TEST(SamTest, CigarVariantEmitsRealAlignments) {
   // A read with one deletion relative to the genome, mapped at its origin.
   std::string read = genome.substr(1000, 101);
   read.erase(50, 1);  // 100 bp read, one base missing
-  std::vector<std::string> reads{read};
-  std::vector<MappingRecord> records{{0, 1000, 2}};
+  const ReferenceSet ref("chrS", genome);
   std::ostringstream out;
-  WriteSamRecordsWithCigar(out, reads, records, "chrS", genome);
+  WriteSamRecordsMultiChrom(out, {read}, {}, {{0, 1000, 2}}, ref);
   const std::string sam = out.str();
   EXPECT_NE(sam.find("D"), std::string::npos) << sam;  // real deletion op
   EXPECT_NE(sam.find("NM:i:2"), std::string::npos);
 }
 
 TEST(SamTest, WritesWellFormedRecords) {
-  std::vector<std::string> reads{"ACGTACGT"};
-  std::vector<MappingRecord> records{{0, 41, 2}};
+  // The window at 41 is two substitutions from the read.
+  const ReferenceSet ref("chrS", std::string(41, 'T') + "ACGAACGA" +
+                                     std::string(951, 'T'));
   std::ostringstream out;
-  WriteSamHeader(out, "chrS", 1000);
-  WriteSamRecords(out, reads, records, "chrS");
+  WriteSamHeader(out, ref);
+  WriteSamRecordsMultiChrom(out, {"ACGTACGT"}, {}, {{0, 41, 2}}, ref);
   const std::string sam = out.str();
   EXPECT_NE(sam.find("@SQ\tSN:chrS\tLN:1000"), std::string::npos);
   // A unique placement with 2 residual edits: MAPQ = cap - 2 * edit
@@ -328,6 +328,42 @@ TEST(SamTest, WritesWellFormedRecords) {
   EXPECT_NE(sam.find("read0\t0\tchrS\t42\t52\t8M\t*\t0\t0\tACGTACGT"),
             std::string::npos);
   EXPECT_NE(sam.find("NM:i:2"), std::string::npos);
+}
+
+TEST(SamTest, AppendSamFormatsEveryField) {
+  // A reverse second mate at a position past 2^31 (chromosomes may reach
+  // 4 Gbp), its mate on the same chromosome: negative TLEN, RNEXT "=",
+  // NM:i:0 and a read group.
+  SamRecord mate;
+  mate.qname = "pair_7/2";
+  mate.flags = kSamPaired | kSamProperPair | kSamReverse | kSamSecondInPair;
+  mate.rname = "chr1";
+  mate.pos = 3'000'000'000;
+  mate.mapq = 60;
+  mate.cigar = "50M1I49M";
+  mate.rnext = "=";
+  mate.pnext = 2'999'999'650;
+  mate.tlen = -450;
+  mate.seq = "ACGT";
+  mate.qual = "IIII";
+  mate.nm = 0;
+  mate.read_group = "rg1";
+  // An unplaced record: POS -1 written 0, MAPQ 0, no NM (nm < 0), no RG,
+  // RNEXT a chromosome name with PNEXT the last base of a 4 Gbp one.
+  SamRecord unplaced;
+  unplaced.qname = "r2";
+  unplaced.flags = kSamUnmapped;
+  unplaced.rnext = "chr2";
+  unplaced.pnext = 4'294'967'294;
+
+  std::string sam = "@HD\n";
+  AppendSam(&sam, mate);
+  AppendSam(&sam, unplaced);
+  EXPECT_EQ(sam,
+            "@HD\n"
+            "pair_7/2\t147\tchr1\t3000000001\t60\t50M1I49M\t=\t"
+            "2999999651\t-450\tACGT\tIIII\tNM:i:0\tRG:Z:rg1\n"
+            "r2\t4\t*\t0\t0\t*\tchr2\t4294967295\t0\t*\t*\n");
 }
 
 }  // namespace

@@ -166,7 +166,7 @@ class ServeTest : public ::testing::Test {
 
   ReferenceSet ref_;
   ReadMapper mapper_;
-  /// The filter `gkgpu pipeline` and `gkgpu serve` run.
+  /// The filter `gkgpu map` and `gkgpu serve` run.
   const GateKeeperFilter gatekeeper_;
 };
 

@@ -9,26 +9,27 @@
 //                [--setup 1|2] [--devices N] [--encode host|device]
 //                [--out decisions.tsv]
 //   gkgpu map    --ref ref.fa --reads r.fq --e 5 [--no-filter]
-//                [--sam out.sam]
-//   gkgpu pipeline --reads r.fq --ref ref.fa --e 5 [--sam out.sam]
-//                  [--threads N]
+//                [--sam out.sam] [--threads N]
+//   gkgpu map    --ref ref.fa --paired r1.fq r2.fq --e 5 [--sam out.sam]
 //   gkgpu index  --ref ref.fa --out ref.gki [--k 12] [--verify]
 //   gkgpu serve  --index ref.gki --socket /tmp/gk.sock [--threads N]
 //   gkgpu map-client --socket /tmp/gk.sock --reads r.fq [--sam out.sam]
 //   gkgpu stats  --socket /tmp/gk.sock
 //
 // `filter --algo gkgpu` runs the full engine (simulated GPU, batching,
-// unified memory); the other algorithms run as host filters.  Single-end
-// `map` runs the mrFAST-like mapper with GateKeeper-GPU pre-alignment
-// filtering on the simulated devices and reports the Table-3 statistics;
-// only `filter` and single-end `map` build devices (`--setup`,
-// `--devices`).  `pipeline` streams single-end FASTQ: chunk workers on the
-// mapper's pool each seed, encode, filter with the host GateKeeper over
-// the mapper's 2-bit reference, verify and format a chunk of reads, and
-// the SAM is written in input order; `map --paired` and `serve` map the
-// same way.  Every command rejects options it does not take (exit 2), and
-// integer options outside their range (`--e` 0-52, `--devices` 1-8,
-// `--setup` 1-2, `--mapq-cap` 0-254) are usage errors too.
+// unified memory); the other algorithms run as host filters.  `filter` is
+// the only command that builds devices (`--setup`, `--devices`).  `map`
+// streams FASTQ: chunk workers on the mapper's pool each seed, filter with
+// the host GateKeeper over the mapper's 2-bit reference, verify and format
+// a chunk of reads (`--reads`) or pairs (`--paired`, `--interleaved`), and
+// the SAM is written in input order; `serve` maps the same way.  Every
+// command rejects options it does not take (exit 2), an operand it would
+// otherwise drop (a second one to an option that takes one — only
+// `--paired` takes two —, an option given twice, an operand before the
+// first option), and integer options outside their range (`--e` 0-52,
+// `--devices` 1-8, `--setup` 1-2, `--mapq-cap` 0-254).  Every output file
+// is opened before any work, so an unwritable path fails by name (exit 1)
+// up front.
 // `index` persists the reference + k-mer index + 2-bit encoding to one
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
@@ -91,20 +92,26 @@ class Args {
   Args(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      const auto eq = key.find('=');
-      if (eq != std::string::npos) {
-        values_[key.substr(0, eq)] = {key.substr(eq + 1)};
+      if (key.rfind("--", 0) != 0) {
+        // Only an operand before the first option reaches here.
+        if (stray_.empty()) stray_ = key;
         continue;
       }
-      // Consume every following non-flag token, so multi-operand options
-      // like `--paired r1.fq r2.fq` work; absent operands mean a boolean.
+      key = key.substr(2);
       std::vector<std::string> operands;
-      while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        operands.emplace_back(argv[++i]);
+      const auto eq = key.find('=');
+      if (eq != std::string::npos) {
+        operands.push_back(key.substr(eq + 1));
+        key.resize(eq);
+      } else {
+        // Consume every following non-flag token, so multi-operand options
+        // like `--paired r1.fq r2.fq` work; absent operands mean a boolean.
+        while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+          operands.emplace_back(argv[++i]);
+        }
+        if (operands.empty()) operands.emplace_back("1");
       }
-      if (operands.empty()) operands.emplace_back("1");
+      if (values_.count(key) != 0 && repeated_.empty()) repeated_ = key;
       values_[key] = std::move(operands);
     }
   }
@@ -146,44 +153,38 @@ class Args {
   /// The first option given that `allowed`, a space-separated list of
   /// option names, lacks ("" = none).
   std::string Unknown(std::string_view allowed) const {
-    const std::string words = " " + std::string(allowed) + " ";
     for (const auto& [key, operands] : values_) {
-      if (words.find(" " + key + " ") == std::string::npos) return key;
+      if (!Listed(allowed, key)) return key;
+    }
+    return {};
+  }
+  /// A usage message for an operand that would otherwise be dropped ("" =
+  /// none): one before the first option, an option given twice, or a
+  /// second operand of an option outside `multi` (a space-separated list of
+  /// the options that take several), since Get and GetInt read one.
+  std::string OperandError(std::string_view multi) const {
+    if (!stray_.empty()) return "unexpected operand '" + stray_ + "'";
+    if (!repeated_.empty()) return "--" + repeated_ + " is given twice";
+    for (const auto& [key, operands] : values_) {
+      if (operands.size() < 2 || Listed(multi, key)) continue;
+      std::string message = "--" + key + " takes one operand, got " +
+                            std::to_string(operands.size()) + ":";
+      for (const std::string& operand : operands) message += " " + operand;
+      return message;
     }
     return {};
   }
 
  private:
+  static bool Listed(std::string_view names, const std::string& key) {
+    const std::string words = " " + std::string(names) + " ";
+    return words.find(" " + key + " ") != std::string::npos;
+  }
+
   std::map<std::string, std::vector<std::string>> values_;
+  std::string stray_;     // the first operand before any option
+  std::string repeated_;  // the first option given twice
 };
-
-/// The simulated device set: paper Setup 1 (GTX 1080 Ti) or 2 (K20X).
-struct DeviceSet {
-  std::vector<std::unique_ptr<gpusim::Device>> devices;
-  std::vector<gpusim::Device*> ptrs;
-};
-
-/// `--setup` (1 or 2) and `--devices` (1 to 8, the paper's multi-GPU
-/// range) of `filter` and `map`, parsed before any work, so an out-of-range
-/// value is a usage error whether or not the run builds devices.
-struct DeviceOptions {
-  int setup = 1;
-  int count = 1;
-};
-
-DeviceOptions ParseDeviceOptions(const Args& args) {
-  return {static_cast<int>(args.GetInt("setup", 1, 1, 2)),
-          static_cast<int>(args.GetInt("devices", 1, 1, 8))};
-}
-
-/// The devices of `filter --algo gkgpu` and single-end `map`.
-DeviceSet MakeDeviceSet(const DeviceOptions& options) {
-  DeviceSet set;
-  set.devices = options.setup == 1 ? gpusim::MakeSetup1(options.count)
-                                   : gpusim::MakeSetup2(options.count);
-  for (auto& d : set.devices) set.ptrs.push_back(d.get());
-  return set;
-}
 
 EncodingActor ParseEncodingActor(const Args& args) {
   return args.Get("encode", "host") == "device" ? EncodingActor::kDevice
@@ -219,23 +220,65 @@ struct ReferenceInput {
   }
 };
 
-/// Resolves `--index FILE` or `--ref FASTA` (exactly one; `*ok` is false
-/// when neither or both are present).  Throws on open/validation failure.
-ReferenceInput LoadReferenceInput(const Args& args, bool* ok) {
+/// True when exactly one of `--index FILE` and `--ref FASTA` is given.
+bool HasReferenceInput(const Args& args) {
+  return args.Has("index") != args.Has("ref");
+}
+
+/// Resolves `--index FILE` or `--ref FASTA` (HasReferenceInput must hold).
+/// Throws on open/validation failure.
+ReferenceInput LoadReferenceInput(const Args& args) {
   ReferenceInput input;
   const std::string index_path = args.Get("index", "");
-  const std::string ref_path = args.Get("ref", "");
-  *ok = index_path.empty() != ref_path.empty();
-  if (!*ok) return input;
   if (!index_path.empty()) {
     IndexLoadOptions options;
     options.verify_checksum = args.Has("verify");
     input.mapped = std::make_unique<MappedIndexFile>(
         MappedIndexFile::Open(index_path, options));
   } else {
-    input.owned = ReferenceSet::FromFastaFile(ref_path);
+    input.owned = ReferenceSet::FromFastaFile(args.Get("ref", ""));
   }
   return input;
+}
+
+/// An output file named by `--<key>`, opened when constructed — before any
+/// work — so an unwritable path fails by name (exit 1) up front.
+class OutputFile {
+ public:
+  OutputFile(const Args& args, const char* key) : path_(args.Get(key, "")) {
+    if (path_.empty()) return;
+    file_.open(path_);
+    if (!file_) {
+      throw std::runtime_error("cannot open " + path_ + " for writing");
+    }
+  }
+  /// The open file, or null when the option is absent.
+  std::ostream* get() { return path_.empty() ? nullptr : &file_; }
+  const std::string& path() const { return path_; }
+  /// Flushes and closes the file; throws naming it unless every byte was
+  /// written.
+  void Close() {
+    file_.close();
+    if (!file_) throw std::runtime_error("cannot write " + path_);
+  }
+
+ private:
+  std::string path_;
+  std::ofstream file_;
+};
+
+/// The read length of a mapping run: `--length N`, else the length of the
+/// first record of `fastq_path`.
+int ReadLength(const Args& args, const std::string& fastq_path) {
+  const int length = static_cast<int>(args.GetInt("length", 0));
+  if (length > 0) return length;
+  std::ifstream peek(fastq_path);
+  FastqStreamReader peek_reader(peek);
+  FastqRecord first;
+  if (!peek_reader.Next(&first)) {
+    throw std::runtime_error("no reads in " + fastq_path);
+  }
+  return static_cast<int>(first.seq.size());
 }
 
 /// `--mapq-cap N`: the MAPQ ceiling, 0 to kMaxMapqCap.
@@ -250,10 +293,9 @@ int ErrorThreshold(const Args& args) {
   return static_cast<int>(args.GetInt("e", 5, 0, kMaxErrorThreshold));
 }
 
-/// The filter of `pipeline`, `serve` and `map --paired`: the host
-/// GateKeeper, or none under `--no-filter` (`map --paired` only).  A read
-/// length beyond the filter kernels' capacity is rejected here, before
-/// the SAM file is opened.
+/// The filter of `map` and `serve`: the host GateKeeper, or none under
+/// `map --no-filter`.  A read length beyond the filter kernels' capacity
+/// is rejected here, before any SAM is written.
 const PreAlignmentFilter* MappingFilter(const Args& args, int read_length) {
   static const GateKeeperFilter gatekeeper;
   if (args.Has("no-filter")) return nullptr;
@@ -268,7 +310,7 @@ unsigned PoolThreads(const Args& args) {
   return threads > 0 ? static_cast<unsigned>(threads) : 0;
 }
 
-/// The mapper options of `map`, `pipeline` and `serve`.  k is the default
+/// The mapper options of `map` and `serve`.  k is the default
 /// 12 unless an index file sets it (ReferenceInput::MakeMapper).
 MapperConfig MapperOptions(const Args& args, int read_length) {
   MapperConfig mcfg;
@@ -351,35 +393,49 @@ void PrintObsTables(const obs::MetricsSnapshot& snap) {
   }
 }
 
-/// Shared observability tail for `map` and `pipeline`: arms the tracer
-/// when --trace-json is given, and at scope exit (any return path) prints
-/// the funnel/latency tables, dumps --metrics-json, and flushes the
-/// trace file.
+/// The observability tail of `map`: opens --metrics-json and --trace-json
+/// before any work and arms the tracer; Finish prints the funnel/latency
+/// tables and writes both files.
 class ObsRun {
  public:
   explicit ObsRun(const Args& args)
-      : metrics_json_(args.Get("metrics-json", "")),
-        trace_json_(args.Get("trace-json", "")) {
-    if (!trace_json_.empty()) obs::StartTracing();
+      : metrics_json_(args, "metrics-json"), trace_json_(args, "trace-json") {
+    if (trace_json_.get() != nullptr) obs::StartTracing();
   }
+  /// A run that ends in an error still reports; a file that cannot be
+  /// written is then named on stderr.
   ~ObsRun() {
+    if (finished_) return;
+    try {
+      Finish();
+    } catch (const std::exception& ex) {
+      std::fprintf(stderr, "error: %s\n", ex.what());
+    }
+  }
+  /// Throws naming a file that could not be written.
+  void Finish() {
+    finished_ = true;
+    const std::string trace =
+        trace_json_.get() != nullptr ? obs::StopTracing() : std::string();
     const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
     PrintObsTables(snap);
-    if (!metrics_json_.empty()) {
-      std::ofstream os(metrics_json_);
-      os << snap.RenderJson();
-      std::printf("metrics written to %s\n", metrics_json_.c_str());
+    if (std::ostream* os = metrics_json_.get()) {
+      *os << snap.RenderJson();
+      metrics_json_.Close();
+      std::printf("metrics written to %s\n", metrics_json_.path().c_str());
     }
-    if (!trace_json_.empty()) {
-      obs::StopTracingToFile(trace_json_);
+    if (std::ostream* os = trace_json_.get()) {
+      *os << trace;
+      trace_json_.Close();
       std::printf("trace written to %s (chrome://tracing or Perfetto)\n",
-                  trace_json_.c_str());
+                  trace_json_.path().c_str());
     }
   }
 
  private:
-  std::string metrics_json_;
-  std::string trace_json_;
+  OutputFile metrics_json_;
+  OutputFile trace_json_;
+  bool finished_ = false;
 };
 
 int Usage() {
@@ -399,17 +455,12 @@ int Usage() {
       "                  [--devices N] [--encode host|device] [--out FILE]\n"
       "  map             (--ref FASTA | --index FILE) --e N [--sam FILE]\n"
       "                  [--read-group ID] [--mapq-cap N] [--threads N]\n"
-      "                  [--shard-max-bp N] and one of:\n"
-      "                    --reads FASTQ [--no-filter] [--report-secondary]\n"
-      "                      [--setup 1|2] [--devices N]\n"
+      "                  [--shard-max-bp N] [--length N] [--no-filter]\n"
+      "                  and one of:\n"
+      "                    --reads FASTQ [--report-secondary]\n"
       "                    --paired R1.fq R2.fq | --interleaved FILE\n"
-      "                      [--max-insert N] [--no-filter] [--length N]\n"
-      "                      [--no-rescue] [--mark-duplicates]\n"
-      "                      [--optical-dup-distance N]\n"
-      "  pipeline        --reads FASTQ (--ref FASTA | --index FILE) --e N\n"
-      "                  [--sam FILE] [--threads N] [--length N]\n"
-      "                  [--read-group ID] [--mapq-cap N]\n"
-      "                  [--report-secondary] [--shard-max-bp N]\n"
+      "                      [--max-insert N] [--no-rescue]\n"
+      "                      [--mark-duplicates] [--optical-dup-distance N]\n"
       "  index           --ref FASTA [--out FILE] [--k N] [--verify]\n"
       "                  [--shard-max-bp N]\n"
       "  serve           (--ref FASTA | --index FILE) --socket PATH\n"
@@ -420,7 +471,7 @@ int Usage() {
       "                  [--read-group ID] [--mapq-cap N]\n"
       "                  [--report-secondary]\n"
       "  stats           --socket PATH   (Prometheus scrape of a daemon)\n"
-      "  (map and pipeline accept --metrics-json FILE for the registry\n"
+      "  (map accepts --metrics-json FILE for the registry\n"
       "   snapshot and --trace-json FILE for a chrome://tracing timeline)\n"
       "  (FASTA references may be multi-chromosome; SAM output carries one\n"
       "   @SQ line per chromosome)\n",
@@ -586,9 +637,15 @@ std::unique_ptr<PreAlignmentFilter> MakeHostFilter(const std::string& algo) {
 }
 
 int FilterCmd(const Args& args) {
-  const DeviceOptions device_options = ParseDeviceOptions(args);
+  // The simulated devices of `--algo gkgpu`: paper Setup 1 (GTX 1080 Ti)
+  // or 2 (K20X), 1 to 8 of them (the paper's multi-GPU range), parsed
+  // before any work, so an out-of-range value is a usage error under every
+  // --algo.
+  const int setup = static_cast<int>(args.GetInt("setup", 1, 1, 2));
+  const int device_count = static_cast<int>(args.GetInt("devices", 1, 1, 8));
   const std::string pairs_path = args.Get("pairs", "");
   if (pairs_path.empty()) return Usage();
+  OutputFile out(args, "out");
   const auto pairs = ReadPairSetFile(pairs_path);
   if (pairs.empty()) {
     std::fprintf(stderr, "no pairs in %s\n", pairs_path.c_str());
@@ -603,12 +660,16 @@ int FilterCmd(const Args& args) {
   double kt = -1.0;
   double ft = 0.0;
   if (algo == "gkgpu") {
-    const DeviceSet set = MakeDeviceSet(device_options);
+    const std::vector<std::unique_ptr<gpusim::Device>> devices =
+        setup == 1 ? gpusim::MakeSetup1(device_count)
+                   : gpusim::MakeSetup2(device_count);
+    std::vector<gpusim::Device*> device_ptrs;
+    for (const auto& d : devices) device_ptrs.push_back(d.get());
     EngineConfig cfg;
     cfg.read_length = length;
     cfg.error_threshold = e;
     cfg.encoding = ParseEncodingActor(args);
-    GateKeeperGpuEngine engine(cfg, set.ptrs);
+    GateKeeperGpuEngine engine(cfg, device_ptrs);
     std::vector<std::string> reads;
     std::vector<std::string> refs;
     reads.reserve(pairs.size());
@@ -649,14 +710,13 @@ int FilterCmd(const Args& args) {
     ft = timer.Seconds();
   }
 
-  const std::string out = args.Get("out", "");
-  if (!out.empty()) {
-    std::ofstream os(out);
-    os << "# pair_index\taccept\n";
+  if (std::ostream* os = out.get()) {
+    *os << "# pair_index\taccept\n";
     for (std::size_t i = 0; i < accepts.size(); ++i) {
-      os << i << '\t' << static_cast<int>(accepts[i]) << '\n';
+      *os << i << '\t' << static_cast<int>(accepts[i]) << '\n';
     }
-    std::printf("decisions written to %s\n", out.c_str());
+    out.Close();
+    std::printf("decisions written to %s\n", out.path().c_str());
   }
   std::printf("%s: %zu pairs, e=%d -> accepted %llu (%.2f%%), rejected %llu\n",
               algo.c_str(), pairs.size(), e,
@@ -678,15 +738,10 @@ int FilterCmd(const Args& args) {
 /// `map --paired R1 R2` / `map --interleaved FILE`: the paired-end
 /// subsystem — strand-aware seeding, insert-size pairing, mate rescue,
 /// full SAM flag semantics.
-int MapPairedCmd(const Args& args, ReferenceInput& input) {
+int MapPairedCmd(const Args& args, ReferenceInput& input,
+                 OutputFile& sam_file) {
   const auto paired_files = args.GetList("paired");
   const std::string interleaved = args.Get("interleaved", "");
-  if (interleaved.empty() && paired_files.size() != 2) {
-    std::fprintf(stderr,
-                 "map: --paired needs exactly two FASTQ operands "
-                 "(R1 and R2), or use --interleaved FILE\n");
-    return 2;
-  }
   // Open the mate stream(s); read length comes from the first R1 record.
   std::ifstream in1, in2;
   if (interleaved.empty()) {
@@ -704,17 +759,8 @@ int MapPairedCmd(const Args& args, ReferenceInput& input) {
       return 1;
     }
   }
-  int length = static_cast<int>(args.GetInt("length", 0));
-  if (length <= 0) {
-    std::ifstream peek(interleaved.empty() ? paired_files[0] : interleaved);
-    FastqStreamReader peek_reader(peek);
-    FastqRecord first;
-    if (!peek_reader.Next(&first)) {
-      std::fprintf(stderr, "no reads in the paired input\n");
-      return 1;
-    }
-    length = static_cast<int>(first.seq.size());
-  }
+  const int length =
+      ReadLength(args, interleaved.empty() ? paired_files[0] : interleaved);
 
   ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
 
@@ -729,14 +775,8 @@ int MapPairedCmd(const Args& args, ReferenceInput& input) {
   PairedEndMapper paired(mapper, pconf);
   const PreAlignmentFilter* filter = MappingFilter(args, length);
 
-  const std::string sam_path = args.Get("sam", "");
-  std::ofstream sam_file;
-  std::ostream* sam = nullptr;
-  if (!sam_path.empty()) {
-    sam_file.open(sam_path);
-    WriteSamHeader(sam_file, mapper.reference(), pconf.read_group);
-    sam = &sam_file;
-  }
+  std::ostream* sam = sam_file.get();
+  if (sam != nullptr) WriteSamHeader(*sam, mapper.reference(), pconf.read_group);
 
   auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
                                     : PairedFastqReader(in1);
@@ -772,122 +812,25 @@ int MapPairedCmd(const Args& args, ReferenceInput& input) {
   t.AddRow({"total (s)", TablePrinter::Num(stats.total_seconds, 3)});
   t.Print(std::cout);
   if (sam != nullptr) {
-    std::printf("SAM written to %s (%llu records)\n", sam_path.c_str(),
+    sam_file.Close();
+    std::printf("SAM written to %s (%llu records)\n", sam_file.path().c_str(),
                 static_cast<unsigned long long>(2 * stats.pairs));
   }
   return 0;
 }
 
-int MapCmd(const Args& args) {
-  const DeviceOptions device_options = ParseDeviceOptions(args);
-  bool ok = false;
-  ReferenceInput input = LoadReferenceInput(args, &ok);
-  if (!ok) return Usage();
-  ObsRun obs_run(args);
-  if (args.Has("paired") || args.Has("interleaved")) {
-    return MapPairedCmd(args, input);
-  }
+/// `map --reads FASTQ`: the single-end driver, StreamFastqToSam on the
+/// mapper's chunk workers.  Reads of another length than the run's
+/// (ReadLength) are skipped and counted.
+int MapSingleCmd(const Args& args, ReferenceInput& input,
+                 OutputFile& sam_file) {
   const std::string reads_path = args.Get("reads", "");
-  if (reads_path.empty()) return Usage();
-  const auto fastq = ReadFastqFile(reads_path);
-  if (fastq.empty()) {
-    std::fprintf(stderr, "empty read set\n");
-    return 1;
-  }
-  std::vector<std::string> reads;
-  std::vector<std::string> names;
-  reads.reserve(fastq.size());
-  for (const auto& r : fastq) {
-    reads.push_back(r.seq);
-    names.push_back(r.name);
-  }
-  const int length = static_cast<int>(reads.front().size());
-  const int e = ErrorThreshold(args);
-  const int mapq_cap = MapqCap(args);
-
-  ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
-
-  // The engine borrows the devices, so they are declared first and
-  // destroyed last.
-  DeviceSet set;
-  std::unique_ptr<GateKeeperGpuEngine> engine;
-  if (!args.Has("no-filter")) {
-    set = MakeDeviceSet(device_options);
-    EngineConfig cfg;
-    cfg.read_length = length;
-    cfg.error_threshold = e;
-    engine = std::make_unique<GateKeeperGpuEngine>(cfg, set.ptrs);
-    engine->LoadReference(mapper.encoding());
-  }
-
-  std::vector<MappingRecord> records;
-  const MappingStats stats = mapper.MapReads(reads, engine.get(), &records);
-
-  TablePrinter t({"metric", "value"});
-  t.AddRow({"reads", TablePrinter::Count(stats.reads)});
-  if (mapper.index().shard_count() > 1) {
-    t.AddRow({"index shards",
-              TablePrinter::Count(mapper.index().shard_count())});
-  }
-  t.AddRow({"mappings", TablePrinter::Count(stats.mappings)});
-  t.AddRow({"mapped reads", TablePrinter::Count(stats.mapped_reads)});
-  t.AddRow({"candidates", TablePrinter::Count(stats.candidates_total)});
-  t.AddRow({"verification pairs",
-            TablePrinter::Count(stats.verification_pairs)});
-  t.AddRow({"rejected pairs", TablePrinter::Count(stats.rejected_pairs)});
-  t.AddRow({"reduction", TablePrinter::Percent(stats.ReductionPercent(), 1)});
-  t.AddRow({"seeding (s)", TablePrinter::Num(stats.seeding_seconds, 3)});
-  t.AddRow({"filtering (s)", TablePrinter::Num(stats.filter_seconds, 3)});
-  t.AddRow({"verification (s)",
-            TablePrinter::Num(stats.verification_seconds, 3)});
-  t.AddRow({"total (s)", TablePrinter::Num(stats.total_seconds, 3)});
-  t.Print(std::cout);
-
-  const std::string sam_path = args.Get("sam", "");
-  if (!sam_path.empty()) {
-    const std::string read_group = args.Get("read-group", "");
-    const SecondaryPolicy policy = args.Has("report-secondary")
-                                       ? SecondaryPolicy::kReportSecondary
-                                       : SecondaryPolicy::kBestOnly;
-    std::ofstream sam(sam_path);
-    WriteSamHeader(sam, mapper.reference(), read_group);
-    WriteSamRecordsMultiChrom(sam, reads, names, records, mapper.reference(),
-                              read_group, mapq_cap, policy);
-    std::printf("SAM written to %s (%zu verified mappings%s)\n",
-                sam_path.c_str(), records.size(),
-                policy == SecondaryPolicy::kBestOnly
-                    ? ", primary records only"
-                    : ", secondaries flagged 0x100");
-  }
-  return 0;
-}
-
-int PipelineCmd(const Args& args) {
-  ObsRun obs_run(args);
-  const std::string reads_path = args.Get("reads", "");
-  if (reads_path.empty()) return Usage();
-
-  bool ok = false;
-  ReferenceInput input = LoadReferenceInput(args, &ok);
-  if (!ok) return Usage();
   std::ifstream fastq(reads_path);
   if (!fastq) {
     std::fprintf(stderr, "cannot open %s\n", reads_path.c_str());
     return 1;
   }
-  // Read length defaults to the first record's, like `map`; --length
-  // overrides (reads of any other length are skipped by the stream).
-  int length = static_cast<int>(args.GetInt("length", 0));
-  if (length <= 0) {
-    std::ifstream peek(reads_path);
-    FastqStreamReader peek_reader(peek);
-    FastqRecord first;
-    if (!peek_reader.Next(&first)) {
-      std::fprintf(stderr, "no reads in %s\n", reads_path.c_str());
-      return 1;
-    }
-    length = static_cast<int>(first.seq.size());
-  }
+  const int length = ReadLength(args, reads_path);
   ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
   const PreAlignmentFilter* filter = MappingFilter(args, length);
 
@@ -897,20 +840,18 @@ int PipelineCmd(const Args& args) {
   scfg.secondary = args.Has("report-secondary")
                        ? SecondaryPolicy::kReportSecondary
                        : SecondaryPolicy::kBestOnly;
-  const std::string sam_path = args.Get("sam", "");
-  std::ofstream sam_file;
-  std::ostream* sam = nullptr;
-  if (!sam_path.empty()) {
-    sam_file.open(sam_path);
-    WriteSamHeader(sam_file, mapper.reference(), scfg.read_group);
-    sam = &sam_file;
-  }
+  std::ostream* sam = sam_file.get();
+  if (sam != nullptr) WriteSamHeader(*sam, mapper.reference(), scfg.read_group);
   const pipeline::ReadToSamStats stats =
       pipeline::StreamFastqToSam(fastq, mapper, filter, scfg, sam);
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"reads", TablePrinter::Count(stats.reads)});
   t.AddRow({"skipped reads", TablePrinter::Count(stats.skipped_reads)});
+  if (mapper.index().shard_count() > 1) {
+    t.AddRow({"index shards",
+              TablePrinter::Count(mapper.index().shard_count())});
+  }
   t.AddRow({"candidates", TablePrinter::Count(stats.candidates)});
   t.AddRow({"mappings", TablePrinter::Count(stats.mappings)});
   t.AddRow({"mapped reads", TablePrinter::Count(stats.mapped_reads)});
@@ -920,15 +861,37 @@ int PipelineCmd(const Args& args) {
   t.AddRow({"verified pairs", TablePrinter::Count(stats.verified_pairs)});
   t.Print(std::cout);
   if (sam != nullptr) {
+    sam_file.Close();
     std::printf("SAM written to %s (%llu verified mappings)\n",
-                sam_path.c_str(),
+                sam_file.path().c_str(),
                 static_cast<unsigned long long>(stats.mappings));
   }
   return 0;
 }
 
-/// `gkgpu index`: build the persistent index once; `map`/`pipeline`/
-/// `serve` then start in microseconds via --index.
+int MapCmd(const Args& args) {
+  const bool paired = args.Has("paired") || args.Has("interleaved");
+  if (!HasReferenceInput(args) || (!paired && !args.Has("reads"))) {
+    return Usage();
+  }
+  if (paired && !args.Has("interleaved") &&
+      args.GetList("paired").size() != 2) {
+    std::fprintf(stderr,
+                 "map: --paired needs exactly two FASTQ operands "
+                 "(R1 and R2), or use --interleaved FILE\n");
+    return 2;
+  }
+  OutputFile sam_file(args, "sam");
+  ObsRun obs_run(args);
+  ReferenceInput input = LoadReferenceInput(args);
+  const int status = paired ? MapPairedCmd(args, input, sam_file)
+                            : MapSingleCmd(args, input, sam_file);
+  obs_run.Finish();
+  return status;
+}
+
+/// `gkgpu index`: build the persistent index once; `map` and `serve` then
+/// start in microseconds via --index.
 int IndexCmd(const Args& args) {
   const std::string ref_path = args.Get("ref", "");
   if (ref_path.empty()) return Usage();
@@ -978,11 +941,9 @@ void HandleServeSignal(int) {
 /// socket, coalescing reads from simultaneous clients into shared
 /// chunks.  SIGTERM/SIGINT drain and exit.
 int ServeCmd(const Args& args) {
-  bool ok = false;
-  ReferenceInput input = LoadReferenceInput(args, &ok);
-  if (!ok) return Usage();
   const std::string socket_path = args.Get("socket", "");
-  if (socket_path.empty()) return Usage();
+  if (!HasReferenceInput(args) || socket_path.empty()) return Usage();
+  ReferenceInput input = LoadReferenceInput(args);
   const int length = static_cast<int>(args.GetInt("length", 100));
   const int e = ErrorThreshold(args);
   const int threads = static_cast<int>(args.GetInt("threads", 2));
@@ -1046,19 +1007,11 @@ int MapClientCmd(const Args& args) {
   }
   job.report_secondary = args.Has("report-secondary");
 
-  const std::string sam_path = args.Get("sam", "");
-  std::ofstream sam_file;
-  std::ostream* sam = &std::cout;
-  if (!sam_path.empty()) {
-    sam_file.open(sam_path);
-    if (!sam_file) {
-      std::fprintf(stderr, "cannot open %s for writing\n", sam_path.c_str());
-      return 1;
-    }
-    sam = &sam_file;
-  }
+  OutputFile sam_file(args, "sam");
+  std::ostream* sam = sam_file.get() != nullptr ? sam_file.get() : &std::cout;
   const serve::ClientStats stats =
       serve::MapOverSocket(socket_path, fastq, *sam, job);
+  if (sam_file.get() != nullptr) sam_file.Close();
   // Stats go to stderr: stdout may be the SAM stream.
   std::fprintf(stderr, "map-client: %llu reads -> %llu records via %s\n",
                static_cast<unsigned long long>(stats.reads),
@@ -1093,12 +1046,9 @@ constexpr Command kCommands[] = {
     {"filter", FilterCmd, "pairs e algo setup devices encode out"},
     {"map", MapCmd,
      "ref index verify e sam read-group mapq-cap threads shard-max-bp "
-     "metrics-json trace-json reads no-filter report-secondary setup devices "
-     "paired interleaved length max-insert no-rescue mark-duplicates "
+     "metrics-json trace-json reads no-filter report-secondary paired "
+     "interleaved length max-insert no-rescue mark-duplicates "
      "optical-dup-distance"},
-    {"pipeline", PipelineCmd,
-     "reads ref index verify e sam threads length read-group mapq-cap "
-     "report-secondary shard-max-bp metrics-json trace-json"},
     {"index", IndexCmd, "ref out k verify shard-max-bp"},
     {"serve", ServeCmd,
      "ref index verify socket length e threads timeout linger read-group "
@@ -1117,12 +1067,20 @@ int main(int argc, char** argv) {
   for (const Command& c : kCommands) {
     if (cmd == c.name) command = &c;
   }
-  if (command == nullptr) return Usage();
+  if (command == nullptr) {
+    std::fprintf(stderr, "gkgpu: unknown command '%s'\n", cmd.c_str());
+    return Usage();
+  }
   const Args args(argc, argv, 2);
   const std::string unknown = args.Unknown(command->options);
   if (!unknown.empty()) {
     std::fprintf(stderr, "%s: unknown option --%s\n", cmd.c_str(),
                  unknown.c_str());
+    return 2;
+  }
+  const std::string operand_error = args.OperandError("paired");
+  if (!operand_error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), operand_error.c_str());
     return 2;
   }
   try {
