@@ -11,13 +11,15 @@
 // dispatched kernel tier land in BENCH_pipeline.json.
 //
 // Two service-mode gates ride along: the persistent index must mmap-load
-// >= 10x faster than a cold in-memory rebuild (index + 2-bit encoding) of
-// the same reference, and the daemon's served throughput over two
-// concurrent Unix-socket clients is recorded as a trajectory point.
+// >= 10x faster than a cold in-memory rebuild (index + 2-bit encoding on
+// a thread pool, as the mapper builds them) of the same reference, and
+// the daemon's served throughput over two concurrent Unix-socket clients
+// is recorded as a trajectory point.
 //
 // The genome scale-out machinery is measured on a forced multi-shard
-// layout (8 chromosomes, shard budget a quarter of the genome): per-shard
-// CSR builds serial vs concurrent, recorded without a gate.
+// layout (8 chromosomes, shard budget a quarter of the genome): the
+// sharded build without a pool vs on one (shards one after another, each
+// across the pool), recorded without a gate.
 //
 // Observability rides the same run: per-filter false-accept rates are
 // computed from the metrics registry's funnel counters against banded-DP
@@ -52,6 +54,7 @@
 #include "simd/dispatch.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/threadpool.hpp"
 
 using namespace gkgpu;
 using namespace gkgpu::bench;
@@ -184,8 +187,9 @@ IndexLoadResult RunIndexLoadBench(const ReferenceSet& ref,
   BuildAndWriteIndexFile(path, ref, 12);
   for (int rep = 0; rep < reps; ++rep) {
     WallTimer t;
-    const KmerIndex index(ref.text(), 12);
-    const ReferenceEncoding enc = EncodeReference(ref.text());
+    ThreadPool pool;
+    const KmerIndex index(ref.text(), 12, &pool);
+    const ReferenceEncoding enc = EncodeReference(ref.text(), &pool);
     // Consume both so the builds cannot be elided.
     const double s =
         index.positions().size() + enc.words.size() > 0 ? t.Seconds() : 0.0;
@@ -269,10 +273,10 @@ struct ShardBuildResult {
   }
 };
 
-/// Per-shard build concurrency on a forced multi-shard layout: the same
-/// SeedIndex built with one worker vs one thread per shard.  k = 10 keeps
-/// the per-shard offset tables small enough that the bench exercises the
-/// scheduling, not the allocator.
+/// The sharded build on a forced multi-shard layout: the same SeedIndex
+/// built without a pool vs on one.  k = 10 keeps the per-shard offset
+/// tables small enough that the bench exercises the build passes, not the
+/// allocator.
 ShardBuildResult RunShardBuildBench(const ReferenceSet& ref,
                                     std::int64_t shard_max_bp, int reps) {
   SeedConfig cfg;
@@ -281,14 +285,15 @@ ShardBuildResult RunShardBuildBench(const ReferenceSet& ref,
   ShardBuildResult r;
   for (int rep = 0; rep < reps; ++rep) {
     WallTimer t;
-    const SeedIndex idx = SeedIndex::Build(ref, cfg, 1);
+    const SeedIndex idx = SeedIndex::Build(ref, cfg);
     const double s = idx.indexed_positions() > 0 ? t.Seconds() : 0.0;
     r.serial_s = rep == 0 ? s : std::min(r.serial_s, s);
     r.shard_count = idx.shard_count();
   }
+  ThreadPool pool;
   for (int rep = 0; rep < reps; ++rep) {
     WallTimer t;
-    const SeedIndex idx = SeedIndex::Build(ref, cfg, 0);
+    const SeedIndex idx = SeedIndex::Build(ref, cfg, &pool);
     const double s = idx.indexed_positions() > 0 ? t.Seconds() : 0.0;
     r.parallel_s = rep == 0 ? s : std::min(r.parallel_s, s);
   }
@@ -432,10 +437,10 @@ int main() {
   std::error_code index_ec;
   std::filesystem::remove(index_path, index_ec);
 
-  // --- sharded index: concurrent vs serial shard builds ----------------
+  // --- sharded index: the build without a pool vs on one ---------------
   // An 8-chromosome reference with the shard budget forced down to a
   // quarter of the genome — the small-genome stand-in for a > 4 Gbp
-  // layout, where each shard's CSR build is independent work.
+  // layout.
   ReferenceSet shard_ref;
   const std::size_t chrom_len = std::max<std::size_t>(genome_len / 8, 2048);
   for (int c = 0; c < 8; ++c) {
@@ -449,7 +454,7 @@ int main() {
   std::printf(
       "\n=== sharded index build (%zu bp, 8 chromosomes, %zu shards, "
       "k = 10) ===\n"
-      "serial: %.1f ms   concurrent: %.1f ms   speedup %.2fx\n",
+      "no pool: %.1f ms   on a pool: %.1f ms   speedup %.2fx\n",
       shard_ref.text().size(), shard_run.shard_count,
       shard_run.serial_s * 1e3, shard_run.parallel_s * 1e3,
       shard_run.speedup());

@@ -12,7 +12,7 @@ inline constexpr char kBases[4] = {'A', 'C', 'G', 'T'};
 
 /// 2-bit code for an upper/lower-case base; returns 4 for anything else
 /// ('N' and malformed characters).
-inline unsigned BaseToCode(char c) {
+constexpr unsigned BaseToCode(char c) {
   switch (c) {
     case 'A': case 'a': return 0;
     case 'C': case 'c': return 1;

@@ -13,6 +13,7 @@
 
 #include "util/bitops.hpp"
 #include "util/fingerprint.hpp"
+#include "util/threadpool.hpp"
 
 namespace gkgpu {
 
@@ -343,8 +344,9 @@ std::uint64_t BuildAndWriteIndexFile(const std::string& path,
                                      const ReferenceSet& ref,
                                      const SeedConfig& config) {
   if (ref.empty()) Fail(path, "refusing to write an empty reference");
-  const SeedIndex index = SeedIndex::Build(ref, config);
-  const ReferenceEncoding encoding = EncodeReference(ref.text());
+  ThreadPool pool(0, "gkgpu-index");
+  const SeedIndex index = SeedIndex::Build(ref, config, &pool);
+  const ReferenceEncoding encoding = EncodeReference(ref.text(), &pool);
   return WriteIndexFile(path, ref, index, encoding);
 }
 

@@ -65,8 +65,9 @@ std::uint64_t WriteIndexFileV1(const std::string& path,
                                const KmerIndex& index,
                                const ReferenceEncoding& encoding);
 
-/// Convenience: build the sharded index + encoding from `ref` and write
-/// in one step.
+/// Convenience: build the sharded index + encoding from `ref` on one
+/// thread pool (hardware concurrency) and write in one step.  The bytes
+/// do not depend on the pool: the radix index build is deterministic.
 std::uint64_t BuildAndWriteIndexFile(const std::string& path,
                                      const ReferenceSet& ref,
                                      const SeedConfig& config);

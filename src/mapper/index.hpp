@@ -8,15 +8,39 @@
 // genome and owns the CSR arrays) or viewed (spans over externally owned
 // storage — an mmap'd index file; see io/index_io.hpp).  Lookup always
 // goes through the spans, so both modes share one hot path.
+//
+// The build is a two-level radix sort of the genome's k-mer starts by
+// code, so its random writes stay in cache instead of spraying over the
+// 4^k offset table:
+//   1. partition: the genome is cut into contiguous slices (at most 256);
+//      each slice counts its k-mers per partition — the code's top 8 bits,
+//      its first four bases — then scatters every start into its
+//      partition's region of `positions`, slice after slice;
+//   2. sort: one worker per partition counting-sorts the region by the
+//      code's low 2k - 8 bits, recomputed from the genome text, using the
+//      partition's own slice of `offsets` (4^(k-4) entries, 256 KiB at
+//      k = 12) as the count table, and leaves that slice holding the
+//      region's bucket starts.
+// Both steps are stable and slices are contiguous, so every bucket lists
+// its positions in ascending order and the CSR arrays do not depend on
+// the slicing or the worker count.  Memory beyond the two CSR arrays: a
+// slices x 256 count table (at most 256 KiB) and, per worker, one 8-byte
+// (low code, position) entry per position of the largest partition it
+// sorts.  No second 4^k table is ever allocated.
 #ifndef GKGPU_MAPPER_INDEX_HPP
 #define GKGPU_MAPPER_INDEX_HPP
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace gkgpu {
+
+class ThreadPool;
 
 class KmerIndex {
  public:
@@ -32,10 +56,12 @@ class KmerIndex {
   /// move-assign a real index into (MappedIndexFile holds one by value).
   KmerIndex() = default;
 
-  /// Builds the index; k <= 14 (the offset table is 4^k + 1 entries;
-  /// mrFAST uses 12).  k-mers containing 'N' are not indexed.  Throws
-  /// when `genome` exceeds kMaxGenomeLength.
-  KmerIndex(std::string_view genome, int k = 12);
+  /// Builds the index on `pool`'s threads and the caller (serially when
+  /// `pool` is null); the arrays are the same either way.  k-mers
+  /// containing 'N' are not indexed.  Throws std::invalid_argument, naming
+  /// the value, when k is outside [4, 14] (the offset table is 4^k + 1
+  /// entries; mrFAST uses 12) or `genome` exceeds kMaxGenomeLength.
+  KmerIndex(std::string_view genome, int k = 12, ThreadPool* pool = nullptr);
 
   /// Non-owning view over a persisted CSR layout (typically spans into an
   /// mmap'd index file, which must outlive the view).  Validates the
@@ -74,10 +100,27 @@ class KmerIndex {
   std::span<const std::uint32_t> LookupCode(std::int64_t code) const;
 
  private:
+  // Leaves elements uninitialized on resize: the build writes every CSR
+  // entry itself, across the pool, so value-initialization would only add
+  // a serial zeroing pass over both arrays before it.
+  template <typename T>
+  struct UninitializedAllocator : std::allocator<T> {
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  using CsrArray =
+      std::vector<std::uint32_t, UninitializedAllocator<std::uint32_t>>;
+
   int k_ = 0;
   std::size_t genome_length_ = 0;
-  std::vector<std::uint32_t> offsets_;    // owned storage (empty in views)
-  std::vector<std::uint32_t> positions_;  // owned storage (empty in views)
+  CsrArray offsets_;    // owned storage (empty in views)
+  CsrArray positions_;  // owned storage (empty in views)
   std::span<const std::uint32_t> offsets_view_;    // 4^k + 1
   std::span<const std::uint32_t> positions_view_;  // CSR payload
 };

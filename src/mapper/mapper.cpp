@@ -17,9 +17,9 @@ namespace gkgpu {
 ReadMapper::ReadMapper(ReferenceSet reference, MapperConfig config)
     : ref_(std::move(reference)),
       config_(config),
-      index_(SeedIndex::Build(ref_,
-                              SeedConfig{config.k, config.shard_max_bp})),
       pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")),
+      index_(SeedIndex::Build(ref_, SeedConfig{config.k, config.shard_max_bp},
+                              pool_.get())),
       owned_encoding_(EncodeReference(ref_.text(), pool_.get())),
       encoding_(owned_encoding_.view()) {
   BindSeedCounters();
@@ -33,8 +33,8 @@ ReadMapper::ReadMapper(ReferenceSet reference, SeedIndex index,
                        MapperConfig config)
     : ref_(std::move(reference)),
       config_(config),
-      index_(std::move(index)),
       pool_(std::make_unique<ThreadPool>(config.verify_threads, "gkgpu-map")),
+      index_(std::move(index)),
       encoding_(encoding) {
   if (index_.k() != config_.k) {
     throw std::invalid_argument(

@@ -37,7 +37,8 @@ struct MapperConfig {
   int k = 12;
   int read_length = 100;
   int error_threshold = 5;
-  /// Workers of the mapper's pool (0 = hardware concurrency): MapReads
+  /// Workers of the mapper's pool (0 = hardware concurrency): the FASTA
+  /// constructor builds the index and the encoding on it, MapReads
   /// verifies on it, and the streaming drivers run their chunk workers on
   /// it (pipeline/ordered_chunks.hpp).
   unsigned verify_threads = 0;
@@ -157,7 +158,8 @@ class ReadMapper {
   /// Multi-chromosome mapper: one k-mer index and one encoded reference
   /// over the concatenated text; mappings carry global positions that the
   /// reference set maps back to (chromosome, local position).  Builds
-  /// both from the text: the index, then the 2-bit encoding on the pool.
+  /// both from the text on the mapper's pool: the index, then the 2-bit
+  /// encoding.
   ReadMapper(ReferenceSet reference, MapperConfig config);
   /// Single-sequence convenience (the chromosome is named
   /// "synthetic_chr1", matching the synthetic-genome tooling).
@@ -232,8 +234,10 @@ class ReadMapper {
 
   ReferenceSet ref_;
   MapperConfig config_;
-  SeedIndex index_;
+  // Declared before index_ and owned_encoding_: the FASTA constructor
+  // builds both on it.
   std::unique_ptr<ThreadPool> pool_;
+  SeedIndex index_;
   ReferenceEncoding owned_encoding_;  // empty when viewed from a file
   ReferenceEncodingView encoding_;
   std::vector<obs::Counter> shard_candidates_;  // empty on one shard

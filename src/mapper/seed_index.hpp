@@ -4,12 +4,13 @@
 // uint32 ceiling, so the concatenated genome may exceed 4 Gbp — the
 // scale-out KmerIndex alone refuses.
 //
-// Shards build concurrently (one thread per shard); lookups run per shard
-// and the mapper merges the translated global positions across shards
-// before filtration.  Because shard boundaries are chromosome boundaries
-// and junction-spanning candidate windows are dropped at seeding time,
-// the merged candidate set is byte-for-byte the one a monolithic index
-// would seed.
+// Shards build one after another, each across the caller's pool
+// (KmerIndex's radix build); lookups run per shard and the mapper merges
+// the translated global positions across shards before filtration.
+// Because shard boundaries are chromosome boundaries and
+// junction-spanning candidate windows are dropped at seeding time, the
+// merged candidate set is byte-for-byte the one a monolithic index would
+// seed.
 #ifndef GKGPU_MAPPER_SEED_INDEX_HPP
 #define GKGPU_MAPPER_SEED_INDEX_HPP
 
@@ -35,12 +36,12 @@ class SeedIndex {
   /// Empty index (shard_count() == 0) — a placeholder to move into.
   SeedIndex() = default;
 
-  /// Builds the per-shard indexes over `ref`, `threads` shards at a time
-  /// (0 = hardware concurrency, 1 = serial — the bench measures both).
-  /// Throws std::invalid_argument on a bad config or a chromosome
-  /// exceeding the shard budget.
+  /// Builds the per-shard indexes over `ref`, one shard at a time, each on
+  /// `pool`'s threads and the caller (serially when `pool` is null; the
+  /// arrays are the same either way).  Throws std::invalid_argument on a
+  /// bad config or a chromosome exceeding the shard budget.
   static SeedIndex Build(const ReferenceSet& ref, const SeedConfig& config,
-                         unsigned threads = 0);
+                         ThreadPool* pool = nullptr);
 
   /// Assembles a view-mode index from persisted parts (an mmap'd index
   /// file): the plan plus one view-mode KmerIndex per shard, which must

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/fingerprint.hpp"
+#include "util/threadpool.hpp"
 
 namespace gkgpu {
 namespace {
@@ -377,6 +379,33 @@ TEST_F(IndexIoTest, MultiShardRoundTripMatchesMonolithicSam) {
   const std::string golden = render(monolithic);
   EXPECT_EQ(render(sharded), golden);
   EXPECT_FALSE(golden.empty());
+}
+
+TEST_F(IndexIoTest, FileBytesDoNotDependOnThePool) {
+  // Two shards, each long enough for several slices of the index build's
+  // partition step.
+  ReferenceSet ref;
+  ref.Add("chrA", GenerateGenome(150000, 13));
+  ref.Add("chrB", GenerateGenome(140000, 14));
+  SeedConfig scfg;
+  scfg.k = 8;
+  scfg.shard_max_bp = 150000;
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const auto write = [&](ThreadPool* pool, const std::string& path) {
+    WriteIndexFile(path, ref, SeedIndex::Build(ref, scfg, pool),
+                   EncodeReference(ref.text(), pool));
+    return bytes(path);
+  };
+  ThreadPool pool(3);
+  const std::string serial = write(nullptr, path_);
+  EXPECT_EQ(MappedIndexFile::Open(path_).shard_count(), 2u);
+  EXPECT_EQ(write(&pool, path_), serial);
+  // `gkgpu index`'s path, on its own pool.
+  BuildAndWriteIndexFile(path_, ref, scfg);
+  EXPECT_EQ(bytes(path_), serial);
 }
 
 TEST(IndexFingerprintTest, DistinguishesContentKAndVersion) {

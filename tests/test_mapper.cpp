@@ -7,15 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <limits>
 #include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "encode/revcomp.hpp"
 #include "mapper/sam.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace gkgpu {
 namespace {
@@ -83,6 +88,108 @@ TEST(KmerIndexTest, LookupMatchesBruteForceScan) {
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected) << kmer;
   }
+}
+
+/// The CSR arrays by brute force: every k-mer start whose k bases are all
+/// known, bucketed by code and ascending within each bucket.
+void ExpectMatchesBruteForce(const std::string& genome, int k,
+                             const KmerIndex& index) {
+  const std::size_t kk = static_cast<std::size_t>(k);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> hits;  // (code, start)
+  for (std::size_t i = 0; i + kk <= genome.size(); ++i) {
+    std::uint64_t code = 0;
+    bool known = true;
+    for (std::size_t j = 0; j < kk && known; ++j) {
+      const char base = static_cast<char>(
+          std::toupper(static_cast<unsigned char>(genome[i + j])));
+      const std::size_t c = std::string_view("ACGT").find(base);
+      known = c != std::string_view::npos;
+      code = code * 4 + (known ? c : 0);
+    }
+    if (known) hits.emplace_back(code, static_cast<std::uint32_t>(i));
+  }
+  std::stable_sort(
+      hits.begin(), hits.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  const auto offsets = index.offsets();
+  const auto positions = index.positions();
+  ASSERT_EQ(offsets.size(), (std::size_t{1} << (2 * k)) + 1);
+  ASSERT_EQ(positions.size(), hits.size());
+  std::size_t h = 0;
+  for (std::size_t code = 0; code + 1 < offsets.size(); ++code) {
+    ASSERT_EQ(offsets[code], h) << "k=" << k << " bucket " << code;
+    for (; h < hits.size() && hits[h].first == code; ++h) {
+      ASSERT_EQ(positions[h], hits[h].second) << "k=" << k << " entry " << h;
+    }
+  }
+  EXPECT_EQ(offsets.back(), hits.size());
+}
+
+/// Genomes that stress the radix build's edges at `k`.  Slices of the
+/// partition step are 65,536 k-mer starts long on genomes this size.
+std::vector<std::pair<std::string, std::string>> IndexEdgeGenomes(int k) {
+  std::vector<std::pair<std::string, std::string>> genomes;
+  const std::string bases = "ACGTTGCAACGTTG";
+  genomes.emplace_back("shorter than k",
+                       bases.substr(0, static_cast<std::size_t>(k - 1)));
+  genomes.emplace_back("exactly k",
+                       bases.substr(0, static_cast<std::size_t>(k)));
+  std::string every7 = GenerateGenome(20000, 41);
+  for (std::size_t i = 6; i < every7.size(); i += 7) every7[i] = 'N';
+  genomes.emplace_back("N every 7th base", std::move(every7));
+  std::string boundary = GenerateGenome(3 * 65536 + 5000, 42);
+  for (std::size_t i = 65530; i < 65560; ++i) boundary[i] = 'N';
+  boundary[2 * 65536] = 'N';
+  genomes.emplace_back("N runs across slice boundaries", std::move(boundary));
+  genomes.emplace_back("60 kbp of one base", std::string(60000, 'T'));
+  std::string lower = GenerateGenome(30000, 43);
+  for (std::size_t i = 0; i < lower.size(); i += 3) {
+    lower[i] = static_cast<char>(std::tolower(lower[i]));
+  }
+  genomes.emplace_back("lowercase bases", std::move(lower));
+  return genomes;
+}
+
+TEST(KmerIndexTest, CsrMatchesBruteForceOnEdgeGenomes) {
+  for (const int k : {4, 8, 12}) {
+    for (const auto& [name, genome] : IndexEdgeGenomes(k)) {
+      SCOPED_TRACE(name + ", k=" + std::to_string(k));
+      ExpectMatchesBruteForce(genome, k, KmerIndex(genome, k));
+    }
+  }
+}
+
+TEST(KmerIndexTest, CsrDoesNotDependOnTheWorkerCount) {
+  std::string genome = GenerateGenome(5 * 65536 + 777, 44);
+  for (std::size_t i = 1000; i < genome.size(); i += 9973) genome[i] = 'N';
+  for (const int k : {8, 12}) {
+    const KmerIndex serial(genome, k);
+    ExpectMatchesBruteForce(genome, k, serial);
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      ThreadPool pool(threads);
+      const KmerIndex pooled(genome, k, &pool);
+      EXPECT_TRUE(std::ranges::equal(pooled.offsets(), serial.offsets()))
+          << "k=" << k << ", " << threads << " threads";
+      EXPECT_TRUE(std::ranges::equal(pooled.positions(), serial.positions()))
+          << "k=" << k << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(KmerIndexTest, RejectsKOutsideItsRangeByName) {
+  for (const int k : {-1, 0, 3, 15, 32}) {
+    try {
+      const KmerIndex index("ACGTACGTACGTACGTACGT", k);
+      ADD_FAILURE() << "k=" << k << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("k = " + std::to_string(k)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const std::vector<std::uint32_t> offsets(2, 0);
+  EXPECT_THROW(KmerIndex::View(15, 0, offsets, {}), std::invalid_argument);
 }
 
 TEST(MapperTest, MapsErrorFreeReadsToTheirOrigin) {

@@ -34,6 +34,7 @@
 #include "serve/server.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
+#include "util/threadpool.hpp"
 
 namespace gkgpu {
 namespace {
@@ -544,16 +545,18 @@ TEST_F(ShardedMappingTest, ConcurrentBuildMatchesSerial) {
   SeedConfig scfg;
   scfg.k = 8;
   scfg.shard_max_bp = 6000;
-  const SeedIndex serial = SeedIndex::Build(ref_, scfg, 1);
-  const SeedIndex parallel = SeedIndex::Build(ref_, scfg, 4);
+  ThreadPool pool(4);
+  const SeedIndex serial = SeedIndex::Build(ref_, scfg);
+  const SeedIndex parallel = SeedIndex::Build(ref_, scfg, &pool);
+  ASSERT_GT(serial.shard_count(), 1u);
   ASSERT_EQ(serial.shard_count(), parallel.shard_count());
   EXPECT_EQ(serial.indexed_positions(), parallel.indexed_positions());
   for (std::size_t s = 0; s < serial.shard_count(); ++s) {
     const KmerIndex& a = serial.shard(s);
     const KmerIndex& b = parallel.shard(s);
-    ASSERT_EQ(a.positions().size(), b.positions().size());
-    EXPECT_TRUE(std::equal(a.positions().begin(), a.positions().end(),
-                           b.positions().begin()));
+    EXPECT_TRUE(std::ranges::equal(a.offsets(), b.offsets())) << "shard " << s;
+    EXPECT_TRUE(std::ranges::equal(a.positions(), b.positions()))
+        << "shard " << s;
   }
 }
 

@@ -510,6 +510,31 @@ int GenerateGenomeCmd(const Args& args) {
   return 0;
 }
 
+/// How many of `count` reads (or pairs) each chromosome of `ref`
+/// simulates: a share proportional to its length, the last chromosome
+/// taking the remainder.  Chromosome c draws from its own RNG stream,
+/// seed + c, so a one-chromosome FASTA gets the reads it always did.
+std::vector<std::size_t> CountsPerChromosome(const ReferenceSet& ref,
+                                             std::size_t count) {
+  std::vector<std::size_t> counts(ref.chromosome_count());
+  std::size_t given = 0;
+  for (std::size_t c = 0; c + 1 < counts.size(); ++c) {
+    counts[c] = static_cast<std::size_t>(
+        static_cast<std::uint64_t>(count) *
+        static_cast<std::uint64_t>(ref.chromosome(c).length) /
+        static_cast<std::uint64_t>(ref.length()));
+    given += counts[c];
+  }
+  counts.back() = count - given;
+  return counts;
+}
+
+std::string_view ChromosomeText(const ReferenceSet& ref, std::size_t c) {
+  const ChromosomeInfo& info = ref.chromosome(c);
+  return ref.text().substr(static_cast<std::size_t>(info.offset),
+                           static_cast<std::size_t>(info.length));
+}
+
 int GenerateReadsCmd(const Args& args) {
   const std::string ref_path = args.Get("ref", "");
   if (ref_path.empty()) return Usage();
@@ -518,6 +543,7 @@ int GenerateReadsCmd(const Args& args) {
     std::fprintf(stderr, "no sequences in %s\n", ref_path.c_str());
     return 1;
   }
+  const ReferenceSet ref = ReferenceSet::FromFasta(records);
   const auto count = static_cast<std::size_t>(args.GetInt("count", 10000));
   const int length = static_cast<int>(args.GetInt("length", 100));
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 43));
@@ -525,14 +551,18 @@ int GenerateReadsCmd(const Args& args) {
   ReadErrorProfile profile = ReadErrorProfile::Illumina();
   if (profile_name == "richdel") profile = ReadErrorProfile::RichDeletion();
   if (profile_name == "lowindel") profile = ReadErrorProfile::LowIndel();
-  const auto reads =
-      SimulateReads(records[0].seq, count, length, profile, seed);
+  const std::vector<std::size_t> counts = CountsPerChromosome(ref, count);
   std::vector<FastqRecord> fq;
-  fq.reserve(reads.size());
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    fq.push_back({"read_" + std::to_string(i) + "_origin_" +
-                      std::to_string(reads[i].origin),
-                  reads[i].seq, ""});
+  fq.reserve(count);
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    const std::string& chrom = ref.chromosome(c).name;
+    for (const SimulatedRead& read :
+         SimulateReads(ChromosomeText(ref, c), counts[c], length, profile,
+                       seed + c)) {
+      fq.push_back({"read_" + std::to_string(fq.size()) + "_" + chrom +
+                        "_origin_" + std::to_string(read.origin),
+                    read.seq, ""});
+    }
   }
   const std::string out = args.Get("out", "reads.fq");
   WriteFastqFile(out, fq);
@@ -558,29 +588,35 @@ int GeneratePairedReadsCmd(const Args& args) {
   const std::string profile_name = args.Get("profile", "illumina");
   if (profile_name == "richdel") cfg.profile = ReadErrorProfile::RichDeletion();
   if (profile_name == "lowindel") cfg.profile = ReadErrorProfile::LowIndel();
-  const auto pairs = SimulatePairs(records[0].seq, count, cfg, seed);
+  const ReferenceSet ref = ReferenceSet::FromFasta(records);
+  const std::vector<std::size_t> counts = CountsPerChromosome(ref, count);
 
   std::vector<FastqRecord> fq1, fq2;
-  fq1.reserve(pairs.size());
-  fq2.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const std::string stem = "pair_" + std::to_string(i) + "_frag_" +
-                             std::to_string(pairs[i].fragment_start) + "_" +
-                             std::to_string(pairs[i].fragment_length);
-    fq1.push_back({stem + "/1", pairs[i].seq1, ""});
-    fq2.push_back({stem + "/2", pairs[i].seq2, ""});
+  fq1.reserve(count);
+  fq2.reserve(count);
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    const std::string& chrom = ref.chromosome(c).name;
+    for (const SimulatedPair& pair :
+         SimulatePairs(ChromosomeText(ref, c), counts[c], cfg, seed + c)) {
+      const std::string stem = "pair_" + std::to_string(fq1.size()) + "_" +
+                               chrom + "_frag_" +
+                               std::to_string(pair.fragment_start) + "_" +
+                               std::to_string(pair.fragment_length);
+      fq1.push_back({stem + "/1", pair.seq1, ""});
+      fq2.push_back({stem + "/2", pair.seq2, ""});
+    }
   }
   const std::string interleaved = args.Get("interleaved", "");
   if (!interleaved.empty()) {
     std::vector<FastqRecord> both;
-    both.reserve(2 * pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
+    both.reserve(2 * fq1.size());
+    for (std::size_t i = 0; i < fq1.size(); ++i) {
       both.push_back(fq1[i]);
       both.push_back(fq2[i]);
     }
     WriteFastqFile(interleaved, both);
     std::printf("wrote %s (%zu interleaved pairs of 2x%d bp)\n",
-                interleaved.c_str(), pairs.size(), cfg.read_length);
+                interleaved.c_str(), fq1.size(), cfg.read_length);
     return 0;
   }
   const std::string out1 = args.Get("out1", "reads_1.fq");
@@ -588,7 +624,7 @@ int GeneratePairedReadsCmd(const Args& args) {
   WriteFastqFile(out1, fq1);
   WriteFastqFile(out2, fq2);
   std::printf("wrote %s + %s (%zu pairs of 2x%d bp, insert %.0f +/- %.0f)\n",
-              out1.c_str(), out2.c_str(), pairs.size(), cfg.read_length,
+              out1.c_str(), out2.c_str(), fq1.size(), cfg.read_length,
               cfg.insert_mean, cfg.insert_sd);
   return 0;
 }
