@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the filtration core itself: per-pair
 // latency of GateKeeperFiltration across read lengths and error thresholds,
 // the amendment/count primitives, the baselines, and the exact aligners —
-// the numbers behind the throughput tables — plus the seeding kernel's
-// per-read cost at chunk sizes 1 and kSeedChunkReads, unvoted and voted.
+// the numbers behind the throughput tables — plus the reverse complement
+// of an encoded read and the seeding kernel's per-read cost at chunk sizes
+// 1 and kSeedChunkReads, unvoted and voted.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "align/myers.hpp"
 #include "align/needleman_wunsch.hpp"
 #include "encode/encoded.hpp"
+#include "encode/revcomp.hpp"
 #include "filters/gatekeeper_core.hpp"
 #include "filters/magnet.hpp"
 #include "filters/shouji.hpp"
@@ -113,15 +115,21 @@ void BM_BaselineFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_BaselineFilter)->DenseRange(0, 2);
 
-// Legs 2 and 3 are the mapper's verifier at its default e=5: one pair the
-// verifier accepts (3 substitutions) and one it rejects (25 edits), so the
-// kernel's early exit on far pairs shows against the full scan.
+// Legs 2-5 are the mapper's verifier at its default e=5, legs 6-9 the
+// Myers kernel (its fallback and oracle) on the same four pairs: one the
+// verifier accepts (3 substitutions), one it rejects (25 edits), so the
+// early exit on far pairs shows against the full scan, two substitutions
+// (the Hamming path, no DP) and an equal-length pair with two indels
+// (distance 4, 24 mismatches: the band kernel).
 void BM_ExactAligners(benchmark::State& state) {
   const int which = static_cast<int>(state.range(0));
   constexpr int kE = 5;
-  const SequencePair p = which == 2   ? MakePairWithEdits(100, 3, 0.0, 11)
-                         : which == 3 ? MakePairWithEdits(100, 25, 0.3, 11)
-                                      : MakePairWithEdits(100, 7, 0.3, 11);
+  const int pair = which < 2 ? 0 : (which - 2) % 4 + 1;
+  const SequencePair p = pair == 1   ? MakePairWithEdits(100, 3, 0.0, 11)
+                         : pair == 2 ? MakePairWithEdits(100, 25, 0.3, 11)
+                         : pair == 3 ? MakePairWithEdits(100, 2, 0.0, 11)
+                         : pair == 4 ? MakePairWithEdits(100, 2, 1.0, 11)
+                                     : MakePairWithEdits(100, 7, 0.3, 11);
   MyersAligner myers;
   BandedVerifier verifier;
   for (auto _ : state) {
@@ -132,16 +140,41 @@ void BM_ExactAligners(benchmark::State& state) {
       case 1:
         benchmark::DoNotOptimize(myers.Distance(p.read, p.ref));
         break;
-      default:
+      case 2:
+      case 3:
+      case 4:
+      case 5:
         benchmark::DoNotOptimize(verifier.Distance(p.read, p.ref, kE));
+        break;
+      default:
+        benchmark::DoNotOptimize(myers.DistanceWithin(p.read, p.ref, kE));
         break;
     }
   }
-  static constexpr const char* kLabels[] = {
-      "NW-DP", "Myers", "Verifier-e5-accept", "Verifier-e5-far"};
-  state.SetLabel(kLabels[which]);
+  const char* const kPairs[] = {"accept", "far", "hamming", "indel"};
+  std::string label = which == 0 ? "NW-DP" : "Myers";
+  if (which >= 2) {
+    label = (which < 6 ? "Verifier-e5-" : "Myers-e5-") +
+            std::string(kPairs[pair - 1]);
+  }
+  state.SetLabel(label);
 }
-BENCHMARK(BM_ExactAligners)->DenseRange(0, 3);
+BENCHMARK(BM_ExactAligners)->DenseRange(0, 9);
+
+// Reorienting one encoded read, as LoadBlockPair does for every
+// reverse-strand candidate, at the mapper's read length and the kernels'
+// longest.
+void BM_ReverseComplementEncoded(benchmark::State& state) {
+  const int length = static_cast<int>(state.range(0));
+  const EncodedPair enc = MakeEncoded(length, 0, 13);
+  Word out[kMaxEncodedWords];
+  for (auto _ : state) {
+    ReverseComplementEncoded(enc.read, length, out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ReverseComplementEncoded)->Arg(100)->Arg(512);
 
 // Seeding, per read, through ReadMapper::SeedReads at chunk sizes 1 (each
 // lookup's misses wait in turn) and kSeedChunkReads (a chunk's misses

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "align/banded.hpp"
 #include "align/myers.hpp"
 
 namespace gkgpu {
@@ -117,15 +118,11 @@ std::string CigarFor(std::string_view read, std::string_view window,
   // there too.  Its traceback from (L, L) tries M first, and
   // D[i-1][i-1] + cost(i) == H(i) == D[i][i] holds at every step, so it
   // walks the diagonal to (0, 0) and emits L M's: "<L>M", byte for byte.
-  if (!read.empty() && read.size() == window.size() && edits >= 0) {
-    int hamming = 0;
-    for (std::size_t i = 0; i < read.size() && hamming <= edits; ++i) {
-      hamming += read[i] != window[i] ? 1 : 0;
-    }
-    if (hamming == edits) {
-      assert(MyersAligner().DistanceWithin(read, window, edits) == edits);
-      return std::to_string(read.size()) + "M";
-    }
+  // The count is the verifier's own Hamming routine, stopped past `edits`.
+  if (!read.empty() && read.size() == window.size() && edits >= 0 &&
+      HammingWithin(read, window, edits) == edits) {
+    assert(MyersAligner().DistanceWithin(read, window, edits) == edits);
+    return std::to_string(read.size()) + "M";
   }
   const Alignment aln = BandedAlign(read, window, edits);
   return aln.distance >= 0 ? aln.cigar : std::to_string(read.size()) + "M";

@@ -3,10 +3,11 @@
 // Edlib's EDLIB_MODE_NW, which the paper uses as the accuracy ground truth:
 // "we hold Edlib's global alignment results as the ground truth".
 //
-// It is also the mapper's verification kernel: BandedVerifier and
-// BandedEditDistance are thin calls to MyersAligner::DistanceWithin.
-// Patterns up to 128 bp run on two unrolled 64-bit words held in
-// registers; longer ones walk a block vector.
+// It is the fallback of the mapper's verifier (BandedVerifier runs it on
+// pairs of unequal length, budgets above 31 and targets without SSE2) and
+// the oracle of its tests: BandedEditDistance is a thin call to
+// MyersAligner::DistanceWithin.  Patterns up to 128 bp run on two unrolled
+// 64-bit words held in registers; longer ones walk a block vector.
 //
 // MyersAligner keeps its pattern bitmask table across calls and clears
 // only the entries a pattern set, so a verifier reused over millions of

@@ -39,10 +39,15 @@ std::string ReverseComplement(std::string_view seq);
 void ReverseComplementInto(std::string_view seq, std::string* out);
 
 /// Reverse complement of a 2-bit encoded sequence of `length` bases into
-/// `out` (EncodedWords(length) words, tail bits zeroed).  `out` must not
-/// alias `in`.  Matches EncodeSequence(ReverseComplement(...)) bit for bit
-/// on N-free input; 'N' has no 2-bit code, so callers track unknown bases
-/// through the has-N flags exactly as in the forward direction.
+/// `out` (EncodedWords(length) words, tail bits zeroed; the input's tail
+/// bits are ignored).  `out` must not alias `in`.  Works a word at a time:
+/// each word's sixteen codes are reversed (a byte swap and two
+/// mask-and-shift steps), the words are taken in reverse order, shifted
+/// left by the tail width and complemented.  Matches
+/// EncodeSequence(ReverseComplement(...)) bit for bit on N-free input;
+/// 'N' has no 2-bit code (it encodes as A, so its reverse complement
+/// carries T's), so callers track unknown bases through the has-N flags
+/// exactly as in the forward direction.
 void ReverseComplementEncoded(const Word* in, int length, Word* out);
 
 }  // namespace gkgpu

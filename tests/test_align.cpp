@@ -1,13 +1,16 @@
 // Tests for the alignment oracles: Needleman-Wunsch DP, the Myers
-// bit-vector (Edlib equivalent), and the banded Ukkonen verifier — all
-// cross-checked against each other on randomized sweeps.
+// bit-vector (Edlib equivalent), and the mapper's verifier (its Hamming
+// path and diagonal-band kernel) — all cross-checked against each other
+// on randomized sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <numeric>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "align/banded.hpp"
@@ -17,6 +20,7 @@
 #include "align/needleman_wunsch.hpp"
 #include "encode/dna.hpp"
 #include "sim/pairgen.hpp"
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 
 namespace gkgpu {
@@ -85,14 +89,22 @@ TEST(MyersTest, EmptyInputs) {
   EXPECT_EQ(MyersEditDistance("", "ACG"), 3);
 }
 
-// Edit budgets around the kernel's word boundaries and far beyond them.
-constexpr int kBudgets[] = {0, 1, 5, 31, 32, 63, 64, 200};
+// Every budget the mapper accepts (0 to 52, so both sides of the band
+// kernel's limit of 31), then Myers' word boundaries (63, 64) and far
+// beyond.
+const std::vector<int> kBudgets = [] {
+  std::vector<int> budgets(kMaxErrorThreshold + 1);
+  std::iota(budgets.begin(), budgets.end(), 0);
+  budgets.insert(budgets.end(), {63, 64, 200});
+  return budgets;
+}();
 
 // Symbol sets the verifier must compare byte for byte: N and lower case
-// are distinct symbols, never wildcards; the last set reaches the top of
-// the 256-entry pattern table.
+// are distinct symbols, never wildcards; the last set spans the byte
+// range from NUL (the value the band kernel's padding starts at) to the
+// top of the 256-entry pattern table.
 const std::string kAlphabets[] = {"ACGT", "ACGTN", "acgtACGT", "N",
-                                  std::string("\x01G\x80\xff", 4)};
+                                  std::string("\0\x01G\x80\xff", 5)};
 
 std::string RandomOver(Rng& rng, int n, const std::string& alphabet) {
   std::string s(static_cast<std::size_t>(n), alphabet[0]);
@@ -121,6 +133,53 @@ std::string Mutate(Rng& rng, std::string s, int edits,
   return s;
 }
 
+// `a` with `shift` random symbols inserted at `from` and as many bases
+// deleted at `to` (from <= to <= a.size() - shift): the length holds, and
+// between the two the alignment runs `shift` diagonals off the main one
+// (the other side of it with the roles of a and b swapped).
+std::string ShiftBetween(Rng& rng, const std::string& a, std::size_t from,
+                         std::size_t to, int shift,
+                         const std::string& alphabet) {
+  return a.substr(0, from) + RandomOver(rng, shift, alphabet) +
+         a.substr(from, to - from) +
+         a.substr(to + static_cast<std::size_t>(shift));
+}
+
+// Equal-length partners of `a` aimed at budget k, the shapes the band
+// kernel must get right: substitutions only; an insertion paired with a
+// later deletion, so the path between them runs k or k + 1 diagonals off
+// the main one (the band's edge, or just past it, at budgets near 2k);
+// and edits in the first and last k + 1 columns.
+std::vector<std::string> EqualLengthCases(Rng& rng, const std::string& a, int k,
+                                          const std::string& alphabet) {
+  const std::size_t m = a.size();
+  const auto any = [&] { return alphabet[rng.Uniform(alphabet.size())]; };
+  std::vector<std::string> cases;
+  std::string subs = a;
+  for (auto s = rng.Uniform(static_cast<std::uint64_t>(k) + 4); s > 0; --s) {
+    subs[rng.Uniform(m)] = any();
+  }
+  cases.push_back(std::move(subs));
+  for (const int shift : {k, k + 1}) {
+    const auto width = static_cast<std::size_t>(shift);
+    if (shift == 0 || width > m) continue;
+    const std::size_t from = rng.Uniform((m - width) / 4 + 1);
+    const std::size_t to = m - width - rng.Uniform((m - width - from) / 4 + 1);
+    cases.push_back(ShiftBetween(rng, a, from, to, shift, alphabet));
+  }
+  const std::size_t edge = std::min(m, static_cast<std::size_t>(k) + 1);
+  std::string ends = a;
+  if (m >= 2) {
+    const std::size_t from = rng.Uniform(edge);
+    const std::size_t to = std::max(from, m - 1 - rng.Uniform(edge));
+    ends = ShiftBetween(rng, a, from, to, 1, alphabet);
+  }
+  ends[rng.Uniform(edge)] = any();
+  ends[m - 1 - rng.Uniform(edge)] = any();
+  cases.push_back(std::move(ends));
+  return cases;
+}
+
 // The independent oracle: the full NW DP, thresholded at k.
 int NwWithin(std::string_view a, std::string_view b, int k) {
   const int d = NwEditDistance(a, b);
@@ -130,22 +189,33 @@ int NwWithin(std::string_view a, std::string_view b, int k) {
 TEST(BandedTest, ExactWithinBandRejectsBeyond) {
   // Every pattern length 1-300 (so 63/64/65, 127/128/129 and the block
   // loop above 128), each against a mutated copy (distances near the
-  // budgets, lengths differing by more than small k) and an unrelated
-  // sequence, over every budget and symbol set.
+  // budgets, lengths differing by more than small k), an unrelated
+  // sequence and the equal-length partners aimed at a budget cycling
+  // through 0-52, over every budget and symbol set, in both orders: the
+  // Myers oracle and the verifier both equal NW.
   Rng rng(11);
+  BandedVerifier verifier;
   for (int length = 1; length <= 300; ++length) {
     const std::string& alphabet =
         kAlphabets[static_cast<std::size_t>(length) % std::size(kAlphabets)];
     const std::string a = RandomOver(rng, length, alphabet);
     const int edits = static_cast<int>(rng.Uniform(length / 4 + 4));
-    const std::string near = Mutate(rng, a, edits, alphabet);
     const int far_length = length + static_cast<int>(rng.Uniform(8));
-    const std::string far = RandomOver(rng, far_length, alphabet);
-    for (const std::string& b : {near, far}) {
+    const int aim = length % (kMaxErrorThreshold + 1);
+    auto partners = EqualLengthCases(rng, a, aim, alphabet);
+    partners.push_back(Mutate(rng, a, edits, alphabet));
+    partners.push_back(RandomOver(rng, far_length, alphabet));
+    for (const std::string& b : partners) {
+      const int d = NwEditDistance(a, b);
       for (const int k : kBudgets) {
-        ASSERT_EQ(BandedEditDistance(a, b, k), NwWithin(a, b, k))
+        const int want = d <= k ? d : -1;
+        ASSERT_EQ(BandedEditDistance(a, b, k), want)
             << "m " << a.size() << " n " << b.size() << " k " << k;
-        ASSERT_EQ(BandedEditDistance(b, a, k), NwWithin(b, a, k))
+        ASSERT_EQ(BandedEditDistance(b, a, k), want)
+            << "m " << b.size() << " n " << a.size() << " k " << k;
+        ASSERT_EQ(verifier.Distance(a, b, k), want)
+            << "m " << a.size() << " n " << b.size() << " k " << k;
+        ASSERT_EQ(verifier.Distance(b, a, k), want)
             << "m " << b.size() << " n " << a.size() << " k " << k;
       }
     }
@@ -203,27 +273,98 @@ TEST(BandedTest, IndelPairsStayWithinDoubledBudget) {
 }
 
 TEST(BandedTest, AgreesWithMyersWithinThreshold) {
-  // Read-like pairs (up to 29 random edits) at the block-boundary
-  // lengths: the verifier, the thresholded and the exact Myers entry
-  // points all agree with the NW oracle.
+  // Read-like pairs (up to 29 random edits, and the equal-length partners
+  // aimed at a random budget up to 52) at the block-boundary lengths: the
+  // verifier, the thresholded and the exact Myers entry points all agree
+  // with the NW oracle.
   Rng rng(17);
   MyersAligner aligner;
+  BandedVerifier verifier;
   for (const int length : {1, 2, 63, 64, 65, 100, 127, 128, 129, 150, 300}) {
     for (int trial = 0; trial < 40; ++trial) {
       const int edits = static_cast<int>(rng.Uniform(30));
       const std::string& alphabet =
           kAlphabets[static_cast<std::size_t>(trial) % std::size(kAlphabets)];
       const std::string a = RandomOver(rng, length, alphabet);
-      const std::string b = Mutate(rng, a, edits, alphabet);
-      const int exact = NwEditDistance(a, b);
-      ASSERT_EQ(aligner.Distance(a, b), exact)
-          << "length " << length << " trial " << trial;
-      for (const int k : kBudgets) {
-        const int want = exact <= k ? exact : -1;
-        ASSERT_EQ(BandedEditDistance(a, b, k), want)
-            << "length " << length << " trial " << trial << " k " << k;
-        ASSERT_EQ(aligner.DistanceWithin(a, b, k), want)
-            << "length " << length << " trial " << trial << " k " << k;
+      const int aim = static_cast<int>(rng.Uniform(kMaxErrorThreshold + 1));
+      auto partners = EqualLengthCases(rng, a, aim, alphabet);
+      partners.push_back(Mutate(rng, a, edits, alphabet));
+      for (const std::string& b : partners) {
+        const int exact = NwEditDistance(a, b);
+        ASSERT_EQ(aligner.Distance(a, b), exact)
+            << "length " << length << " trial " << trial;
+        for (const int k : kBudgets) {
+          const int want = exact <= k ? exact : -1;
+          ASSERT_EQ(BandedEditDistance(a, b, k), want)
+              << "length " << length << " trial " << trial << " k " << k;
+          ASSERT_EQ(aligner.DistanceWithin(a, b, k), want)
+              << "length " << length << " trial " << trial << " k " << k;
+          ASSERT_EQ(verifier.Distance(a, b, k), want)
+              << "length " << length << " trial " << trial << " k " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(BandedTest, HammingPathBoundaries) {
+  // Equal lengths with at most two mismatches return the Hamming distance
+  // without a DP; three mismatches can hide a distance of two (a deletion
+  // and an insertion), and a shifted tandem repeat hides it behind 80.
+  BandedVerifier verifier;
+  const std::string a = "TTACGTACGGATCCAT";
+  for (int h = 0; h <= 3; ++h) {
+    std::string b = a;
+    for (int i = 0; i < h; ++i) {
+      const auto pos = static_cast<std::size_t>(5 * i + 2);
+      b[pos] = b[pos] == 'A' ? 'C' : 'A';
+    }
+    ASSERT_EQ(NwEditDistance(a, b), h);
+    for (int k = 0; k <= h + 2; ++k) {
+      EXPECT_EQ(verifier.Distance(a, b, k), k >= h ? h : -1)
+          << "h " << h << " k " << k;
+    }
+  }
+  // A deletion at offset 2 and an insertion at offset 4: three mismatches.
+  const std::string shifted = "TTCGATACGGATCCAT";
+  ASSERT_EQ(HammingWithin(a, shifted, 16), 3);
+  ASSERT_EQ(NwEditDistance(a, shifted), 2);
+  std::string repeat;
+  while (repeat.size() < 101) repeat += "ACGTT";
+  const std::string read = repeat.substr(1, 100);
+  const std::string ref = repeat.substr(0, 100);
+  ASSERT_EQ(HammingWithin(read, ref, 100), 80);
+  for (const auto& [x, y] : {std::pair{a, shifted}, std::pair{read, ref}}) {
+    for (int k = 0; k <= 4; ++k) {
+      EXPECT_EQ(verifier.Distance(x, y, k), k >= 2 ? 2 : -1)
+          << x << " " << y << " k " << k;
+      EXPECT_EQ(verifier.Distance(y, x, k), k >= 2 ? 2 : -1)
+          << y << " " << x << " k " << k;
+    }
+  }
+}
+
+TEST(BandedTest, HammingWithinIsExactUpToItsLimit) {
+  // Lengths around the 16-byte compares: the count is exact up to the
+  // limit, and past it only known to exceed the limit.
+  Rng rng(37);
+  for (const int length : {0, 1, 15, 16, 17, 31, 32, 33, 100, 300}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::string a = RandomOver(rng, length, kAlphabets[4]);
+      std::string b = a;
+      for (auto s = rng.Uniform(8); s > 0 && length > 0; --s) {
+        const auto pos = rng.Uniform(static_cast<std::uint64_t>(length));
+        b[pos] = static_cast<char>(b[pos] ^ 0x40);
+      }
+      int h = 0;
+      for (std::size_t i = 0; i < a.size(); ++i) h += a[i] != b[i] ? 1 : 0;
+      for (int limit = 0; limit <= h + 2; ++limit) {
+        const int got = HammingWithin(a, b, limit);
+        if (h <= limit) {
+          EXPECT_EQ(got, h) << "length " << length << " limit " << limit;
+        } else {
+          EXPECT_GT(got, limit) << "length " << length << " limit " << limit;
+        }
       }
     }
   }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "encode/dna.hpp"
 #include "encode/revcomp.hpp"
 #include "sim/genome.hpp"
@@ -195,20 +198,44 @@ TEST(RevCompTest, UnknownBasesMirrorAsN) {
 }
 
 TEST(RevCompTest, EncodedMatchesStringRevComp) {
+  // Every length the filter kernels hold, with N bases: N encodes as A's
+  // code, so its reverse complement carries T's.  The output fills
+  // exactly EncodedWords(length) words with zero tail bits, whatever the
+  // input's tail bits hold.
   Rng rng(92);
-  for (const int length : {1, 15, 16, 17, 31, 100, 150, 300, 512}) {
-    const std::string seq = RandomSeq(rng, static_cast<std::size_t>(length));
-    Word enc[kMaxEncodedWords];
-    Word rc_enc[kMaxEncodedWords];
-    Word expect_enc[kMaxEncodedWords];
-    ASSERT_FALSE(EncodeSequence(seq, enc));
-    ReverseComplementEncoded(enc, length, rc_enc);
-    ASSERT_FALSE(EncodeSequence(ReverseComplement(seq), expect_enc));
-    for (int w = 0; w < EncodedWords(length); ++w) {
-      EXPECT_EQ(rc_enc[w], expect_enc[w]) << "length " << length
-                                          << " word " << w;
+  for (int length = 0; length <= kMaxReadLength; ++length) {
+    std::string seq = RandomSeq(rng, static_cast<std::size_t>(length));
+    for (auto n = rng.Uniform(3); n > 0 && length > 0; --n) {
+      seq[rng.Uniform(static_cast<std::uint64_t>(length))] = 'N';
     }
-    EXPECT_EQ(DecodeSequence(rc_enc, length), ReverseComplement(seq));
+    std::string as_encoded = seq;
+    std::replace(as_encoded.begin(), as_encoded.end(), 'N', 'A');
+    const int words = EncodedWords(length);
+    Word enc[kMaxEncodedWords + 1];
+    Word expect_enc[kMaxEncodedWords + 1];
+    EncodeSequence(seq, enc);
+    EncodeSequence(ReverseComplement(as_encoded), expect_enc);
+    const int tail = words * kBasesPerWord - length;
+    for (const Word input_tail : {Word{0}, ~Word{0}}) {
+      if (tail > 0) enc[words - 1] |= input_tail >> (kWordBits - 2 * tail);
+      Word rc_enc[kMaxEncodedWords + 1];
+      std::fill(std::begin(rc_enc), std::end(rc_enc), ~Word{0});
+      ReverseComplementEncoded(enc, length, rc_enc);
+      for (int w = 0; w < words; ++w) {
+        ASSERT_EQ(rc_enc[w], expect_enc[w])
+            << "length " << length << " word " << w;
+      }
+      ASSERT_EQ(rc_enc[words], ~Word{0}) << "length " << length;
+      if (tail > 0) {
+        ASSERT_EQ(rc_enc[words - 1] & ~(~Word{0} << (2 * tail)), 0u)
+            << "length " << length;
+      }
+      for (int i = 0; i < length; ++i) {
+        if (seq[static_cast<std::size_t>(length - 1 - i)] == 'N') {
+          ASSERT_EQ(GetBase2Bit(rc_enc, i), 3u) << "length " << length;
+        }
+      }
+    }
   }
 }
 

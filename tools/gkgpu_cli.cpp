@@ -27,13 +27,14 @@
 // otherwise drop (a second one to an option that takes one — only
 // `--paired` takes two —, an option given twice, an operand before the
 // first option), and integer options outside their range (`--e` 0-52,
-// `--devices` 1-8, `--setup` 1-2, `--mapq-cap` 0-254).  Every output file
-// is opened before any work, so an unwritable path fails by name (exit 1)
-// up front.
+// `--devices` 1-8, `--setup` 1-2, `--mapq-cap` 0-254, the generators'
+// `--count` 1-10^8).  Every output file is opened before any work, so an
+// unwritable path fails by name (exit 1) up front.
 // `index` persists the reference + k-mer index + 2-bit encoding to one
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
 // `--index FILE` in place of `--ref FASTA` to start instantly.
+#include <algorithm>
 #include <charconv>
 #include <csignal>
 #include <cstdio>
@@ -479,17 +480,41 @@ int Usage() {
   return 2;
 }
 
+constexpr long kIntMax = std::numeric_limits<int>::max();
+
+// Upper bounds of the generators' sizes: reads, pairs or chromosomes per
+// run, and generate-genome's bases.  The generators build everything they
+// write in memory first (10^8 100-bp reads take ~45 GB), so the bounds are
+// past any useful run, and they keep CountsPerChromosome's count x
+// chromosome length (at most 10^8 x 10^10 for a generated genome, below
+// 2^64 for any FASTA under 1.8 x 10^11 bp) from overflowing.
+constexpr long kMaxGeneratedRecords = 100'000'000;
+constexpr long kMaxGeneratedBases = 10'000'000'000;
+
+/// The generators' `--length`: a read length of at least one base.
+int GetLength(const Args& args) {
+  return static_cast<int>(args.GetInt("length", 100, 1, kIntMax));
+}
+
+/// The generators' `--count`, 1 to kMaxGeneratedRecords.
+std::size_t GetCount(const Args& args, long fallback) {
+  return static_cast<std::size_t>(
+      args.GetInt("count", fallback, 1, kMaxGeneratedRecords));
+}
+
+/// The generators' `--seed`, a non-negative integer.
+std::uint64_t GetSeed(const Args& args, long fallback) {
+  return static_cast<std::uint64_t>(args.GetInt("seed", fallback, 0));
+}
+
 int GenerateGenomeCmd(const Args& args) {
-  const auto length = static_cast<std::size_t>(args.GetInt("length", 1000000));
+  const long length_arg =
+      args.GetInt("length", 1000000, 1, kMaxGeneratedBases);
+  const auto length = static_cast<std::size_t>(length_arg);
   const std::string out = args.Get("out", "reference.fa");
-  const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 42));
-  const auto chromosomes =
-      static_cast<std::size_t>(args.GetInt("chromosomes", 1));
-  if (chromosomes < 1 || chromosomes > length) {
-    std::fprintf(stderr, "generate-genome: --chromosomes must be in [1, "
-                         "--length]\n");
-    return 2;
-  }
+  const auto seed = GetSeed(args, 42);
+  const auto chromosomes = static_cast<std::size_t>(args.GetInt(
+      "chromosomes", 1, 1, std::min(length_arg, kMaxGeneratedRecords)));
   // --chromosomes N splits the length into N independently generated
   // sequences (distinct RNG streams), the multi-chromosome shape the
   // sharded-index smoke tests need.
@@ -514,8 +539,11 @@ int GenerateGenomeCmd(const Args& args) {
 /// simulates: a share proportional to its length, the last chromosome
 /// taking the remainder.  Chromosome c draws from its own RNG stream,
 /// seed + c, so a one-chromosome FASTA gets the reads it always did.
+/// Throws std::invalid_argument naming a chromosome shorter than
+/// `length`-base reads that would receive some: the simulator would pad
+/// them past its end with random bases.
 std::vector<std::size_t> CountsPerChromosome(const ReferenceSet& ref,
-                                             std::size_t count) {
+                                             std::size_t count, int length) {
   std::vector<std::size_t> counts(ref.chromosome_count());
   std::size_t given = 0;
   for (std::size_t c = 0; c + 1 < counts.size(); ++c) {
@@ -526,6 +554,15 @@ std::vector<std::size_t> CountsPerChromosome(const ReferenceSet& ref,
     given += counts[c];
   }
   counts.back() = count - given;
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    const ChromosomeInfo& info = ref.chromosome(c);
+    if (counts[c] > 0 && info.length < length) {
+      throw std::invalid_argument(
+          "chromosome " + info.name + " (" + std::to_string(info.length) +
+          " bp) is shorter than --length " + std::to_string(length) +
+          " and would receive " + std::to_string(counts[c]) + " read(s)");
+    }
+  }
   return counts;
 }
 
@@ -538,20 +575,21 @@ std::string_view ChromosomeText(const ReferenceSet& ref, std::size_t c) {
 int GenerateReadsCmd(const Args& args) {
   const std::string ref_path = args.Get("ref", "");
   if (ref_path.empty()) return Usage();
+  const std::size_t count = GetCount(args, 10000);
+  const int length = GetLength(args);
+  const auto seed = GetSeed(args, 43);
   const auto records = ReadFastaFile(ref_path);
   if (records.empty()) {
     std::fprintf(stderr, "no sequences in %s\n", ref_path.c_str());
     return 1;
   }
   const ReferenceSet ref = ReferenceSet::FromFasta(records);
-  const auto count = static_cast<std::size_t>(args.GetInt("count", 10000));
-  const int length = static_cast<int>(args.GetInt("length", 100));
-  const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 43));
   const std::string profile_name = args.Get("profile", "illumina");
   ReadErrorProfile profile = ReadErrorProfile::Illumina();
   if (profile_name == "richdel") profile = ReadErrorProfile::RichDeletion();
   if (profile_name == "lowindel") profile = ReadErrorProfile::LowIndel();
-  const std::vector<std::size_t> counts = CountsPerChromosome(ref, count);
+  const std::vector<std::size_t> counts =
+      CountsPerChromosome(ref, count, length);
   std::vector<FastqRecord> fq;
   fq.reserve(count);
   for (std::size_t c = 0; c < counts.size(); ++c) {
@@ -574,22 +612,24 @@ int GenerateReadsCmd(const Args& args) {
 int GeneratePairedReadsCmd(const Args& args) {
   const std::string ref_path = args.Get("ref", "");
   if (ref_path.empty()) return Usage();
+  const std::size_t count = GetCount(args, 10000);
+  const auto seed = GetSeed(args, 45);
+  PairSimConfig cfg;
+  cfg.read_length = GetLength(args);
+  cfg.insert_mean =
+      static_cast<double>(args.GetInt("insert-mean", 350, 1, kIntMax));
+  cfg.insert_sd = static_cast<double>(args.GetInt("insert-sd", 30, 0, kIntMax));
   const auto records = ReadFastaFile(ref_path);
   if (records.empty()) {
     std::fprintf(stderr, "no sequences in %s\n", ref_path.c_str());
     return 1;
   }
-  const auto count = static_cast<std::size_t>(args.GetInt("count", 10000));
-  const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 45));
-  PairSimConfig cfg;
-  cfg.read_length = static_cast<int>(args.GetInt("length", 100));
-  cfg.insert_mean = static_cast<double>(args.GetInt("insert-mean", 350));
-  cfg.insert_sd = static_cast<double>(args.GetInt("insert-sd", 30));
   const std::string profile_name = args.Get("profile", "illumina");
   if (profile_name == "richdel") cfg.profile = ReadErrorProfile::RichDeletion();
   if (profile_name == "lowindel") cfg.profile = ReadErrorProfile::LowIndel();
   const ReferenceSet ref = ReferenceSet::FromFasta(records);
-  const std::vector<std::size_t> counts = CountsPerChromosome(ref, count);
+  const std::vector<std::size_t> counts =
+      CountsPerChromosome(ref, count, cfg.read_length);
 
   std::vector<FastqRecord> fq1, fq2;
   fq1.reserve(count);
@@ -630,9 +670,9 @@ int GeneratePairedReadsCmd(const Args& args) {
 }
 
 int GeneratePairsCmd(const Args& args) {
-  const int length = static_cast<int>(args.GetInt("length", 100));
-  const auto count = static_cast<std::size_t>(args.GetInt("count", 30000));
-  const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 44));
+  const int length = GetLength(args);
+  const std::size_t count = GetCount(args, 30000);
+  const auto seed = GetSeed(args, 44);
   const std::string name = args.Get("profile", "mrfast");
   PairProfile profile;
   if (name == "mrfast") {
