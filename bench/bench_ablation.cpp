@@ -1,12 +1,11 @@
-// Ablation bench for the design choices DESIGN.md calls out:
+// Ablation bench for the GateKeeper kernel's two accuracy choices, both
+// run through GateKeeperFilter::Filter (the scalar 64-bit pipeline):
 //   1. the leading/trailing edge fix (the paper's accuracy contribution) —
 //      improved vs original false accepts across thresholds;
 //   2. error-count semantics — run counting (shipping) vs raw popcount,
 //      measuring false accepts AND false rejects (popcount counts the bits
 //      amendment inflates, so it trades false accepts for false rejects —
-//      the paper's zero-false-reject property only holds for run counting);
-//   3. LUT walks vs branch-free bit tricks — identical decisions, differing
-//      filtration latency.
+//      the paper's zero-false-reject property only holds for run counting).
 //
 // Scale with GKGPU_PAIRS (default 30,000).
 #include <cstdio>
@@ -24,21 +23,17 @@ namespace {
 struct Counts {
   std::size_t fa = 0;
   std::size_t fr = 0;
-  double seconds = 0.0;
 };
 
-Counts Evaluate(const Dataset& data, int /*length*/, int e,
-                const GateKeeperParams& params) {
+Counts Evaluate(const Dataset& data, int e, const GateKeeperParams& params) {
   GateKeeperFilter filter(params);
   Counts c;
-  WallTimer timer;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const bool accept = filter.Filter(data.reads[i], data.refs[i], e).accept;
     const bool truth = WithinEditDistance(data.reads[i], data.refs[i], e);
     if (accept && !truth) ++c.fa;
     if (!accept && truth) ++c.fr;
   }
-  c.seconds = timer.Seconds();
   return c;
 }
 
@@ -58,8 +53,8 @@ int main() {
       GateKeeperParams improved;
       GateKeeperParams original;
       original.mode = GateKeeperMode::kOriginal;
-      const Counts ci = Evaluate(data, length, e, improved);
-      const Counts co = Evaluate(data, length, e, original);
+      const Counts ci = Evaluate(data, e, improved);
+      const Counts co = Evaluate(data, e, original);
       table.AddRow({std::to_string(e), TablePrinter::Count(ci.fa),
                     TablePrinter::Count(co.fa),
                     TablePrinter::Num(ci.fa > 0 ? static_cast<double>(co.fa) /
@@ -79,45 +74,14 @@ int main() {
       GateKeeperParams runs;
       GateKeeperParams pop;
       pop.count = CountMode::kPopcount;
-      const Counts cr = Evaluate(data, length, e, runs);
-      const Counts cp = Evaluate(data, length, e, pop);
+      const Counts cr = Evaluate(data, e, runs);
+      const Counts cp = Evaluate(data, e, pop);
       table.AddRow({std::to_string(e), TablePrinter::Count(cr.fa),
                     TablePrinter::Count(cr.fr), TablePrinter::Count(cp.fa),
                     TablePrinter::Count(cp.fr)});
     }
     table.Print(std::cout);
     std::printf("(run counting must show FR = 0; popcount trades FA for FR)\n");
-  }
-
-  {
-    std::printf("\n-- Ablation 3: LUT walks vs bit tricks --\n");
-    TablePrinter table({"e", "bit-trick time (s)", "LUT time (s)",
-                        "decisions differ"});
-    for (const int e : {2, 5, 10}) {
-      GateKeeperParams tricks;
-      GateKeeperParams luts;
-      luts.use_lut = true;
-      GateKeeperFilter ft(tricks);
-      GateKeeperFilter fl(luts);
-      std::size_t differ = 0;
-      WallTimer t1;
-      std::vector<bool> d1(data.size());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        d1[i] = ft.Filter(data.reads[i], data.refs[i], e).accept;
-      }
-      const double s1 = t1.Seconds();
-      WallTimer t2;
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        if (fl.Filter(data.reads[i], data.refs[i], e).accept != d1[i]) {
-          ++differ;
-        }
-      }
-      const double s2 = t2.Seconds();
-      table.AddRow({std::to_string(e), TablePrinter::Num(s1, 3),
-                    TablePrinter::Num(s2, 3), TablePrinter::Count(differ)});
-    }
-    table.Print(std::cout);
-    std::printf("(the two code paths must agree on every pair)\n");
   }
   return 0;
 }

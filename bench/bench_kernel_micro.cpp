@@ -1,12 +1,15 @@
-// Google-benchmark microbenchmarks of the filtration core itself: per-pair
-// latency of GateKeeperFiltration across read lengths and error thresholds,
-// the amendment/count primitives, the baselines, and the exact aligners —
-// the numbers behind the throughput tables — plus the reverse complement
-// of an encoded read and the seeding kernel's per-read cost at chunk sizes
-// 1 and kSeedChunkReads, unvoted and voted.
+// Google-benchmark microbenchmarks of the filtration kernels themselves:
+// per-pair latency of the GateKeeper kernel (simd::GateKeeperFiltration64,
+// what GateKeeperFilter::Filter and the scalar batch tier run) across read
+// lengths and error thresholds, its amendment/run-count primitives, the
+// baselines, and the exact aligners — the numbers behind the throughput
+// tables — plus the reverse complement of an encoded read and the seeding
+// kernel's per-read cost at chunk sizes 1 and kSeedChunkReads, unvoted and
+// voted.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -17,7 +20,6 @@
 #include "align/needleman_wunsch.hpp"
 #include "encode/encoded.hpp"
 #include "encode/revcomp.hpp"
-#include "filters/gatekeeper_core.hpp"
 #include "filters/magnet.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
@@ -25,6 +27,8 @@
 #include "sim/genome.hpp"
 #include "sim/pairgen.hpp"
 #include "sim/read_sim.hpp"
+#include "simd/bitops64.hpp"
+#include "simd/gatekeeper_batch.hpp"
 
 namespace gkgpu {
 namespace {
@@ -42,60 +46,48 @@ EncodedPair MakeEncoded(int length, int edits, std::uint64_t seed) {
   return enc;
 }
 
-void BM_GateKeeperFiltration(benchmark::State& state) {
+void BM_GateKeeperFiltration64(benchmark::State& state) {
   const int length = static_cast<int>(state.range(0));
   const int e = static_cast<int>(state.range(1));
   const EncodedPair p = MakeEncoded(length, e + 2, 99);
   GateKeeperParams params;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        GateKeeperFiltration(p.read, p.ref, length, e, params));
+        simd::GateKeeperFiltration64(p.read, p.ref, length, e, params));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_GateKeeperFiltration)
+BENCHMARK(BM_GateKeeperFiltration64)
     ->ArgsProduct({{100, 150, 250}, {0, 2, 5, 10}});
 
-void BM_GateKeeperFiltrationLut(benchmark::State& state) {
-  const int length = static_cast<int>(state.range(0));
-  const int e = static_cast<int>(state.range(1));
-  const EncodedPair p = MakeEncoded(length, e + 2, 99);
-  GateKeeperParams params;
-  params.use_lut = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        GateKeeperFiltration(p.read, p.ref, length, e, params));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GateKeeperFiltrationLut)->Args({100, 5})->Args({250, 10});
-
-void BM_Amendment(benchmark::State& state) {
-  Word mask[kMaxMaskWords];
-  for (int i = 0; i < kMaxMaskWords; ++i) {
-    mask[i] = 0x5A5A5A5Au ^ (0x01010101u * i);
+// Masks of 128, 256 and 512 bits: the reduced masks of 100-128, 256 and
+// 512 bp reads (the original mode's 2-bit masks are twice as wide).
+void BM_Amendment64(benchmark::State& state) {
+  simd::U64 mask[simd::kMaxWords64];
+  for (int i = 0; i < simd::kMaxWords64; ++i) {
+    mask[i] = 0x5A5A5A5A5A5A5A5AULL ^ (0x0101010101010101ULL * i);
   }
   const int nwords = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Word scratch[kMaxMaskWords];
+    simd::U64 scratch[simd::kMaxWords64];
     std::memcpy(scratch, mask, sizeof(scratch));
-    AmendShortZeroRuns(scratch, nwords);
+    simd::AmendShortZeroRuns64(scratch, nwords);
     benchmark::DoNotOptimize(scratch[0]);
   }
 }
-BENCHMARK(BM_Amendment)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_Amendment64)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_CountOneRuns(benchmark::State& state) {
-  Word mask[kMaxMaskWords];
-  for (int i = 0; i < kMaxMaskWords; ++i) {
-    mask[i] = 0x93A5C71Eu * (i + 1);
+void BM_CountOneRuns64(benchmark::State& state) {
+  simd::U64 mask[simd::kMaxWords64];
+  for (int i = 0; i < simd::kMaxWords64; ++i) {
+    mask[i] = 0x93A5C71E5B2D4F86ULL * static_cast<simd::U64>(i + 1);
   }
   const int nwords = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountOneRuns(mask, nwords));
+    benchmark::DoNotOptimize(simd::CountOneRuns64(mask, nwords));
   }
 }
-BENCHMARK(BM_CountOneRuns)->Arg(4)->Arg(16);
+BENCHMARK(BM_CountOneRuns64)->Arg(2)->Arg(8);
 
 void BM_BaselineFilter(benchmark::State& state) {
   const int which = static_cast<int>(state.range(0));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/bitops.hpp"
+
 namespace gkgpu {
 
 namespace {

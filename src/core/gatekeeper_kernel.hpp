@@ -11,12 +11,13 @@
 //     reference segment based on the index", Sec. 3.5).
 //
 // Execution granularity: one simulated *block* runs its pair range through
-// the batched filtration kernel (simd/gatekeeper_batch.hpp — uint64_t
-// lanes, AVX2 behind runtime dispatch), which the first thread of the
-// block drives; per-pair results are bit-identical to the per-thread
-// formulation (asserted by the scalar-vs-SIMD equivalence tests), the
-// parallel grain (one task per block on the device's worker pool) is
-// unchanged, and the timing model still charges per-thread cost.
+// the one GateKeeper kernel (simd/gatekeeper_batch.hpp — uint64_t lanes,
+// AVX2 behind runtime dispatch), which the first thread of the block
+// drives; per-pair results equal GateKeeperFilter::Filter's and the
+// reference GateKeeperScalar's (asserted by test_gatekeeper and
+// test_simd_batch), the parallel grain (one task per block on the
+// device's worker pool) is unchanged, and the timing model still charges
+// per-thread cost.
 #ifndef GKGPU_CORE_GATEKEEPER_KERNEL_HPP
 #define GKGPU_CORE_GATEKEEPER_KERNEL_HPP
 

@@ -40,9 +40,10 @@ class PreAlignmentFilter {
   virtual bool lossless() const { return true; }
 
   /// Filters one read / candidate-reference-segment pair with error
-  /// threshold `e`.  Both sequences must have the same length.  This is
-  /// the reference implementation: batch paths must match it bit for bit
-  /// on pairs whose block bypass bit is clear.
+  /// threshold `e`.  Both sequences must have the same length.  Batch
+  /// paths must match it bit for bit on pairs whose block bypass bit is
+  /// clear.  GateKeeper's per-pair and batch paths run one kernel, whose
+  /// reference is GateKeeperScalar (filters/scalar_ref.hpp).
   virtual FilterResult Filter(std::string_view read, std::string_view ref,
                               int e) const = 0;
 

@@ -21,7 +21,9 @@ FilterResult GateKeeperFilter::Filter(std::string_view read,
     // Undefined pair: pass it straight to verification.
     return {true, 0};
   }
-  return FilterEncoded(read_enc, ref_enc, static_cast<int>(read.size()), e);
+  return simd::GateKeeperFiltration64(read_enc, ref_enc,
+                                      static_cast<int>(read.size()), e,
+                                      params_);
 }
 
 void GateKeeperFilter::FilterBatchImpl(const PairBlock& block, int e,

@@ -1,8 +1,9 @@
-// GateKeeper as a host-side pre-alignment filter.
+// GateKeeper as a host-side pre-alignment filter.  Per pair and per batch
+// it runs the one mask pipeline of simd/gatekeeper_batch.hpp, whose
+// reference is GateKeeperScalar (filters/scalar_ref.hpp).
 //
 //  * GateKeeperFilter(kImproved)  — the GateKeeper-GPU algorithm run on the
-//    CPU; also the engine's reference semantics (the simulated device kernel
-//    must agree bit-for-bit).
+//    CPU; the simulated device kernel runs the same batch kernel.
 //  * GateKeeperFilter(kOriginal)  — the original GateKeeper/FPGA algorithm
 //    without the leading/trailing fix, used as the accuracy baseline
 //    ("GateKeeper-FPGA" in the paper's comparison figures).
@@ -31,23 +32,18 @@ class GateKeeperFilter : public PreAlignmentFilter {
                                                      : "GateKeeper-FPGA";
   }
 
-  /// String-level reference entry point.  Pairs containing 'N' bypass
-  /// filtration and are accepted outright (GateKeeper-GPU Sec. 3.3 design
-  /// choice).
+  /// String-level entry point: encodes the pair and runs the scalar
+  /// 64-bit pipeline (simd::GateKeeperFiltration64).  Pairs containing 'N'
+  /// bypass filtration and are accepted outright (GateKeeper-GPU Sec. 3.3
+  /// design choice) unless bypass_undefined is off.
   FilterResult Filter(std::string_view read, std::string_view ref,
                       int e) const override;
 
-  /// Batch entry point: the vectorized encoded-domain pipeline
+  /// Batch entry point: the same pipeline over a block
   /// (simd/gatekeeper_batch.hpp — uint64_t lanes, AVX2 behind runtime
   /// dispatch), bit-identical to Filter() per pair.
   void FilterBatchImpl(const PairBlock& block, int e,
                    PairResult* results) const override;
-
-  /// Encoded-domain entry point used by batch runners.
-  FilterResult FilterEncoded(const Word* read_enc, const Word* ref_enc,
-                             int length, int e) const {
-    return GateKeeperFiltration(read_enc, ref_enc, length, e, params_);
-  }
 
   const GateKeeperParams& params() const { return params_; }
 

@@ -1,28 +1,10 @@
-// The GateKeeper filtration core, shared verbatim by:
-//   * GateKeeperFilter (the multicore CPU baseline, "GateKeeper-CPU"),
-//   * the simulated device kernel in src/core/ ("GateKeeper-GPU"), and
-//   * the original-algorithm mode ("GateKeeper-FPGA" accuracy baseline).
-//
-// Everything here is inline and allocation-free: a single filtration uses
-// only fixed-size stack arrays, mirroring the CUDA kernel's reserved
-// per-thread stack frame (GateKeeper-GPU Sec. 3.2).
-//
-// Algorithm (Sec. 2.1 + 3.4):
-//   1. Hamming mask  H = read XOR ref, OR-reduced to 1 bit per base.
-//   2. For k = 1..e: deletion mask  D_k = (read >> 2k) XOR ref and
-//      insertion mask I_k = (read << 2k) XOR ref, with carry-bit transfer
-//      across the word array.
-//   3. Every mask is amended (internal 0-runs of length <= 2 flipped to 1).
-//   4. Improved mode only: the k boundary positions vacated by each shift
-//      are ORed to 1 after amendment — the leading/trailing fix that
-//      distinguishes GateKeeper-GPU from the original GateKeeper.
-//   5. Final mask = AND of all 2e+1 masks; errors counted by the windowed
-//      LUT walk; accept iff errors <= e.
+// The parameters of the GateKeeper filtration: which variant of the mask
+// pipeline runs, how the final mask's errors are counted, and whether
+// undefined pairs bypass it.  The pipeline itself is one kernel,
+// simd/gatekeeper_batch.hpp (the per-pair GateKeeperFiltration64, the
+// scalar and AVX2 batch ranges); filters/scalar_ref.hpp is its reference.
 #ifndef GKGPU_FILTERS_GATEKEEPER_CORE_HPP
 #define GKGPU_FILTERS_GATEKEEPER_CORE_HPP
-
-#include "filters/filter.hpp"
-#include "util/bitops.hpp"
 
 namespace gkgpu {
 
@@ -53,149 +35,12 @@ enum class CountMode { kOneRuns, kPopcount };
 struct GateKeeperParams {
   GateKeeperMode mode = GateKeeperMode::kImproved;
   CountMode count = CountMode::kOneRuns;
-  /// Use the constant-memory-style LUT walks (the kernel configuration)
-  /// instead of the branch-free bit tricks; results are identical.
-  bool use_lut = false;
   /// Pass pairs containing 'N' straight to verification (GateKeeper-GPU's
   /// Sec. 3.3 design choice).  The FPGA original has no such mechanism —
   /// it simply encodes unknown bases as 'A' — so the accuracy baselines
   /// disable this.
   bool bypass_undefined = true;
 };
-
-/// Builds the reduced difference mask for `read` shifted by `shift` bases
-/// (positive = toward later positions / deletion, negative = insertion,
-/// zero = plain Hamming) against `ref`, amended, with the improved-mode
-/// edge fix applied.  Exposed for the baseline filters and tests.
-inline void GateKeeperMask(const Word* read_enc, const Word* ref_enc,
-                           int length, int shift, const GateKeeperParams& p,
-                           Word* mask) {
-  const int enc_words = EncodedWords(length);
-  const int mask_words = MaskWords(length);
-  Word shifted[kMaxEncodedWords];
-  Word diff[kMaxEncodedWords];
-  const Word* lhs = read_enc;
-  if (shift > 0) {
-    ShiftToLater(read_enc, shifted, enc_words, 2 * shift);
-    lhs = shifted;
-  } else if (shift < 0) {
-    ShiftToEarlier(read_enc, shifted, enc_words, -2 * shift);
-    lhs = shifted;
-  }
-  XorWords(lhs, ref_enc, diff, enc_words);
-  ReducePairsOr(diff, length, mask);
-  if (p.use_lut) {
-    AmendShortZeroRunsLut(mask, mask_words);
-  } else {
-    AmendShortZeroRuns(mask, mask_words);
-  }
-  if (p.mode == GateKeeperMode::kImproved && shift != 0) {
-    if (shift > 0) {
-      // Leading bits vacated by the deletion shift.
-      SetBitRange(mask, 0, shift);
-    } else {
-      SetBitRange(mask, length + shift, length);  // trailing bits (insertion)
-    }
-  }
-}
-
-/// Counts errors in the final mask according to the configured mode.
-inline int GateKeeperCount(const Word* mask, int mask_words,
-                           const GateKeeperParams& p) {
-  if (p.count == CountMode::kPopcount) return PopcountWords(mask, mask_words);
-  return p.use_lut ? CountOneRunsLut(mask, mask_words)
-                   : CountOneRuns(mask, mask_words);
-}
-
-/// Builds a 2-bit-domain difference mask (original pipeline): XOR of the
-/// shifted read against the reference, amended in place.  `mask` spans
-/// EncodedWords(length) words covering 2 * length bits.
-inline void GateKeeperMask2Bit(const Word* read_enc, const Word* ref_enc,
-                               int length, int shift,
-                               const GateKeeperParams& p, Word* mask) {
-  const int enc_words = EncodedWords(length);
-  Word shifted[kMaxEncodedWords];
-  const Word* lhs = read_enc;
-  if (shift > 0) {
-    ShiftToLater(read_enc, shifted, enc_words, 2 * shift);
-    lhs = shifted;
-  } else if (shift < 0) {
-    ShiftToEarlier(read_enc, shifted, enc_words, -2 * shift);
-    lhs = shifted;
-  }
-  XorWords(lhs, ref_enc, mask, enc_words);
-  ZeroTailBits(mask, enc_words, 2 * length);
-  if (p.use_lut) {
-    AmendShortZeroRunsLut(mask, enc_words);
-  } else {
-    AmendShortZeroRuns(mask, enc_words);
-  }
-}
-
-/// The original (FPGA/SHD) filtration in the 2-bit mask domain.
-inline FilterResult GateKeeperFiltrationOriginal(const Word* read_enc,
-                                                 const Word* ref_enc,
-                                                 int length, int e,
-                                                 const GateKeeperParams& p) {
-  const int enc_words = EncodedWords(length);
-  Word final_mask[kMaxEncodedWords];
-  XorWords(read_enc, ref_enc, final_mask, enc_words);
-  ZeroTailBits(final_mask, enc_words, 2 * length);
-  if (e == 0) {
-    const int errors = GateKeeperCount(final_mask, enc_words, p);
-    return {errors == 0, errors};
-  }
-  if (p.use_lut) {
-    AmendShortZeroRunsLut(final_mask, enc_words);
-  } else {
-    AmendShortZeroRuns(final_mask, enc_words);
-  }
-  Word mask[kMaxEncodedWords];
-  for (int k = 1; k <= e; ++k) {
-    GateKeeperMask2Bit(read_enc, ref_enc, length, k, p, mask);
-    AndWords(final_mask, mask, enc_words);
-    GateKeeperMask2Bit(read_enc, ref_enc, length, -k, p, mask);
-    AndWords(final_mask, mask, enc_words);
-  }
-  const int errors = GateKeeperCount(final_mask, enc_words, p);
-  return {errors <= e, errors};
-}
-
-/// One complete filtration on encoded sequences.  `length` in bases,
-/// `e` = error threshold (0 <= e <= kMaxErrorThreshold, e < length).
-inline FilterResult GateKeeperFiltration(const Word* read_enc,
-                                         const Word* ref_enc, int length,
-                                         int e, const GateKeeperParams& p) {
-  if (p.mode == GateKeeperMode::kOriginal) {
-    return GateKeeperFiltrationOriginal(read_enc, ref_enc, length, e, p);
-  }
-  const int enc_words = EncodedWords(length);
-  const int mask_words = MaskWords(length);
-  Word final_mask[kMaxMaskWords];
-  // Exact-match (Hamming) mask.  With e == 0 it is used unamended: the
-  // approximate-matching phase only begins when the threshold is non-zero.
-  Word diff[kMaxEncodedWords];
-  XorWords(read_enc, ref_enc, diff, enc_words);
-  ReducePairsOr(diff, length, final_mask);
-  if (e == 0) {
-    const int errors = GateKeeperCount(final_mask, mask_words, p);
-    return {errors == 0, errors};
-  }
-  if (p.use_lut) {
-    AmendShortZeroRunsLut(final_mask, mask_words);
-  } else {
-    AmendShortZeroRuns(final_mask, mask_words);
-  }
-  Word mask[kMaxMaskWords];
-  for (int k = 1; k <= e; ++k) {
-    GateKeeperMask(read_enc, ref_enc, length, k, p, mask);
-    AndWords(final_mask, mask, mask_words);
-    GateKeeperMask(read_enc, ref_enc, length, -k, p, mask);
-    AndWords(final_mask, mask, mask_words);
-  }
-  const int errors = GateKeeperCount(final_mask, mask_words, p);
-  return {errors <= e, errors};
-}
 
 }  // namespace gkgpu
 

@@ -1,13 +1,15 @@
 // Scalar (obviously correct, slow) reference implementation of the
-// GateKeeper filtration, used exclusively by the property tests to validate
-// the bit-parallel core: masks built with per-character comparisons,
-// amendment by explicit run scanning, counting by explicit transitions.
+// GateKeeper filtration, used exclusively by the tests to validate the
+// bit-parallel kernel (simd/gatekeeper_batch.hpp) and its primitives:
+// masks built with per-character comparisons, amendment by explicit run
+// scanning, counting by explicit transitions.
 #ifndef GKGPU_FILTERS_SCALAR_REF_HPP
 #define GKGPU_FILTERS_SCALAR_REF_HPP
 
 #include <string_view>
 #include <vector>
 
+#include "filters/filter.hpp"
 #include "filters/gatekeeper_core.hpp"
 
 namespace gkgpu {
@@ -32,8 +34,8 @@ void ScalarAmend(std::vector<int>& mask);
 /// Number of maximal runs of 1s.
 int ScalarCountRuns(const std::vector<int>& mask);
 
-/// Full scalar GateKeeper filtration; must agree with GateKeeperFiltration
-/// bit-for-bit in decisions and estimated edits.
+/// Full scalar GateKeeper filtration; GateKeeperFilter::Filter and the
+/// batch kernels must agree with it in decisions and estimated edits.
 FilterResult GateKeeperScalar(std::string_view read, std::string_view ref,
                               int e, const GateKeeperParams& params);
 

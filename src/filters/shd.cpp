@@ -13,7 +13,7 @@ namespace {
 GateKeeperParams ShdParams() {
   // SHD materializes every mask before the AND (it is SIMD-parallel across
   // masks); functionally this is the original GateKeeper data flow, which
-  // the shared core reproduces with kOriginal mode.
+  // the shared kernel reproduces with kOriginal mode.
   GateKeeperParams params;
   params.mode = GateKeeperMode::kOriginal;
   params.count = CountMode::kOneRuns;
@@ -29,8 +29,9 @@ FilterResult ShdFilter::Filter(std::string_view read, std::string_view ref,
   Word ref_enc[kMaxEncodedWords];
   EncodeSequence(read, read_enc);
   EncodeSequence(ref, ref_enc);
-  return GateKeeperFiltration(read_enc, ref_enc,
-                              static_cast<int>(read.size()), e, ShdParams());
+  return simd::GateKeeperFiltration64(read_enc, ref_enc,
+                                      static_cast<int>(read.size()), e,
+                                      ShdParams());
 }
 
 void ShdFilter::FilterBatchImpl(const PairBlock& block, int e,

@@ -13,7 +13,10 @@ namespace {
 
 /// Sequences `length` bases starting at `origin`, applying the error
 /// profile (the common machinery of the single-end and paired
-/// simulators).  Returns the number of simulated errors.
+/// simulators).  A deletion is drawn as always but applied only while the
+/// genome has a base to spare past the ones the read still needs, so a
+/// read that fits never runs off the genome's end.  Returns the number of
+/// simulated errors.
 int ApplyReadErrors(std::string_view genome, std::int64_t origin, int length,
                     const ReadErrorProfile& profile, Rng& rng,
                     std::string* seq) {
@@ -22,7 +25,8 @@ int ApplyReadErrors(std::string_view genome, std::int64_t origin, int length,
   seq->reserve(static_cast<std::size_t>(length));
   std::size_t g = static_cast<std::size_t>(origin);
   while (static_cast<int>(seq->size()) < length && g < genome.size()) {
-    if (rng.Bernoulli(profile.del_rate)) {
+    const std::size_t needed = static_cast<std::size_t>(length) - seq->size();
+    if (rng.Bernoulli(profile.del_rate) && genome.size() - g > needed) {
       ++g;  // skip a genome base
       ++edits;
       continue;
@@ -50,6 +54,16 @@ int ApplyReadErrors(std::string_view genome, std::int64_t origin, int length,
   return edits;
 }
 
+/// The bases kept past a read or fragment of `length` bases for deletions
+/// to draw from: length / 2 + 8, or none on a chromosome of `genome_size`
+/// bases too short to hold them, so that origins still span every
+/// placement that fits (ApplyReadErrors then draws no deletion past the
+/// end).
+std::size_t DeletionSlack(std::size_t genome_size, int length) {
+  const std::size_t slack = static_cast<std::size_t>(length) / 2 + 8;
+  return genome_size > static_cast<std::size_t>(length) + slack ? slack : 0;
+}
+
 /// Standard normal deviate (Box-Muller on the deterministic generator).
 double Gaussian(Rng& rng) {
   const double u1 = std::max(rng.UniformReal(), 1e-12);
@@ -67,8 +81,7 @@ std::vector<SimulatedRead> SimulateReads(std::string_view genome,
   Rng rng(seed);
   std::vector<SimulatedRead> reads;
   reads.reserve(count);
-  // Keep enough slack after the origin for deletions to draw from.
-  const std::size_t slack = static_cast<std::size_t>(length) / 2 + 8;
+  const std::size_t slack = DeletionSlack(genome.size(), length);
   const std::size_t max_origin =
       genome.size() > static_cast<std::size_t>(length) + slack
           ? genome.size() - length - slack
@@ -104,7 +117,8 @@ std::vector<SimulatedPair> SimulatePairs(std::string_view genome,
   std::vector<SimulatedPair> pairs;
   pairs.reserve(count);
   // Slack past the fragment end so R2's deletion draws stay in range.
-  const std::int64_t slack = L / 2 + 8;
+  const auto slack =
+      static_cast<std::int64_t>(DeletionSlack(genome.size(), L));
   std::string fwd2;
   for (std::size_t p = 0; p < count; ++p) {
     SimulatedPair pair;

@@ -1,16 +1,14 @@
-// Multi-word uint64_t ports of the bit-vector primitives in
-// util/bitops.hpp.  The bitstring semantics are identical — bit 0 is the
-// MSB of word 0, "later" positions sit toward the LSB end — only the word
-// width doubles: two consecutive 32-bit words pack into one 64-bit word
-// (the earlier word in the high half), so every operation touches half as
-// many words and the AVX2 kernels hold one pair per 64-bit lane.
-//
-// Bit-identity with the 32-bit pipeline is a hard contract (asserted by
-// tests/test_simd_batch.cpp): a sequence of `enc_words` 32-bit words maps
-// onto Words64(enc_words) 64-bit words whose pad half (odd word counts) is
-// zero, and the GateKeeper pipeline neutralizes every pad-visible
-// difference — ReducePairsOr64 and ZeroTailBits64 clear all bits past the
-// sequence length, exactly as the 32-bit versions do.
+// The bit-vector primitives of the GateKeeper mask pipeline on uint64_t
+// words.  Bitstring semantics follow util/bitops.hpp — bit 0 is the MSB of
+// word 0, "later" positions sit toward the LSB end — at twice its word
+// width: two consecutive 32-bit encoded words pack into one 64-bit word
+// (the earlier word in the high half), so the AVX2 kernels hold one pair
+// per 64-bit lane.  A sequence of `enc_words` 32-bit words maps onto
+// Words64(enc_words) 64-bit words whose pad half (odd word counts) is
+// zero, and the pipeline neutralizes every pad-visible difference:
+// ReducePairsOr64 and ZeroTailBits64 clear all bits past the sequence
+// length.  tests/test_bitops.cpp checks each primitive against a per-bit
+// model.
 #ifndef GKGPU_SIMD_BITOPS64_HPP
 #define GKGPU_SIMD_BITOPS64_HPP
 
@@ -90,10 +88,6 @@ inline void ShiftToEarlier64(const U64* src, U64* dst, int nwords, int bits) {
 
 inline void XorWords64(const U64* a, const U64* b, U64* dst, int nwords) {
   for (int i = 0; i < nwords; ++i) dst[i] = a[i] ^ b[i];
-}
-
-inline void AndWords64(U64* dst, const U64* src, int nwords) {
-  for (int i = 0; i < nwords; ++i) dst[i] &= src[i];
 }
 
 /// Collapses a 2-bit-per-base difference word (32 bases, MSB-first) into

@@ -12,27 +12,26 @@ int Count64(const U64* mask, int nwords, const GateKeeperParams& p) {
   return CountOneRuns64(mask, nwords);
 }
 
-/// Reduced, amended, edge-fixed difference mask for `read` shifted by
-/// `shift` bases against `ref` — GateKeeperMask on 64-bit words.  Only
+/// ANDs into `final_mask` the reduced, amended, edge-fixed difference
+/// mask of `read` shifted by `shift` bases (positive = toward later
+/// positions, a deletion; negative = an insertion) against `ref`.  Only
 /// called with shift != 0 from the improved pipeline, so the edge fix is
 /// unconditional.
-void Mask64(const U64* read, const U64* ref, int length, int shift,
-            U64* mask) {
+void AndMask64(const U64* read, const U64* ref, int length, int shift,
+               U64* final_mask) {
   const int enc64 = Words64(EncodedWords(length));
   const int mask64 = Words64(MaskWords(length));
   // Scratch is fully overwritten by the shift/XOR below — zero-initializing
   // it was measurable overhead in the per-pair profile.
   U64 shifted[kMaxWords64];
   U64 diff[kMaxWords64];
-  const U64* lhs = read;
+  U64 mask[kMaxWords64];
   if (shift > 0) {
     ShiftToLater64(read, shifted, enc64, 2 * shift);
-    lhs = shifted;
   } else {
     ShiftToEarlier64(read, shifted, enc64, -2 * shift);
-    lhs = shifted;
   }
-  XorWords64(lhs, ref, diff, enc64);
+  XorWords64(shifted, ref, diff, enc64);
   ReducePairsOr64(diff, length, mask);
   AmendShortZeroRuns64(mask, mask64);
   if (shift > 0) {
@@ -40,24 +39,26 @@ void Mask64(const U64* read, const U64* ref, int length, int shift,
   } else {
     SetBitRange64(mask, mask64, length + shift, length);
   }
+  for (int w = 0; w < mask64; ++w) final_mask[w] &= mask[w];
 }
 
-/// 2-bit-domain difference mask (original pipeline), 64-bit words.
-void Mask2Bit64(const U64* read, const U64* ref, int length, int shift,
-                U64* mask) {
+/// The original pipeline's AndMask64: the 2-bit-domain difference mask of
+/// `read` shifted by `shift` != 0 bases against `ref`, amended, with no
+/// edge fix, ANDed into `final_mask`.
+void AndMask2Bit64(const U64* read, const U64* ref, int length, int shift,
+                   U64* final_mask) {
   const int enc64 = Words64(EncodedWords(length));
   U64 shifted[kMaxWords64];
-  const U64* lhs = read;
+  U64 mask[kMaxWords64];
   if (shift > 0) {
     ShiftToLater64(read, shifted, enc64, 2 * shift);
-    lhs = shifted;
-  } else if (shift < 0) {
+  } else {
     ShiftToEarlier64(read, shifted, enc64, -2 * shift);
-    lhs = shifted;
   }
-  XorWords64(lhs, ref, mask, enc64);
+  XorWords64(shifted, ref, mask, enc64);
   ZeroTailBits64(mask, enc64, 2 * length);
   AmendShortZeroRuns64(mask, enc64);
+  for (int w = 0; w < enc64; ++w) final_mask[w] &= mask[w];
 }
 
 FilterResult FiltrationOriginal64(const U64* read, const U64* ref, int length,
@@ -71,12 +72,9 @@ FilterResult FiltrationOriginal64(const U64* read, const U64* ref, int length,
     return {errors == 0, errors};
   }
   AmendShortZeroRuns64(final_mask, enc64);
-  U64 mask[kMaxWords64];
   for (int k = 1; k <= e; ++k) {
-    Mask2Bit64(read, ref, length, k, mask);
-    AndWords64(final_mask, mask, enc64);
-    Mask2Bit64(read, ref, length, -k, mask);
-    AndWords64(final_mask, mask, enc64);
+    AndMask2Bit64(read, ref, length, k, final_mask);
+    AndMask2Bit64(read, ref, length, -k, final_mask);
   }
   const int errors = Count64(final_mask, enc64, p);
   return {errors <= e, errors};
@@ -106,12 +104,9 @@ FilterResult GateKeeperFiltration64(const Word* read_enc, const Word* ref_enc,
     return {errors == 0, errors};
   }
   AmendShortZeroRuns64(final_mask, mask64);
-  U64 mask[kMaxWords64];
   for (int k = 1; k <= e; ++k) {
-    Mask64(read, ref, length, k, mask);
-    AndWords64(final_mask, mask, mask64);
-    Mask64(read, ref, length, -k, mask);
-    AndWords64(final_mask, mask, mask64);
+    AndMask64(read, ref, length, k, final_mask);
+    AndMask64(read, ref, length, -k, final_mask);
   }
   const int errors = Count64(final_mask, mask64, params);
   return {errors <= e, errors};

@@ -1,7 +1,5 @@
 #include "util/bitops.hpp"
 
-#include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <string>
 
@@ -91,134 +89,6 @@ void ZeroTailBits(Word* mask, int nwords, int length_bits) {
 
 void SetBitRange(Word* mask, int from, int to) {
   for (int p = from; p < to; ++p) SetMaskBit(mask, p);
-}
-
-int CountOneRuns(const Word* mask, int nwords) {
-  int runs = 0;
-  Word prev_lsb = 0;  // bit just before the current word's MSB
-  for (int i = 0; i < nwords; ++i) {
-    const Word w = mask[i];
-    const Word before = (w >> 1) | (prev_lsb << (kWordBits - 1));
-    runs += std::popcount(w & ~before);
-    prev_lsb = w & 1u;
-  }
-  return runs;
-}
-
-const RunCountLut& RunCountLut::Instance() {
-  static const RunCountLut lut = [] {
-    RunCountLut t{};
-    for (int state = 0; state < 2; ++state) {
-      for (unsigned nib = 0; nib < 16; ++nib) {
-        int runs = 0;
-        int s = state;
-        for (int b = 3; b >= 0; --b) {  // MSB-first within the nibble
-          const int bit = (nib >> b) & 1;
-          if (bit == 1 && s == 0) ++runs;
-          s = bit;
-        }
-        t.table[(state << 4) | nib] =
-            static_cast<std::uint8_t>((runs << 1) | s);
-      }
-    }
-    return t;
-  }();
-  return lut;
-}
-
-int CountOneRunsLut(const Word* mask, int nwords) {
-  const RunCountLut& lut = RunCountLut::Instance();
-  int runs = 0;
-  unsigned state = 0;
-  for (int i = 0; i < nwords; ++i) {
-    const Word w = mask[i];
-    for (int shift = kWordBits - 4; shift >= 0; shift -= 4) {
-      const unsigned nib = (w >> shift) & 0xFu;
-      const unsigned packed = lut.table[(state << 4) | nib];
-      runs += packed >> 1;
-      state = packed & 1u;
-    }
-  }
-  return runs;
-}
-
-void AmendShortZeroRuns(Word* mask, int nwords) {
-  // A 0 at position p is flipped when it belongs to a run of <= 2 zeros
-  // bounded by 1s:
-  //   run of 1:  v[p-1] & v[p+1]
-  //   run of 2:  (v[p-1] & v[p+2]) at the first zero,
-  //              (v[p-2] & v[p+1]) at the second zero.
-  // l<n>[p] = v[p-n], r<n>[p] = v[p+n]; all computed from the original mask.
-  // Scratch sized for the larger 2-bit-domain masks (kMaxEncodedWords).
-  constexpr int kMax = kMaxEncodedWords;
-  Word l1[kMax], l2[kMax], r1[kMax], r2[kMax];
-  ShiftToLater(mask, l1, nwords, 1);
-  ShiftToLater(mask, l2, nwords, 2);
-  ShiftToEarlier(mask, r1, nwords, 1);
-  ShiftToEarlier(mask, r2, nwords, 2);
-  for (int i = 0; i < nwords; ++i) {
-    mask[i] |= (l1[i] & r1[i]) | (l1[i] & r2[i]) | (l2[i] & r1[i]);
-  }
-}
-
-const AmendLut& AmendLut::Instance() {
-  static const AmendLut lut = [] {
-    AmendLut t{};
-    for (unsigned idx = 0; idx < 4096; ++idx) {
-      const unsigned left = (idx >> 10) & 0x3u;   // v[p-2], v[p-1] (MSB-first)
-      const unsigned byte = (idx >> 2) & 0xFFu;   // v[p] .. v[p+7]
-      const unsigned right = idx & 0x3u;          // v[p+8], v[p+9]
-      // Assemble the 12-bit neighbourhood MSB-first and apply the scalar
-      // amendment rule inside the 8-bit core.
-      int bits[12];
-      bits[0] = (left >> 1) & 1;
-      bits[1] = left & 1;
-      for (int b = 0; b < 8; ++b) bits[2 + b] = (byte >> (7 - b)) & 1;
-      bits[10] = (right >> 1) & 1;
-      bits[11] = right & 1;
-      unsigned out = byte;
-      for (int b = 0; b < 8; ++b) {
-        const int p = 2 + b;
-        if (bits[p] != 0) continue;
-        const bool left1 = bits[p - 1] == 1;
-        const bool left2 = bits[p - 2] == 1;
-        const bool right1 = bits[p + 1] == 1;
-        const bool right2 = bits[p + 2] == 1;
-        if ((left1 && right1) || (left1 && right2) || (left2 && right1)) {
-          out |= 1u << (7 - b);
-        }
-      }
-      t.table[idx] = static_cast<std::uint8_t>(out);
-    }
-    return t;
-  }();
-  return lut;
-}
-
-void AmendShortZeroRunsLut(Word* mask, int nwords) {
-  const AmendLut& lut = AmendLut::Instance();
-  // Gather original bytes MSB-first so neighbour bits come from the
-  // unamended mask, then rewrite.  Sized for 2-bit-domain masks.
-  constexpr int kMaxBytes = kMaxEncodedWords * 4;
-  std::uint8_t orig[kMaxBytes];
-  const int nbytes = nwords * 4;
-  for (int i = 0; i < nwords; ++i) {
-    orig[4 * i + 0] = static_cast<std::uint8_t>(mask[i] >> 24);
-    orig[4 * i + 1] = static_cast<std::uint8_t>(mask[i] >> 16);
-    orig[4 * i + 2] = static_cast<std::uint8_t>(mask[i] >> 8);
-    orig[4 * i + 3] = static_cast<std::uint8_t>(mask[i]);
-  }
-  for (int b = 0; b < nbytes; ++b) {
-    const unsigned prev = b > 0 ? orig[b - 1] : 0;
-    const unsigned next = b + 1 < nbytes ? orig[b + 1] : 0;
-    const unsigned left = prev & 0x3u;          // v[p-2], v[p-1]
-    const unsigned right = (next >> 6) & 0x3u;  // v[p+8], v[p+9]
-    const unsigned idx = (left << 10) | (unsigned{orig[b]} << 2) | right;
-    const std::uint8_t amended = lut.table[idx];
-    const int word = b / 4;
-    const int sh = 24 - 8 * (b % 4);
-    mask[word] = (mask[word] & ~(Word{0xFFu} << sh)) | (Word{amended} << sh);
-  }
 }
 
 }  // namespace gkgpu

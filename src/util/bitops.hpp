@@ -1,12 +1,15 @@
-// Bit-vector primitives shared by every pre-alignment filter in the library.
+// The 2-bit sequence encoding and the 32-bit bit-vector primitives.
 //
 // Sequences are 2-bit encoded (A=00, C=01, G=10, T=11) and packed 16 bases
 // per 32-bit word with the first base in the most-significant bits, exactly
-// as GateKeeper-GPU describes (a 100 bp read occupies 7 words).  Difference
-// masks are reduced to 1 bit per base (32 bases per word, first base at the
-// MSB).  "Later" positions are toward the LSB end of the array, so shifting
-// a read toward later positions models a deletion, toward earlier positions
-// an insertion.
+// as GateKeeper-GPU describes (a 100 bp read occupies 7 words): the layout
+// of every PairBlock, read table and encoded genome.  Difference masks are
+// reduced to 1 bit per base (32 bases per word, first base at the MSB).
+// "Later" positions are toward the LSB end of the array, so shifting a read
+// toward later positions models a deletion, toward earlier positions an
+// insertion.  The mask primitives here build the per-pair neighborhood
+// maps of MAGNET, Shouji and SneakySnake (filters/neighborhood.hpp);
+// GateKeeper's mask pipeline runs on 64-bit words (simd/bitops64.hpp).
 #ifndef GKGPU_UTIL_BITOPS_HPP
 #define GKGPU_UTIL_BITOPS_HPP
 
@@ -96,16 +99,6 @@ inline void XorWords(const Word* a, const Word* b, Word* dst, int nwords) {
   for (int i = 0; i < nwords; ++i) dst[i] = a[i] ^ b[i];
 }
 
-/// dst &= src, word-wise.
-inline void AndWords(Word* dst, const Word* src, int nwords) {
-  for (int i = 0; i < nwords; ++i) dst[i] &= src[i];
-}
-
-/// dst |= src, word-wise.
-inline void OrWords(Word* dst, const Word* src, int nwords) {
-  for (int i = 0; i < nwords; ++i) dst[i] |= src[i];
-}
-
 /// Collapses a 2-bit-per-base difference word into 16 one-bit-per-base flags
 /// ("every two-bit is combined with bitwise OR", GateKeeper-GPU Sec. 2.1).
 /// Base j of the input word lands at bit (15 - j) of the result.
@@ -134,39 +127,6 @@ inline int PopcountWords(const Word* mask, int nwords) {
   for (int i = 0; i < nwords; ++i) n += std::popcount(mask[i]);
   return n;
 }
-
-/// Number of maximal runs of 1s in the bit string (0 -> 1 transitions,
-/// treating the position before bit 0 as 0).
-int CountOneRuns(const Word* mask, int nwords);
-
-/// Same as CountOneRuns but implemented as the paper's "window approach with
-/// a look-up table": a 4-bit window walk with a carry state.  Used by the
-/// device-kernel code path; must agree with CountOneRuns exactly.
-int CountOneRunsLut(const Word* mask, int nwords);
-
-/// Flips every internal run of 0s of length <= 2 that is bounded by 1s on
-/// both sides ("amending" / SHD's speculative removal of short streaks).
-/// Branch-free multi-word bit-trick implementation.
-void AmendShortZeroRuns(Word* mask, int nwords);
-
-/// LUT flavour of AmendShortZeroRuns: an 8-bit window walk with 2 neighbour
-/// bits on each side, matching the constant-memory LUT the kernel uses.
-/// Must agree with AmendShortZeroRuns exactly.
-void AmendShortZeroRunsLut(Word* mask, int nwords);
-
-/// Lazily built lookup tables used by the LUT code paths (the GPU kernel
-/// keeps these in constant memory; here they live in static storage).
-struct AmendLut {
-  // amended byte for (left 2 bits << 10) | (byte << 2) | (right 2 bits)
-  std::uint8_t table[4096];
-  static const AmendLut& Instance();
-};
-
-struct RunCountLut {
-  // packed (runs << 1) | exit_state for (entry_state << 4) | nibble
-  std::uint8_t table[32];
-  static const RunCountLut& Instance();
-};
 
 }  // namespace gkgpu
 

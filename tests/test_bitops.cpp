@@ -1,12 +1,17 @@
-// Unit + property tests for the multi-word bit-vector primitives: shifts
-// with carry transfer, pair reduction, amendment (bit trick vs LUT vs
-// scalar), and run counting (popcount-transition vs LUT walk vs scalar).
+// Unit + property tests for the multi-word bit-vector primitives: the
+// 32-bit encoding and mask words (shifts with carry transfer, pair
+// reduction, tail and range masks) and the 64-bit primitives of the
+// GateKeeper kernel — amendment and run counting checked against the
+// per-bit scalar model of filters/scalar_ref.hpp, on runs that cross
+// 64-bit word boundaries and masks up to kMaxWords64 words.
 #include "util/bitops.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "filters/scalar_ref.hpp"
+#include "simd/bitops64.hpp"
 #include "util/rng.hpp"
 
 namespace gkgpu {
@@ -20,11 +25,46 @@ std::vector<int> ToBits(const Word* mask, int nbits) {
   return bits;
 }
 
-void FromBits(const std::vector<int>& bits, Word* mask, int nwords) {
-  std::fill(mask, mask + nwords, 0);
+using simd::kMaxWords64;
+using simd::kWordBits64;
+using simd::U64;
+
+/// Bit `p` of a 64-bit mask array (0 = MSB of word 0).
+int GetBit64(const U64* mask, int p) {
+  return static_cast<int>((mask[p / kWordBits64] >>
+                           (kWordBits64 - 1 - p % kWordBits64)) &
+                          1u);
+}
+
+std::vector<int> ToBits64(const U64* mask, int nwords) {
+  std::vector<int> bits(static_cast<std::size_t>(nwords) * kWordBits64);
   for (std::size_t p = 0; p < bits.size(); ++p) {
-    if (bits[p]) SetMaskBit(mask, static_cast<int>(p));
+    bits[p] = GetBit64(mask, static_cast<int>(p));
   }
+  return bits;
+}
+
+std::vector<U64> FromBits64(const std::vector<int>& bits, int nwords) {
+  std::vector<U64> mask(static_cast<std::size_t>(nwords), 0);
+  for (std::size_t p = 0; p < bits.size(); ++p) {
+    if (bits[p] != 0) {
+      mask[p / kWordBits64] |= U64{1} << (kWordBits64 - 1 - p % kWordBits64);
+    }
+  }
+  return mask;
+}
+
+/// Random 64-bit masks, 1 to kMaxWords64 words, whose densities vary
+/// with the trial so zero and one runs of many lengths occur.
+std::vector<U64> RandomMask64(Rng& rng, int trial) {
+  const int nwords = 1 + static_cast<int>(rng.Uniform(kMaxWords64));
+  std::vector<U64> v(static_cast<std::size_t>(nwords));
+  for (U64& w : v) {
+    w = rng.NextU64() & rng.NextU64();
+    if (trial % 3 == 0) w |= rng.NextU64();
+    if (trial % 5 == 0) w &= rng.NextU64();
+  }
+  return v;
 }
 
 TEST(BitopsTest, WordCounts) {
@@ -168,97 +208,98 @@ TEST(BitopsTest, ReducePairsOrMatchesPerBaseScan) {
 }
 
 TEST(BitopsTest, CountOneRunsBasics) {
-  Word m[2] = {};
-  EXPECT_EQ(CountOneRuns(m, 2), 0);
-  FromBits({1, 1, 0, 1, 0, 0, 1, 1, 1}, m, 2);
-  EXPECT_EQ(CountOneRuns(m, 2), 3);
-  // A run crossing the word boundary counts once.
-  std::vector<int> bits(64, 0);
-  for (int p = 30; p < 35; ++p) bits[static_cast<std::size_t>(p)] = 1;
-  FromBits(bits, m, 2);
-  EXPECT_EQ(CountOneRuns(m, 2), 1);
+  std::vector<U64> m(2, 0);
+  EXPECT_EQ(simd::CountOneRuns64(m.data(), 2), 0);
+  m = FromBits64({1, 1, 0, 1, 0, 0, 1, 1, 1}, 2);
+  EXPECT_EQ(simd::CountOneRuns64(m.data(), 2), 3);
+  // A run crossing a 64-bit word boundary counts once, as does one that
+  // covers a whole word; the last bit of the array opens a run.
+  std::vector<int> bits(4 * kWordBits64, 0);
+  for (int p = 60; p < 68; ++p) bits[static_cast<std::size_t>(p)] = 1;
+  for (int p = 120; p < 200; ++p) bits[static_cast<std::size_t>(p)] = 1;
+  bits.back() = 1;
+  m = FromBits64(bits, 4);
+  EXPECT_EQ(simd::CountOneRuns64(m.data(), 4), 3);
+  EXPECT_EQ(simd::PopcountWords64(m.data(), 4), 8 + 80 + 1);
 }
 
-TEST(BitopsTest, RunCountImplementationsAgree) {
+TEST(BitopsTest, CountOneRunsWalksOneLaneOfALaneMajorBuffer) {
+  // The AVX2 kernels store four lanes side by side; stride 4 reads lane 2
+  // alone, and its runs cross every word boundary.
+  constexpr int kLanes = 4;
+  constexpr int kWords = 3;
+  std::vector<U64> interleaved(kLanes * kWords, ~U64{0});
+  const std::vector<U64> lane = {U64{1}, ~U64{0}, U64{0x8000000000000001ULL}};
+  for (int w = 0; w < kWords; ++w) {
+    interleaved[static_cast<std::size_t>(w * kLanes + 2)] =
+        lane[static_cast<std::size_t>(w)];
+  }
+  EXPECT_EQ(simd::CountOneRuns64(interleaved.data() + 2, kWords, kLanes), 2);
+  EXPECT_EQ(simd::PopcountWords64(interleaved.data() + 2, kWords, kLanes),
+            1 + 64 + 2);
+}
+
+TEST(BitopsTest, CountOneRunsMatchesScalarModel) {
   Rng rng(31);
   for (int trial = 0; trial < 500; ++trial) {
-    const int nwords = 1 + static_cast<int>(rng.Uniform(16));
-    std::vector<Word> v(static_cast<std::size_t>(nwords));
-    for (auto& w : v) {
-      // Mix densities so runs of many shapes appear.
-      w = rng.NextU32() & rng.NextU32();
-      if (trial % 3 == 0) w |= rng.NextU32();
-    }
-    const int expected = [&] {
-      int runs = 0;
-      int prev = 0;
-      for (int p = 0; p < nwords * kWordBits; ++p) {
-        const int b = static_cast<int>(GetMaskBit(v.data(), p));
-        if (b == 1 && prev == 0) ++runs;
-        prev = b;
-      }
-      return runs;
-    }();
-    EXPECT_EQ(CountOneRuns(v.data(), nwords), expected);
-    EXPECT_EQ(CountOneRunsLut(v.data(), nwords), expected);
+    const std::vector<U64> v = RandomMask64(rng, trial);
+    const int nwords = static_cast<int>(v.size());
+    ASSERT_EQ(simd::CountOneRuns64(v.data(), nwords),
+              ScalarCountRuns(ToBits64(v.data(), nwords)))
+        << "trial " << trial << " words " << nwords;
   }
-}
-
-std::vector<int> ScalarAmendBits(std::vector<int> bits) {
-  const int n = static_cast<int>(bits.size());
-  std::vector<int> out = bits;
-  int i = 0;
-  while (i < n) {
-    if (bits[static_cast<std::size_t>(i)] == 1) {
-      ++i;
-      continue;
-    }
-    int j = i;
-    while (j < n && bits[static_cast<std::size_t>(j)] == 0) ++j;
-    if (j - i <= 2 && i > 0 && j < n) {
-      for (int p = i; p < j; ++p) out[static_cast<std::size_t>(p)] = 1;
-    }
-    i = j;
-  }
-  return out;
 }
 
 TEST(BitopsTest, AmendFlipsOnlyShortInternalZeroRuns) {
-  Word m[1];
-  FromBits({1, 0, 1, 0, 0, 1, 0, 0, 0, 1}, m, 1);
-  AmendShortZeroRuns(m, 1);
-  const auto bits = ToBits(m, 10);
+  std::vector<U64> m = FromBits64({1, 0, 1, 0, 0, 1, 0, 0, 0, 1}, 1);
+  simd::AmendShortZeroRuns64(m.data(), 1);
+  std::vector<int> bits = ToBits64(m.data(), 1);
+  bits.resize(10);
   EXPECT_EQ(bits, (std::vector<int>{1, 1, 1, 1, 1, 1, 0, 0, 0, 1}));
 }
 
 TEST(BitopsTest, AmendLeavesBoundaryRunsAlone) {
-  Word m[1];
-  FromBits({0, 0, 1, 1, 0, 0}, m, 1);
-  AmendShortZeroRuns(m, 1);
-  const auto bits = ToBits(m, 6);
-  EXPECT_EQ(bits, (std::vector<int>{0, 0, 1, 1, 0, 0}));
+  // Leading and trailing zero runs have no 1 on one side: both stay.
+  std::vector<int> bits(kWordBits64, 0);
+  bits[2] = bits[3] = 1;
+  std::vector<U64> m = FromBits64(bits, 1);
+  simd::AmendShortZeroRuns64(m.data(), 1);
+  EXPECT_EQ(ToBits64(m.data(), 1), bits);
 }
 
-TEST(BitopsTest, AmendImplementationsAgreeWithScalar) {
+TEST(BitopsTest, AmendCrossesWordBoundaries) {
+  // Zeros 63-64 straddle words 0 and 1, and zero 128 opens word 2: both
+  // runs are bounded by 1s and flip.  The leading run (0-61) and the long
+  // runs (66-126, 130-190) stay.  A three-bit run across a boundary does
+  // not flip either.
+  std::vector<int> bits(3 * kWordBits64, 0);
+  for (const int p : {62, 65, 127, 129, 191}) {
+    bits[static_cast<std::size_t>(p)] = 1;
+  }
+  std::vector<int> expected = bits;
+  expected[63] = expected[64] = expected[128] = 1;
+  std::vector<U64> m = FromBits64(bits, 3);
+  simd::AmendShortZeroRuns64(m.data(), 3);
+  EXPECT_EQ(ToBits64(m.data(), 3), expected);
+
+  bits.assign(3 * kWordBits64, 0);
+  bits[62] = 1;
+  bits[66] = 1;  // zeros 63..65: three bits across the boundary
+  m = FromBits64(bits, 3);
+  simd::AmendShortZeroRuns64(m.data(), 3);
+  EXPECT_EQ(ToBits64(m.data(), 3), bits);
+}
+
+TEST(BitopsTest, AmendMatchesScalarModel) {
   Rng rng(41);
   for (int trial = 0; trial < 500; ++trial) {
-    const int nwords = 1 + static_cast<int>(rng.Uniform(16));
-    std::vector<Word> v(static_cast<std::size_t>(nwords));
-    for (auto& w : v) {
-      w = rng.NextU32() & rng.NextU32();  // sparse-ish: many zero runs
-      if (trial % 4 == 0) w |= rng.NextU32() & rng.NextU32();
-    }
-    const int total = nwords * kWordBits;
-    const std::vector<int> expected = ScalarAmendBits(ToBits(v.data(), total));
-
-    std::vector<Word> trick = v;
-    AmendShortZeroRuns(trick.data(), nwords);
-    EXPECT_EQ(ToBits(trick.data(), total), expected) << "bit trick, trial "
-                                                     << trial;
-
-    std::vector<Word> lut = v;
-    AmendShortZeroRunsLut(lut.data(), nwords);
-    EXPECT_EQ(ToBits(lut.data(), total), expected) << "LUT, trial " << trial;
+    std::vector<U64> v = RandomMask64(rng, trial);
+    const int nwords = static_cast<int>(v.size());
+    std::vector<int> expected = ToBits64(v.data(), nwords);
+    ScalarAmend(expected);
+    simd::AmendShortZeroRuns64(v.data(), nwords);
+    ASSERT_EQ(ToBits64(v.data(), nwords), expected)
+        << "trial " << trial << " words " << nwords;
   }
 }
 

@@ -1,6 +1,8 @@
-// Tests for the GateKeeper filtration core: bit-parallel vs scalar
-// reference equivalence, LUT vs bit-trick equivalence, the paper's Fig. 2/3
-// leading/trailing improvement, 'N' bypass, and basic decision sanity.
+// Tests for the GateKeeper filtration: the per-pair Filter() (the scalar
+// 64-bit kernel of simd/gatekeeper_batch.hpp) against the character-domain
+// reference GateKeeperScalar over every tail-word shape, the paper's
+// Fig. 2/3 leading/trailing improvement, 'N' bypass, basic decision
+// sanity, and the multicore batch runner against per-pair filtration.
 #include "filters/gatekeeper.hpp"
 
 #include <gtest/gtest.h>
@@ -132,6 +134,36 @@ TEST(GateKeeperTest, ImprovedModeCatchesBoundaryErrorsOriginalMisses) {
   EXPECT_LE(original_rejects_not_improved, improved_rejects_more / 10);
 }
 
+/// Asserts that Filter() equals GateKeeperScalar on one pair in both
+/// modes and both count modes, decisions and estimated edits.
+void ExpectMatchesScalar(const std::string& read, const std::string& ref,
+                         int e, const std::string& where) {
+  for (const GateKeeperMode mode :
+       {GateKeeperMode::kImproved, GateKeeperMode::kOriginal}) {
+    for (const CountMode count : {CountMode::kOneRuns, CountMode::kPopcount}) {
+      GateKeeperParams params;
+      params.mode = mode;
+      params.count = count;
+      const FilterResult bit = RunBitParallel(read, ref, e, params);
+      const FilterResult scalar = GateKeeperScalar(read, ref, e, params);
+      ASSERT_EQ(bit.accept, scalar.accept)
+          << where << " e " << e << " mode " << static_cast<int>(mode)
+          << " count " << static_cast<int>(count);
+      ASSERT_EQ(bit.estimated_edits, scalar.estimated_edits)
+          << where << " e " << e << " mode " << static_cast<int>(mode)
+          << " count " << static_cast<int>(count);
+    }
+  }
+}
+
+// Lengths chosen to hit every tail-word geometry: 16-base encoded-word
+// boundaries, 32-base mask-word boundaries, 64-bit word boundaries (32
+// bases encoded, 64 reduced), the singleton, the paper's 100 bp, and the
+// kernels' maximum.
+constexpr int kGridLengths[] = {1,  5,   15,  16,  17,  31,  32,  33,
+                                47, 63,  64,  65,  99,  100, 127, 128,
+                                200, 256, 300, 511, 512};
+
 TEST(GateKeeperTest, BitParallelMatchesScalarReference) {
   Rng rng(19);
   for (int trial = 0; trial < 400; ++trial) {
@@ -142,56 +174,42 @@ TEST(GateKeeperTest, BitParallelMatchesScalarReference) {
         static_cast<std::uint64_t>(length) / 3 + 1));
     const SequencePair p =
         MakePairWithEdits(length, edits, 0.3, rng.NextU64());
-    for (const GateKeeperMode mode :
-         {GateKeeperMode::kImproved, GateKeeperMode::kOriginal}) {
-      for (const CountMode count :
-           {CountMode::kOneRuns, CountMode::kPopcount}) {
-        GateKeeperParams params;
-        params.mode = mode;
-        params.count = count;
-        const FilterResult bit = RunBitParallel(p.read, p.ref, e, params);
-        const FilterResult scalar = GateKeeperScalar(p.read, p.ref, e, params);
-        ASSERT_EQ(bit.accept, scalar.accept)
-            << "trial " << trial << " length " << length << " e " << e;
-        ASSERT_EQ(bit.estimated_edits, scalar.estimated_edits)
-            << "trial " << trial << " length " << length << " e " << e;
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesScalar(
+        p.read, p.ref, e,
+        "trial " + std::to_string(trial) + " length " +
+            std::to_string(length)));
+  }
+  // The grid: every tail-word shape, thresholds up to min(52, L - 1), and
+  // partners that are random, substituted or indel-bearing.
+  for (const int length : kGridLengths) {
+    const int bound = std::min(kMaxErrorThreshold, length - 1);
+    for (int trial = 0; trial < 24; ++trial) {
+      const int e = static_cast<int>(
+          rng.Uniform(static_cast<std::uint64_t>(bound) + 1));
+      const int edits = static_cast<int>(
+          rng.Uniform(static_cast<std::uint64_t>(e) + 4));
+      std::string read;
+      std::string ref;
+      if (trial % 4 == 0) {
+        read = RandomSeq(rng, static_cast<std::size_t>(length));
+        ref = RandomSeq(rng, static_cast<std::size_t>(length));
+      } else if (trial % 4 == 1) {
+        const SequencePair p =
+            MakePairWithEdits(length, edits, 0.5, rng.NextU64());
+        read = p.read;
+        ref = p.ref;
+      } else {
+        read = RandomSeq(rng, static_cast<std::size_t>(length));
+        ref = read;
+        for (int k = 0; k < edits; ++k) {
+          ref[rng.Uniform(ref.size())] = kBases[rng.Uniform(4)];
+        }
       }
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesScalar(
+          read, ref, e,
+          "grid length " + std::to_string(length) + " trial " +
+              std::to_string(trial)));
     }
-  }
-}
-
-TEST(GateKeeperTest, LutPathMatchesBitTrickPath) {
-  Rng rng(23);
-  for (int trial = 0; trial < 300; ++trial) {
-    const int length = 20 + static_cast<int>(rng.Uniform(400));
-    const int e = static_cast<int>(rng.Uniform(13));
-    const SequencePair p = MakePairWithEdits(
-        length, static_cast<int>(rng.Uniform(30)), 0.3, rng.NextU64());
-    GateKeeperParams tricks;
-    GateKeeperParams luts;
-    luts.use_lut = true;
-    const FilterResult a = RunBitParallel(p.read, p.ref, e, tricks);
-    const FilterResult b = RunBitParallel(p.read, p.ref, e, luts);
-    ASSERT_EQ(a.accept, b.accept) << "trial " << trial;
-    ASSERT_EQ(a.estimated_edits, b.estimated_edits) << "trial " << trial;
-  }
-}
-
-TEST(GateKeeperTest, EncodedEntryPointMatchesStringEntryPoint) {
-  Rng rng(29);
-  GateKeeperFilter filter;
-  for (int trial = 0; trial < 100; ++trial) {
-    const SequencePair p = MakePairWithEdits(
-        150, static_cast<int>(rng.Uniform(20)), 0.3, rng.NextU64());
-    Word read_enc[kMaxEncodedWords];
-    Word ref_enc[kMaxEncodedWords];
-    EncodeSequence(p.read, read_enc);
-    EncodeSequence(p.ref, ref_enc);
-    const FilterResult via_string = filter.Filter(p.read, p.ref, 8);
-    const FilterResult via_encoded =
-        filter.FilterEncoded(read_enc, ref_enc, 150, 8);
-    EXPECT_EQ(via_string.accept, via_encoded.accept);
-    EXPECT_EQ(via_string.estimated_edits, via_encoded.estimated_edits);
   }
 }
 

@@ -84,6 +84,44 @@ TEST(ReadSimTest, ErrorFreeProfileCopiesGenome) {
   }
 }
 
+TEST(ReadSimTest, ShortChromosomesKeepEveryOriginAndNoPadding) {
+  // A chromosome shorter than a read plus its deletion slack still
+  // offers every origin the read fits at (here 0-20), single-end and
+  // paired.
+  Rng rng(61);
+  std::string chrom(120, 'A');
+  for (char& c : chrom) c = kBases[rng.Uniform(4)];
+  std::set<std::int64_t> origins;
+  for (const auto& r :
+       SimulateReads(chrom, 2000, 100, ReadErrorProfile::Illumina(), 7)) {
+    ASSERT_EQ(r.seq.size(), 100u);
+    ASSERT_LE(r.origin, 20);
+    origins.insert(r.origin);
+  }
+  EXPECT_GT(origins.size(), 1u);
+  PairSimConfig cfg;
+  cfg.insert_mean = 105.0;
+  cfg.insert_sd = 5.0;
+  cfg.profile = {0.0, 0.0, 0.0, 0.0};
+  std::set<std::int64_t> starts;
+  for (const auto& p : SimulatePairs(chrom, 500, cfg, 11)) {
+    ASSERT_LE(p.fragment_start + p.fragment_length, 120);
+    EXPECT_EQ(p.seq1, chrom.substr(static_cast<std::size_t>(p.origin1), 100));
+    starts.insert(p.fragment_start);
+  }
+  EXPECT_GT(starts.size(), 1u);
+  // A deletion is applied only while the chromosome has a base to spare:
+  // on one exactly as long as the read, a deletion-only profile returns
+  // the chromosome itself instead of padding random bases past its end.
+  const std::string exact = chrom.substr(0, 100);
+  const ReadErrorProfile deletions{0.0, 0.0, 1.0, 0.0};
+  for (const auto& r : SimulateReads(exact, 20, 100, deletions, 9)) {
+    EXPECT_EQ(r.origin, 0);
+    EXPECT_EQ(r.seq, exact);
+    EXPECT_EQ(r.edits, 0);
+  }
+}
+
 TEST(ReadSimTest, RichDeletionProfileProducesMoreEdits) {
   const std::string genome = GenerateGenome(200000, 25);
   const auto low =

@@ -1,10 +1,7 @@
 // Scalar-vs-SIMD equivalence for the batch filtration core.
 //
-// The contracts asserted here are the refactor's safety net:
-//   * the uint64_t-lane pipeline (simd::GateKeeperFiltration64) is
-//     bit-identical — decisions *and* estimated edits — to the 32-bit
-//     reference core over random lengths (including every tail-word
-//     shape), thresholds, and both algorithm modes;
+// The contracts asserted here (the per-pair kernel against the reference
+// GateKeeperScalar is test_gatekeeper's grid):
 //   * the scalar and AVX2 (4-lane + scalar tail) range kernels produce
 //     identical PairResult arrays on every block shape, including
 //     'N'-bypass pairs and odd group remainders;
@@ -15,24 +12,26 @@
 //   * FilterBatch on every overriding filter equals its per-pair
 //     Filter() on non-bypassed pairs and the bypass slot otherwise;
 //   * candidate-shape blocks (encoded genome, strand bits, reference 'N'
-//     windows) reproduce the per-candidate kernel semantics exactly, and a
-//     window outside the genome bypasses without being read.
+//     windows) filter each candidate exactly as GateKeeperScalar filters
+//     its oriented read against its genome window, and a window outside
+//     the genome bypasses without being read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "encode/encoded.hpp"
 #include "encode/revcomp.hpp"
 #include "filters/gatekeeper.hpp"
 #include "filters/pair_block.hpp"
+#include "filters/scalar_ref.hpp"
 #include "filters/shd.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
-#include "simd/bitops64.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/gatekeeper_batch.hpp"
 #include "simd/snake_batch.hpp"
@@ -81,43 +80,6 @@ void ExpectSameResult(const PairResult& a, const PairResult& b,
   ASSERT_EQ(a.accept, b.accept) << what << " pair " << i;
   ASSERT_EQ(a.bypassed, b.bypassed) << what << " pair " << i;
   ASSERT_EQ(a.edits, b.edits) << what << " pair " << i;
-}
-
-TEST(Simd64Test, Filtration64MatchesReferenceCoreOverTheGrid) {
-  Rng rng(90001);
-  for (const int length : kLengths) {
-    for (int trial = 0; trial < 24; ++trial) {
-      const int e = RandomThreshold(rng, length);
-      const std::string read = RandomSeq(rng, length);
-      const std::string ref =
-          MutatePartner(rng, read, static_cast<int>(rng.Uniform(
-                                       static_cast<std::uint64_t>(e) + 4)));
-      Word read_enc[kMaxEncodedWords];
-      Word ref_enc[kMaxEncodedWords];
-      EncodeSequence(read, read_enc);
-      EncodeSequence(ref, ref_enc);
-      GateKeeperParams params;
-      for (const GateKeeperMode mode :
-           {GateKeeperMode::kImproved, GateKeeperMode::kOriginal}) {
-        for (const CountMode count :
-             {CountMode::kOneRuns, CountMode::kPopcount}) {
-          params.mode = mode;
-          params.count = count;
-          const FilterResult expected =
-              GateKeeperFiltration(read_enc, ref_enc, length, e, params);
-          const FilterResult got =
-              simd::GateKeeperFiltration64(read_enc, ref_enc, length, e,
-                                           params);
-          ASSERT_EQ(got.accept, expected.accept)
-              << "length " << length << " e " << e << " mode "
-              << static_cast<int>(mode);
-          ASSERT_EQ(got.estimated_edits, expected.estimated_edits)
-              << "length " << length << " e " << e << " mode "
-              << static_cast<int>(mode);
-        }
-      }
-    }
-  }
 }
 
 TEST(SimdBatchTest, ScalarAndAvx2RangesBitIdentical) {
@@ -425,18 +387,12 @@ TEST(CandidateBlockTest, WindowsStrandsAndGenomeNMatchPerPairSemantics) {
       EXPECT_EQ(results[i].accept, 1) << i;
       continue;
     }
-    Word window[kMaxEncodedWords];
-    ref.ExtractSegment(c.ref_pos, length, window);
-    const Word* read_enc =
-        read_table.data() + static_cast<std::size_t>(c.read_index) *
-                                static_cast<std::size_t>(EncodedWords(length));
-    Word rc_enc[kMaxEncodedWords];
-    if (c.strand != 0) {
-      ReverseComplementEncoded(read_enc, length, rc_enc);
-      read_enc = rc_enc;
-    }
-    const FilterResult expected =
-        GateKeeperFiltration(read_enc, window, length, e, params);
+    const std::string& read = reads[c.read_index];
+    const FilterResult expected = GateKeeperScalar(
+        c.strand != 0 ? ReverseComplement(read) : read,
+        std::string_view(genome).substr(static_cast<std::size_t>(c.ref_pos),
+                                        static_cast<std::size_t>(length)),
+        e, params);
     EXPECT_EQ(results[i].accept, expected.accept ? 1 : 0) << i;
     EXPECT_EQ(results[i].edits, expected.estimated_edits) << i;
     EXPECT_EQ(results[i].bypassed, 0) << i;

@@ -27,7 +27,8 @@
 // otherwise drop (a second one to an option that takes one — only
 // `--paired` takes two —, an option given twice, an operand before the
 // first option), and integer options outside their range (`--e` 0-52,
-// `--devices` 1-8, `--setup` 1-2, `--mapq-cap` 0-254, the generators'
+// `--devices` 1-8, `--setup` 1-2, `--mapq-cap` 0-254, `--threads` 0-1024
+// on `map` and 1-1024 on `serve`, `index --k` 4-14, the generators'
 // `--count` 1-10^8).  Every output file is opened before any work, so an
 // unwritable path fails by name (exit 1) up front.
 // `index` persists the reference + k-mer index + 2-bit encoding to one
@@ -304,20 +305,21 @@ const PreAlignmentFilter* MappingFilter(const Args& args, int read_length) {
   return &gatekeeper;
 }
 
-/// `--threads N`: the mapper's pool size (0 = hardware concurrency), on
-/// which every mapping driver runs.
-unsigned PoolThreads(const Args& args) {
-  const long threads = args.GetInt("threads", 0);
-  return threads > 0 ? static_cast<unsigned>(threads) : 0;
-}
+/// The most workers `--threads` may ask for, on `map` and `serve`.
+constexpr long kMaxThreads = 1024;
 
-/// The mapper options of `map` and `serve`.  k is the default
-/// 12 unless an index file sets it (ReferenceInput::MakeMapper).
-MapperConfig MapperOptions(const Args& args, int read_length) {
+/// The mapper options of `map` and `serve`, parsed before the reference
+/// loads so a bad value exits 2 up front: `--e`, `--shard-max-bp` and
+/// `--threads`, the size of the pool every mapping driver runs on,
+/// `min_threads` to kMaxThreads (`default_threads` when absent; 0 means
+/// hardware concurrency).  The caller sets the read length; k is the
+/// default 12 unless an index file sets it (ReferenceInput::MakeMapper).
+MapperConfig MapperOptions(const Args& args, long min_threads,
+                           long default_threads) {
   MapperConfig mcfg;
-  mcfg.read_length = read_length;
   mcfg.error_threshold = ErrorThreshold(args);
-  mcfg.verify_threads = PoolThreads(args);
+  mcfg.verify_threads = static_cast<unsigned>(args.GetInt(
+      "threads", default_threads, min_threads, kMaxThreads));
   mcfg.shard_max_bp = args.GetInt("shard-max-bp", 0);
   return mcfg;
 }
@@ -814,7 +816,7 @@ int FilterCmd(const Args& args) {
 /// `map --paired R1 R2` / `map --interleaved FILE`: the paired-end
 /// subsystem — strand-aware seeding, insert-size pairing, mate rescue,
 /// full SAM flag semantics.
-int MapPairedCmd(const Args& args, ReferenceInput& input,
+int MapPairedCmd(const Args& args, MapperConfig mcfg, ReferenceInput& input,
                  OutputFile& sam_file) {
   const auto paired_files = args.GetList("paired");
   const std::string interleaved = args.Get("interleaved", "");
@@ -838,7 +840,8 @@ int MapPairedCmd(const Args& args, ReferenceInput& input,
   const int length =
       ReadLength(args, interleaved.empty() ? paired_files[0] : interleaved);
 
-  ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
+  mcfg.read_length = length;
+  ReadMapper mapper = input.MakeMapper(mcfg);
 
   PairedConfig pconf;
   pconf.max_insert = args.GetInt("max-insert", 1000);
@@ -898,7 +901,7 @@ int MapPairedCmd(const Args& args, ReferenceInput& input,
 /// `map --reads FASTQ`: the single-end driver, StreamFastqToSam on the
 /// mapper's chunk workers.  Reads of another length than the run's
 /// (ReadLength) are skipped and counted.
-int MapSingleCmd(const Args& args, ReferenceInput& input,
+int MapSingleCmd(const Args& args, MapperConfig mcfg, ReferenceInput& input,
                  OutputFile& sam_file) {
   const std::string reads_path = args.Get("reads", "");
   std::ifstream fastq(reads_path);
@@ -907,7 +910,8 @@ int MapSingleCmd(const Args& args, ReferenceInput& input,
     return 1;
   }
   const int length = ReadLength(args, reads_path);
-  ReadMapper mapper = input.MakeMapper(MapperOptions(args, length));
+  mcfg.read_length = length;
+  ReadMapper mapper = input.MakeMapper(mcfg);
   const PreAlignmentFilter* filter = MappingFilter(args, length);
 
   pipeline::ReadToSamConfig scfg;
@@ -957,11 +961,13 @@ int MapCmd(const Args& args) {
                  "(R1 and R2), or use --interleaved FILE\n");
     return 2;
   }
+  const MapperConfig mcfg =
+      MapperOptions(args, /*min_threads=*/0, /*default_threads=*/0);
   OutputFile sam_file(args, "sam");
   ObsRun obs_run(args);
   ReferenceInput input = LoadReferenceInput(args);
-  const int status = paired ? MapPairedCmd(args, input, sam_file)
-                            : MapSingleCmd(args, input, sam_file);
+  const int status = paired ? MapPairedCmd(args, mcfg, input, sam_file)
+                            : MapSingleCmd(args, mcfg, input, sam_file);
   obs_run.Finish();
   return status;
 }
@@ -973,8 +979,13 @@ int IndexCmd(const Args& args) {
   if (ref_path.empty()) return Usage();
   const std::string out = args.Get("out", "ref.gki");
   SeedConfig scfg;
-  scfg.k = static_cast<int>(args.GetInt("k", 12));
+  scfg.k = static_cast<int>(args.GetInt("k", 12, 4, 14));
   scfg.shard_max_bp = args.GetInt("shard-max-bp", 0);
+  // Probe the output before any work: opened for appending, an existing
+  // index keeps its bytes until the new one replaces it.
+  if (!std::ofstream(out, std::ios::binary | std::ios::app)) {
+    throw std::runtime_error("cannot open " + out + " for writing");
+  }
   WallTimer parse_timer;
   const ReferenceSet refset = ReferenceSet::FromFastaFile(ref_path);
   const double parse_s = parse_timer.Seconds();
@@ -1019,19 +1030,18 @@ void HandleServeSignal(int) {
 int ServeCmd(const Args& args) {
   const std::string socket_path = args.Get("socket", "");
   if (!HasReferenceInput(args) || socket_path.empty()) return Usage();
+  MapperConfig mcfg =
+      MapperOptions(args, /*min_threads=*/1, /*default_threads=*/2);
   ReferenceInput input = LoadReferenceInput(args);
   const int length = static_cast<int>(args.GetInt("length", 100));
-  const int e = ErrorThreshold(args);
-  const int threads = static_cast<int>(args.GetInt("threads", 2));
 
-  MapperConfig mcfg = MapperOptions(args, length);
-  mcfg.verify_threads = static_cast<unsigned>(threads > 0 ? threads : 1);
+  mcfg.read_length = length;
   ReadMapper mapper = input.MakeMapper(mcfg);
   const PreAlignmentFilter* filter = MappingFilter(args, length);
 
   serve::ServeConfig scfg;
   scfg.socket_path = socket_path;
-  scfg.threads = threads > 0 ? threads : 1;
+  scfg.threads = static_cast<int>(mcfg.verify_threads);
   scfg.linger_ms = static_cast<int>(args.GetInt("linger", 2));
   scfg.request_timeout_sec = static_cast<int>(args.GetInt("timeout", 30));
   scfg.mapq_cap = MapqCap(args);
@@ -1044,8 +1054,8 @@ int ServeCmd(const Args& args) {
   std::printf("serving on %s (%s reference, read length %d, e=%d, "
               "%d threads); SIGTERM drains\n",
               socket_path.c_str(),
-              input.FromIndex() ? "mmap'd" : "in-memory", length, e,
-              scfg.threads);
+              input.FromIndex() ? "mmap'd" : "in-memory", length,
+              mcfg.error_threshold, scfg.threads);
   std::fflush(stdout);
   server.Run();
   g_server = nullptr;
