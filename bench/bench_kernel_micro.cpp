@@ -5,7 +5,7 @@
 // baselines, and the exact aligners — the numbers behind the throughput
 // tables — plus the reverse complement of an encoded read and the seeding
 // kernel's per-read cost at chunk sizes 1 and kSeedChunkReads, unvoted and
-// voted.
+// voted, on an 8 Mbp one-chromosome genome and on se-large's shape.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "align/banded.hpp"
@@ -168,44 +169,85 @@ void BM_ReverseComplementEncoded(benchmark::State& state) {
 }
 BENCHMARK(BM_ReverseComplementEncoded)->Arg(100)->Arg(512);
 
+// A seeding workload: reads and the mapper they are seeded against.
+struct SeedWorkload {
+  std::vector<std::string> reads;
+  ReadMapper mapper;
+};
+
+// Genome 0: 8 Mbp in one chromosome, forward-strand reads.  Genome 1:
+// bench/e2e's se-large shape, 32 Mbp in four chromosomes with every other
+// read reverse-complemented, so both strands' seeds hit and the junction
+// tests see several chromosomes.  100k reads either way, touching more
+// index lines than a last-level cache holds.
+SeedWorkload MakeSeedWorkload(bool se_large) {
+  MapperConfig cfg;
+  cfg.k = 12;
+  cfg.read_length = 100;
+  cfg.error_threshold = 5;
+  cfg.verify_threads = 1;
+  if (!se_large) {
+    std::string genome = GenerateGenome(8'000'000, 41);
+    std::vector<std::string> reads = SimulateReadSequences(
+        genome, 100'000, 100, ReadErrorProfile::Illumina(), 42);
+    return {std::move(reads), ReadMapper(std::move(genome), cfg)};
+  }
+  constexpr std::size_t kChromosomeBp = 8'000'000;
+  const std::string genome = GenerateGenome(4 * kChromosomeBp, 43);
+  ReferenceSet ref;
+  std::vector<std::string> reads;
+  for (std::size_t c = 0; c < 4; ++c) {
+    const std::string_view chrom =
+        std::string_view(genome).substr(c * kChromosomeBp, kChromosomeBp);
+    ref.Add("chr" + std::to_string(c + 1), chrom);
+    for (SimulatedRead& r : SimulateReads(
+             chrom, 25'000, 100, ReadErrorProfile::Illumina(), 44 + c)) {
+      reads.push_back(reads.size() % 2 == 1 ? ReverseComplement(r.seq)
+                                            : std::move(r.seq));
+    }
+  }
+  return {std::move(reads), ReadMapper(std::move(ref), cfg)};
+}
+
+// Each workload is built on first use, so a filtered run builds one.
+template <bool kSeLarge>
+const SeedWorkload& CachedSeedWorkload() {
+  static const SeedWorkload w = MakeSeedWorkload(kSeLarge);
+  return w;
+}
+
 // Seeding, per read, through ReadMapper::SeedReads at chunk sizes 1 (each
 // lookup's misses wait in turn) and kSeedChunkReads (a chunk's misses
 // overlap), unvoted and voted (the vote looks up 8 seeds per strand
-// instead of 6 and cuts most candidates).  One k=12 index: its offset
-// table is 64 MiB at any genome size, so an 8 Mbp genome already misses
-// cache and TLB on every lookup.  100k reads cycle, touching more index
-// lines than a last-level cache holds.
+// instead of 6 and cuts most candidates), on both genomes above.  One
+// k=12 index each: its offset table is 64 MiB at any genome size, so
+// every lookup misses cache and TLB.
 void BM_SeedReads(benchmark::State& state) {
-  static const ReadMapper mapper = [] {
-    MapperConfig cfg;
-    cfg.k = 12;
-    cfg.read_length = 100;
-    cfg.error_threshold = 5;
-    cfg.verify_threads = 1;
-    return ReadMapper(GenerateGenome(8'000'000, 41), cfg);
-  }();
-  static const std::vector<std::string> reads = SimulateReadSequences(
-      mapper.genome(), 100'000, 100, ReadErrorProfile::Illumina(), 42);
-  static const std::vector<std::string_view> views(reads.begin(),
-                                                   reads.end());
+  const bool se_large = state.range(2) != 0;
+  const SeedWorkload& w =
+      se_large ? CachedSeedWorkload<true>() : CachedSeedWorkload<false>();
+  const std::vector<std::string_view> views(w.reads.begin(), w.reads.end());
   const std::size_t chunk = static_cast<std::size_t>(state.range(0));
   const SeedVote vote = state.range(1) != 0 ? SeedVote::kOn : SeedVote::kOff;
   SeedChunk seeds;
   std::size_t next = 0;
   for (auto _ : state) {
     if (next + chunk > views.size()) next = 0;
-    mapper.SeedReads(std::span(views).subspan(next, chunk), &seeds, vote);
+    w.mapper.SeedReads(std::span(views).subspan(next, chunk), &seeds, vote);
     benchmark::DoNotOptimize(seeds.candidates(0).data());
     next += chunk;
   }
   state.counters["per_read"] = benchmark::Counter(
       static_cast<double>(state.iterations() * chunk),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-  state.SetLabel(vote == SeedVote::kOn ? "voted" : "unvoted");
+  state.SetLabel(std::string(vote == SeedVote::kOn ? "voted" : "unvoted") +
+                 (se_large ? ", 32 Mbp 4 chromosomes, both strands"
+                           : ", 8 Mbp 1 chromosome, forward"));
 }
 BENCHMARK(BM_SeedReads)
-    ->ArgNames({"chunk", "vote"})
-    ->ArgsProduct({{1, static_cast<std::int64_t>(kSeedChunkReads)}, {0, 1}});
+    ->ArgNames({"chunk", "vote", "genome"})
+    ->ArgsProduct(
+        {{1, static_cast<std::int64_t>(kSeedChunkReads)}, {0, 1}, {0, 1}});
 
 }  // namespace
 }  // namespace gkgpu

@@ -1,8 +1,23 @@
 #include "encode/revcomp.hpp"
 
+#include <array>
 #include <cstdint>
 
 namespace gkgpu {
+
+namespace {
+
+// ComplementBase as a 256-entry table: every read is reverse-complemented
+// for seeding, and on random text a lookup is faster than the switch.
+constexpr std::array<char, 256> kComplementTable = [] {
+  std::array<char, 256> t{};
+  for (std::size_t c = 0; c < t.size(); ++c) {
+    t[c] = ComplementBase(static_cast<char>(c));
+  }
+  return t;
+}();
+
+}  // namespace
 
 std::string ReverseComplement(std::string_view seq) {
   std::string out;
@@ -12,8 +27,9 @@ std::string ReverseComplement(std::string_view seq) {
 
 void ReverseComplementInto(std::string_view seq, std::string* out) {
   out->resize(seq.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    (*out)[i] = ComplementBase(seq[seq.size() - 1 - i]);
+  char* dst = out->data();
+  for (std::size_t i = seq.size(); i-- > 0;) {
+    *dst++ = kComplementTable[static_cast<unsigned char>(seq[i])];
   }
 }
 

@@ -20,7 +20,7 @@ inline constexpr unsigned ComplementCode(unsigned code) { return code ^ 0x3u; }
 
 /// Complement of a base character; 'N' (and anything malformed) stays 'N',
 /// preserving the undefined-pair bypass semantics.
-inline char ComplementBase(char c) {
+inline constexpr char ComplementBase(char c) {
   switch (c) {
     case 'A': case 'a': return 'T';
     case 'C': case 'c': return 'G';

@@ -23,6 +23,7 @@ ReferenceSet::ReferenceSet(std::string name, std::string sequence) {
     throw std::runtime_error("reference: empty sequence for " +
                              chromosomes_.back().name);
   }
+  ends_.push_back(chromosomes_.back().length);
   fingerprint_ = FingerprintText(text_);
 }
 
@@ -49,6 +50,9 @@ ReferenceSet ReferenceSet::View(std::vector<ChromosomeInfo> chromosomes,
   ReferenceSet set;
   set.view_ = text;
   set.chromosomes_ = std::move(chromosomes);
+  for (const ChromosomeInfo& c : set.chromosomes_) {
+    set.ends_.push_back(c.offset + c.length);
+  }
   set.fingerprint_ = fingerprint;
   return set;
 }
@@ -73,6 +77,7 @@ void ReferenceSet::Add(std::string name, std::string_view sequence) {
                           static_cast<std::int64_t>(text_.size()),
                           static_cast<std::int64_t>(sequence.size())});
   text_.append(sequence);
+  ends_.push_back(static_cast<std::int64_t>(text_.size()));
   // FNV is byte-sequential: continuing from the previous fingerprint
   // equals hashing the whole concatenation.
   fingerprint_ = FingerprintText(sequence, fingerprint_);
@@ -100,15 +105,6 @@ int ReferenceSet::Locate(std::int64_t global_pos) const {
       chromosomes_.begin(), chromosomes_.end(), global_pos,
       [](std::int64_t pos, const ChromosomeInfo& c) { return pos < c.offset; });
   return static_cast<int>(it - chromosomes_.begin()) - 1;
-}
-
-bool ReferenceSet::WindowWithinChromosome(std::int64_t global_pos,
-                                          int len) const {
-  if (len <= 0) return false;
-  const int chrom = Locate(global_pos);
-  if (chrom < 0) return false;
-  const ChromosomeInfo& c = chromosomes_[static_cast<std::size_t>(chrom)];
-  return global_pos + len <= c.offset + c.length;
 }
 
 }  // namespace gkgpu

@@ -7,6 +7,7 @@
 #ifndef GKGPU_IO_REFERENCE_HPP
 #define GKGPU_IO_REFERENCE_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -70,6 +71,9 @@ class ReferenceSet {
   const std::vector<ChromosomeInfo>& chromosomes() const {
     return chromosomes_;
   }
+  /// Each chromosome's global end (offset + length), ascending: the index
+  /// the junction tests search, eight bytes a chromosome.
+  const std::vector<std::int64_t>& chromosome_ends() const { return ends_; }
 
   /// Index of the chromosome containing the global position; -1 when out of
   /// range.
@@ -78,7 +82,12 @@ class ReferenceSet {
   /// True when [global_pos, global_pos + len) lies entirely inside one
   /// chromosome — candidate windows crossing a junction are chimeric and
   /// must be dropped at seeding time.
-  bool WindowWithinChromosome(std::int64_t global_pos, int len) const;
+  bool WindowWithinChromosome(std::int64_t global_pos, int len) const {
+    if (len <= 0 || global_pos < 0) return false;
+    // The first chromosome ending after the window's start holds it.
+    const auto end = std::upper_bound(ends_.begin(), ends_.end(), global_pos);
+    return end != ends_.end() && global_pos + len <= *end;
+  }
 
   /// Global -> chromosome-local position (caller guarantees `chrom` is the
   /// chromosome returned by Locate).
@@ -92,6 +101,7 @@ class ReferenceSet {
   // would dangle across moves under SSO).
   std::string_view view_;
   std::vector<ChromosomeInfo> chromosomes_;
+  std::vector<std::int64_t> ends_;  // chromosome_ends()
   std::uint64_t fingerprint_ = kFingerprintSeed;
 };
 

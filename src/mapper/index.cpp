@@ -1,7 +1,6 @@
 #include "mapper/index.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <functional>
 #include <stdexcept>
@@ -23,19 +22,6 @@ constexpr std::size_t kPartitions = std::size_t{1} << (2 * kPartitionBases);
 constexpr std::size_t kMaxSlices = 256;
 constexpr std::size_t kMinSliceKmers = std::size_t{1} << 16;
 
-// BaseToCode as a table: the build decodes every genome base twice and
-// k - 4 bases per indexed k-mer once more, and on random text a lookup is
-// faster than the switch.
-constexpr std::array<std::uint8_t, 256> kBaseCodes = [] {
-  std::array<std::uint8_t, 256> t{};
-  for (std::size_t c = 0; c < t.size(); ++c) {
-    t[c] = static_cast<std::uint8_t>(BaseToCode(static_cast<char>(c)));
-  }
-  return t;
-}();
-
-unsigned Code(char c) { return kBaseCodes[static_cast<unsigned char>(c)]; }
-
 void CheckK(const char* who, int k) {
   if (k < 4 || k > 14) {
     throw std::invalid_argument(std::string(who) + ": k = " +
@@ -54,7 +40,7 @@ void ForEachKmer(std::string_view genome, int k, std::size_t begin,
   std::uint64_t code = 0;
   std::size_t clean = 0;  // known bases ending at i
   for (std::size_t i = begin; i + 1 < end + kk; ++i) {
-    const unsigned c = Code(genome[i]);
+    const unsigned c = BaseCode(genome[i]);
     if (c >= 4) {
       clean = 0;
       continue;
@@ -169,7 +155,7 @@ KmerIndex::KmerIndex(std::string_view genome, int k, ThreadPool* pool)
         const char* tail = genome.data() + pos + kPartitionBases;
         std::uint64_t low = 0;
         for (int j = 0; j < k - kPartitionBases; ++j) {
-          low = (low << 2) | Code(tail[j]);
+          low = (low << 2) | BaseCode(tail[j]);
         }
         keyed[i - begin] = (low << 32) | pos;
         ++table[low];
@@ -222,13 +208,7 @@ KmerIndex KmerIndex::View(int k, std::size_t genome_length,
 
 std::int64_t KmerIndex::Encode(std::string_view kmer) const {
   if (kmer.size() != static_cast<std::size_t>(k_)) return -1;
-  std::uint64_t code = 0;
-  for (const char ch : kmer) {
-    const unsigned c = BaseToCode(ch);
-    if (c >= 4) return -1;
-    code = (code << 2) | c;
-  }
-  return static_cast<std::int64_t>(code);
+  return EncodeKmer(kmer.data(), k_);
 }
 
 std::span<const std::uint32_t> KmerIndex::Lookup(std::string_view kmer) const {

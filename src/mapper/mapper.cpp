@@ -1,14 +1,16 @@
 #include "mapper/mapper.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
 
 #include "align/banded.hpp"
-#include "obs/names.hpp"
+#include "encode/dna.hpp"
 #include "encode/revcomp.hpp"
+#include "obs/names.hpp"
 #include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
@@ -109,6 +111,32 @@ int SeedTag(std::int64_t hit) {
   return static_cast<int>(hit & (kVoteSeeds - 1));
 }
 
+// The lone-hit pass counts a voting sequence's hits per diagonal bucket in
+// kCountSlots uint8 slots, bucket mod kCountSlots: aliased buckets only add
+// to a count, so they can keep a hit but never drop one.  A sequence with
+// more than kMaxCountedHits hits could overflow a slot and is sorted whole.
+constexpr std::size_t kCountSlots = 1024;
+constexpr std::size_t kMaxCountedHits = 255;
+
+std::size_t Slot(std::int64_t hit, int shift) {
+  return static_cast<std::size_t>(hit >> shift) & (kCountSlots - 1);
+}
+
+// Sorts a sequence's hits: insertion sort for the handful that usually
+// survives the lone-hit pass, std::sort beyond.
+void SortHits(std::span<std::int64_t> hits) {
+  if (hits.size() > 16) {
+    std::sort(hits.begin(), hits.end());
+    return;
+  }
+  for (std::size_t i = 1; i < hits.size(); ++i) {
+    const std::int64_t h = hits[i];
+    std::size_t j = i;
+    for (; j > 0 && hits[j - 1] > h; --j) hits[j] = hits[j - 1];
+    hits[j] = h;
+  }
+}
+
 }  // namespace
 
 // Appends `seq`'s seeds and returns the supporting seeds the vote demands
@@ -128,8 +156,7 @@ int ReadMapper::SelectSeeds(std::string_view seq, SeedVote vote,
   const std::size_t first = seeds->size();
   for (int s = 0; s < n_seeds; ++s) {
     const std::size_t offset = static_cast<std::size_t>(s * k);
-    const std::int64_t code =
-        index_.shard(0).Encode(seq.substr(offset, static_cast<std::size_t>(k)));
+    const std::int64_t code = EncodeKmer(seq.data() + offset, k);
     if (code < 0) continue;  // an N inside the seed
     seeds->push_back(SeedChunk::Seed{static_cast<std::uint64_t>(code),
                                      static_cast<std::uint32_t>(offset)});
@@ -187,22 +214,36 @@ void ReadMapper::SeedSequences(SeedChunk* chunk, SeedVote vote,
     }
   }
 
-  // Pass 3: raw hits -> diagonals, sorted per sequence; each diagonal a
+  // Pass 3: raw hits -> diagonals per sequence.  A voting sequence's lone
+  // hits leave unsorted; the rest are sorted, and each diagonal a
   // pigeonhole seed hits becomes a candidate window if it lies in one
   // chromosome and passes the vote.
   const int k = index_.k();
   const std::int64_t e = config_.error_threshold;
   const std::int64_t genome_len = ref_.length();
-  const bool multi_chrom = ref_.chromosome_count() > 1;
+  const std::vector<std::int64_t>& chrom_ends = ref_.chromosome_ends();
+  // A hit's bucket is its diagonal over 2^s > e, so hits within +-e
+  // diagonals of each other fall in the same or adjacent buckets; the
+  // shift drops the seed tag too.
+  const int shift = kTagBits + std::bit_width(static_cast<std::uint64_t>(e));
+  std::array<std::uint8_t, kCountSlots> counts{};
   std::uint64_t voted_out = 0;
   chunk->candidates_.clear();
   chunk->bounds_.assign(1, 0);
   for (std::size_t j = 0; j < seqs.size(); ++j) {
     const int L = static_cast<int>(seqs[j].size());
     const int needed = chunk->votes_needed_[j];
-    gather->clear();
-    for (std::uint32_t s = chunk->seed_bounds_[j];
-         s < chunk->seed_bounds_[j + 1]; ++s) {
+    const int pigeonhole = std::min(config_.error_threshold + 1, L / k);
+    const std::uint32_t seed_begin = chunk->seed_bounds_[j];
+    const std::uint32_t seed_end = chunk->seed_bounds_[j + 1];
+    std::size_t n_hits = 0;
+    for (std::size_t b = seed_begin * shards; b < seed_end * shards; ++b) {
+      n_hits += chunk->buckets_[b].second - chunk->buckets_[b].first;
+    }
+    if (gather->size() < n_hits) gather->resize(n_hits);
+    std::span<std::int64_t> hits(gather->data(), n_hits);
+    std::int64_t* out = hits.data();
+    for (std::uint32_t s = seed_begin; s < seed_end; ++s) {
       // Without a vote every seed is a pigeonhole seed: tag them all 0.
       const std::int64_t tag = needed > 0 ? seeds[s].pos / k : 0;
       for (std::size_t sh = 0; sh < shards; ++sh) {
@@ -213,17 +254,47 @@ void ReadMapper::SeedSequences(SeedChunk* chunk, SeedVote vote,
         const std::int64_t base =
             index_.plan().shard(sh).text_offset - seeds[s].pos;
         const auto [b, end] = chunk->buckets_[s * shards + sh];
-        const std::span<const std::uint32_t> positions =
-            index_.shard(sh).positions();
+        const std::uint32_t* positions = index_.shard(sh).positions().data();
         for (std::uint32_t p = b; p < end; ++p) {
-          gather->push_back(PackHit(base + positions[p], tag));
+          *out++ = PackHit(base + positions[p], tag);
         }
       }
     }
-    std::sort(gather->begin(), gather->end());
-    const std::vector<std::int64_t>& hits = *gather;
-    const int pigeonhole = std::min(config_.error_threshold + 1, L / k);
+    if (needed > 0 && hits.size() <= kMaxCountedHits) {
+      // The lone-hit pass.  A hit alone in its bucket and both neighbours
+      // has no other hit within +-e diagonals: its window's support is at
+      // most itself, below any vote's threshold (>= 2), it supports no
+      // other window, and no other hit shares its diagonal.  So it leaves
+      // unsorted, and as a pigeonhole hit whose window is a valid one it is
+      // exactly one voted-out window.
+      for (const std::int64_t h : hits) ++counts[Slot(h, shift)];
+      std::size_t kept = 0;
+      for (const std::int64_t h : hits) {
+        const std::size_t slot = Slot(h, shift);
+        if (counts[(slot - 1) & (kCountSlots - 1)] + counts[slot] +
+                counts[(slot + 1) & (kCountSlots - 1)] >
+            1) {
+          hits[kept++] = h;
+          continue;
+        }
+        // No other hit reads a lone hit's slot (it would be a neighbour),
+        // so it can be cleared at once.
+        counts[slot] = 0;
+        if (SeedTag(h) < pigeonhole &&
+            ref_.WindowWithinChromosome(Diagonal(h), L)) {
+          ++voted_out;
+        }
+      }
+      hits = hits.first(kept);
+      for (const std::int64_t h : hits) counts[Slot(h, shift)] = 0;
+      SortHits(hits);
+    } else {
+      std::sort(hits.begin(), hits.end());
+    }
     const std::uint8_t strand = static_cast<std::uint8_t>(j % 2);
+    // The first chromosome ending after the current window's start: the
+    // windows ascend, so it only moves forward.
+    std::size_t chrom = 0;
     // [lo, hi): the hits within +-e diagonals of the current window.
     std::size_t lo = 0;
     std::size_t hi = 0;
@@ -236,7 +307,14 @@ void ReadMapper::SeedSequences(SeedChunk* chunk, SeedVote vote,
       if (start < 0 || start + L > genome_len) continue;
       // A window reaching across a chromosome junction would align the
       // read against a chimeric segment; drop it at seeding time.
-      if (multi_chrom && !ref_.WindowWithinChromosome(start, L)) continue;
+      if (chrom_ends[chrom] <= start) {
+        chrom = static_cast<std::size_t>(
+            std::upper_bound(chrom_ends.begin() +
+                                 static_cast<std::ptrdiff_t>(chrom + 1),
+                             chrom_ends.end(), start) -
+            chrom_ends.begin());
+      }
+      if (start + L > chrom_ends[chrom]) continue;
       if (needed > 0) {
         // A seed supports the window if it hits inside it, within +-e
         // diagonals: where the lemma puts every intact k-mer.  Hits reaching
@@ -246,6 +324,11 @@ void ReadMapper::SeedSequences(SeedChunk* chunk, SeedVote vote,
         while (Diagonal(hits[lo]) < start - e) ++lo;
         hi = std::max(hi, i);
         while (hi < hits.size() && Diagonal(hits[hi]) <= start + e) ++hi;
+        // Each supporting seed is at least one of the hits in range.
+        if (hi - lo < static_cast<std::size_t>(needed)) {
+          ++voted_out;
+          continue;
+        }
         std::uint64_t support = 0;
         for (std::size_t q = lo; q < hi; ++q) {
           const std::int64_t at = Diagonal(hits[q]) + SeedTag(hits[q]) * k;

@@ -148,7 +148,9 @@ class SeedChunk {
   std::vector<int> votes_needed_;
   /// CSR bucket [begin, end) of each seed in each shard, seed-major.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> buckets_;
-  /// One sequence's raw hits, each its diagonal tagged with its seed.
+  /// One sequence's raw hits, each its diagonal tagged with its seed; it
+  /// only grows, and the lone-hit pass compacts a voting sequence's hits
+  /// to their front before they are sorted.
   std::vector<std::int64_t> gather_;
   std::vector<std::uint64_t> shard_tally_;
 };
@@ -228,6 +230,17 @@ class ReadMapper {
                  SeedVote vote, std::vector<std::int64_t>* gather) const;
   int SelectSeeds(std::string_view seq, SeedVote vote,
                   std::vector<SeedChunk::Seed>* seeds) const;
+  /// The kernel behind SeedReads, three passes over chunk->seqs_: select
+  /// every sequence's seeds (codes through the shared base-code table) and
+  /// prefetch their offset-table entries; read each bucket's bounds and
+  /// prefetch its first position; then gather each sequence's hits into
+  /// `gather` and turn them into candidates.  A voting sequence first
+  /// counts its hits per bucket of 2^s > e diagonals and drops the lone
+  /// ones (no other hit in the bucket or either neighbour: they cannot
+  /// pass or support a vote, so each lone pigeonhole hit in a valid window
+  /// is one voted-out window); the survivors are sorted and scanned with
+  /// a cursor over the chromosome ends.  More than 255 hits, or no vote:
+  /// every hit is sorted and scanned.
   void SeedSequences(SeedChunk* chunk, SeedVote vote,
                      std::vector<std::int64_t>* gather) const;
   void CountSeeded(SeedChunk* chunk, std::uint64_t voted_out) const;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <string>
 
 #include "encode/dna.hpp"
 #include "encode/revcomp.hpp"
@@ -32,6 +34,23 @@ TEST(DnaTest, CodesMatchGateKeeperEncoding) {
   EXPECT_EQ(BaseToCode('x'), 4u);
   EXPECT_TRUE(ContainsUnknown("ACGTN"));
   EXPECT_FALSE(ContainsUnknown("ACGT"));
+}
+
+TEST(DnaTest, EncodeKmerMatchesBaseToCodeOnEveryByte) {
+  // Each byte value in every position of a 5-mer: the code is the
+  // BaseToCode fold, or -1 wherever the byte has no 2-bit code.
+  for (int c = 0; c < 256; ++c) {
+    for (int at = 0; at < 5; ++at) {
+      std::string kmer = "GATCA";
+      kmer[static_cast<std::size_t>(at)] = static_cast<char>(c);
+      std::int64_t want = 0;
+      for (const char b : kmer) {
+        const unsigned code = BaseToCode(b);
+        want = want < 0 || code >= 4 ? -1 : want * 4 + code;
+      }
+      EXPECT_EQ(EncodeKmer(kmer.data(), 5), want) << "byte " << c;
+    }
+  }
 }
 
 TEST(EncodeTest, RoundTrip) {
@@ -164,6 +183,21 @@ TEST(RevCompTest, ComplementsBasesAndCodes) {
   for (unsigned code = 0; code < 4; ++code) {
     EXPECT_EQ(BaseToCode(ComplementBase(CodeToBase(code))),
               ComplementCode(code));
+  }
+}
+
+TEST(RevCompTest, ReverseComplementIntoMatchesComplementBaseOnEveryByte) {
+  std::string all(256, '\0');
+  for (int c = 0; c < 256; ++c) {
+    all[static_cast<std::size_t>(c)] = static_cast<char>(c);
+  }
+  std::string out = "stale contents";
+  ReverseComplementInto(all, &out);
+  ASSERT_EQ(out.size(), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(out[i], ComplementBase(all[all.size() - 1 - i]))
+        << "byte " << static_cast<int>(static_cast<unsigned char>(
+                          all[all.size() - 1 - i]));
   }
 }
 

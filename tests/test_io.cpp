@@ -3,7 +3,9 @@
 // multi-chromosome ReferenceSet, and pair-set serialization round trips.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "io/fasta.hpp"
 #include "io/fastq.hpp"
@@ -167,6 +169,12 @@ TEST(ReferenceSetTest, ConcatenatesAndLocates) {
   EXPECT_EQ(ref.Locate(18), -1);
   EXPECT_EQ(ref.Locate(-1), -1);
   EXPECT_EQ(ref.ToLocal(1, 9), 1);
+  EXPECT_EQ(ref.chromosome_ends(), (std::vector<std::int64_t>{8, 12, 18}));
+  const ReferenceSet view =
+      ReferenceSet::View(ref.chromosomes(), ref.text(), ref.fingerprint());
+  EXPECT_EQ(view.chromosome_ends(), ref.chromosome_ends());
+  EXPECT_EQ(ReferenceSet("one", "ACGT").chromosome_ends(),
+            (std::vector<std::int64_t>{4}));
 }
 
 TEST(ReferenceSetTest, WindowsCrossingJunctionsAreRejected) {

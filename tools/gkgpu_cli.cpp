@@ -63,6 +63,7 @@
 #include "io/paired_fastq.hpp"
 #include "io/pairset.hpp"
 #include "io/reference.hpp"
+#include "mapper/index.hpp"
 #include "mapper/mapper.hpp"
 #include "mapper/mapq.hpp"
 #include "mapper/sam.hpp"
@@ -269,10 +270,11 @@ class OutputFile {
   std::ofstream file_;
 };
 
-/// The read length of a mapping run: `--length N`, else the length of the
-/// first record of `fastq_path`.
-int ReadLength(const Args& args, const std::string& fastq_path) {
-  const int length = static_cast<int>(args.GetInt("length", 0));
+constexpr long kIntMax = std::numeric_limits<int>::max();
+
+/// The read length of a mapping run: `length` (map's `--length N`), else,
+/// when it is 0, the length of the first record of `fastq_path`.
+int ReadLength(int length, const std::string& fastq_path) {
   if (length > 0) return length;
   std::ifstream peek(fastq_path);
   FastqStreamReader peek_reader(peek);
@@ -308,21 +310,51 @@ const PreAlignmentFilter* MappingFilter(const Args& args, int read_length) {
 /// The most workers `--threads` may ask for, on `map` and `serve`.
 constexpr long kMaxThreads = 1024;
 
+/// `--shard-max-bp N`, the index's shard byte budget on `map`, `serve` and
+/// `index`: 0 (one shard per 4 Gbp) to the most bases one shard addresses.
+std::int64_t ShardMaxBp(const Args& args) {
+  return args.GetInt("shard-max-bp", 0, 0,
+                     static_cast<long>(KmerIndex::kMaxGenomeLength));
+}
+
 /// The mapper options of `map` and `serve`, parsed before the reference
-/// loads so a bad value exits 2 up front: `--e`, `--shard-max-bp` and
-/// `--threads`, the size of the pool every mapping driver runs on,
-/// `min_threads` to kMaxThreads (`default_threads` when absent; 0 means
-/// hardware concurrency).  The caller sets the read length; k is the
-/// default 12 unless an index file sets it (ReferenceInput::MakeMapper).
+/// loads so a bad value exits 2 up front: `--e`, `--shard-max-bp`,
+/// `--length` (at least 1; `default_length` when absent) and `--threads`,
+/// the size of the pool every mapping driver runs on, `min_threads` to
+/// kMaxThreads (`default_threads` when absent; 0 means hardware
+/// concurrency).  k is the default 12 unless an index file sets it
+/// (ReferenceInput::MakeMapper).
 MapperConfig MapperOptions(const Args& args, long min_threads,
-                           long default_threads) {
+                           long default_threads, int default_length) {
   MapperConfig mcfg;
   mcfg.error_threshold = ErrorThreshold(args);
   mcfg.verify_threads = static_cast<unsigned>(args.GetInt(
       "threads", default_threads, min_threads, kMaxThreads));
-  mcfg.shard_max_bp = args.GetInt("shard-max-bp", 0);
+  mcfg.shard_max_bp = ShardMaxBp(args);
+  mcfg.read_length =
+      static_cast<int>(args.GetInt("length", default_length, 1, kIntMax));
   return mcfg;
 }
+
+/// The pairing options of `map`, range-checked with the mapper's before
+/// the reference loads: `--max-insert` at least 1 and
+/// `--optical-dup-distance` at least 0.
+PairedConfig PairedOptions(const Args& args) {
+  PairedConfig pconf;
+  pconf.max_insert = args.GetInt("max-insert", 1000, 1, kIntMax);
+  pconf.mate_rescue = !args.Has("no-rescue");
+  pconf.mark_duplicates = args.Has("mark-duplicates");
+  pconf.optical_dup_distance =
+      static_cast<int>(args.GetInt("optical-dup-distance", 0, 0, kIntMax));
+  pconf.mapq_cap = MapqCap(args);
+  pconf.read_group = args.Get("read-group", "");
+  return pconf;
+}
+
+// `serve --linger MS`: at most a second for a chunk to fill.  `serve
+// --timeout SEC`: at most a day of client silence (0 disables it).
+constexpr long kMaxLingerMs = 1000;
+constexpr long kMaxTimeoutSec = 86'400;
 
 /// The end-of-run observability tables: the filter funnel (with the
 /// per-filter/tier accept split) and stage latency percentiles, all read
@@ -481,8 +513,6 @@ int Usage() {
       stderr);
   return 2;
 }
-
-constexpr long kIntMax = std::numeric_limits<int>::max();
 
 // Upper bounds of the generators' sizes: reads, pairs or chromosomes per
 // run, and generate-genome's bases.  The generators build everything they
@@ -816,8 +846,8 @@ int FilterCmd(const Args& args) {
 /// `map --paired R1 R2` / `map --interleaved FILE`: the paired-end
 /// subsystem — strand-aware seeding, insert-size pairing, mate rescue,
 /// full SAM flag semantics.
-int MapPairedCmd(const Args& args, MapperConfig mcfg, ReferenceInput& input,
-                 OutputFile& sam_file) {
+int MapPairedCmd(const Args& args, MapperConfig mcfg, const PairedConfig& pconf,
+                 ReferenceInput& input, OutputFile& sam_file) {
   const auto paired_files = args.GetList("paired");
   const std::string interleaved = args.Get("interleaved", "");
   // Open the mate stream(s); read length comes from the first R1 record.
@@ -837,20 +867,11 @@ int MapPairedCmd(const Args& args, MapperConfig mcfg, ReferenceInput& input,
       return 1;
     }
   }
-  const int length =
-      ReadLength(args, interleaved.empty() ? paired_files[0] : interleaved);
+  const int length = ReadLength(
+      mcfg.read_length, interleaved.empty() ? paired_files[0] : interleaved);
 
   mcfg.read_length = length;
   ReadMapper mapper = input.MakeMapper(mcfg);
-
-  PairedConfig pconf;
-  pconf.max_insert = args.GetInt("max-insert", 1000);
-  pconf.mate_rescue = !args.Has("no-rescue");
-  pconf.mark_duplicates = args.Has("mark-duplicates");
-  pconf.optical_dup_distance =
-      static_cast<int>(args.GetInt("optical-dup-distance", 0));
-  pconf.mapq_cap = MapqCap(args);
-  pconf.read_group = args.Get("read-group", "");
   PairedEndMapper paired(mapper, pconf);
   const PreAlignmentFilter* filter = MappingFilter(args, length);
 
@@ -909,7 +930,7 @@ int MapSingleCmd(const Args& args, MapperConfig mcfg, ReferenceInput& input,
     std::fprintf(stderr, "cannot open %s\n", reads_path.c_str());
     return 1;
   }
-  const int length = ReadLength(args, reads_path);
+  const int length = ReadLength(mcfg.read_length, reads_path);
   mcfg.read_length = length;
   ReadMapper mapper = input.MakeMapper(mcfg);
   const PreAlignmentFilter* filter = MappingFilter(args, length);
@@ -961,12 +982,14 @@ int MapCmd(const Args& args) {
                  "(R1 and R2), or use --interleaved FILE\n");
     return 2;
   }
-  const MapperConfig mcfg =
-      MapperOptions(args, /*min_threads=*/0, /*default_threads=*/0);
+  // Read length 0: the first read's.
+  const MapperConfig mcfg = MapperOptions(
+      args, /*min_threads=*/0, /*default_threads=*/0, /*default_length=*/0);
+  const PairedConfig pconf = PairedOptions(args);
   OutputFile sam_file(args, "sam");
   ObsRun obs_run(args);
   ReferenceInput input = LoadReferenceInput(args);
-  const int status = paired ? MapPairedCmd(args, mcfg, input, sam_file)
+  const int status = paired ? MapPairedCmd(args, mcfg, pconf, input, sam_file)
                             : MapSingleCmd(args, mcfg, input, sam_file);
   obs_run.Finish();
   return status;
@@ -980,7 +1003,7 @@ int IndexCmd(const Args& args) {
   const std::string out = args.Get("out", "ref.gki");
   SeedConfig scfg;
   scfg.k = static_cast<int>(args.GetInt("k", 12, 4, 14));
-  scfg.shard_max_bp = args.GetInt("shard-max-bp", 0);
+  scfg.shard_max_bp = ShardMaxBp(args);
   // Probe the output before any work: opened for appending, an existing
   // index keeps its bytes until the new one replaces it.
   if (!std::ofstream(out, std::ios::binary | std::ios::app)) {
@@ -1030,22 +1053,21 @@ void HandleServeSignal(int) {
 int ServeCmd(const Args& args) {
   const std::string socket_path = args.Get("socket", "");
   if (!HasReferenceInput(args) || socket_path.empty()) return Usage();
-  MapperConfig mcfg =
-      MapperOptions(args, /*min_threads=*/1, /*default_threads=*/2);
-  ReferenceInput input = LoadReferenceInput(args);
-  const int length = static_cast<int>(args.GetInt("length", 100));
-
-  mcfg.read_length = length;
-  ReadMapper mapper = input.MakeMapper(mcfg);
-  const PreAlignmentFilter* filter = MappingFilter(args, length);
-
+  const MapperConfig mcfg = MapperOptions(
+      args, /*min_threads=*/1, /*default_threads=*/2, /*default_length=*/100);
+  const int length = mcfg.read_length;
   serve::ServeConfig scfg;
   scfg.socket_path = socket_path;
   scfg.threads = static_cast<int>(mcfg.verify_threads);
-  scfg.linger_ms = static_cast<int>(args.GetInt("linger", 2));
-  scfg.request_timeout_sec = static_cast<int>(args.GetInt("timeout", 30));
+  scfg.linger_ms = static_cast<int>(args.GetInt("linger", 2, 0, kMaxLingerMs));
+  scfg.request_timeout_sec =
+      static_cast<int>(args.GetInt("timeout", 30, 0, kMaxTimeoutSec));
   scfg.mapq_cap = MapqCap(args);
   scfg.read_group = args.Get("read-group", "");
+
+  ReferenceInput input = LoadReferenceInput(args);
+  ReadMapper mapper = input.MakeMapper(mcfg);
+  const PreAlignmentFilter* filter = MappingFilter(args, length);
 
   serve::MapServer server(mapper, filter, scfg);
   g_server = &server;
