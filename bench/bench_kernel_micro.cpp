@@ -5,12 +5,14 @@
 // baselines, and the exact aligners — the numbers behind the throughput
 // tables — plus the reverse complement of an encoded read and the seeding
 // kernel's per-read cost at chunk sizes 1 and kSeedChunkReads, unvoted and
-// voted, on an 8 Mbp one-chromosome genome and on se-large's shape.
+// voted, on an 8 Mbp one-chromosome genome and on se-large's shape, and
+// the FASTQ parser's per-read cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,6 +24,7 @@
 #include "encode/encoded.hpp"
 #include "encode/revcomp.hpp"
 #include "filters/magnet.hpp"
+#include "io/fastq.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
 #include "mapper/mapper.hpp"
@@ -248,6 +251,49 @@ BENCHMARK(BM_SeedReads)
     ->ArgNames({"chunk", "vote", "genome"})
     ->ArgsProduct(
         {{1, static_cast<std::int64_t>(kSeedChunkReads)}, {0, 1}, {0, 1}});
+
+// The one FASTQ parser, per read: a 1,000-read buffer appended whole to a
+// FastqParser (what a daemon session does with its kData payloads), and a
+// 50k-read stream through FastqStreamReader's 16 KiB reads (what `map
+// --reads` does).  Every mapping path takes its reads under
+// RunOrderedChunks' input lock, so this parse is serial work.
+void BM_FastqParse(benchmark::State& state) {
+  const bool stream = state.range(0) != 0;
+  const std::size_t reads = stream ? 50'000 : 1'000;
+  const std::vector<std::string> seqs = SimulateReadSequences(
+      GenerateGenome(1'000'000, 45), reads, 100, ReadErrorProfile::Illumina(),
+      46);
+  std::vector<FastqRecord> records;
+  for (std::size_t i = 0; i < reads; ++i) {
+    records.push_back({"read" + std::to_string(i), seqs[i], ""});
+  }
+  std::ostringstream text;
+  WriteFastq(text, records);
+  std::istringstream in(text.str());
+  FastqRecord rec;
+  for (auto _ : state) {
+    std::size_t parsed = 0;
+    if (stream) {
+      in.clear();
+      in.seekg(0);
+      FastqStreamReader reader(in);
+      while (reader.Next(&rec)) ++parsed;
+    } else {
+      FastqParser parser;
+      parser.Append(text.view());
+      parser.Finish();
+      while (parser.Next(&rec)) ++parsed;
+    }
+    benchmark::DoNotOptimize(parsed);
+    benchmark::DoNotOptimize(rec.seq.data());
+  }
+  state.counters["per_read"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * reads),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(stream ? "FastqStreamReader, 50k reads"
+                        : "FastqParser, 1k-read buffer");
+}
+BENCHMARK(BM_FastqParse)->ArgName("stream")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace gkgpu

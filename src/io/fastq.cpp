@@ -5,39 +5,83 @@
 
 namespace gkgpu {
 
-bool FastqStreamReader::Next(FastqRecord* rec) {
-  std::string header, seq, plus, qual;
-  auto chomp = [](std::string& s) {
-    if (!s.empty() && s.back() == '\r') s.pop_back();
-  };
-  while (std::getline(in_, header)) {
-    chomp(header);
-    if (header.empty()) continue;
-    if (header[0] != '@') {
-      throw std::runtime_error("FASTQ: expected '@' header, got: " + header);
+void FastqParser::DropParsed() {
+  buf_.erase(0, pos_);
+  pos_ = 0;
+}
+
+void FastqParser::Append(std::string_view bytes) {
+  DropParsed();
+  buf_.append(bytes);
+}
+
+void FastqParser::Append(std::istream& in, std::size_t max) {
+  DropParsed();
+  const std::size_t old = buf_.size();
+  buf_.resize(old + max);
+  in.read(buf_.data() + old, static_cast<std::streamsize>(max));
+  buf_.resize(old + static_cast<std::size_t>(in.gcount()));
+}
+
+void FastqParser::Finish() {
+  if (!buf_.empty() && buf_.back() != '\n') buf_.push_back('\n');
+  finished_ = true;
+}
+
+bool FastqParser::Next(FastqRecord* rec) {
+  // header, sequence, separator, quality
+  std::string_view lines[4];
+  std::size_t pos = pos_;
+  for (int n = 0; n < 4;) {
+    const std::size_t eol = buf_.find('\n', pos);
+    if (eol == std::string::npos) {
+      if (finished_ && n > 0) {
+        throw std::runtime_error("FASTQ: truncated record: " +
+                                 std::string(lines[0]));
+      }
+      return false;  // the record's remaining lines are still to come
     }
-    if (!std::getline(in_, seq) || !std::getline(in_, plus) ||
-        !std::getline(in_, qual)) {
-      throw std::runtime_error("FASTQ: truncated record: " + header);
+    std::string_view line(buf_.data() + pos, eol - pos);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    pos = eol + 1;
+    if (n == 0) {
+      if (line.empty()) {  // a blank line between records
+        pos_ = pos;
+        continue;
+      }
+      if (line[0] != '@') {
+        throw std::runtime_error("FASTQ: expected '@' header, got: " +
+                                 std::string(line));
+      }
     }
-    chomp(seq);
-    chomp(plus);
-    chomp(qual);
-    if (plus.empty() || plus[0] != '+') {
-      throw std::runtime_error("FASTQ: expected '+' separator: " + header);
-    }
-    if (seq.empty()) {
-      throw std::runtime_error("FASTQ: empty sequence: " + header);
-    }
-    if (qual.size() != seq.size()) {
-      throw std::runtime_error("FASTQ: quality length mismatch: " + header);
-    }
-    rec->name = header.substr(1);
-    rec->seq = std::move(seq);
-    rec->qual = std::move(qual);
-    return true;
+    lines[n++] = line;
   }
-  return false;
+  const std::string_view header = lines[0];
+  if (lines[2].empty() || lines[2][0] != '+') {
+    throw std::runtime_error("FASTQ: expected '+' separator: " +
+                             std::string(header));
+  }
+  if (lines[1].empty()) {
+    throw std::runtime_error("FASTQ: empty sequence: " + std::string(header));
+  }
+  if (lines[3].size() != lines[1].size()) {
+    throw std::runtime_error("FASTQ: quality length mismatch: " +
+                             std::string(header));
+  }
+  rec->name.assign(header.substr(1));
+  rec->seq.assign(lines[1]);
+  rec->qual.assign(lines[3]);
+  pos_ = pos;
+  return true;
+}
+
+bool FastqStreamReader::Next(FastqRecord* rec) {
+  while (!parser_.Next(rec)) {
+    if (!in_) return false;  // the parser has had every byte
+    parser_.Append(in_, kReadBlockBytes);
+    if (!in_) parser_.Finish();  // a short read: the stream ended
+  }
+  return true;
 }
 
 std::vector<FastqRecord> ReadFastq(std::istream& in) {

@@ -19,36 +19,12 @@ namespace gkgpu {
 
 namespace {
 
-// Fixed little-endian headers.  All fields naturally aligned; the structs
-// are written/read by memcpy, so the layout is the format.  Bumping
-// kIndexFormatVersion is mandatory for any change here.
-
-// Version 1: single dense CSR, whole-payload checksum only.
-struct IndexFileHeaderV1 {
-  char magic[8];
-  std::uint32_t version;
-  std::uint32_t k;
-  std::uint64_t genome_length;
-  std::uint64_t ref_fingerprint;
-  std::uint64_t index_fingerprint;  // IndexFingerprint(ref_fp, k, version)
-  std::uint64_t chrom_count;
-  // Section geometry: byte offset from the start of the file + byte size.
-  std::uint64_t chrom_table_offset, chrom_table_bytes;
-  std::uint64_t text_offset, text_bytes;
-  std::uint64_t offsets_offset, offsets_bytes;
-  std::uint64_t positions_offset, positions_bytes;
-  std::uint64_t enc_words_offset, enc_words_bytes;
-  std::uint64_t n_mask_offset, n_mask_bytes;
-  std::uint64_t payload_checksum;  // FNV over every byte after the header
-  std::uint64_t header_checksum;   // FNV over the header, this field zeroed
-};
-static_assert(sizeof(IndexFileHeaderV1) == 160,
-              "header layout is the on-disk format; bump "
-              "kIndexFormatVersion when it changes");
-
-// Version 2: per-shard CSR sections described by a shard table and a
-// per-section checksum table so verification can name the corrupt section.
-struct IndexFileHeaderV2 {
+// The fixed little-endian header.  All fields naturally aligned; the
+// struct is written/read by memcpy, so the layout is the format.  Bumping
+// kIndexFormatVersion is mandatory for any change here.  Per-shard CSR
+// sections are described by a shard table and a per-section checksum
+// table so verification can name the corrupt section.
+struct IndexFileHeader {
   char magic[8];
   std::uint32_t version;
   std::uint32_t k;
@@ -70,7 +46,7 @@ struct IndexFileHeaderV2 {
   std::uint64_t payload_checksum;  // FNV over every byte after the header
   std::uint64_t header_checksum;   // FNV over the header, this field zeroed
 };
-static_assert(sizeof(IndexFileHeaderV2) == 176,
+static_assert(sizeof(IndexFileHeader) == 176,
               "header layout is the on-disk format; bump "
               "kIndexFormatVersion when it changes");
 
@@ -85,15 +61,14 @@ struct ShardTableEntry {
 static_assert(sizeof(ShardTableEntry) == 64,
               "shard table entries are the on-disk format");
 
-/// Order of the fixed entries in the v2 section-checksum table; per-shard
+/// Order of the fixed entries in the section-checksum table; per-shard
 /// CSR checksums (offsets chained with positions) follow.
 constexpr const char* kFixedSectionNames[] = {
     "chromosome-table", "reference-text", "encoded-reference", "n-mask",
     "shard-table"};
 constexpr std::uint64_t kFixedSectionCount = 5;
 
-template <typename Header>
-std::uint64_t HeaderChecksum(Header h) {
+std::uint64_t HeaderChecksum(IndexFileHeader h) {
   h.header_checksum = 0;
   return FingerprintBytes(&h, sizeof(h));
 }
@@ -113,7 +88,7 @@ class SectionWriter {
   /// Writes `bytes` of `data` padded to the next 8-byte boundary, folds
   /// them (padding included) into the payload checksum, and returns the
   /// section's file offset.  When `section_sum` is non-null the unpadded
-  /// bytes are also chained into it — the per-section checksum the v2
+  /// bytes are also chained into it — the per-section checksum the
   /// verifier recomputes straight from the mapping.
   std::uint64_t Write(const void* data, std::uint64_t bytes,
                       std::uint64_t* section_sum = nullptr) {
@@ -148,7 +123,7 @@ std::uint64_t ExpectedOffsetsBytes(int k) {
 }
 
 /// Per chromosome: u64 name length, the name bytes, i64 offset + i64
-/// length.  Shared by both format versions.
+/// length.
 std::string SerializeChromTable(const ReferenceSet& ref) {
   std::string chrom_table;
   for (const ChromosomeInfo& c : ref.chromosomes()) {
@@ -197,61 +172,6 @@ std::vector<ChromosomeInfo> ParseChromTable(const std::string& path,
 
 }  // namespace
 
-std::uint64_t WriteIndexFileV1(const std::string& path,
-                               const ReferenceSet& ref,
-                               const KmerIndex& index,
-                               const ReferenceEncoding& encoding) {
-  if (ref.empty()) Fail(path, "refusing to write an empty reference");
-  if (index.genome_length() != static_cast<std::size_t>(ref.length()) ||
-      encoding.length != ref.length()) {
-    Fail(path, "index/encoding were not built from this reference");
-  }
-
-  const std::string chrom_table = SerializeChromTable(ref);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) Fail(path, "cannot open for writing");
-
-  IndexFileHeaderV1 h{};
-  std::memcpy(h.magic, kIndexMagic, sizeof(kIndexMagic));
-  h.version = 1;
-  h.k = static_cast<std::uint32_t>(index.k());
-  h.genome_length = static_cast<std::uint64_t>(ref.length());
-  h.ref_fingerprint = ref.fingerprint();
-  h.index_fingerprint =
-      IndexFingerprint(h.ref_fingerprint, index.k(), h.version);
-  h.chrom_count = ref.chromosome_count();
-
-  // Header placeholder; rewritten once the section offsets are known.
-  out.write(reinterpret_cast<const char*>(&h),
-            static_cast<std::streamsize>(sizeof(h)));
-
-  SectionWriter w(out, sizeof(h));
-  const std::string_view text = ref.text();
-  const auto offsets = index.offsets();
-  const auto positions = index.positions();
-  h.chrom_table_bytes = chrom_table.size();
-  h.chrom_table_offset = w.Write(chrom_table.data(), chrom_table.size());
-  h.text_bytes = text.size();
-  h.text_offset = w.Write(text.data(), text.size());
-  h.offsets_bytes = offsets.size_bytes();
-  h.offsets_offset = w.Write(offsets.data(), offsets.size_bytes());
-  h.positions_bytes = positions.size_bytes();
-  h.positions_offset = w.Write(positions.data(), positions.size_bytes());
-  h.enc_words_bytes = encoding.words.size() * sizeof(Word);
-  h.enc_words_offset = w.Write(encoding.words.data(), h.enc_words_bytes);
-  h.n_mask_bytes = encoding.n_mask.size() * sizeof(Word);
-  h.n_mask_offset = w.Write(encoding.n_mask.data(), h.n_mask_bytes);
-  h.payload_checksum = w.checksum();
-  h.header_checksum = HeaderChecksum(h);
-
-  out.seekp(0);
-  out.write(reinterpret_cast<const char*>(&h),
-            static_cast<std::streamsize>(sizeof(h)));
-  out.flush();
-  if (!out) Fail(path, "write failed (disk full?)");
-  return w.cursor();
-}
-
 std::uint64_t WriteIndexFile(const std::string& path, const ReferenceSet& ref,
                              const SeedIndex& index,
                              const ReferenceEncoding& encoding) {
@@ -266,7 +186,7 @@ std::uint64_t WriteIndexFile(const std::string& path, const ReferenceSet& ref,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) Fail(path, "cannot open for writing");
 
-  IndexFileHeaderV2 h{};
+  IndexFileHeader h{};
   std::memcpy(h.magic, kIndexMagic, sizeof(kIndexMagic));
   h.version = kIndexFormatVersion;
   h.k = static_cast<std::uint32_t>(index.k());
@@ -368,7 +288,7 @@ MappedIndexFile MappedIndexFile::Open(const std::string& path,
     Fail(path, std::string("fstat failed: ") + std::strerror(err));
   }
   const std::uint64_t file_bytes = static_cast<std::uint64_t>(st.st_size);
-  if (file_bytes < sizeof(IndexFileHeaderV1)) {
+  if (file_bytes < sizeof(IndexFileHeader)) {
     ::close(fd);
     Fail(path, "truncated: smaller than the index header");
   }
@@ -384,33 +304,20 @@ MappedIndexFile MappedIndexFile::Open(const std::string& path,
   f.map_bytes_ = file_bytes;
   const char* base = static_cast<const char*>(map);
 
-  // Magic and version share an offset across every format version, so
-  // they are checked before picking a header layout.
-  char magic[8];
-  std::uint32_t version = 0;
-  std::memcpy(magic, base, sizeof(magic));
-  std::memcpy(&version, base + sizeof(magic), sizeof(version));
-  if (std::memcmp(magic, kIndexMagic, sizeof(kIndexMagic)) != 0) {
+  IndexFileHeader h{};
+  std::memcpy(&h, base, sizeof(h));
+  if (std::memcmp(h.magic, kIndexMagic, sizeof(kIndexMagic)) != 0) {
     Fail(path, "bad magic (not a GKGPUIDX index file)");
   }
-  if (version < kIndexMinSupportedVersion || version > kIndexFormatVersion) {
-    Fail(path, "found format version " + std::to_string(version) +
-                   ", but this build supports versions " +
-                   std::to_string(kIndexMinSupportedVersion) + " through " +
+  if (h.version != kIndexFormatVersion) {
+    Fail(path, "found format version " + std::to_string(h.version) +
+                   ", but this build reads only version " +
                    std::to_string(kIndexFormatVersion) +
                    " — rebuild the index with `gkgpu index`");
   }
-  f.format_version_ = version;
-
-  const std::uint64_t header_bytes = version == 1
-                                         ? sizeof(IndexFileHeaderV1)
-                                         : sizeof(IndexFileHeaderV2);
-  if (file_bytes < header_bytes) {
-    Fail(path, "truncated: smaller than the index header");
-  }
   const auto section = [&](std::uint64_t offset, std::uint64_t bytes,
                            const std::string& what) -> const char* {
-    if (offset < header_bytes || offset % 8 != 0 || bytes > file_bytes ||
+    if (offset < sizeof(h) || offset % 8 != 0 || bytes > file_bytes ||
         offset > file_bytes - bytes) {
       Fail(path,
            "truncated or corrupt: " + what + " section exceeds the file");
@@ -418,95 +325,6 @@ MappedIndexFile MappedIndexFile::Open(const std::string& path,
     return base + offset;
   };
 
-  if (version == 1) {
-    IndexFileHeaderV1 h{};
-    std::memcpy(&h, base, sizeof(h));
-    if (HeaderChecksum(h) != h.header_checksum) {
-      Fail(path, "header checksum mismatch (corrupt header)");
-    }
-    if (h.k < 4 || h.k > 14) {
-      Fail(path, "seed length k=" + std::to_string(h.k) + " out of range");
-    }
-    if (h.genome_length == 0 ||
-        h.genome_length > KmerIndex::kMaxGenomeLength) {
-      Fail(path, "genome length out of range");
-    }
-    if (h.index_fingerprint !=
-        IndexFingerprint(h.ref_fingerprint, static_cast<int>(h.k),
-                         h.version)) {
-      Fail(path, "fingerprint mismatch: the index does not correspond to "
-                 "the reference it claims to cover");
-    }
-
-    const char* chrom_table = section(h.chrom_table_offset,
-                                      h.chrom_table_bytes, "chromosome-table");
-    const char* text = section(h.text_offset, h.text_bytes, "reference-text");
-    const char* offsets_raw =
-        section(h.offsets_offset, h.offsets_bytes, "kmer-offsets");
-    const char* positions_raw =
-        section(h.positions_offset, h.positions_bytes, "kmer-positions");
-    const char* enc_raw =
-        section(h.enc_words_offset, h.enc_words_bytes, "encoded-reference");
-    const char* nmask_raw = section(h.n_mask_offset, h.n_mask_bytes, "n-mask");
-
-    if (h.text_bytes != h.genome_length) {
-      Fail(path, "reference-text section does not match the genome length");
-    }
-    if (h.offsets_bytes != ExpectedOffsetsBytes(static_cast<int>(h.k))) {
-      Fail(path, "kmer-offset table has the wrong size for k=" +
-                     std::to_string(h.k));
-    }
-    if (h.positions_bytes % sizeof(std::uint32_t) != 0 ||
-        h.enc_words_bytes !=
-            ((h.genome_length + kBasesPerWord - 1) / kBasesPerWord) *
-                sizeof(Word) ||
-        h.n_mask_bytes !=
-            ((h.genome_length + kWordBits - 1) / kWordBits) * sizeof(Word)) {
-      Fail(path, "section sizes are inconsistent with the genome length");
-    }
-
-    if (options.verify_checksum) {
-      const std::uint64_t payload =
-          FingerprintBytes(base + sizeof(h), file_bytes - sizeof(h));
-      if (payload != h.payload_checksum) {
-        Fail(path, "payload checksum mismatch (corrupt index data)");
-      }
-    }
-
-    try {
-      f.reference_ = ReferenceSet::View(
-          ParseChromTable(path, chrom_table, h.chrom_table_bytes,
-                          h.chrom_count),
-          std::string_view(text, h.text_bytes), h.ref_fingerprint);
-      KmerIndex view = KmerIndex::View(
-          static_cast<int>(h.k), h.genome_length,
-          std::span<const std::uint32_t>(
-              reinterpret_cast<const std::uint32_t*>(offsets_raw),
-              h.offsets_bytes / sizeof(std::uint32_t)),
-          std::span<const std::uint32_t>(
-              reinterpret_cast<const std::uint32_t*>(positions_raw),
-              h.positions_bytes / sizeof(std::uint32_t)));
-      // A v1 file is by construction one dense shard covering everything.
-      std::vector<KmerIndex> shards;
-      shards.push_back(std::move(view));
-      f.index_ = SeedIndex::View(ShardPlan::Partition(f.reference_, 0),
-                                 std::move(shards));
-    } catch (const std::invalid_argument& e) {
-      Fail(path, std::string("corrupt index structure: ") + e.what());
-    }
-    f.encoding_ = ReferenceEncodingView{
-        static_cast<std::int64_t>(h.genome_length),
-        std::span<const Word>(reinterpret_cast<const Word*>(enc_raw),
-                              h.enc_words_bytes / sizeof(Word)),
-        std::span<const Word>(reinterpret_cast<const Word*>(nmask_raw),
-                              h.n_mask_bytes / sizeof(Word))};
-    f.k_ = static_cast<int>(h.k);
-    f.ref_fingerprint_ = h.ref_fingerprint;
-    return f;
-  }
-
-  IndexFileHeaderV2 h{};
-  std::memcpy(&h, base, sizeof(h));
   if (HeaderChecksum(h) != h.header_checksum) {
     Fail(path, "header checksum mismatch (corrupt header)");
   }
@@ -582,8 +400,7 @@ MappedIndexFile MappedIndexFile::Open(const std::string& path,
   }
 
   if (options.verify_checksum) {
-    // Per-section verification: a mismatch names the section instead of
-    // the v1 "somewhere in the payload" diagnosis.
+    // Per-section verification: a mismatch names the section.
     std::vector<std::uint64_t> stored(kFixedSectionCount + h.shard_count);
     std::memcpy(stored.data(), sums_raw, h.section_checksums_bytes);
     const char* fixed_data[kFixedSectionCount] = {chrom_table, text, enc_raw,
@@ -659,7 +476,6 @@ MappedIndexFile::MappedIndexFile(MappedIndexFile&& other) noexcept
     : map_(std::exchange(other.map_, nullptr)),
       map_bytes_(std::exchange(other.map_bytes_, 0)),
       k_(other.k_),
-      format_version_(other.format_version_),
       ref_fingerprint_(other.ref_fingerprint_),
       reference_(std::move(other.reference_)),
       index_(std::move(other.index_)),
@@ -671,7 +487,6 @@ MappedIndexFile& MappedIndexFile::operator=(MappedIndexFile&& other) noexcept {
     map_ = std::exchange(other.map_, nullptr);
     map_bytes_ = std::exchange(other.map_bytes_, 0);
     k_ = other.k_;
-    format_version_ = other.format_version_;
     ref_fingerprint_ = other.ref_fingerprint_;
     reference_ = std::move(other.reference_);
     index_ = std::move(other.index_);

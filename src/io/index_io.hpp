@@ -5,28 +5,29 @@
 // `serve` invocation mmaps it and is ready in microseconds, with the page
 // cache sharing the hot arrays across processes.
 //
-// Format version 2 (current): a fixed little-endian header (magic,
-// version, k, two reserved words, sizes, fingerprints, section geometry,
-// checksums) followed by 8-byte-aligned sections — chromosome table,
-// reference text, encoded reference, N-mask, one CSR (offsets +
+// Format version 2, the only one read: a fixed little-endian header
+// (magic, version, k, two reserved words, sizes, fingerprints, section
+// geometry, checksums) followed by 8-byte-aligned sections — chromosome
+// table, reference text, encoded reference, N-mask, one CSR (offsets +
 // positions) per shard, the shard table, and a per-section checksum
-// table.  Each shard's CSR is independently mmap-able: its
-// geometry lives in its 64-byte shard-table entry, so a future reader
-// could fault in only the shards it queries.  Version 1 files (single
-// shard, whole-payload checksum only) still load; the reader presents
-// them as a one-shard SeedIndex.  Every index is dense: the first reserved
-// word once named a seed mode, and a v2 file from an older build whose
-// seed mode is not dense fails to open, naming the mode and asking for a
-// rebuild.
+// table.  Each shard's CSR is independently mmap-able: its geometry lives
+// in its 64-byte shard-table entry, so a future reader could fault in
+// only the shards it queries.  A file of any other version fails to
+// open, naming its version and asking for a rebuild.  Every index is
+// dense: the first reserved word once named a
+// seed mode, and a file from an older build whose seed mode is not dense
+// fails to open the same way.
 //
 // Loading never copies the big arrays — the SeedIndex and ReferenceSet
 // come back in view mode, spanning straight into the mapping.
-// Validation is layered: the header (magic, version range, section
-// geometry, header checksum, fingerprint consistency) is always checked;
-// the checksums over the payload are opt-in (IndexLoadOptions) because
-// hashing gigabytes would forfeit the instant-load property.  On v2
-// files the opt-in check verifies each section independently and names
-// the corrupt one.
+// Validation is layered: the header (magic, version, section geometry,
+// header checksum, fingerprint consistency) is always checked; the
+// checksums over the payload are opt-in (IndexLoadOptions) because
+// hashing gigabytes would forfeit the instant-load property, and they
+// verify each section independently, naming the corrupt one.  Each
+// shard's CSR is checked only for its shape (KmerIndex::View); the seeder
+// checks each bucket it reads against the positions array, so a corrupt
+// offset is a named error at mapping time.
 #ifndef GKGPU_IO_INDEX_IO_HPP
 #define GKGPU_IO_INDEX_IO_HPP
 
@@ -46,9 +47,6 @@ namespace gkgpu {
 inline constexpr char kIndexMagic[8] = {'G', 'K', 'G', 'P',
                                         'U', 'I', 'D', 'X'};
 inline constexpr std::uint32_t kIndexFormatVersion = 2;
-/// Oldest format version the reader still accepts (v1: single-shard).
-/// Version-skew errors report this range.
-inline constexpr std::uint32_t kIndexMinSupportedVersion = 1;
 
 /// Writes a version-2 index file from an already-built sharded index.
 /// Returns the number of bytes written; throws std::runtime_error on I/O
@@ -56,14 +54,6 @@ inline constexpr std::uint32_t kIndexMinSupportedVersion = 1;
 std::uint64_t WriteIndexFile(const std::string& path, const ReferenceSet& ref,
                              const SeedIndex& index,
                              const ReferenceEncoding& encoding);
-
-/// Legacy version-1 writer (single-shard).  Kept so the v1 -> v2
-/// back-compat read path stays testable without checked-in binary
-/// fixtures.
-std::uint64_t WriteIndexFileV1(const std::string& path,
-                               const ReferenceSet& ref,
-                               const KmerIndex& index,
-                               const ReferenceEncoding& encoding);
 
 /// Convenience: build the sharded index + encoding from `ref` on one
 /// thread pool (hardware concurrency) and write in one step.  The bytes
@@ -76,11 +66,10 @@ std::uint64_t BuildAndWriteIndexFile(const std::string& path,
                                      const ReferenceSet& ref, int k);
 
 struct IndexLoadOptions {
-  /// Hash the payload and compare against the stored checksums.  On v2
-  /// files each section is verified independently and a mismatch names
-  /// the corrupt section; v1 files only carry a whole-payload checksum.
-  /// Costs a full scan of the file, so the default trusts the header
-  /// checks.
+  /// Hash the payload and compare against the stored checksums; each
+  /// section is verified independently and a mismatch names the corrupt
+  /// section.  Costs a full scan of the file, so the default trusts the
+  /// header checks.
   bool verify_checksum = false;
 };
 
@@ -91,9 +80,10 @@ struct IndexLoadOptions {
 class MappedIndexFile {
  public:
   /// Opens + validates; throws std::runtime_error with a diagnosis of
-  /// exactly what is wrong (bad magic, version skew with the supported
-  /// range, a seed mode other than dense, truncation, checksum or
-  /// fingerprint mismatch) rather than producing silent garbage.
+  /// exactly what is wrong (bad magic, a format version other than
+  /// kIndexFormatVersion, a seed mode other than dense, truncation,
+  /// checksum or fingerprint mismatch) rather than producing silent
+  /// garbage.
   static MappedIndexFile Open(const std::string& path,
                               const IndexLoadOptions& options = {});
 
@@ -104,15 +94,13 @@ class MappedIndexFile {
   ~MappedIndexFile();
 
   int k() const { return k_; }
-  std::uint32_t format_version() const { return format_version_; }
   std::uint64_t reference_fingerprint() const { return ref_fingerprint_; }
   std::uint64_t file_bytes() const { return map_bytes_; }
   std::size_t shard_count() const { return index_.shard_count(); }
 
   /// View-mode reference over the mapped text + parsed chromosome table.
   const ReferenceSet& reference() const { return reference_; }
-  /// View-mode sharded index spanning the mapped CSR arrays (one shard
-  /// for v1 files).
+  /// View-mode sharded index spanning the mapped CSR arrays.
   const SeedIndex& seed_index() const { return index_; }
   /// Spans over the persisted 2-bit encoding — the preloaded ReadMapper
   /// views it instead of re-encoding the genome.
@@ -125,7 +113,6 @@ class MappedIndexFile {
   void* map_ = nullptr;
   std::uint64_t map_bytes_ = 0;
   int k_ = 0;
-  std::uint32_t format_version_ = 0;
   std::uint64_t ref_fingerprint_ = 0;
   ReferenceSet reference_;
   SeedIndex index_;  // view mode, set in Open

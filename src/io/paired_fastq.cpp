@@ -5,10 +5,10 @@
 namespace gkgpu {
 
 PairedFastqReader::PairedFastqReader(std::istream& r1, std::istream& r2)
-    : first_(r1), second_(r2) {}
+    : first_(r1), second_(std::in_place, r2) {}
 
 PairedFastqReader::PairedFastqReader(std::istream& interleaved)
-    : first_(interleaved), second_(interleaved), interleaved_(true) {}
+    : first_(interleaved) {}
 
 std::string_view PairedFastqReader::BaseName(std::string_view name) {
   const std::size_t ws = name.find_first_of(" \t");
@@ -24,11 +24,10 @@ std::string_view PairedFastqReader::BaseName(std::string_view name) {
 }
 
 bool PairedFastqReader::Next(FastqRecord* r1, FastqRecord* r2) {
-  const bool have1 = first_.Next(r1);
-  if (!have1 && !interleaved_) {
+  if (!first_.Next(r1)) {
     // R1 is done; R2 must be too, or the mate files are out of sync.
     FastqRecord extra;
-    if (second_.Next(&extra)) {
+    if (second_ && second_->Next(&extra)) {
       throw std::runtime_error(
           "paired FASTQ: R1 ended after " + std::to_string(pairs_) +
           " records but R2 continues with '" + extra.name +
@@ -36,10 +35,9 @@ bool PairedFastqReader::Next(FastqRecord* r1, FastqRecord* r2) {
     }
     return false;
   }
-  if (!have1) return false;  // interleaved stream cleanly exhausted
-  if (!second_.Next(r2)) {
+  if (!(second_ ? *second_ : first_).Next(r2)) {
     throw std::runtime_error(
-        interleaved_
+        !second_
             ? "paired FASTQ: interleaved stream holds an odd record count — "
               "read '" + r1->name + "' has no mate"
             : "paired FASTQ: R2 ended after " + std::to_string(pairs_) +

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -19,7 +20,8 @@ class PairedFastqReader {
   /// Dual-file mode: record i of `r1` pairs with record i of `r2`.
   PairedFastqReader(std::istream& r1, std::istream& r2);
 
-  /// Interleaved mode: records 2i and 2i+1 of one stream form pair i.
+  /// Interleaved mode: records 2i and 2i+1 of one stream form pair i,
+  /// both read through one FastqStreamReader (it reads ahead).
   explicit PairedFastqReader(std::istream& interleaved);
 
   /// Parses the next pair; false at a clean end of stream.  Throws
@@ -41,8 +43,7 @@ class PairedFastqReader {
 
  private:
   FastqStreamReader first_;
-  FastqStreamReader second_;   // aliases first_ in interleaved mode
-  bool interleaved_ = false;
+  std::optional<FastqStreamReader> second_;  // none in interleaved mode
   std::uint64_t pairs_ = 0;
 };
 

@@ -202,13 +202,23 @@ void ReadMapper::SeedSequences(SeedChunk* chunk, SeedVote vote,
     chunk->seed_bounds_.push_back(static_cast<std::uint32_t>(seeds.size()));
   }
 
-  // Pass 2: each bucket's bounds, its first position line prefetched.
+  // Pass 2: each bucket's bounds, its first position line prefetched.  A
+  // view of an index file is checked only for its shape when it opens, so
+  // each bucket is checked here, where it is read.
   chunk->buckets_.resize(seeds.size() * shards);
   for (std::size_t s = 0; s < seeds.size(); ++s) {
     for (std::size_t sh = 0; sh < shards; ++sh) {
       const KmerIndex& idx = index_.shard(sh);
       const std::uint32_t b = idx.offsets()[seeds[s].code];
       const std::uint32_t e = idx.offsets()[seeds[s].code + 1];
+      if (b > e || e > idx.positions().size()) [[unlikely]] {
+        throw std::runtime_error(
+            "k-mer index shard " + std::to_string(sh) + ": the bucket of " +
+            "k-mer code " + std::to_string(seeds[s].code) + " spans [" +
+            std::to_string(b) + ", " + std::to_string(e) + "), outside its " +
+            std::to_string(idx.positions().size()) +
+            " positions (corrupt index offsets)");
+      }
       chunk->buckets_[s * shards + sh] = {b, e};
       if (b != e) __builtin_prefetch(idx.positions().data() + b);
     }

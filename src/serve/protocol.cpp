@@ -60,20 +60,6 @@ RecvStatus RecvChunk(int fd, void* data, std::size_t bytes,
   return RecvStatus::kOk;
 }
 
-/// Returns bytes read; 0 only on EOF before the first byte.  The
-/// non-resumable legacy path: a receive timeout anywhere throws.
-std::size_t RecvAll(int fd, void* data, std::size_t bytes) {
-  std::size_t got = 0;
-  switch (RecvChunk(fd, data, bytes, &got)) {
-    case RecvStatus::kAgain:
-      throw std::runtime_error("serve: recv: timed out");
-    case RecvStatus::kEof:
-    case RecvStatus::kOk:
-      break;
-  }
-  return got;
-}
-
 }  // namespace
 
 void WriteFrame(int fd, FrameType type, std::string_view payload) {
@@ -86,26 +72,6 @@ void WriteFrame(int fd, FrameType type, std::string_view payload) {
   };
   SendAll(fd, prelude, sizeof(prelude));
   if (!payload.empty()) SendAll(fd, payload.data(), payload.size());
-}
-
-bool ReadFrame(int fd, Frame* out) {
-  std::uint32_t prelude[2] = {0, 0};
-  const std::size_t got = RecvAll(fd, prelude, sizeof(prelude));
-  if (got == 0) return false;  // clean EOF between frames
-  if (got < sizeof(prelude)) {
-    throw std::runtime_error("serve: connection closed mid-frame");
-  }
-  if (prelude[1] > kMaxFramePayload) {
-    throw std::runtime_error("serve: frame length prefix exceeds the cap "
-                             "(corrupt stream?)");
-  }
-  out->type = static_cast<FrameType>(prelude[0]);
-  out->payload.resize(prelude[1]);
-  if (prelude[1] > 0 &&
-      RecvAll(fd, out->payload.data(), prelude[1]) != prelude[1]) {
-    throw std::runtime_error("serve: connection closed mid-frame");
-  }
-  return true;
 }
 
 bool ReadFrame(int fd, Frame* out, const FrameReadLimits& limits) {

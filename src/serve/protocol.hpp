@@ -17,7 +17,8 @@
 //                      kError       human-readable failure; job is dead
 //                      kDone        job complete, no further frames
 //
-// FASTQ chunks may split records anywhere (the server reassembles);
+// FASTQ chunks may split records anywhere (the server's FastqParser
+// reassembles them);
 // SAM chunks always split on line boundaries.  Frames are capped at
 // kMaxFramePayload so a corrupt length prefix cannot allocate the moon.
 #ifndef GKGPU_SERVE_PROTOCOL_HPP
@@ -53,15 +54,9 @@ struct Frame {
 /// SIGPIPE).  Throws std::runtime_error on I/O failure.
 void WriteFrame(int fd, FrameType type, std::string_view payload);
 
-/// Blocking frame read.  Returns false on clean EOF at a frame boundary;
-/// throws std::runtime_error on mid-frame EOF, I/O failure, a timeout
-/// (EAGAIN from SO_RCVTIMEO surfaces as "timed out"), or an oversized
-/// length prefix.
-bool ReadFrame(int fd, Frame* out);
-
-/// Deadlines for the resumable frame read below.  Both are wall-clock
-/// seconds; a value <= 0 means the first receive-timeout tick in that
-/// state throws immediately (the non-resumable behaviour above).
+/// Deadlines for ReadFrame on a socket whose SO_RCVTIMEO is set to a
+/// short polling tick.  Both are wall-clock seconds; a value <= 0 means
+/// the first receive-timeout tick in that state throws.
 struct FrameReadLimits {
   /// Quiet time allowed while waiting for a frame to *start* (no byte of
   /// the prelude received yet) — the per-request idle timeout.
@@ -72,14 +67,15 @@ struct FrameReadLimits {
   double frame_deadline_sec = 0;
 };
 
-/// Resumable frame read for sockets whose SO_RCVTIMEO is set to a short
-/// polling tick: an expiry mid-frame is NOT an error — the read resumes
-/// and accumulates until `limits` says otherwise, so a client that
-/// stalls between the bytes of one frame is distinguished from one that
-/// sends a genuinely malformed stream.  Returns false on clean EOF at a
-/// frame boundary; throws "timed out" once a limit is exceeded and
-/// "connection closed mid-frame" on mid-frame EOF.
-bool ReadFrame(int fd, Frame* out, const FrameReadLimits& limits);
+/// Reads one frame.  On a socket without a receive timeout it blocks
+/// until the frame is whole; on one with SO_RCVTIMEO set, an expiry is
+/// not an error until `limits` says so — the read resumes and
+/// accumulates, so a client that stalls between the bytes of one frame is
+/// distinguished from one that sends a malformed stream.  Returns false
+/// on clean EOF at a frame boundary; throws std::runtime_error "timed
+/// out" once a limit is exceeded, "connection closed mid-frame" on
+/// mid-frame EOF, and on I/O failure or an oversized length prefix.
+bool ReadFrame(int fd, Frame* out, const FrameReadLimits& limits = {});
 
 /// Per-job options carried in the kJob frame.
 struct JobSpec {

@@ -62,84 +62,6 @@ ServeStats ReadRegistryServeStats() {
   return s;
 }
 
-/// Reassembles FASTQ records from arbitrarily split kData chunks, with the
-/// same validation and name semantics as FastqStreamReader (so a served
-/// run parses the identical record set a file-based run would).
-class FastqAssembler {
- public:
-  void Append(std::string_view chunk) { buf_.append(chunk); }
-
-  /// At end of input a final record may lack its trailing newline, exactly
-  /// like a file whose last line has no '\n'.
-  void Finish() {
-    if (!buf_.empty() && buf_.back() != '\n') buf_.push_back('\n');
-    finished_ = true;
-  }
-
-  /// Extracts the next complete record; false when more bytes are needed.
-  /// Throws std::runtime_error on malformed input.
-  bool Next(FastqRecord* rec) {
-    for (;;) {
-      const std::size_t record_start = pos_;
-      std::string header;
-      if (!NextLine(&header)) return false;
-      if (header.empty()) continue;  // blank lines between records
-      if (header[0] != '@') {
-        throw std::runtime_error("FASTQ: expected '@' header, got: " + header);
-      }
-      std::string seq, plus, qual;
-      if (!NextLine(&seq) || !NextLine(&plus) || !NextLine(&qual)) {
-        if (finished_) {
-          throw std::runtime_error("FASTQ: truncated record: " + header);
-        }
-        // The record's remaining lines are still in flight: rewind to the
-        // header and wait for more data.
-        pos_ = record_start;
-        return false;
-      }
-      if (plus.empty() || plus[0] != '+') {
-        throw std::runtime_error("FASTQ: expected '+' separator: " + header);
-      }
-      if (seq.empty()) {
-        throw std::runtime_error("FASTQ: empty sequence: " + header);
-      }
-      if (qual.size() != seq.size()) {
-        throw std::runtime_error("FASTQ: quality length mismatch: " + header);
-      }
-      rec->name = header.substr(1);
-      rec->seq = std::move(seq);
-      rec->qual = std::move(qual);
-      Compact();
-      return true;
-    }
-  }
-
-  /// Unparsed bytes left after Finish() + a draining Next() loop mean the
-  /// client sent garbage past its last record.
-  bool HasLeftover() const { return pos_ < buf_.size(); }
-
- private:
-  bool NextLine(std::string* line) {
-    const std::size_t eol = buf_.find('\n', pos_);
-    if (eol == std::string::npos) return false;
-    line->assign(buf_, pos_, eol - pos_);
-    if (!line->empty() && line->back() == '\r') line->pop_back();
-    pos_ = eol + 1;
-    return true;
-  }
-
-  void Compact() {
-    if (pos_ > (64u << 10)) {
-      buf_.erase(0, pos_);
-      pos_ = 0;
-    }
-  }
-
-  std::string buf_;
-  std::size_t pos_ = 0;
-  bool finished_ = false;
-};
-
 /// SAM bytes staged per session before a kSamRecords frame departs.
 constexpr std::size_t kSendThreshold = 64u << 10;
 /// Reads the shared queue holds before sessions block on admission.
@@ -361,7 +283,7 @@ struct MapServer::Impl {
       TrySend(s, FrameType::kSamHeader, std::move(header).str());
 
       const int read_length = mapper_.config().read_length;
-      FastqAssembler fastq;
+      FastqParser fastq;
       FastqRecord rec;
       bool ended = false;
       while (!ended) {
@@ -386,9 +308,6 @@ struct MapServer::Impl {
           }
           AdmitRead(s, std::move(rec));
         }
-      }
-      if (fastq.HasLeftover()) {
-        throw std::runtime_error("trailing bytes after the last record");
       }
       s->input_done.store(true, std::memory_order_release);
       MaybeComplete(s);

@@ -3,8 +3,11 @@
 //
 // Threading: an accept loop (poll on the listening socket plus a self-pipe
 // so Shutdown() — and the SIGTERM handler behind it — can interrupt it)
-// spawns one session thread per connection; sessions parse frames,
-// reassemble FASTQ records, and push reads into one shared bounded queue.
+// spawns one session thread per connection; sessions read frames, push
+// each kData payload into a FastqParser (io/fastq.hpp, the parser `gkgpu
+// map --reads` reads files with, so a served job parses the same records
+// and fails on the same errors), and push reads into one shared bounded
+// queue.
 // One mapping thread drains that queue with chunk workers on the mapper's
 // pool (pipeline/ordered_chunks.hpp), the same engine `gkgpu map --reads`
 // runs: a worker takes up to kSeedChunkReads queued reads *across

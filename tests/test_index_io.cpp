@@ -1,9 +1,10 @@
 // Tests for the persistent on-disk index (io/index_io.hpp): byte-exact
 // round trips through the mmap'd view types, SAM parity between a mapper
 // built from FASTA and one rehydrated from the file, and the rejection
-// paths — bad magic, version skew, a seed mode other than dense,
-// truncation, payload corruption, fingerprint tampering — that keep a
-// stale or damaged index from producing silent garbage.
+// paths — bad magic, a format version other than 2, a seed mode other
+// than dense, truncation, payload corruption, fingerprint tampering, a
+// corrupt bucket offset — that keep a stale or damaged index from
+// producing silent garbage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "encode/dna.hpp"
 #include "encode/encoded.hpp"
 #include "io/index_io.hpp"
 #include "io/reference.hpp"
@@ -94,7 +96,6 @@ TEST_F(IndexIoTest, RoundTripPreservesEverything) {
   EXPECT_EQ(back.text(), ref_.text());
   EXPECT_EQ(back.fingerprint(), ref_.fingerprint());
 
-  EXPECT_EQ(mapped.format_version(), kIndexFormatVersion);
   ASSERT_EQ(mapped.shard_count(), 1u);
   const KmerIndex fresh(ref_.text(), kTestK);
   const KmerIndex& view = mapped.seed_index().shard(0);
@@ -180,34 +181,32 @@ TEST_F(IndexIoTest, RejectsBadMagic) {
       std::runtime_error);
 }
 
-TEST_F(IndexIoTest, RejectsVersionSkew) {
-  // The format version is the u32 straight after the 8-byte magic.
-  std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-  const std::uint32_t future = kIndexFormatVersion + 7;
-  f.seekp(8);
-  f.write(reinterpret_cast<const char*>(&future), sizeof(future));
-  f.close();
-  EXPECT_THROW(
-      {
-        try {
-          MappedIndexFile::Open(path_);
-        } catch (const std::runtime_error& e) {
-          // The diagnosis names both the version found and the range this
-          // build supports.
-          const std::string what = e.what();
-          EXPECT_NE(what.find("version " +
-                              std::to_string(kIndexFormatVersion + 7)),
-                    std::string::npos)
-              << what;
-          EXPECT_NE(
-              what.find(std::to_string(kIndexMinSupportedVersion) +
-                        " through " + std::to_string(kIndexFormatVersion)),
-              std::string::npos)
-              << what;
-          throw;
-        }
-      },
-      std::runtime_error);
+TEST_F(IndexIoTest, RejectsEveryOtherFormatVersionByName) {
+  // The format version is the u32 straight after the 8-byte magic.  Only
+  // version 2 is read: a version-1 (single-shard) file or a newer one
+  // fails before its header checksum is read, naming the version found.
+  for (const std::uint32_t version : {1u, kIndexFormatVersion + 7}) {
+    SCOPED_TRACE(version);
+    BuildAndWriteIndexFile(path_, ref_, kTestK);
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    f.close();
+    try {
+      MappedIndexFile::Open(path_);
+      ADD_FAILURE() << "opened a version-" << version << " file";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("found format version " + std::to_string(version) +
+                          ", but this build reads only version " +
+                          std::to_string(kIndexFormatVersion)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("rebuild the index with `gkgpu index`"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 /// The message Open throws for a v2 file whose seed-mode word is `mode`,
@@ -317,25 +316,52 @@ TEST_F(IndexIoTest, ChecksumFailureNamesTheCorruptSection) {
       std::runtime_error);
 }
 
-TEST_F(IndexIoTest, V1FilesStillLoadAsOneShard) {
-  const KmerIndex index(ref_.text(), kTestK);
-  const ReferenceEncoding enc = EncodeReference(ref_.text());
-  WriteIndexFileV1(path_, ref_, index, enc);
+TEST_F(IndexIoTest, CorruptBucketOffsetIsANamedMappingError) {
+  // Open checks only the offset table's shape and its first and last
+  // entries; the seeder checks each bucket it reads.  Raise the offset of
+  // the first seed of a read taken from the genome, in the offsets
+  // section of shard 0 (geometry from the header's shard-table offset, a
+  // u64 at byte 128, and the entry's offsets offset, a u64 at byte 32).
+  const std::string read(ref_.text().substr(1000, 64));
+  const std::int64_t code = EncodeKmer(read.data(), kTestK);
+  ASSERT_GE(code, 0);
+  std::uint64_t shard_table = 0, offsets = 0;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    in.seekg(128);
+    in.read(reinterpret_cast<char*>(&shard_table), sizeof(shard_table));
+    in.seekg(static_cast<std::streamoff>(shard_table + 32));
+    in.read(reinterpret_cast<char*>(&offsets), sizeof(offsets));
+  }
+  {
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t raised = 0xFFFFFF00u;
+    f.seekp(static_cast<std::streamoff>(offsets + 4 * code));
+    f.write(reinterpret_cast<const char*>(&raised), sizeof(raised));
+  }
+  // The opt-in checksum names the section; the default open succeeds.
+  IndexLoadOptions verify;
+  verify.verify_checksum = true;
+  EXPECT_THROW(MappedIndexFile::Open(path_, verify), std::runtime_error);
+  const MappedIndexFile mapped = MappedIndexFile::Open(path_);
 
-  IndexLoadOptions options;
-  options.verify_checksum = true;
-  const MappedIndexFile mapped = MappedIndexFile::Open(path_, options);
-  EXPECT_EQ(mapped.format_version(), 1u);
-  ASSERT_EQ(mapped.shard_count(), 1u);
-  EXPECT_EQ(mapped.reference().text(), ref_.text());
-
-  const KmerIndex& view = mapped.seed_index().shard(0);
-  EXPECT_EQ(view.k(), index.k());
-  ASSERT_EQ(view.positions().size(), index.positions().size());
-  EXPECT_TRUE(std::equal(view.positions().begin(), view.positions().end(),
-                         index.positions().begin()));
-  EXPECT_TRUE(std::equal(view.offsets().begin(), view.offsets().end(),
-                         index.offsets().begin()));
+  MapperConfig mcfg;
+  mcfg.k = kTestK;
+  mcfg.read_length = 64;
+  mcfg.error_threshold = 3;
+  ReadMapper mapper(mapped.reference(), mapped.seed_index().Alias(),
+                    mapped.encoding(), mcfg);
+  std::vector<MappingRecord> records;
+  try {
+    mapper.MapReads({read}, nullptr, &records);
+    ADD_FAILURE() << "mapped through a corrupt bucket";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("k-mer index shard 0: the bucket of "
+                                         "k-mer code " +
+                                         std::to_string(code)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(IndexIoTest, MultiShardRoundTripMatchesMonolithicSam) {

@@ -1,5 +1,6 @@
 // Tests for FASTA/FASTQ parsing (including malformed and hostile inputs —
-// truncation, CRLF line endings, empty sequences, N-heavy reads), the
+// truncation, CRLF line endings, empty sequences, N-heavy reads — and the
+// one FASTQ parser fed its input split at every byte), the
 // multi-chromosome ReferenceSet, and pair-set serialization round trips.
 #include <gtest/gtest.h>
 
@@ -131,6 +132,94 @@ TEST(FastqTest, QualityLineStartingWithAtIsNotAHeader) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].qual, "@@@@");
   EXPECT_EQ(records[1].name, "r2");
+}
+
+/// Every record `parser` yields until it needs more input (or ends).
+std::vector<FastqRecord> Drain(FastqParser& parser) {
+  std::vector<FastqRecord> records;
+  FastqRecord rec;
+  while (parser.Next(&rec)) records.push_back(rec);
+  return records;
+}
+
+void ExpectSameRecords(const std::vector<FastqRecord>& got,
+                       const std::vector<FastqRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name) << i;
+    EXPECT_EQ(got[i].seq, want[i].seq) << i;
+    EXPECT_EQ(got[i].qual, want[i].qual) << i;
+  }
+}
+
+TEST(FastqParserTest, SplitAtEveryByteYieldsTheRecordsOfOneAppend) {
+  // CRLF lines, blank lines between records, a quality line that starts
+  // with '@', and a last line without its '\n'.
+  const std::string text =
+      "@r1 desc\r\nACGT\r\n+\r\n@@II\r\n\n\r\n"
+      "@r2\nTTNNA\n+r2\nIIIII\n\n"
+      "@r3\nG\n+\n@";
+  FastqParser whole;
+  whole.Append(text);
+  whole.Finish();
+  const std::vector<FastqRecord> want = Drain(whole);
+  ASSERT_EQ(want.size(), 3u);
+  EXPECT_EQ(want[0].name, "r1 desc");
+  EXPECT_EQ(want[0].qual, "@@II");
+  EXPECT_EQ(want[1].seq, "TTNNA");
+  EXPECT_EQ(want[2].qual, "@");
+
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    FastqParser parser;
+    parser.Append(std::string_view(text).substr(0, cut));
+    std::vector<FastqRecord> got = Drain(parser);
+    parser.Append(std::string_view(text).substr(cut));
+    parser.Finish();
+    for (FastqRecord& r : Drain(parser)) got.push_back(std::move(r));
+    ExpectSameRecords(got, want);
+  }
+  FastqParser bytewise;
+  std::vector<FastqRecord> got;
+  for (const char c : text) {
+    bytewise.Append(std::string_view(&c, 1));
+    for (FastqRecord& r : Drain(bytewise)) got.push_back(std::move(r));
+  }
+  bytewise.Finish();
+  for (FastqRecord& r : Drain(bytewise)) got.push_back(std::move(r));
+  ExpectSameRecords(got, want);
+}
+
+TEST(FastqParserTest, TruncatedLastRecordThrowsOnlyAfterFinish) {
+  FastqParser parser;
+  parser.Append("@r1\nACGT\n+\nIIII\n@r2\nAC");
+  FastqRecord rec;
+  ASSERT_TRUE(parser.Next(&rec));
+  EXPECT_EQ(rec.name, "r1");
+  EXPECT_FALSE(parser.Next(&rec));  // r2's lines may still come
+  EXPECT_FALSE(parser.Next(&rec));
+  parser.Finish();
+  try {
+    parser.Next(&rec);
+    ADD_FAILURE() << "a truncated record parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("FASTQ: truncated record: @r2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FastqParserTest, SequenceLongerThanOneReadBlockParses) {
+  const std::size_t length = FastqStreamReader::kReadBlockBytes * 2 + 77;
+  const std::string seq(length, 'G');
+  std::istringstream in("@short\nAC\n+\nII\n@long\n" + seq + "\n+\n" +
+                        std::string(length, 'I') + "\n@tail\nT\n+\nI");
+  const auto records = ReadFastq(in);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].name, "long");
+  EXPECT_EQ(records[1].seq, seq);
+  EXPECT_EQ(records[1].qual.size(), length);
+  EXPECT_EQ(records[2].seq, "T");
 }
 
 TEST(FastaTest, HandlesCrlfAndBlankLines) {

@@ -371,6 +371,47 @@ TEST_F(ServeTest, MalformedFastqFailsOnlyThatSession) {
   EXPECT_EQ(stats.sessions_completed, 1u);
 }
 
+TEST_F(ServeTest, TinyDataFramesSplitAnywhereGiveTheStandaloneSam) {
+  // kData frames of 1-7 bytes split records, lines and CRLF pairs at every
+  // kind of offset; the daemon's FastqParser reassembles the same records
+  // a file-based run parses.
+  const auto seqs = SimulateReadSequences(ref_.text(), 30, kReadLength,
+                                          ReadErrorProfile::Illumina(), 15);
+  std::string fastq_text = MakeFastq("tiny", seqs);
+  const std::string golden = Golden(fastq_text);
+  const std::size_t cr = fastq_text.find('\n');
+  fastq_text.insert(cr, "\r");  // one CRLF line, then a blank one
+  fastq_text.insert(fastq_text.find("\n@"), "\n");
+
+  std::string served;
+  const serve::ServeStats stats =
+      WithServer(BaseConfig(), [&](const std::string& socket) {
+        const int fd = ConnectRaw(socket);
+        SendRaw(fd, FrameBytes(serve::FrameType::kJob, ""));
+        std::size_t at = 0;
+        for (std::size_t i = 0; at < fastq_text.size(); ++i) {
+          const std::size_t size = i % 7 + 1;
+          SendRaw(fd, FrameBytes(serve::FrameType::kData,
+                                 std::string_view(fastq_text).substr(at, size)));
+          at += size;
+        }
+        SendRaw(fd, FrameBytes(serve::FrameType::kEnd, ""));
+        serve::Frame frame;
+        while (serve::ReadFrame(fd, &frame) &&
+               frame.type != serve::FrameType::kDone) {
+          ASSERT_NE(frame.type, serve::FrameType::kError) << frame.payload;
+          if (frame.type == serve::FrameType::kSamHeader ||
+              frame.type == serve::FrameType::kSamRecords) {
+            served += frame.payload;
+          }
+        }
+        ::close(fd);
+      });
+  EXPECT_EQ(served, golden);
+  EXPECT_EQ(stats.reads, 30u);
+  EXPECT_EQ(stats.sessions_completed, 1u);
+}
+
 TEST_F(ServeTest, SlowMidFramePauseOutlivesTheReceiveTick) {
   // A client that pauses *inside* a kData frame for longer than the idle
   // timeout is still making progress on that frame — the receive-timeout

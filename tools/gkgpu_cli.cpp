@@ -22,7 +22,8 @@
 // streams FASTQ: chunk workers on the mapper's pool each seed, filter with
 // the host GateKeeper over the mapper's 2-bit reference, verify and format
 // a chunk of reads (`--reads`) or pairs (`--paired`, `--interleaved`), and
-// the SAM is written in input order; `serve` maps the same way.  Every
+// the SAM is written in input order; `serve` maps the same way.  `map`
+// takes one input and rejects the other mode's options.  Every
 // command rejects options it does not take (exit 2), an operand it would
 // otherwise drop (a second one to an option that takes one — only
 // `--paired` takes two —, an option given twice, an operand before the
@@ -153,6 +154,15 @@ class Args {
     return value;
   }
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
+  /// The options of `names`, a space-separated list of option names, that
+  /// are given, in name order.
+  std::vector<std::string> Given(std::string_view names) const {
+    std::vector<std::string> given;
+    for (const auto& [key, operands] : values_) {
+      if (Listed(names, key)) given.push_back(key);
+    }
+    return given;
+  }
   /// The first option given that `allowed`, a space-separated list of
   /// option names, lacks ("" = none).
   std::string Unknown(std::string_view allowed) const {
@@ -974,6 +984,22 @@ int MapCmd(const Args& args) {
   const bool paired = args.Has("paired") || args.Has("interleaved");
   if (!HasReferenceInput(args) || (!paired && !args.Has("reads"))) {
     return Usage();
+  }
+  // One input, and no option of the other mode: either would be ignored.
+  const std::vector<std::string> inputs =
+      args.Given("reads paired interleaved");
+  if (inputs.size() > 1) {
+    throw UsageError("--" + inputs[0] + " and --" + inputs[1] +
+                     " name two inputs; give one");
+  }
+  const std::vector<std::string> other_mode =
+      args.Given(paired ? "report-secondary"
+                        : "max-insert no-rescue mark-duplicates "
+                          "optical-dup-distance");
+  if (!other_mode.empty()) {
+    throw UsageError("--" + other_mode[0] + " applies to " +
+                     (paired ? "--reads" : "--paired and --interleaved") +
+                     ", not to --" + inputs[0]);
   }
   if (paired && !args.Has("interleaved") &&
       args.GetList("paired").size() != 2) {
