@@ -1,96 +1,77 @@
 #include "filters/neighborhood.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace gkgpu {
 
+using simd::U64;
+
+U64* NeighborhoodMap::Reset(int length, int e) {
+  length_ = length;
+  e_ = e;
+  words_ = simd::Words64(MaskWords(length));
+  rows_.assign(static_cast<std::size_t>(2 * e + 1) *
+                   static_cast<std::size_t>(words_),
+               0);
+  return rows_.data();
+}
+
 void NeighborhoodMap::Build(std::string_view read, std::string_view ref,
                             int e) {
   assert(read.size() == ref.size());
-  length_ = static_cast<int>(read.size());
-  e_ = e;
-  mask_words_ = MaskWords(length_);
-  words_.assign(static_cast<std::size_t>(2 * e + 1) *
-                    static_cast<std::size_t>(mask_words_),
-                0);
-  for (int d = -e; d <= e; ++d) {
-    Word* row = words_.data() + static_cast<std::size_t>(d + e_) *
-                                    static_cast<std::size_t>(mask_words_);
-    for (int j = 0; j < length_; ++j) {
+  const int length = static_cast<int>(read.size());
+  U64* row = Reset(length, e);
+  for (int d = -e; d <= e; ++d, row += words_) {
+    for (int j = 0; j < length; ++j) {
       const int rj = j + d;
       const bool mismatch =
-          rj < 0 || rj >= length_ || read[static_cast<std::size_t>(j)] !=
-                                         ref[static_cast<std::size_t>(rj)];
-      if (mismatch) SetMaskBit(row, j);
+          rj < 0 || rj >= length || read[static_cast<std::size_t>(j)] !=
+                                        ref[static_cast<std::size_t>(rj)];
+      row[j / simd::kWordBits64] |=
+          U64{mismatch} << (simd::kWordBits64 - 1 - j % simd::kWordBits64);
     }
   }
 }
 
-void NeighborhoodMap::BuildEncoded(const Word* read_enc, const Word* ref_enc,
+void NeighborhoodMap::BuildEncoded(const U64* read, const U64* ref,
                                    int length, int e) {
-  length_ = length;
-  e_ = e;
-  mask_words_ = MaskWords(length);
-  words_.assign(static_cast<std::size_t>(2 * e + 1) *
-                    static_cast<std::size_t>(mask_words_),
-                0);
-  const int enc_words = EncodedWords(length);
-  Word shifted[kMaxEncodedWords];
-  Word diff[kMaxEncodedWords];
-  for (int d = -e; d <= e; ++d) {
-    Word* row = words_.data() + static_cast<std::size_t>(d + e_) *
-                                    static_cast<std::size_t>(mask_words_);
+  U64* row = Reset(length, e);
+  const int enc64 = simd::Words64(EncodedWords(length));
+  U64 shifted[simd::kMaxWords64];
+  U64 diff[simd::kMaxWords64];
+  for (int d = -e; d <= e; ++d, row += words_) {
     // Column j of diagonal d compares read[j] with ref[j + d]: shift the
     // *reference* by d bases so the comparison lands on column j.
-    const Word* rhs = ref_enc;
+    const U64* rhs = ref;
     if (d > 0) {
-      ShiftToEarlier(ref_enc, shifted, enc_words, 2 * d);
+      simd::ShiftToEarlier64(ref, shifted, enc64, 2 * d);
       rhs = shifted;
     } else if (d < 0) {
-      ShiftToLater(ref_enc, shifted, enc_words, -2 * d);
+      simd::ShiftToLater64(ref, shifted, enc64, -2 * d);
       rhs = shifted;
     }
-    XorWords(read_enc, rhs, diff, enc_words);
-    ReducePairsOr(diff, length, row);
+    simd::XorWords64(read, rhs, diff, enc64);
+    simd::ReducePairsOr64(diff, length, row);
     // Columns whose reference index falls outside [0, length) count as
     // mismatches — the shifted-in zero bits would otherwise compare as 'A'.
     if (d > 0) {
-      SetBitRange(row, std::max(0, length - d), length);
+      simd::SetBitRange64(row, words_, std::max(0, length - d), length);
     } else if (d < 0) {
-      SetBitRange(row, 0, std::min(length, -d));
+      simd::SetBitRange64(row, words_, 0, std::min(length, -d));
     }
   }
-}
-
-int NeighborhoodMap::ZeroRunFrom(int d, int j) const {
-  if (j >= length_) return 0;
-  const Word* row = Diagonal(d);
-  int pos = j;
-  while (pos < length_) {
-    const int word = pos / kWordBits;
-    const int off = pos % kWordBits;
-    const Word w = row[word] << off;  // first considered bit at the MSB
-    if (w != 0) {
-      const int lead = std::countl_zero(w);
-      pos += lead;
-      break;
-    }
-    pos += kWordBits - off;
-  }
-  if (pos > length_) pos = length_;
-  return pos - j;
 }
 
 int NeighborhoodMap::LongestZeroRun(int d, int lo, int hi, int* start) const {
   if (lo < 0) lo = 0;
   if (hi >= length_) hi = length_ - 1;
+  const U64* row = Diagonal(d);
   int best = 0;
   int best_start = lo;
   int j = lo;
   while (j <= hi) {
-    int run = ZeroRunFrom(d, j);
+    int run = simd::ZeroRunFrom64(row, words_, j, length_);
     if (run == 0) {
       ++j;
       continue;

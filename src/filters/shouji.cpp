@@ -9,58 +9,62 @@ namespace gkgpu {
 
 namespace {
 
+using simd::kWordBits64;
+using simd::U64;
+
 constexpr int kWindow = 4;
 
+/// The `w` (<= kWindow) bits of `row` from column j on, column j highest;
+/// the caller keeps j + w within the sequence, so a window that crosses a
+/// word boundary always has a next word.
+unsigned WindowBits(const U64* row, int j, int w) {
+  const int word = j / kWordBits64;
+  const int off = j % kWordBits64;
+  U64 top = row[word] << off;
+  if (off + w > kWordBits64) top |= row[word + 1] >> (kWordBits64 - off);
+  return static_cast<unsigned>(top >> (kWordBits64 - w));
+}
+
 /// The sliding-window common-subsequence assembly over a built
-/// neighborhood map — shared by the per-pair reference path (character
-/// map) and the batch path (bit-parallel encoded map), so the two differ
-/// only in how the diagonals were produced.
-FilterResult ShoujiWalk(const NeighborhoodMap& map, int length, int e) {
+/// neighborhood maze — shared by the per-pair reference path (character
+/// maze) and the batch path (encoded maze), so the two differ only in how
+/// the diagonals were produced.
+FilterResult ShoujiWalk(const NeighborhoodMap& map) {
   // Shouji bit-vector: starts all-mismatch; each sliding window stores the
   // best (fewest mismatches) diagonal segment it found, but only if doing
   // so strictly reduces the number of mismatches in that span of the
   // vector (the Shouji paper's Algorithm 1 update rule).
-  const int mask_words = MaskWords(length);
-  Word common[kMaxMaskWords];
-  for (int i = 0; i < mask_words; ++i) common[i] = ~Word{0};
-  ZeroTailBits(common, mask_words, length);
-  SetBitRange(common, 0, length);
-
-  auto window_bits = [&](const Word* row, int j, int w) {
-    unsigned bits = 0;
-    for (int t = 0; t < w; ++t) {
-      bits = (bits << 1) | GetMaskBit(row, j + t);
-    }
-    return bits;
-  };
+  const int length = map.length();
+  const int e = map.e();
+  U64 common[simd::kMaxWords64] = {};
+  simd::SetBitRange64(common, map.words(), 0, length);
 
   for (int j = 0; j < length; ++j) {
     const int w = j + kWindow <= length ? kWindow : length - j;
     unsigned best = (1u << w) - 1u;
     int best_ones = w + 1;
     for (int d = -e; d <= e; ++d) {
-      const unsigned bits = window_bits(map.Diagonal(d), j, w);
+      const unsigned bits = WindowBits(map.Diagonal(d), j, w);
       const int ones = std::popcount(bits);
       if (ones < best_ones) {
         best_ones = ones;
         best = bits;
       }
     }
-    const unsigned cur = window_bits(common, j, w);
-    if (best_ones < std::popcount(cur)) {
+    if (best_ones < std::popcount(WindowBits(common, j, w))) {
       for (int t = 0; t < w; ++t) {
         const int p = j + t;
-        const Word bit = Word{1u} << (kWordBits - 1 - p % kWordBits);
+        const U64 bit = U64{1} << (kWordBits64 - 1 - p % kWordBits64);
         if ((best & (1u << (w - 1 - t))) == 0) {
-          common[p / kWordBits] &= ~bit;
+          common[p / kWordBits64] &= ~bit;
         } else {
-          common[p / kWordBits] |= bit;
+          common[p / kWordBits64] |= bit;
         }
       }
     }
   }
 
-  const int edits = PopcountWords(common, mask_words);
+  const int edits = simd::PopcountWords64(common, map.words());
   return {edits <= e, edits};
 }
 
@@ -69,30 +73,14 @@ FilterResult ShoujiWalk(const NeighborhoodMap& map, int length, int e) {
 FilterResult ShoujiFilter::Filter(std::string_view read, std::string_view ref,
                                   int e) const {
   assert(read.size() == ref.size());
-  const int length = static_cast<int>(read.size());
   NeighborhoodMap map;
   map.Build(read, ref, e);
-  return ShoujiWalk(map, length, e);
+  return ShoujiWalk(map);
 }
 
 void ShoujiFilter::FilterBatchImpl(const PairBlock& block, int e,
-                               PairResult* results) const {
-  // Batch path: the neighborhood map builds bit-parallel from the encoded
-  // pair (one shifted XOR + reduction per diagonal, multi-word lanes)
-  // instead of per character — the map construction is where the scalar
-  // path burns its time; the window walk is shared above.
-  Word read_scratch[kMaxEncodedWords];
-  Word ref_scratch[kMaxEncodedWords];
-  NeighborhoodMap map;
-  for (std::size_t i = 0; i < block.size; ++i) {
-    const BlockPairView p = LoadBlockPair(block, i, read_scratch, ref_scratch);
-    if (p.bypass) {
-      results[i] = BypassedPairResult();
-      continue;
-    }
-    map.BuildEncoded(p.read, p.ref, block.length, e);
-    results[i] = MakePairResult(ShoujiWalk(map, block.length, e), false);
-  }
+                                   PairResult* results) const {
+  FilterMazeRange(block, 0, block.size, e, results, ShoujiWalk);
 }
 
 }  // namespace gkgpu

@@ -1,7 +1,8 @@
-// Shouji (Alser et al. 2019): builds a banded neighborhood map and slides a
-// 4-column search window across it, keeping for every window the diagonal
-// segment with the most matches; the surviving unmatched columns of the
-// assembled common-subsequence vector estimate the edit count.
+// Shouji (Alser et al. 2019): builds a banded neighborhood maze
+// (filters/neighborhood.hpp) and slides a 4-column search window across
+// it, keeping for every window the diagonal segment with the most matches;
+// the surviving unmatched columns of the assembled common-subsequence
+// vector estimate the edit count.
 #ifndef GKGPU_FILTERS_SHOUJI_HPP
 #define GKGPU_FILTERS_SHOUJI_HPP
 
@@ -15,10 +16,11 @@ class ShoujiFilter : public PreAlignmentFilter {
   bool lossless() const override { return false; }  // window replacement FRs
   FilterResult Filter(std::string_view read, std::string_view ref,
                       int e) const override;
-  /// Batch path: bit-parallel encoded neighborhood-map construction
-  /// (NeighborhoodMap::BuildEncoded) + the same window walk as Filter().
+  /// Batch path: FilterMazeRange builds each pair's maze from its 2-bit
+  /// encoding (NeighborhoodMap::BuildEncoded) and runs the same window
+  /// walk as Filter().
   void FilterBatchImpl(const PairBlock& block, int e,
-                   PairResult* results) const override;
+                       PairResult* results) const override;
 };
 
 }  // namespace gkgpu

@@ -1,6 +1,5 @@
 #include "filters/sneakysnake.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "filters/neighborhood.hpp"
@@ -11,29 +10,14 @@ namespace gkgpu {
 FilterResult SneakySnakeFilter::Filter(std::string_view read,
                                        std::string_view ref, int e) const {
   assert(read.size() == ref.size());
-  const int length = static_cast<int>(read.size());
   NeighborhoodMap map;
   map.Build(read, ref, e);
-
-  int pos = 0;
-  int edits = 0;
-  while (pos < length) {
-    int best = 0;
-    for (int d = -e; d <= e; ++d) {
-      best = std::max(best, map.ZeroRunFrom(d, pos));
-      if (pos + best >= length) break;
-    }
-    pos += best;
-    if (pos >= length) break;
-    ++edits;  // the snake hits an obstruction: one edit, skip the column
-    ++pos;
-    if (edits > e) return {false, edits};
-  }
-  return {edits <= e, edits};
+  return simd::SnakeTraverse64(map.Diagonal(-e), map.words(), map.length(),
+                               e);
 }
 
 void SneakySnakeFilter::FilterBatchImpl(const PairBlock& block, int e,
-                                    PairResult* results) const {
+                                        PairResult* results) const {
   simd::SneakySnakeFilterRange(block, 0, block.size, e, results);
 }
 

@@ -12,11 +12,12 @@
 
 namespace gkgpu {
 
+/// Confident pairs required before the fitted model replaces the
+/// [read_length, max_insert] fallback window.
+inline constexpr std::uint64_t kInsertModelMinObservations = 64;
+
 class InsertSizeModel {
  public:
-  explicit InsertSizeModel(std::uint64_t min_observations = 64)
-      : min_observations_(min_observations) {}
-
   void Observe(double insert) {
     ++count_;
     const double delta = insert - mean_;
@@ -26,7 +27,7 @@ class InsertSizeModel {
 
   /// Enough confident pairs seen to trust mean()/sigma() over the
   /// configured fallback window.
-  bool fitted() const { return count_ >= min_observations_ && count_ >= 2; }
+  bool fitted() const { return count_ >= kInsertModelMinObservations; }
 
   std::uint64_t count() const { return count_; }
   double mean() const { return mean_; }
@@ -35,7 +36,6 @@ class InsertSizeModel {
   double sigma() const;
 
  private:
-  std::uint64_t min_observations_;
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;

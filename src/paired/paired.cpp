@@ -849,7 +849,6 @@ PairedStats PairedEndMapper::Map(const PairSource& next,
   fin.cfg = &config_;
   fin.L = L;
   fin.e = e;
-  fin.model = InsertSizeModel(config_.min_model_observations);
   fin.stats = &stats;
   fin.write_sam = sam != nullptr;
 

@@ -65,9 +65,6 @@ struct PairedConfig {
   /// Largest fragment length considered concordant (also the pruning
   /// window and the un-fitted mate-rescue scan bound).
   std::int64_t max_insert = 1000;
-  /// Confident pairs required before the fitted insert model replaces the
-  /// [read_length, max_insert] fallback window.
-  std::uint64_t min_model_observations = 64;
   bool mate_rescue = true;
   /// Mark duplicate pairs (FLAG 0x400) sharing a fragment signature —
   /// (chromosome, position, strand, TLEN); the first occurrence stays

@@ -1,14 +1,16 @@
-// The bit-vector primitives of the GateKeeper mask pipeline on uint64_t
-// words.  Bitstring semantics follow util/bitops.hpp — bit 0 is the MSB of
-// word 0, "later" positions sit toward the LSB end — at twice its word
-// width: two consecutive 32-bit encoded words pack into one 64-bit word
-// (the earlier word in the high half), so the AVX2 kernels hold one pair
-// per 64-bit lane.  A sequence of `enc_words` 32-bit words maps onto
+// The bit-vector primitives of every filter kernel, on uint64_t words:
+// GateKeeper's mask pipeline and the neighborhood mazes of MAGNET, Shouji
+// and SneakySnake.  Bit 0 is the MSB of word 0 and "later" positions sit
+// toward the LSB end, so shifting a read toward later positions models a
+// deletion, toward earlier positions an insertion.  Two consecutive 32-bit
+// encoded words (util/bitops.hpp) pack into one 64-bit word, the earlier
+// word in the high half, so the AVX2 kernels hold one pair per 64-bit
+// lane.  A sequence of `enc_words` 32-bit words maps onto
 // Words64(enc_words) 64-bit words whose pad half (odd word counts) is
-// zero, and the pipeline neutralizes every pad-visible difference:
+// zero, and the kernels neutralize every pad-visible difference:
 // ReducePairsOr64 and ZeroTailBits64 clear all bits past the sequence
-// length.  tests/test_bitops.cpp checks each primitive against a per-bit
-// model.
+// length.  Difference masks reduce to 1 bit per base (64 bases per word).
+// tests/test_bitops.cpp checks each primitive against a per-bit model.
 #ifndef GKGPU_SIMD_BITOPS64_HPP
 #define GKGPU_SIMD_BITOPS64_HPP
 
@@ -42,8 +44,9 @@ inline void PackWords64(const Word* src, int nwords32, U64* dst) {
 }
 
 /// dst[p + bits] = src[p]: shift toward later positions with carry-bit
-/// transfer across words; vacated leading bits become 0.  src and dst may
-/// alias only if identical.
+/// transfer across words (the "carry-bit correction" of GateKeeper-GPU
+/// Sec. 3.4); vacated leading bits become 0.  Supports bits >= 64.  src
+/// and dst may alias only if identical.
 inline void ShiftToLater64(const U64* src, U64* dst, int nwords, int bits) {
   if (bits <= 0) {
     if (dst != src) std::memmove(dst, src, sizeof(U64) * nwords);
@@ -91,8 +94,8 @@ inline void XorWords64(const U64* a, const U64* b, U64* dst, int nwords) {
 }
 
 /// Collapses a 2-bit-per-base difference word (32 bases, MSB-first) into
-/// 32 one-bit-per-base flags in the low half, base j at bit (31 - j) —
-/// the 64-bit analogue of CompressPairsOrHalf.
+/// 32 one-bit-per-base flags in the low half, base j at bit (31 - j)
+/// ("every two-bit is combined with bitwise OR", GateKeeper-GPU Sec. 2.1).
 inline U64 CompressPairsOr64(U64 w) {
   U64 t = (w | (w >> 1)) & 0x5555555555555555ULL;
   t = (t | (t >> 1)) & 0x3333333333333333ULL;

@@ -1,4 +1,5 @@
-// AVX2 GateKeeper batch kernel: four filtrations per instruction stream.
+// AVX2 GateKeeper and SneakySnake batch kernels: four filtrations per
+// instruction stream.
 //
 // Layout: lane l of every ymm register holds pair (group_base + l)'s
 // 64-bit word w — the mask pipeline's cross-word carries run along the
@@ -6,7 +7,10 @@
 // reduction and the amendment all vectorize lane-parallel with no
 // cross-lane traffic.  Only the final error count leaves the vector
 // domain: the finished mask is stored lane-major and each lane is counted
-// with the scalar 64-bit run counter.
+// with the scalar 64-bit run counter.  The SneakySnake kernel builds four
+// pairs' neighborhood mazes the same way (NeighborhoodMap::BuildEncoded's
+// steps, one pair per lane) and walks each lane's rows with
+// SnakeTraverse64.
 //
 // Shift counts, edge-fix ranges and tail masks are uniform across lanes
 // (one block shares length and threshold), so they broadcast as scalar
@@ -349,8 +353,9 @@ void SneakySnakeFilterRangeAvx2(const PairBlock& block, std::size_t begin,
       G[w] = Lanes(refs, w);
     }
     for (int d = -e; d <= e; ++d) {
-      // NeighborhoodMap::BuildEncoded lane-parallel: shift the *reference*
-      // by the diagonal offset, XOR, reduce, fence out-of-range columns.
+      // NeighborhoodMap::BuildEncoded, one pair per lane: shift the
+      // *reference* by the diagonal offset, XOR, reduce, fence out-of-range
+      // columns; the row is stored lane-major.
       const __m256i* rhs = G;
       if (d > 0) {
         VShiftToEarlier(G, shifted, enc64, 2 * d);

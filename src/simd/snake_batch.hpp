@@ -1,21 +1,17 @@
-// Batch SneakySnake kernels over PairBlocks.
+// SneakySnake's greedy traversal and its batch kernels over PairBlocks.
 //
 // SneakySnake (Alser et al. 2020) routes a single net through the
-// (2e+1) x L neighborhood maze; the expensive half is building the maze.
-// The batch kernels build every diagonal's mismatch bitmap directly from
-// the 2-bit encoded PairBlock lanes on 64-bit words (shift the encoded
-// reference by the diagonal offset, XOR against the read, reduce
-// 2-bit -> 1-bit, mark out-of-range columns as obstructions) — no decoded
-// strings anywhere — then run the greedy traversal over the uint64 rows
-// with leading-zero counts.  The AVX2 variant builds four pairs' mazes
-// lane-parallel and stores the rows lane-major; the traversal (inherently
-// sequential per pair) walks each lane with a stride.
+// (2e+1) x L neighborhood maze (filters/neighborhood.hpp: one 64-bit
+// mismatch row per diagonal); the expensive half is building the maze.
+// SnakeTraverse64 is the one traversal: SneakySnakeFilter::Filter runs it
+// over the character-built maze, the scalar range over the mazes
+// FilterMazeRange builds from the encoded pairs, and the AVX2 range over
+// four pairs' mazes built lane-parallel and stored lane-major (the
+// traversal, sequential per pair, walks each lane with a stride).
 //
-// Bit-identity with the scalar SneakySnakeFilter::Filter is a hard
-// contract, asserted by the differential harness's batch sweep and
-// tests/test_simd_batch.cpp: the encoded maze matches the character-domain
-// maze (same construction as NeighborhoodMap::BuildEncoded), and the
-// traversal below is the scalar loop verbatim.
+// Batch results equal SneakySnakeFilter::Filter's on every pair whose
+// bypass bit is clear, asserted by the differential harness's batch sweep
+// and tests/test_simd_batch.cpp.
 #ifndef GKGPU_SIMD_SNAKE_BATCH_HPP
 #define GKGPU_SIMD_SNAKE_BATCH_HPP
 
@@ -31,9 +27,8 @@ namespace gkgpu::simd {
 /// `rows` points at the first word of diagonal -e for one pair;
 /// consecutive diagonals are mask64 * stride words apart and consecutive
 /// words of one row `stride` apart (lane-major buffers pass their lane
-/// count, contiguous rows pass 1).  Mirrors SneakySnakeFilter::Filter's
-/// loop exactly — including the early diagonal-scan exit, which cannot
-/// change the maximum.
+/// count, contiguous rows pass 1).  The diagonal scan stops early once a
+/// run reaches the end, which cannot change the maximum.
 inline FilterResult SnakeTraverse64(const U64* rows, int mask64, int length,
                                     int e, int stride = 1) {
   const std::size_t diag_words =
@@ -57,7 +52,7 @@ inline FilterResult SnakeTraverse64(const U64* rows, int mask64, int length,
 }
 
 /// Filters pairs [begin, end) of `block` into results[begin..end) on the
-/// portable uint64_t path.
+/// portable uint64_t path (FilterMazeRange + SnakeTraverse64).
 void SneakySnakeFilterRangeScalar(const PairBlock& block, std::size_t begin,
                                   std::size_t end, int e,
                                   PairResult* results);

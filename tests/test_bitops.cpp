@@ -1,13 +1,14 @@
-// Unit + property tests for the multi-word bit-vector primitives: the
-// 32-bit encoding and mask words (shifts with carry transfer, pair
-// reduction, tail and range masks) and the 64-bit primitives of the
-// GateKeeper kernel — amendment and run counting checked against the
-// per-bit scalar model of filters/scalar_ref.hpp, on runs that cross
-// 64-bit word boundaries and masks up to kMaxWords64 words.
+// Unit + property tests for the 2-bit storage layout (util/bitops.hpp)
+// and the 64-bit primitives every filter kernel runs (simd/bitops64.hpp):
+// shifts with carry transfer, pair reduction, tail and range masks, zero
+// runs, amendment and run counting, each checked against a per-bit model
+// (filters/scalar_ref.hpp for the last two) on masks of 1 to kMaxWords64
+// words, across 64-bit word boundaries.
 #include "util/bitops.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "filters/scalar_ref.hpp"
@@ -16,14 +17,6 @@
 
 namespace gkgpu {
 namespace {
-
-std::vector<int> ToBits(const Word* mask, int nbits) {
-  std::vector<int> bits(static_cast<std::size_t>(nbits));
-  for (int p = 0; p < nbits; ++p) {
-    bits[static_cast<std::size_t>(p)] = static_cast<int>(GetMaskBit(mask, p));
-  }
-  return bits;
-}
 
 using simd::kMaxWords64;
 using simd::kWordBits64;
@@ -85,124 +78,129 @@ TEST(BitopsTest, BaseAccessRoundTrip) {
   }
 }
 
-TEST(BitopsTest, ShiftToLaterMovesBitsTowardLsbEnd) {
-  Word v[2] = {};
-  SetMaskBit(v, 0);
-  SetMaskBit(v, 31);
-  Word out[2];
-  ShiftToLater(v, out, 2, 1);
-  EXPECT_EQ(GetMaskBit(out, 1), 1u);
-  EXPECT_EQ(GetMaskBit(out, 32), 1u);  // carried across the word boundary
-  EXPECT_EQ(GetMaskBit(out, 0), 0u);
-}
-
-TEST(BitopsTest, ShiftToEarlierMovesBitsTowardMsbEnd) {
-  Word v[2] = {};
-  SetMaskBit(v, 32);
-  Word out[2];
-  ShiftToEarlier(v, out, 2, 1);
-  EXPECT_EQ(GetMaskBit(out, 31), 1u);
-  EXPECT_EQ(GetMaskBit(out, 32), 0u);
-}
-
-TEST(BitopsTest, ShiftRoundTripPreservesInteriorBits) {
-  Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int nwords = 1 + static_cast<int>(rng.Uniform(8));
-    const int bits = static_cast<int>(rng.Uniform(
-        static_cast<std::uint64_t>(nwords) * kWordBits));
-    std::vector<Word> v(static_cast<std::size_t>(nwords));
-    for (auto& w : v) w = rng.NextU32();
-    std::vector<Word> later(v.size());
-    std::vector<Word> back(v.size());
-    ShiftToLater(v.data(), later.data(), nwords, bits);
-    ShiftToEarlier(later.data(), back.data(), nwords, bits);
-    // Bits that survived both shifts (positions [0, N - bits)) must match.
-    const int total = nwords * kWordBits;
-    for (int p = 0; p + bits < total; ++p) {
-      EXPECT_EQ(GetMaskBit(back.data(), p), GetMaskBit(v.data(), p))
-          << "trial " << trial << " bit " << p << " shift " << bits;
-    }
-  }
-}
-
-TEST(BitopsTest, ShiftsAgreeWithScalarModel) {
+TEST(BitopsTest, Shifts64AgreeWithScalarModel) {
   Rng rng(13);
-  for (int trial = 0; trial < 100; ++trial) {
-    const int nwords = 1 + static_cast<int>(rng.Uniform(6));
-    const int total = nwords * kWordBits;
-    const int shift = static_cast<int>(rng.Uniform(
-        static_cast<std::uint64_t>(total + 8)));
-    std::vector<Word> v(static_cast<std::size_t>(nwords));
-    for (auto& w : v) w = rng.NextU32();
-    const std::vector<int> bits = ToBits(v.data(), total);
-
-    std::vector<Word> later(v.size());
-    ShiftToLater(v.data(), later.data(), nwords, shift);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<U64> v = RandomMask64(rng, trial);
+    const int nwords = static_cast<int>(v.size());
+    const int total = nwords * kWordBits64;
+    const int shift = static_cast<int>(
+        rng.Uniform(static_cast<std::uint64_t>(total + 8)));
+    const std::vector<int> bits = ToBits64(v.data(), nwords);
+    std::vector<int> later(bits.size(), 0);
+    std::vector<int> earlier(bits.size(), 0);
     for (int p = 0; p < total; ++p) {
-      const int src = p - shift;
-      const int expected =
-          src >= 0 ? bits[static_cast<std::size_t>(src)] : 0;
-      ASSERT_EQ(static_cast<int>(GetMaskBit(later.data(), p)), expected)
-          << "later: trial " << trial << " p " << p << " shift " << shift;
+      if (p - shift >= 0) later[p] = bits[p - shift];
+      if (p + shift < total) earlier[p] = bits[p + shift];
     }
+    std::vector<U64> out(v.size());
+    simd::ShiftToLater64(v.data(), out.data(), nwords, shift);
+    ASSERT_EQ(ToBits64(out.data(), nwords), later)
+        << "later: trial " << trial << " shift " << shift;
+    std::vector<U64> inplace = v;
+    simd::ShiftToLater64(inplace.data(), inplace.data(), nwords, shift);
+    ASSERT_EQ(inplace, out) << "later in place: trial " << trial;
 
-    std::vector<Word> earlier(v.size());
-    ShiftToEarlier(v.data(), earlier.data(), nwords, shift);
-    for (int p = 0; p < total; ++p) {
-      const int src = p + shift;
-      const int expected =
-          src < total ? bits[static_cast<std::size_t>(src)] : 0;
-      ASSERT_EQ(static_cast<int>(GetMaskBit(earlier.data(), p)), expected)
-          << "earlier: trial " << trial << " p " << p << " shift " << shift;
-    }
-  }
-}
-
-TEST(BitopsTest, InPlaceShiftsMatchOutOfPlace) {
-  Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int nwords = 1 + static_cast<int>(rng.Uniform(6));
-    const int shift = static_cast<int>(rng.Uniform(70));
-    std::vector<Word> v(static_cast<std::size_t>(nwords));
-    for (auto& w : v) w = rng.NextU32();
-    std::vector<Word> expected(v.size());
-    ShiftToLater(v.data(), expected.data(), nwords, shift);
-    std::vector<Word> inplace = v;
-    ShiftToLater(inplace.data(), inplace.data(), nwords, shift);
-    EXPECT_EQ(inplace, expected);
-
-    ShiftToEarlier(v.data(), expected.data(), nwords, shift);
+    simd::ShiftToEarlier64(v.data(), out.data(), nwords, shift);
+    ASSERT_EQ(ToBits64(out.data(), nwords), earlier)
+        << "earlier: trial " << trial << " shift " << shift;
     inplace = v;
-    ShiftToEarlier(inplace.data(), inplace.data(), nwords, shift);
-    EXPECT_EQ(inplace, expected);
+    simd::ShiftToEarlier64(inplace.data(), inplace.data(), nwords, shift);
+    ASSERT_EQ(inplace, out) << "earlier in place: trial " << trial;
   }
 }
 
-TEST(BitopsTest, CompressPairsOrHalfReducesBasePairs) {
-  // Base 0 = bits 31,30; base 15 = bits 1,0.
-  EXPECT_EQ(CompressPairsOrHalf(0), 0u);
-  EXPECT_EQ(CompressPairsOrHalf(0xC0000000u), 0x8000u);  // base 0 differs
-  EXPECT_EQ(CompressPairsOrHalf(0x40000000u), 0x8000u);  // one bit is enough
-  EXPECT_EQ(CompressPairsOrHalf(0x00000003u), 0x0001u);  // base 15
-  EXPECT_EQ(CompressPairsOrHalf(0xFFFFFFFFu), 0xFFFFu);
+TEST(BitopsTest, ReducePairsOr64MatchesPerBaseScan) {
+  Rng rng(21);
+  for (const int length :
+       {5, 16, 31, 32, 33, 63, 64, 65, 100, 150, 250, 511, 512}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      // Every bit of the input is random, the pad past `length` included.
+      std::vector<U64> diff(
+          static_cast<std::size_t>(simd::Words64(EncodedWords(length))));
+      for (U64& w : diff) w = rng.NextU64() & rng.NextU64();
+      const int nmask = simd::Words64(MaskWords(length));
+      std::vector<U64> mask(static_cast<std::size_t>(nmask));
+      simd::ReducePairsOr64(diff.data(), length, mask.data());
+      const std::vector<int> bits = ToBits64(mask.data(), nmask);
+      for (int i = 0; i < nmask * kWordBits64; ++i) {
+        const int pair =
+            i < length ? GetBit64(diff.data(), 2 * i) |
+                             GetBit64(diff.data(), 2 * i + 1)
+                       : 0;
+        ASSERT_EQ(bits[static_cast<std::size_t>(i)], pair)
+            << "length " << length << " base " << i;
+      }
+    }
+  }
 }
 
-TEST(BitopsTest, ReducePairsOrMatchesPerBaseScan) {
-  Rng rng(21);
-  for (const int length : {5, 16, 31, 32, 33, 100, 150, 250, 512}) {
-    std::vector<Word> diff(static_cast<std::size_t>(EncodedWords(length)));
-    for (auto& w : diff) w = rng.NextU32();
-    std::vector<Word> mask(static_cast<std::size_t>(MaskWords(length)));
-    ReducePairsOr(diff.data(), length, mask.data());
-    for (int i = 0; i < length; ++i) {
-      const unsigned pair = GetBase2Bit(diff.data(), i);
-      EXPECT_EQ(GetMaskBit(mask.data(), i), pair != 0 ? 1u : 0u)
-          << "length " << length << " base " << i;
+TEST(BitopsTest, ZeroTailBits64MatchesScalarModel) {
+  Rng rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<U64> v = RandomMask64(rng, trial);
+    const int nwords = static_cast<int>(v.size());
+    const int total = nwords * kWordBits64;
+    // Lengths on and beside a word boundary as often as anywhere else.
+    const int boundary = 64 * static_cast<int>(rng.Uniform(nwords + 1)) +
+                         static_cast<int>(rng.Uniform(3)) - 1;
+    const int length = trial % 2 == 0
+                           ? static_cast<int>(rng.Uniform(total + 1))
+                           : std::min(total, std::max(0, boundary));
+    std::vector<int> expected = ToBits64(v.data(), nwords);
+    std::fill(expected.begin() + length, expected.end(), 0);
+    simd::ZeroTailBits64(v.data(), nwords, length);
+    ASSERT_EQ(ToBits64(v.data(), nwords), expected)
+        << "trial " << trial << " length " << length;
+  }
+}
+
+TEST(BitopsTest, SetBitRange64MatchesScalarModel) {
+  Rng rng(29);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<U64> v = RandomMask64(rng, trial);
+    if (trial % 2 == 0) std::fill(v.begin(), v.end(), U64{0});
+    const int nwords = static_cast<int>(v.size());
+    const int total = nwords * kWordBits64;
+    int from = static_cast<int>(rng.Uniform(total + 1));
+    int to = static_cast<int>(rng.Uniform(total + 1));
+    if (from > to) std::swap(from, to);
+    std::vector<int> expected = ToBits64(v.data(), nwords);
+    std::fill(expected.begin() + from, expected.begin() + to, 1);
+    simd::SetBitRange64(v.data(), nwords, from, to);
+    ASSERT_EQ(ToBits64(v.data(), nwords), expected)
+        << "trial " << trial << " [" << from << ", " << to << ")";
+  }
+}
+
+TEST(BitopsTest, ZeroRunFrom64StopsAtAOneOrTheLength) {
+  // Maze rows are zero past the sequence; a run that reaches the end is
+  // clamped there, also when it runs on into the zero tail.  Stride 4
+  // walks the same row as one lane of a lane-major buffer.
+  constexpr int kLanes = 4;
+  Rng rng(37);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<U64> v = RandomMask64(rng, trial);
+    const int nwords = static_cast<int>(v.size());
+    const int length =
+        1 + static_cast<int>(rng.Uniform(nwords * kWordBits64));
+    simd::ZeroTailBits64(v.data(), nwords, length);
+    const std::vector<int> bits = ToBits64(v.data(), nwords);
+    std::vector<U64> lanes(static_cast<std::size_t>(nwords) * kLanes,
+                           ~U64{0});
+    for (int w = 0; w < nwords; ++w) {
+      lanes[static_cast<std::size_t>(w * kLanes + 1)] =
+          v[static_cast<std::size_t>(w)];
     }
-    // Tail bits must be zero.
-    for (int p = length; p < MaskWords(length) * kWordBits; ++p) {
-      EXPECT_EQ(GetMaskBit(mask.data(), p), 0u);
+    for (int pos = 0; pos < length; ++pos) {
+      int run = 0;
+      while (pos + run < length && bits[pos + run] == 0) ++run;
+      ASSERT_EQ(simd::ZeroRunFrom64(v.data(), nwords, pos, length), run)
+          << "trial " << trial << " pos " << pos << " length " << length;
+      ASSERT_EQ(
+          simd::ZeroRunFrom64(lanes.data() + 1, nwords, pos, length, kLanes),
+          run)
+          << "lane: trial " << trial << " pos " << pos;
     }
   }
 }
@@ -301,26 +299,6 @@ TEST(BitopsTest, AmendMatchesScalarModel) {
     ASSERT_EQ(ToBits64(v.data(), nwords), expected)
         << "trial " << trial << " words " << nwords;
   }
-}
-
-TEST(BitopsTest, ZeroTailBitsClearsBeyondLength) {
-  Word m[2] = {~Word{0}, ~Word{0}};
-  ZeroTailBits(m, 2, 40);
-  for (int p = 0; p < 40; ++p) EXPECT_EQ(GetMaskBit(m, p), 1u);
-  for (int p = 40; p < 64; ++p) EXPECT_EQ(GetMaskBit(m, p), 0u);
-}
-
-TEST(BitopsTest, SetBitRangeSetsExactRange) {
-  Word m[2] = {};
-  SetBitRange(m, 30, 35);
-  for (int p = 0; p < 64; ++p) {
-    EXPECT_EQ(GetMaskBit(m, p), (p >= 30 && p < 35) ? 1u : 0u) << p;
-  }
-}
-
-TEST(BitopsTest, PopcountWords) {
-  Word m[2] = {0xF0F0F0F0u, 0x1u};
-  EXPECT_EQ(PopcountWords(m, 2), 17);
 }
 
 }  // namespace

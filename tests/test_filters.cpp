@@ -2,12 +2,14 @@
 // SneakySnake) and the neighborhood map they share.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "align/needleman_wunsch.hpp"
 #include "encode/dna.hpp"
+#include "encode/encoded.hpp"
 #include "filters/gatekeeper.hpp"
 #include "filters/magnet.hpp"
 #include "filters/neighborhood.hpp"
@@ -39,25 +41,76 @@ std::vector<std::unique_ptr<PreAlignmentFilter>> AllFilters() {
   return filters;
 }
 
+/// Bit j of a maze row (column j; 0 = MSB of word 0).
+unsigned RowBit(const simd::U64* row, int j) {
+  return static_cast<unsigned>(
+      (row[j / simd::kWordBits64] >> (simd::kWordBits64 - 1 -
+                                      j % simd::kWordBits64)) &
+      1u);
+}
+
 TEST(NeighborhoodTest, DiagonalBitsMatchDirectComparison) {
+  // 'N' matches only 'N' in the character maze; columns past either end
+  // of the reference are mismatches; bits past the length stay 0.
   Rng rng(3);
   for (int trial = 0; trial < 50; ++trial) {
     const int length = 30 + static_cast<int>(rng.Uniform(100));
     const int e = 1 + static_cast<int>(rng.Uniform(8));
-    const std::string read = RandomSeq(rng, static_cast<std::size_t>(length));
-    const std::string ref = RandomSeq(rng, static_cast<std::size_t>(length));
+    std::string read = RandomSeq(rng, static_cast<std::size_t>(length));
+    std::string ref = RandomSeq(rng, static_cast<std::size_t>(length));
+    for (int n = 0; n < 3; ++n) {
+      const std::size_t at = rng.Uniform(static_cast<std::uint64_t>(length));
+      read[at] = 'N';
+      ref[rng.Uniform(2) == 0 ? at : rng.Uniform(ref.size())] = 'N';
+    }
     NeighborhoodMap map;
     map.Build(read, ref, e);
+    ASSERT_EQ(map.words(), simd::Words64(MaskWords(length)));
     for (int d = -e; d <= e; ++d) {
-      for (int j = 0; j < length; ++j) {
+      for (int j = 0; j < map.words() * simd::kWordBits64; ++j) {
         const int rj = j + d;
         const bool mismatch =
-            rj < 0 || rj >= length ||
-            read[static_cast<std::size_t>(j)] !=
-                ref[static_cast<std::size_t>(rj)];
-        ASSERT_EQ(GetMaskBit(map.Diagonal(d), j), mismatch ? 1u : 0u)
+            j < length &&
+            (rj < 0 || rj >= length ||
+             read[static_cast<std::size_t>(j)] !=
+                 ref[static_cast<std::size_t>(rj)]);
+        ASSERT_EQ(RowBit(map.Diagonal(d), j), mismatch ? 1u : 0u)
             << "d " << d << " j " << j;
       }
+    }
+  }
+}
+
+TEST(NeighborhoodTest, BuildEncodedMatchesBuildOnNFreePairs) {
+  // The batch paths' builder against the character builder, row for row,
+  // at every length the kernels take and e = 0-16 (past the length too).
+  Rng rng(17);
+  NeighborhoodMap chars;
+  NeighborhoodMap encoded;
+  for (int length = 1; length <= kMaxReadLength; ++length) {
+    const std::string read = RandomSeq(rng, static_cast<std::size_t>(length));
+    std::string ref = read;
+    for (int k = 0; k < 1 + length / 10; ++k) {
+      ref[rng.Uniform(ref.size())] = kBases[rng.NextU64() & 0x3u];
+    }
+    if (length % 3 == 0) ref = RandomSeq(rng, ref.size());
+    Word read32[kMaxEncodedWords];
+    Word ref32[kMaxEncodedWords];
+    EncodeSequence(read, read32);
+    EncodeSequence(ref, ref32);
+    simd::U64 read64[simd::kMaxWords64];
+    simd::U64 ref64[simd::kMaxWords64];
+    simd::PackWords64(read32, EncodedWords(length), read64);
+    simd::PackWords64(ref32, EncodedWords(length), ref64);
+    for (int e = 0; e <= 16; ++e) {
+      chars.Build(read, ref, e);
+      encoded.BuildEncoded(read64, ref64, length, e);
+      ASSERT_EQ(encoded.words(), chars.words());
+      const std::size_t n = static_cast<std::size_t>(2 * e + 1) *
+                            static_cast<std::size_t>(chars.words());
+      ASSERT_TRUE(std::equal(chars.Diagonal(-e), chars.Diagonal(-e) + n,
+                             encoded.Diagonal(-e)))
+          << "length " << length << " e " << e;
     }
   }
 }
@@ -66,11 +119,14 @@ TEST(NeighborhoodTest, ZeroRunFromScansCorrectly) {
   NeighborhoodMap map;
   //          0123456789
   map.Build("ACGTACGTAC", "ACGTACGTAC", 1);
-  EXPECT_EQ(map.ZeroRunFrom(0, 0), 10);  // exact match: all zeros
-  EXPECT_EQ(map.ZeroRunFrom(0, 7), 3);
-  EXPECT_EQ(map.ZeroRunFrom(0, 10), 0);
+  const auto run = [&](int d, int j) {
+    return simd::ZeroRunFrom64(map.Diagonal(d), map.words(), j, map.length());
+  };
+  EXPECT_EQ(run(0, 0), 10);  // exact match: all zeros
+  EXPECT_EQ(run(0, 7), 3);
+  EXPECT_EQ(run(0, 10), 0);
   // Diagonal +1 compares read[j] vs ref[j+1]; out of range at j=9.
-  EXPECT_EQ(map.ZeroRunFrom(1, 9), 0);
+  EXPECT_EQ(run(1, 9), 0);
 }
 
 TEST(NeighborhoodTest, LongestZeroRunFindsTheLongest) {
