@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -146,13 +148,19 @@ struct MapServer::Impl {
   std::atomic<bool> serving_{false};
   std::mutex threads_mu_;
   std::vector<std::thread> session_threads_;
+  /// Every session accepted and not yet ended, plus those ended since the
+  /// last accept (guarded by threads_mu_): a failed mapping run fails its
+  /// sessions through this list, since the chunks it had taken die with
+  /// it.
+  std::vector<SessionPtr> sessions_;
 
   // --- the shared read queue (the cross-request coalescer's input) ------
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;        // consumer: work available
   std::condition_variable queue_space_cv_;  // producers: room available
   std::deque<QueuedRead> queue_;
-  bool input_closed_ = false;  // no producer will ever push again
+  bool input_closed_ = false;  // drained, or the mapping run failed
+  std::exception_ptr map_error_;  // the mapping run died of it
 
   // --- statistics -------------------------------------------------------
   // All counting goes through the metrics registry (obs/names.hpp);
@@ -184,12 +192,16 @@ struct MapServer::Impl {
             .count());
   }
 
+  /// Sends kError (once, whichever failure comes first) and ends the
+  /// session.
   void FailSession(const SessionPtr& s, const std::string& why) {
-    TrySend(s, FrameType::kError, why);
+    if (!s->done_sent.exchange(true)) {
+      TrySend(s, FrameType::kError, why);
+      CloseoutSession(s, "failed");
+    }
     s->dead.store(true, std::memory_order_release);
     s->input_done.store(true, std::memory_order_release);
     ::shutdown(s->fd, SHUT_RDWR);
-    if (!s->done_sent.exchange(true)) CloseoutSession(s, "failed");
   }
 
   /// Completes the session once every admitted read has retired: flushes
@@ -326,8 +338,10 @@ struct MapServer::Impl {
     }
     obs::ServeReads().Inc();
     std::unique_lock<std::mutex> lock(queue_mu_);
-    queue_space_cv_.wait(lock,
-                         [&] { return queue_.size() < kQueueCapacity; });
+    queue_space_cv_.wait(lock, [&] {
+      return queue_.size() < kQueueCapacity || map_error_ != nullptr;
+    });
+    if (map_error_ != nullptr) std::rethrow_exception(map_error_);
     queue_.push_back({s, std::move(rec.name), std::move(rec.seq)});
     lock.unlock();
     queue_cv_.notify_one();
@@ -407,10 +421,61 @@ struct MapServer::Impl {
         workers, pipeline::ReadChunkMapper(mapper_, filter, stages));
     const auto take = [&](ServedChunk& chunk) { return TakeChunk(chunk); };
     const auto map = [&](ServedChunk& chunk, std::size_t worker) {
-      chunk_mappers[worker].Map(chunk.in, &chunk.out);
+      try {
+        chunk_mappers[worker].Map(chunk.in, &chunk.out);
+      } catch (...) {
+        // Idle workers wait in TakeChunk; the run ends only once they
+        // stop taking.
+        {
+          std::lock_guard<std::mutex> lock(queue_mu_);
+          input_closed_ = true;
+        }
+        queue_cv_.notify_all();
+        throw;
+      }
     };
     const auto emit = [&](ServedChunk& chunk) { EmitChunk(chunk); };
     pipeline::RunOrderedChunks<ServedChunk>(pool, workers, take, map, emit);
+  }
+
+  /// The mapping run died of `error`: sessions waiting on admission fail
+  /// with it, so do those with reads admitted but never retired, and the
+  /// accept loop stops; Run() rethrows it after the drain.
+  void FailRun(std::exception_ptr error, const std::string& why) {
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      map_error_ = error;
+      queue_.clear();
+    }
+    queue_space_cv_.notify_all();
+    std::vector<SessionPtr> live;
+    {
+      std::lock_guard<std::mutex> lock(threads_mu_);
+      live = sessions_;
+    }
+    for (const SessionPtr& s : live) {
+      if (s->retired.load(std::memory_order_acquire) <
+          s->enqueued.load(std::memory_order_acquire)) {
+        FailSession(s, why);
+      }
+    }
+    Shutdown();
+  }
+
+  /// This server's counters: the registry's minus the baseline.
+  ServeStats Stats() const {
+    const ServeStats now = ReadRegistryServeStats();
+    ServeStats s;
+    s.sessions_accepted = now.sessions_accepted - baseline_.sessions_accepted;
+    s.sessions_completed =
+        now.sessions_completed - baseline_.sessions_completed;
+    s.sessions_failed = now.sessions_failed - baseline_.sessions_failed;
+    s.reads = now.reads - baseline_.reads;
+    s.skipped_reads = now.skipped_reads - baseline_.skipped_reads;
+    s.records = now.records - baseline_.records;
+    s.batches = now.batches - baseline_.batches;
+    s.coalesced_batches = now.coalesced_batches - baseline_.coalesced_batches;
+    return s;
   }
 
   // --- accept loop ------------------------------------------------------
@@ -442,7 +507,11 @@ struct MapServer::Impl {
 
     std::thread map_thread([this, &filter] {
       util::SetCurrentThreadName("gkgpu-servemap");
-      MapLoop(filter);
+      try {
+        MapLoop(filter);
+      } catch (const std::exception& e) {
+        FailRun(std::current_exception(), e.what());
+      }
     });
     util::SetCurrentThreadName("gkgpu-accept");
     serving_.store(true, std::memory_order_release);
@@ -475,6 +544,10 @@ struct MapServer::Impl {
       obs::ServeSessions("accepted").Inc();
       obs::ServeSessionsActive().Add(1);
       std::lock_guard<std::mutex> lock(threads_mu_);
+      std::erase_if(sessions_, [](const SessionPtr& s) {
+        return s->done_sent.load(std::memory_order_acquire);
+      });
+      sessions_.push_back(session);
       session_threads_.emplace_back(
           [this, session = std::move(session)]() mutable {
             SessionMain(std::move(session));
@@ -502,25 +575,21 @@ struct MapServer::Impl {
 
     // One structured line on drain so an operator's log shows what the
     // daemon did before it honored SIGTERM.
-    const ServeStats now = ReadRegistryServeStats();
+    const ServeStats now = Stats();
     std::fprintf(
         stderr,
         "gkgpu-serve: drained sessions_accepted=%llu sessions_completed=%llu "
         "sessions_failed=%llu reads=%llu skipped_reads=%llu records=%llu "
         "batches=%llu coalesced_batches=%llu\n",
-        static_cast<unsigned long long>(now.sessions_accepted -
-                                        baseline_.sessions_accepted),
-        static_cast<unsigned long long>(now.sessions_completed -
-                                        baseline_.sessions_completed),
-        static_cast<unsigned long long>(now.sessions_failed -
-                                        baseline_.sessions_failed),
-        static_cast<unsigned long long>(now.reads - baseline_.reads),
-        static_cast<unsigned long long>(now.skipped_reads -
-                                        baseline_.skipped_reads),
-        static_cast<unsigned long long>(now.records - baseline_.records),
-        static_cast<unsigned long long>(now.batches - baseline_.batches),
-        static_cast<unsigned long long>(now.coalesced_batches -
-                                        baseline_.coalesced_batches));
+        static_cast<unsigned long long>(now.sessions_accepted),
+        static_cast<unsigned long long>(now.sessions_completed),
+        static_cast<unsigned long long>(now.sessions_failed),
+        static_cast<unsigned long long>(now.reads),
+        static_cast<unsigned long long>(now.skipped_reads),
+        static_cast<unsigned long long>(now.records),
+        static_cast<unsigned long long>(now.batches),
+        static_cast<unsigned long long>(now.coalesced_batches));
+    if (map_error_ != nullptr) std::rethrow_exception(map_error_);
   }
 
   void Shutdown() noexcept {
@@ -550,19 +619,6 @@ bool MapServer::serving() const noexcept {
   return impl_->serving_.load(std::memory_order_acquire);
 }
 
-ServeStats MapServer::stats() const {
-  const ServeStats now = ReadRegistryServeStats();
-  const ServeStats& base = impl_->baseline_;
-  ServeStats s;
-  s.sessions_accepted = now.sessions_accepted - base.sessions_accepted;
-  s.sessions_completed = now.sessions_completed - base.sessions_completed;
-  s.sessions_failed = now.sessions_failed - base.sessions_failed;
-  s.reads = now.reads - base.reads;
-  s.skipped_reads = now.skipped_reads - base.skipped_reads;
-  s.records = now.records - base.records;
-  s.batches = now.batches - base.batches;
-  s.coalesced_batches = now.coalesced_batches - base.coalesced_batches;
-  return s;
-}
+ServeStats MapServer::stats() const { return impl_->Stats(); }
 
 }  // namespace gkgpu::serve

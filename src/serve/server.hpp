@@ -24,7 +24,10 @@
 //
 // Shutdown drains: no new connections, in-flight sessions run to
 // completion (bounded by the per-request timeout), the workers retire
-// every queued read, then Run() returns.
+// every queued read, then Run() returns.  A chunk worker's error (a
+// corrupt index bucket, say) fails the run instead: every session with
+// reads in flight, or waiting to admit one, gets kError naming it, the
+// daemon stops accepting and drains, and Run() rethrows it.
 #ifndef GKGPU_SERVE_SERVER_HPP
 #define GKGPU_SERVE_SERVER_HPP
 
@@ -97,7 +100,7 @@ class MapServer {
 
   /// Binds the socket and serves until Shutdown(); returns after the
   /// drain completes.  Throws std::runtime_error if the socket cannot be
-  /// bound.
+  /// bound, and after the drain the error a chunk worker failed with.
   void Run();
 
   /// Async-signal-safe shutdown request (a write to the self-pipe);

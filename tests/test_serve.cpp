@@ -3,7 +3,8 @@
 // concurrent clients demultiplexed onto their own byte-identical SAM
 // streams (with cross-request chunk coalescing observed in the stats),
 // every streaming driver's SAM under No Filter, GateKeeper and
-// SneakySnake, wrong-length and malformed inputs, and shutdown drain.
+// SneakySnake, wrong-length and malformed inputs, a chunk worker's error
+// (a corrupt index bucket), and shutdown drain.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -11,8 +12,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,8 +24,10 @@
 
 #include "filters/gatekeeper.hpp"
 #include "filters/sneakysnake.hpp"
+#include "io/index_io.hpp"
 #include "io/paired_fastq.hpp"
 #include "io/reference.hpp"
+#include "mapper/index.hpp"
 #include "mapper/mapper.hpp"
 #include "mapper/sam.hpp"
 #include "paired/paired.hpp"
@@ -489,6 +494,71 @@ TEST_F(ServeTest, AbruptCloseMidFrameIsMalformedNotTimeout) {
         ::close(fd);
       });
   EXPECT_EQ(stats.sessions_failed, 1u);
+}
+
+TEST_F(ServeTest, CorruptIndexBucketFailsTheSessionAndTheRunByName) {
+  // A chunk worker's error fails the run: the client gets kError naming
+  // it, and Run() rethrows it after the drain instead of aborting.  Raise
+  // the offset of a read's first seed in shard 0 of a written index
+  // (geometry as in test_index_io's CorruptBucketOffsetIsANamedMappingError).
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("gkgpu_serve_corrupt_" + std::to_string(::getpid()) + ".gki"))
+          .string();
+  BuildAndWriteIndexFile(path, ref_, 8);
+  const std::string read(ref_.text().substr(1000, kReadLength));
+  const std::int64_t code = EncodeKmer(read.data(), 8);
+  ASSERT_GE(code, 0);
+  std::uint64_t shard_table = 0, offsets = 0;
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(128);
+    in.read(reinterpret_cast<char*>(&shard_table), sizeof(shard_table));
+    in.seekg(static_cast<std::streamoff>(shard_table + 32));
+    in.read(reinterpret_cast<char*>(&offsets), sizeof(offsets));
+  }
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t raised = 0xFFFFFF00u;
+    f.seekp(static_cast<std::streamoff>(offsets + 4 * code));
+    f.write(reinterpret_cast<const char*>(&raised), sizeof(raised));
+  }
+  const MappedIndexFile mapped = MappedIndexFile::Open(path);
+  MapperConfig mcfg;
+  mcfg.k = 8;
+  mcfg.read_length = kReadLength;
+  mcfg.error_threshold = kErrors;
+  mcfg.verify_threads = 2;
+  const ReadMapper mapper(mapped.reference(), mapped.seed_index().Alias(),
+                          mapped.encoding(), mcfg);
+  const serve::ServeConfig scfg = BaseConfig();
+  serve::MapServer server(mapper, &gatekeeper_, scfg);
+  std::string run_error = "Run() returned";
+  std::thread run([&] {
+    try {
+      server.Run();
+    } catch (const std::runtime_error& e) {
+      run_error = e.what();
+    }
+  });
+  for (int i = 0; i < 2000 && !server.serving(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::string client_error = "no error";
+  try {
+    std::istringstream fastq(MakeFastq("c", {read}));
+    std::ostringstream sam;
+    serve::MapOverSocket(scfg.socket_path, fastq, sam);
+  } catch (const std::runtime_error& e) {
+    client_error = e.what();
+  }
+  run.join();  // the failed run stops the server by itself
+  std::filesystem::remove(path);
+  EXPECT_NE(client_error.find("corrupt index offsets"), std::string::npos)
+      << client_error;
+  EXPECT_NE(run_error.find("corrupt index offsets"), std::string::npos)
+      << run_error;
+  EXPECT_EQ(server.stats().sessions_failed, 1u);
 }
 
 TEST_F(ServeTest, ShutdownWithoutClientsDrainsCleanly) {

@@ -1096,6 +1096,11 @@ int ServeCmd(const Args& args) {
   const PreAlignmentFilter* filter = MappingFilter(args, length);
 
   serve::MapServer server(mapper, filter, scfg);
+  // The signal handler must never see a destroyed server, also when Run
+  // throws (a chunk worker's error fails the run).
+  struct ClearServer {
+    ~ClearServer() { g_server = nullptr; }
+  } clear_server;
   g_server = &server;
   std::signal(SIGTERM, HandleServeSignal);
   std::signal(SIGINT, HandleServeSignal);
@@ -1106,7 +1111,6 @@ int ServeCmd(const Args& args) {
               mcfg.error_threshold, scfg.threads);
   std::fflush(stdout);
   server.Run();
-  g_server = nullptr;
 
   const serve::ServeStats stats = server.stats();
   TablePrinter t({"metric", "value"});
