@@ -18,6 +18,11 @@ constexpr double kOpsPerMaskWordPerMask = 18.0;
 constexpr double kOpsPerBaseEncode = 6.0;
 constexpr double kLocalBytesPerWordPerMask = 12.0;
 constexpr double kLocalBytesPerBaseEncode = 8.0;
+
+// Threads per block in the paper's shipping configuration, and the share
+// of free global memory the configuration step may claim.
+constexpr int kThreadsPerBlock = 1024;
+constexpr double kMemSafetyFactor = 0.85;
 }  // namespace
 
 std::size_t EstimateThreadLoad(int length, int e) {
@@ -62,8 +67,8 @@ SystemPlan ConfigureSystem(const gpusim::Device& device,
   assert(config.error_threshold < config.read_length);
 
   SystemPlan plan;
-  plan.threads_per_block = std::min(config.threads_per_block,
-                                    device.props().max_threads_per_block);
+  plan.threads_per_block =
+      std::min(kThreadsPerBlock, device.props().max_threads_per_block);
   plan.thread_load_bytes =
       EstimateThreadLoad(config.read_length, config.error_threshold);
   plan.kernel_cost =
@@ -84,7 +89,7 @@ SystemPlan ConfigureSystem(const gpusim::Device& device,
                            sizeof(std::int64_t) + 4 /* result */;
 
   const double budget =
-      static_cast<double>(device.FreeGlobalMem()) * config.mem_safety_factor;
+      static_cast<double>(device.FreeGlobalMem()) * kMemSafetyFactor;
   std::size_t pairs = static_cast<std::size_t>(
       budget / static_cast<double>(plan.pair_buffer_bytes));
   // Round down to whole blocks and keep the grid within a sane bound.
@@ -93,10 +98,6 @@ SystemPlan ConfigureSystem(const gpusim::Device& device,
   pairs = std::max(per_block, pairs - pairs % per_block);
   constexpr std::size_t kMaxPairsPerLaunch = std::size_t{1} << 26;  // 67M
   plan.pairs_per_batch = std::min(pairs, kMaxPairsPerLaunch);
-  if (config.max_pairs_per_batch > 0) {
-    plan.pairs_per_batch =
-        std::min(plan.pairs_per_batch, config.max_pairs_per_batch);
-  }
   return plan;
 }
 

@@ -3,12 +3,14 @@
 // batch size (filtrations per kernel call), and the launch geometry, "to
 // fully utilize GPU for boosting performance ... without the user's
 // concern".  In the multi-GPU model every device receives an equal batch.
+// The launch geometry is the paper's shipping one (1,024 threads per
+// block, or the device's limit) and the batch claims 85% of the free
+// global memory; neither is a knob.
 #ifndef GKGPU_CORE_CONFIG_HPP
 #define GKGPU_CORE_CONFIG_HPP
 
 #include <cstddef>
 
-#include "filters/gatekeeper_core.hpp"
 #include "gpusim/device.hpp"
 
 namespace gkgpu {
@@ -27,17 +29,9 @@ struct EngineConfig {
   int read_length = 100;
   int error_threshold = 5;
   EncodingActor encoding = EncodingActor::kHost;
-  GateKeeperParams algorithm{};
   /// Maximum reads batched per kernel round in mapper mode (Table 1: the
   /// paper finds 100,000 the sweet spot for mrFAST).
   std::size_t max_reads_per_batch = 100000;
-  int threads_per_block = 1024;
-  /// Fraction of free global memory the configuration step may claim.
-  double mem_safety_factor = 0.85;
-  /// Optional cap on filtrations per kernel call (0 = derive from free
-  /// device memory).  Lets callers trade batch size for memory, and lets
-  /// tests exercise multi-round execution.
-  std::size_t max_pairs_per_batch = 0;
 };
 
 /// The derived execution plan for one device.
@@ -56,7 +50,7 @@ std::size_t EstimateThreadLoad(int length, int e);
 
 /// Operation/byte cost model of one kernel thread, used by the simulated
 /// device's timing.  Constants are calibrated so the reproduced tables
-/// match the paper's relative shapes (see EXPERIMENTS.md).
+/// match the paper's relative shapes (the bench_* harnesses print them).
 gpusim::KernelCost EstimateKernelCost(int length, int e, bool device_encodes);
 
 /// Runs the system-configuration step against a device.  Throws

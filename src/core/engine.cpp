@@ -16,27 +16,9 @@ using gpusim::Device;
 using gpusim::LaunchConfig;
 using gpusim::UnifiedBuffer;
 
-namespace {
-
-// Folds one device-kernel batch into the filter funnel.  The simulated
-// GPU always runs the GateKeeper kernel, so the filter label is fixed
-// and the tier distinguishes this path from the host SIMD tiers.
-void RecordEngineFunnel(std::uint64_t pairs, std::uint64_t accepted,
-                        std::uint64_t bypassed) {
-  if (!obs::Enabled() || pairs == 0) return;
-  obs::FilterInput().Inc(pairs);
-  obs::FilterAccepts("GateKeeper-GPU", "gpusim").Inc(accepted);
-  obs::FilterRejects("GateKeeper-GPU", "gpusim").Inc(pairs - accepted);
-  if (bypassed > 0) {
-    obs::FilterBypasses("GateKeeper-GPU", "gpusim").Inc(bypassed);
-  }
-}
-
-}  // namespace
-
 /// Per-device unified-memory working set (Sec. 3.2 resource allocation).
 /// The two modes share reads_enc, bypass and results at different sizes,
-/// so each mode's Ensure step sizes every buffer it uses (EnsureBuffer).
+/// so each mode sizes every buffer it uses (EnsureBuffer) on every call.
 struct GateKeeperGpuEngine::DeviceBuffers {
   // Pair mode, host-encoded; candidate mode's read table and its bypass.
   std::unique_ptr<UnifiedBuffer> reads_enc;
@@ -66,48 +48,12 @@ GateKeeperGpuEngine::~GateKeeperGpuEngine() = default;
 
 namespace {
 
-struct TransferLedger {
-  std::uint64_t h2d = 0;
-  std::uint64_t d2h = 0;
-  std::uint64_t faults = 0;
-
-  static TransferLedger Snapshot(const std::vector<Device*>& devices) {
-    TransferLedger t;
-    for (const Device* d : devices) {
-      t.h2d += d->stats().h2d_bytes;
-      t.d2h += d->stats().d2h_bytes;
-      t.faults += d->stats().page_faults;
-    }
-    return t;
-  }
-};
-
-/// Prefetches the given input buffers ahead of a kernel, one per stream as
-/// the paper does, so the link time of a round is the max, not the sum.
-double PrefetchAll(std::initializer_list<UnifiedBuffer*> buffers) {
-  double max_s = 0.0;
-  for (UnifiedBuffer* b : buffers) {
-    if (b == nullptr) continue;
-    b->Advise(gpusim::MemAdvice::kPreferredLocationDevice);
-    max_s = std::max(max_s, b->PrefetchToDevice());
-  }
-  return max_s;
-}
-
 /// Allocates `*buffer` on `dev` unless it already holds `bytes`.
 void EnsureBuffer(Device* dev, std::unique_ptr<UnifiedBuffer>* buffer,
                   std::size_t bytes) {
   if (*buffer == nullptr || (*buffer)->bytes() < bytes) {
     *buffer = dev->AllocateUnified(bytes);
   }
-}
-
-double FaultAll(std::initializer_list<UnifiedBuffer*> buffers) {
-  double sum_s = 0.0;
-  for (UnifiedBuffer* b : buffers) {
-    if (b != nullptr) sum_s += b->FaultToDevice();
-  }
-  return sum_s;
 }
 
 /// Runs fn(di) for every device concurrently — one host thread per device,
@@ -133,163 +79,136 @@ double ConcurrentPerDevice(std::size_t ndev,
 
 }  // namespace
 
-void GateKeeperGpuEngine::EnsurePairBuffers(std::size_t capacity) {
-  const std::size_t enc_bytes =
-      capacity * static_cast<std::size_t>(EncodedWords(config_.read_length)) *
-      sizeof(Word);
-  const std::size_t raw_bytes =
-      capacity * static_cast<std::size_t>(config_.read_length);
-  for (std::size_t di = 0; di < devices_.size(); ++di) {
-    Device* dev = devices_[di];
-    DeviceBuffers& b = *buffers_[di];
-    if (config_.encoding == EncodingActor::kHost) {
-      EnsureBuffer(dev, &b.reads_enc, enc_bytes);
-      EnsureBuffer(dev, &b.refs_enc, enc_bytes);
-      EnsureBuffer(dev, &b.bypass, capacity);
-    } else {
-      EnsureBuffer(dev, &b.raw_reads, raw_bytes);
-      EnsureBuffer(dev, &b.raw_refs, raw_bytes);
-    }
-    EnsureBuffer(dev, &b.results, capacity * sizeof(PairResult));
-  }
+std::size_t GateKeeperGpuEngine::SliceCapacity(std::size_t n) const {
+  const std::size_t ndev = devices_.size();
+  return std::min(plan_.pairs_per_batch, (n + ndev - 1) / ndev);
 }
 
-/// Host preprocessing of `count` pairs into a buffer set: the encode/copy
-/// work one CPU thread performs per device slice of a FilterPairs round.
-void GateKeeperGpuEngine::EncodePairsInto(DeviceBuffers* b,
-                                          const std::string* reads,
-                                          const std::string* refs,
-                                          std::size_t count) {
-  const std::size_t words =
-      static_cast<std::size_t>(EncodedWords(config_.read_length));
-  const std::size_t len = static_cast<std::size_t>(config_.read_length);
-  if (config_.encoding == EncodingActor::kHost) {
-    Word* renc = b->reads_enc->as<Word>();
-    Word* genc = b->refs_enc->as<Word>();
-    std::uint8_t* byp = b->bypass->as<std::uint8_t>();
-    for (std::size_t i = 0; i < count; ++i) {
-      const bool rn = EncodeSequence(reads[i], renc + i * words);
-      const bool gn = EncodeSequence(refs[i], genc + i * words);
-      byp[i] = (rn || gn) ? 1 : 0;
-    }
-    b->reads_enc->MarkHostResident();
-    b->refs_enc->MarkHostResident();
-    b->bypass->MarkHostResident();
-  } else {
-    char* rr = b->raw_reads->as<char>();
-    char* gg = b->raw_refs->as<char>();
-    for (std::size_t i = 0; i < count; ++i) {
-      std::memcpy(rr + i * len, reads[i].data(), len);
-      std::memcpy(gg + i * len, refs[i].data(), len);
-    }
-    b->raw_reads->MarkHostResident();
-    b->raw_refs->MarkHostResident();
-  }
-  b->results->MarkHostResident();
-}
-
-/// Device stage for one encoded buffer set: advice + prefetch (or demand
-/// migration), kernel launch and result migration.  FilterPairs reads all
-/// devices' results back concurrently afterwards, so the returned counts
-/// are 0.
-StreamBatchStats GateKeeperGpuEngine::RunPairsKernel(Device* dev,
-                                                     DeviceBuffers* b,
-                                                     std::size_t count) {
-  StreamBatchStats st;
-  if (count == 0) return st;
-  const std::size_t words =
-      static_cast<std::size_t>(EncodedWords(config_.read_length));
-  double prefetch_s = 0.0;
-  double fault_s = 0.0;
-  if (dev->props().supports_prefetch()) {
-    prefetch_s = config_.encoding == EncodingActor::kHost
-                     ? PrefetchAll({b->reads_enc.get(), b->refs_enc.get(),
-                                    b->bypass.get(), b->results.get()})
-                     : PrefetchAll({b->raw_reads.get(), b->raw_refs.get(),
-                                    b->results.get()});
-  } else {
-    fault_s = config_.encoding == EncodingActor::kHost
-                  ? FaultAll({b->reads_enc.get(), b->refs_enc.get(),
-                              b->bypass.get(), b->results.get()})
-                  : FaultAll({b->raw_reads.get(), b->raw_refs.get(),
-                              b->results.get()});
-  }
-
-  const LaunchConfig cfg{
-      static_cast<std::int64_t>((count + plan_.threads_per_block - 1) /
-                                plan_.threads_per_block),
-      plan_.threads_per_block};
-  // The kernel is a thin view over the buffer set's unified-memory PairBlock;
-  // the block's shape (encoded vs raw) selects the encoding actor.
-  PairBlockKernel kernel;
-  kernel.block.size = count;
-  kernel.block.length = config_.read_length;
-  kernel.block.words_per_seq = static_cast<int>(words);
-  if (config_.encoding == EncodingActor::kHost) {
-    kernel.block.reads_enc = b->reads_enc->as<Word>();
-    kernel.block.refs_enc = b->refs_enc->as<Word>();
-    kernel.block.bypass = b->bypass->as<std::uint8_t>();
-  } else {
-    kernel.block.raw_reads = b->raw_reads->as<char>();
-    kernel.block.raw_refs = b->raw_refs->as<char>();
-  }
-  kernel.results = b->results->as<PairResult>();
-  kernel.e = config_.error_threshold;
-  kernel.params = config_.algorithm;
-  st.kernel_seconds = dev->Launch(cfg, plan_.kernel_cost, fault_s, kernel);
-  b->results->MarkDeviceResident();
-  const double d2h_s = b->results->FaultToHost();
-  st.transfer_seconds = prefetch_s + d2h_s;
-  return st;
-}
-
-/// Device stage for one encoded candidate buffer set: the kernel extracts
-/// each candidate's reference window from the device-resident encoded
-/// genome (ref_buffers_), so only reads, the candidate table and results
-/// cross the bus per batch.
-StreamBatchStats GateKeeperGpuEngine::RunCandidatesKernel(std::size_t di,
-                                                          DeviceBuffers* b,
-                                                          std::size_t count) {
-  StreamBatchStats st;
-  if (count == 0) return st;
-  assert(HasReference());
+StreamBatchStats GateKeeperGpuEngine::Launch(
+    std::size_t di, const PairBlock& block,
+    const std::vector<UnifiedBuffer*>& inputs) {
   Device* dev = devices_[di];
-  const std::size_t words =
-      static_cast<std::size_t>(EncodedWords(config_.read_length));
-
-  double prefetch_s = 0.0;
+  UnifiedBuffer* results = buffers_[di]->results.get();
+  StreamBatchStats st;
+  // Prefetch-capable devices move each input on its own stream, so the
+  // link time is the slowest one; the others stall the kernel on each
+  // buffer in turn.
+  const bool prefetch = dev->props().supports_prefetch();
   double fault_s = 0.0;
-  if (dev->props().supports_prefetch()) {
-    prefetch_s = PrefetchAll(
-        {b->reads_enc.get(), b->bypass.get(), b->cand.get(), b->results.get()});
-  } else {
-    fault_s = FaultAll({b->reads_enc.get(), b->bypass.get(), b->cand.get(),
-                        b->results.get(), ref_buffers_[di].get(),
-                        ref_nmask_buffers_[di].get()});
+  for (UnifiedBuffer* b : inputs) {
+    if (prefetch) {
+      b->Advise(gpusim::MemAdvice::kPreferredLocationDevice);
+      st.transfer_seconds =
+          std::max(st.transfer_seconds, b->PrefetchToDevice());
+    } else {
+      fault_s += b->FaultToDevice();
+    }
+  }
+  const int threads = plan_.threads_per_block;
+  const LaunchConfig cfg{
+      static_cast<std::int64_t>((block.size + threads - 1) / threads),
+      threads};
+  st.kernel_seconds =
+      dev->Launch(cfg, plan_.kernel_cost, fault_s,
+                  PairBlockKernel{block, results->as<PairResult>(),
+                                  config_.error_threshold});
+  results->MarkDeviceResident();
+  st.transfer_seconds += results->FaultToHost();
+  return st;
+}
+
+void GateKeeperGpuEngine::RunRounds(std::size_t capacity,
+                                    const std::vector<DeviceInput>& inputs,
+                                    const Prepare& prepare,
+                                    double FilterRunStats::*prepare_seconds,
+                                    FilterRunStats* stats,
+                                    std::vector<PairResult>* results) {
+  const std::size_t n = results->size();
+  const std::size_t ndev = devices_.size();
+  double device_pipeline_seconds = 0.0;
+  struct Slice {
+    std::size_t begin = 0;
+    std::size_t count = 0;
+  };
+  std::size_t offset = 0;
+  while (offset < n) {
+    // Equal batches per device (Sec. 3.1): carve this round's slices.
+    std::vector<Slice> slices(ndev);
+    for (std::size_t di = 0; di < ndev && offset < n; ++di) {
+      slices[di] = {offset, std::min(capacity, n - offset)};
+      offset += slices[di].count;
+    }
+
+    // --- Host preprocessing: one CPU thread feeds each device, serial
+    // within a slice (the paper's encode/copy cost is host-sequential per
+    // device, which is exactly why the encoding actor matters). ---
+    stats->*prepare_seconds += ConcurrentPerDevice(ndev, [&](std::size_t di) {
+      const Slice s = slices[di];
+      if (s.count == 0) return;
+      prepare(di, s.begin, s.count);
+      buffers_[di]->results->MarkHostResident();
+    });
+
+    // --- Per device: one launch.  Kernels execute sequentially here (they
+    // share the physical host), but the simulated timeline treats devices
+    // as parallel: the round's kernel time is the per-device maximum. ---
+    double round_kt = 0.0;
+    double round_transfer = 0.0;
+    for (std::size_t di = 0; di < ndev; ++di) {
+      if (slices[di].count == 0) continue;
+      PairBlock block = inputs[di].block;
+      block.size = slices[di].count;
+      block.length = config_.read_length;
+      block.words_per_seq = EncodedWords(config_.read_length);
+      const StreamBatchStats st = Launch(di, block, inputs[di].buffers);
+      round_kt = std::max(round_kt, st.kernel_seconds);
+      round_transfer = std::max(round_transfer, st.transfer_seconds);
+    }
+
+    // --- Results read-out: concurrent per device, like the prep. ---
+    std::vector<std::uint64_t> acc(ndev, 0);
+    std::vector<std::uint64_t> byp(ndev, 0);
+    stats->host_copy_seconds += ConcurrentPerDevice(ndev, [&](std::size_t di) {
+      const Slice s = slices[di];
+      const PairResult* res = buffers_[di]->results->as<PairResult>();
+      for (std::size_t i = 0; i < s.count; ++i) {
+        const PairResult r = res[i];
+        (*results)[s.begin + i] = r;
+        acc[di] += r.accept;
+        byp[di] += r.bypassed;
+      }
+    });
+    for (std::size_t di = 0; di < ndev; ++di) {
+      stats->accepted += acc[di];
+      stats->rejected += slices[di].count - acc[di];
+      stats->bypassed += byp[di];
+    }
+
+    stats->kernel_seconds += round_kt;
+    stats->transfer_seconds += round_transfer;
+    // Prefetch-capable devices overlap the next round's transfers with the
+    // current kernel; without prefetch the migration stalls already sit
+    // inside the kernel time.
+    device_pipeline_seconds +=
+        devices_.front()->props().supports_prefetch()
+            ? std::max(round_kt, round_transfer)
+            : round_kt + round_transfer;
+    ++stats->batches;
   }
 
-  const LaunchConfig cfg{
-      static_cast<std::int64_t>((count + plan_.threads_per_block - 1) /
-                                plan_.threads_per_block),
-      plan_.threads_per_block};
-  PairBlockKernel kernel;
-  kernel.block.size = count;
-  kernel.block.length = config_.read_length;
-  kernel.block.words_per_seq = static_cast<int>(words);
-  kernel.block.reads_enc = b->reads_enc->as<Word>();
-  kernel.block.bypass = b->bypass->as<std::uint8_t>();
-  kernel.block.candidates = b->cand->as<CandidatePair>();
-  kernel.block.ref_words = ref_buffers_[di]->as<Word>();
-  kernel.block.ref_n_mask = ref_nmask_buffers_[di]->as<Word>();
-  kernel.block.ref_len = ref_length_;
-  kernel.results = b->results->as<PairResult>();
-  kernel.e = config_.error_threshold;
-  kernel.params = config_.algorithm;
-  st.kernel_seconds = dev->Launch(cfg, plan_.kernel_cost, fault_s, kernel);
-  b->results->MarkDeviceResident();
-  const double d2h_s = b->results->FaultToHost();
-  st.transfer_seconds = prefetch_s + d2h_s;
-  return st;
+  stats->filter_seconds = stats->host_encode_seconds +
+                          stats->host_copy_seconds + device_pipeline_seconds;
+  // The filter funnel: the simulated GPU always runs the GateKeeper
+  // kernel, so the filter label is fixed and the tier sets this path apart
+  // from the host SIMD tiers.
+  if (obs::Enabled() && n > 0) {
+    obs::FilterInput().Inc(n);
+    obs::FilterAccepts("GateKeeper-GPU", "gpusim").Inc(stats->accepted);
+    obs::FilterRejects("GateKeeper-GPU", "gpusim").Inc(stats->rejected);
+    if (stats->bypassed > 0) {
+      obs::FilterBypasses("GateKeeper-GPU", "gpusim").Inc(stats->bypassed);
+    }
+  }
 }
 
 FilterRunStats GateKeeperGpuEngine::FilterPairs(
@@ -312,98 +231,68 @@ FilterRunStats GateKeeperGpuEngine::FilterPairs(
   stats.pairs = n;
   if (n == 0) return stats;
 
-  const std::size_t ndev = devices_.size();
-  const std::size_t per_device_cap = plan_.pairs_per_batch;
-  const std::size_t even_split = (n + ndev - 1) / ndev;
-  const std::size_t slice_cap = std::min(per_device_cap, even_split);
-  EnsurePairBuffers(slice_cap);
-
-  const TransferLedger before = TransferLedger::Snapshot(devices_);
-  double device_pipeline_seconds = 0.0;
-
-  struct Slice {
-    std::size_t begin = 0;
-    std::size_t count = 0;
-  };
-  std::size_t offset = 0;
-  while (offset < n) {
-    // Equal batches per device (Sec. 3.1): carve this round's slices.
-    std::vector<Slice> slices(ndev);
-    for (std::size_t di = 0; di < ndev && offset < n; ++di) {
-      slices[di] = {offset, std::min(slice_cap, n - offset)};
-      offset += slices[di].count;
-    }
-
-    // --- Host preprocessing: one CPU thread feeds each device, serial
-    // within a slice (the paper's encode/copy cost is host-sequential per
-    // device, which is exactly why the encoding actor matters). ---
-    const double prep_s = ConcurrentPerDevice(ndev, [&](std::size_t di) {
-      const Slice s = slices[di];
-      if (s.count == 0) return;
-      EncodePairsInto(buffers_[di].get(), reads.data() + s.begin,
-                      refs.data() + s.begin, s.count);
-    });
-    if (config_.encoding == EncodingActor::kHost) {
-      stats.host_encode_seconds += prep_s;
+  const bool host = config_.encoding == EncodingActor::kHost;
+  const std::size_t capacity = SliceCapacity(n);
+  const std::size_t len = static_cast<std::size_t>(config_.read_length);
+  const std::size_t words =
+      static_cast<std::size_t>(EncodedWords(config_.read_length));
+  std::vector<DeviceInput> inputs(devices_.size());
+  for (std::size_t di = 0; di < devices_.size(); ++di) {
+    Device* dev = devices_[di];
+    DeviceBuffers& b = *buffers_[di];
+    PairBlock& block = inputs[di].block;
+    if (host) {
+      EnsureBuffer(dev, &b.reads_enc, capacity * words * sizeof(Word));
+      EnsureBuffer(dev, &b.refs_enc, capacity * words * sizeof(Word));
+      EnsureBuffer(dev, &b.bypass, capacity);
+      EnsureBuffer(dev, &b.results, capacity * sizeof(PairResult));
+      block.reads_enc = b.reads_enc->as<Word>();
+      block.refs_enc = b.refs_enc->as<Word>();
+      block.bypass = b.bypass->as<std::uint8_t>();
+      inputs[di].buffers = {b.reads_enc.get(), b.refs_enc.get(),
+                            b.bypass.get(), b.results.get()};
     } else {
-      stats.host_copy_seconds += prep_s;
+      // The block's raw shape makes the kernel encode on the device.
+      EnsureBuffer(dev, &b.raw_reads, capacity * len);
+      EnsureBuffer(dev, &b.raw_refs, capacity * len);
+      EnsureBuffer(dev, &b.results, capacity * sizeof(PairResult));
+      block.raw_reads = b.raw_reads->as<char>();
+      block.raw_refs = b.raw_refs->as<char>();
+      inputs[di].buffers = {b.raw_reads.get(), b.raw_refs.get(),
+                            b.results.get()};
     }
-
-    // --- Per device: advice + prefetch (or demand migration), kernel
-    // launch, result migration.  Kernels execute sequentially here (they
-    // share the physical host), but the simulated timeline treats devices
-    // as parallel: the round's kernel time is the per-device maximum. ---
-    double round_kt = 0.0;
-    double round_transfer = 0.0;
-    for (std::size_t di = 0; di < ndev; ++di) {
-      const Slice s = slices[di];
-      if (s.count == 0) continue;
-      const StreamBatchStats st = RunPairsKernel(
-          devices_[di], buffers_[di].get(), s.count);
-      round_kt = std::max(round_kt, st.kernel_seconds);
-      round_transfer = std::max(round_transfer, st.transfer_seconds);
-    }
-
-    // --- Results read-out: concurrent per device, like the prep. ---
-    std::vector<std::uint64_t> acc(ndev, 0);
-    std::vector<std::uint64_t> byp_count(ndev, 0);
-    const double copy_s = ConcurrentPerDevice(ndev, [&](std::size_t di) {
-      const Slice s = slices[di];
-      if (s.count == 0) return;
-      const PairResult* res = buffers_[di]->results->as<PairResult>();
-      for (std::size_t i = 0; i < s.count; ++i) {
-        const PairResult r = res[i];
-        (*results)[s.begin + i] = r;
-        acc[di] += r.accept;
-        byp_count[di] += r.bypassed;
-      }
-    });
-    stats.host_copy_seconds += copy_s;
-    for (std::size_t di = 0; di < ndev; ++di) {
-      stats.accepted += acc[di];
-      stats.rejected += slices[di].count - acc[di];
-      stats.bypassed += byp_count[di];
-      RecordEngineFunnel(slices[di].count, acc[di], byp_count[di]);
-    }
-
-    stats.kernel_seconds += round_kt;
-    stats.transfer_seconds += round_transfer;
-    // Prefetch-capable devices overlap the next round's transfers with the
-    // current kernel; without prefetch the migration stalls already sit
-    // inside the kernel time.
-    device_pipeline_seconds +=
-        devices_.front()->props().supports_prefetch()
-            ? std::max(round_kt, round_transfer)
-            : round_kt + round_transfer;
-    ++stats.batches;
   }
 
-  const TransferLedger after = TransferLedger::Snapshot(devices_);
-  stats.h2d_bytes = after.h2d - before.h2d;
-  stats.d2h_bytes = after.d2h - before.d2h;
-  stats.page_faults = after.faults - before.faults;
-  stats.filter_seconds = stats.host_encode_seconds + stats.host_copy_seconds +
-                         device_pipeline_seconds;
+  const auto prepare = [&](std::size_t di, std::size_t begin,
+                           std::size_t count) {
+    DeviceBuffers& b = *buffers_[di];
+    if (host) {
+      Word* renc = b.reads_enc->as<Word>();
+      Word* genc = b.refs_enc->as<Word>();
+      std::uint8_t* byp = b.bypass->as<std::uint8_t>();
+      for (std::size_t i = 0; i < count; ++i) {
+        const bool rn = EncodeSequence(reads[begin + i], renc + i * words);
+        const bool gn = EncodeSequence(refs[begin + i], genc + i * words);
+        byp[i] = (rn || gn) ? 1 : 0;
+      }
+      b.reads_enc->MarkHostResident();
+      b.refs_enc->MarkHostResident();
+      b.bypass->MarkHostResident();
+    } else {
+      char* rr = b.raw_reads->as<char>();
+      char* gg = b.raw_refs->as<char>();
+      for (std::size_t i = 0; i < count; ++i) {
+        std::memcpy(rr + i * len, reads[begin + i].data(), len);
+        std::memcpy(gg + i * len, refs[begin + i].data(), len);
+      }
+      b.raw_reads->MarkHostResident();
+      b.raw_refs->MarkHostResident();
+    }
+  };
+  RunRounds(capacity, inputs, prepare,
+            host ? &FilterRunStats::host_encode_seconds
+                 : &FilterRunStats::host_copy_seconds,
+            &stats, results);
   return stats;
 }
 
@@ -435,41 +324,20 @@ void GateKeeperGpuEngine::LoadReference(const ReferenceEncodingView& enc) {
   }
 }
 
-void GateKeeperGpuEngine::EnsureCandidateBuffers(std::size_t capacity,
-                                                 std::size_t read_capacity) {
-  const std::size_t words =
-      static_cast<std::size_t>(EncodedWords(config_.read_length));
-  for (std::size_t di = 0; di < devices_.size(); ++di) {
-    DeviceBuffers& b = *buffers_[di];
-    Device* dev = devices_[di];
-    EnsureBuffer(dev, &b.reads_enc, read_capacity * words * sizeof(Word));
-    EnsureBuffer(dev, &b.bypass, read_capacity);
-    EnsureBuffer(dev, &b.cand, capacity * sizeof(CandidatePair));
-    EnsureBuffer(dev, &b.results, capacity * sizeof(PairResult));
-  }
-}
-
 FilterRunStats GateKeeperGpuEngine::FilterCandidates(
     const std::vector<std::string>& reads,
     const std::vector<CandidatePair>& candidates,
     std::vector<PairResult>* results) {
-  std::vector<std::string_view> views(reads.begin(), reads.end());
-  return FilterCandidatesImpl(views.data(), views.size(), candidates, results);
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  return FilterCandidates(views, candidates, results);
 }
 
 FilterRunStats GateKeeperGpuEngine::FilterCandidates(
     const std::vector<std::string_view>& reads,
     const std::vector<CandidatePair>& candidates,
     std::vector<PairResult>* results) {
-  return FilterCandidatesImpl(reads.data(), reads.size(), candidates, results);
-}
-
-FilterRunStats GateKeeperGpuEngine::FilterCandidatesImpl(
-    const std::string_view* reads, std::size_t read_count,
-    const std::vector<CandidatePair>& candidates,
-    std::vector<PairResult>* results) {
   assert(HasReference());
-  for (std::size_t i = 0; i < read_count; ++i) {
+  for (std::size_t i = 0; i < reads.size(); ++i) {
     CheckSequenceLength(reads[i].size(), config_.read_length, i,
                         "GateKeeperGpuEngine::FilterCandidates");
   }
@@ -479,97 +347,54 @@ FilterRunStats GateKeeperGpuEngine::FilterCandidatesImpl(
   stats.pairs = n;
   if (n == 0) return stats;
 
-  const std::size_t ndev = devices_.size();
-  const std::size_t even_split = (n + ndev - 1) / ndev;
-  const std::size_t slice_cap = std::min(plan_.pairs_per_batch, even_split);
-  EnsureCandidateBuffers(slice_cap, read_count);
-
-  const TransferLedger before = TransferLedger::Snapshot(devices_);
+  // The kernel slices each candidate's window out of the device-resident
+  // genome, so only reads, candidates and results cross the bus per call:
+  // prefetching the genome moves nothing, and it faults in only once.
+  const std::size_t capacity = SliceCapacity(n);
   const std::size_t words =
       static_cast<std::size_t>(EncodedWords(config_.read_length));
-  double device_pipeline_seconds = 0.0;
-
-  // Encode the read buffer once per device (a read is copied to the GPU
-  // once for all of its candidate segments); one host thread per device.
-  stats.host_encode_seconds += ConcurrentPerDevice(ndev, [&](std::size_t di) {
+  std::vector<DeviceInput> inputs(devices_.size());
+  for (std::size_t di = 0; di < devices_.size(); ++di) {
+    Device* dev = devices_[di];
     DeviceBuffers& b = *buffers_[di];
-    Word* renc = b.reads_enc->as<Word>();
-    std::uint8_t* byp = b.bypass->as<std::uint8_t>();
-    for (std::size_t i = 0; i < read_count; ++i) {
-      byp[i] = EncodeSequence(reads[i], renc + i * words) ? 1 : 0;
-    }
-    b.reads_enc->MarkHostResident();
-    b.bypass->MarkHostResident();
-  });
-
-  struct Slice {
-    std::size_t begin = 0;
-    std::size_t count = 0;
-  };
-  std::size_t offset = 0;
-  while (offset < n) {
-    std::vector<Slice> slices(ndev);
-    for (std::size_t di = 0; di < ndev && offset < n; ++di) {
-      slices[di] = {offset, std::min(slice_cap, n - offset)};
-      offset += slices[di].count;
-    }
-
-    stats.host_copy_seconds += ConcurrentPerDevice(ndev, [&](std::size_t di) {
-      const Slice s = slices[di];
-      if (s.count == 0) return;
-      DeviceBuffers& b = *buffers_[di];
-      std::memcpy(b.cand->data(), candidates.data() + s.begin,
-                  s.count * sizeof(CandidatePair));
-      b.cand->MarkHostResident();
-      b.results->MarkHostResident();
-    });
-
-    double round_kt = 0.0;
-    double round_transfer = 0.0;
-    for (std::size_t di = 0; di < ndev; ++di) {
-      const Slice s = slices[di];
-      if (s.count == 0) continue;
-      const StreamBatchStats st =
-          RunCandidatesKernel(di, buffers_[di].get(), s.count);
-      round_kt = std::max(round_kt, st.kernel_seconds);
-      round_transfer = std::max(round_transfer, st.transfer_seconds);
-    }
-
-    std::vector<std::uint64_t> acc(ndev, 0);
-    std::vector<std::uint64_t> byp_count(ndev, 0);
-    stats.host_copy_seconds += ConcurrentPerDevice(ndev, [&](std::size_t di) {
-      const Slice s = slices[di];
-      if (s.count == 0) return;
-      const PairResult* res = buffers_[di]->results->as<PairResult>();
-      for (std::size_t i = 0; i < s.count; ++i) {
-        const PairResult r = res[i];
-        (*results)[s.begin + i] = r;
-        acc[di] += r.accept;
-        byp_count[di] += r.bypassed;
-      }
-    });
-    for (std::size_t di = 0; di < ndev; ++di) {
-      stats.accepted += acc[di];
-      stats.rejected += slices[di].count - acc[di];
-      stats.bypassed += byp_count[di];
-      RecordEngineFunnel(slices[di].count, acc[di], byp_count[di]);
-    }
-
-    stats.kernel_seconds += round_kt;
-    stats.transfer_seconds += round_transfer;
-    device_pipeline_seconds +=
-        devices_.front()->props().supports_prefetch()
-            ? std::max(round_kt, round_transfer)
-            : round_kt + round_transfer;
-    ++stats.batches;
+    EnsureBuffer(dev, &b.reads_enc, reads.size() * words * sizeof(Word));
+    EnsureBuffer(dev, &b.bypass, reads.size());
+    EnsureBuffer(dev, &b.cand, capacity * sizeof(CandidatePair));
+    EnsureBuffer(dev, &b.results, capacity * sizeof(PairResult));
+    PairBlock& block = inputs[di].block;
+    block.reads_enc = b.reads_enc->as<Word>();
+    block.bypass = b.bypass->as<std::uint8_t>();
+    block.candidates = b.cand->as<CandidatePair>();
+    block.ref_words = ref_buffers_[di]->as<Word>();
+    block.ref_n_mask = ref_nmask_buffers_[di]->as<Word>();
+    block.ref_len = ref_length_;
+    inputs[di].buffers = {b.reads_enc.get(),      b.bypass.get(),
+                          b.cand.get(),           b.results.get(),
+                          ref_buffers_[di].get(), ref_nmask_buffers_[di].get()};
   }
 
-  const TransferLedger after = TransferLedger::Snapshot(devices_);
-  stats.h2d_bytes = after.h2d - before.h2d;
-  stats.d2h_bytes = after.d2h - before.d2h;
-  stats.page_faults = after.faults - before.faults;
-  stats.filter_seconds = stats.host_encode_seconds + stats.host_copy_seconds +
-                         device_pipeline_seconds;
+  // Encode the read table once per device (a read is copied to the GPU
+  // once for all of its candidate segments); one host thread per device.
+  stats.host_encode_seconds = ConcurrentPerDevice(
+      devices_.size(), [&](std::size_t di) {
+        DeviceBuffers& b = *buffers_[di];
+        Word* renc = b.reads_enc->as<Word>();
+        std::uint8_t* byp = b.bypass->as<std::uint8_t>();
+        for (std::size_t i = 0; i < reads.size(); ++i) {
+          byp[i] = EncodeSequence(reads[i], renc + i * words) ? 1 : 0;
+        }
+        b.reads_enc->MarkHostResident();
+        b.bypass->MarkHostResident();
+      });
+  const auto prepare = [&](std::size_t di, std::size_t begin,
+                           std::size_t count) {
+    UnifiedBuffer& cand = *buffers_[di]->cand;
+    std::memcpy(cand.data(), candidates.data() + begin,
+                count * sizeof(CandidatePair));
+    cand.MarkHostResident();
+  };
+  RunRounds(capacity, inputs, prepare, &FilterRunStats::host_copy_seconds,
+            &stats, results);
   return stats;
 }
 

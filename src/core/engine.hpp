@@ -3,12 +3,18 @@
 // Mirrors the paper's four main steps: (1) system configuration against the
 // attached devices, (2) unified-memory resource allocation, (3) read/
 // reference preprocessing (2-bit encoding in host or device), (4) batched
-// kernel filtration, multi-GPU with equal per-device batches.  Works in two
-// input modes:
-//   * pair mode       — explicit (read, reference segment) pairs, used by
-//                       the accuracy / throughput experiments;
-//   * candidate mode  — encoded reference + (read, position) candidates,
-//                       the mrFAST integration of Sec. 3.5.
+// kernel filtration, multi-GPU with equal per-device batches.  One round
+// loop runs both input modes: each round carves an equal slice per
+// device, prepares every slice on its device's host thread, launches the
+// kernel once per device and reads the results back.  The modes differ
+// only in what a slice is made of:
+//   * pair mode       — explicit (read, reference segment) pairs, encoded
+//                       on the host or copied raw for the device to encode;
+//                       used by the accuracy / throughput experiments;
+//   * candidate mode  — (read, position) candidates against the encoded
+//                       genome resident on every device, the mrFAST
+//                       integration of Sec. 3.5; the read table is encoded
+//                       once per call, the candidates copied per round.
 //
 // Both run on the simulated devices and serve the paper's tables
 // (FilterPairs for the filter benches, FilterCandidates for MapReads'
@@ -25,6 +31,7 @@
 #define GKGPU_CORE_ENGINE_HPP
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -56,9 +63,6 @@ struct FilterRunStats {
   double host_encode_seconds = 0.0;
   double host_copy_seconds = 0.0;
   double transfer_seconds = 0.0;  // simulated PCIe time
-  std::uint64_t h2d_bytes = 0;
-  std::uint64_t d2h_bytes = 0;
-  std::uint64_t page_faults = 0;
 };
 
 class GateKeeperGpuEngine {
@@ -105,20 +109,33 @@ class GateKeeperGpuEngine {
 
  private:
   struct DeviceBuffers;
+  /// Device di's share of a call: the block its kernel reads (the buffer
+  /// pointers; RunRounds sets the size and read length each round) and the
+  /// buffers each launch moves to the device, in the order a device
+  /// without prefetch faults them in.
+  struct DeviceInput {
+    PairBlock block;
+    std::vector<gpusim::UnifiedBuffer*> buffers;
+  };
+  /// Fills device di's buffers with pairs [begin, begin + count) of a call.
+  using Prepare = std::function<void(std::size_t di, std::size_t begin,
+                                     std::size_t count)>;
 
-  void EnsurePairBuffers(std::size_t capacity);
-  void EnsureCandidateBuffers(std::size_t capacity, std::size_t read_capacity);
-  FilterRunStats FilterCandidatesImpl(const std::string_view* reads,
-                                      std::size_t read_count,
-                                      const std::vector<CandidatePair>&
-                                          candidates,
-                                      std::vector<PairResult>* results);
-  StreamBatchStats RunCandidatesKernel(std::size_t di, DeviceBuffers* b,
-                                       std::size_t count);
-  void EncodePairsInto(DeviceBuffers* b, const std::string* reads,
-                       const std::string* refs, std::size_t count);
-  StreamBatchStats RunPairsKernel(gpusim::Device* dev, DeviceBuffers* b,
-                                  std::size_t count);
+  /// Pairs per device per round for a call of `n` pairs: an equal split,
+  /// at most the plan's batch.
+  std::size_t SliceCapacity(std::size_t n) const;
+  /// Filters the results->size() pairs of a call in rounds of at most
+  /// `capacity` pairs per device, adding prepare's host time to
+  /// stats->*prepare_seconds and everything else to `stats`.
+  void RunRounds(std::size_t capacity, const std::vector<DeviceInput>& inputs,
+                 const Prepare& prepare,
+                 double FilterRunStats::*prepare_seconds,
+                 FilterRunStats* stats, std::vector<PairResult>* results);
+  /// One kernel launch on device di: advice and prefetch of `inputs` (or
+  /// demand faults, in list order, without prefetch), the kernel over
+  /// `block`, and the migration of its results back to the host.
+  StreamBatchStats Launch(std::size_t di, const PairBlock& block,
+                          const std::vector<gpusim::UnifiedBuffer*>& inputs);
 
   EngineConfig config_;
   std::vector<gpusim::Device*> devices_;

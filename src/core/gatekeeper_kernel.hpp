@@ -1,6 +1,8 @@
 // The GateKeeper-GPU device kernel, written the way the CUDA __global__
 // function is: a thin view over the PairBlock sitting in unified memory
-// (filters/pair_block.hpp is the CPU mirror of that layout).  The block's
+// (filters/pair_block.hpp is the CPU mirror of that layout).  It runs the
+// paper's configuration, GateKeeperParams{}: the improved mask pipeline,
+// with undefined ('N') pairs bypassed to verification.  The block's
 // shape selects the paper's three input configurations:
 //   * encoded    — host pre-encoded read/ref pairs,
 //   * raw        — raw characters, the kernel encodes ("encoding in
@@ -35,7 +37,6 @@ struct PairBlockKernel {
   PairBlock block;
   PairResult* results = nullptr;
   int e = 0;
-  GateKeeperParams params;
 
   void operator()(const gpusim::ThreadCtx& ctx) const {
     // Thread 0 of each simulated block filters the block's whole pair
@@ -48,7 +49,8 @@ struct PairBlockKernel {
     const std::size_t end =
         std::min(block.size,
                  begin + static_cast<std::size_t>(ctx.block_dim));
-    simd::GateKeeperFilterRange(block, begin, end, e, params, results);
+    simd::GateKeeperFilterRange(block, begin, end, e, GateKeeperParams{},
+                                results);
   }
 };
 

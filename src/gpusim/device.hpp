@@ -55,7 +55,7 @@ struct KernelCost {
   std::size_t shared_mem_per_block = 0;  // the kernel uses none
 };
 
-/// Accumulated per-device counters, reset per run by the engine.
+/// Per-device counters, accumulated until ResetStats.
 struct DeviceStats {
   double kernel_seconds = 0.0;     // simulated in-kernel time
   double transfer_seconds = 0.0;   // simulated PCIe time (prefetch + fault)

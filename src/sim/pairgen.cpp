@@ -91,9 +91,13 @@ std::vector<SequencePair> GeneratePairs(std::size_t count,
         }
         pick -= b.weight;
       }
+      // At short lengths d(f) clamps to one edit, which can invert a band
+      // (below 17 bp {d(0.05) + 1, d(0.12)} is {2, 1}): such a band gives
+      // its lower bound.
       const int span = chosen->max_edits - chosen->min_edits + 1;
       const int edits =
-          chosen->min_edits + static_cast<int>(rng.Uniform(span));
+          span > 0 ? chosen->min_edits + static_cast<int>(rng.Uniform(span))
+                   : chosen->min_edits;
       pair = MakePairWithEdits(profile.length, edits, chosen->indel_frac,
                                rng.NextU64());
     }

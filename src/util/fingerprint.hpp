@@ -1,9 +1,10 @@
-// Streaming FNV-1a content fingerprint, used to verify that two holders of
-// a reference genome (the engine's encoded copy, a mapper's text)
-// are really talking about the same bytes.  The hash is byte-sequential,
-// so hashing parts with the previous result as seed equals hashing the
-// concatenation — ReferenceSet exploits this to keep its fingerprint
-// current across incremental Add() calls.
+// Streaming FNV-1a content fingerprint: ReferenceSet's fingerprint of its
+// text, which a `.gki` index file records and folds into its index
+// fingerprint, and the file's header, payload and per-section checksums
+// (io/index_io.cpp).  The hash is byte-sequential, so hashing parts with
+// the previous result as seed equals hashing the concatenation —
+// ReferenceSet exploits this to keep its fingerprint current across
+// incremental Add() calls.
 #ifndef GKGPU_UTIL_FINGERPRINT_HPP
 #define GKGPU_UTIL_FINGERPRINT_HPP
 

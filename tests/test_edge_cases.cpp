@@ -81,8 +81,9 @@ TEST(EdgeCaseTest, HomopolymerPairs) {
   // 100 mismatches: rejected at e = 0 (exact XOR).  At e >= 1 every mask is
   // all-ones, so the final AND is a single unbroken streak and the streak
   // counter reads 1 error — a known pathological false accept of the
-  // GateKeeper counting scheme (documented in DESIGN.md §2); real genomic
-  // pairs always produce chance matches that break the streak.
+  // GateKeeper counting scheme (CountMode::kOneRuns, one error per streak,
+  // filters/gatekeeper_core.hpp); real genomic pairs always produce chance
+  // matches that break the streak.
   EXPECT_FALSE(filter.Filter(poly_a, poly_t, 0).accept);
   for (const int e : {1, 5, 10}) {
     const FilterResult r = filter.Filter(poly_a, poly_t, e);

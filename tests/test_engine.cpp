@@ -1,8 +1,9 @@
 // Integration tests for the GateKeeper-GPU engine: decisions must be
 // bit-exact with the CPU filter in every configuration (encoding actor,
 // device generation, device count, batch size), one engine may switch
-// between pair and candidate mode, and the run statistics must be
-// internally consistent.
+// between pair and candidate mode, the run statistics must be internally
+// consistent, and the modeled numbers must be the devices' own (kernel
+// time, bus bytes) whatever the host's thread count.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,65 @@ Workload MakeWorkload(std::size_t n, int length, std::uint64_t seed) {
     w.refs.push_back(std::move(p.ref));
   }
   return w;
+}
+
+/// A random genome, reads cut from it with a few substitutions, and
+/// `per_read` candidates per read: its own window, then random windows on
+/// alternating strands.
+struct CandidateSet {
+  std::string genome;
+  std::vector<std::string> reads;
+  std::vector<CandidatePair> candidates;
+};
+
+CandidateSet MakeCandidateSet(std::size_t genome_length, std::uint32_t reads,
+                              int per_read, std::uint64_t seed) {
+  const int length = 100;
+  Rng rng(seed);
+  CandidateSet c;
+  c.genome.resize(genome_length);
+  for (auto& base : c.genome) base = kBases[rng.NextU64() & 0x3u];
+  const std::size_t span = genome_length - length;
+  for (std::uint32_t i = 0; i < reads; ++i) {
+    const std::size_t start = rng.Uniform(span);
+    std::string read = c.genome.substr(start, length);
+    for (int m = 0; m < 3; ++m) {
+      read[rng.Uniform(read.size())] = kBases[rng.NextU64() & 0x3u];
+    }
+    c.reads.push_back(std::move(read));
+    for (int j = 0; j < per_read; ++j) {
+      const std::size_t pos = j == 0 ? start : rng.Uniform(span);
+      c.candidates.push_back({i, static_cast<std::uint8_t>(j % 2), 0,
+                              static_cast<std::int64_t>(pos)});
+    }
+  }
+  return c;
+}
+
+std::vector<gpusim::Device*> Ptrs(
+    const std::vector<std::unique_ptr<gpusim::Device>>& devices) {
+  std::vector<gpusim::Device*> ptrs;
+  for (const auto& d : devices) ptrs.push_back(d.get());
+  return ptrs;
+}
+
+/// `count` devices of Setup `setup` whose global memory plans `pairs` (a
+/// multiple of 1,024) filtrations per call under `cfg`: the plan claims
+/// 85% of free memory and rounds down to whole 1,024-pair blocks, so
+/// room for half a block more plans exactly `pairs`.
+std::vector<std::unique_ptr<gpusim::Device>> DevicesPlanning(
+    int setup, int count, std::size_t pairs, const EngineConfig& cfg) {
+  gpusim::DeviceProperties props =
+      setup == 1 ? gpusim::MakeGtx1080Ti() : gpusim::MakeTeslaK20X();
+  const std::size_t pair_bytes =
+      ConfigureSystem(gpusim::Device(props, 1), cfg).pair_buffer_bytes;
+  props.global_mem_bytes = static_cast<std::size_t>(
+      static_cast<double>((pairs + 512) * pair_bytes) / 0.85);
+  std::vector<std::unique_ptr<gpusim::Device>> devices;
+  for (int i = 0; i < count; ++i) {
+    devices.push_back(std::make_unique<gpusim::Device>(props, 2));
+  }
+  return devices;
 }
 
 std::vector<PairResult> ExpectedDecisions(const Workload& w, int length,
@@ -306,94 +366,168 @@ TEST(EngineTest, CandidateModeBypassesWindowsOutsideTheGenome) {
 }
 
 TEST(EngineTest, MultiRoundBatchingMatchesSingleRound) {
-  // Force tiny kernel batches: results and counters must be identical to a
-  // one-round run, with the batch counter reflecting the extra rounds.
+  // Devices with room for a few 1,024-pair blocks per call: results and
+  // counters must be identical to a one-round run, with the batch counter
+  // reflecting the extra rounds.
   const Workload w = MakeWorkload(5000, 100, 19);
+  EngineConfig cfg;
+  cfg.read_length = 100;
+  cfg.error_threshold = 4;
   std::vector<PairResult> one_round;
   FilterRunStats one_stats;
   {
     auto devices = gpusim::MakeSetup1(1, 2);
-    std::vector<gpusim::Device*> ptrs{devices[0].get()};
-    EngineConfig cfg;
-    cfg.read_length = 100;
-    cfg.error_threshold = 4;
-    GateKeeperGpuEngine engine(cfg, ptrs);
+    GateKeeperGpuEngine engine(cfg, Ptrs(devices));
     one_stats = engine.FilterPairs(w.reads, w.refs, &one_round);
   }
   EXPECT_EQ(one_stats.batches, 1u);
-  for (const std::size_t cap : {512u, 1024u, 2048u}) {
-    auto devices = gpusim::MakeSetup1(1, 2);
-    std::vector<gpusim::Device*> ptrs{devices[0].get()};
-    EngineConfig cfg;
-    cfg.read_length = 100;
-    cfg.error_threshold = 4;
-    cfg.max_pairs_per_batch = cap;
-    GateKeeperGpuEngine engine(cfg, ptrs);
+  for (const std::size_t pairs : {1024u, 2048u, 3072u}) {
+    auto devices = DevicesPlanning(1, 1, pairs, cfg);
+    GateKeeperGpuEngine engine(cfg, Ptrs(devices));
     std::vector<PairResult> results;
     const FilterRunStats stats = engine.FilterPairs(w.reads, w.refs, &results);
-    EXPECT_EQ(engine.plan().pairs_per_batch, cap);
-    EXPECT_GT(stats.batches, 1u) << cap;
-    EXPECT_EQ(stats.accepted, one_stats.accepted) << cap;
-    EXPECT_EQ(stats.rejected, one_stats.rejected) << cap;
-    EXPECT_EQ(stats.bypassed, one_stats.bypassed) << cap;
+    EXPECT_EQ(engine.plan().pairs_per_batch, pairs);
+    EXPECT_EQ(stats.batches, (w.reads.size() + pairs - 1) / pairs) << pairs;
+    EXPECT_EQ(stats.accepted, one_stats.accepted) << pairs;
+    EXPECT_EQ(stats.rejected, one_stats.rejected) << pairs;
+    EXPECT_EQ(stats.bypassed, one_stats.bypassed) << pairs;
     ASSERT_EQ(results.size(), one_round.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_EQ(results[i].accept, one_round[i].accept)
-          << "cap " << cap << " pair " << i;
+          << pairs << " pairs per call, pair " << i;
       ASSERT_EQ(results[i].edits, one_round[i].edits);
     }
   }
 }
 
 TEST(EngineTest, MultiRoundCandidateModeMatches) {
-  Rng rng(29);
-  std::string genome(30000, 'A');
-  for (auto& c : genome) c = kBases[rng.NextU64() & 0x3u];
-  const int length = 100;
-  std::vector<std::string> reads;
-  std::vector<CandidatePair> candidates;
-  for (int i = 0; i < 200; ++i) {
-    const std::int64_t pos =
-        static_cast<std::int64_t>(rng.Uniform(genome.size() - length));
-    std::string read = genome.substr(static_cast<std::size_t>(pos), length);
-    for (int m = 0; m < 3; ++m) {
-      read[rng.Uniform(read.size())] = kBases[rng.NextU64() & 0x3u];
-    }
-    reads.push_back(std::move(read));
-    // several candidates per read, some bogus
-    candidates.push_back({static_cast<std::uint32_t>(i), 0, 0, pos});
-    candidates.push_back(
-        {static_cast<std::uint32_t>(i), 0, 0,
-         static_cast<std::int64_t>(rng.Uniform(genome.size() - length))});
-  }
+  // 1,200 candidates against a 1,024-candidate plan: two rounds.
+  const CandidateSet c = MakeCandidateSet(30000, 600, 2, 29);
+  EngineConfig cfg;
+  cfg.read_length = 100;
+  cfg.error_threshold = 3;
   std::vector<PairResult> expected;
   {
     auto devices = gpusim::MakeSetup1(1, 2);
-    std::vector<gpusim::Device*> ptrs{devices[0].get()};
-    EngineConfig cfg;
-    cfg.read_length = length;
-    cfg.error_threshold = 3;
-    GateKeeperGpuEngine engine(cfg, ptrs);
-    engine.LoadReference(genome);
-    engine.FilterCandidates(reads, candidates, &expected);
+    GateKeeperGpuEngine engine(cfg, Ptrs(devices));
+    engine.LoadReference(c.genome);
+    engine.FilterCandidates(c.reads, c.candidates, &expected);
   }
   {
-    auto devices = gpusim::MakeSetup1(1, 2);
-    std::vector<gpusim::Device*> ptrs{devices[0].get()};
-    EngineConfig cfg;
-    cfg.read_length = length;
-    cfg.error_threshold = 3;
-    cfg.max_pairs_per_batch = 64;
-    GateKeeperGpuEngine engine(cfg, ptrs);
-    engine.LoadReference(genome);
+    auto devices = DevicesPlanning(1, 1, 1024, cfg);
+    GateKeeperGpuEngine engine(cfg, Ptrs(devices));
+    EXPECT_EQ(engine.plan().pairs_per_batch, 1024u);
+    engine.LoadReference(c.genome);
     std::vector<PairResult> results;
     const FilterRunStats stats =
-        engine.FilterCandidates(reads, candidates, &results);
-    EXPECT_GT(stats.batches, 1u);
+        engine.FilterCandidates(c.reads, c.candidates, &results);
+    EXPECT_EQ(stats.batches, 2u);
     ASSERT_EQ(results.size(), expected.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_EQ(results[i].accept, expected[i].accept) << i;
+      ASSERT_EQ(results[i].edits, expected[i].edits) << i;
     }
+  }
+}
+
+/// The engine's two inputs, pair mode under either encoding actor.
+enum class Input { kHostPairs, kDevicePairs, kCandidates };
+
+EngineConfig ConfigFor(Input input) {
+  EngineConfig cfg;
+  cfg.read_length = 100;
+  cfg.error_threshold = 5;
+  cfg.encoding = input == Input::kDevicePairs ? EncodingActor::kDevice
+                                              : EncodingActor::kHost;
+  return cfg;
+}
+
+/// One call of `input` on a fresh engine over `devices`.
+FilterRunStats RunInput(
+    Input input, const std::vector<std::unique_ptr<gpusim::Device>>& devices,
+    const Workload& pairs, const CandidateSet& candidates) {
+  GateKeeperGpuEngine engine(ConfigFor(input), Ptrs(devices));
+  std::vector<PairResult> results;
+  if (input != Input::kCandidates) {
+    return engine.FilterPairs(pairs.reads, pairs.refs, &results);
+  }
+  engine.LoadReference(candidates.genome);
+  return engine.FilterCandidates(candidates.reads, candidates.candidates,
+                                 &results);
+}
+
+TEST(EngineTest, ModeledTimeIsTheDevicesOwn) {
+  // On one device a call's kernel time is the sum of the device's own
+  // launches, one per round.
+  const Workload w = MakeWorkload(3000, 100, 47);
+  const CandidateSet c = MakeCandidateSet(30000, 1000, 3, 53);
+  for (const int setup : {1, 2}) {
+    for (const bool several_rounds : {false, true}) {
+      for (const Input input :
+           {Input::kHostPairs, Input::kDevicePairs, Input::kCandidates}) {
+        SCOPED_TRACE("setup " + std::to_string(setup) + ", input " +
+                     std::to_string(static_cast<int>(input)) +
+                     (several_rounds ? ", several rounds" : ", one round"));
+        auto devices =
+            several_rounds ? DevicesPlanning(setup, 1, 1024, ConfigFor(input))
+            : setup == 1   ? gpusim::MakeSetup1(1, 2)
+                           : gpusim::MakeSetup2(1, 2);
+        const FilterRunStats stats = RunInput(input, devices, w, c);
+        const gpusim::DeviceStats& dev = devices[0]->stats();
+        EXPECT_EQ(stats.kernel_seconds, dev.kernel_seconds);
+        EXPECT_EQ(stats.batches, dev.kernels_launched);
+        EXPECT_EQ(stats.batches, several_rounds ? 3u : 1u);
+      }
+    }
+  }
+}
+
+TEST(EngineTest, ResidentGenomeCrossesTheBusOnce) {
+  // The kernel slices candidate windows out of the device-resident genome,
+  // so its words and 'N' mask cross the bus once: at LoadReference on a
+  // device with prefetch (Setup 1), at the first call's faults on one
+  // without (Setup 2).  A call then moves its 100-read table (28 bytes a
+  // read), bypass flags, candidates (16 bytes) and results (4 bytes):
+  // 2,800 + 100 + 3,200 + 800 = 6,900 bytes.
+  const CandidateSet c = MakeCandidateSet(200000, 100, 2, 59);
+  // 200,000 bases at 4 per byte, and one 'N' mask bit per base.
+  const std::uint64_t genome_bytes = 50000 + 25000;
+  for (const int setup : {1, 2}) {
+    SCOPED_TRACE("setup " + std::to_string(setup));
+    auto devices =
+        setup == 1 ? gpusim::MakeSetup1(1, 2) : gpusim::MakeSetup2(1, 2);
+    GateKeeperGpuEngine engine(ConfigFor(Input::kCandidates), Ptrs(devices));
+    const gpusim::DeviceStats& dev = devices[0]->stats();
+    engine.LoadReference(c.genome);
+    EXPECT_EQ(dev.h2d_bytes, setup == 1 ? genome_bytes : 0u);
+    std::vector<PairResult> results;
+    for (const std::uint64_t call_bytes :
+         {setup == 1 ? 6900u : 6900u + genome_bytes, std::uint64_t{6900}}) {
+      const std::uint64_t before = dev.h2d_bytes;
+      engine.FilterCandidates(c.reads, c.candidates, &results);
+      EXPECT_EQ(dev.h2d_bytes - before, call_bytes);
+    }
+  }
+}
+
+TEST(EngineTest, ModeledNumbersDoNotDependOnHostThreads) {
+  // The host threads that stand in for a device's SMs change wall time
+  // only: the modeled seconds, rounds and counts stay the same.
+  const Workload w = MakeWorkload(3000, 100, 61);
+  const CandidateSet c = MakeCandidateSet(30000, 500, 3, 67);
+  for (const Input input :
+       {Input::kHostPairs, Input::kDevicePairs, Input::kCandidates}) {
+    SCOPED_TRACE("input " + std::to_string(static_cast<int>(input)));
+    const FilterRunStats one =
+        RunInput(input, gpusim::MakeSetup1(2, 1), w, c);
+    const FilterRunStats four =
+        RunInput(input, gpusim::MakeSetup1(2, 4), w, c);
+    EXPECT_EQ(one.kernel_seconds, four.kernel_seconds);
+    EXPECT_EQ(one.transfer_seconds, four.transfer_seconds);
+    EXPECT_EQ(one.batches, four.batches);
+    EXPECT_EQ(one.accepted, four.accepted);
+    EXPECT_EQ(one.rejected, four.rejected);
+    EXPECT_EQ(one.bypassed, four.bypassed);
   }
 }
 

@@ -70,7 +70,7 @@ std::unique_ptr<PreAlignmentFilter> MakeFilter(FilterKind k) {
 int FalseRejectBudgetPerMille(FilterKind k) {
   switch (k) {
     case FilterKind::kMagnet: return 50;   // the paper observes FRs
-    case FilterKind::kShouji: return 10;   // window replacement, DESIGN.md
+    case FilterKind::kShouji: return 10;   // window replacement (shouji.hpp)
     default: return 0;                     // lossless contract
   }
 }

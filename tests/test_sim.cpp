@@ -209,6 +209,23 @@ TEST(PairGenTest, ProfilesDifferInEditMass) {
   EXPECT_GT(low, mrfast);
 }
 
+TEST(PairGenTest, EveryProfileGeneratesShortLengths) {
+  // Below ~20 bp the profiles' edit bands clamp to one edit and some invert
+  // (min > max); each still yields its pairs, at the requested length.
+  for (PairProfile (*const make)(int) :
+       {MrFastCandidateProfile, LowEditProfile, HighEditProfile,
+        Minimap2Profile, BwaMemProfile}) {
+    for (int length = 1; length <= 40; ++length) {
+      const auto pairs = GeneratePairs(200, make(length), 17);
+      ASSERT_EQ(pairs.size(), 200u) << length;
+      for (const SequencePair& p : pairs) {
+        ASSERT_EQ(p.read.size(), static_cast<std::size_t>(length));
+        ASSERT_EQ(p.ref.size(), static_cast<std::size_t>(length));
+      }
+    }
+  }
+}
+
 TEST(PairGenTest, BwaMemProfileIsHighIdentity) {
   MyersAligner oracle;
   const auto pairs = GeneratePairs(400, BwaMemProfile(100), 13);

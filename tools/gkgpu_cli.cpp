@@ -27,11 +27,13 @@
 // command rejects options it does not take (exit 2), an operand it would
 // otherwise drop (a second one to an option that takes one — only
 // `--paired` takes two —, an option given twice, an operand before the
-// first option), and integer options outside their range (`--e` 0-52,
+// first option), integer options outside their range (`--e` 0-52,
 // `--devices` 1-8, `--setup` 1-2, `--mapq-cap` 0-254, `--threads` 0-1024
 // on `map` and 1-1024 on `serve`, `index --k` 4-14, the generators'
-// `--count` 1-10^8).  Every output file is opened before any work, so an
-// unwritable path fails by name (exit 1) up front.
+// `--count` 1-10^8), and a named operand outside its accepted values
+// (`--profile`, `--algo`, `--encode`), all before any work.  Every output
+// file is opened before any work, so an unwritable path fails by name
+// (exit 1) up front.
 // `index` persists the reference + k-mer index + 2-bit encoding to one
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
@@ -42,6 +44,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -49,6 +52,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -153,6 +157,25 @@ class Args {
     }
     return value;
   }
+  /// The value `choices` pairs with the operand of `key` (with `fallback`
+  /// when absent).  Throws UsageError, naming the accepted operands, for
+  /// any other operand.
+  template <typename T>
+  T GetChoice(
+      const std::string& key, std::string_view fallback,
+      std::initializer_list<std::pair<std::string_view, T>> choices) const {
+    const auto it = values_.find(key);
+    const std::string operand =
+        it != values_.end() ? it->second.front() : std::string(fallback);
+    std::string accepted;
+    for (const auto& [name, value] : choices) {
+      if (name == operand) return value;
+      if (!accepted.empty()) accepted += '|';
+      accepted += name;
+    }
+    throw UsageError("bad value for --" + key + ": '" + operand +
+                     "' (expected " + accepted + ")");
+  }
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
   /// The options of `names`, a space-separated list of option names, that
   /// are given, in name order.
@@ -198,11 +221,6 @@ class Args {
   std::string stray_;     // the first operand before any option
   std::string repeated_;  // the first option given twice
 };
-
-EncodingActor ParseEncodingActor(const Args& args) {
-  return args.Get("encode", "host") == "device" ? EncodingActor::kDevice
-                                                : EncodingActor::kHost;
-}
 
 /// The shared load-or-mmap entry point: every subcommand that needs a
 /// reference resolves it here, so `--index ref.gki` (instant mmap of the
@@ -549,6 +567,15 @@ std::uint64_t GetSeed(const Args& args, long fallback) {
   return static_cast<std::uint64_t>(args.GetInt("seed", fallback, 0));
 }
 
+/// The read generators' `--profile`: their sequencing-error profile.
+ReadErrorProfile GetReadProfile(const Args& args) {
+  return args.GetChoice<ReadErrorProfile>(
+      "profile", "illumina",
+      {{"illumina", ReadErrorProfile::Illumina()},
+       {"richdel", ReadErrorProfile::RichDeletion()},
+       {"lowindel", ReadErrorProfile::LowIndel()}});
+}
+
 int GenerateGenomeCmd(const Args& args) {
   const long length_arg =
       args.GetInt("length", 1000000, 1, kMaxGeneratedBases);
@@ -620,16 +647,13 @@ int GenerateReadsCmd(const Args& args) {
   const std::size_t count = GetCount(args, 10000);
   const int length = GetLength(args);
   const auto seed = GetSeed(args, 43);
+  const ReadErrorProfile profile = GetReadProfile(args);
   const auto records = ReadFastaFile(ref_path);
   if (records.empty()) {
     std::fprintf(stderr, "no sequences in %s\n", ref_path.c_str());
     return 1;
   }
   const ReferenceSet ref = ReferenceSet::FromFasta(records);
-  const std::string profile_name = args.Get("profile", "illumina");
-  ReadErrorProfile profile = ReadErrorProfile::Illumina();
-  if (profile_name == "richdel") profile = ReadErrorProfile::RichDeletion();
-  if (profile_name == "lowindel") profile = ReadErrorProfile::LowIndel();
   const std::vector<std::size_t> counts =
       CountsPerChromosome(ref, count, length);
   std::vector<FastqRecord> fq;
@@ -661,14 +685,12 @@ int GeneratePairedReadsCmd(const Args& args) {
   cfg.insert_mean =
       static_cast<double>(args.GetInt("insert-mean", 350, 1, kIntMax));
   cfg.insert_sd = static_cast<double>(args.GetInt("insert-sd", 30, 0, kIntMax));
+  cfg.profile = GetReadProfile(args);
   const auto records = ReadFastaFile(ref_path);
   if (records.empty()) {
     std::fprintf(stderr, "no sequences in %s\n", ref_path.c_str());
     return 1;
   }
-  const std::string profile_name = args.Get("profile", "illumina");
-  if (profile_name == "richdel") cfg.profile = ReadErrorProfile::RichDeletion();
-  if (profile_name == "lowindel") cfg.profile = ReadErrorProfile::LowIndel();
   const ReferenceSet ref = ReferenceSet::FromFasta(records);
   const std::vector<std::size_t> counts =
       CountsPerChromosome(ref, count, cfg.read_length);
@@ -715,43 +737,36 @@ int GeneratePairsCmd(const Args& args) {
   const int length = GetLength(args);
   const std::size_t count = GetCount(args, 30000);
   const auto seed = GetSeed(args, 44);
+  const auto make_profile = args.GetChoice<PairProfile (*)(int)>(
+      "profile", "mrfast",
+      {{"mrfast", MrFastCandidateProfile},
+       {"lowedit", LowEditProfile},
+       {"highedit", HighEditProfile},
+       {"minimap2", Minimap2Profile},
+       {"bwamem", BwaMemProfile}});
   const std::string name = args.Get("profile", "mrfast");
-  PairProfile profile;
-  if (name == "mrfast") {
-    profile = MrFastCandidateProfile(length);
-  } else if (name == "lowedit") {
-    profile = LowEditProfile(length);
-  } else if (name == "highedit") {
-    profile = HighEditProfile(length);
-  } else if (name == "minimap2") {
-    profile = Minimap2Profile(length);
-  } else if (name == "bwamem") {
-    profile = BwaMemProfile(length);
-  } else {
-    std::fprintf(stderr, "unknown pair profile '%s'\n", name.c_str());
-    return 1;
-  }
   const std::string out = args.Get("out", name + ".pairs.tsv");
-  WritePairSetFile(out, GeneratePairs(count, profile, seed));
+  WritePairSetFile(out, GeneratePairs(count, make_profile(length), seed));
   std::printf("wrote %s (%zu pairs of %d bp, %s profile)\n", out.c_str(),
               count, length, name.c_str());
   return 0;
 }
 
-std::unique_ptr<PreAlignmentFilter> MakeHostFilter(const std::string& algo) {
-  if (algo == "gkgpu") return std::make_unique<GateKeeperFilter>();
-  if (algo == "fpga") {
-    GateKeeperParams p;
-    p.mode = GateKeeperMode::kOriginal;
-    p.bypass_undefined = false;
-    return std::make_unique<GateKeeperFilter>(p);
-  }
-  if (algo == "shd") return std::make_unique<ShdFilter>();
-  if (algo == "magnet") return std::make_unique<MagnetFilter>();
-  if (algo == "shouji") return std::make_unique<ShoujiFilter>();
-  if (algo == "sneakysnake") return std::make_unique<SneakySnakeFilter>();
-  if (algo == "genasm") return std::make_unique<GenAsmFilter>();
-  return nullptr;
+/// Builds one of `filter --algo`'s host filters.
+using HostFilterMaker = std::unique_ptr<PreAlignmentFilter> (*)();
+
+template <typename Filter>
+std::unique_ptr<PreAlignmentFilter> MakeHostFilter() {
+  return std::make_unique<Filter>();
+}
+
+/// The FPGA GateKeeper: the original mask pipeline, with no bypass of
+/// undefined pairs.
+std::unique_ptr<PreAlignmentFilter> MakeFpgaFilter() {
+  GateKeeperParams p;
+  p.mode = GateKeeperMode::kOriginal;
+  p.bypass_undefined = false;
+  return std::make_unique<GateKeeperFilter>(p);
 }
 
 int FilterCmd(const Args& args) {
@@ -761,6 +776,21 @@ int FilterCmd(const Args& args) {
   // --algo.
   const int setup = static_cast<int>(args.GetInt("setup", 1, 1, 2));
   const int device_count = static_cast<int>(args.GetInt("devices", 1, 1, 8));
+  const int e = ErrorThreshold(args);
+  // `gkgpu`, the default, runs the engine and has no host filter.
+  const HostFilterMaker make_host_filter = args.GetChoice<HostFilterMaker>(
+      "algo", "gkgpu",
+      {{"gkgpu", nullptr},
+       {"fpga", MakeFpgaFilter},
+       {"shd", MakeHostFilter<ShdFilter>},
+       {"magnet", MakeHostFilter<MagnetFilter>},
+       {"shouji", MakeHostFilter<ShoujiFilter>},
+       {"sneakysnake", MakeHostFilter<SneakySnakeFilter>},
+       {"genasm", MakeHostFilter<GenAsmFilter>}});
+  const std::string algo = args.Get("algo", "gkgpu");
+  const EncodingActor encoding = args.GetChoice<EncodingActor>(
+      "encode", "host",
+      {{"host", EncodingActor::kHost}, {"device", EncodingActor::kDevice}});
   const std::string pairs_path = args.Get("pairs", "");
   if (pairs_path.empty()) return Usage();
   OutputFile out(args, "out");
@@ -769,15 +799,13 @@ int FilterCmd(const Args& args) {
     std::fprintf(stderr, "no pairs in %s\n", pairs_path.c_str());
     return 1;
   }
-  const int e = ErrorThreshold(args);
   const int length = static_cast<int>(pairs.front().read.size());
-  const std::string algo = args.Get("algo", "gkgpu");
 
   std::vector<std::uint8_t> accepts(pairs.size(), 0);
   std::uint64_t accepted = 0;
   double kt = -1.0;
   double ft = 0.0;
-  if (algo == "gkgpu") {
+  if (make_host_filter == nullptr) {
     const std::vector<std::unique_ptr<gpusim::Device>> devices =
         setup == 1 ? gpusim::MakeSetup1(device_count)
                    : gpusim::MakeSetup2(device_count);
@@ -786,7 +814,7 @@ int FilterCmd(const Args& args) {
     EngineConfig cfg;
     cfg.read_length = length;
     cfg.error_threshold = e;
-    cfg.encoding = ParseEncodingActor(args);
+    cfg.encoding = encoding;
     GateKeeperGpuEngine engine(cfg, device_ptrs);
     std::vector<std::string> reads;
     std::vector<std::string> refs;
@@ -805,11 +833,7 @@ int FilterCmd(const Args& args) {
     kt = stats.kernel_seconds;
     ft = stats.filter_seconds;
   } else {
-    const auto filter = MakeHostFilter(algo);
-    if (filter == nullptr) {
-      std::fprintf(stderr, "unknown algorithm '%s'\n", algo.c_str());
-      return 1;
-    }
+    const auto filter = make_host_filter();
     // Host filters run the batch API: one PairBlock, no per-pair virtual
     // dispatch.  Undefined ('N') pairs carry bypass bits except for the
     // FPGA baseline, which has no such mechanism and filters the
