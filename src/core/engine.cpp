@@ -97,7 +97,6 @@ StreamBatchStats GateKeeperGpuEngine::Launch(
   double fault_s = 0.0;
   for (UnifiedBuffer* b : inputs) {
     if (prefetch) {
-      b->Advise(gpusim::MemAdvice::kPreferredLocationDevice);
       st.transfer_seconds =
           std::max(st.transfer_seconds, b->PrefetchToDevice());
     } else {
@@ -313,8 +312,6 @@ void GateKeeperGpuEngine::LoadReference(const ReferenceEncodingView& enc) {
     auto nmask = dev->AllocateUnified(enc.n_mask.size() * sizeof(Word));
     std::memcpy(words->data(), enc.words.data(), words->bytes());
     std::memcpy(nmask->data(), enc.n_mask.data(), nmask->bytes());
-    words->Advise(gpusim::MemAdvice::kPreferredLocationDevice);
-    nmask->Advise(gpusim::MemAdvice::kPreferredLocationDevice);
     if (dev->props().supports_prefetch()) {
       words->PrefetchToDevice();
       nmask->PrefetchToDevice();

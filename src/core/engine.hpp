@@ -131,7 +131,7 @@ class GateKeeperGpuEngine {
                  const Prepare& prepare,
                  double FilterRunStats::*prepare_seconds,
                  FilterRunStats* stats, std::vector<PairResult>* results);
-  /// One kernel launch on device di: advice and prefetch of `inputs` (or
+  /// One kernel launch on device di: the prefetch of `inputs` (or
   /// demand faults, in list order, without prefetch), the kernel over
   /// `block`, and the migration of its results back to the host.
   StreamBatchStats Launch(std::size_t di, const PairBlock& block,

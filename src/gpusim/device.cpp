@@ -66,18 +66,6 @@ double Device::AccountKernel(const LaunchConfig& cfg, const KernelCost& cost,
   return busy;
 }
 
-double Device::AccountTransfer(std::size_t bytes, bool host_to_device) {
-  const double seconds =
-      static_cast<double>(bytes) / props_.pcie_bytes_per_second();
-  stats_.transfer_seconds += seconds;
-  if (host_to_device) {
-    stats_.h2d_bytes += bytes;
-  } else {
-    stats_.d2h_bytes += bytes;
-  }
-  return seconds;
-}
-
 void Device::AccountIdle(double seconds) { power_.SampleIdle(seconds); }
 
 void Device::AccountFault(std::uint64_t pages, std::uint64_t bytes,
@@ -88,11 +76,6 @@ void Device::AccountFault(std::uint64_t pages, std::uint64_t bytes,
   } else {
     stats_.d2h_bytes += bytes;
   }
-}
-
-void Device::ResetStats() {
-  stats_ = DeviceStats{};
-  power_.Reset();
 }
 
 std::vector<std::unique_ptr<Device>> MakeSetup1(int count,

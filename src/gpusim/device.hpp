@@ -55,7 +55,8 @@ struct KernelCost {
   std::size_t shared_mem_per_block = 0;  // the kernel uses none
 };
 
-/// Per-device counters, accumulated until ResetStats.
+/// Per-device counters, accumulated over the device's life: the one tally
+/// of its modeled kernels and unified-memory migrations.
 struct DeviceStats {
   double kernel_seconds = 0.0;     // simulated in-kernel time
   double transfer_seconds = 0.0;   // simulated PCIe time (prefetch + fault)
@@ -109,9 +110,6 @@ class Device {
   double AccountKernel(const LaunchConfig& cfg, const KernelCost& cost,
                        double fault_seconds);
 
-  /// Charges a bulk PCIe transfer (returns simulated seconds).
-  double AccountTransfer(std::size_t bytes, bool host_to_device);
-
   /// Charges idle time between batches (feeds the power model's minimum).
   void AccountIdle(double seconds);
 
@@ -120,7 +118,6 @@ class Device {
 
   DeviceStats& stats() { return stats_; }
   const DeviceStats& stats() const { return stats_; }
-  void ResetStats();
 
   PowerModel& power() { return power_; }
   const PowerModel& power() const { return power_; }

@@ -36,7 +36,6 @@ class PowerModel {
   void SampleIdle(double duration_s);
 
   PowerReport Report() const;
-  void Reset() { stat_ = {}; }
 
  private:
   void AddSamples(double mw, double duration_s);

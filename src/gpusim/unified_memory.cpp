@@ -16,8 +16,8 @@ constexpr double kFaultLatencySeconds = 25e-6;
 UnifiedBuffer::UnifiedBuffer(Device* home, std::size_t bytes)
     : home_(home),
       bytes_(bytes),
-      storage_(std::make_unique<std::byte[]>(std::max<std::size_t>(bytes, 1))),
-      pages_((bytes + kPageBytes - 1) / kPageBytes, false) {}
+      storage_(
+          std::make_unique<std::byte[]>(std::max<std::size_t>(bytes, 1))) {}
 
 UnifiedBuffer::~UnifiedBuffer() {
   if (home_ != nullptr) {
@@ -26,21 +26,10 @@ UnifiedBuffer::~UnifiedBuffer() {
   }
 }
 
-std::size_t UnifiedBuffer::device_resident_pages() const {
-  return static_cast<std::size_t>(
-      std::count(pages_.begin(), pages_.end(), true));
-}
-
-double UnifiedBuffer::MigrateAll(MemLocation target, bool faulting) {
-  const bool to_device = target == MemLocation::kDevice;
-  std::uint64_t moved_pages = 0;
-  for (std::size_t p = 0; p < pages_.size(); ++p) {
-    if (pages_[p] != to_device) {
-      pages_[p] = to_device;
-      ++moved_pages;
-    }
-  }
-  if (moved_pages == 0) return 0.0;
+double UnifiedBuffer::MigrateAll(bool to_device, bool faulting) {
+  if (on_device_ == to_device) return 0.0;
+  on_device_ = to_device;
+  const std::uint64_t moved_pages = pages();
   const std::uint64_t moved_bytes =
       std::min<std::uint64_t>(moved_pages * kPageBytes, bytes_);
   double seconds = static_cast<double>(moved_bytes) /
@@ -52,47 +41,30 @@ double UnifiedBuffer::MigrateAll(MemLocation target, bool faulting) {
     home_->AccountFault(moved_pages, moved_bytes, to_device);
   } else {
     home_->AccountFault(0, moved_bytes, to_device);
-    stats_.prefetched_pages += moved_pages;
   }
   home_->stats().transfer_seconds += seconds;
-  if (to_device) {
-    stats_.h2d_bytes += moved_bytes;
-    if (faulting) stats_.page_faults += moved_pages;
-  } else {
-    stats_.d2h_bytes += moved_bytes;
-    if (faulting) stats_.page_faults += moved_pages;
-  }
   return seconds;
 }
 
 double UnifiedBuffer::PrefetchToDevice() {
   if (!home_->props().supports_prefetch()) return 0.0;
-  return MigrateAll(MemLocation::kDevice, /*faulting=*/false);
-}
-
-double UnifiedBuffer::PrefetchToHost() {
-  if (!home_->props().supports_prefetch()) return 0.0;
-  return MigrateAll(MemLocation::kHost, /*faulting=*/false);
+  return MigrateAll(/*to_device=*/true, /*faulting=*/false);
 }
 
 double UnifiedBuffer::FaultToDevice() {
   // Kepler-class devices migrate the whole allocation at launch without
   // per-page fault servicing; Pascal pages on demand.
   const bool faulting = home_->props().supports_demand_paging();
-  return MigrateAll(MemLocation::kDevice, faulting);
+  return MigrateAll(/*to_device=*/true, faulting);
 }
 
 double UnifiedBuffer::FaultToHost() {
   const bool faulting = home_->props().supports_demand_paging();
-  return MigrateAll(MemLocation::kHost, faulting);
+  return MigrateAll(/*to_device=*/false, faulting);
 }
 
-void UnifiedBuffer::MarkDeviceResident() {
-  std::fill(pages_.begin(), pages_.end(), true);
-}
+void UnifiedBuffer::MarkDeviceResident() { on_device_ = true; }
 
-void UnifiedBuffer::MarkHostResident() {
-  std::fill(pages_.begin(), pages_.end(), false);
-}
+void UnifiedBuffer::MarkHostResident() { on_device_ = false; }
 
 }  // namespace gkgpu::gpusim

@@ -1,10 +1,12 @@
 // Simulated CUDA unified memory: host-backed allocations visible through a
-// single pointer, with page-granular residency tracking, cudaMemAdvise-
-// style advice, asynchronous prefetching, and on-demand migration cost
-// accounting.  The GateKeeper-GPU engine uses exactly the flow the paper
-// describes: set preferred location to the device, prefetch input buffers
-// on separate streams ahead of the kernel, and let results migrate back on
-// host access.
+// single pointer, with residency tracking, asynchronous prefetching, and
+// on-demand migration cost accounting.  The GateKeeper-GPU engine uses the
+// flow the paper describes: prefetch input buffers on separate streams
+// ahead of the kernel, and let results migrate back on host access.
+// Residency is whole-buffer (every migration moves every 64 KiB page, so
+// one flag says where the buffer is); cudaMemAdvise hints are not modeled,
+// and the bytes and faults moved are counted once, in the home device's
+// DeviceStats.
 //
 // Real data always lives in host DRAM (there is no physical device); what
 // the simulation tracks is *where the pages would be* and what the
@@ -13,32 +15,13 @@
 #define GKGPU_GPUSIM_UNIFIED_MEMORY_HPP
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "gpusim/device_props.hpp"
 
 namespace gkgpu::gpusim {
 
 class Device;
-
-enum class MemLocation { kHost, kDevice };
-
-enum class MemAdvice {
-  kNone,
-  kPreferredLocationDevice,
-  kPreferredLocationHost,
-  kReadMostly,
-};
-
-/// Migration statistics for one buffer (aggregated by Device).
-struct MigrationStats {
-  std::uint64_t h2d_bytes = 0;
-  std::uint64_t d2h_bytes = 0;
-  std::uint64_t page_faults = 0;
-  std::uint64_t prefetched_pages = 0;
-};
 
 class UnifiedBuffer {
  public:
@@ -63,16 +46,12 @@ class UnifiedBuffer {
     return reinterpret_cast<const T*>(storage_.get());
   }
 
-  void Advise(MemAdvice advice) { advice_ = advice; }
-  MemAdvice advice() const { return advice_; }
-
   /// Simulates cudaMemPrefetchAsync to the device: pages move in bulk at
   /// link bandwidth with no fault overhead.  Returns the simulated seconds
   /// the transfer occupies on the link (charged to the issuing stream by
   /// the caller).  No-op (returns 0) when the device lacks prefetch
   /// support, mirroring the engine's capability check.
   double PrefetchToDevice();
-  double PrefetchToHost();
 
   /// Simulates the kernel touching the whole buffer: non-resident pages
   /// fault in one group at a time (bandwidth + per-fault latency) on
@@ -89,24 +68,20 @@ class UnifiedBuffer {
   void MarkDeviceResident();
 
   /// Marks every page host-resident without cost.  The engine calls this
-  /// after host code rewrites a reused batch buffer; with preferred-
-  /// location advice the CPU writes stream over the bus rather than
-  /// migrating pages, and the refill cost is charged by the next prefetch.
+  /// after host code rewrites a reused batch buffer; the refill cost is
+  /// charged by the next prefetch.
   void MarkHostResident();
 
-  const MigrationStats& stats() const { return stats_; }
-  std::size_t pages() const { return pages_.size(); }
-  std::size_t device_resident_pages() const;
+  std::size_t pages() const { return (bytes_ + kPageBytes - 1) / kPageBytes; }
+  bool on_device() const { return on_device_; }
 
  private:
-  double MigrateAll(MemLocation target, bool faulting);
+  double MigrateAll(bool to_device, bool faulting);
 
   Device* home_;
   std::size_t bytes_;
   std::unique_ptr<std::byte[]> storage_;
-  std::vector<bool> pages_;  // true = resident on device
-  MemAdvice advice_ = MemAdvice::kNone;
-  MigrationStats stats_;
+  bool on_device_ = false;
 };
 
 }  // namespace gkgpu::gpusim

@@ -3,7 +3,9 @@
 // spelling and one help string, and hot paths pay only the cached-handle
 // cost (function-local static) after first use.
 //
-// Funnel (counters, reads/pairs):
+// Funnel (counters, reads/pairs): the one tally of the mapping funnel,
+// counted where each step runs (per chunk on the streaming drivers; no
+// driver keeps a copy, so a stopped run has counted what it wrote).
 //   gkgpu_candidates_seeded_total      seeding output, pre-pruning: what
 //                                      the kernel emits, after the seed
 //                                      vote where the caller runs it
@@ -21,9 +23,16 @@
 //   gkgpu_filter_rejects_total         {filter,tier} rejected
 //   gkgpu_filter_bypasses_total        {filter,tier} bypassed (N bases /
 //                                      over-threshold windows): accepted
-//                                      without a filter verdict
+//                                      without a filter verdict; the four
+//                                      per FilterBatch or engine call
 //   gkgpu_rescued_mates_total          SW mate rescues (paired)
 //   gkgpu_reads_mapped_total / gkgpu_reads_unmapped_total
+//                                      each read written, once: per chunk
+//                                      by ReadChunkMapper::Map (`map
+//                                      --reads`, the daemon), per mate by
+//                                      the paired emitter (with pruned
+//                                      and rescued), per call by MapReads;
+//                                      skipped reads count in neither
 //
 // Stage latency (histograms, seconds, labeled {stage}):
 //   gkgpu_stage_service_seconds        per-chunk stage work time of the

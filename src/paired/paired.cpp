@@ -751,18 +751,24 @@ PairedEndMapper::PairedEndMapper(const ReadMapper& mapper, PairedConfig config)
 
 namespace {
 
-// Folds one paired run's totals into the process funnel: insert-window
-// pruning, SW mate rescues, and per-mate mapped/unmapped terminals (the
-// seeding kernel counts seeded candidates itself).  Called once per run.
-void RecordPairedFunnel(const PairedStats& stats) {
-  if (!obs::Enabled()) return;
-  obs::CandidatesPruned().Inc(stats.candidates_seeded -
-                              stats.candidates_paired);
-  obs::RescuedMates().Inc(stats.rescued_mates);
-  const std::uint64_t live_pairs = stats.pairs - stats.skipped_pairs;
+// Publishes what one emitted chunk added to the process funnel, the
+// change from `before` to `after`: insert-window pruning, SW mate rescues
+// and per-mate mapped/unmapped terminals (the seeding kernel counts
+// seeded candidates itself, and the filter its verdicts).  Per chunk, so
+// a run stopped by a malformed pair still counts every pair it wrote.
+void RecordPairedFunnel(const PairedStats& before, const PairedStats& after) {
+  const auto added = [&](std::uint64_t PairedStats::*count) {
+    return after.*count - before.*count;
+  };
+  obs::CandidatesPruned().Inc(added(&PairedStats::candidates_seeded) -
+                              added(&PairedStats::candidates_paired));
+  obs::RescuedMates().Inc(added(&PairedStats::rescued_mates));
+  const std::uint64_t live_mates =
+      2 * (added(&PairedStats::pairs) - added(&PairedStats::skipped_pairs));
   const std::uint64_t unmapped_mates =
-      2 * stats.unmapped_pairs + stats.single_end_pairs;
-  obs::ReadsMapped().Inc(2 * live_pairs - unmapped_mates);
+      2 * added(&PairedStats::unmapped_pairs) +
+      added(&PairedStats::single_end_pairs);
+  obs::ReadsMapped().Inc(live_mates - unmapped_mates);
   obs::ReadsUnmapped().Inc(unmapped_mates);
 }
 
@@ -778,11 +784,8 @@ struct PairChunk {
   std::array<PairTask, kChunkPairs> tasks;
   std::size_t size = 0;
   double take_seconds = 0.0;
-  double seed_seconds = 0.0;
-  double verify_seconds = 0.0;
   std::uint64_t verified = 0;
   std::uint64_t rejected = 0;
-  std::uint64_t bypassed = 0;
 };
 
 /// One worker's scratch.
@@ -877,11 +880,9 @@ PairedStats PairedEndMapper::Map(const PairSource& next,
     PairScratch& s = scratch[worker];
     const std::span<PairTask> tasks(chunk.tasks.data(), chunk.size);
     {
-      const WallTimer seed_timer;
       const pipeline::StageTimer timer(stages.source, "source",
                                        chunk.take_seconds);
       SeedPairTasks(mapper_, L, config_.max_insert, tasks, &s.seeds);
-      chunk.seed_seconds = seed_timer.Seconds();
     }
     // Both mates' pruned candidates share one filter call.
     s.table.clear();
@@ -901,20 +902,16 @@ PairedStats PairedEndMapper::Map(const PairSource& next,
 
     // Verification, each candidate on its seeded strand, in the order the
     // candidates were laid out above.
-    const WallTimer verify_timer;
     const pipeline::StageTimer timer(stages.verify, "verify");
     chunk.verified = 0;
     chunk.rejected = 0;
-    chunk.bypassed = 0;
     std::size_t k = 0;
     for (PairTask& t : tasks) {
       for (int mate = 0; mate < 2; ++mate) {
         const std::vector<OrientedCandidate>& c = mate == 0 ? t.c1 : t.c2;
         std::vector<int>& edits = mate == 0 ? t.e1 : t.e2;
         for (std::size_t j = 0; j < c.size(); ++j) {
-          const PairResult r = s.results[k++];
-          chunk.bypassed += r.bypassed;
-          if (r.accept == 0) {
+          if (s.results[k++].accept == 0) {
             ++chunk.rejected;
             continue;
           }
@@ -928,11 +925,10 @@ PairedStats PairedEndMapper::Map(const PairSource& next,
         }
       }
     }
-    chunk.verify_seconds = verify_timer.Seconds();
   };
 
   const auto emit = [&](PairChunk& chunk) {
-    const WallTimer fin_timer;
+    const PairedStats before = stats;
     for (const PairTask& t : std::span(chunk.tasks.data(), chunk.size)) {
       stats.candidates_seeded += t.seeded;
       stats.candidates_paired += t.c1.size() + t.c2.size();
@@ -945,10 +941,7 @@ PairedStats PairedEndMapper::Map(const PairSource& next,
     stats.pairs += chunk.size;
     stats.verification_pairs += chunk.verified;
     stats.rejected_pairs += chunk.rejected;
-    stats.bypassed_pairs += chunk.bypassed;
-    stats.seeding_seconds += chunk.seed_seconds;
-    stats.verify_seconds += chunk.verify_seconds;
-    stats.finalize_seconds += fin_timer.Seconds();
+    RecordPairedFunnel(before, stats);
   };
 
   pipeline::RunOrderedChunks<PairChunk>(pool, workers, take, map, emit);
@@ -957,7 +950,6 @@ PairedStats PairedEndMapper::Map(const PairSource& next,
   stats.insert_sigma = fin.model.sigma();
   stats.insert_observations = fin.model.count();
   stats.total_seconds = total.Seconds();
-  RecordPairedFunnel(stats);
   return stats;
 }
 

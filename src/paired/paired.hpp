@@ -84,6 +84,11 @@ struct PairedConfig {
   std::string read_group;
 };
 
+/// One paired run's result: the pair classes, duplicates, insert model
+/// and total time, which only the in-order emitter sees, plus the counts
+/// bench/e2e and bench_paired read.  The funnel (seeded, pruned, filter
+/// verdicts, rescued mates, reads mapped and unmapped) is the registry's
+/// (obs/names.hpp), and the stage histograms hold the per-stage times.
 struct PairedStats {
   std::uint64_t pairs = 0;
   std::uint64_t skipped_pairs = 0;  // mate length != read length
@@ -110,7 +115,6 @@ struct PairedStats {
   std::uint64_t candidates_paired = 0;  // survivors entering filtration
   std::uint64_t verification_pairs = 0;
   std::uint64_t rejected_pairs = 0;
-  std::uint64_t bypassed_pairs = 0;
 
   /// SW mate-rescue fit alignments run.
   std::uint64_t rescue_invocations = 0;
@@ -124,9 +128,6 @@ struct PairedStats {
   double insert_sigma = 0.0;
   std::uint64_t insert_observations = 0;
 
-  double seeding_seconds = 0.0;
-  double verify_seconds = 0.0;
-  double finalize_seconds = 0.0;
   double total_seconds = 0.0;
 
   /// How many times fewer (read, reference) pairs the verifier faced than

@@ -15,8 +15,6 @@ void ReadChunkMapper::Map(const ReadChunkInput& in, ReadChunkOutput* out) {
   out->sam.clear();
   out->sam_end.clear();
   out->records.clear();
-  out->stats = {};
-  ReadToSamStats& st = out->stats;
   {
     const StageTimer timer(stages_.source, "source", in.take_seconds);
     mapper_.SeedReads(seqs, &seeds_, SeedVote::kOn);
@@ -28,7 +26,6 @@ void ReadChunkMapper::Map(const ReadChunkInput& in, ReadChunkOutput* out) {
           {static_cast<std::uint32_t>(j), oc.strand, 0, oc.pos});
     }
   }
-  st.candidates = candidates_.size();
   filter_.Filter(seqs, candidates_, stages_, &results_);
 
   const StageTimer timer(stages_.verify, "verify");
@@ -36,14 +33,11 @@ void ReadChunkMapper::Map(const ReadChunkInput& in, ReadChunkOutput* out) {
   const std::string_view genome = mapper_.genome();
   const int e = mapper_.config().error_threshold;
   std::size_t c = 0;
+  std::uint64_t mapped_reads = 0;
   for (std::size_t j = 0; j < seqs.size(); ++j) {
     bool mapped = false;
     for (const OrientedCandidate oc : seeds_.candidates(j)) {
-      const PairResult r = results_[c++];
-      st.accepted += r.accept;
-      st.bypassed += r.bypassed;
-      if (r.accept == 0) continue;
-      ++st.verified_pairs;
+      if (results_[c++].accept == 0) continue;
       // Reverse-strand candidates verify the read's reverse complement
       // (which the seeding kernel computed) against the forward window.
       const std::string_view read =
@@ -52,18 +46,18 @@ void ReadChunkMapper::Map(const ReadChunkInput& in, ReadChunkOutput* out) {
           genome.substr(static_cast<std::size_t>(oc.pos), read.size());
       const int edits = verifier_.Distance(read, window, e);
       if (edits < 0) continue;
-      ++st.mappings;
       mapped = true;
       const int chrom = ref.Locate(oc.pos);
       group_.AddMapping(oc.strand != 0 ? kSamReverse : 0, read, window, chrom,
                         ref.ToLocal(chrom, oc.pos), edits);
     }
-    st.mapped_reads += mapped ? 1 : 0;
+    mapped_reads += mapped ? 1 : 0;
     out->records.push_back(
         group_.FlushGroup(&out->sam, ref, in.names[j], *in.options[j]));
     out->sam_end.push_back(out->sam.size());
   }
-  st.rejected = st.candidates - st.accepted;
+  obs::ReadsMapped().Inc(mapped_reads);
+  obs::ReadsUnmapped().Inc(seqs.size() - mapped_reads);
 }
 
 namespace {
@@ -124,23 +118,12 @@ ReadToSamStats StreamFastqToSam(std::istream& fastq, const ReadMapper& mapper,
     chunk_mappers[worker].Map(chunk.in, &chunk.out);
   };
   const auto emit = [&](FastqChunk& chunk) {
-    const ReadToSamStats& st = chunk.out.stats;
-    out.candidates += st.candidates;
-    out.accepted += st.accepted;
-    out.rejected += st.rejected;
-    out.bypassed += st.bypassed;
-    out.verified_pairs += st.verified_pairs;
-    out.mappings += st.mappings;
-    out.mapped_reads += st.mapped_reads;
     if (sam != nullptr) {
       sam->write(chunk.out.sam.data(),
                  static_cast<std::streamsize>(chunk.out.sam.size()));
     }
   };
   RunOrderedChunks<FastqChunk>(pool, workers, take, map, emit);
-
-  obs::ReadsMapped().Inc(out.mapped_reads);
-  obs::ReadsUnmapped().Inc(out.reads - out.skipped_reads - out.mapped_reads);
   return out;
 }
 

@@ -34,16 +34,12 @@ namespace gkgpu::pipeline {
 /// is the caller's (WriteSamHeader's read_group).
 using ReadToSamConfig = SamGroupOptions;
 
+/// What the stream read, which only its take step sees.  The funnel
+/// (candidates, filter verdicts, reads mapped and unmapped) lives in the
+/// metrics registry alone (obs/names.hpp), counted per chunk.
 struct ReadToSamStats {
   std::uint64_t reads = 0;
   std::uint64_t skipped_reads = 0;  // length != the mapper's read length
-  std::uint64_t candidates = 0;     // voted seeding output = filter input
-  std::uint64_t accepted = 0;       // filter accepts, bypasses included
-  std::uint64_t rejected = 0;
-  std::uint64_t bypassed = 0;
-  std::uint64_t verified_pairs = 0;  // candidates that entered verification
-  std::uint64_t mappings = 0;        // verified within the threshold
-  std::uint64_t mapped_reads = 0;
 };
 
 /// One chunk of single-end reads, by view (the caller's chunk owns the
@@ -65,7 +61,6 @@ struct ReadChunkOutput {
   std::string sam;
   std::vector<std::size_t> sam_end;
   std::vector<std::size_t> records;
-  ReadToSamStats stats;  // reads and skipped_reads stay the caller's
 };
 
 /// One worker's single-end chunk mapping and its scratch.
@@ -76,7 +71,8 @@ class ReadChunkMapper {
                   const StageHistograms& stages)
       : mapper_(mapper), filter_(filter), stages_(stages) {}
 
-  /// Maps the chunk's reads end to end.
+  /// Maps the chunk's reads end to end and counts each one mapped or
+  /// unmapped (gkgpu_reads_mapped_total / _unmapped_total).
   void Map(const ReadChunkInput& in, ReadChunkOutput* out);
 
  private:

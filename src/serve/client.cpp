@@ -27,8 +27,30 @@ void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
   out->append(payload);
 }
 
-[[noreturn]] void Fail(const std::string& why) {
-  throw std::runtime_error("map-client: " + why);
+/// Throws naming the call that failed ("map-client" or "stats").
+[[noreturn]] void Fail(const char* who, const std::string& why) {
+  throw std::runtime_error(std::string(who) + ": " + why);
+}
+
+/// Connects to the daemon at `socket_path`; failures name `who`.
+int Connect(const std::string& socket_path, const char* who) {
+  if (socket_path.empty() ||
+      socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+    Fail(who, "invalid socket path");
+  }
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) Fail(who, "cannot create socket");
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    Fail(who, "cannot connect to " + socket_path + ": " + err);
+  }
+  return fd;
 }
 
 std::uint64_t StatValue(std::string_view payload, std::string_view key) {
@@ -50,22 +72,8 @@ std::uint64_t StatValue(std::string_view payload, std::string_view key) {
 
 ClientStats MapOverSocket(const std::string& socket_path, std::istream& fastq,
                           std::ostream& sam, const JobSpec& job) {
-  if (socket_path.empty() ||
-      socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-    Fail("invalid socket path");
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) Fail("cannot create socket");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    Fail("cannot connect to " + socket_path + ": " + err);
-  }
+  constexpr const char* kWho = "map-client";
+  const int fd = Connect(socket_path, kWho);
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 
@@ -101,7 +109,7 @@ ClientStats MapOverSocket(const std::string& socket_path, std::istream& fastq,
       const int n = ::poll(&pfd, 1, -1);
       if (n < 0) {
         if (errno == EINTR) continue;
-        Fail(std::string("poll: ") + std::strerror(errno));
+        Fail(kWho, std::string("poll: ") + std::strerror(errno));
       }
 
       if ((pfd.revents & POLLOUT) != 0 && !outbound.empty()) {
@@ -109,7 +117,7 @@ ClientStats MapOverSocket(const std::string& socket_path, std::istream& fastq,
             ::send(fd, outbound.data(), outbound.size(), MSG_NOSIGNAL);
         if (sent < 0) {
           if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-            Fail(std::string("send: ") + std::strerror(errno));
+            Fail(kWho, std::string("send: ") + std::strerror(errno));
           }
         } else {
           outbound.erase(0, static_cast<std::size_t>(sent));
@@ -121,10 +129,10 @@ ClientStats MapOverSocket(const std::string& socket_path, std::istream& fastq,
         const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
         if (got < 0) {
           if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-            Fail(std::string("recv: ") + std::strerror(errno));
+            Fail(kWho, std::string("recv: ") + std::strerror(errno));
           }
         } else if (got == 0) {
-          Fail("server closed the connection before kDone");
+          Fail(kWho, "server closed the connection before kDone");
         } else {
           inbound.append(buf, static_cast<std::size_t>(got));
         }
@@ -136,7 +144,7 @@ ClientStats MapOverSocket(const std::string& socket_path, std::istream& fastq,
         std::uint32_t prelude[2];
         std::memcpy(prelude, inbound.data() + pos, sizeof(prelude));
         if (prelude[1] > kMaxFramePayload) {
-          Fail("oversized response frame (corrupt stream?)");
+          Fail(kWho, "oversized response frame (corrupt stream?)");
         }
         if (inbound.size() - pos - kFramePreludeBytes < prelude[1]) break;
         const std::string_view payload(
@@ -153,12 +161,12 @@ ClientStats MapOverSocket(const std::string& socket_path, std::istream& fastq,
             stats.records = StatValue(payload, "records");
             break;
           case FrameType::kError:
-            Fail("server error: " + std::string(payload));
+            Fail(kWho, "server error: " + std::string(payload));
           case FrameType::kDone:
             done = true;
             break;
           default:
-            Fail("unexpected response frame type");
+            Fail(kWho, "unexpected response frame type");
         }
       }
       inbound.erase(0, pos);
@@ -172,42 +180,27 @@ ClientStats MapOverSocket(const std::string& socket_path, std::istream& fastq,
 }
 
 std::string QueryStats(const std::string& socket_path) {
-  if (socket_path.empty() ||
-      socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-    Fail("invalid socket path");
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) Fail("cannot create socket");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    Fail("cannot connect to " + socket_path + ": " + err);
-  }
-
+  constexpr const char* kWho = "stats";
+  const int fd = Connect(socket_path, kWho);
   std::string exposition;
   try {
     WriteFrame(fd, FrameType::kStatsRequest, {});
     Frame frame;
     for (;;) {
       if (!ReadFrame(fd, &frame)) {
-        Fail("server closed the connection before kDone");
+        Fail(kWho, "server closed the connection before kDone");
       }
       switch (frame.type) {
         case FrameType::kStats:
           exposition.append(frame.payload);
           break;
         case FrameType::kError:
-          Fail("server error: " + frame.payload);
+          Fail(kWho, "server error: " + frame.payload);
         case FrameType::kDone:
           ::close(fd);
           return exposition;
         default:
-          Fail("unexpected response frame type");
+          Fail(kWho, "unexpected response frame type");
       }
     }
   } catch (...) {

@@ -95,7 +95,6 @@ struct Session {
   // session).
   std::mutex out_mu;
   std::string staged;
-  std::uint64_t reads = 0;    // admitted to the queue (session thread)
   std::uint64_t records = 0;  // SAM records staged (under out_mu)
 };
 
@@ -210,10 +209,9 @@ struct MapServer::Impl {
   /// the done_sent exchange.
   void MaybeComplete(const SessionPtr& s) {
     if (!s->input_done.load(std::memory_order_acquire)) return;
-    if (s->retired.load(std::memory_order_acquire) !=
-        s->enqueued.load(std::memory_order_acquire)) {
-      return;
-    }
+    // The input is done, so enqueued is final: the job's read count.
+    const std::uint64_t reads = s->enqueued.load(std::memory_order_acquire);
+    if (s->retired.load(std::memory_order_acquire) != reads) return;
     if (s->done_sent.exchange(true)) return;
     if (s->dead.load(std::memory_order_acquire)) {
       // Died on an earlier send (client vanished mid-stream): terminal
@@ -222,11 +220,10 @@ struct MapServer::Impl {
       return;
     }
     std::string tail;
-    std::uint64_t reads = 0, records = 0;
+    std::uint64_t records = 0;
     {
       std::lock_guard<std::mutex> lock(s->out_mu);
       tail.swap(s->staged);
-      reads = s->reads;
       records = s->records;
     }
     if (!tail.empty()) TrySend(s, FrameType::kSamRecords, tail);
@@ -332,10 +329,6 @@ struct MapServer::Impl {
     // enqueued counts before the push so retired can never catch an
     // undercounted total.
     s->enqueued.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::lock_guard<std::mutex> lock(s->out_mu);
-      ++s->reads;
-    }
     obs::ServeReads().Inc();
     std::unique_lock<std::mutex> lock(queue_mu_);
     queue_space_cv_.wait(lock, [&] {

@@ -102,9 +102,10 @@ TEST(UnifiedMemoryTest, PrefetchThenFaultIsFree) {
   auto buf = dev.AllocateUnified(UnifiedBuffer::kPageBytes * 8);
   const double prefetch_s = buf->PrefetchToDevice();
   EXPECT_GT(prefetch_s, 0.0);
-  EXPECT_EQ(buf->device_resident_pages(), buf->pages());
+  EXPECT_TRUE(buf->on_device());
   EXPECT_DOUBLE_EQ(buf->FaultToDevice(), 0.0);  // already resident
-  EXPECT_EQ(buf->stats().page_faults, 0u);
+  EXPECT_EQ(dev.stats().page_faults, 0u);
+  EXPECT_EQ(dev.stats().h2d_bytes, UnifiedBuffer::kPageBytes * 8);
 }
 
 TEST(UnifiedMemoryTest, DemandFaultingCostsMoreThanPrefetch) {
@@ -114,18 +115,19 @@ TEST(UnifiedMemoryTest, DemandFaultingCostsMoreThanPrefetch) {
   const double prefetch_s = a->PrefetchToDevice();
   const double fault_s = b->FaultToDevice();
   EXPECT_GT(fault_s, prefetch_s);  // per-fault latency on top of bandwidth
-  EXPECT_EQ(b->stats().page_faults, 64u);
+  EXPECT_EQ(dev.stats().page_faults, 64u);
 }
 
 TEST(UnifiedMemoryTest, KeplerHasNoPrefetchAndBulkMigration) {
   Device dev(MakeTeslaK20X(), 1);
   auto buf = dev.AllocateUnified(UnifiedBuffer::kPageBytes * 16);
   EXPECT_DOUBLE_EQ(buf->PrefetchToDevice(), 0.0);  // unsupported: no-op
-  EXPECT_EQ(buf->device_resident_pages(), 0u);
+  EXPECT_FALSE(buf->on_device());
   const double fault_s = buf->FaultToDevice();  // whole-allocation migration
   EXPECT_GT(fault_s, 0.0);
-  EXPECT_EQ(buf->device_resident_pages(), buf->pages());
-  EXPECT_EQ(buf->stats().page_faults, 0u);  // no per-page fault servicing
+  EXPECT_TRUE(buf->on_device());
+  EXPECT_EQ(dev.stats().page_faults, 0u);  // no per-page fault servicing
+  EXPECT_EQ(dev.stats().h2d_bytes, UnifiedBuffer::kPageBytes * 16);
 }
 
 TEST(UnifiedMemoryTest, RoundTripAccountsBothDirections) {
@@ -134,8 +136,9 @@ TEST(UnifiedMemoryTest, RoundTripAccountsBothDirections) {
   buf->PrefetchToDevice();
   const double back_s = buf->FaultToHost();
   EXPECT_GT(back_s, 0.0);
-  EXPECT_GT(buf->stats().d2h_bytes, 0u);
-  EXPECT_EQ(buf->device_resident_pages(), 0u);
+  EXPECT_EQ(dev.stats().h2d_bytes, UnifiedBuffer::kPageBytes * 4);
+  EXPECT_EQ(dev.stats().d2h_bytes, UnifiedBuffer::kPageBytes * 4);
+  EXPECT_FALSE(buf->on_device());
 }
 
 TEST(PowerModelTest, IdleSetsMinActiveSetsMax) {

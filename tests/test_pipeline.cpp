@@ -19,10 +19,10 @@
 #include "candidate_workload.hpp"
 #include "core/engine.hpp"
 #include "filters/gatekeeper.hpp"
+#include "funnel_delta.hpp"
 #include "io/fastq.hpp"
 #include "io/paired_fastq.hpp"
 #include "mapper/mapper.hpp"
-#include "obs/metrics.hpp"
 #include "paired/paired.hpp"
 #include "pipeline/chunk_filter.hpp"
 #include "pipeline/read_to_sam.hpp"
@@ -152,9 +152,9 @@ TEST(CandidateStreamingTest, MatchesBlockingFilterCandidatesBitForBit) {
 
 /// Maps `reads` with the blocking mapper and with StreamFastqToSam, and
 /// checks the streamed SAM against the blocking records line for line.
-/// StreamFastqToSam seeds with the vote and MapReads without it, so
-/// the streamed candidates plus the vote's cut are MapReads' candidates,
-/// and the stream verifies no more pairs for the same mappings.
+/// StreamFastqToSam seeds with the vote and MapReads without it, so the
+/// stream's registry funnel holds MapReads' candidates less the vote's
+/// cut, and the stream verifies no more pairs for the same mapped reads.
 void ExpectStreamMatchesBlocking(const ReferenceSet& ref,
                                  const std::vector<std::string>& reads) {
   const int length = 100;
@@ -181,24 +181,21 @@ void ExpectStreamMatchesBlocking(const ReferenceSet& ref,
   // SAM lines align 1:1 with the blocking mapper's record list.
   scfg.secondary = SecondaryPolicy::kReportSecondary;
   std::stringstream sam;
-  const auto voted_out = [] {
-    return obs::Registry::Global().Snapshot().Total(
-        "gkgpu_candidates_voted_out_total");
-  };
-  const double voted_out_before = voted_out();
-  const pipeline::ReadToSamStats got =
-      pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper, scfg, &sam);
-  const double cut = voted_out() - voted_out_before;
+  pipeline::ReadToSamStats got;
+  const FunnelDelta f = FunnelAcross([&] {
+    got = pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper, scfg, &sam);
+  });
 
   EXPECT_EQ(got.reads, reads.size());
-  EXPECT_GT(cut, 0.0);
-  EXPECT_EQ(static_cast<double>(got.candidates) + cut,
+  EXPECT_EQ(got.skipped_reads, 0u);
+  EXPECT_GT(f.voted_out, 0.0);
+  EXPECT_EQ(f.filter_input, f.seeded);
+  EXPECT_EQ(f.seeded + f.voted_out,
             static_cast<double>(expected.candidates_total));
-  EXPECT_EQ(got.accepted + got.rejected, got.candidates);
-  EXPECT_EQ(got.verified_pairs, got.accepted);
-  EXPECT_EQ(got.mappings, expected.mappings);
-  EXPECT_EQ(got.mapped_reads, expected.mapped_reads);
-  EXPECT_LE(got.verified_pairs, expected.verification_pairs);
+  EXPECT_EQ(f.accepts + f.rejects, f.filter_input);
+  EXPECT_LE(f.accepts, static_cast<double>(expected.verification_pairs));
+  EXPECT_EQ(f.mapped, static_cast<double>(expected.mapped_reads));
+  EXPECT_EQ(f.mapped + f.unmapped, static_cast<double>(reads.size()));
 
   // One SAM line per mapping, in input read order, with matching
   // chromosomes, local positions, strands and edit distances.
@@ -297,7 +294,8 @@ TEST(ReadToSamTest, OverCapacityReadLengthIsNamedBeforeAnySam) {
   expect_named([&] { server.Run(); });
   EXPECT_TRUE(sam.str().empty());
 
-  EXPECT_EQ(single(nullptr, &sam).mapped_reads, fq.size());
+  EXPECT_EQ(FunnelAcross([&] { single(nullptr, &sam); }).mapped,
+            static_cast<double>(fq.size()));
   EXPECT_EQ(paired(nullptr, nullptr).pairs, fq.size());
   EXPECT_FALSE(sam.str().empty());
 }

@@ -3,8 +3,10 @@
 // concurrent clients demultiplexed onto their own byte-identical SAM
 // streams (with cross-request chunk coalescing observed in the stats),
 // every streaming driver's SAM under No Filter, GateKeeper and
-// SneakySnake, wrong-length and malformed inputs, a chunk worker's error
-// (a corrupt index bucket), and shutdown drain.
+// SneakySnake, every driver's registry funnel balancing (stopped runs
+// included), wrong-length and malformed inputs, a chunk worker's error
+// (a corrupt index bucket), the client's named connect errors, and
+// shutdown drain.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -24,6 +26,7 @@
 
 #include "filters/gatekeeper.hpp"
 #include "filters/sneakysnake.hpp"
+#include "funnel_delta.hpp"
 #include "io/index_io.hpp"
 #include "io/paired_fastq.hpp"
 #include "io/reference.hpp"
@@ -288,9 +291,11 @@ TEST_F(ServeTest, EveryDriverWritesTheSameSamUnderEveryLosslessFilter) {
     SCOPED_TRACE(filter == nullptr ? "No Filter" : filter->name());
     std::ostringstream single;
     WriteSamHeader(single, mapper_.reference(), "");
-    std::istringstream fastq(single_fastq);
-    const pipeline::ReadToSamStats stats = pipeline::StreamFastqToSam(
-        fastq, mapper_, filter, pipeline::ReadToSamConfig{}, &single);
+    const FunnelDelta single_funnel = FunnelAcross([&] {
+      std::istringstream fastq(single_fastq);
+      pipeline::StreamFastqToSam(fastq, mapper_, filter,
+                                 pipeline::ReadToSamConfig{}, &single);
+    });
 
     std::string served;
     const serve::ServeStats served_stats =
@@ -315,17 +320,146 @@ TEST_F(ServeTest, EveryDriverWritesTheSameSamUnderEveryLosslessFilter) {
     if (filter == nullptr) {
       single_golden = single.str();
       paired_golden = paired.str();
-      EXPECT_EQ(stats.rejected + pstats.rejected_pairs, 0u);
+      EXPECT_EQ(single_funnel.rejects, 0.0);
+      EXPECT_EQ(pstats.rejected_pairs, 0u);
     } else {
       EXPECT_EQ(single.str(), single_golden);
       EXPECT_EQ(paired.str(), paired_golden);
       // The filter rejects candidates on each driver, so the equalities
       // are not vacuous.
-      EXPECT_GT(stats.rejected, 0u);
+      EXPECT_GT(single_funnel.rejects, 0.0);
       EXPECT_GT(pstats.rejected_pairs, 0u);
     }
   }
   EXPECT_EQ(single_golden, Golden(single_fastq));
+}
+
+TEST_F(ServeTest, EveryDriverBalancesTheFunnel) {
+  // The registry is the one tally of the mapping funnel.  Every driver
+  // counts each read it writes mapped or unmapped, per chunk, so a run
+  // stopped by a malformed record counts the reads before it; and each
+  // step's candidates add up to the next step's, under No Filter and
+  // GateKeeper.  One wrong-length record per input is skipped, outside
+  // the funnel.
+  PairSimConfig pair_cfg;
+  pair_cfg.read_length = kReadLength;
+  pair_cfg.insert_mean = 200.0;
+  pair_cfg.insert_sd = 20.0;
+  std::vector<std::string> mates1, mates2;
+  for (const SimulatedPair& p : SimulatePairs(ref_.text(), 150, pair_cfg, 16)) {
+    mates1.push_back(p.seq1);
+    mates2.push_back(p.seq2);
+  }
+  const std::string short_record = "@short\nACGTACGT\n+\nIIIIIIII\n";
+  const std::string single_fastq = MakeFastq("s", mates1) + short_record;
+  PairedConfig pconf;
+  pconf.max_insert = 400;
+  const auto stream = [&](const std::string& text,
+                          const PreAlignmentFilter* filter) {
+    std::istringstream fastq(text);
+    return pipeline::StreamFastqToSam(fastq, mapper_, filter,
+                                      pipeline::ReadToSamConfig{}, nullptr);
+  };
+  const auto map_pairs = [&](const std::string& text1, const std::string& text2,
+                             const PreAlignmentFilter* filter) {
+    std::istringstream fq1(text1);
+    std::istringstream fq2(text2);
+    PairedFastqReader reader(fq1, fq2);
+    return PairedEndMapper(mapper_, pconf).MapPairs(reader, filter, nullptr);
+  };
+  // The filter's input is what the step before it passed on.
+  const auto expect_filtered = [](const FunnelDelta& f, double input,
+                                  const PreAlignmentFilter* filter) {
+    EXPECT_GT(f.mapped, 0.0);
+    if (filter == nullptr) {
+      EXPECT_EQ(f.filter_input, 0.0);
+      return;
+    }
+    EXPECT_GT(f.rejects, 0.0);
+    EXPECT_EQ(f.filter_input, input);
+    EXPECT_EQ(f.accepts + f.rejects, f.filter_input);
+  };
+
+  const std::vector<const PreAlignmentFilter*> filters{nullptr, &gatekeeper_};
+  for (const PreAlignmentFilter* filter : filters) {
+    SCOPED_TRACE(filter == nullptr ? "No Filter" : filter->name());
+    pipeline::ReadToSamStats st;
+    const FunnelDelta single =
+        FunnelAcross([&] { st = stream(single_fastq, filter); });
+    EXPECT_EQ(st.skipped_reads, 1u);
+    EXPECT_EQ(single.mapped + single.unmapped,
+              static_cast<double>(st.reads - st.skipped_reads));
+    expect_filtered(single, single.seeded, filter);
+
+    serve::ServeStats served;
+    const FunnelDelta daemon = FunnelAcross([&] {
+      served = WithServer(BaseConfig(), filter, [&](const std::string& sock) {
+        std::istringstream fastq(single_fastq);
+        std::ostringstream sam;
+        serve::MapOverSocket(sock, fastq, sam);
+      });
+    });
+    // The daemon counts the reads it admits, so skipped ones are out.
+    EXPECT_EQ(served.skipped_reads, 1u);
+    EXPECT_EQ(daemon.mapped + daemon.unmapped,
+              static_cast<double>(served.reads));
+    expect_filtered(daemon, daemon.seeded, filter);
+
+    PairedStats ps;
+    const FunnelDelta paired = FunnelAcross([&] {
+      ps = map_pairs(MakeFastq("p", mates1) + short_record,
+                     MakeFastq("p", mates2) + short_record, filter);
+    });
+    EXPECT_EQ(ps.skipped_pairs, 1u);
+    EXPECT_EQ(paired.mapped + paired.unmapped,
+              2.0 * static_cast<double>(ps.pairs - ps.skipped_pairs));
+    const auto paired_input = static_cast<double>(ps.candidates_paired);
+    EXPECT_EQ(paired.seeded - paired.pruned, paired_input);
+    EXPECT_EQ(paired.rescued, static_cast<double>(ps.rescued_mates));
+    expect_filtered(paired, paired_input, filter);
+  }
+
+  // Runs stopped by their input count every read they wrote.
+  const std::vector<std::string> first120(mates1.begin(), mates1.begin() + 120);
+  const FunnelDelta stopped = FunnelAcross([&] {
+    const std::string bad = "@bad\nACGT\n+\nII\n";
+    EXPECT_THROW(stream(MakeFastq("s", first120) + bad, &gatekeeper_),
+                 std::runtime_error);
+  });
+  EXPECT_EQ(stopped.mapped + stopped.unmapped, 120.0);
+  expect_filtered(stopped, stopped.seeded, &gatekeeper_);
+
+  const std::vector<std::string> first100(mates2.begin(), mates2.begin() + 100);
+  const FunnelDelta truncated = FunnelAcross([&] {
+    EXPECT_THROW(map_pairs(MakeFastq("p", mates1), MakeFastq("p", first100),
+                           &gatekeeper_),
+                 std::runtime_error);
+  });
+  EXPECT_EQ(truncated.mapped + truncated.unmapped, 200.0);
+  EXPECT_GT(truncated.pruned, 0.0);
+  expect_filtered(truncated, truncated.seeded - truncated.pruned, &gatekeeper_);
+}
+
+TEST(ServeClientTest, EachCallNamesItselfWhenItCannotConnect) {
+  const std::string missing = "/nonexistent/gkgpu.sock";
+  const auto error_of = [](const auto& call) {
+    try {
+      call();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string stats = error_of([&] { serve::QueryStats(missing); });
+  EXPECT_EQ(stats.rfind("stats: cannot connect to " + missing, 0), 0u)
+      << stats;
+  const std::string job = error_of([&] {
+    std::istringstream fastq("");
+    std::ostringstream sam;
+    serve::MapOverSocket(missing, fastq, sam);
+  });
+  EXPECT_EQ(job.rfind("map-client: cannot connect to " + missing, 0), 0u)
+      << job;
 }
 
 TEST_F(ServeTest, WrongLengthReadsAreSkippedNotFatal) {

@@ -366,9 +366,10 @@ std::string ToFastq(const std::vector<std::string>& seqs,
 TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
   // Every mapping path seeds through the one kernel, which publishes all
   // three seeding families; on a 2-shard index the two counts of what it
-  // emits must agree with each other and with the path's own candidate
-  // count, and where the path votes the emitted plus the voted-out
-  // candidates must add up to MapReads' unvoted count.
+  // emits must agree with each other and with the path's candidate count
+  // (its own where it keeps one, else the filter's input), and where the
+  // path votes the emitted plus the voted-out candidates must add up to
+  // MapReads' unvoted count.
   MapperConfig sharded_cfg = config_;
   sharded_cfg.shard_max_bp = 11000;  // two chromosomes per shard
   ReadMapper mapper(ref_, sharded_cfg);
@@ -392,16 +393,15 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
 
   const GateKeeperFilter gatekeeper;
 
+  // The stream keeps no candidate count of its own either: every seeded
+  // candidate is presented to the filter.
   const std::string fastq_text = ToFastq(reads, "r");
-  pipeline::ReadToSamStats streamed;
   const SeedDeltas stream_d = SeedCounterDeltas([&] {
     std::istringstream fastq(fastq_text);
-    streamed = pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper,
-                                          pipeline::ReadToSamConfig{},
-                                          nullptr);
+    pipeline::StreamFastqToSam(fastq, mapper, &gatekeeper,
+                               pipeline::ReadToSamConfig{}, nullptr);
   });
-  expect_agree(stream_d, static_cast<double>(streamed.candidates),
-               "StreamFastqToSam");
+  expect_agree(stream_d, stream_d.filter_input, "StreamFastqToSam");
   EXPECT_GT(stream_d.voted_out, 0.0);
   EXPECT_EQ(stream_d.seeded + stream_d.voted_out, pigeonhole);
 
@@ -434,9 +434,8 @@ TEST_F(ShardedMappingTest, ShardCandidateTallySumsToTotal) {
                "MapPairs");
   EXPECT_EQ(paired_d.voted_out, 0.0);  // paired mapping seeds unvoted
 
-  // The daemon keeps no per-job candidate count: every seeded candidate
-  // of a single-end job is presented to the filter, and the job seeds
-  // what the standalone pipeline seeded on the same reads.
+  // Nor does the daemon keep a per-job one, and a job seeds what the
+  // standalone stream seeded on the same reads.
   serve::ServeConfig scfg;
   scfg.socket_path =
       (std::filesystem::temp_directory_path() /

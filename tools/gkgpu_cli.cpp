@@ -18,7 +18,8 @@
 //
 // `filter --algo gkgpu` runs the full engine (simulated GPU, batching,
 // unified memory); the other algorithms run as host filters.  `filter` is
-// the only command that builds devices (`--setup`, `--devices`).  `map`
+// the only command that builds devices (`--setup`, `--devices`), and it
+// rejects them and `--encode` under a host `--algo`.  `map`
 // streams FASTQ: chunk workers on the mapper's pool each seed, filter with
 // the host GateKeeper over the mapper's 2-bit reference, verify and format
 // a chunk of reads (`--reads`) or pairs (`--paired`, `--interleaved`), and
@@ -788,6 +789,13 @@ int FilterCmd(const Args& args) {
        {"sneakysnake", MakeHostFilter<SneakySnakeFilter>},
        {"genasm", MakeHostFilter<GenAsmFilter>}});
   const std::string algo = args.Get("algo", "gkgpu");
+  // A host filter would ignore the engine's options.
+  const std::vector<std::string> engine_options =
+      args.Given("setup devices encode");
+  if (make_host_filter != nullptr && !engine_options.empty()) {
+    throw UsageError("--" + engine_options[0] +
+                     " applies to --algo gkgpu, not to --algo " + algo);
+  }
   const EncodingActor encoding = args.GetChoice<EncodingActor>(
       "encode", "host",
       {{"host", EncodingActor::kHost}, {"device", EncodingActor::kDevice}});
@@ -918,11 +926,11 @@ int MapPairedCmd(const Args& args, MapperConfig mcfg, const PairedConfig& pconf,
 
   TablePrinter t({"metric", "value"});
   t.AddRow({"pairs", TablePrinter::Count(stats.pairs)});
+  t.AddRow({"skipped pairs", TablePrinter::Count(stats.skipped_pairs)});
   t.AddRow({"proper pairs", TablePrinter::Count(stats.proper_pairs)});
   t.AddRow({"discordant", TablePrinter::Count(stats.discordant_pairs)});
   t.AddRow({"single-end", TablePrinter::Count(stats.single_end_pairs)});
   t.AddRow({"unmapped pairs", TablePrinter::Count(stats.unmapped_pairs)});
-  t.AddRow({"rescued mates", TablePrinter::Count(stats.rescued_mates)});
   if (pconf.mark_duplicates) {
     t.AddRow({"duplicate pairs", TablePrinter::Count(stats.duplicate_pairs)});
     if (pconf.optical_dup_distance > 0) {
@@ -934,15 +942,10 @@ int MapPairedCmd(const Args& args, MapperConfig mcfg, const PairedConfig& pconf,
     t.AddRow({"duplicate singletons",
               TablePrinter::Count(stats.duplicate_singletons)});
   }
-  t.AddRow({"candidates seeded", TablePrinter::Count(stats.candidates_seeded)});
-  t.AddRow({"after pairing", TablePrinter::Count(stats.candidates_paired)});
-  t.AddRow({"pruning ratio", TablePrinter::Num(stats.PruningRatio(), 2)});
   t.AddRow({"verification pairs",
             TablePrinter::Count(stats.verification_pairs)});
   t.AddRow({"insert mean", TablePrinter::Num(stats.insert_mean, 1)});
   t.AddRow({"insert sigma", TablePrinter::Num(stats.insert_sigma, 1)});
-  t.AddRow({"seeding (s)", TablePrinter::Num(stats.seeding_seconds, 3)});
-  t.AddRow({"verification (s)", TablePrinter::Num(stats.verify_seconds, 3)});
   t.AddRow({"total (s)", TablePrinter::Num(stats.total_seconds, 3)});
   t.Print(std::cout);
   if (sam != nullptr) {
@@ -987,19 +990,10 @@ int MapSingleCmd(const Args& args, MapperConfig mcfg, ReferenceInput& input,
     t.AddRow({"index shards",
               TablePrinter::Count(mapper.index().shard_count())});
   }
-  t.AddRow({"candidates", TablePrinter::Count(stats.candidates)});
-  t.AddRow({"mappings", TablePrinter::Count(stats.mappings)});
-  t.AddRow({"mapped reads", TablePrinter::Count(stats.mapped_reads)});
-  t.AddRow({"accepted", TablePrinter::Count(stats.accepted)});
-  t.AddRow({"rejected", TablePrinter::Count(stats.rejected)});
-  t.AddRow({"bypassed", TablePrinter::Count(stats.bypassed)});
-  t.AddRow({"verified pairs", TablePrinter::Count(stats.verified_pairs)});
   t.Print(std::cout);
   if (sam != nullptr) {
     sam_file.Close();
-    std::printf("SAM written to %s (%llu verified mappings)\n",
-                sam_file.path().c_str(),
-                static_cast<unsigned long long>(stats.mappings));
+    std::printf("SAM written to %s\n", sam_file.path().c_str());
   }
   return 0;
 }
