@@ -3,10 +3,11 @@
 // what GateKeeperFilter::Filter and the scalar batch tier run) across read
 // lengths and error thresholds, its amendment/run-count primitives, the
 // baselines, and the exact aligners — the numbers behind the throughput
-// tables — plus the reverse complement of an encoded read and the seeding
-// kernel's per-read cost at chunk sizes 1 and kSeedChunkReads, unvoted and
-// voted, on an 8 Mbp one-chromosome genome and on se-large's shape, and
-// the FASTQ parser's per-read cost.
+// tables — plus the CIGAR paths (Hamming, diagonal-transition traceback,
+// BandedAlign), mate rescue's fit DP, the reverse complement of an
+// encoded read, the seeding kernel's per-read cost at chunk sizes 1 and
+// kSeedChunkReads, unvoted and voted, on an 8 Mbp one-chromosome genome
+// and on se-large's shape, and the FASTQ parser's per-read cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -19,14 +20,16 @@
 #include <vector>
 
 #include "align/banded.hpp"
+#include "align/cigar.hpp"
+#include "align/local.hpp"
 #include "align/myers.hpp"
 #include "align/needleman_wunsch.hpp"
 #include "encode/encoded.hpp"
 #include "encode/revcomp.hpp"
 #include "filters/magnet.hpp"
-#include "io/fastq.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
+#include "io/fastq.hpp"
 #include "mapper/mapper.hpp"
 #include "sim/genome.hpp"
 #include "sim/pairgen.hpp"
@@ -156,6 +159,77 @@ void BM_ExactAligners(benchmark::State& state) {
   state.SetLabel(label);
 }
 BENCHMARK(BM_ExactAligners)->DenseRange(0, 9);
+
+// A 100 bp read against its window, as the paired emitter and
+// SamGroupBuffer derive a record's CIGAR: `subs` substitutions (0-3),
+// plus one insertion and one deletion unless `kind` is 0.  Kind 0 takes
+// CigarFor's Hamming path, kind 1 its diagonal-transition traceback, and
+// kind 2 runs BandedAlign, the traceback's fallback and oracle, on kind
+// 1's pair.
+void BM_CigarFor(benchmark::State& state) {
+  const int subs = static_cast<int>(state.range(0));
+  const int kind = static_cast<int>(state.range(1));
+  std::string window = GenerateGenome(101, 51);
+  std::string read = window;
+  if (kind != 0) {
+    read.insert(30, 1, read[30] == 'A' ? 'C' : 'A');
+    read.erase(71, 1);
+  }
+  window.resize(100);
+  read.resize(100);
+  constexpr std::size_t kSubstituted[] = {15, 50, 85};
+  for (int s = 0; s < subs; ++s) {
+    const std::size_t at = kSubstituted[s];
+    read[at] = read[at] == 'G' ? 'T' : 'G';
+  }
+  const int edits = MyersAligner().Distance(read, window);
+  for (auto _ : state) {
+    if (kind == 2) {
+      benchmark::DoNotOptimize(BandedAlign(read, window, edits));
+    } else {
+      benchmark::DoNotOptimize(CigarFor(read, window, edits));
+    }
+  }
+  const char* const kKinds[] = {"hamming", "traceback", "BandedAlign"};
+  state.SetLabel(std::string(kKinds[kind]) + ", d " + std::to_string(edits) +
+                 ", " + CigarFor(read, window, edits));
+}
+BENCHMARK(BM_CigarFor)
+    ->ArgNames({"subs", "kind"})
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}});
+
+// Mate rescue's fit DP (LocalAligner::BestFit) for a 100 bp mate at
+// e = 5: the 345-base window a fitted insert model (350 +- 30) predicts,
+// starts bounded at 240, and the ~1,000-base window of every admissible
+// start before the model fits (max_insert 1,000), each with the mate
+// planted at the window's middle start (two substitutions and a
+// deletion) or absent (a rescue that fails).
+void BM_BestFit(benchmark::State& state) {
+  const int window_bp = static_cast<int>(state.range(0));
+  const bool planted = state.range(1) != 0;
+  constexpr int kLength = 100;
+  constexpr int kE = 5;
+  const int max_begin = window_bp - kLength - kE;
+  const std::string window =
+      GenerateGenome(static_cast<std::size_t>(window_bp), 55);
+  std::string read = GenerateGenome(kLength, 56);
+  if (planted) {
+    read = window.substr(static_cast<std::size_t>(max_begin / 2), kLength + 1);
+    read.erase(60, 1);
+    read[20] = read[20] == 'A' ? 'C' : 'A';
+    read[80] = read[80] == 'A' ? 'C' : 'A';
+  }
+  LocalAligner aligner;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aligner.BestFit(read, window, kE, max_begin));
+  }
+  state.SetLabel(std::to_string(window_bp) + "-base window, max_begin " +
+                 std::to_string(max_begin) +
+                 (planted ? ", mate planted" : ", mate absent"));
+}
+BENCHMARK(BM_BestFit)
+    ->ArgNames({"window", "planted"})
+    ->ArgsProduct({{345, 1005}, {1, 0}});
 
 // Reorienting one encoded read, as LoadBlockPair does for every
 // reverse-strand candidate, at the mapper's read length and the kernels'

@@ -19,13 +19,23 @@ struct Alignment {
 /// Exact banded global alignment of `read` against `ref` with edit budget
 /// k; Alignment.distance == BandedEditDistance(read, ref, k) and the CIGAR
 /// describes one optimal alignment (diagonal moves preferred on ties).
+/// An O(|read| * k) DP matrix walked back from the corner: CigarFor's
+/// fallback, and the oracle its faster paths are tested against.
 Alignment BandedAlign(std::string_view read, std::string_view ref, int k);
 
 /// The CIGAR a SAM record carries for a verified placement: `edits` must
 /// be the confirmed (exact) edit distance of read against window.  Equals
 /// BandedAlign(read, window, edits).cigar when that succeeds and
-/// "<read length>M" otherwise, but skips the DP when the Hamming distance
-/// equals `edits` (the substitution-only placements that dominate).
+/// "<read length>M" otherwise, byte for byte, by the cheapest of three
+/// paths:
+///   - a Hamming count, when it equals `edits` (the substitution-only
+///     placements that dominate): "<read length>M" with no DP;
+///   - equal lengths and edits <= 31: a diagonal-transition table (for
+///     each score s and each of the floor(edits / 2) diagonals on either
+///     side of the main one, the furthest row within s edits, extended
+///     over matches 16 bytes at a time), from which BandedAlign's own
+///     traceback is walked, a match run per step;
+///   - otherwise BandedAlign.
 std::string CigarFor(std::string_view read, std::string_view window,
                      int edits);
 

@@ -16,16 +16,23 @@ LocalAlignment LocalAligner::BestFit(std::string_view read,
   if (max_edits < 0) return {};
   const int m = static_cast<int>(read.size());
   const int n = static_cast<int>(ref.size());
+  const std::size_t rows = static_cast<std::size_t>(m) + 1;
   const std::size_t stride = static_cast<std::size_t>(n) + 1;
-  const std::size_t cells = static_cast<std::size_t>(m + 1) * stride;
-  // The matrix is never cleared: every cell the recurrence, the answer
-  // scan, or the traceback reads lies inside a row's written band (live
-  // cells plus one kInf sentinel on each side), so stale values from a
-  // previous call are unreachable.
-  if (dp_.size() < cells) dp_.resize(cells);
+  // The matrix is never cleared: each row is written over its computed
+  // columns plus a kInf sentinel after them, which is all the next row
+  // reads, and the answer scan and the traceback read only inside each
+  // row's live span, so stale values from a previous call are
+  // unreachable.
+  if (dp_.size() < rows * stride) dp_.resize(rows * stride);
+  if (live_.size() < rows) live_.resize(rows);
   auto at = [&](int i, int j) -> int& {
     return dp_[static_cast<std::size_t>(i) * stride +
                static_cast<std::size_t>(j)];
+  };
+  // A cell outside its row's live span holds more than max_edits.
+  const auto value = [&](int i, int j) {
+    const auto [lo, hi] = live_[static_cast<std::size_t>(i)];
+    return j < lo || j > hi ? kInf : at(i, j);
   };
 
   // Row 0 is free up to max_begin: a placement may start before any
@@ -34,54 +41,61 @@ LocalAlignment LocalAligner::BestFit(std::string_view read,
       max_begin < 0
           ? n
           : static_cast<int>(std::min<std::int64_t>(n, max_begin));
-  // Adaptive band: a within-budget path into (i, j) starts at a row-0
-  // column <= begin_limit, and its column drift obeys
-  // |j - start - i| <= edits, so i - max_edits <= j <= begin_limit + i +
-  // max_edits.  Cells outside that band cannot hold a value <= max_edits
-  // — the budget poisoning below would kInf them anyway — so each row
-  // only computes its band and the band widens with the window length
-  // instead of every row sweeping all n columns.
-  const auto hi_of = [&](int i) {
-    return static_cast<int>(std::min<std::int64_t>(
-        n, static_cast<std::int64_t>(begin_limit) + i + max_edits));
-  };
   for (int j = 0; j <= begin_limit; ++j) at(0, j) = 0;
-  for (int j = begin_limit + 1; j <= std::min(n, hi_of(1)); ++j) {
-    at(0, j) = kInf;  // row 1 reads this far past the free prefix
-  }
+  if (begin_limit < n) at(0, begin_limit + 1) = kInf;
+  live_[0] = {0, begin_limit};
+  // Live band: a cell can hold a value <= max_edits only if one of its
+  // predecessors does, so row i computes the previous row's live span
+  // [lo, hi] plus one column (the diagonal and vertical moves), then
+  // continues rightwards only while a deletion chain stays within budget
+  // (past hi + 1 no other move is live).  Cells past the budget can never
+  // recover (costs are nonnegative), so they are poisoned to kInf, and a
+  // row with no live cell ends the search.  No row reads left of what the
+  // previous one computed: horizontal neighbours differ by at most one,
+  // so a leftmost live cell past column 0 holds exactly max_edits, the
+  // cell below it is dead, and the live span's start moves right.
   for (int i = 1; i <= m; ++i) {
-    // Within the budget, i read bases consume at least i - max_edits
-    // reference bases; earlier columns cannot reach the answer row.
-    const int j_lo = std::max(0, i - max_edits);
-    if (j_lo > n) continue;  // the read no longer fits; rows stay dead
-    const int j_hi = hi_of(i);
-    if (j_lo == 0) {
-      at(i, 0) = i;
-    } else {
-      at(i, j_lo - 1) = kInf;  // lower sentinel
-    }
-    for (int j = std::max(1, j_lo); j <= j_hi; ++j) {
-      int v = kInf;
-      if (at(i - 1, j - 1) < kInf) {
-        const int cost = read[static_cast<std::size_t>(i - 1)] ==
-                                 ref[static_cast<std::size_t>(j - 1)]
-                             ? 0
-                             : 1;
-        v = std::min(v, at(i - 1, j - 1) + cost);  // M
+    const auto [lo, hi] = live_[static_cast<std::size_t>(i - 1)];
+    const int* up = &at(i - 1, 0);
+    int* row = &at(i, 0);
+    const char base = read[static_cast<std::size_t>(i - 1)];
+    int new_lo = -1;
+    int new_hi = -1;
+    int j = lo;
+    int left = kInf;  // row[j - 1], dead left of the live span
+    if (j == 0) {
+      left = up[0] + 1;  // column 0: only the vertical move
+      if (left > max_edits) {
+        left = kInf;
+      } else {
+        new_lo = new_hi = 0;
       }
-      if (at(i - 1, j) < kInf) v = std::min(v, at(i - 1, j) + 1);  // I
-      if (at(i, j - 1) < kInf) v = std::min(v, at(i, j - 1) + 1);  // D
-      // Cells past the budget can never recover (costs are nonnegative);
-      // poisoning them keeps each row's live span O(max_edits) wide.
-      at(i, j) = v > max_edits ? kInf : v;
+      row[0] = left;
+      j = 1;
     }
-    if (j_hi < n) at(i, j_hi + 1) = kInf;  // upper sentinel
+    for (const int last = std::min(n, hi + 1); j <= last; ++j) {
+      const int cost = base == ref[static_cast<std::size_t>(j - 1)] ? 0 : 1;
+      int v = std::min({up[j - 1] + cost, up[j] + 1, left + 1});
+      if (v > max_edits) {
+        v = kInf;
+      } else {
+        if (new_lo < 0) new_lo = j;
+        new_hi = j;
+      }
+      row[j] = left = v;
+    }
+    for (; j <= n && left < max_edits; ++j) {
+      row[j] = ++left;
+      new_hi = j;
+    }
+    if (j <= n) row[j] = kInf;  // upper sentinel
+    if (new_lo < 0) return {};  // nothing within budget reaches row i
+    live_[static_cast<std::size_t>(i)] = {new_lo, new_hi};
   }
 
   // Free end: the placement may stop before the window does.  Smallest
   // final column on ties -> the leftmost-ending placement, deterministic.
-  const int final_lo = std::max(0, m - max_edits);
-  const int final_hi = final_lo > n ? -1 : hi_of(m);
+  const auto [final_lo, final_hi] = live_[static_cast<std::size_t>(m)];
   int best_j = -1;
   int best = kInf;
   for (int j = final_lo; j <= final_hi; ++j) {
@@ -90,7 +104,6 @@ LocalAlignment LocalAligner::BestFit(std::string_view read,
       best_j = j;
     }
   }
-  if (best_j < 0 || best > max_edits) return {};
 
   LocalAlignment result;
   result.edits = best;
@@ -113,19 +126,19 @@ LocalAlignment LocalAligner::BestFit(std::string_view read,
   int j = best_j;
   while (i > 0) {
     const int cur = at(i, j);
-    if (j > 0 && at(i - 1, j - 1) < kInf) {
+    if (j > 0) {
       const int cost = read[static_cast<std::size_t>(i - 1)] ==
                                ref[static_cast<std::size_t>(j - 1)]
                            ? 0
                            : 1;
-      if (at(i - 1, j - 1) + cost == cur) {
+      if (value(i - 1, j - 1) + cost == cur) {
         ops.push_back('M');
         --i;
         --j;
         continue;
       }
     }
-    if (at(i - 1, j) < kInf && at(i - 1, j) + 1 == cur) {
+    if (value(i - 1, j) + 1 == cur) {
       ops.push_back('I');
       --i;
       continue;

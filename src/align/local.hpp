@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace gkgpu {
@@ -55,19 +56,26 @@ class LocalAligner {
   /// admitting starts beyond it.  Deterministic tie-breaks: among
   /// minimum-edit placements the one ending leftmost in `ref` wins, and
   /// the traceback prefers diagonal (M) moves so runs stay long.
-  /// Banded per row by the Ukkonen argument on both sides — columns
-  /// [i - max_edits, max_begin + i + max_edits] are the only reachable
-  /// cells — so a tight `max_begin` makes each row O(max_begin +
-  /// max_edits) instead of O(|ref|), and the matrix is re-sentineled
-  /// rather than cleared between calls.
+  /// Each row computes only its live band: the columns that can hold a
+  /// value <= max_edits, i.e. the previous row's live span plus one,
+  /// extended rightwards while a deletion chain stays within budget.  The
+  /// first max_edits rows are live across the free prefix (up to
+  /// `max_begin`), and further down only the neighbourhoods of
+  /// near-matches stay live, so a rescue window costs about max_edits
+  /// full rows plus a few columns per row, and a row with no live cell
+  /// ends the search.  The matrix is re-sentineled rather than cleared
+  /// between calls.
   LocalAlignment BestFit(std::string_view read, std::string_view ref,
                          int max_edits, std::int64_t max_begin = -1);
 
  private:
-  // (m + 1) x (n + 1) edit matrix; only each row's band (plus kInf
-  // sentinels) is rewritten per call, so cells outside it hold stale
-  // values by design.
+  // (m + 1) x (n + 1) edit matrix; only each row's computed columns (plus
+  // kInf sentinels) are rewritten per call, so cells outside them hold
+  // stale values by design.
   std::vector<int> dp_;
+  // Per row, the first and last column holding a value <= max_edits: the
+  // bounds of the answer scan and of every traceback read.
+  std::vector<std::pair<int, int>> live_;
 };
 
 /// Match-scaled alignment score shared by the MAPQ model: +2 per aligned

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <exception>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <set>
@@ -42,67 +43,71 @@ struct PairTask {
   bool skipped = false;      // mate length != read length
 };
 
-/// True when `a` has at least one concordant (opposite-strand, FR
-/// orientation, fragment <= max_insert, junction-free) partner in
-/// `other`.  `other` is laid out as CollectCandidatesOriented emits it:
-/// the forward candidates first, then the reverse ones, each sorted by
-/// position.
-bool HasConcordantPartner(const ReferenceSet& ref, int L,
-                          std::int64_t max_insert, const OrientedCandidate& a,
-                          const std::vector<OrientedCandidate>& other) {
-  const auto by_pos = [](const OrientedCandidate& c, std::int64_t pos) {
-    return c.pos < pos;
-  };
+/// Compacts `mine` to the candidates with a concordant (opposite-strand,
+/// FR orientation, fragment <= max_insert, junction-free) partner in
+/// `other`, in place and in order, and returns how many there are; writes
+/// nothing when there are none.  Both lists are laid out as
+/// CollectCandidatesOriented emits them: each strand's candidates sorted
+/// by position (forward first, then reverse).
+///
+/// One merge pass: a forward candidate needs only the nearest reverse
+/// partner at or after it, and a reverse candidate only the nearest
+/// forward partner at or before it, since a farther partner makes a
+/// longer fragment over a window containing the nearer one's, so it fails
+/// whenever the nearer one does.
+std::size_t KeepConcordant(const ReferenceSet& ref, int L,
+                           std::int64_t max_insert,
+                           std::span<OrientedCandidate> mine,
+                           std::span<const OrientedCandidate> other) {
   const auto split = std::partition_point(
       other.begin(), other.end(),
       [](const OrientedCandidate& c) { return c.strand == 0; });
-  if (a.strand == 0) {
-    // Forward candidate: a reverse partner downstream, fragment
-    // [a.pos, partner.pos + L) no longer than max_insert.
-    const std::int64_t hi = a.pos + max_insert - L;
-    for (auto it = std::lower_bound(split, other.end(), a.pos, by_pos);
-         it != other.end() && it->pos <= hi; ++it) {
-      const std::int64_t frag = it->pos + L - a.pos;
-      if (ref.WindowWithinChromosome(a.pos, static_cast<int>(frag))) {
-        return true;
+  // The first reverse candidate at or after the last forward `a`, and the
+  // first forward candidate past the last reverse one.
+  auto reverse = split;
+  auto forward = other.begin();
+  std::size_t kept = 0;
+  for (const OrientedCandidate& a : mine) {
+    bool keep = false;
+    if (a.strand == 0) {
+      while (reverse != other.end() && reverse->pos < a.pos) ++reverse;
+      if (reverse != other.end()) {
+        const std::int64_t frag = reverse->pos + L - a.pos;
+        keep = frag <= max_insert &&
+               ref.WindowWithinChromosome(a.pos, static_cast<int>(frag));
+      }
+    } else {
+      while (forward != split && forward->pos <= a.pos) ++forward;
+      if (forward != other.begin()) {
+        const std::int64_t start = std::prev(forward)->pos;
+        const std::int64_t frag = a.pos + L - start;
+        keep = frag <= max_insert &&
+               ref.WindowWithinChromosome(start, static_cast<int>(frag));
       }
     }
-  } else {
-    // Reverse candidate: a forward partner upstream.
-    const std::int64_t lo = a.pos + L - max_insert;
-    for (auto it = std::lower_bound(other.begin(), split, lo, by_pos);
-         it != split && it->pos <= a.pos; ++it) {
-      const std::int64_t frag = a.pos + L - it->pos;
-      if (ref.WindowWithinChromosome(it->pos, static_cast<int>(frag))) {
-        return true;
-      }
-    }
+    if (keep) mine[kept++] = a;
   }
-  return false;
+  return kept;
 }
 
-/// The pairing prune: keep only candidates that some opposite-strand mate
-/// candidate can complete into a concordant pair.  When no concordant
-/// combination exists at all (or a mate produced no candidates) the lists
-/// are left untouched — discordant and single-end mappings must stay
-/// reachable.
+}  // namespace
+
 void PruneConcordant(const ReferenceSet& ref, int L, std::int64_t max_insert,
                      std::vector<OrientedCandidate>* c1,
                      std::vector<OrientedCandidate>* c2) {
   if (c1->empty() || c2->empty()) return;
-  std::vector<OrientedCandidate> keep1;
-  std::vector<OrientedCandidate> keep2;
-  for (const OrientedCandidate& a : *c1) {
-    if (HasConcordantPartner(ref, L, max_insert, a, *c2)) keep1.push_back(a);
-  }
-  if (keep1.empty()) return;  // no concordance possible: keep all
-  for (const OrientedCandidate& a : *c2) {
-    if (HasConcordantPartner(ref, L, max_insert, a, *c1)) keep2.push_back(a);
-  }
-  assert(!keep2.empty());  // concordance is symmetric
-  *c1 = std::move(keep1);
-  *c2 = std::move(keep2);
+  const std::size_t kept1 = KeepConcordant(ref, L, max_insert, *c1, *c2);
+  if (kept1 == 0) return;  // no concordance possible: keep all
+  // Every c2 candidate with a partner in c1 has it among c1's survivors
+  // (concordance is symmetric), so the pruned c1 serves as well.
+  const std::span<const OrientedCandidate> pruned1(c1->data(), kept1);
+  const std::size_t kept2 = KeepConcordant(ref, L, max_insert, *c2, pruned1);
+  assert(kept2 > 0);
+  c1->resize(kept1);
+  c2->resize(kept2);
 }
+
+namespace {
 
 static_assert(kSeedChunkReads % 2 == 0, "a seeding chunk holds whole pairs");
 
@@ -225,15 +230,6 @@ TileCoord ParseTileCoord(std::string_view name) {
   return out;
 }
 
-/// Best / runner-up penalty summary of one mate's verified placements,
-/// via the shared scan in mapper/mapq.cpp.
-EditSummary Summarize(const std::vector<MateBest>& v) {
-  std::vector<int> edits;
-  edits.reserve(v.size());
-  for (const MateBest& m : v) edits.push_back(m.edit);
-  return SummarizeEdits(edits);
-}
-
 /// Everything FinalizePair needs besides the pair itself.  One instance
 /// per mapping run; finalization happens strictly in pair input order, so
 /// the model evolves identically and the SAM output is byte-identical
@@ -254,6 +250,9 @@ struct PairFinalizer {
 
  private:
   double InsertPenalty(std::int64_t frag) const;
+  /// Best / runner-up penalty summary of one mate's verified placements,
+  /// via the shared scan in mapper/mapq.cpp.
+  EditSummary Summarize(const std::vector<MateBest>& v);
   MateBest Rescue(const MateBest& anchor, const std::string& fwd,
                   const std::string& rc);
   /// True (and remembers the signature) when this proper pair's fragment —
@@ -277,6 +276,11 @@ struct PairFinalizer {
                 bool proper, bool duplicate);
 
   LocalAligner rescue_aligner_;
+  /// Per-pair scratch, reused from pair to pair: each mate's verified
+  /// placements, Summarize's edit list and a reversed QUAL.
+  std::vector<MateBest> v1_, v2_;
+  std::vector<int> edits_;
+  std::string rqual_;
   /// Fragment signatures of emitted proper pairs (mark_duplicates only):
   /// global forward-mate position (chromosome + local position in one),
   /// first-mate strand, fragment length (|TLEN|) — mapped to the flow-cell
@@ -304,6 +308,12 @@ double PairFinalizer::InsertPenalty(std::int64_t frag) const {
   const double sd = std::max(model.sigma(), 1.0);
   const double z = (static_cast<double>(frag) - model.mean()) / sd;
   return std::min(z * z / 8.0, 8.0);
+}
+
+EditSummary PairFinalizer::Summarize(const std::vector<MateBest>& v) {
+  edits_.clear();
+  for (const MateBest& m : v) edits_.push_back(m.edit);
+  return SummarizeEdits(edits_);
 }
 
 /// Smith-Waterman-style fit alignment over the insert window the model
@@ -503,15 +513,14 @@ void PairFinalizer::EmitMate(const FastqRecord& rec, const std::string& rc,
 
   // SEQ/QUAL follow the record's orientation: FLAG 0x10 emits the
   // reverse-complemented sequence and reversed quality string.
-  std::string rqual;
   std::string_view seq = rec.seq;
   std::string_view qual = rec.qual.empty() ? std::string_view("*")
                                            : std::string_view(rec.qual);
   if (me.mapped && me.strand != 0) {
     seq = rc;
     if (!rec.qual.empty()) {
-      rqual.assign(rec.qual.rbegin(), rec.qual.rend());
-      qual = rqual;
+      rqual_.assign(rec.qual.rbegin(), rec.qual.rend());
+      qual = rqual_;
     }
   }
   out.seq = seq;
@@ -545,7 +554,10 @@ void PairFinalizer::Finalize(const PairTask& task) {
   }
 
   // Verified mappings per mate.
-  std::vector<MateBest> v1, v2;
+  std::vector<MateBest>& v1 = v1_;
+  std::vector<MateBest>& v2 = v2_;
+  v1.clear();
+  v2.clear();
   const auto verified_mate = [this](const OrientedCandidate& c, int edits) {
     MateBest m;
     m.mapped = true;

@@ -179,6 +179,18 @@ class PairedEndMapper {
   PairedConfig config_;
 };
 
+/// The pairing prune: keeps only the candidates of each mate that some
+/// opposite-strand candidate of the other mate completes into a concordant
+/// pair (FR orientation, fragment <= max_insert, inside one chromosome),
+/// in order and in place.  When no c1 candidate has such a partner (or a
+/// mate has no candidates) both lists stay untouched, so discordant and
+/// single-end mappings stay reachable.  Each list is laid out as
+/// ReadMapper::SeedReads emits it: forward candidates sorted by position,
+/// then reverse ones.  One merge pass per mate, no allocation.
+void PruneConcordant(const ReferenceSet& ref, int L, std::int64_t max_insert,
+                     std::vector<OrientedCandidate>* c1,
+                     std::vector<OrientedCandidate>* c2);
+
 /// bench/e2e only, until it moves to PairedEndMapper::MapPairs(reader,
 /// ...): maps with pipeline::EngineShimFilter(engine != nullptr); `pcfg`
 /// is unused (see pipeline/pipeline.hpp).

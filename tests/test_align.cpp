@@ -396,7 +396,7 @@ TEST(BandedTest, ReusedVerifierMatchesFreshInstance) {
 
 // Full-matrix reference for LocalAligner::BestFit: identical recurrence,
 // poisoning and tie-breaking, but every row sweeps all n columns of a
-// freshly kInf-cleared matrix.  The production aligner's adaptive band
+// freshly kInf-cleared matrix.  The production aligner's live band
 // must be invisible — same edits, placement, multiplicity and CIGAR.
 LocalAlignment ReferenceBestFit(std::string_view read, std::string_view ref,
                                 int max_edits, std::int64_t max_begin) {
@@ -532,6 +532,45 @@ TEST(BestFitBandTest, MatchesFullMatrixOnRandomizedGrid) {
                               std::to_string(read.size()) + " n " +
                               std::to_string(n) + " e " +
                               std::to_string(max_edits) + " b " +
+                              std::to_string(max_begin);
+    ExpectSameFit(aligner.BestFit(read, ref, max_edits, max_begin),
+                  ReferenceBestFit(read, ref, max_edits, max_begin), label);
+  }
+}
+
+TEST(BestFitBandTest, MatchesFullMatrixOnLowComplexityWindows) {
+  // Where the live band is widest and most at risk: on A, AC and ACGTN
+  // windows many cells stay within the budget, so live spans run long,
+  // hold dead islands and end in deletion chains.  Windows of 0-700
+  // bases, budgets 0-15, reads planted from the window (mutated) or
+  // drawn at random, and every begin bound (unset, inside the window,
+  // past its end) on one reused aligner.
+  const std::string alphabets[] = {"A", "AC", "ACGTN"};
+  Rng rng(37);
+  LocalAligner aligner;
+  for (int trial = 0; trial < 5000; ++trial) {
+    const std::string& alphabet = alphabets[trial % 3];
+    const int n = static_cast<int>(rng.Uniform(701));
+    const std::string ref = RandomOver(rng, n, alphabet);
+    const int max_edits = static_cast<int>(rng.Uniform(16));
+    int m = 1 + static_cast<int>(rng.Uniform(100));
+    std::string read;
+    if (m <= n && rng.Uniform(4) != 0) {
+      const std::size_t offset = rng.Uniform(n - m + 1u);
+      const int planted = static_cast<int>(rng.Uniform(max_edits + 3u));
+      read = Mutate(rng, ref.substr(offset, static_cast<std::size_t>(m)),
+                    planted, alphabet);
+    } else {
+      read = RandomOver(rng, m, alphabet);
+    }
+    m = static_cast<int>(read.size());
+    const auto inside = static_cast<std::int64_t>(rng.Uniform(n + 1u));
+    const auto past = n + 1 + static_cast<std::int64_t>(rng.Uniform(50));
+    const std::int64_t max_begins[] = {-1, inside, past};
+    const std::int64_t max_begin = max_begins[rng.Uniform(3)];
+    const std::string label = "trial " + std::to_string(trial) + " m " +
+                              std::to_string(m) + " n " + std::to_string(n) +
+                              " e " + std::to_string(max_edits) + " b " +
                               std::to_string(max_begin);
     ExpectSameFit(aligner.BestFit(read, ref, max_edits, max_begin),
                   ReferenceBestFit(read, ref, max_edits, max_begin), label);

@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "align/banded.hpp"
+#include "align/myers.hpp"
 #include "align/needleman_wunsch.hpp"
 #include "encode/dna.hpp"
 #include "sim/pairgen.hpp"
@@ -114,6 +115,60 @@ TEST(CigarTest, CigarForMatchesBandedAlign) {
   }
   EXPECT_GT(fast, 100);
   EXPECT_GT(fallback, 100);
+}
+
+// Equal-length pairs of every shape CigarFor routes: a random read of
+// 1-512 bases over a small alphabet (ties abound on AC and A, and 'N' is a
+// symbol like any other), then 0-40 planted substitutions, insertions and
+// deletions, with the reference cut or padded back to the read's length.
+// Each pair's CIGAR must equal the BandedAlign traceback at its exact
+// distance, whichever path produced it: the Hamming count (all-M), the
+// diagonal-transition traceback (d <= 31) or BandedAlign itself (d > 31).
+TEST(CigarTest, TracebackMatchesBandedAlignOnHardPairs) {
+  const std::string alphabets[] = {"ACGT", "AC", "A", "ACGTN"};
+  Rng rng(17);
+  MyersAligner myers;
+  int hamming = 0;
+  int traceback = 0;
+  int fallback = 0;
+  for (int t = 0; t < 20000; ++t) {
+    const std::string& alphabet = alphabets[t % 4];
+    const auto any = [&] { return alphabet[rng.Uniform(alphabet.size())]; };
+    // Short reads are common (every budget fits them), long ones rarer.
+    const int length = t % 8 == 0 ? 1 + static_cast<int>(rng.Uniform(512))
+                                  : 1 + static_cast<int>(rng.Uniform(160));
+    std::string read(static_cast<std::size_t>(length), 'A');
+    for (char& c : read) c = any();
+    std::string ref = read;
+    for (int e = static_cast<int>(rng.Uniform(41)); e > 0; --e) {
+      const std::size_t pos = rng.Uniform(ref.size() + 1);
+      switch (rng.Uniform(3)) {
+        case 0:
+          if (pos < ref.size()) ref[pos] = any();
+          break;
+        case 1:
+          if (pos < ref.size()) ref.erase(pos, 1);
+          break;
+        default:
+          ref.insert(pos, 1, any());
+          break;
+      }
+    }
+    ref.resize(read.size(), any());
+    const int d = myers.Distance(read, ref);
+    const Alignment aln = BandedAlign(read, ref, d);
+    ASSERT_EQ(aln.distance, d) << "trial " << t;
+    ASSERT_EQ(CigarFor(read, ref, d), aln.cigar)
+        << "trial " << t << " length " << length << " d " << d;
+    if (Hamming(read, ref) == d) {
+      ++hamming;
+    } else {
+      (d <= 31 ? traceback : fallback) += 1;
+    }
+  }
+  EXPECT_GT(hamming, 0);
+  EXPECT_GT(traceback, 0);
+  EXPECT_GT(fallback, 0);
 }
 
 TEST(CigarTest, CigarForShiftedRepeatTakesTheDp) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -528,6 +529,116 @@ TEST(PairedRescueTest, IndelRescueTlenUsesReferenceSpan) {
   EXPECT_EQ(out.find("\t" + std::to_string(frag_len - 1) + "\t"),
             std::string::npos)
       << out;
+}
+
+// The prune's definition, pair by pair: forward start f and reverse start
+// r make a concordant FR fragment [f, r + L) when it is no longer than
+// max_insert and lies inside one chromosome.
+bool Concordant(const ReferenceSet& ref, int L, std::int64_t max_insert,
+                std::int64_t f, std::int64_t r) {
+  const std::int64_t frag = r + L - f;
+  return r >= f && frag <= max_insert &&
+         ref.WindowWithinChromosome(f, static_cast<int>(frag));
+}
+
+std::vector<OrientedCandidate> KeptByOracle(
+    const ReferenceSet& ref, int L, std::int64_t max_insert,
+    const std::vector<OrientedCandidate>& mine,
+    const std::vector<OrientedCandidate>& other) {
+  std::vector<OrientedCandidate> kept;
+  for (const OrientedCandidate& a : mine) {
+    for (const OrientedCandidate& b : other) {
+      if (a.strand == b.strand) continue;
+      const OrientedCandidate& f = a.strand == 0 ? a : b;
+      const OrientedCandidate& r = a.strand == 0 ? b : a;
+      if (Concordant(ref, L, max_insert, f.pos, r.pos)) {
+        kept.push_back(a);
+        break;
+      }
+    }
+  }
+  return kept;
+}
+
+void ExpectSameCandidates(const std::vector<OrientedCandidate>& got,
+                          const std::vector<OrientedCandidate>& want,
+                          const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pos, want[i].pos) << label << " candidate " << i;
+    EXPECT_EQ(got[i].strand, want[i].strand) << label << " candidate " << i;
+  }
+}
+
+TEST(PairedPruneTest, MatchesAllPairsOracle) {
+  // Random sorted, deduplicated candidate lists on 1-4 chromosomes: noise
+  // anywhere, plus planted fragments of exactly max_insert, one base
+  // more, exactly L and anything between, some of them straddling a
+  // chromosome junction.  Each mate's kept list, order included, must be
+  // what the all-pairs definition keeps, and when no c1 candidate has a
+  // partner both lists must stay as they were.
+  Rng rng(41);
+  const auto below = [&rng](std::int64_t n) {  // uniform in [0, n)
+    return static_cast<std::int64_t>(rng.Uniform(n));
+  };
+  int pruned = 0;
+  int untouched = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    ReferenceSet ref;
+    const std::int64_t chromosomes = 1 + below(4);
+    for (int c = 0; c < chromosomes; ++c) {
+      ref.Add("chr" + std::to_string(c), std::string(200 + below(1500), 'A'));
+    }
+    const auto total = static_cast<std::int64_t>(ref.text().size());
+    const int L = 20 + static_cast<int>(below(101));
+    const std::int64_t max_insert = L + below(801);
+    std::vector<std::int64_t> at[2][2];  // [mate][strand]
+    for (auto k = below(10); k > 0; --k) {
+      at[below(2)][below(2)].push_back(below(total));
+    }
+    for (auto k = below(4); k > 0; --k) {
+      const std::int64_t between = L + below(max_insert - L + 1);
+      const std::int64_t lengths[] = {max_insert, max_insert + 1, L, between};
+      const std::int64_t frag = lengths[below(4)];
+      std::int64_t f = below(total);
+      if (chromosomes > 1 && below(2) == 0) {
+        // End the fragment's window just past, at or before a junction.
+        const std::vector<std::int64_t>& ends = ref.chromosome_ends();
+        f = ends[below(chromosomes - 1)] - frag + 1 - below(3);
+      }
+      const std::int64_t r = f + frag - L;
+      if (f < 0 || r >= total) continue;
+      const std::int64_t mate = below(2);
+      at[mate][0].push_back(f);
+      at[1 - mate][1].push_back(r);
+    }
+    std::vector<OrientedCandidate> c[2];
+    for (int mate = 0; mate < 2; ++mate) {
+      for (std::uint8_t strand = 0; strand < 2; ++strand) {
+        std::vector<std::int64_t>& v = at[mate][strand];
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+        for (const std::int64_t pos : v) c[mate].push_back({pos, strand});
+      }
+    }
+    std::vector<OrientedCandidate> want1 =
+        KeptByOracle(ref, L, max_insert, c[0], c[1]);
+    std::vector<OrientedCandidate> want2 =
+        KeptByOracle(ref, L, max_insert, c[1], c[0]);
+    if (want1.empty()) {
+      want1 = c[0];
+      want2 = c[1];
+      ++untouched;
+    } else if (want1.size() + want2.size() < c[0].size() + c[1].size()) {
+      ++pruned;
+    }
+    PruneConcordant(ref, L, max_insert, &c[0], &c[1]);
+    const std::string label = "trial " + std::to_string(trial);
+    ExpectSameCandidates(c[0], want1, label + " mate 1");
+    ExpectSameCandidates(c[1], want2, label + " mate 2");
+  }
+  EXPECT_GT(pruned, 1000);
+  EXPECT_GT(untouched, 1000);
 }
 
 TEST(PairedEdgeTest, MismatchedInputsThrow) {

@@ -530,8 +530,9 @@ TEST_F(ServeTest, TinyDataFramesSplitAnywhereGiveTheStandaloneSam) {
         std::size_t at = 0;
         for (std::size_t i = 0; at < fastq_text.size(); ++i) {
           const std::size_t size = i % 7 + 1;
-          SendRaw(fd, FrameBytes(serve::FrameType::kData,
-                                 std::string_view(fastq_text).substr(at, size)));
+          const std::string_view piece =
+              std::string_view(fastq_text).substr(at, size);
+          SendRaw(fd, FrameBytes(serve::FrameType::kData, piece));
           at += size;
         }
         SendRaw(fd, FrameBytes(serve::FrameType::kEnd, ""));

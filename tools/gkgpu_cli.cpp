@@ -79,10 +79,10 @@
 #include "pipeline/read_to_sam.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
-#include "simd/dispatch.hpp"
 #include "sim/genome.hpp"
 #include "sim/pairgen.hpp"
 #include "sim/read_sim.hpp"
+#include "simd/dispatch.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -918,7 +918,9 @@ int MapPairedCmd(const Args& args, MapperConfig mcfg, const PairedConfig& pconf,
   const PreAlignmentFilter* filter = MappingFilter(args, length);
 
   std::ostream* sam = sam_file.get();
-  if (sam != nullptr) WriteSamHeader(*sam, mapper.reference(), pconf.read_group);
+  if (sam != nullptr) {
+    WriteSamHeader(*sam, mapper.reference(), pconf.read_group);
+  }
 
   auto reader = interleaved.empty() ? PairedFastqReader(in1, in2)
                                     : PairedFastqReader(in1);
