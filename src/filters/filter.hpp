@@ -13,9 +13,10 @@
 // (obs/names.hpp: accepts/rejects/bypasses labeled by filter name and
 // SIMD dispatch tier), making every batch call site observable through
 // one choke point.  The per-pair Filter() remains as the reference
-// implementation and the default FilterBatchImpl fallback; GateKeeper,
-// SHD, Shouji and SneakySnake override FilterBatchImpl with vectorized
-// encoded-domain implementations (src/simd/).
+// implementation and the default FilterBatchImpl fallback; GateKeeper
+// (SHD included, as its FPGA configuration), Shouji and SneakySnake
+// override FilterBatchImpl with vectorized encoded-domain implementations
+// (src/simd/).
 #ifndef GKGPU_FILTERS_FILTER_HPP
 #define GKGPU_FILTERS_FILTER_HPP
 

@@ -4,9 +4,10 @@
 //
 //  * GateKeeperFilter(kImproved)  — the GateKeeper-GPU algorithm run on the
 //    CPU; the simulated device kernel runs the same batch kernel.
-//  * GateKeeperFilter(kOriginal)  — the original GateKeeper/FPGA algorithm
-//    without the leading/trailing fix, used as the accuracy baseline
-//    ("GateKeeper-FPGA" in the paper's comparison figures).
+//  * GateKeeperFilter(kGateKeeperFpga) — the original GateKeeper/FPGA
+//    algorithm without the leading/trailing fix, used as the accuracy
+//    baseline: both "GateKeeper-FPGA" and "SHD" in the paper's comparison
+//    figures (gatekeeper_core.hpp).
 //  * GateKeeperCpu                — the multicore batch runner: the
 //    throughput benches' "GateKeeper-CPU" (1..N cores).
 #ifndef GKGPU_FILTERS_GATEKEEPER_HPP

@@ -42,6 +42,16 @@ struct GateKeeperParams {
   bool bypass_undefined = true;
 };
 
+/// GateKeeper-FPGA (Alser et al. 2017) and SHD (Xin et al. 2015), its SIMD
+/// ancestor: both build the same 2e + 1 masks in the original pipeline and
+/// decide alike (the paper's identical false-accept columns).  Neither has
+/// a per-pair 'N' bypass; a block built with bypass bits still bypasses.
+inline constexpr GateKeeperParams kGateKeeperFpga{
+    .mode = GateKeeperMode::kOriginal,
+    .count = CountMode::kOneRuns,
+    .bypass_undefined = false,
+};
+
 }  // namespace gkgpu
 
 #endif  // GKGPU_FILTERS_GATEKEEPER_CORE_HPP

@@ -39,7 +39,6 @@ void NeighborhoodMap::BuildEncoded(const U64* read, const U64* ref,
   U64* row = Reset(length, e);
   const int enc64 = simd::Words64(EncodedWords(length));
   U64 shifted[simd::kMaxWords64];
-  U64 diff[simd::kMaxWords64];
   for (int d = -e; d <= e; ++d, row += words_) {
     // Column j of diagonal d compares read[j] with ref[j + d]: shift the
     // *reference* by d bases so the comparison lands on column j.
@@ -51,8 +50,7 @@ void NeighborhoodMap::BuildEncoded(const U64* read, const U64* ref,
       simd::ShiftToLater64(ref, shifted, enc64, -2 * d);
       rhs = shifted;
     }
-    simd::XorWords64(read, rhs, diff, enc64);
-    simd::ReducePairsOr64(diff, length, row);
+    simd::ReducePairsOr64(read, rhs, length, row);
     // Columns whose reference index falls outside [0, length) count as
     // mismatches — the shifted-in zero bits would otherwise compare as 'A'.
     if (d > 0) {

@@ -344,9 +344,9 @@ struct MapServer::Impl {
 
   /// Takes up to one chunk of queued reads: idles until work arrives, then
   /// waits at most `linger` for a full chunk.  False once the queue is
-  /// closed and drained.
+  /// closed and drained.  The waits are idle time, so the chunk's
+  /// take_seconds (its "source" service) starts once its reads are taken.
   bool TakeChunk(ServedChunk& chunk) {
-    const WallTimer timer;
     const std::chrono::milliseconds linger(std::max(0, config_.linger_ms));
     chunk.reads.clear();
     {
@@ -362,6 +362,7 @@ struct MapServer::Impl {
         queue_.pop_front();
       }
     }
+    const WallTimer timer;
     queue_space_cv_.notify_all();
     obs::ServeBatches().Inc();
     for (const QueuedRead& r : chunk.reads) {

@@ -116,17 +116,18 @@ inline void ZeroTailBits64(U64* mask, int nwords, int length_bits) {
   for (int i = full + (rem > 0 ? 1 : 0); i < nwords; ++i) mask[i] = 0;
 }
 
-/// Reduces a 2-bit-domain difference mask covering `length` bases to a
-/// 1-bit-per-base mask of Words64(MaskWords(length)) words; bits past
-/// `length` are zeroed.
-inline void ReducePairsOr64(const U64* diff2, int length, U64* mask) {
+/// Reduces the 2-bit-domain difference a XOR b of two encoded sequences
+/// of `length` bases to a 1-bit-per-base mask of Words64(MaskWords(length))
+/// words, set where the bases differ; bits past `length` are zeroed.
+inline void ReducePairsOr64(const U64* a, const U64* b, int length,
+                            U64* mask) {
   const int enc64 = Words64(EncodedWords(length));
   const int mask64 = Words64(MaskWords(length));
   for (int m = 0; m < mask64; ++m) {
     const int hi = 2 * m;
     const int lo = 2 * m + 1;
-    U64 w = CompressPairsOr64(hi < enc64 ? diff2[hi] : 0) << 32;
-    w |= CompressPairsOr64(lo < enc64 ? diff2[lo] : 0);
+    U64 w = CompressPairsOr64(hi < enc64 ? a[hi] ^ b[hi] : 0) << 32;
+    w |= CompressPairsOr64(lo < enc64 ? a[lo] ^ b[lo] : 0);
     mask[m] = w;
   }
   ZeroTailBits64(mask, mask64, length);

@@ -21,18 +21,16 @@ void AndMask64(const U64* read, const U64* ref, int length, int shift,
                U64* final_mask) {
   const int enc64 = Words64(EncodedWords(length));
   const int mask64 = Words64(MaskWords(length));
-  // Scratch is fully overwritten by the shift/XOR below — zero-initializing
-  // it was measurable overhead in the per-pair profile.
+  // Scratch is fully overwritten by the shift/reduce below —
+  // zero-initializing it was measurable overhead in the per-pair profile.
   U64 shifted[kMaxWords64];
-  U64 diff[kMaxWords64];
   U64 mask[kMaxWords64];
   if (shift > 0) {
     ShiftToLater64(read, shifted, enc64, 2 * shift);
   } else {
     ShiftToEarlier64(read, shifted, enc64, -2 * shift);
   }
-  XorWords64(shifted, ref, diff, enc64);
-  ReducePairsOr64(diff, length, mask);
+  ReducePairsOr64(shifted, ref, length, mask);
   AmendShortZeroRuns64(mask, mask64);
   if (shift > 0) {
     SetBitRange64(mask, mask64, 0, shift);
@@ -93,12 +91,9 @@ FilterResult GateKeeperFiltration64(const Word* read_enc, const Word* ref_enc,
   if (params.mode == GateKeeperMode::kOriginal) {
     return FiltrationOriginal64(read, ref, length, e, params);
   }
-  const int enc64 = Words64(enc32);
   const int mask64 = Words64(MaskWords(length));
   U64 final_mask[kMaxWords64];
-  U64 diff[kMaxWords64];
-  XorWords64(read, ref, diff, enc64);
-  ReducePairsOr64(diff, length, final_mask);
+  ReducePairsOr64(read, ref, length, final_mask);
   if (e == 0) {
     const int errors = Count64(final_mask, mask64, params);
     return {errors == 0, errors};

@@ -22,7 +22,7 @@
 //
 //   * scalar — the pipeline on multi-word uint64_t lanes
 //     (simd/bitops64.hpp), portable everywhere: GateKeeperFiltration64
-//     (the per-pair GateKeeperFilter::Filter and ShdFilter::Filter) and
+//     (the per-pair GateKeeperFilter::Filter, in every configuration) and
 //     GateKeeperFilterRangeScalar;
 //   * AVX2   — four pairs per instruction, one uint64_t lane each,
 //     compiled only where <immintrin.h> + -mavx2 are available and chosen

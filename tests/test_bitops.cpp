@@ -115,13 +115,21 @@ TEST(BitopsTest, ReducePairsOr64MatchesPerBaseScan) {
   for (const int length :
        {5, 16, 31, 32, 33, 63, 64, 65, 100, 150, 250, 511, 512}) {
     for (int trial = 0; trial < 4; ++trial) {
-      // Every bit of the input is random, the pad past `length` included.
-      std::vector<U64> diff(
-          static_cast<std::size_t>(simd::Words64(EncodedWords(length))));
-      for (U64& w : diff) w = rng.NextU64() & rng.NextU64();
+      // Every bit of the inputs is random, the pad past `length` included;
+      // b is a with a sparse difference, so equal bases occur too.
+      const auto nenc =
+          static_cast<std::size_t>(simd::Words64(EncodedWords(length)));
+      std::vector<U64> a(nenc);
+      std::vector<U64> b(nenc);
+      std::vector<U64> diff(nenc);
+      for (std::size_t w = 0; w < nenc; ++w) {
+        a[w] = rng.NextU64();
+        diff[w] = rng.NextU64() & rng.NextU64();
+        b[w] = a[w] ^ diff[w];
+      }
       const int nmask = simd::Words64(MaskWords(length));
       std::vector<U64> mask(static_cast<std::size_t>(nmask));
-      simd::ReducePairsOr64(diff.data(), length, mask.data());
+      simd::ReducePairsOr64(a.data(), b.data(), length, mask.data());
       const std::vector<int> bits = ToBits64(mask.data(), nmask);
       for (int i = 0; i < nmask * kWordBits64; ++i) {
         const int pair =

@@ -1,9 +1,9 @@
 // Differential filter test harness: every pre-alignment filter in the
 // library — the GateKeeper-GPU bit-parallel core, its scalar reference
-// implementation, the original FPGA-style GateKeeper, SHD, MAGNET, Shouji,
-// SneakySnake and GenASM — runs against the exact Myers edit-distance
-// oracle over a randomized grid of read lengths and error thresholds, on
-// substitution-only and indel-rich pair populations.
+// implementation, the original FPGA-style GateKeeper (GateKeeper-FPGA and
+// SHD), MAGNET, Shouji and SneakySnake — runs against the exact Myers
+// edit-distance oracle over a randomized grid of read lengths and error
+// thresholds, on substitution-only and indel-rich pair populations.
 //
 // Contract checked per filter (PreAlignmentFilter::lossless()):
 //   * lossless filters must never reject a pair whose oracle distance is
@@ -18,8 +18,8 @@
 //
 // Every PreAlignmentFilter case additionally runs through the batch API
 // (FilterBatch over a PairBlock — the scalar-or-AVX2 vectorized path for
-// GateKeeper/SHD/Shouji, the decode fallback for the rest): the batch
-// decisions must match the per-pair scalar path bit for bit, so the
+// GateKeeper, Shouji and SneakySnake, the decode fallback for MAGNET): the
+// batch decisions must match the per-pair scalar path bit for bit, so the
 // false-reject contracts transfer to the batch path by construction.
 //
 // Extending for a new filter: register it in MakeCases() (for a
@@ -38,10 +38,8 @@
 #include "align/myers.hpp"
 #include "filters/filter.hpp"
 #include "filters/gatekeeper.hpp"
-#include "filters/genasm.hpp"
 #include "filters/magnet.hpp"
 #include "filters/scalar_ref.hpp"
-#include "filters/shd.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
 #include "sim/pairgen.hpp"
@@ -86,17 +84,11 @@ std::vector<FilterCase> MakeCases() {
                      return GateKeeperScalar(r, g, e, GateKeeperParams{});
                    },
                    nullptr});
-  {
-    GateKeeperParams fpga;
-    fpga.mode = GateKeeperMode::kOriginal;
-    add_filter(std::make_shared<GateKeeperFilter>(fpga));
-    cases.back().name = "GateKeeperFpga";
-  }
-  add_filter(std::make_shared<ShdFilter>());
+  add_filter(std::make_shared<GateKeeperFilter>(kGateKeeperFpga));
+  cases.back().name = "GateKeeperFpga";
   add_filter(std::make_shared<ShoujiFilter>());
   add_filter(std::make_shared<MagnetFilter>());
   add_filter(std::make_shared<SneakySnakeFilter>());
-  add_filter(std::make_shared<GenAsmFilter>());
   return cases;
 }
 

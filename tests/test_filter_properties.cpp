@@ -1,9 +1,10 @@
 // Cross-filter property sweeps (TEST_P over filter x length x threshold):
 // every pre-alignment filter in the library is checked against the exact
 // aligner for the losslessness contract it claims — strict zero false
-// rejects for the GateKeeper family, SHD, SneakySnake and GenASM; bounded
-// tolerance for MAGNET and Shouji (whose algorithms are known to shed a
-// small fraction of true positives) — plus decision determinism.
+// rejects for the GateKeeper family (SHD is its FPGA configuration) and
+// SneakySnake; bounded tolerance for MAGNET and Shouji (whose algorithms
+// are known to shed a small fraction of true positives) — plus decision
+// determinism.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,9 +14,7 @@
 #include "align/myers.hpp"
 #include "encode/dna.hpp"
 #include "filters/gatekeeper.hpp"
-#include "filters/genasm.hpp"
 #include "filters/magnet.hpp"
-#include "filters/shd.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
 #include "sim/pairgen.hpp"
@@ -26,23 +25,19 @@ namespace {
 
 enum class FilterKind {
   kGateKeeperGpu,
-  kGateKeeperFpga,
-  kShd,
+  kGateKeeperFpga,  // also SHD
   kMagnet,
   kShouji,
   kSneakySnake,
-  kGenAsm,
 };
 
 const char* KindName(FilterKind k) {
   switch (k) {
     case FilterKind::kGateKeeperGpu: return "GateKeeperGpu";
     case FilterKind::kGateKeeperFpga: return "GateKeeperFpga";
-    case FilterKind::kShd: return "Shd";
     case FilterKind::kMagnet: return "Magnet";
     case FilterKind::kShouji: return "Shouji";
     case FilterKind::kSneakySnake: return "SneakySnake";
-    case FilterKind::kGenAsm: return "GenAsm";
   }
   return "?";
 }
@@ -51,17 +46,12 @@ std::unique_ptr<PreAlignmentFilter> MakeFilter(FilterKind k) {
   switch (k) {
     case FilterKind::kGateKeeperGpu:
       return std::make_unique<GateKeeperFilter>();
-    case FilterKind::kGateKeeperFpga: {
-      GateKeeperParams p;
-      p.mode = GateKeeperMode::kOriginal;
-      return std::make_unique<GateKeeperFilter>(p);
-    }
-    case FilterKind::kShd: return std::make_unique<ShdFilter>();
+    case FilterKind::kGateKeeperFpga:
+      return std::make_unique<GateKeeperFilter>(kGateKeeperFpga);
     case FilterKind::kMagnet: return std::make_unique<MagnetFilter>();
     case FilterKind::kShouji: return std::make_unique<ShoujiFilter>();
     case FilterKind::kSneakySnake:
       return std::make_unique<SneakySnakeFilter>();
-    case FilterKind::kGenAsm: return std::make_unique<GenAsmFilter>();
   }
   return nullptr;
 }
@@ -136,9 +126,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllFiltersGrid, FilterSweep,
     ::testing::Combine(
         ::testing::Values(FilterKind::kGateKeeperGpu,
-                          FilterKind::kGateKeeperFpga, FilterKind::kShd,
-                          FilterKind::kMagnet, FilterKind::kShouji,
-                          FilterKind::kSneakySnake, FilterKind::kGenAsm),
+                          FilterKind::kGateKeeperFpga, FilterKind::kMagnet,
+                          FilterKind::kShouji, FilterKind::kSneakySnake),
         ::testing::Values(100, 150, 250), ::testing::Values(2, 5, 10)),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       return std::string(KindName(std::get<0>(info.param))) + "_L" +

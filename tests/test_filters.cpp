@@ -1,5 +1,6 @@
-// Tests for the baseline pre-alignment filters (SHD, MAGNET, Shouji,
-// SneakySnake) and the neighborhood map they share.
+// Tests for the baseline pre-alignment filters (GateKeeper-FPGA/SHD,
+// MAGNET, Shouji, SneakySnake) and the neighborhood map that MAGNET,
+// Shouji and SneakySnake share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,6 @@
 #include "filters/gatekeeper.hpp"
 #include "filters/magnet.hpp"
 #include "filters/neighborhood.hpp"
-#include "filters/shd.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
 #include "sim/pairgen.hpp"
@@ -31,10 +31,7 @@ std::string RandomSeq(Rng& rng, std::size_t n) {
 std::vector<std::unique_ptr<PreAlignmentFilter>> AllFilters() {
   std::vector<std::unique_ptr<PreAlignmentFilter>> filters;
   filters.push_back(std::make_unique<GateKeeperFilter>());
-  GateKeeperParams original;
-  original.mode = GateKeeperMode::kOriginal;
-  filters.push_back(std::make_unique<GateKeeperFilter>(original));
-  filters.push_back(std::make_unique<ShdFilter>());
+  filters.push_back(std::make_unique<GateKeeperFilter>(kGateKeeperFpga));
   filters.push_back(std::make_unique<MagnetFilter>());
   filters.push_back(std::make_unique<ShoujiFilter>());
   filters.push_back(std::make_unique<SneakySnakeFilter>());
@@ -205,24 +202,6 @@ TEST(FiltersTest, AllAcceptPairsWithinThreshold) {
     } else {
       EXPECT_EQ(false_rejects, 0) << filter->name();
     }
-  }
-}
-
-TEST(FiltersTest, ShdMatchesOriginalGateKeeperDecisions) {
-  // The paper's comparison tables show identical false-accept counts for
-  // GateKeeper-FPGA and SHD; our implementations must agree pairwise.
-  Rng rng(11);
-  GateKeeperParams original;
-  original.mode = GateKeeperMode::kOriginal;
-  GateKeeperFilter fpga(original);
-  ShdFilter shd;
-  for (int t = 0; t < 500; ++t) {
-    const int e = static_cast<int>(rng.Uniform(11));
-    const SequencePair p = MakePairWithEdits(
-        100, static_cast<int>(rng.Uniform(30)), 0.3, rng.NextU64());
-    EXPECT_EQ(shd.Filter(p.read, p.ref, e).accept,
-              fpga.Filter(p.read, p.ref, e).accept)
-        << "trial " << t;
   }
 }
 

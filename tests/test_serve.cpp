@@ -5,8 +5,8 @@
 // every streaming driver's SAM under No Filter, GateKeeper and
 // SneakySnake, every driver's registry funnel balancing (stopped runs
 // included), wrong-length and malformed inputs, a chunk worker's error
-// (a corrupt index bucket), the client's named connect errors, and
-// shutdown drain.
+// (a corrupt index bucket), the client's named connect errors, the
+// source stage's service time (idle waits excluded), and shutdown drain.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -260,6 +260,38 @@ TEST_F(ServeTest, ConcurrentClientsAreDemuxedAndCoalesced) {
   EXPECT_EQ(stats.sessions_completed, 2u);
   EXPECT_EQ(stats.reads, 300u);
   EXPECT_GE(stats.coalesced_batches, 1u);
+}
+
+TEST_F(ServeTest, IdleTimeIsNotSourceService) {
+  // The source stage's service is the take's work: a job that arrives
+  // after the daemon idled adds none of the wait to
+  // gkgpu_stage_service_seconds{stage="source"}.
+  const auto source_seconds = [] {
+    const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
+    double sum = 0.0;
+    if (const obs::FamilySnapshot* f =
+            snap.Find("gkgpu_stage_service_seconds")) {
+      for (const obs::SampleSnapshot& s : f->samples) {
+        if (s.histogram && s.labels == obs::LabelSet{{"stage", "source"}}) {
+          sum += s.histogram->sum;
+        }
+      }
+    }
+    return sum;
+  };
+  const auto seqs = SimulateReadSequences(
+      ref_.text(), 64, kReadLength, ReadErrorProfile::Illumina(), 17);
+  const std::string fastq_text = MakeFastq("idle", seqs);
+  const double before = source_seconds();
+  const serve::ServeStats stats =
+      WithServer(BaseConfig(), [&](const std::string& socket) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(600));
+        std::istringstream fastq(fastq_text);
+        std::ostringstream sam;
+        serve::MapOverSocket(socket, fastq, sam);
+      });
+  EXPECT_EQ(stats.reads, 64u);
+  EXPECT_LT(source_seconds() - before, 0.25);
 }
 
 TEST_F(ServeTest, EveryDriverWritesTheSameSamUnderEveryLosslessFilter) {

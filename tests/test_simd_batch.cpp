@@ -29,7 +29,6 @@
 #include "filters/gatekeeper.hpp"
 #include "filters/pair_block.hpp"
 #include "filters/scalar_ref.hpp"
-#include "filters/shd.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
 #include "simd/dispatch.hpp"
@@ -263,11 +262,7 @@ TEST(SnakeBatchTest, CandidateBlocksMatchTheScalarRange) {
 TEST(FilterBatchTest, OverridingFiltersMatchTheirScalarReference) {
   Rng rng(90003);
   const GateKeeperFilter gk;
-  GateKeeperParams fpga;
-  fpga.mode = GateKeeperMode::kOriginal;
-  fpga.bypass_undefined = false;
-  const GateKeeperFilter gk_fpga(fpga);
-  const ShdFilter shd;
+  const GateKeeperFilter gk_fpga(kGateKeeperFpga);
   const ShoujiFilter shouji;
   const SneakySnakeFilter snake;
   struct Case {
@@ -280,7 +275,9 @@ TEST(FilterBatchTest, OverridingFiltersMatchTheirScalarReference) {
       // bypass bits, 'N' filters as its 'A' substitution — exactly what
       // the scalar Filter() does with bypass_undefined=false.
       {&gk_fpga, false},
-      {&shd, true},
+      // SHD (`filter --algo shd`): the same filter over blocks that
+      // bypass 'N' pairs.
+      {&gk_fpga, true},
       {&shouji, true},
       {&snake, true},
   };

@@ -5,7 +5,7 @@
 //   gkgpu generate-pairs  --profile mrfast --length 100 --count 30000
 //                         --out set.pairs.tsv
 //   gkgpu filter --pairs set.pairs.tsv --e 5
-//                [--algo gkgpu|fpga|shd|magnet|shouji|sneakysnake|genasm]
+//                [--algo gkgpu|fpga|shd|magnet|shouji|sneakysnake]
 //                [--setup 1|2] [--devices N] [--encode host|device]
 //                [--out decisions.tsv]
 //   gkgpu map    --ref ref.fa --reads r.fq --e 5 [--no-filter]
@@ -38,7 +38,11 @@
 // `index` persists the reference + k-mer index + 2-bit encoding to one
 // mmap-able file; `serve` is the resident mapping daemon and
 // `map-client` submits jobs to it.  Reference-consuming commands accept
-// `--index FILE` in place of `--ref FASTA` to start instantly.
+// `--index FILE` in place of `--ref FASTA` to start instantly.  `map` and
+// `serve` keep seeding lossless at the run's read length L and `--e`:
+// from `--ref` they seed with k = min(12, L / (e + 1)), and they reject
+// (exit 2, named) an e that leaves k below 4 and an index whose k exceeds
+// L / (e + 1).
 #include <algorithm>
 #include <charconv>
 #include <csignal>
@@ -58,9 +62,7 @@
 
 #include "core/engine.hpp"
 #include "filters/gatekeeper.hpp"
-#include "filters/genasm.hpp"
 #include "filters/magnet.hpp"
-#include "filters/shd.hpp"
 #include "filters/shouji.hpp"
 #include "filters/sneakysnake.hpp"
 #include "io/fasta.hpp"
@@ -223,6 +225,9 @@ class Args {
   std::string repeated_;  // the first option given twice
 };
 
+/// The smallest k a k-mer index takes (`index --k`).
+constexpr int kMinIndexK = 4;
+
 /// The shared load-or-mmap entry point: every subcommand that needs a
 /// reference resolves it here, so `--index ref.gki` (instant mmap of the
 /// persisted reference + CSR index + 2-bit encoding) and `--ref ref.fa`
@@ -241,13 +246,37 @@ struct ReferenceInput {
   /// indexes as views (the ReferenceInput must outlive the mapper) and
   /// forces `k` to the index's, which is what the file was built with;
   /// FASTA input moves `owned` into the mapper, which builds the sharded
-  /// index from the text.
+  /// index from the text.  Pigeonhole seeding finds every placement
+  /// within e edits only while a read of L bases holds e + 1 disjoint
+  /// k-mers, k <= L / (e + 1): FASTA input shortens k to that, and an
+  /// index whose k is longer, or an e that leaves seeds shorter than
+  /// kMinIndexK, is a usage error.
   ReadMapper MakeMapper(MapperConfig mcfg) {
+    const int length = mcfg.read_length;
+    const int e = mcfg.error_threshold;
+    const int lossless_k = length / (e + 1);
+    if (lossless_k < kMinIndexK) {
+      throw UsageError("--e " + std::to_string(e) + " needs " +
+                       std::to_string(e + 1) + " disjoint seeds, but " +
+                       std::to_string(length) + " bp reads hold at most " +
+                       std::to_string(length / kMinIndexK) +
+                       " of the index's smallest k (" +
+                       std::to_string(kMinIndexK) + ")");
+    }
     if (mapped != nullptr) {
       mcfg.k = mapped->k();
+      if (mcfg.k > lossless_k) {
+        throw UsageError(
+            "the index's k = " + std::to_string(mcfg.k) + " is too long for " +
+            std::to_string(length) + " bp reads at --e " + std::to_string(e) +
+            ", which need " + std::to_string(e + 1) + " seeds of k <= " +
+            std::to_string(lossless_k) + " (gkgpu index --k " +
+            std::to_string(lossless_k) + ")");
+      }
       return ReadMapper(mapped->reference(), mapped->seed_index().Alias(),
                         mapped->encoding(), mcfg);
     }
+    mcfg.k = std::min(mcfg.k, lossless_k);
     return ReadMapper(std::move(owned), mcfg);
   }
 };
@@ -351,8 +380,8 @@ std::int64_t ShardMaxBp(const Args& args) {
 /// `--length` (at least 1; `default_length` when absent) and `--threads`,
 /// the size of the pool every mapping driver runs on, `min_threads` to
 /// kMaxThreads (`default_threads` when absent; 0 means hardware
-/// concurrency).  k is the default 12 unless an index file sets it
-/// (ReferenceInput::MakeMapper).
+/// concurrency).  k is the default 12, shortened for lossless seeding,
+/// unless an index file sets it (ReferenceInput::MakeMapper).
 MapperConfig MapperOptions(const Args& args, long min_threads,
                            long default_threads, int default_length) {
   MapperConfig mcfg;
@@ -761,13 +790,9 @@ std::unique_ptr<PreAlignmentFilter> MakeHostFilter() {
   return std::make_unique<Filter>();
 }
 
-/// The FPGA GateKeeper: the original mask pipeline, with no bypass of
-/// undefined pairs.
+/// GateKeeper-FPGA and SHD, one configuration (kGateKeeperFpga).
 std::unique_ptr<PreAlignmentFilter> MakeFpgaFilter() {
-  GateKeeperParams p;
-  p.mode = GateKeeperMode::kOriginal;
-  p.bypass_undefined = false;
-  return std::make_unique<GateKeeperFilter>(p);
+  return std::make_unique<GateKeeperFilter>(kGateKeeperFpga);
 }
 
 int FilterCmd(const Args& args) {
@@ -783,11 +808,10 @@ int FilterCmd(const Args& args) {
       "algo", "gkgpu",
       {{"gkgpu", nullptr},
        {"fpga", MakeFpgaFilter},
-       {"shd", MakeHostFilter<ShdFilter>},
+       {"shd", MakeFpgaFilter},
        {"magnet", MakeHostFilter<MagnetFilter>},
        {"shouji", MakeHostFilter<ShoujiFilter>},
-       {"sneakysnake", MakeHostFilter<SneakySnakeFilter>},
-       {"genasm", MakeHostFilter<GenAsmFilter>}});
+       {"sneakysnake", MakeHostFilter<SneakySnakeFilter>}});
   const std::string algo = args.Get("algo", "gkgpu");
   // A host filter would ignore the engine's options.
   const std::vector<std::string> engine_options =
@@ -843,9 +867,10 @@ int FilterCmd(const Args& args) {
   } else {
     const auto filter = make_host_filter();
     // Host filters run the batch API: one PairBlock, no per-pair virtual
-    // dispatch.  Undefined ('N') pairs carry bypass bits except for the
-    // FPGA baseline, which has no such mechanism and filters the
-    // 'A'-substituted encoding instead.
+    // dispatch.  Undefined ('N') pairs carry bypass bits except under
+    // `fpga`, the FPGA baseline, which has no such mechanism and filters
+    // the 'A'-substituted encoding instead; `shd` runs the same filter
+    // over blocks that bypass them.
     WallTimer timer;
     PairBlockStorage block(length);
     for (const auto& p : pairs) {
@@ -1048,7 +1073,7 @@ int IndexCmd(const Args& args) {
   if (ref_path.empty()) return Usage();
   const std::string out = args.Get("out", "ref.gki");
   SeedConfig scfg;
-  scfg.k = static_cast<int>(args.GetInt("k", 12, 4, 14));
+  scfg.k = static_cast<int>(args.GetInt("k", 12, kMinIndexK, 14));
   scfg.shard_max_bp = ShardMaxBp(args);
   // Probe the output before any work: opened for appending, an existing
   // index keeps its bytes until the new one replaces it.
